@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
+from .forms import max_gap_of
+
 __all__ = [
     "LieAlgebraDescriptor",
     "AlgebraElement",
@@ -116,6 +118,10 @@ class LieAlgebraDescriptor:
         d = self.dim
         if c.shape != (d, d, d):
             raise StructureError(f"structure constants must be ({d},{d},{d}), got {c.shape}")
+        # every tolerance test below passes NaN, so non-finite data stops here
+        if not all(np.isfinite(a).all() for a in (c, self.rep_matrices, self.kappa)):
+            raise StructureError("structure constants, representation matrices "
+                                 "and kappa must be finite")
         if len(self.basis_labels) != d:
             raise StructureError("basis_labels length must equal dim")
         if np.abs(c + np.swapaxes(c, 0, 1)).max() > JACOBI_TOL:
@@ -232,7 +238,7 @@ class GroupElement:
         if self.matrix.shape != (n, n):
             raise VarietyError(f"group matrix must be {n}x{n}")
         resid = variety_residual(self.algebra, self.matrix)
-        if resid > VARIETY_TOL:
+        if not resid <= VARIETY_TOL:
             raise VarietyError(f"matrix off the group variety by {resid:.3e}")
 
     def inverse(self) -> "GroupElement":
@@ -242,23 +248,22 @@ class GroupElement:
         return GroupElement(self.algebra, self.matrix @ other.matrix)
 
 
+@max_gap_of
 def variety_residual(alg: LieAlgebraDescriptor, matrix: np.ndarray) -> float:
     """Distance of a matrix from the declared group variety.
 
     Off-block entries must vanish, each block must be unitary, and "su"
     blocks must additionally have unit determinant.
     """
-    worst = 0.0
     mask = np.zeros_like(matrix, dtype=bool)
     for kind, off, size in alg.variety_blocks:
         blk = matrix[off:off + size, off:off + size]
         mask[off:off + size, off:off + size] = True
-        worst = max(worst, np.abs(blk.conj().T @ blk - np.eye(size)).max())
+        yield blk.conj().T @ blk - np.eye(size)
         if kind == "su":
-            worst = max(worst, abs(np.linalg.det(blk) - 1.0))
+            yield np.linalg.det(blk) - 1.0
     if not mask.all():
-        worst = max(worst, np.abs(matrix[~mask]).max(initial=0.0))
-    return float(worst)
+        yield matrix[~mask]
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +437,7 @@ def adjoint_group(g: GroupElement, x: AlgebraElement) -> AlgebraElement:
     alg = g.algebra
     m = g.matrix @ x.rep() @ g.matrix.conj().T
     coeffs, resid = expand_in_rep(alg, m)
-    if resid > REEXPANSION_TOL * max(1.0, np.linalg.norm(x.coeffs)):
+    if not resid <= REEXPANSION_TOL * max(1.0, np.linalg.norm(x.coeffs)):
         raise ReexpansionError(f"adjoint image off the algebra span by {resid:.3e}")
     return AlgebraElement(alg, coeffs)
 
@@ -447,7 +452,7 @@ def ad_matrix_of_group(alg: LieAlgebraDescriptor, g_matrix: np.ndarray) -> np.nd
     for b in range(alg.dim):
         m = g_matrix @ alg.rep_matrices[b] @ ginv
         coeffs, resid = expand_in_rep(alg, m)
-        if resid > REEXPANSION_TOL:
+        if not resid <= REEXPANSION_TOL:
             raise ReexpansionError(f"Ad image of basis element {b} off span by {resid:.3e}")
         out[:, b] = coeffs
     return out

@@ -5,8 +5,9 @@ residual suite or all applicable ones, prints a PASS/FAIL line per suite, and
 optionally writes the deterministic JSON report and the per-point CSV.
 
 Exit status: 0 when every selected check passes, 1 when any check fails,
-2 on input errors (unknown scenario or suite, malformed scenario file,
-unwritable output path).
+2 on input errors (unknown scenario or suite, malformed scenario file, a
+sample count below 1, a tolerance scale or step that is not a finite number
+above 0, unwritable output path).
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ import sys
 
 from .forms import SamplePlan
 from .harness import (SCENARIO_NAMES, ScenarioError, builtin_scenario,
-                      load_scenario, run_suite, suite_names)
+                      load_scenario, require_finite_positive, run_suite,
+                      suite_names)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,16 +61,21 @@ def _resolve_scenario(token: str):
 
 
 def _cmd_verify(args) -> int:
+    for flag, value in (("--tol-scale", args.tol_scale), ("--h", args.h),
+                        ("--h2", args.h2)):
+        if value is not None:
+            require_finite_positive(flag, value)
     bundle = _resolve_scenario(args.scenario)
     plan = bundle.plan
     if args.points is not None or args.seed is not None:
-        plan = SamplePlan(
-            mode=plan.mode,
-            count=args.points if args.points is not None else plan.count,
-            seed=args.seed if args.seed is not None else plan.seed,
-            tangent_probes=plan.tangent_probes)
-    if plan.count < 1:
-        raise ScenarioError("--points: need at least one sample point")
+        try:
+            plan = SamplePlan(
+                mode=plan.mode,
+                count=args.points if args.points is not None else plan.count,
+                seed=args.seed if args.seed is not None else plan.seed,
+                tangent_probes=plan.tangent_probes)
+        except ValueError as exc:
+            raise ScenarioError(f"--points: {exc}") from None
 
     report = run_suite(bundle, args.suite, plan=plan, h=args.h, h2=args.h2,
                        tol_scale=args.tol_scale)

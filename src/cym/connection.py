@@ -16,7 +16,7 @@ from .algebra import LieAlgebraDescriptor, ad_matrix_c
 from .forms import (Chart, LieForm, PolyData, SamplePlan, add_forms,
                     bracket_pairing, endo_action_pairing, endo_compose_pairing,
                     exterior_derivative, form_from_poly, graded_product,
-                    increasing_indices, scale_form)
+                    increasing_indices, max_gap, max_gap_of, scale_form)
 
 __all__ = [
     "LabConnection", "CurvatureResult", "CompatibilityReport",
@@ -92,13 +92,10 @@ class CurvatureResult:
         """Max |R - ad(F_omega)| over the plan's points (0 when no potential)."""
         if self.potential is None:
             return 0.0
-        worst = 0.0
         ad_f = ad_mapped_form(alg, self.potential)
-        for x in plan.points(chart):
-            for idx in increasing_indices(self.endo.n, 2):
-                worst = max(worst, np.abs(self.endo.components(x, idx)
-                                          - ad_f.components(x, idx)).max())
-        return worst
+        return max_gap(self.endo.components(x, idx) - ad_f.components(x, idx)
+                       for x in plan.points(chart)
+                       for idx in increasing_indices(self.endo.n, 2))
 
 
 def curvature(nabla: LabConnection) -> CurvatureResult:
@@ -143,20 +140,18 @@ def check_compatibility(nabla: LabConnection, zeta: LieForm, chart: Chart,
     alg = nabla.algebra
     c = alg.structure_constants
     r = curvature(nabla)
-    worst_der = 0.0
-    worst_curv = 0.0
+    der_gaps, curv_gaps = [], []
     for x in plan.points(chart):
         for k in range(chart.dim):
             g = nabla.gamma.components(x, (k,))
             lhs = np.einsum('abm,km->abk', c, g)
             rhs = np.einsum('ma,mbk->abk', g, c) + np.einsum('mb,amk->abk', g, c)
-            worst_der = max(worst_der, np.abs(lhs - rhs).max())
+            der_gaps.append(lhs - rhs)
         for idx in increasing_indices(chart.dim, 2):
-            rr = r.endo.components(x, idx)
-            zz = ad_matrix_c(alg, zeta.components(x, idx))
-            worst_curv = max(worst_curv, np.abs(rr - zz).max())
-    return CompatibilityReport(derivation_residual=float(worst_der),
-                               curvature_residual=float(worst_curv),
+            curv_gaps.append(r.endo.components(x, idx)
+                             - ad_matrix_c(alg, zeta.components(x, idx)))
+    return CompatibilityReport(derivation_residual=max_gap(der_gaps),
+                               curvature_residual=max_gap(curv_gaps),
                                points_used=plan.count, plan=plan)
 
 
@@ -189,6 +184,7 @@ def field_redefine(nabla: LabConnection, zeta: LieForm, gauge_field: LieForm,
     return FieldRedefinition(nabla=new_nabla, zeta=new_zeta, gauge_field=new_a)
 
 
+@max_gap_of
 def conjugation_residual(nabla: LabConnection, chart: Chart, plan: SamplePlan,
                          section, darboux_form: LieForm, h: float = None) -> float:
     """Residual of Ad_{b^{-1}} . del . Ad_b = del + ad(Delta b) on basis sections.
@@ -199,7 +195,6 @@ def conjugation_residual(nabla: LabConnection, chart: Chart, plan: SamplePlan,
     """
     alg = nabla.algebra
     h = h or chart.default_step()
-    worst = 0.0
     for x in plan.points(chart):
         ad_b = section(x)
         ad_b_inv = np.linalg.inv(ad_b)
@@ -210,5 +205,4 @@ def conjugation_residual(nabla: LabConnection, chart: Chart, plan: SamplePlan,
             g = nabla.gamma.components(x, (k,))
             lhs = ad_b_inv @ (d_ad + g @ ad_b)
             rhs = g + ad_matrix_c(alg, darboux_form.components(x, (k,)))
-            worst = max(worst, np.abs(lhs - rhs).max())
-    return float(worst)
+            yield lhs - rhs

@@ -20,11 +20,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, wraps
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .algebra import LieAlgebraDescriptor
+if TYPE_CHECKING:  # annotations only: algebra imports max_gap from here
+    from .algebra import LieAlgebraDescriptor
 
 __all__ = [
     "Chart", "LieForm", "PolyData", "Pairing", "SamplePlan",
@@ -34,7 +36,7 @@ __all__ = [
     "constant_form", "form_from_poly",
     "bracket_pairing", "kappa_pairing", "endo_action_pairing",
     "endo_compose_pairing", "hodge_star", "kappa_wedge_top",
-    "top_coefficient", "drain_order_loss_events",
+    "top_coefficient", "drain_order_loss_events", "max_gap", "max_gap_of",
 ]
 
 # order-loss events from one-sided stencils; drained by reports
@@ -607,8 +609,36 @@ def top_coefficient(form: LieForm, x) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sampling plans
+# sampling plans and the largest gap over them
 # ---------------------------------------------------------------------------
+
+def max_gap(gaps) -> float:
+    """Largest absolute entry over an iterable of gap arrays or scalars.
+
+    This is the one reduction behind every residual: a NaN or infinite entry
+    makes the result NaN, which fails every `residual <= tolerance` test, and
+    an iterable with no items raises ValueError, because a check over no
+    gaps has verified nothing.
+    """
+    worst = None
+    for gap in gaps:
+        value = float(np.abs(gap).max())
+        if not math.isfinite(value):
+            return math.nan
+        if worst is None or value > worst:
+            worst = value
+    if worst is None:
+        raise ValueError("no gaps to reduce: the check sampled nothing")
+    return worst
+
+
+def max_gap_of(gap_fn):
+    """Decorator: a function that yields gaps returns their `max_gap`."""
+    @wraps(gap_fn)
+    def reduced(*args, **kwargs):
+        return max_gap(gap_fn(*args, **kwargs))
+    return reduced
+
 
 @dataclass
 class SamplePlan:
@@ -621,6 +651,9 @@ class SamplePlan:
     tangent_probes: int = 4
 
     def __post_init__(self):
+        if (isinstance(self.count, bool) or not isinstance(self.count, int)
+                or self.count < 1):
+            raise ValueError(f"count must be a positive integer, got {self.count!r}")
         if self.mode not in ("random", "grid"):
             raise ValueError("mode must be 'random' or 'grid'")
         if self.tangent_probes < 2:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +24,8 @@ from .algebra import (GroupElement, LieAlgebraDescriptor, StructureError,
                       algebra_to_dict, bracket_c, su2, u1, u1_su2)
 from .connection import check_compatibility, field_redefine, potential_curvature
 from .forms import (Chart, LieForm, PolyData, SamplePlan, euclidean_chart,
-                    exterior_derivative, form_from_poly, minkowski_chart,
-                    stereographic_chart, zero_form)
+                    exterior_derivative, form_from_poly, max_gap, max_gap_of,
+                    minkowski_chart, stereographic_chart, zero_form)
 from .gauge import (GaugeScenario, bianchi_residual, change_of_gauge,
                     density_gauge_invariance_residual,
                     density_infinitesimal_residual,
@@ -452,6 +453,9 @@ def _chart_from_dict(blob) -> tuple:
                             f"choose from {sorted(_METRIC_NAMES)}")
     if half <= 0:
         raise ScenarioError("chart.half: must be positive")
+    if dim < 2:
+        raise ScenarioError("chart.dim: the central form is a 2-form, so the "
+                            "chart needs at least two axes")
     if metric == "round-s4":
         if dim != 4:
             raise ScenarioError("chart.metric: the round-sphere metric needs dim 4")
@@ -686,8 +690,10 @@ class SuiteReport:
         return all(c.passed for c in self.checks)
 
     def _binding(self) -> CheckRow:
+        """The first non-finite check, else the largest residual/tolerance."""
         return max(self.checks,
-                   key=lambda c: c.residual / c.tolerance if c.tolerance else 0.0)
+                   key=lambda c: (not math.isfinite(c.residual),
+                                  c.residual / c.tolerance if c.tolerance else 0.0))
 
     def to_dict(self) -> dict:
         worst = self._binding()
@@ -813,38 +819,25 @@ class _FixedPlan:
         return rng.normal(size=(count or self.tangent_probes, n))
 
 
-def _per_point(bundle: ScenarioBundle, env: RunEnv, fn) -> tuple:
-    """Evaluate fn(single_point_plan, ordinal, point) over the plan; return
-    (worst, [(ordinal, residual)])."""
-    rows = []
-    worst = 0.0
-    for i, x in enumerate(env.plan.points(bundle.chart)):
-        single = _FixedPlan(pts=x[None, :], seed=[env.plan.seed, i],
-                            tangent_probes=env.plan.tangent_probes)
-        r = float(fn(single, i, x))
-        rows.append((i, r))
-        worst = max(worst, r)
-    return worst, rows
-
-
-def _per_point_multi(bundle: ScenarioBundle, env: RunEnv, fn, k: int) -> list:
-    """Like _per_point for an fn that returns k residuals per point (for laws
-    whose evaluations share expensive intermediates)."""
-    rows = [[] for _ in range(k)]
-    worst = [0.0] * k
-    for i, x in enumerate(env.plan.points(bundle.chart)):
-        single = _FixedPlan(pts=x[None, :], seed=[env.plan.seed, i],
-                            tangent_probes=env.plan.tangent_probes)
-        for j, v in enumerate(fn(single, i, x)):
-            v = float(v)
-            rows[j].append((i, v))
-            worst[j] = max(worst[j], v)
-    return list(zip(worst, rows))
-
-
-def _row(env, key, worst, per_point, label=None) -> CheckRow:
-    return CheckRow(check=label or key.split("/", 1)[1], residual=worst,
+def _check_row(env: RunEnv, key: str, per_point: list) -> CheckRow:
+    """Row of one check: its per-point residuals and their max_gap."""
+    return CheckRow(check=key.split("/", 1)[1],
+                    residual=max_gap(r for _, r in per_point),
                     tolerance=env.tol(key), per_point=per_point)
+
+
+def _per_point(bundle: ScenarioBundle, env: RunEnv, fn, *keys) -> list:
+    """One CheckRow per key. At each sample point fn(single_point_plan,
+    ordinal, point) returns one residual per key (checks that share
+    expensive intermediates evaluate them once per point)."""
+    columns = [[] for _ in keys]
+    for i, x in enumerate(env.plan.points(bundle.chart)):
+        single = _FixedPlan(pts=x[None, :], seed=[env.plan.seed, i],
+                            tangent_probes=env.plan.tangent_probes)
+        values = np.atleast_1d(fn(single, i, x))
+        for column, value in zip(columns, values, strict=True):
+            column.append((i, float(value)))
+    return [_check_row(env, key, column) for key, column in zip(keys, columns)]
 
 
 # -- individual suites -------------------------------------------------------
@@ -883,12 +876,9 @@ def algebra_kernel_residuals(alg: LieAlgebraDescriptor, count: int,
 def _suite_algebra(bundle, env):
     res = algebra_kernel_residuals(bundle.algebra, env.plan.count,
                                    seed=env.plan.seed)
-    rows = [_row(env, "algebra/jacobi", res["jacobi"], [(-1, res["jacobi"])])]
-    for key in ("ad-homomorphism", "kappa-invariance", "exp-ad-consistency"):
-        vals = res[key]
-        rows.append(_row(env, f"algebra/{key}", max(vals),
-                         list(enumerate(vals))))
-    return rows
+    return [_check_row(env, "algebra/jacobi", [(-1, res["jacobi"])])] + [
+        _check_row(env, f"algebra/{key}", list(enumerate(res[key])))
+        for key in ("ad-homomorphism", "kappa-invariance", "exp-ad-consistency")]
 
 
 def _suite_compatibility(bundle, env):
@@ -897,9 +887,8 @@ def _suite_compatibility(bundle, env):
                                   single)
         return rep.derivation_residual, rep.curvature_residual
 
-    (w1, p1), (w2, p2) = _per_point_multi(bundle, env, both, 2)
-    return [_row(env, "compatibility/derivation", w1, p1),
-            _row(env, "compatibility/curvature", w2, p2)]
+    return _per_point(bundle, env, both, "compatibility/derivation",
+                      "compatibility/curvature")
 
 
 def _distinguished_section(bundle):
@@ -936,22 +925,13 @@ def _suite_darboux(bundle, env):
     if len(named) >= 2:
         pairs = pairs + [(named[0], named[1])]
 
-    def leibniz(single, i, x):
-        worst = 0.0
-        for s1, s2 in pairs:
-            worst = max(worst, darboux_leibniz_residual(bundle.lgb, s1, s2, single))
-        return worst
+    def both(single, i, x):
+        return (max_gap(darboux_leibniz_residual(bundle.lgb, s1, s2, single)
+                        for s1, s2 in pairs),
+                max_gap(darboux_inverse_residual(bundle.lgb, s1, single)
+                        for s1, _ in pairs))
 
-    def inverse(single, i, x):
-        worst = 0.0
-        for s1, _ in pairs:
-            worst = max(worst, darboux_inverse_residual(bundle.lgb, s1, single))
-        return worst
-
-    w1, p1 = _per_point(bundle, env, leibniz)
-    w2, p2 = _per_point(bundle, env, inverse)
-    return [_row(env, "darboux/leibniz", w1, p1),
-            _row(env, "darboux/inverse", w2, p2)]
+    return _per_point(bundle, env, both, "darboux/leibniz", "darboux/inverse")
 
 
 def _suite_fibre_connection(bundle, env):
@@ -960,50 +940,43 @@ def _suite_fibre_connection(bundle, env):
     alg = bundle.algebra
     t_step = env.h if env.h is not None else 1e-5
 
+    @max_gap_of
     def check(single, i, x):
-        worst = 0.0
         for k in range(bundle.chart.dim):
             got = nabla_from_darboux(bundle.lgb, nu, x, k, t_step=t_step,
                                      tol=np.inf)
             want = dnu.components(x, (k,)) + bracket_c(
                 alg, bundle.omega.components(x, (k,)), nu.components(x, ()))
-            worst = max(worst, float(np.abs(got - want).max()))
-        return worst
+            yield got - want
 
-    w, p = _per_point(bundle, env, check)
-    return [_row(env, "fibre-connection/stencil-vs-analytic", w, p)]
+    return _per_point(bundle, env, check, "fibre-connection/stencil-vs-analytic")
 
 
 def _suite_multiplicativity(bundle, env):
     def check(single, i, x):
         return multiplicativity_residual(bundle.lgb, single)
 
-    w, p = _per_point(bundle, env, check)
-    return [_row(env, "multiplicativity/total-form", w, p)]
+    return _per_point(bundle, env, check, "multiplicativity/total-form")
 
 
 def _suite_generalized_mc(bundle, env):
-    def total(single, i, x):
-        return generalized_mc_residual(bundle.lgb, bundle.zeta, single)
-
     sec = _distinguished_section(bundle)
 
-    def pullback(single, i, x):
-        return pullback_mc_residual(bundle.lgb, sec, bundle.zeta, single)
+    def both(single, i, x):
+        return (generalized_mc_residual(bundle.lgb, bundle.zeta, single),
+                pullback_mc_residual(bundle.lgb, sec, bundle.zeta, single))
 
-    w1, p1 = _per_point(bundle, env, total)
-    w2, p2 = _per_point(bundle, env, pullback)
-    return [_row(env, "generalized-mc/total-space", w1, p1),
-            _row(env, "generalized-mc/pullback", w2, p2)]
+    return _per_point(bundle, env, both, "generalized-mc/total-space",
+                      "generalized-mc/pullback")
 
 
+@max_gap_of
 def _section_independence_residual(p: TrivPrincipal, plan) -> float:
     """Two sections through the same multiplier must induce the same
     pushforward, and both must agree with the closed form."""
     alg = p.algebra
     n = p.chart.dim
     rng = plan.rng()
-    worst = 0.0
     for x in plan.points(p.chart):
         g = group_sample(alg, rng)
         pt = TotalPoint(np.asarray(x, dtype=float), alg.group_identity())
@@ -1021,35 +994,28 @@ def _section_independence_residual(p: TrivPrincipal, plan) -> float:
             via_const = pushforward_via_section(p, const, pt, t)
             via_tilted = pushforward_via_section(p, tilted, pt, t)
             closed = modified_pushforward(p, g, pt, t, check=False)
-            gap = max(float(np.abs(via_const.X - via_tilted.X).max()),
-                      float(np.abs(via_const.eta - via_tilted.eta).max()),
-                      float(np.abs(via_const.eta - closed.eta).max()))
-            worst = max(worst, gap)
-    return worst
+            yield via_const.X - via_tilted.X
+            yield via_const.eta - via_tilted.eta
+            yield via_const.eta - closed.eta
 
 
 def _suite_principal(bundle, env):
     p = bundle.principal
     fd = env.h if env.h is not None else 1e-5
-    rows = []
-    for key, fn in (
-        ("principal/action-differential",
-         lambda s, i, x: action_differential_residual(p, s)),
-        ("principal/section-independence",
-         lambda s, i, x: _section_independence_residual(p, s)),
-        ("principal/equivariance",
-         lambda s, i, x: equivariance_residual(p, s)),
-        ("principal/kernel-invariance",
-         lambda s, i, x: kernel_invariance_residual(p, s)),
-        ("principal/projection-commutation",
-         lambda s, i, x: projection_commutation_residual(p, s)),
-        ("principal/mixed-bracket",
-         lambda s, i, x: mixed_bracket_residual(p, bundle.generator, s,
-                                                fd_step=fd)),
-    ):
-        w, pts = _per_point(bundle, env, fn)
-        rows.append(_row(env, key, w, pts))
-    return rows
+
+    def checks(s, i, x):
+        return (action_differential_residual(p, s),
+                _section_independence_residual(p, s),
+                equivariance_residual(p, s),
+                kernel_invariance_residual(p, s),
+                projection_commutation_residual(p, s),
+                mixed_bracket_residual(p, bundle.generator, s, fd_step=fd))
+
+    return _per_point(bundle, env, checks, "principal/action-differential",
+                      "principal/section-independence",
+                      "principal/equivariance", "principal/kernel-invariance",
+                      "principal/projection-commutation",
+                      "principal/mixed-bracket")
 
 
 def _suite_structure_equation(bundle, env):
@@ -1057,31 +1023,24 @@ def _suite_structure_equation(bundle, env):
     alg = bundle.algebra
     n = bundle.chart.dim
 
-    def dual_path(single, i, x):
-        fs = total_field_strength(p, bundle.zeta, x)
-        return fs.structure_residual(probes=single.tangent_probes,
-                                     seed=hash((env.plan.seed, i)) % (2 ** 32))
-
-    def horizontality(single, i, x):
-        fs = total_field_strength(p, bundle.zeta, x)
+    @max_gap_of
+    def horizontality(fs, single):
         rng = single.rng()
-        worst = 0.0
         for _ in range(single.tangent_probes):
             vert = np.concatenate([np.zeros(n), rng.normal(size=alg.dim)])
             other = rng.normal(size=n + alg.dim)
-            worst = max(worst, float(np.abs(fs.evaluate(vert, other)).max()))
-        return worst
+            yield fs.evaluate(vert, other)
 
-    def adjoint(single, i, x):
-        return field_strength_type_residual(p, bundle.zeta, single)
+    def checks(single, i, x):
+        fs = total_field_strength(p, bundle.zeta, x)
+        return (fs.structure_residual(probes=single.tangent_probes,
+                                      seed=hash((env.plan.seed, i)) % (2 ** 32)),
+                horizontality(fs, single),
+                field_strength_type_residual(p, bundle.zeta, single))
 
-    rows = []
-    for key, fn in (("structure-equation/dual-path", dual_path),
-                    ("structure-equation/horizontality", horizontality),
-                    ("structure-equation/adjoint-type", adjoint)):
-        w, pts = _per_point(bundle, env, fn)
-        rows.append(_row(env, key, w, pts))
-    return rows
+    return _per_point(bundle, env, checks, "structure-equation/dual-path",
+                      "structure-equation/horizontality",
+                      "structure-equation/adjoint-type")
 
 
 def _suite_gauge_laws(bundle, env):
@@ -1090,20 +1049,16 @@ def _suite_gauge_laws(bundle, env):
         def check(single, i, x, s=sec):
             return change_of_gauge(bundle.scenario, s, single).f_residual
 
-        w, pts = _per_point(bundle, env, check)
-        rows.append(_row(env, f"gauge-laws/section:{name}", w, pts,
-                         label=f"section:{name}"))
+        rows += _per_point(bundle, env, check, f"gauge-laws/section:{name}")
     for name, aut in sorted(bundle.automorphisms.items()):
         def check(single, i, x, a=aut):
             res = gauge_transform_total(bundle.principal, a, bundle.zeta,
                                         single)
             return res.residual_a, res.residual_f
 
-        (wa, pa), (wf, pf) = _per_point_multi(bundle, env, check, 2)
-        rows.append(_row(env, f"gauge-laws/automorphism-potential:{name}",
-                         wa, pa, label=f"automorphism-potential:{name}"))
-        rows.append(_row(env, f"gauge-laws/automorphism-field-strength:{name}",
-                         wf, pf, label=f"automorphism-field-strength:{name}"))
+        rows += _per_point(bundle, env, check,
+                           f"gauge-laws/automorphism-potential:{name}",
+                           f"gauge-laws/automorphism-field-strength:{name}")
     return rows
 
 
@@ -1115,27 +1070,22 @@ def _suite_bianchi(bundle, env):
     def check(single, i, x):
         return bianchi_residual(bundle.scenario, single)
 
-    w, pts = _per_point(bundle, env, check)
-    return [_row(env, key, w, pts)]
+    return _per_point(bundle, env, check, key)
 
 
 def _suite_field_redef(bundle, env):
     s = bundle.scenario
     shifted = field_redefine(s.nabla, s.zeta, s.gauge_field, bundle.shift)
 
-    def invariance(single, i, x):
-        return field_redef_invariance_residual(s, bundle.shift, single)
-
-    def closure(single, i, x):
+    def checks(single, i, x):
+        invariance = field_redef_invariance_residual(s, bundle.shift, single)
         rep = check_compatibility(shifted.nabla, shifted.zeta, bundle.chart,
                                   single)
-        return rep.derivation_residual, rep.curvature_residual
+        return invariance, rep.derivation_residual, rep.curvature_residual
 
-    w0, p0 = _per_point(bundle, env, invariance)
-    (w1, p1), (w2, p2) = _per_point_multi(bundle, env, closure, 2)
-    return [_row(env, "field-redef/invariance", w0, p0),
-            _row(env, "field-redef/closure-derivation", w1, p1),
-            _row(env, "field-redef/closure-curvature", w2, p2)]
+    return _per_point(bundle, env, checks, "field-redef/invariance",
+                      "field-redef/closure-derivation",
+                      "field-redef/closure-curvature")
 
 
 def _suite_lagrangian(bundle, env):
@@ -1143,25 +1093,20 @@ def _suite_lagrangian(bundle, env):
     sec = _distinguished_section(bundle)
     t_step = env.h2 if env.h2 is not None else 1e-5
 
-    def finite(single, i, x):
-        return density_gauge_invariance_residual(s, sec, single)
+    def both(single, i, x):
+        return (density_gauge_invariance_residual(s, sec, single),
+                density_infinitesimal_residual(s, bundle.generator, single,
+                                               t_step=t_step))
 
-    def infinitesimal(single, i, x):
-        return density_infinitesimal_residual(s, bundle.generator, single,
-                                              t_step=t_step)
-
-    w1, p1 = _per_point(bundle, env, finite)
-    w2, p2 = _per_point(bundle, env, infinitesimal)
-    return [_row(env, "lagrangian/finite", w1, p1),
-            _row(env, "lagrangian/infinitesimal", w2, p2)]
+    return _per_point(bundle, env, both, "lagrangian/finite",
+                      "lagrangian/infinitesimal")
 
 
 def _suite_self_duality(bundle, env):
     def check(single, i, x):
         return self_duality_residual(bundle.zeta, bundle.chart, single)
 
-    w, pts = _per_point(bundle, env, check)
-    return [_row(env, "self-duality/central-form", w, pts)]
+    return _per_point(bundle, env, check, "self-duality/central-form")
 
 
 def _suite_charge(bundle, env):
@@ -1170,7 +1115,7 @@ def _suite_charge(bundle, env):
                          order=bundle.quadrature["order"])
     expected = bundle.expected_charge if bundle.expected_charge is not None else 0.0
     residual = abs(q.total - expected)
-    return [_row(env, "charge/instanton-number", residual, [(-1, residual)])]
+    return [_check_row(env, "charge/instanton-number", [(-1, residual)])]
 
 
 def _needs_dim4(bundle):
@@ -1250,12 +1195,30 @@ def suite_names():
     return tuple(SUITES)
 
 
+def require_finite_positive(field_name: str, value) -> None:
+    """Raise ScenarioError naming the field unless value is a finite number
+    greater than 0 (a step, a tolerance or the tolerance scale)."""
+    try:
+        ok = 0.0 < float(value) < math.inf
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ScenarioError(f"{field_name}: must be a finite number greater "
+                            f"than 0, got {value!r}")
+
+
 def run_suite(bundle: ScenarioBundle, suite_name: str, plan: SamplePlan = None,
               tolerances: dict = None, h: float = None, h2: float = None,
               tol_scale: float = 1.0) -> VerificationReport:
     """Run one named suite (or "all") against a scenario bundle."""
+    require_finite_positive("tol_scale", tol_scale)
+    for field_name, step in (("h", h), ("h2", h2)):
+        if step is not None:
+            require_finite_positive(field_name, step)
     overrides = dict(bundle.tolerances)
     overrides.update(tolerances or {})
+    for key, value in overrides.items():
+        require_finite_positive(f"tolerances.{key}", value)
     env = RunEnv(plan=plan or bundle.plan, h=h, h2=h2, tol_scale=tol_scale,
                  overrides=overrides)
 

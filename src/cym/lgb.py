@@ -21,7 +21,7 @@ from .algebra import (GroupElement, LieAlgebraDescriptor, ReexpansionError,
 from .connection import LabConnection, cov_ext_deriv
 from .forms import (Chart, LieForm, SamplePlan, bracket_pairing,
                     exterior_derivative, graded_product, increasing_indices,
-                    scale_form)
+                    max_gap_of, scale_form)
 
 __all__ = [
     "TotalPoint", "TotalTangent", "TrivLgb", "GSection", "dexp_body",
@@ -138,7 +138,7 @@ class GSection:
         db = (self.fn(x + step).matrix - self.fn(x - step).matrix) / (2 * h)
         body = self(x).matrix.conj().T @ db
         coeffs, resid = expand_in_rep(self.algebra, body)
-        if resid > DRIFT_TOL * max(1.0, float(np.linalg.norm(coeffs))):
+        if not resid <= DRIFT_TOL * max(1.0, float(np.linalg.norm(coeffs))):
             raise ReexpansionError(
                 f"section {self.name!r} drifted off the variety at axis {axis}: "
                 f"residual {resid:.3e}")
@@ -212,6 +212,7 @@ def darboux(lgb: TrivLgb, section: GSection, h: float = None) -> LieForm:
                    fd_step=10 * lgb.chart.default_step(), box=lgb.chart.box)
 
 
+@max_gap_of
 def darboux_leibniz_residual(lgb: TrivLgb, s1: GSection, s2: GSection,
                              plan: SamplePlan) -> float:
     """max |Delta(s1 s2) - Ad_{s2^{-1}} Delta(s1) - Delta(s2)| over the plan."""
@@ -219,28 +220,24 @@ def darboux_leibniz_residual(lgb: TrivLgb, s1: GSection, s2: GSection,
     d1 = darboux(lgb, s1)
     d2 = darboux(lgb, s2)
     d12 = darboux(lgb, s1.product(s2))
-    worst = 0.0
     for x in plan.points(lgb.chart):
         ad_inv = ad_matrix_of_group(lgb.algebra, s2(x).matrix.conj().T)
         for k in range(lgb.chart.dim):
             lhs = d12.components(x, (k,))
             rhs = ad_inv @ d1.components(x, (k,)) + d2.components(x, (k,))
-            worst = max(worst, np.abs(lhs - rhs).max())
-    return worst
+            yield lhs - rhs
 
 
+@max_gap_of
 def darboux_inverse_residual(lgb: TrivLgb, s: GSection, plan: SamplePlan) -> float:
     """max |Delta(s^{-1}) + Ad_s Delta(s)| over the plan."""
     from .algebra import ad_matrix_of_group
     d = darboux(lgb, s)
     dinv = darboux(lgb, s.inverse())
-    worst = 0.0
     for x in plan.points(lgb.chart):
         ad_s = ad_matrix_of_group(lgb.algebra, s(x).matrix)
         for k in range(lgb.chart.dim):
-            lhs = dinv.components(x, (k,)) + ad_s @ d.components(x, (k,))
-            worst = max(worst, np.abs(lhs).max())
-    return worst
+            yield dinv.components(x, (k,)) + ad_s @ d.components(x, (k,))
 
 
 def nabla_from_darboux(lgb: TrivLgb, nu: LieForm, x, direction: int,
@@ -266,7 +263,7 @@ def nabla_from_darboux(lgb: TrivLgb, nu: LieForm, x, direction: int,
     closed = exterior_derivative(nu).components(x, (direction,)) + bracket_c(
         alg, lgb.omega.components(x, (direction,)), nu.components(x, ()))
     gap = float(np.abs(got - closed).max())
-    if gap > tol:
+    if not gap <= tol:
         raise InconsistencyError(
             f"fibre-connection routes disagree by {gap:.3e} (tol {tol:.1e})")
     return got
@@ -276,6 +273,7 @@ def nabla_from_darboux(lgb: TrivLgb, nu: LieForm, x, direction: int,
 # multiplicativity and the curvature identity on the total space
 # ---------------------------------------------------------------------------
 
+@max_gap_of
 def multiplicativity_residual(lgb: TrivLgb, plan: SamplePlan,
                               perturbation: LieForm = None,
                               group_scale: float = 1.0) -> float:
@@ -302,7 +300,6 @@ def multiplicativity_residual(lgb: TrivLgb, plan: SamplePlan,
             w = w + ad_inv @ rho
         return eta + (ad_inv @ w - w)
 
-    worst = 0.0
     for x in plan.points(lgb.chart):
         g = group_sample(alg, rng, group_scale)
         q = group_sample(alg, rng, group_scale)
@@ -313,8 +310,7 @@ def multiplicativity_residual(lgb: TrivLgb, plan: SamplePlan,
             theta = rng.normal(size=alg.dim)
             lhs = mu(x, g @ q, X, ad_q_inv @ eta + theta)
             rhs = ad_q_inv @ mu(x, g, X, eta) + mu(x, q, X, theta)
-            worst = max(worst, np.abs(lhs - rhs).max())
-    return worst
+            yield lhs - rhs
 
 
 def _total_mu_form(lgb: TrivLgb, x0: np.ndarray, g0: GroupElement) -> LieForm:
@@ -341,6 +337,7 @@ def _total_mu_form(lgb: TrivLgb, x0: np.ndarray, g0: GroupElement) -> LieForm:
                    components=comp, fd_step=1e-5)
 
 
+@max_gap_of
 def generalized_mc_residual(lgb: TrivLgb, zeta: LieForm, plan: SamplePlan,
                             group_scale: float = 1.0) -> float:
     """Residual of the curvature identity for the total 1-form.
@@ -364,7 +361,6 @@ def generalized_mc_residual(lgb: TrivLgb, zeta: LieForm, plan: SamplePlan,
             return ad_matrix_c(alg, lgb.omega.components(x0 + uv[:n], (i,)))
         return comp
 
-    worst = 0.0
     for x0 in plan.points(lgb.chart):
         g0 = group_sample(alg, rng, group_scale)
         mu = _total_mu_form(lgb, x0, g0)
@@ -382,10 +378,10 @@ def generalized_mc_residual(lgb: TrivLgb, zeta: LieForm, plan: SamplePlan,
             if j < n:
                 z = zeta.components(x0, (i, j))
                 lhs = lhs - (ad_inv @ z - z)
-            worst = max(worst, np.abs(lhs).max())
-    return worst
+            yield lhs
 
 
+@max_gap_of
 def pullback_mc_residual(lgb: TrivLgb, section: GSection, zeta: LieForm,
                          plan: SamplePlan) -> float:
     """Residual of the pulled-back curvature identity along one section:
@@ -395,11 +391,8 @@ def pullback_mc_residual(lgb: TrivLgb, section: GSection, zeta: LieForm,
     ds = darboux(lgb, section)
     lhs = cov_ext_deriv(lgb.nabla, ds)
     sq = scale_form(graded_product(bracket_pairing(alg), ds, ds), 0.5)
-    worst = 0.0
     for x in plan.points(lgb.chart):
         ad_inv = ad_matrix_of_group(alg, section(x).matrix.conj().T)
         for idx in increasing_indices(lgb.chart.dim, 2):
             z = zeta.components(x, idx)
-            val = lhs.components(x, idx) + sq.components(x, idx) + z - ad_inv @ z
-            worst = max(worst, np.abs(val).max())
-    return worst
+            yield lhs.components(x, idx) + sq.components(x, idx) + z - ad_inv @ z

@@ -133,6 +133,9 @@ def test_variety_rejects_non_unitary():
     m[0, 1] = 0.5
     with pytest.raises(alg.VarietyError):
         alg.GroupElement(MIX, m)
+    # a NaN matrix is off the variety, not at distance 0 from it
+    with pytest.raises(alg.VarietyError, match="nan"):
+        alg.GroupElement(SU2, np.full((2, 2), np.nan, dtype=complex))
 
 
 def test_expansion_residual_detects_out_of_span():
@@ -164,6 +167,17 @@ def test_center_mask_consistency_enforced():
             rep_dim=2, rep_matrices=base.rep_matrices, kappa=base.kappa,
             center_mask=np.array([True, False, False]),
             variety_blocks=(("su", 0, 2),))
+
+
+def test_non_finite_descriptor_data_rejected():
+    base = alg.su2()
+    c = base.structure_constants.copy()
+    c[0, 1, 2] = np.nan
+    with pytest.raises(alg.StructureError, match="must be finite"):
+        alg.LieAlgebraDescriptor(
+            dim=3, basis_labels=base.basis_labels, structure_constants=c,
+            rep_dim=2, rep_matrices=base.rep_matrices, kappa=base.kappa,
+            center_mask=np.zeros(3, bool), variety_blocks=(("su", 0, 2),))
 
 
 def test_custom_descriptor_round_trip():

@@ -346,6 +346,33 @@ def test_sample_plan_determinism_and_modes():
         fm.SamplePlan(tangent_probes=1)
     with pytest.raises(ValueError):
         fm.SamplePlan(mode="sobol")
+    for bad in (0, -5, 2.5, True):
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            fm.SamplePlan(count=bad)
+
+
+gap_entry = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@given(st.lists(st.lists(gap_entry, min_size=1, max_size=4), min_size=1,
+                max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_max_gap_is_the_largest_entry_or_nan(rows):
+    gaps = [np.array(r) if len(r) > 1 else r[0] for r in rows]
+    flat = [v for r in rows for v in r]
+    got = fm.max_gap(gaps)
+    assert type(got) is float
+    if all(np.isfinite(flat)):
+        assert got == max(abs(v) for v in flat)
+    else:  # NaN or +-Inf anywhere, in any position, fails the check
+        assert np.isnan(got)
+
+
+def test_max_gap_refuses_an_empty_sample():
+    with pytest.raises(ValueError, match="sampled nothing"):
+        fm.max_gap([])
+    with pytest.raises(ValueError, match="sampled nothing"):
+        fm.max_gap(x for x in ())
 
 
 @given(st.integers(min_value=0, max_value=5))

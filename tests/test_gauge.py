@@ -1,5 +1,7 @@
 """Chart-local gauge theory: field strength, gauge-change laws, Bianchi,
 Lagrangian density, invariance residuals, and the topological charge."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,19 @@ def test_gate_trips_on_non_derivation_connection():
                       zero_form(2, 2, "algebra", (3,)), zero_form(2, 1, "algebra", (3,)))
     with pytest.raises(CompatibilityGateError, match="derivation residual"):
         local_field_strength(s)
+
+
+def test_gate_trips_on_central_form_that_is_nan_at_one_gate_point():
+    s = curved_scenario()
+    x_bad = s.gate_plan.points(s.chart)[3]
+
+    def comp(x, idx, clean=s.zeta.components):
+        return clean(x, idx) * (np.nan if np.array_equal(x, x_bad) else 1.0)
+
+    zeta = dataclasses.replace(s.zeta, components=comp, poly=None)
+    bad = GaugeScenario(CHART, SU2, s.nabla, zeta, s.gauge_field)
+    with pytest.raises(CompatibilityGateError, match="curvature residual nan"):
+        bad.require_gate()
 
 
 def test_gate_report_shared_across_field_change():

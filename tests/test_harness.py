@@ -2,18 +2,21 @@
 determinism, and the command-line wrapper."""
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cym.cli import main as cli_main
 from cym.forms import (SamplePlan, exterior_derivative, increasing_indices,
                        zero_form)
-from cym.harness import (SCENARIO_NAMES, SUITES, ScenarioError,
-                         algebra_kernel_residuals, bpst_central_form,
-                         bpst_potential, builtin_scenario, load_scenario,
-                         run_suite, save_scenario, scenario_from_dict,
-                         scenario_to_dict, suite_names)
+from cym.harness import (SCENARIO_NAMES, SUITES, CheckRow, ScenarioError,
+                         SuiteReport, algebra_kernel_residuals,
+                         bpst_central_form, bpst_potential, builtin_scenario,
+                         load_scenario, run_suite, save_scenario,
+                         scenario_from_dict, scenario_to_dict, suite_names)
 from cym.lgb import generalized_mc_residual
 
 QUICK = SamplePlan(count=4, seed=7)
@@ -202,6 +205,10 @@ def test_jacobi_violation_rejected_naming_triple():
      "sections.s: needs an 'exp_coeffs'"),
     (lambda d: d.__setitem__("quadrature", {"radius": "wide"}),
      "quadrature"),
+    (lambda d: d.__setitem__("plan", {"count": 0}),
+     "plan: count must be a positive integer"),
+    (lambda d: d.__setitem__("chart", {"dim": 1, "half": 1.0}),
+     "chart.dim: the central form is a 2-form"),
 ])
 def test_malformed_scenarios_name_the_field(mutate, message):
     blob = scenario_blob()
@@ -321,6 +328,16 @@ def test_scenario_file_tolerances_feed_the_run():
     assert by_name["derivation"].tolerance == 1e-30
 
 
+@pytest.mark.parametrize("bound", [0.0, -1e-6, math.inf, math.nan, "tight"])
+def test_scenario_file_tolerances_must_be_finite_and_positive(bound):
+    blob = scenario_blob()
+    blob["tolerances"] = {"compatibility/derivation": bound}
+    bundle = scenario_from_dict(blob)
+    with pytest.raises(ScenarioError,
+                       match="tolerances.compatibility/derivation: must be"):
+        run_suite(bundle, "compatibility", plan=QUICK)
+
+
 def test_algebra_kernel_residuals_small_and_exact():
     from cym.algebra import su2
     res = algebra_kernel_residuals(su2(), count=8, seed=3)
@@ -338,6 +355,49 @@ def test_suite_report_binding_check_is_worst_ratio():
     for check in suite.checks:
         assert (worst.residual / worst.tolerance
                 >= check.residual / check.tolerance)
+
+
+def test_binding_check_is_the_first_non_finite_one():
+    rows = [CheckRow("a", 0.5, 1.0, []), CheckRow("b", math.nan, 1.0, []),
+            CheckRow("c", 2.0, 1.0, []), CheckRow("d", math.nan, 1e-9, [])]
+    for checks, first_nan in ((rows, "b"), (rows[::-1], "d")):
+        suite = SuiteReport(name="s", anchor="", checks=checks)
+        assert suite._binding().check == first_nan
+        assert math.isnan(suite.to_dict()["residual"])
+        assert not suite.passed
+
+
+NAN_PLAN = SamplePlan(count=6, seed=1)
+
+
+@pytest.fixture(scope="module")
+def bpst_and_clean_rows():
+    bundle = builtin_scenario("bpst")
+    report = run_suite(bundle, "self-duality", plan=NAN_PLAN)
+    assert report.passed
+    return bundle, list(report.csv_rows())
+
+
+@given(ordinal=st.integers(min_value=0, max_value=NAN_PLAN.count - 1))
+@settings(max_examples=6, deadline=None)
+def test_nan_at_any_sample_point_fails_and_shows_in_its_row(
+        bpst_and_clean_rows, ordinal):
+    bundle, clean_rows = bpst_and_clean_rows
+    bad_point = NAN_PLAN.points(bundle.chart)[ordinal]
+
+    def comp(x, idx, clean=bundle.zeta.components):
+        return clean(x, idx) * (np.nan if np.array_equal(x, bad_point) else 1.0)
+
+    zeta = dataclasses.replace(bundle.zeta, components=comp)
+    poisoned = dataclasses.replace(
+        bundle, scenario=dataclasses.replace(bundle.scenario, zeta=zeta))
+    report = run_suite(poisoned, "self-duality", plan=NAN_PLAN)
+    assert not report.passed
+    assert math.isnan(report.to_dict()["suites"][0]["residual"])
+    rows = list(report.csv_rows())
+    assert rows[ordinal][2:] == (ordinal, "nan")
+    assert rows[:ordinal] + rows[ordinal + 1:] == (
+        clean_rows[:ordinal] + clean_rows[ordinal + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +438,22 @@ def test_cli_input_errors(tmp_path, capsys):
     assert cli_main(["verify", "--scenario", str(bad), "--suite", "all"]) == 2
     err = capsys.readouterr().err
     assert "invalid JSON" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tol-scale", "inf"), ("--tol-scale", "nan"), ("--tol-scale", "0"),
+    ("--tol-scale", "-1"), ("--h", "nan"), ("--points", "0"),
+    ("--points", "-5"),
+])
+def test_cli_rejects_bad_scales_steps_and_counts(flag, value, capsys):
+    argv = ["verify", "--scenario", "flat-su2", "--suite", "multiplicativity"]
+    if flag != "--points":
+        argv += ["--points", "2"]
+    assert cli_main(argv + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ")
+    assert ("count must be a positive integer" if flag == "--points"
+            else "must be a finite number greater than 0") in err
 
 
 def test_cli_scenario_file_runs(tmp_path):
