@@ -7,9 +7,9 @@ Built-ins cover su(2) in the basis e_a = sigma_a/(2i) (so [e1,e2] = e3 and the
 -2*trace pairing is the identity matrix), u(1) with generator [[i]], and their
 direct sum.
 
-All heavy lifting is plain numpy; the matrix exponential goes through
-scipy.linalg.expm, with a hand-written cos/sin closed form for su(2) kept
-alongside as an independent cross-check.
+Elements are plain coefficient vectors: the bracket, the adjoint matrices
+and the pairing act on them directly. All heavy lifting is plain numpy; the
+matrix exponential goes through scipy.linalg.expm.
 """
 from __future__ import annotations
 
@@ -17,13 +17,13 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
+# cym.algebra.expm is the name perfbench/tracer.py wraps to count exponentials
+from scipy.linalg import expm  # noqa: F401
 
 from .forms import max_gap_of
 
 __all__ = [
     "LieAlgebraDescriptor",
-    "AlgebraElement",
     "GroupElement",
     "StructureError",
     "VarietyError",
@@ -35,15 +35,10 @@ __all__ = [
     "algebra_from_name",
     "algebra_from_dict",
     "algebra_to_dict",
-    "bracket",
-    "exp_elem",
-    "exp_su2_closed",
-    "adjoint_group",
+    "bracket_c",
+    "ad_matrix_c",
     "ad_matrix_of_group",
-    "adjoint_algebra",
-    "kappa_pair",
     "expand_in_rep",
-    "random_algebra_coeffs",
 ]
 
 # Pauli matrices
@@ -174,51 +169,8 @@ class LieAlgebraDescriptor:
         """Representation matrix of an algebra element given by coefficients."""
         return np.einsum('a,aij->ij', np.asarray(coeffs, dtype=float), self.rep_matrices)
 
-    def element(self, coeffs) -> "AlgebraElement":
-        return AlgebraElement(self, np.asarray(coeffs, dtype=float))
-
-    def basis_element(self, a: int) -> "AlgebraElement":
-        v = np.zeros(self.dim)
-        v[a] = 1.0
-        return AlgebraElement(self, v)
-
     def group_identity(self) -> "GroupElement":
         return GroupElement(self, np.eye(self.rep_dim, dtype=complex))
-
-
-@dataclass
-class AlgebraElement:
-    """An element of the Lie algebra, stored as basis coefficients."""
-
-    algebra: LieAlgebraDescriptor
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (self.algebra.dim,):
-            raise ValueError(f"coefficient vector must have length {self.algebra.dim}")
-
-    def __add__(self, other):
-        return AlgebraElement(self.algebra, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return AlgebraElement(self.algebra, self.coeffs - other.coeffs)
-
-    def __rmul__(self, scalar):
-        return AlgebraElement(self.algebra, float(scalar) * self.coeffs)
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, -self.coeffs)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def kappa_norm(self) -> float:
-        q = float(self.coeffs @ self.algebra.kappa @ self.coeffs)
-        return float(np.sqrt(max(q, 0.0)))
-
-    def rep(self) -> np.ndarray:
-        return self.algebra.rep_of(self.coeffs)
 
 
 @dataclass
@@ -380,37 +332,10 @@ def algebra_from_dict(data) -> LieAlgebraDescriptor:
 # operations
 # ---------------------------------------------------------------------------
 
-def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Lie bracket via structure-constant contraction."""
-    alg = x.algebra
-    out = np.einsum('a,b,abk->k', x.coeffs, y.coeffs, alg.structure_constants)
-    return AlgebraElement(alg, out)
-
-
 def bracket_c(alg: LieAlgebraDescriptor, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Coefficient-level bracket, the hot-loop variant of `bracket`."""
+    """Lie bracket [u, v] of two coefficient vectors, by structure-constant
+    contraction."""
     return np.einsum('a,b,abk->k', u, v, alg.structure_constants)
-
-
-def exp_elem(x: AlgebraElement) -> GroupElement:
-    """Exponential of an algebra element into the group variety (Pade/series path)."""
-    return GroupElement(x.algebra, expm(x.rep()))
-
-
-def exp_su2_closed(x: AlgebraElement) -> GroupElement:
-    """Closed-form su(2) exponential: cos(t/2) I - i sin(t/2) (n . sigma), t = |X|.
-
-    Only valid on the pure su(2) descriptor; used as an independent check of
-    the series path.
-    """
-    if x.algebra.name != "su2":
-        raise ValueError("closed-form exponential is defined for the su2 descriptor")
-    t = np.linalg.norm(x.coeffs)
-    if t < 1e-300:
-        return x.algebra.group_identity()
-    n = x.coeffs / t
-    mat = np.cos(t / 2) * np.eye(2) - 1j * np.sin(t / 2) * np.einsum('a,aij->ij', n, SIGMA)
-    return GroupElement(x.algebra, mat)
 
 
 def expand_in_rep(alg: LieAlgebraDescriptor, matrix: np.ndarray):
@@ -426,20 +351,6 @@ def expand_in_rep(alg: LieAlgebraDescriptor, matrix: np.ndarray):
     coeffs = alg._gram_inv @ proj
     resid = np.linalg.norm(flat - coeffs @ reps)
     return coeffs, float(resid)
-
-
-def adjoint_group(g: GroupElement, x: AlgebraElement) -> AlgebraElement:
-    """Ad_g(x) = g x g^{-1}, re-expanded in the basis.
-
-    Raises ReexpansionError if the conjugated matrix drifts out of the
-    representation span by more than 1e-10.
-    """
-    alg = g.algebra
-    m = g.matrix @ x.rep() @ g.matrix.conj().T
-    coeffs, resid = expand_in_rep(alg, m)
-    if not resid <= REEXPANSION_TOL * max(1.0, np.linalg.norm(x.coeffs)):
-        raise ReexpansionError(f"adjoint image off the algebra span by {resid:.3e}")
-    return AlgebraElement(alg, coeffs)
 
 
 def ad_matrix_of_group(alg: LieAlgebraDescriptor, g_matrix: np.ndarray) -> np.ndarray:
@@ -458,21 +369,7 @@ def ad_matrix_of_group(alg: LieAlgebraDescriptor, g_matrix: np.ndarray) -> np.nd
     return out
 
 
-def adjoint_algebra(x: AlgebraElement) -> np.ndarray:
-    """ad(x) as a (dim, dim) matrix on coefficients: ad(x)[k,b] = sum_a x^a c[a,b,k]."""
-    return ad_matrix_c(x.algebra, x.coeffs)
-
-
 def ad_matrix_c(alg: LieAlgebraDescriptor, coeffs: np.ndarray) -> np.ndarray:
+    """ad(x) as a (dim, dim) matrix on coefficients: ad(x)[k,b] = sum_a x^a c[a,b,k]."""
     return np.einsum('a,abk->kb', np.asarray(coeffs, dtype=float),
                      alg.structure_constants)
-
-
-def kappa_pair(x: AlgebraElement, y: AlgebraElement) -> float:
-    return float(x.coeffs @ x.algebra.kappa @ y.coeffs)
-
-
-def random_algebra_coeffs(alg: LieAlgebraDescriptor, rng: np.random.Generator,
-                          count: int, scale: float = 1.0) -> np.ndarray:
-    """Deterministic batch of coefficient vectors for sampling plans."""
-    return rng.normal(scale=scale, size=(count, alg.dim))

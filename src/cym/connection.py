@@ -4,7 +4,7 @@ curvature, infinitesimal compatibility checks, and field redefinitions.
 The connection is stored as an endomorphism-valued 1-form Gamma (so that
 deliberately broken inputs can be expressed for negative tests); when Gamma
 is the adjoint of an algebra-valued potential omega, the potential is kept
-alongside and the curvature operation cross-checks R = ad(curvature of omega).
+alongside for the layers that need it (the group bundle, field redefinitions).
 """
 from __future__ import annotations
 
@@ -16,14 +16,17 @@ from .algebra import LieAlgebraDescriptor, ad_matrix_c
 from .forms import (Chart, LieForm, PolyData, SamplePlan, add_forms,
                     bracket_pairing, endo_action_pairing, endo_compose_pairing,
                     exterior_derivative, form_from_poly, graded_product,
-                    increasing_indices, max_gap, max_gap_of, scale_form)
+                    increasing_indices, max_gap, scale_form)
 
 __all__ = [
-    "LabConnection", "CurvatureResult", "CompatibilityReport",
+    "COMPATIBILITY_TOL", "LabConnection", "CompatibilityReport",
     "FieldRedefinition", "ad_mapped_form", "cov_ext_deriv", "curvature",
     "potential_curvature", "check_compatibility", "field_redefine",
-    "conjugation_residual",
 ]
+
+# bound on both compatibility residuals: the report's verdict, the gate in
+# front of every Lagrangian-level operation, and the compatibility suite
+COMPATIBILITY_TOL = 1e-6
 
 
 def ad_mapped_form(alg: LieAlgebraDescriptor, omega: LieForm) -> LieForm:
@@ -83,29 +86,10 @@ def cov_ext_deriv(nabla: LabConnection, alpha: LieForm) -> LieForm:
                                     nabla.gamma, alpha))
 
 
-@dataclass
-class CurvatureResult:
-    endo: LieForm                 # R = d Gamma + Gamma ^ Gamma
-    potential: LieForm = None     # F_omega = d omega + (1/2)[omega ^, omega]
-
-    def crosscheck(self, chart: Chart, plan: SamplePlan, alg: LieAlgebraDescriptor) -> float:
-        """Max |R - ad(F_omega)| over the plan's points (0 when no potential)."""
-        if self.potential is None:
-            return 0.0
-        ad_f = ad_mapped_form(alg, self.potential)
-        return max_gap(self.endo.components(x, idx) - ad_f.components(x, idx)
-                       for x in plan.points(chart)
-                       for idx in increasing_indices(self.endo.n, 2))
-
-
-def curvature(nabla: LabConnection) -> CurvatureResult:
-    """R = d Gamma + Gamma ^ Gamma; carries the potential curvature when known."""
+def curvature(nabla: LabConnection) -> LieForm:
+    """The endomorphism-valued 2-form R = d Gamma + Gamma ^ Gamma."""
     gg = graded_product(endo_compose_pairing(nabla.algebra), nabla.gamma, nabla.gamma)
-    r = add_forms(exterior_derivative(nabla.gamma), gg)
-    pot = None
-    if nabla.omega is not None:
-        pot = potential_curvature(nabla.algebra, nabla.omega)
-    return CurvatureResult(endo=r, potential=pot)
+    return add_forms(exterior_derivative(nabla.gamma), gg)
 
 
 def potential_curvature(alg: LieAlgebraDescriptor, omega: LieForm) -> LieForm:
@@ -124,8 +108,9 @@ class CompatibilityReport:
     plan: SamplePlan
 
     @property
-    def passed(self) -> bool:  # default gate used by the Lagrangian layer
-        return self.derivation_residual < 1e-7 and self.curvature_residual < 1e-7
+    def passed(self) -> bool:
+        return (self.derivation_residual <= COMPATIBILITY_TOL
+                and self.curvature_residual <= COMPATIBILITY_TOL)
 
 
 def check_compatibility(nabla: LabConnection, zeta: LieForm, chart: Chart,
@@ -148,7 +133,7 @@ def check_compatibility(nabla: LabConnection, zeta: LieForm, chart: Chart,
             rhs = np.einsum('ma,mbk->abk', g, c) + np.einsum('mb,amk->abk', g, c)
             der_gaps.append(lhs - rhs)
         for idx in increasing_indices(chart.dim, 2):
-            curv_gaps.append(r.endo.components(x, idx)
+            curv_gaps.append(r.components(x, idx)
                              - ad_matrix_c(alg, zeta.components(x, idx)))
     return CompatibilityReport(derivation_residual=max_gap(der_gaps),
                                curvature_residual=max_gap(curv_gaps),
@@ -182,27 +167,3 @@ def field_redefine(nabla: LabConnection, zeta: LieForm, gauge_field: LieForm,
     sq = scale_form(graded_product(bracket_pairing(alg), lam, lam), 0.5)
     new_zeta = add_forms(add_forms(zeta, dlam, 1.0, -1.0), sq)
     return FieldRedefinition(nabla=new_nabla, zeta=new_zeta, gauge_field=new_a)
-
-
-@max_gap_of
-def conjugation_residual(nabla: LabConnection, chart: Chart, plan: SamplePlan,
-                         section, darboux_form: LieForm, h: float = None) -> float:
-    """Residual of Ad_{b^{-1}} . del . Ad_b = del + ad(Delta b) on basis sections.
-
-    `section` maps x to the Ad matrix of b(x) on coefficients; `darboux_form`
-    is the group-valued logarithmic derivative of b. The left side's x-derivative
-    of Ad_b is taken by central differences with step h.
-    """
-    alg = nabla.algebra
-    h = h or chart.default_step()
-    for x in plan.points(chart):
-        ad_b = section(x)
-        ad_b_inv = np.linalg.inv(ad_b)
-        for k in range(chart.dim):
-            step = np.zeros(chart.dim)
-            step[k] = h
-            d_ad = (section(x + step) - section(x - step)) / (2 * h)
-            g = nabla.gamma.components(x, (k,))
-            lhs = ad_b_inv @ (d_ad + g @ ad_b)
-            rhs = g + ad_matrix_c(alg, darboux_form.components(x, (k,)))
-            yield lhs - rhs

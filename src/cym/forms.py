@@ -676,9 +676,6 @@ class SamplePlan:
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         return mesh.reshape(-1, chart.dim)[:self.count]
 
-    def tangents(self, rng: np.random.Generator, n: int, count=None) -> np.ndarray:
-        return rng.normal(size=(count or self.tangent_probes, n))
-
     def to_json(self):
         return {"mode": self.mode, "count": self.count, "seed": self.seed,
                 "tangent_probes": self.tangent_probes}

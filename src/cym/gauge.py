@@ -14,17 +14,17 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .algebra import LieAlgebraDescriptor, ad_matrix_of_group
-from .connection import (CompatibilityReport, LabConnection,
+from .connection import (COMPATIBILITY_TOL, CompatibilityReport, LabConnection,
                          check_compatibility, cov_ext_deriv, field_redefine)
 from .forms import (Chart, LieForm, SamplePlan, _shuffles, add_forms,
                     bracket_pairing, graded_product, hodge_star,
                     increasing_indices, kappa_wedge_top, max_gap, scale_form,
                     top_coefficient)
-from .lgb import GSection, InconsistencyError, TrivLgb, darboux
+from .lgb import GSection, TrivLgb, darboux
 
 __all__ = [
     "GaugeScenario", "CompatibilityGateError", "local_field_strength",
-    "ChangeOfGaugeResult", "change_of_gauge", "infinitesimal_gauge",
+    "ChangeOfGaugeResult", "change_of_gauge",
     "bianchi_residual", "lagrangian_density", "ChargeResult",
     "instanton_charge", "density_gauge_invariance_residual",
     "density_infinitesimal_residual", "field_redef_invariance_residual",
@@ -53,7 +53,7 @@ class GaugeScenario:
     gauge_field: LieForm
     name: str = ""
     gate_plan: SamplePlan = field(default_factory=lambda: SamplePlan(count=16, seed=0))
-    gate_tol: float = 1e-6
+    gate_tol: float = COMPATIBILITY_TOL
 
     def __post_init__(self):
         if self.gauge_field.degree != 1 or self.gauge_field.value_target != "algebra":
@@ -145,47 +145,6 @@ def change_of_gauge(s: GaugeScenario, sigma: GSection,
                        for idx in increasing_indices(s.chart.dim, 2))
     return ChangeOfGaugeResult(a_new=a_new, f_residual=residual,
                                points_used=plan.count)
-
-
-def infinitesimal_gauge(s: GaugeScenario, eps: LieForm, check_points=None,
-                        t_step: float = 1e-5, tol: float = 1e-5):
-    """Linearized gauge transformation (delta A, delta F).
-
-    delta A is the covariant derivative of the generator minus its bracket
-    with A; delta F is minus the bracket with F. Both are cross-checked
-    against the t-derivative of the finite gauge change along exp(t eps) at
-    the supplied points; disagreement raises, since it means the sign
-    conventions of the finite and infinitesimal laws have drifted apart.
-    """
-    if eps.degree != 0 or eps.value_target != "algebra":
-        raise ValueError("the generator must be an algebra-valued 0-form")
-    s.require_gate()
-    alg = s.algebra
-    br = bracket_pairing(alg)
-    delta_a = add_forms(cov_ext_deriv(s.nabla, eps),
-                        graded_product(br, eps, s.gauge_field), 1.0, -1.0)
-    f_old = local_field_strength(s)
-    delta_f = scale_form(graded_product(br, eps, f_old), -1.0)
-
-    if check_points is not None:
-        for x in check_points:
-            x = np.asarray(x, dtype=float)
-
-            def finite(t):
-                sec = GSection.from_exp_coeffs(
-                    alg, lambda y, tt=t: tt * eps.components(y, ()), name="exp(teps)")
-                res = change_of_gauge(s, sec, SamplePlan(count=1, seed=0))
-                return res.a_new
-
-            a_plus, a_minus = finite(t_step), finite(-t_step)
-            for k in range(s.chart.dim):
-                fd = (a_plus.components(x, (k,)) - a_minus.components(x, (k,))) / (2 * t_step)
-                gap = float(np.abs(fd - delta_a.components(x, (k,))).max())
-                if not gap <= tol:
-                    raise InconsistencyError(
-                        f"linearized gauge law deviates from the finite one by "
-                        f"{gap:.3e} at {x} (tol {tol:.1e})")
-    return delta_a, delta_f
 
 
 def bianchi_residual(s: GaugeScenario, plan: SamplePlan) -> float:

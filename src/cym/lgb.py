@@ -17,11 +17,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from .algebra import (GroupElement, LieAlgebraDescriptor, ReexpansionError,
-                      ad_matrix_c, expand_in_rep)
+                      ad_matrix_c, ad_matrix_of_group, bracket_c, expand_in_rep)
 from .connection import LabConnection, cov_ext_deriv
-from .forms import (Chart, LieForm, SamplePlan, bracket_pairing,
-                    exterior_derivative, graded_product, increasing_indices,
-                    max_gap_of, scale_form)
+from .forms import (Chart, LieForm, SamplePlan, add_forms, bracket_pairing,
+                    endo_action_pairing, exterior_derivative, graded_product,
+                    increasing_indices, max_gap_of, scale_form)
 
 __all__ = [
     "TotalPoint", "TotalTangent", "TrivLgb", "GSection", "dexp_body",
@@ -178,7 +178,6 @@ class TrivLgb:
 
     def mu_tot(self, p: TotalPoint, t: TotalTangent) -> np.ndarray:
         """eta + (Ad_{g^{-1}} - id)(omega_x(X)) in body coordinates."""
-        from .algebra import ad_matrix_of_group
         if not self.chart.contains(p.x):
             raise ValueError(f"point {p.x} is outside the chart box")
         ad_inv = ad_matrix_of_group(self.algebra, p.g.matrix.conj().T)
@@ -196,7 +195,6 @@ def darboux(lgb: TrivLgb, section: GSection, h: float = None) -> LieForm:
 
     The output is finite-difference data; downstream exterior derivatives use
     a wider step (nested stencil)."""
-    from .algebra import ad_matrix_of_group
     alg = lgb.algebra
     h = h or lgb.chart.default_step()
 
@@ -216,7 +214,6 @@ def darboux(lgb: TrivLgb, section: GSection, h: float = None) -> LieForm:
 def darboux_leibniz_residual(lgb: TrivLgb, s1: GSection, s2: GSection,
                              plan: SamplePlan) -> float:
     """max |Delta(s1 s2) - Ad_{s2^{-1}} Delta(s1) - Delta(s2)| over the plan."""
-    from .algebra import ad_matrix_of_group
     d1 = darboux(lgb, s1)
     d2 = darboux(lgb, s2)
     d12 = darboux(lgb, s1.product(s2))
@@ -231,7 +228,6 @@ def darboux_leibniz_residual(lgb: TrivLgb, s1: GSection, s2: GSection,
 @max_gap_of
 def darboux_inverse_residual(lgb: TrivLgb, s: GSection, plan: SamplePlan) -> float:
     """max |Delta(s^{-1}) + Ad_s Delta(s)| over the plan."""
-    from .algebra import ad_matrix_of_group
     d = darboux(lgb, s)
     dinv = darboux(lgb, s.inverse())
     for x in plan.points(lgb.chart):
@@ -248,7 +244,6 @@ def nabla_from_darboux(lgb: TrivLgb, nu: LieForm, x, direction: int,
     (the induced fibre connection); disagreement beyond `tol` raises, since
     it indicates inconsistent sign conventions in the inputs.
     """
-    from .algebra import bracket_c
     alg = lgb.algebra
     x = np.asarray(x, dtype=float)
 
@@ -283,22 +278,22 @@ def multiplicativity_residual(lgb: TrivLgb, plan: SamplePlan,
     along fibrewise multiplication must equal Ad_{q^{-1}} of the first slot
     plus the second slot. `perturbation` deforms the horizontal slot of the
     form g-dependently, which any nonzero choice must break (the negative
-    control for the law).
+    control for the law): it adds (Ad_{g^{-1}} - id) Ad_{g^{-1}} rho(X).
     """
-    from .algebra import ad_matrix_of_group
     alg = lgb.algebra
     rng = plan.rng()
 
     def mu(x, g: GroupElement, X, eta):
-        ad_inv = ad_matrix_of_group(alg, g.matrix.conj().T)
-        w = lgb.omega_vec(x, X)
+        out = lgb.mu_tot(TotalPoint(x, g), TotalTangent(X, eta))
         if perturbation is not None:
+            ad_inv = ad_matrix_of_group(alg, g.matrix.conj().T)
             rho = np.zeros(alg.dim)
             for k in range(lgb.chart.dim):
                 if X[k] != 0.0:
                     rho += X[k] * perturbation.components(x, (k,))
-            w = w + ad_inv @ rho
-        return eta + (ad_inv @ w - w)
+            r = ad_inv @ rho
+            out = out + (ad_inv @ r - r)
+        return out
 
     for x in plan.points(lgb.chart):
         g = group_sample(alg, rng, group_scale)
@@ -316,7 +311,6 @@ def multiplicativity_residual(lgb: TrivLgb, plan: SamplePlan,
 def _total_mu_form(lgb: TrivLgb, x0: np.ndarray, g0: GroupElement) -> LieForm:
     """The total 1-form in product coordinates (u, v) centred at (x0, g0):
     the point parametrized by (u, v) is (x0 + u, g0 exp(v))."""
-    from .algebra import ad_matrix_of_group
     alg = lgb.algebra
     n = lgb.chart.dim
     d = alg.dim
@@ -347,7 +341,6 @@ def generalized_mc_residual(lgb: TrivLgb, zeta: LieForm, plan: SamplePlan,
     half-bracket square must reproduce (Ad_{g^{-1}} - id) of zeta on base
     pairs and vanish on mixed/fibre pairs.
     """
-    from .algebra import ad_matrix_of_group
     alg = lgb.algebra
     n = lgb.chart.dim
     d = alg.dim
@@ -366,7 +359,6 @@ def generalized_mc_residual(lgb: TrivLgb, zeta: LieForm, plan: SamplePlan,
         mu = _total_mu_form(lgb, x0, g0)
         gam = LieForm(n=n + d, degree=1, value_target="endomorphism",
                       value_shape=(d, d), components=gamma_comp(x0), fd_step=1e-5)
-        from .forms import add_forms, endo_action_pairing
         two_form = add_forms(
             add_forms(exterior_derivative(mu),
                       graded_product(endo_action_pairing(alg), gam, mu)),
@@ -386,7 +378,6 @@ def pullback_mc_residual(lgb: TrivLgb, section: GSection, zeta: LieForm,
                          plan: SamplePlan) -> float:
     """Residual of the pulled-back curvature identity along one section:
     del(Delta s) + (1/2)[Delta s ^, Delta s] + zeta - Ad_{s^{-1}} zeta = 0."""
-    from .algebra import ad_matrix_of_group
     alg = lgb.algebra
     ds = darboux(lgb, section)
     lhs = cov_ext_deriv(lgb.nabla, ds)

@@ -13,10 +13,10 @@ from cym.gauge import (ChargeResult, CompatibilityGateError, GaugeScenario,
                        bianchi_residual, change_of_gauge,
                        density_gauge_invariance_residual,
                        density_infinitesimal_residual,
-                       field_redef_invariance_residual, infinitesimal_gauge,
-                       instanton_charge, lagrangian_density,
-                       local_field_strength, self_duality_residual)
-from cym.lgb import GSection, InconsistencyError
+                       field_redef_invariance_residual, instanton_charge,
+                       lagrangian_density, local_field_strength,
+                       self_duality_residual)
+from cym.lgb import GSection
 
 SU2, U1 = su2(), u1()
 CHART = euclidean_chart(2, half=1.0)
@@ -183,56 +183,6 @@ def test_change_of_gauge_abelian_adds_gradient():
         for k in (0, 1):
             want = s.gauge_field.components(x, (k,))[0] + grad[k]
             assert abs(res.a_new.components(x, (k,))[0] - want) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# infinitesimal gauge transformations
-# ---------------------------------------------------------------------------
-
-def test_infinitesimal_generator_degree_validated():
-    with pytest.raises(ValueError, match="0-form"):
-        infinitesimal_gauge(curved_scenario(), zero_form(2, 1, "algebra", (3,)))
-
-
-def test_infinitesimal_frozen_value():
-    # omega = 0, zeta = 0, A = dx0 . e1, eps = e3:
-    # delta A(d0) = -[e3, e1] = -e2, delta F = 0.
-    a = poly_form(2, 1, (3,), {(0,): [(E1, np.array([0, 0]))]})
-    s = GaugeScenario(CHART, SU2,
-                      LabConnection.from_omega(SU2, zero_form(2, 1, "algebra", (3,))),
-                      zero_form(2, 2, "algebra", (3,)), a)
-    eps = poly_form(2, 0, (3,), {(): [(E3, np.array([0, 0]))]})
-    da, df = infinitesimal_gauge(s, eps)
-    x = np.array([0.1, 0.9])
-    assert np.allclose(da.components(x, (0,)), [0.0, -1.0, 0.0], atol=1e-14)
-    assert np.allclose(da.components(x, (1,)), 0.0, atol=1e-14)
-    assert np.allclose(df.components(x, (0, 1)), 0.0, atol=1e-14)
-
-
-def test_infinitesimal_abelian_is_gradient_of_generator():
-    s = abelian_scenario()
-    eps = poly_form(2, 0, (1,), {(): [(np.array([1.0]), np.array([2, 0]))]})  # x0^2
-    da, df = infinitesimal_gauge(s, eps)
-    x = np.array([0.4, -0.2])
-    assert np.allclose(da.components(x, (0,)), [0.8], atol=1e-13)
-    assert np.allclose(da.components(x, (1,)), [0.0], atol=1e-13)
-    assert np.allclose(df.components(x, (0, 1)), 0.0, atol=1e-13)
-
-
-def test_infinitesimal_matches_finite_law():
-    s = curved_scenario()
-    eps = poly_form(2, 0, (3,), {(): [(E3, np.array([1, 0]))]})  # x0 e3
-    da, _ = infinitesimal_gauge(s, eps, check_points=[np.array([0.2, 0.1])])
-    # delta A(d0) = e3 - 0.5 x0 x1 e2 at the checked point
-    assert np.allclose(da.components(np.array([0.2, 0.1]), (0,)),
-                       [0.0, -0.01, 1.0], atol=1e-12)
-
-
-def test_infinitesimal_cross_check_trips_on_tiny_tolerance():
-    s = curved_scenario()
-    eps = poly_form(2, 0, (3,), {(): [(E3, np.array([1, 0]))]})
-    with pytest.raises(InconsistencyError, match="linearized gauge law"):
-        infinitesimal_gauge(s, eps, check_points=[np.array([0.2, 0.1])], tol=1e-18)
 
 
 # ---------------------------------------------------------------------------

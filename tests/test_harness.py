@@ -1,14 +1,17 @@
 """Scenario registry, scenario-file ingestion, suite runner, report
 determinism, and the command-line wrapper."""
 import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cym
 from cym.cli import main as cli_main
 from cym.forms import (SamplePlan, exterior_derivative, increasing_indices,
                        zero_form)
@@ -197,7 +200,14 @@ def test_jacobi_violation_rejected_naming_triple():
                                        "metric": "hyperbolic"}),
      "chart.metric: unknown metric"),
     (lambda d: d.__setitem__("chart", {"dim": 2, "half": -1.0}),
-     "chart.half: must be positive"),
+     "chart.half: must be a finite number greater than 0"),
+    (lambda d: d.__setitem__("chart", {"dim": 2, "half": math.nan}),
+     "chart.half: .*, got nan"),
+    (lambda d: d.__setitem__("chart", {"dim": "two", "half": 1.0}),
+     "chart.dim: must be an integer"),
+    (lambda d: d.__setitem__("chart", {"dim": 2, "half": 1.0,
+                                       "orientation": 0}),
+     r"chart.orientation: must be \+1 or -1"),
     (lambda d: d.__setitem__("chart", {"dim": 3, "half": 1.0,
                                        "metric": "round-s4"}),
      "needs dim 4"),
@@ -205,6 +215,20 @@ def test_jacobi_violation_rejected_naming_triple():
      "sections.s: needs an 'exp_coeffs'"),
     (lambda d: d.__setitem__("quadrature", {"radius": "wide"}),
      "quadrature"),
+    (lambda d: d.__setitem__("quadrature", {"radius": math.inf}),
+     "quadrature.radius: must be a finite number greater than 0"),
+    (lambda d: d.__setitem__("quadrature", {"order": 0}),
+     "quadrature.order: must be a positive integer"),
+    (lambda d: d["forms"]["omega"]["terms"]["0"][0].__setitem__(
+        "coeffs", [math.nan]),
+     "forms.omega: polynomial coefficients must be finite"),
+    (lambda d: d["forms"]["A"]["terms"]["1"][0].__setitem__(
+        "coeffs", [-math.inf]),
+     "forms.A: polynomial coefficients must be finite"),
+    (lambda d: d.__setitem__("sections", {"generic": {"exp_coeffs": {
+        "degree": 0, "terms": {"": [{"coeffs": [math.nan],
+                                     "exponents": [0, 0]}]}}}}),
+     "sections.generic: polynomial coefficients must be finite"),
     (lambda d: d.__setitem__("plan", {"count": 0}),
      "plan: count must be a positive integer"),
     (lambda d: d.__setitem__("chart", {"dim": 1, "half": 1.0}),
@@ -256,6 +280,14 @@ def test_every_suite_has_a_nonempty_anchor():
     for name, (anchor, applicable, fn) in SUITES.items():
         assert isinstance(anchor, str) and anchor.strip()
         assert callable(applicable) and callable(fn)
+
+
+@pytest.mark.parametrize("module", sorted(
+    m.name for m in pkgutil.iter_modules(cym.__path__)))
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"cym.{module}")
+    exported = getattr(mod, "__all__", ())
+    assert [name for name in exported if not hasattr(mod, name)] == []
 
 
 def test_all_excludes_inapplicable_suites():
@@ -454,6 +486,25 @@ def test_cli_rejects_bad_scales_steps_and_counts(flag, value, capsys):
     assert err.startswith(f"error: {flag}: ")
     assert ("count must be a positive integer" if flag == "--points"
             else "must be a finite number greater than 0") in err
+
+
+@pytest.mark.parametrize("field, mutate", [
+    ("forms.omega", lambda d: d["forms"]["omega"]["terms"]["0"][0].__setitem__(
+        "coeffs", [math.nan, 0.0, 0.0])),
+    ("chart.orientation", lambda d: d["chart"].__setitem__("orientation", 0)),
+    ("chart.dim", lambda d: d["chart"].__setitem__("dim", "two")),
+    ("chart.half", lambda d: d["chart"].__setitem__("half", math.nan)),
+    ("quadrature.order", lambda d: d.__setitem__("quadrature", {"order": 0})),
+])
+def test_cli_rejects_malformed_scenario_file(tmp_path, capsys, field, mutate):
+    path = tmp_path / "f.json"
+    save_scenario(builtin_scenario("random-curved"), path)
+    blob = json.loads(path.read_text())
+    mutate(blob)
+    path.write_text(json.dumps(blob))
+    assert cli_main(["verify", "--scenario", str(path),
+                     "--suite", "gauge-laws"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
 def test_cli_scenario_file_runs(tmp_path):
