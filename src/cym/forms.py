@@ -183,6 +183,19 @@ class PolyData:
             out = out + coef * np.prod(np.asarray(x) ** expo)
         return out
 
+    def table(self, X) -> np.ndarray:
+        """Every component at each row of the (P, n) batch X, shape
+        (P, C(n, degree), *value_shape); the terms are summed in the order
+        `evaluate` sums them, so each entry matches it bit for bit."""
+        X = np.asarray(X, dtype=float)
+        indices = increasing_indices(self.n, self.degree)
+        out = np.zeros((len(X), len(indices)) + self.value_shape)
+        column = (-1,) + (1,) * len(self.value_shape)
+        for c, idx in enumerate(indices):
+            for coef, expo in self.terms.get(idx, ()):
+                out[:, c] = out[:, c] + coef * np.prod(X ** expo, axis=1).reshape(column)
+        return out
+
     def d(self) -> "PolyData":
         """Exact exterior derivative of the payload."""
         new = {}
@@ -314,6 +327,11 @@ class LieForm:
     shared with a derived form) is not wrapped again. Because of the memo, a
     one-sided stencil records its order-loss event once per form, point and
     index, not once per call.
+
+    `batch`, when given, maps a (P, n) batch of points to the component
+    table `table(X)` returns, with the values `components` gives; a form
+    without one is tabulated point by point. `dataclasses.replace` copies
+    `batch`, so a replacement of `components` must pass a matching one.
     """
 
     n: int
@@ -325,6 +343,7 @@ class LieForm:
     fd_step: float = 1e-5
     box: np.ndarray = None
     poly: PolyData = field(default=None, repr=False)
+    batch: callable = field(default=None, repr=False)  # (P, n) -> table(X)
 
     def __post_init__(self):
         self.components = _point_memo(self.components)
@@ -344,15 +363,20 @@ class LieForm:
             return {idx: self.components(x, idx) for idx in indices}
         return table(x, indices)
 
+    def table(self, X) -> np.ndarray:
+        """Components at each row of the (P, n) batch X, as an array of shape
+        (P, C(n, degree), *value_shape) in `increasing_indices` order."""
+        X = np.asarray(X, dtype=float)
+        if self.batch is not None:
+            return self.batch(X)
+        shape = (len(X), len(increasing_indices(self.n, self.degree))) + self.value_shape
+        rows = [list(self.component_table(x).values()) for x in X]
+        return np.array(rows, dtype=float).reshape(shape)
+
 
 def zero_form(n, degree, value_target, value_shape, box=None) -> LieForm:
-    z = np.zeros(value_shape)
-    return LieForm(n=n, degree=degree, value_target=value_target,
-                   value_shape=tuple(value_shape),
-                   components=lambda x, idx: z,
-                   analytic_d=lambda x, idx: np.zeros(value_shape),
-                   box=box,
-                   poly=PolyData(n, degree, value_shape, {}))
+    return form_from_poly(n, degree, value_target, value_shape,
+                          PolyData(n, degree, value_shape, {}), box=box)
 
 
 def constant_form(n, degree, value_target, table, box=None) -> LieForm:
@@ -369,7 +393,8 @@ def form_from_poly(n, degree, value_target, value_shape, poly: PolyData,
     dpoly = poly.d()
     return LieForm(n=n, degree=degree, value_target=value_target,
                    value_shape=tuple(value_shape), components=poly.evaluate,
-                   analytic_d=dpoly.evaluate, fd_step=fd_step, box=box, poly=poly)
+                   analytic_d=dpoly.evaluate, fd_step=fd_step, box=box, poly=poly,
+                   batch=poly.table)
 
 
 def eval_form(f: LieForm, x, vectors) -> np.ndarray:
@@ -401,12 +426,15 @@ def add_forms(a: LieForm, b: LieForm, alpha=1.0, beta=1.0) -> LieForm:
     comp = lambda x, idx: alpha * a.components(x, idx) + beta * b.components(x, idx)
     dcomp = None
     if a.has_exact_d() and b.has_exact_d():
-        da, db = exterior_derivative(a), exterior_derivative(b)
-        dcomp = lambda x, idx: alpha * da.components(x, idx) + beta * db.components(x, idx)
+        @_built_on_first_call
+        def dcomp():
+            da, db = exterior_derivative(a), exterior_derivative(b)
+            return lambda x, idx: alpha * da.components(x, idx) + beta * db.components(x, idx)
     return LieForm(n=a.n, degree=a.degree, value_target=a.value_target,
                    value_shape=a.value_shape, components=comp, analytic_d=dcomp,
                    fd_step=max(a.fd_step, b.fd_step),
-                   box=a.box if a.box is not None else b.box)
+                   box=a.box if a.box is not None else b.box,
+                   batch=lambda X: alpha * a.table(X) + beta * b.table(X))
 
 
 def scale_form(a: LieForm, alpha: float) -> LieForm:
@@ -415,7 +443,24 @@ def scale_form(a: LieForm, alpha: float) -> LieForm:
                               a.poly.scaled(alpha), box=a.box, fd_step=a.fd_step)
     comp = lambda x, idx: alpha * a.components(x, idx)
     dcomp = (lambda x, idx: alpha * a.analytic_d(x, idx)) if a.analytic_d else None
-    return replace(a, components=comp, analytic_d=dcomp)
+    # every callable field is set here: `replace` would copy a's unscaled batch
+    return replace(a, components=comp, analytic_d=dcomp,
+                   batch=lambda X: alpha * a.table(X))
+
+
+def _built_on_first_call(build):
+    """An (x, idx) callable that runs `build()` at its first call and from
+    then on delegates to the callable `build` returned, so a derivative that
+    is never read is never constructed."""
+    fn = None
+
+    def call(x, idx):
+        nonlocal fn
+        if fn is None:
+            fn = build()
+        return fn(x, idx)
+
+    return call
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +518,12 @@ def exterior_derivative(f: LieForm) -> LieForm:
 
 @dataclass
 class Pairing:
-    """Constant bilinear pairing on values, with declared output shape/target."""
+    """Constant bilinear pairing on values, with declared output shape/target.
+
+    `fn` broadcasts over leading point axes: given (..., *value_shape)
+    arguments it returns (..., *out_shape), so one definition serves a single
+    point and a batch of them.
+    """
 
     fn: callable
     out_shape: tuple
@@ -482,17 +532,19 @@ class Pairing:
 
 def bracket_pairing(alg: LieAlgebraDescriptor) -> Pairing:
     c = alg.structure_constants
-    return Pairing(lambda u, v: np.einsum('a,b,abk->k', u, v, c),
+    return Pairing(lambda u, v: np.einsum('...a,...b,abk->...k', u, v, c),
                    (alg.dim,), "algebra")
 
 
 def kappa_pairing(alg: LieAlgebraDescriptor) -> Pairing:
     k = alg.kappa
-    return Pairing(lambda u, v: np.array(u @ k @ v), (), "scalar")
+    # stacked matmul rounds as u @ k @ v does; an einsum would not
+    return Pairing(lambda u, v: np.asarray(
+        ((u @ k)[..., None, :] @ v[..., :, None])[..., 0, 0]), (), "scalar")
 
 
 def endo_action_pairing(alg: LieAlgebraDescriptor) -> Pairing:
-    return Pairing(lambda m, v: m @ v, (alg.dim,), "algebra")
+    return Pairing(lambda m, v: (m @ v[..., None])[..., 0], (alg.dim,), "algebra")
 
 
 def endo_compose_pairing(alg: LieAlgebraDescriptor) -> Pairing:
@@ -508,6 +560,17 @@ def _shuffles(k: int, m: int):
         inversions = sum(1 for i in S for j in T if i > j)
         out.append((S, T, (-1.0) ** inversions))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _shuffle_columns(n: int, k: int, m: int):
+    """For each increasing (k+m)-index K, the `_shuffles` terms of K as
+    (column of the k-index in a k-form table, column of the m-index, sign)."""
+    col_a = {I: c for c, I in enumerate(increasing_indices(n, k))}
+    col_b = {I: c for c, I in enumerate(increasing_indices(n, m))}
+    return tuple(tuple((col_a[tuple(K[i] for i in S)], col_b[tuple(K[i] for i in T)],
+                        sign) for S, T, sign in _shuffles(k, m))
+                 for K in increasing_indices(n, k + m))
 
 
 def graded_product(pairing: Pairing, a: LieForm, b: LieForm) -> LieForm:
@@ -545,17 +608,30 @@ def graded_product(pairing: Pairing, a: LieForm, b: LieForm) -> LieForm:
             out = out + sign * pairing.fn(va, vb)
         return out
 
+    def batch(X):
+        ta = a.table(X)
+        tb = ta if b is a else b.table(X)
+        out = np.empty((len(X), len(increasing_indices(n, deg))) + pairing.out_shape)
+        for c, terms in enumerate(_shuffle_columns(n, k, m)):
+            acc = np.zeros((len(X),) + pairing.out_shape)
+            for ca, cb, sign in terms:
+                acc = acc + sign * pairing.fn(ta[:, ca], tb[:, cb])
+            out[:, c] = acc
+        return out
+
     dcomp = None
     if a.has_exact_d() and b.has_exact_d():
-        # graded Leibniz: d F(a^,b) = F(da^,b) + (-1)^k F(a^,db)
-        da, db = exterior_derivative(a), exterior_derivative(b)
-        lhs = graded_product(pairing, da, b)
-        rhs = graded_product(pairing, a, db)
-        dcomp = lambda x, idx: lhs.components(x, idx) + (-1.0) ** k * rhs.components(x, idx)
+        @_built_on_first_call
+        def dcomp():
+            # graded Leibniz: d F(a^,b) = F(da^,b) + (-1)^k F(a^,db)
+            lhs = graded_product(pairing, exterior_derivative(a), b)
+            rhs = graded_product(pairing, a, exterior_derivative(b))
+            return lambda x, idx: lhs.components(x, idx) + (-1.0) ** k * rhs.components(x, idx)
 
     return LieForm(n=n, degree=deg, value_target=pairing.out_target,
                    value_shape=pairing.out_shape, components=comp,
-                   analytic_d=dcomp, fd_step=max(a.fd_step, b.fd_step), box=box)
+                   analytic_d=dcomp, fd_step=max(a.fd_step, b.fd_step), box=box,
+                   batch=batch)
 
 
 # ---------------------------------------------------------------------------

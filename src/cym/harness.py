@@ -25,8 +25,9 @@ from .algebra import (LieAlgebraDescriptor, StructureError, ad_matrix_c,
 from .connection import (COMPATIBILITY_TOL, check_compatibility,
                          field_redefine, potential_curvature)
 from .forms import (Chart, LieForm, PolyData, SamplePlan, euclidean_chart,
-                    exterior_derivative, form_from_poly, max_gap, max_gap_of,
-                    minkowski_chart, stereographic_chart, zero_form)
+                    exterior_derivative, form_from_poly, increasing_indices,
+                    max_gap, max_gap_of, minkowski_chart, stereographic_chart,
+                    zero_form)
 from .gauge import (GaugeScenario, bianchi_residual, change_of_gauge,
                     density_gauge_invariance_residual,
                     density_infinitesimal_residual,
@@ -127,8 +128,21 @@ def bpst_central_form(box=None) -> LieForm:
                                    - x[j] * pair_vec(i, k)
                                    + x[k] * pair_vec(i, j))
 
+    def batch(X):
+        # x @ x row by row as stacked matmul, and the square by Python's
+        # float power, round exactly as `profile` does (numpy's square
+        # differs from it in the last bit for about 1 in 1,000 points)
+        u = 1.0 + (X[:, None, :] @ X[:, :, None])[:, 0, 0]
+        prof = 4.0 / np.array([v ** 2 for v in u.tolist()])
+        out = np.zeros((len(X), 6, 3))
+        for c, idx in enumerate(increasing_indices(4, 2)):
+            slot, sign = _BPST_PAIRS[idx]
+            out[:, c, slot] = sign * prof
+        return out
+
     return LieForm(n=4, degree=2, value_target="algebra", value_shape=(3,),
-                   components=comp, analytic_d=dcomp, fd_step=2e-5, box=box)
+                   components=comp, analytic_d=dcomp, fd_step=2e-5, box=box,
+                   batch=batch)
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +627,9 @@ def scenario_from_dict(data, source="<dict>") -> ScenarioBundle:
         expected_charge = None if expected is None else float(expected)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"expected_charge: {exc}") from None
+    if expected_charge is not None and not math.isfinite(expected_charge):
+        raise ScenarioError(f"expected_charge: must be a finite number, "
+                            f"got {expected!r}")
 
     bundle = _assemble(name, chart, alg, omega, zeta, a, shift, generator,
                        section_polys, auto_polys, metric,
@@ -727,6 +744,17 @@ class SuiteReport:
                            for c in self.checks]}
 
 
+def _finite_or_named(value):
+    """value with every non-finite float inside it replaced by its name."""
+    if isinstance(value, dict):
+        return {k: _finite_or_named(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_named(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    return value
+
+
 @dataclass
 class VerificationReport:
     scenario: str
@@ -743,7 +771,10 @@ class VerificationReport:
                 "env": self.env, "pass": self.passed}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """Strict JSON: a NaN or infinite value is written as the string
+        "nan", "inf" or "-inf", which `float()` reads back."""
+        return json.dumps(_finite_or_named(self.to_dict()), indent=2,
+                          sort_keys=True, allow_nan=False) + "\n"
 
     def csv_rows(self):
         for suite in self.suites:

@@ -11,7 +11,9 @@ from pytest import mark
 import cym.algebra as alg
 import cym.forms as fm
 import cym.gauge as gauge
-from cym.harness import builtin_scenario
+from cym.connection import (LabConnection, cov_ext_deriv, curvature,
+                            potential_curvature)
+from cym.harness import bpst_central_form, bpst_potential, builtin_scenario
 
 SU2 = alg.su2()
 CH = fm.euclidean_chart(4)
@@ -321,6 +323,84 @@ def test_component_memo_values_are_read_only_and_wrapped_once():
     # a components callable rebound after construction is read as it is
     f.components = lambda x, idx: np.full(3, 2.0)
     assert all(np.all(v == 2.0) for v in f.component_table(X0).values())
+
+
+# -- batched component tables -------------------------------------------------
+
+BATCH = np.random.default_rng(11).uniform(-1.5, 1.5, size=(12, 4))
+
+
+def _closure_2form():
+    def comp(x, idx):
+        return np.array([np.sin(x[idx[0]]) * x[idx[1]], np.exp(-float(x @ x)), 1.0])
+    return fm.LieForm(n=4, degree=2, value_target="algebra", value_shape=(3,),
+                      components=comp, box=CH.box)
+
+
+TABLE_FORMS = {
+    "polynomial": lambda: fm.exterior_derivative(A_FORM),
+    "polynomial-scalar": lambda: fm.graded_product(
+        fm.kappa_pairing(SU2), A_FORM, fm.exterior_derivative(A_FORM)),
+    "zero": lambda: fm.zero_form(4, 2, "algebra", (3,), box=CH.box),
+    "constant": lambda: fm.constant_form(4, 1, "algebra", {
+        (k,): np.arange(3.0) + k for k in range(4)}),
+    "bpst-central": lambda: bpst_central_form(),
+    "scale": lambda: fm.scale_form(bpst_central_form(), -0.7),
+    "add": lambda: fm.add_forms(bpst_central_form(), _closure_2form(), 0.3, -1.2),
+    "kappa-product": lambda: fm.kappa_wedge_top(SU2, bpst_central_form(),
+                                                _closure_2form()),
+    "kappa-square": lambda: fm.kappa_wedge_top(SU2, bpst_central_form(),
+                                               bpst_central_form()),
+    "bracket-product": lambda: fm.graded_product(
+        fm.bracket_pairing(SU2), bpst_potential(), bpst_central_form()),
+    "potential-curvature": lambda: potential_curvature(SU2, bpst_potential()),
+    "endo-compose": lambda: curvature(LabConnection.from_omega(SU2, bpst_potential())),
+    # a polynomial connection: ad_matrix_c of a closure's value is
+    # Fortran-ordered, and BLAS rounds that matrix-vector product differently
+    "endo-action": lambda: cov_ext_deriv(
+        LabConnection.from_omega(SU2, A_FORM), _closure_2form()),
+    "closure-fallback": _closure_2form,
+}
+
+
+@mark.parametrize("name", sorted(TABLE_FORMS))
+def test_table_matches_stacked_per_point_components_bit_for_bit(name):
+    form = TABLE_FORMS[name]()
+    indices = fm.increasing_indices(form.n, form.degree)
+    want = np.array([[form.components(x, idx) for idx in indices] for x in BATCH])
+    got = form.table(BATCH)
+    assert got.shape == (len(BATCH), len(indices)) + form.value_shape
+    assert np.array_equal(got, want)
+    assert (form.batch is None) == (name == "closure-fallback")
+
+
+def test_scale_form_scales_the_batch_it_carries():
+    zeta = bpst_central_form()
+    tripled = fm.scale_form(zeta, 3.0)
+    # dataclasses.replace would hand the scaled form zeta's own batch
+    assert tripled.batch is not zeta.batch
+    np.testing.assert_array_equal(tripled.table(BATCH), 3.0 * zeta.table(BATCH))
+
+
+def test_sum_and_product_build_their_derivatives_on_first_use(monkeypatch):
+    built = Counter()
+    derivative = fm.exterior_derivative
+
+    def counted(f):
+        built[f.degree] += 1
+        return derivative(f)
+
+    monkeypatch.setattr(fm, "exterior_derivative", counted)
+    omega, zeta = bpst_potential(), bpst_central_form()
+    product = fm.graded_product(fm.bracket_pairing(SU2), omega, zeta)
+    total = fm.add_forms(zeta, fm.scale_form(zeta, 2.0))
+    assert not built
+    assert product.has_exact_d() and total.has_exact_d()
+    np.testing.assert_allclose(total.analytic_d(X0, (0, 1, 2)),
+                               3.0 * zeta.analytic_d(X0, (0, 1, 2)), rtol=1e-15)
+    assert built == {2: 2}
+    product.analytic_d(X0, (0, 1, 2, 3))
+    assert built == {2: 3, 1: 1}
 
 
 # -- serialization and plans --------------------------------------------------

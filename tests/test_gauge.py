@@ -1,14 +1,17 @@
 """Chart-local gauge theory: field strength, gauge-change laws, Bianchi,
 Lagrangian density, invariance residuals, and the topological charge."""
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from cym.algebra import su2, u1
 from cym.connection import LabConnection, potential_curvature
 from cym.forms import (LieForm, PolyData, SamplePlan, euclidean_chart,
-                       form_from_poly, minkowski_chart, zero_form)
+                       form_from_poly, kappa_wedge_top, minkowski_chart,
+                       top_coefficient, zero_form)
 from cym.gauge import (ChargeResult, CompatibilityGateError, GaugeScenario,
                        bianchi_residual, change_of_gauge,
                        density_gauge_invariance_residual,
@@ -16,6 +19,7 @@ from cym.gauge import (ChargeResult, CompatibilityGateError, GaugeScenario,
                        field_redef_invariance_residual, instanton_charge,
                        lagrangian_density, local_field_strength,
                        self_duality_residual)
+from cym.harness import builtin_scenario
 from cym.lgb import GSection
 
 SU2, U1 = su2(), u1()
@@ -342,3 +346,64 @@ def test_charge_warns_when_integrand_does_not_decay():
 def test_charge_result_totals():
     q = ChargeResult(box_value=0.75, tail=0.25, radius=20.0, order=24)
     assert q.total == 1.0
+
+
+def per_node_charge(s, radius, order):
+    """Reference: the charge read one node at a time, as a quadruple loop."""
+    paired = kappa_wedge_top(s.algebra, local_field_strength(s), local_field_strength(s))
+    t, w = leggauss(order)
+    nodes = t * (1.0 + (radius - 1.0) * t ** 4)
+    weights = w * (1.0 + 5.0 * (radius - 1.0) * t ** 4)
+    box = 0.0
+    for i in itertools.product(range(order), repeat=4):
+        box += np.prod(weights[list(i)]) * top_coefficient(paired, nodes[list(i)])
+    dirs = [sign * e for e in np.eye(4) for sign in (1.0, -1.0)]
+    dirs += [0.5 * np.array(signs, dtype=float) for signs in
+             ([1, 1, 1, 1], [1, -1, 1, -1], [-1, 1, 1, -1], [-1, -1, 1, 1])]
+    u = 1.0 + radius ** 2
+    c_fit = np.mean([top_coefficient(paired, radius * d / np.linalg.norm(d)) * u ** 4
+                     for d in dirs])
+    tail = c_fit * 2 * np.pi ** 2 * (1.0 / (4 * u ** 2) - 1.0 / (6 * u ** 3))
+    scale = s.chart.orientation / (16 * np.pi ** 2)
+    return scale * box, scale * tail
+
+
+def bpst_with_gauge_field():
+    """bpst with a polynomial A, so F sums a covariant derivative, a half
+    bracket square and the central form."""
+    s = builtin_scenario("bpst").scenario
+    a = poly_form(4, 1, (3,), {(0,): [(0.2 * E1, np.array([0, 1, 0, 0]))],
+                               (2,): [(-0.1 * E3, np.array([0, 0, 0, 1]))],
+                               (3,): [(0.3 * E2, np.zeros(4, dtype=int))]})
+    return s.with_gauge_field(a)
+
+
+@pytest.mark.parametrize("build, order", [
+    (lambda: builtin_scenario("bpst").scenario, 6),
+    (lambda: builtin_scenario("bpst").scenario, 8),
+    (bpst_with_gauge_field, 6),
+])
+def test_charge_matches_per_node_reference(build, order):
+    s = build()
+    q = instanton_charge(s, radius=20.0, order=order)
+    box, tail = per_node_charge(s, 20.0, order)
+    assert abs(q.box_value - box) <= 1e-13
+    assert abs(q.tail - tail) <= 1e-13
+
+
+def test_charge_makes_no_per_point_component_calls():
+    s = builtin_scenario("bpst").scenario
+    s.require_gate()  # the gate reads the central form point by point
+    zeta = s.zeta
+    calls = []
+    inner = zeta.components
+
+    def counted(x, idx):
+        calls.append(idx)
+        return inner(x, idx)
+
+    zeta.components = counted
+    assert local_field_strength(s) is zeta
+    q = instanton_charge(s, radius=20.0, order=6)
+    assert np.isfinite(q.total)
+    assert calls == []

@@ -16,10 +16,11 @@ from cym.cli import main as cli_main
 from cym.forms import (SamplePlan, exterior_derivative, increasing_indices,
                        zero_form)
 from cym.harness import (SCENARIO_NAMES, SUITES, CheckRow, ScenarioError,
-                         SuiteReport, algebra_kernel_residuals,
-                         bpst_central_form, bpst_potential, builtin_scenario,
-                         load_scenario, run_suite, save_scenario,
-                         scenario_from_dict, scenario_to_dict, suite_names)
+                         SuiteReport, VerificationReport,
+                         algebra_kernel_residuals, bpst_central_form,
+                         bpst_potential, builtin_scenario, load_scenario,
+                         run_suite, save_scenario, scenario_from_dict,
+                         scenario_to_dict, suite_names)
 from cym.lgb import generalized_mc_residual
 
 QUICK = SamplePlan(count=4, seed=7)
@@ -233,6 +234,10 @@ def test_jacobi_violation_rejected_naming_triple():
      "plan: count must be a positive integer"),
     (lambda d: d.__setitem__("chart", {"dim": 1, "half": 1.0}),
      "chart.dim: the central form is a 2-form"),
+    (lambda d: d.__setitem__("expected_charge", math.nan),
+     "expected_charge: must be a finite number, got nan"),
+    (lambda d: d.__setitem__("expected_charge", -math.inf),
+     "expected_charge: must be a finite number, got -inf"),
 ])
 def test_malformed_scenarios_name_the_field(mutate, message):
     blob = scenario_blob()
@@ -263,6 +268,8 @@ def test_scenario_dict_keeps_plan_and_quadrature():
     out = scenario_to_dict(bundle)
     assert out["quadrature"] == {"radius": 8.0, "order": 10}
     assert out["expected_charge"] == 0.0
+    blob["expected_charge"] = -2.0
+    assert scenario_from_dict(blob).expected_charge == -2.0
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +406,23 @@ def test_binding_check_is_the_first_non_finite_one():
         assert not suite.passed
 
 
+def test_report_json_names_non_finite_values_as_strings():
+    checks = [CheckRow("a", math.nan, 1e-6, [(0, math.nan)]),
+              CheckRow("b", 0.5, math.inf, []), CheckRow("c", -math.inf, 1.0, [])]
+    report = VerificationReport(scenario="x", env={"tol_scale": 1.0},
+                                suites=[SuiteReport("s", "anchor", checks)])
+
+    def refuse(token):
+        raise ValueError(f"bare {token} in the report")
+
+    blob = json.loads(report.to_json(), parse_constant=refuse)
+    suite = blob["suites"][0]
+    assert suite["residual"] == "nan" and suite["tolerance"] == 1e-6
+    assert [(c["residual"], c["tolerance"]) for c in suite["checks"]] == [
+        ("nan", 1e-6), (0.5, "inf"), ("-inf", 1.0)]
+    assert [float(c["residual"]) for c in suite["checks"]][1:] == [0.5, -math.inf]
+
+
 NAN_PLAN = SamplePlan(count=6, seed=1)
 
 
@@ -495,6 +519,7 @@ def test_cli_rejects_bad_scales_steps_and_counts(flag, value, capsys):
     ("chart.dim", lambda d: d["chart"].__setitem__("dim", "two")),
     ("chart.half", lambda d: d["chart"].__setitem__("half", math.nan)),
     ("quadrature.order", lambda d: d.__setitem__("quadrature", {"order": 0})),
+    ("expected_charge", lambda d: d.__setitem__("expected_charge", math.nan)),
 ])
 def test_cli_rejects_malformed_scenario_file(tmp_path, capsys, field, mutate):
     path = tmp_path / "f.json"
