@@ -370,6 +370,9 @@ def ad_matrix_of_group(alg: LieAlgebraDescriptor, g_matrix: np.ndarray) -> np.nd
 
 
 def ad_matrix_c(alg: LieAlgebraDescriptor, coeffs: np.ndarray) -> np.ndarray:
-    """ad(x) as a (dim, dim) matrix on coefficients: ad(x)[k,b] = sum_a x^a c[a,b,k]."""
-    return np.einsum('a,abk->kb', np.asarray(coeffs, dtype=float),
-                     alg.structure_constants)
+    """ad(x) as a (dim, dim) matrix on coefficients: ad(x)[k,b] = sum_a x^a c[a,b,k].
+    Leading axes of `coeffs` broadcast: (..., dim) gives (..., dim, dim). The
+    result is C-ordered, as a stacked table of such matrices is, so products
+    with it round the same way at one point and over a batch."""
+    return np.ascontiguousarray(np.einsum(
+        '...a,abk->...kb', np.asarray(coeffs, dtype=float), alg.structure_constants))

@@ -16,7 +16,7 @@ from .algebra import LieAlgebraDescriptor, ad_matrix_c
 from .forms import (Chart, LieForm, PolyData, SamplePlan, add_forms,
                     bracket_pairing, endo_action_pairing, endo_compose_pairing,
                     exterior_derivative, form_from_poly, graded_product,
-                    increasing_indices, max_gap, scale_form)
+                    max_gap, max_gap_rows, scale_form)
 
 __all__ = [
     "COMPATIBILITY_TOL", "LabConnection", "CompatibilityReport",
@@ -100,12 +100,24 @@ def potential_curvature(alg: LieAlgebraDescriptor, omega: LieForm) -> LieForm:
 
 @dataclass
 class CompatibilityReport:
-    """Residuals of the two infinitesimal compatibility laws."""
+    """Residuals of the two infinitesimal compatibility laws at each point of
+    the plan, and their largest gaps over it."""
 
-    derivation_residual: float
-    curvature_residual: float
-    points_used: int
+    derivation_rows: np.ndarray  # (P,) per-point residuals
+    curvature_rows: np.ndarray
     plan: SamplePlan
+
+    @property
+    def derivation_residual(self) -> float:
+        return max_gap(self.derivation_rows)
+
+    @property
+    def curvature_residual(self) -> float:
+        return max_gap(self.curvature_rows)
+
+    @property
+    def points_used(self) -> int:
+        return len(self.derivation_rows)
 
     @property
     def passed(self) -> bool:
@@ -121,23 +133,18 @@ def check_compatibility(nabla: LabConnection, zeta: LieForm, chart: Chart,
     equivalently del[mu,nu] = [del mu,nu] + [mu,del nu] for all sections
     (the exterior-derivative parts cancel by bilinearity, so constant basis
     sections decide it pointwise). Curvature law: R(X,Y) = ad(zeta(X,Y)).
+    Both are read from the component tables of the forms over all points.
     """
     alg = nabla.algebra
     c = alg.structure_constants
-    r = curvature(nabla)
-    der_gaps, curv_gaps = [], []
-    for x in plan.points(chart):
-        for k in range(chart.dim):
-            g = nabla.gamma.components(x, (k,))
-            lhs = np.einsum('abm,km->abk', c, g)
-            rhs = np.einsum('ma,mbk->abk', g, c) + np.einsum('mb,amk->abk', g, c)
-            der_gaps.append(lhs - rhs)
-        for idx in increasing_indices(chart.dim, 2):
-            curv_gaps.append(r.components(x, idx)
-                             - ad_matrix_c(alg, zeta.components(x, idx)))
-    return CompatibilityReport(derivation_residual=max_gap(der_gaps),
-                               curvature_residual=max_gap(curv_gaps),
-                               points_used=plan.count, plan=plan)
+    points = plan.points(chart)
+    g = nabla.gamma.table(points)  # (P, n, d, d)
+    lhs = np.einsum('abm,...km->...abk', c, g)
+    rhs = (np.einsum('...ma,mbk->...abk', g, c)
+           + np.einsum('...mb,amk->...abk', g, c))
+    curv = curvature(nabla).table(points) - ad_matrix_c(alg, zeta.table(points))
+    return CompatibilityReport(derivation_rows=max_gap_rows(lhs - rhs),
+                               curvature_rows=max_gap_rows(curv), plan=plan)
 
 
 @dataclass

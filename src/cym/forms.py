@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,7 +36,8 @@ __all__ = [
     "constant_form", "form_from_poly",
     "bracket_pairing", "kappa_pairing", "endo_action_pairing",
     "endo_compose_pairing", "hodge_star", "kappa_wedge_top",
-    "top_coefficient", "drain_order_loss_events", "max_gap", "max_gap_of",
+    "top_coefficient", "drain_order_loss_events", "max_gap", "max_gap_rows",
+    "max_gap_of",
 ]
 
 # order-loss events from one-sided stencils; drained by reports
@@ -330,8 +331,9 @@ class LieForm:
 
     `batch`, when given, maps a (P, n) batch of points to the component
     table `table(X)` returns, with the values `components` gives; a form
-    without one is tabulated point by point. `dataclasses.replace` copies
-    `batch`, so a replacement of `components` must pass a matching one.
+    without one is tabulated point by point. A batch belongs to the
+    components it came with: `dataclasses.replace` with new `components` and
+    no new `batch` drops the old one, so the table follows the new values.
     """
 
     n: int
@@ -348,6 +350,11 @@ class LieForm:
     def __post_init__(self):
         self.components = _point_memo(self.components)
         self.analytic_d = _point_memo(self.analytic_d)
+        if getattr(self.batch, "components", self.components) is not self.components:
+            self.batch = None  # handed on by `replace` with other components
+        elif self.batch is not None and not hasattr(self.batch, "components"):
+            self.batch = partial(self.batch)
+            self.batch.components = self.components
 
     def __call__(self, x, *vectors):
         return eval_form(self, x, vectors)
@@ -443,7 +450,7 @@ def scale_form(a: LieForm, alpha: float) -> LieForm:
                               a.poly.scaled(alpha), box=a.box, fd_step=a.fd_step)
     comp = lambda x, idx: alpha * a.components(x, idx)
     dcomp = (lambda x, idx: alpha * a.analytic_d(x, idx)) if a.analytic_d else None
-    # every callable field is set here: `replace` would copy a's unscaled batch
+    # a batch is passed: `replace` would drop a's with its components
     return replace(a, components=comp, analytic_d=dcomp,
                    batch=lambda X: alpha * a.table(X))
 
@@ -705,6 +712,18 @@ def max_gap(gaps) -> float:
             worst = value
     if worst is None:
         raise ValueError("no gaps to reduce: the check sampled nothing")
+    return worst
+
+
+def max_gap_rows(table) -> np.ndarray:
+    """`max_gap` of each row of a (P, ...) table of gaps, as a (P,) array:
+    a row with a NaN or infinite entry gives NaN, and a table with no rows
+    raises ValueError."""
+    table = np.asarray(table, dtype=float)
+    if len(table) == 0:
+        raise ValueError("no gaps to reduce: the check sampled nothing")
+    worst = np.abs(table.reshape(len(table), -1)).max(axis=1)
+    worst[~np.isfinite(worst)] = np.nan
     return worst
 
 

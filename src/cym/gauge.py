@@ -14,19 +14,22 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .algebra import LieAlgebraDescriptor, ad_matrix_of_group
-from .connection import (COMPATIBILITY_TOL, CompatibilityReport, LabConnection,
-                         check_compatibility, cov_ext_deriv, field_redefine)
+from .connection import (COMPATIBILITY_TOL, CompatibilityReport,
+                         FieldRedefinition, LabConnection, check_compatibility,
+                         cov_ext_deriv, field_redefine)
 from .forms import (Chart, LieForm, SamplePlan, add_forms, bracket_pairing,
                     graded_product, hodge_star, increasing_indices,
-                    kappa_wedge_top, max_gap, scale_form, top_coefficient)
+                    kappa_wedge_top, max_gap, max_gap_rows, scale_form,
+                    top_coefficient)
 from .lgb import GSection, TrivLgb, darboux
 
 __all__ = [
     "GaugeScenario", "CompatibilityGateError", "local_field_strength",
     "ChangeOfGaugeResult", "change_of_gauge",
-    "bianchi_residual", "lagrangian_density", "ChargeResult",
+    "bianchi_rows", "bianchi_residual", "lagrangian_density", "ChargeResult",
     "instanton_charge", "density_gauge_invariance_residual",
-    "density_infinitesimal_residual", "field_redef_invariance_residual",
+    "density_infinitesimal_residual", "field_redef_rows",
+    "field_redef_invariance_residual",
     "self_duality_residual",
 ]
 
@@ -146,18 +149,23 @@ def change_of_gauge(s: GaugeScenario, sigma: GSection,
                                points_used=plan.count)
 
 
-def bianchi_residual(s: GaugeScenario, plan: SamplePlan) -> float:
-    """Residual of the differential identity binding F, A and the central form:
-    covariant d of F plus the bracket with A must equal covariant d of zeta."""
+def bianchi_rows(s: GaugeScenario, plan: SamplePlan) -> np.ndarray:
+    """Per-point residuals of the differential identity binding F, A and the
+    central form: covariant d of F plus the bracket with A must equal
+    covariant d of zeta."""
     f = local_field_strength(s)
     lhs = add_forms(cov_ext_deriv(s.nabla, f),
                     graded_product(bracket_pairing(s.algebra), s.gauge_field, f))
     rhs = cov_ext_deriv(s.nabla, s.zeta)
     # below three dimensions both sides are stored as zero top forms (see
     # exterior_derivative), so every point still yields its exact zero gap
-    return max_gap(lhs.components(x, idx) - rhs.components(x, idx)
-                   for x in plan.points(s.chart)
-                   for idx in increasing_indices(s.chart.dim, lhs.degree))
+    points = plan.points(s.chart)
+    return max_gap_rows(lhs.table(points) - rhs.table(points))
+
+
+def bianchi_residual(s: GaugeScenario, plan: SamplePlan) -> float:
+    """Largest Bianchi gap over the plan (see `bianchi_rows`)."""
+    return max_gap(bianchi_rows(s, plan))
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +282,25 @@ def density_infinitesimal_residual(s: GaugeScenario, eps: LieForm,
                    for x in plan.points(s.chart))
 
 
-def field_redef_invariance_residual(s: GaugeScenario, lam: LieForm,
-                                    plan: SamplePlan) -> float:
-    """The field strength must not see a shift of the splitting."""
+def field_redef_rows(s: GaugeScenario, shifted: FieldRedefinition,
+                     plan: SamplePlan) -> np.ndarray:
+    """Per-point gap between the field strength before and after a shift of
+    the splitting (`field_redefine`); the field strength must not see it."""
     f_before = local_field_strength(s)
-    shifted = field_redefine(s.nabla, s.zeta, s.gauge_field, lam)
     after = GaugeScenario(chart=s.chart, algebra=s.algebra, nabla=shifted.nabla,
                           zeta=shifted.zeta, gauge_field=shifted.gauge_field,
                           name=s.name, gate_plan=s.gate_plan, gate_tol=s.gate_tol)
     f_after = local_field_strength(after, gate=False)
-    return max_gap(f_after.components(x, idx) - f_before.components(x, idx)
-                   for x in plan.points(s.chart)
-                   for idx in increasing_indices(s.chart.dim, 2))
+    points = plan.points(s.chart)
+    return max_gap_rows(f_after.table(points) - f_before.table(points))
+
+
+def field_redef_invariance_residual(s: GaugeScenario, lam: LieForm,
+                                    plan: SamplePlan) -> float:
+    """Largest gap over the plan of F under the shift by lam (see
+    `field_redef_rows`)."""
+    shifted = field_redefine(s.nabla, s.zeta, s.gauge_field, lam)
+    return max_gap(field_redef_rows(s, shifted, plan))
 
 
 def self_duality_residual(zeta: LieForm, chart: Chart, plan: SamplePlan) -> float:

@@ -28,11 +28,10 @@ from .forms import (Chart, LieForm, PolyData, SamplePlan, euclidean_chart,
                     exterior_derivative, form_from_poly, increasing_indices,
                     max_gap, max_gap_of, minkowski_chart, stereographic_chart,
                     zero_form)
-from .gauge import (GaugeScenario, bianchi_residual, change_of_gauge,
+from .gauge import (GaugeScenario, bianchi_rows, change_of_gauge,
                     density_gauge_invariance_residual,
-                    density_infinitesimal_residual,
-                    field_redef_invariance_residual, instanton_charge,
-                    self_duality_residual)
+                    density_infinitesimal_residual, field_redef_rows,
+                    instanton_charge, self_duality_residual)
 from .lgb import (GSection, TrivLgb, darboux_inverse_residual,
                   darboux_leibniz_residual, generalized_mc_residual,
                   multiplicativity_residual, nabla_from_darboux,
@@ -876,6 +875,12 @@ def _check_row(env: RunEnv, key: str, per_point: list) -> CheckRow:
                     tolerance=env.tol(key), per_point=per_point)
 
 
+def _plan_rows(env: RunEnv, *checks) -> list:
+    """One CheckRow per (key, (P,) per-point residuals over the plan)."""
+    return [_check_row(env, key, list(enumerate(rows.tolist())))
+            for key, rows in checks]
+
+
 def _per_point(bundle: ScenarioBundle, env: RunEnv, fn, *keys) -> list:
     """One CheckRow per key. At each sample point fn(single_point_plan,
     ordinal, point) returns one residual per key (checks that share
@@ -932,13 +937,10 @@ def _suite_algebra(bundle, env):
 
 
 def _suite_compatibility(bundle, env):
-    def both(single, i, x):
-        rep = check_compatibility(bundle.lgb.nabla, bundle.zeta, bundle.chart,
-                                  single)
-        return rep.derivation_residual, rep.curvature_residual
-
-    return _per_point(bundle, env, both, "compatibility/derivation",
-                      "compatibility/curvature")
+    rep = check_compatibility(bundle.lgb.nabla, bundle.zeta, bundle.chart,
+                              env.plan)
+    return _plan_rows(env, ("compatibility/derivation", rep.derivation_rows),
+                      ("compatibility/curvature", rep.curvature_rows))
 
 
 def _distinguished_section(bundle):
@@ -1087,26 +1089,18 @@ def _suite_bianchi(bundle, env):
     analytic = (bundle.omega.has_exact_d() and bundle.zeta.has_exact_d()
                 and bundle.gauge_field.has_exact_d())
     key = "bianchi/analytic" if analytic else "bianchi/stencil"
-
-    def check(single, i, x):
-        return bianchi_residual(bundle.scenario, single)
-
-    return _per_point(bundle, env, check, key)
+    return _plan_rows(env, (key, bianchi_rows(bundle.scenario, env.plan)))
 
 
 def _suite_field_redef(bundle, env):
     s = bundle.scenario
     shifted = field_redefine(s.nabla, s.zeta, s.gauge_field, bundle.shift)
-
-    def checks(single, i, x):
-        invariance = field_redef_invariance_residual(s, bundle.shift, single)
-        rep = check_compatibility(shifted.nabla, shifted.zeta, bundle.chart,
-                                  single)
-        return invariance, rep.derivation_residual, rep.curvature_residual
-
-    return _per_point(bundle, env, checks, "field-redef/invariance",
-                      "field-redef/closure-derivation",
-                      "field-redef/closure-curvature")
+    closure = check_compatibility(shifted.nabla, shifted.zeta, bundle.chart,
+                                  env.plan)
+    return _plan_rows(
+        env, ("field-redef/invariance", field_redef_rows(s, shifted, env.plan)),
+        ("field-redef/closure-derivation", closure.derivation_rows),
+        ("field-redef/closure-curvature", closure.curvature_rows))
 
 
 def _suite_lagrangian(bundle, env):

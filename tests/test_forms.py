@@ -355,10 +355,13 @@ TABLE_FORMS = {
         fm.bracket_pairing(SU2), bpst_potential(), bpst_central_form()),
     "potential-curvature": lambda: potential_curvature(SU2, bpst_potential()),
     "endo-compose": lambda: curvature(LabConnection.from_omega(SU2, bpst_potential())),
-    # a polynomial connection: ad_matrix_c of a closure's value is
-    # Fortran-ordered, and BLAS rounds that matrix-vector product differently
     "endo-action": lambda: cov_ext_deriv(
         LabConnection.from_omega(SU2, A_FORM), _closure_2form()),
+    # per point, ad_matrix_c of the closed-form potential feeds the
+    # matrix-vector product one matrix at a time; the table stacks them
+    "endo-action-curved": lambda: fm.graded_product(
+        fm.endo_action_pairing(SU2),
+        LabConnection.from_omega(SU2, bpst_potential()).gamma, _closure_2form()),
     "closure-fallback": _closure_2form,
 }
 
@@ -380,6 +383,15 @@ def test_scale_form_scales_the_batch_it_carries():
     # dataclasses.replace would hand the scaled form zeta's own batch
     assert tripled.batch is not zeta.batch
     np.testing.assert_array_equal(tripled.table(BATCH), 3.0 * zeta.table(BATCH))
+
+
+def test_replaced_components_drop_the_old_batch():
+    zeta = bpst_central_form()
+    doubled = replace(zeta, components=lambda x, idx: 2.0 * zeta.components(x, idx))
+    assert doubled.batch is None
+    np.testing.assert_array_equal(doubled.table(BATCH), 2.0 * zeta.table(BATCH))
+    # a batch is kept with the components it came with
+    assert replace(zeta, fd_step=1e-4).batch is zeta.batch
 
 
 def test_sum_and_product_build_their_derivatives_on_first_use(monkeypatch):
@@ -453,6 +465,37 @@ def test_max_gap_refuses_an_empty_sample():
         fm.max_gap([])
     with pytest.raises(ValueError, match="sampled nothing"):
         fm.max_gap(x for x in ())
+
+
+@given(st.lists(st.lists(gap_entry, min_size=6, max_size=6), min_size=1,
+                max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_max_gap_rows_is_max_gap_of_each_row(rows):
+    table = np.array(rows).reshape(len(rows), 2, 3)
+    got = fm.max_gap_rows(table)
+    assert got.shape == (len(rows),)
+    for value, row in zip(got, rows):
+        if all(np.isfinite(row)):
+            assert value == max(abs(v) for v in row)
+        else:  # NaN, +Inf or -Inf anywhere in the row
+            assert np.isnan(value)
+    # NaN only in the rows that hold a non-finite entry, and max_gap of the
+    # rows is max_gap over the whole table
+    assert np.array_equal(np.isnan(got), ~np.isfinite(table).all(axis=(1, 2)))
+    assert np.array_equal(fm.max_gap(got), fm.max_gap(table.ravel()),
+                          equal_nan=True)
+
+
+def test_max_gap_rows_marks_each_non_finite_row():
+    table = np.array([[1.0, -3.0], [np.nan, 0.0], [2.0, np.inf],
+                      [-np.inf, 5.0], [0.5, -0.25]])
+    got = fm.max_gap_rows(table)
+    assert np.array_equal(got, [3.0, np.nan, np.nan, np.nan, 0.5], equal_nan=True)
+
+
+def test_max_gap_rows_refuses_a_table_with_no_rows():
+    with pytest.raises(ValueError, match="sampled nothing"):
+        fm.max_gap_rows(np.zeros((0, 3, 3)))
 
 
 @given(st.integers(min_value=0, max_value=5))

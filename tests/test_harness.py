@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import pkgutil
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,9 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cym
+from cym.algebra import ad_matrix_c
 from cym.cli import main as cli_main
-from cym.forms import (SamplePlan, exterior_derivative, increasing_indices,
+from cym.connection import curvature, cov_ext_deriv, field_redefine
+from cym.forms import (PolyData, SamplePlan, add_forms, bracket_pairing,
+                       exterior_derivative, graded_product, increasing_indices,
                        zero_form)
+from cym.gauge import GaugeScenario, local_field_strength
 from cym.harness import (SCENARIO_NAMES, SUITES, CheckRow, ScenarioError,
                          SuiteReport, VerificationReport,
                          algebra_kernel_residuals, bpst_central_form,
@@ -434,19 +439,24 @@ def bpst_and_clean_rows():
     return bundle, list(report.csv_rows())
 
 
+def with_zeta_nan_at(bundle, bad_point):
+    """The bundle with its central form NaN at one point, per point and in
+    its component table alike."""
+    def comp(x, idx, clean=bundle.zeta.components):
+        return clean(x, idx) * (np.nan if np.array_equal(x, bad_point) else 1.0)
+
+    zeta = dataclasses.replace(bundle.zeta, components=comp, batch=None)
+    return dataclasses.replace(
+        bundle, scenario=dataclasses.replace(bundle.scenario, zeta=zeta))
+
+
 @given(ordinal=st.integers(min_value=0, max_value=NAN_PLAN.count - 1))
 @settings(max_examples=6, deadline=None)
 def test_nan_at_any_sample_point_fails_and_shows_in_its_row(
         bpst_and_clean_rows, ordinal):
     bundle, clean_rows = bpst_and_clean_rows
     bad_point = NAN_PLAN.points(bundle.chart)[ordinal]
-
-    def comp(x, idx, clean=bundle.zeta.components):
-        return clean(x, idx) * (np.nan if np.array_equal(x, bad_point) else 1.0)
-
-    zeta = dataclasses.replace(bundle.zeta, components=comp)
-    poisoned = dataclasses.replace(
-        bundle, scenario=dataclasses.replace(bundle.scenario, zeta=zeta))
+    poisoned = with_zeta_nan_at(bundle, bad_point)
     report = run_suite(poisoned, "self-duality", plan=NAN_PLAN)
     assert not report.passed
     assert math.isnan(report.to_dict()["suites"][0]["residual"])
@@ -454,6 +464,111 @@ def test_nan_at_any_sample_point_fails_and_shows_in_its_row(
     assert rows[ordinal][2:] == (ordinal, "nan")
     assert rows[:ordinal] + rows[ordinal + 1:] == (
         clean_rows[:ordinal] + clean_rows[ordinal + 1:])
+
+
+@pytest.mark.parametrize("suite, check", [("compatibility", "curvature"),
+                                          ("bianchi", "analytic")])
+def test_nan_in_a_table_row_shows_only_in_that_row(suite, check):
+    bundle = builtin_scenario("bpst")
+    clean_rows = list(run_suite(bundle, suite, plan=NAN_PLAN).csv_rows())
+    for ordinal, bad_point in enumerate(NAN_PLAN.points(bundle.chart)):
+        report = run_suite(with_zeta_nan_at(bundle, bad_point), suite,
+                           plan=NAN_PLAN)
+        assert not report.passed
+        rows = list(report.csv_rows())
+        assert [row[1:3] for row in rows if row[3] == "nan"] == [(check, ordinal)]
+        assert [row for row in rows if row[1:3] != (check, ordinal)] == [
+            row for row in clean_rows if row[1:3] != (check, ordinal)]
+
+
+# -- the form-algebra suites read one component table over the plan -----------
+
+FORM_SUITES = ("compatibility", "bianchi", "field-redef")
+ROUTE_PLAN = SamplePlan(count=12, seed=5)
+
+
+def reference_compatibility(nabla, zeta, points):
+    """Per-point (derivation, curvature) residuals, one point at a time."""
+    alg, n = nabla.algebra, nabla.gamma.n
+    c = alg.structure_constants
+    r = curvature(nabla)
+    derivation, curv = [], []
+    for x in points:
+        gaps = []
+        for k in range(n):
+            g = nabla.gamma.components(x, (k,))
+            lhs = np.einsum('abm,km->abk', c, g)
+            rhs = np.einsum('ma,mbk->abk', g, c) + np.einsum('mb,amk->abk', g, c)
+            gaps.append(float(np.abs(lhs - rhs).max()))
+        derivation.append(max(gaps))
+        curv.append(max(float(np.abs(r.components(x, idx) - ad_matrix_c(
+            alg, zeta.components(x, idx))).max()) for idx in increasing_indices(n, 2)))
+    return derivation, curv
+
+
+def reference_rows(bundle, points):
+    """check -> per-point residuals of the three form-algebra suites, from
+    the components of forms built here, one point at a time."""
+    s = bundle.scenario
+    f = local_field_strength(s)
+    lhs = add_forms(cov_ext_deriv(s.nabla, f),
+                    graded_product(bracket_pairing(s.algebra), s.gauge_field, f))
+    rhs = cov_ext_deriv(s.nabla, s.zeta)
+    shifted = field_redefine(s.nabla, s.zeta, s.gauge_field, bundle.shift)
+    f_after = local_field_strength(GaugeScenario(
+        s.chart, s.algebra, shifted.nabla, shifted.zeta, shifted.gauge_field),
+        gate=False)
+
+    def gaps(a, b):
+        return [max(float(np.abs(a.components(x, idx) - b.components(x, idx)).max())
+                    for idx in increasing_indices(a.n, a.degree)) for x in points]
+
+    rows = dict(zip(("compatibility/derivation", "compatibility/curvature"),
+                    reference_compatibility(bundle.lgb.nabla, s.zeta, points)))
+    rows.update(zip(("field-redef/closure-derivation", "field-redef/closure-curvature"),
+                    reference_compatibility(shifted.nabla, shifted.zeta, points)))
+    rows["bianchi/analytic"] = gaps(lhs, rhs)
+    rows["field-redef/invariance"] = gaps(f_after, f)
+    return rows
+
+
+@pytest.mark.parametrize("name", [n for n in SCENARIO_NAMES if n != "bpst"])
+def test_form_suites_match_a_per_point_reference_bit_for_bit(name):
+    bundle = builtin_scenario(name)
+    got = {}
+    for suite in FORM_SUITES:
+        for row in run_suite(bundle, suite, plan=ROUTE_PLAN).suites[0].checks:
+            assert [i for i, _ in row.per_point] == list(range(ROUTE_PLAN.count))
+            got[f"{suite}/{row.check}"] = [r for _, r in row.per_point]
+    assert got == reference_rows(bundle, ROUTE_PLAN.points(bundle.chart))
+
+
+def test_form_suites_build_their_forms_once_whatever_the_plan(monkeypatch):
+    counts = Counter()
+    init, evaluate = PolyData.__init__, PolyData.evaluate
+
+    def counted_init(self, *args, **kwargs):
+        counts["built"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_evaluate(self, x, idx):
+        counts["evaluate"] += 1
+        return evaluate(self, x, idx)
+
+    monkeypatch.setattr(PolyData, "__init__", counted_init)
+    monkeypatch.setattr(PolyData, "evaluate", counted_evaluate)
+    per_plan = []
+    for count in (3, 40):
+        bundle = builtin_scenario("random-curved")
+        per_suite = {}
+        for suite in FORM_SUITES:
+            counts.clear()
+            assert run_suite(bundle, suite, plan=SamplePlan(count=count)).passed
+            per_suite[suite] = dict(counts)
+        per_plan.append(per_suite)
+    assert per_plan[0] == per_plan[1]
+    for suite, counted in per_plan[0].items():
+        assert "evaluate" not in counted and 0 < counted["built"] <= 100, suite
 
 
 # ---------------------------------------------------------------------------
