@@ -10,6 +10,13 @@ direct sum.
 Elements are plain coefficient vectors: the bracket, the adjoint matrices
 and the pairing act on them directly. All heavy lifting is plain numpy; the
 matrix exponential goes through scipy.linalg.expm.
+
+The kernel broadcasts over leading axes: (..., dim) coefficient stacks in
+`rep_of`, `exp_c`, `bracket_c`, `ad_matrix_c`; (..., r, r) matrix stacks in
+`expand_in_rep`, `ad_matrix_of_group`, `variety_residual`, `on_variety`. One
+vector or matrix is the one-row case. Watchdogs check every row: a finite row
+beyond its bound raises, a non-finite one passes through as NaN (a
+`GroupElement`, one finite matrix, still refuses NaN).
 """
 from __future__ import annotations
 
@@ -17,10 +24,9 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-# cym.algebra.expm is the name perfbench/tracer.py wraps to count exponentials
-from scipy.linalg import expm  # noqa: F401
+from scipy.linalg import expm
 
-from .forms import max_gap_of
+from .forms import max_gap_rows
 
 __all__ = [
     "LieAlgebraDescriptor",
@@ -39,6 +45,9 @@ __all__ = [
     "ad_matrix_c",
     "ad_matrix_of_group",
     "expand_in_rep",
+    "exp_c",
+    "on_variety",
+    "require_within",
 ]
 
 # Pauli matrices
@@ -166,8 +175,8 @@ class LieAlgebraDescriptor:
     # -- helpers ------------------------------------------------------------
 
     def rep_of(self, coeffs) -> np.ndarray:
-        """Representation matrix of an algebra element given by coefficients."""
-        return np.einsum('a,aij->ij', np.asarray(coeffs, dtype=float), self.rep_matrices)
+        """Representation matrices of (..., dim) coefficients, (..., r, r)."""
+        return np.einsum('...a,aij->...ij', np.asarray(coeffs, dtype=float), self.rep_matrices)
 
     def group_identity(self) -> "GroupElement":
         return GroupElement(self, np.eye(self.rep_dim, dtype=complex))
@@ -200,22 +209,44 @@ class GroupElement:
         return GroupElement(self.algebra, self.matrix @ other.matrix)
 
 
-@max_gap_of
-def variety_residual(alg: LieAlgebraDescriptor, matrix: np.ndarray) -> float:
-    """Distance of a matrix from the declared group variety.
+def variety_residual(alg: LieAlgebraDescriptor, matrix: np.ndarray):
+    """Distance of each matrix of a (..., r, r) stack from the declared group
+    variety: a (...) array, a scalar for one matrix, NaN where not finite.
 
     Off-block entries must vanish, each block must be unitary, and "su"
     blocks must additionally have unit determinant.
     """
-    mask = np.zeros_like(matrix, dtype=bool)
+    matrix = np.asarray(matrix)
+    lead = matrix.shape[:-2]
+    mask = np.zeros(matrix.shape[-2:], dtype=bool)
+    gaps = []
     for kind, off, size in alg.variety_blocks:
-        blk = matrix[off:off + size, off:off + size]
+        blk = matrix[..., off:off + size, off:off + size]
         mask[off:off + size, off:off + size] = True
-        yield blk.conj().T @ blk - np.eye(size)
+        gaps.append(np.conj(np.swapaxes(blk, -1, -2)) @ blk - np.eye(size))
         if kind == "su":
-            yield np.linalg.det(blk) - 1.0
+            with np.errstate(invalid="ignore"):  # a NaN block has a NaN det
+                gaps.append(np.linalg.det(blk) - 1.0)
     if not mask.all():
-        yield matrix[~mask]
+        gaps.append(matrix[..., ~mask])
+    rows = np.abs(np.concatenate([g.reshape(lead + (-1,)) for g in gaps], axis=-1))
+    return max_gap_rows(rows.reshape(-1, rows.shape[-1])).reshape(lead)[()]
+
+
+def require_within(resid, bound, error, message: str) -> None:
+    """Raise `error(message.format(worst))` if a finite entry of `resid`
+    exceeds `bound`; a non-finite entry passes, to show as a NaN residual."""
+    resid = np.asarray(resid, dtype=float)
+    over = resid[np.isfinite(resid) & (resid > bound)]
+    if over.size:
+        raise error(message.format(over.max()))
+
+
+def on_variety(alg: LieAlgebraDescriptor, matrices: np.ndarray) -> np.ndarray:
+    """`matrices`, after VarietyError for a finite row off the variety."""
+    require_within(variety_residual(alg, matrices), VARIETY_TOL, VarietyError,
+                   "matrix off the group variety by {:.3e}")
+    return matrices
 
 
 # ---------------------------------------------------------------------------
@@ -333,40 +364,47 @@ def algebra_from_dict(data) -> LieAlgebraDescriptor:
 # ---------------------------------------------------------------------------
 
 def bracket_c(alg: LieAlgebraDescriptor, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Lie bracket [u, v] of two coefficient vectors, by structure-constant
-    contraction."""
-    return np.einsum('a,b,abk->k', u, v, alg.structure_constants)
+    """Lie bracket [u, v] of coefficient vectors, by structure-constant
+    contraction; (..., dim) stacks broadcast."""
+    return np.einsum('...a,...b,abk->...k', u, v, alg.structure_constants)
+
+
+def exp_c(alg: LieAlgebraDescriptor, coeffs: np.ndarray) -> np.ndarray:
+    """exp(rep(x)) of (..., dim) coefficients, from one scipy `expm` call on
+    the stack; each row comes out as a call on it alone would give it."""
+    return expm(alg.rep_of(coeffs))
 
 
 def expand_in_rep(alg: LieAlgebraDescriptor, matrix: np.ndarray):
-    """Project a rep-space matrix onto span{rep_matrices}.
+    """Project (..., r, r) rep-space matrices onto span{rep_matrices}.
 
-    Returns (coeffs, residual) where residual is the Frobenius norm of the
-    out-of-span component. Real coefficients are assumed (the span is a real
-    form); the imaginary part of the Gram data is discarded accordingly.
+    Returns (coeffs, residual): (..., dim) coefficients and the Frobenius
+    norm of each out-of-span component (a scalar for one matrix). Real
+    coefficients are assumed (the span is a real form); the imaginary part
+    of the Gram data is discarded accordingly.
     """
-    flat = matrix.reshape(-1)
+    matrix = np.asarray(matrix)
+    flat = matrix.reshape(matrix.shape[:-2] + (-1,))
     reps = alg.rep_matrices.reshape(alg.dim, -1)
-    proj = (reps.conj() @ flat).real
-    coeffs = alg._gram_inv @ proj
-    resid = np.linalg.norm(flat - coeffs @ reps)
-    return coeffs, float(resid)
+    proj = (flat @ reps.conj().T).real
+    coeffs = proj @ alg._gram_inv.T
+    resid = np.linalg.norm(flat - coeffs @ reps, axis=-1)
+    return coeffs, resid
 
 
 def ad_matrix_of_group(alg: LieAlgebraDescriptor, g_matrix: np.ndarray) -> np.ndarray:
-    """Matrix of Ad_g acting on basis coefficients (columns are Ad_g(e_b))."""
+    """Matrices of Ad_g on basis coefficients (columns are Ad_g(e_b)),
+    (..., r, r) -> (..., dim, dim)."""
+    g = np.asarray(g_matrix)
     if alg.center_mask.all():
         # abelian: conjugation is the identity, exactly
-        return np.eye(alg.dim)
-    ginv = g_matrix.conj().T
-    out = np.empty((alg.dim, alg.dim))
-    for b in range(alg.dim):
-        m = g_matrix @ alg.rep_matrices[b] @ ginv
-        coeffs, resid = expand_in_rep(alg, m)
-        if not resid <= REEXPANSION_TOL:
-            raise ReexpansionError(f"Ad image of basis element {b} off span by {resid:.3e}")
-        out[:, b] = coeffs
-    return out
+        return np.broadcast_to(np.eye(alg.dim), g.shape[:-2] + (alg.dim,) * 2).copy()
+    g = g[..., None, :, :]
+    images = g @ alg.rep_matrices @ np.conj(np.swapaxes(g, -1, -2))
+    coeffs, resid = expand_in_rep(alg, images)
+    require_within(resid, REEXPANSION_TOL, ReexpansionError,
+                   "Ad image of a basis element off span by {:.3e}")
+    return np.ascontiguousarray(np.swapaxes(coeffs, -1, -2))
 
 
 def ad_matrix_c(alg: LieAlgebraDescriptor, coeffs: np.ndarray) -> np.ndarray:

@@ -259,9 +259,8 @@ def _point_memo(fn):
     The point is keyed by the bytes of its float64 coordinates, so a caller
     that mutates its point array in place still gets fresh values. Array
     values are returned as read-only views: a caller that tried to modify
-    one would raise instead of corrupting the memo. `memo.table(x, indices)`
-    reads several indices at one point with a single key check. None and
-    callables that are memos already come back as they are.
+    one would raise instead of corrupting the memo. None and callables that
+    are memos already come back as they are.
     """
     if fn is None or getattr(fn, "point_memo", False):
         return fn
@@ -291,27 +290,7 @@ def _point_memo(fn):
         last_key, last_values = key, values
         return value
 
-    def table(x, indices):
-        nonlocal last_key, last_values
-        if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
-            x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        values = last_values if key == last_key else {}
-        out = {}
-        for idx in indices:
-            value = values.get(idx)
-            if value is None:
-                value = fn(x, idx)
-                if type(value) is np.ndarray:
-                    value = value.view()
-                    value.setflags(False)
-                values[idx] = value
-            out[idx] = value
-        last_key, last_values = key, values
-        return out
-
     memo.point_memo = True
-    memo.table = table
     return memo
 
 
@@ -364,11 +343,7 @@ class LieForm:
 
     def component_table(self, x) -> dict:
         """Every component at x, keyed by increasing index, in index order."""
-        indices = increasing_indices(self.n, self.degree)
-        table = getattr(self.components, "table", None)
-        if table is None:  # rebound after construction, e.g. to count calls
-            return {idx: self.components(x, idx) for idx in indices}
-        return table(x, indices)
+        return {idx: self.components(x, idx) for idx in increasing_indices(self.n, self.degree)}
 
     def table(self, X) -> np.ndarray:
         """Components at each row of the (P, n) batch X, as an array of shape

@@ -8,27 +8,32 @@ basis. Sections differentiate by finite differences on their matrix entries;
 the result is projected back onto the algebra span and the out-of-span drift
 is watched, so a section wandering off the group variety raises rather than
 silently corrupting downstream residuals.
+
+The multiplicativity law and the induced fibre connection run over a whole
+plan on stacks of group matrices (see `cym.algebra`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import (GroupElement, LieAlgebraDescriptor, ReexpansionError,
-                      ad_matrix_c, ad_matrix_of_group, bracket_c, expand_in_rep)
+                      ad_matrix_c, ad_matrix_of_group, bracket_c, exp_c,
+                      expand_in_rep, on_variety, require_within)
 from .connection import LabConnection, cov_ext_deriv
 from .forms import (Chart, LieForm, SamplePlan, add_forms, bracket_pairing,
                     endo_action_pairing, exterior_derivative, graded_product,
-                    increasing_indices, max_gap_of, scale_form)
+                    increasing_indices, max_gap, max_gap_of, max_gap_rows,
+                    scale_form)
 
 __all__ = [
     "TotalPoint", "TotalTangent", "TrivLgb", "GSection", "dexp_body",
-    "InconsistencyError",
+    "InconsistencyError", "one_form_on",
     "group_sample", "darboux", "darboux_leibniz_residual",
-    "darboux_inverse_residual", "nabla_from_darboux",
-    "multiplicativity_residual", "generalized_mc_residual",
+    "darboux_inverse_residual", "nabla_from_darboux", "induced_connection",
+    "multiplicativity_rows", "multiplicativity_residual",
+    "generalized_mc_residual",
     "pullback_mc_residual",
 ]
 
@@ -43,7 +48,7 @@ class InconsistencyError(RuntimeError):
 @dataclass
 class TotalPoint:
     x: np.ndarray
-    g: GroupElement
+    g: GroupElement  # or a (..., r, r) stack of matrices, for a batch of x
 
 
 @dataclass
@@ -72,7 +77,7 @@ def dexp_body(alg: LieAlgebraDescriptor, v: np.ndarray, w: np.ndarray) -> np.nda
 
 def group_sample(alg: LieAlgebraDescriptor, rng: np.random.Generator,
                  scale: float = 1.0) -> GroupElement:
-    return GroupElement(alg, expm(alg.rep_of(rng.normal(scale=scale, size=alg.dim))))
+    return GroupElement(alg, exp_c(alg, rng.normal(scale=scale, size=alg.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +121,7 @@ class GSection:
                         name: str = "exp") -> "GSection":
         """b(x) = exp of the algebra element with coefficients coeff_fn(x)."""
         def fn(x):
-            return GroupElement(alg, expm(alg.rep_of(coeff_fn(x))))
+            return GroupElement(alg, exp_c(alg, coeff_fn(x)))
         return cls(alg, fn, name=name)
 
     def product(self, other: "GSection") -> "GSection":
@@ -136,13 +141,26 @@ class GSection:
         step = np.zeros_like(x)
         step[axis] = h
         db = (self.fn(x + step).matrix - self.fn(x - step).matrix) / (2 * h)
-        body = self(x).matrix.conj().T @ db
-        coeffs, resid = expand_in_rep(self.algebra, body)
-        if not resid <= DRIFT_TOL * max(1.0, float(np.linalg.norm(coeffs))):
-            raise ReexpansionError(
-                f"section {self.name!r} drifted off the variety at axis {axis}: "
-                f"residual {resid:.3e}")
-        return coeffs
+        return _body_velocity(self.algebra, self(x).matrix, db,
+                              f"section {self.name!r} at axis {axis}")
+
+
+def _body_velocity(alg: LieAlgebraDescriptor, b, db, what: str) -> np.ndarray:
+    """b^{-1} db in the basis for (..., r, r) stacks b and db, with the drift
+    watchdog (DRIFT_TOL, relative to its size) on every row."""
+    coeffs, resid = expand_in_rep(alg, np.conj(np.swapaxes(b, -1, -2)) @ db)
+    require_within(resid, DRIFT_TOL * np.maximum(1.0, np.linalg.norm(coeffs, axis=-1)),
+                   ReexpansionError, what + " drifted off the variety: residual {:.3e}")
+    return coeffs
+
+
+def one_form_on(form: LieForm, x, X) -> np.ndarray:
+    """form_x(X) of a vector-valued 1-form, summed over the axes in order;
+    the leading axes of x and X broadcast."""
+    x = np.asarray(x, dtype=float)
+    table = form.table(x.reshape(-1, form.n)).reshape(x.shape + form.value_shape)
+    X = np.asarray(X, dtype=float)
+    return sum(X[..., k, None] * table[..., k, :] for k in range(form.n))
 
 
 # ---------------------------------------------------------------------------
@@ -168,21 +186,15 @@ class TrivLgb:
             self._nabla = LabConnection.from_omega(self.algebra, self.omega)
         return self._nabla
 
-    def omega_vec(self, x, X) -> np.ndarray:
-        """omega_x(X) as coefficient vector."""
-        acc = np.zeros(self.algebra.dim)
-        for k in range(self.chart.dim):
-            if X[k] != 0.0:
-                acc += X[k] * self.omega.components(x, (k,))
-        return acc
-
     def mu_tot(self, p: TotalPoint, t: TotalTangent) -> np.ndarray:
-        """eta + (Ad_{g^{-1}} - id)(omega_x(X)) in body coordinates."""
+        """eta + (Ad_{g^{-1}} - id)(omega_x(X)) in body coordinates, with the
+        leading axes of p.x, p.g, t.X and t.eta broadcast."""
         if not self.chart.contains(p.x):
             raise ValueError(f"point {p.x} is outside the chart box")
-        ad_inv = ad_matrix_of_group(self.algebra, p.g.matrix.conj().T)
-        w = self.omega_vec(p.x, t.X)
-        return t.eta + (ad_inv @ w - w)
+        g = getattr(p.g, "matrix", p.g)
+        ad_inv = ad_matrix_of_group(self.algebra, np.conj(np.swapaxes(g, -1, -2)))
+        w = one_form_on(self.omega, p.x, t.X)
+        return t.eta + ((ad_inv @ w[..., None])[..., 0] - w)
 
 
 # ---------------------------------------------------------------------------
@@ -236,76 +248,89 @@ def darboux_inverse_residual(lgb: TrivLgb, s: GSection, plan: SamplePlan) -> flo
             yield dinv.components(x, (k,)) + ad_s @ d.components(x, (k,))
 
 
-def nabla_from_darboux(lgb: TrivLgb, nu: LieForm, x, direction: int,
-                       t_step: float = 1e-5, tol: float = 1e-6) -> np.ndarray:
-    """Derivative of the family t -> Delta(exp(t nu)) at t = 0 along one axis.
-
-    The result is gated against the closed form d nu(X) + [omega(X), nu]
-    (the induced fibre connection); disagreement beyond `tol` raises, since
-    it indicates inconsistent sign conventions in the inputs.
+def nabla_from_darboux(lgb: TrivLgb, nu: LieForm, X, t_step: float = 1e-5,
+                       tol: float = 1e-6) -> np.ndarray:
+    """Derivative of the family t -> Delta(exp(t nu)) at t = 0 along every
+    axis at each point of X, (..., n) -> (..., n, dim): `darboux` of the
+    sections exp(+-t_step nu), whose matrices at X and X +- h e_k come from
+    one exponential. A finite disagreement beyond `tol` with the closed form
+    `induced_connection` raises, since it indicates inconsistent sign
+    conventions in the inputs; `tol=np.inf` skips that gate.
     """
-    alg = lgb.algebra
-    x = np.asarray(x, dtype=float)
+    alg, n = lgb.algebra, lgb.chart.dim
+    X = np.asarray(X, dtype=float)
+    pts = X.reshape(-1, n)
+    h = lgb.chart.default_step()
+    steps = np.concatenate([np.zeros((1, n)), np.kron(np.eye(n), [[h], [-h]])])  # 0, +-h e_k
+    shifted = pts + steps[:, None, :]                      # (2n + 1, P, n)
+    values = nu.table(shifted.reshape(-1, n))[:, 0].reshape(shifted.shape[:2] + (alg.dim,))
+    b = on_variety(alg, exp_c(alg, np.stack([t_step * values, -t_step * values])))
+    b0 = b[:, 0]                                           # (2, P, r, r)
+    body = _body_velocity(alg, b0[:, None], (b[:, 1::2] - b[:, 2::2]) / (2 * h),
+                          "section exp(t nu)")             # (2, n, P, dim)
+    ad_inv = ad_matrix_of_group(alg, np.conj(np.swapaxes(b0, -1, -2)))[:, None]
+    w = np.swapaxes(lgb.omega.table(pts), 0, 1)            # (n, P, dim)
+    delta = body + ((ad_inv @ w[..., None])[..., 0] - w)
+    got = np.moveaxis((delta[0] - delta[1]) / (2 * t_step), 0, 1)
+    if tol < np.inf:
+        gap = max_gap_rows(got - induced_connection(lgb, nu, pts))
+        require_within(gap, tol, InconsistencyError,
+                       "fibre-connection routes disagree by {:.3e}" + f" (tol {tol:.1e})")
+    return got.reshape(X.shape + (alg.dim,))
 
-    def section_at(t):
-        return GSection.from_exp_coeffs(
-            alg, lambda y: t * nu.components(y, ()), name=f"exp({t}nu)")
 
-    plus = darboux(lgb, section_at(t_step)).components(x, (direction,))
-    minus = darboux(lgb, section_at(-t_step)).components(x, (direction,))
-    got = (plus - minus) / (2 * t_step)
-
-    closed = exterior_derivative(nu).components(x, (direction,)) + bracket_c(
-        alg, lgb.omega.components(x, (direction,)), nu.components(x, ()))
-    gap = float(np.abs(got - closed).max())
-    if not gap <= tol:
-        raise InconsistencyError(
-            f"fibre-connection routes disagree by {gap:.3e} (tol {tol:.1e})")
-    return got
+def induced_connection(lgb: TrivLgb, nu: LieForm, X) -> np.ndarray:
+    """The induced fibre connection in closed form, d nu + [omega, nu], along
+    every axis at each point of the (P, n) batch X: shape (P, n, dim)."""
+    return exterior_derivative(nu).table(X) + bracket_c(
+        lgb.algebra, lgb.omega.table(X), nu.table(X))
 
 
 # ---------------------------------------------------------------------------
 # multiplicativity and the curvature identity on the total space
 # ---------------------------------------------------------------------------
 
-@max_gap_of
-def multiplicativity_residual(lgb: TrivLgb, plan: SamplePlan,
-                              perturbation: LieForm = None,
-                              group_scale: float = 1.0) -> float:
-    """Deviation of the total 1-form from the multiplication-compatibility law.
+def multiplicativity_rows(lgb: TrivLgb, plan: SamplePlan, perturbation: LieForm = None,
+                         group_scale: float = 1.0) -> np.ndarray:
+    """Deviation of the total 1-form from the multiplication-compatibility
+    law at each point of the plan, as a (P,) array.
 
     For (g, q) over the same point and matched tangents, the pulled-back form
     along fibrewise multiplication must equal Ad_{q^{-1}} of the first slot
-    plus the second slot. `perturbation` deforms the horizontal slot of the
-    form g-dependently, which any nonzero choice must break (the negative
-    control for the law): it adds (Ad_{g^{-1}} - id) Ad_{g^{-1}} rho(X).
+    plus the second slot; point i draws g, q and its tangent probes from
+    `default_rng([plan.seed, i])`. `perturbation` (the negative control)
+    adds (Ad_{g^{-1}} - id) Ad_{g^{-1}} rho(X), which any nonzero rho breaks.
     """
-    alg = lgb.algebra
-    rng = plan.rng()
+    alg, n, d = lgb.algebra, lgb.chart.dim, lgb.algebra.dim
+    x = plan.points(lgb.chart)
+    group_coeffs, probes = [], []
+    for i in range(len(x)):
+        rng = np.random.default_rng([plan.seed, i])
+        group_coeffs.append(rng.normal(scale=group_scale, size=(2, d)))
+        probes.append(rng.normal(size=(plan.tangent_probes, n + 2 * d)))
+    # (P, 1, ...): one point and group pair per row, against (P, probes, ...)
+    g, q = np.moveaxis(on_variety(alg, exp_c(alg, np.array(group_coeffs))), 1, 0)[:, :, None]
+    gq = on_variety(alg, g @ q)
+    X, eta, theta = np.split(np.array(probes), [n, n + d], axis=-1)
+    x = x[:, None, :]
 
-    def mu(x, g: GroupElement, X, eta):
-        out = lgb.mu_tot(TotalPoint(x, g), TotalTangent(X, eta))
+    def mu(gm, eta):
+        out = lgb.mu_tot(TotalPoint(x, gm), TotalTangent(X, eta))
         if perturbation is not None:
-            ad_inv = ad_matrix_of_group(alg, g.matrix.conj().T)
-            rho = np.zeros(alg.dim)
-            for k in range(lgb.chart.dim):
-                if X[k] != 0.0:
-                    rho += X[k] * perturbation.components(x, (k,))
-            r = ad_inv @ rho
-            out = out + (ad_inv @ r - r)
+            ad_inv = ad_matrix_of_group(alg, np.conj(np.swapaxes(gm, -1, -2)))
+            r = (ad_inv @ one_form_on(perturbation, x, X)[..., None])[..., 0]
+            out = out + ((ad_inv @ r[..., None])[..., 0] - r)
         return out
 
-    for x in plan.points(lgb.chart):
-        g = group_sample(alg, rng, group_scale)
-        q = group_sample(alg, rng, group_scale)
-        ad_q_inv = ad_matrix_of_group(alg, q.matrix.conj().T)
-        for _ in range(plan.tangent_probes):
-            X = rng.normal(size=lgb.chart.dim)
-            eta = rng.normal(size=alg.dim)
-            theta = rng.normal(size=alg.dim)
-            lhs = mu(x, g @ q, X, ad_q_inv @ eta + theta)
-            rhs = ad_q_inv @ mu(x, g, X, eta) + mu(x, q, X, theta)
-            yield lhs - rhs
+    ad_q_inv = ad_matrix_of_group(alg, np.conj(np.swapaxes(q, -1, -2)))
+    lhs = mu(gq, (ad_q_inv @ eta[..., None])[..., 0] + theta)
+    rhs = (ad_q_inv @ mu(g, eta)[..., None])[..., 0] + mu(q, theta)
+    return max_gap_rows(lhs - rhs)
+
+
+def multiplicativity_residual(lgb, plan, perturbation=None, group_scale=1.0) -> float:
+    """The largest `multiplicativity_rows` gap over the plan."""
+    return max_gap(multiplicativity_rows(lgb, plan, perturbation, group_scale))
 
 
 def _total_mu_form(lgb: TrivLgb, x0: np.ndarray, g0: GroupElement) -> LieForm:
@@ -322,7 +347,7 @@ def _total_mu_form(lgb: TrivLgb, x0: np.ndarray, g0: GroupElement) -> LieForm:
         if i >= n:
             return dexp_body(alg, v, np.eye(d)[i - n])
         x = x0 + uv[:n]
-        gm = g0m @ expm(alg.rep_of(v))
+        gm = g0m @ exp_c(alg, v)
         ad_inv = ad_matrix_of_group(alg, gm.conj().T)
         w = lgb.omega.components(x, (i,))
         return ad_inv @ w - w

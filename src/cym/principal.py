@@ -20,7 +20,7 @@ from .forms import (LieForm, SamplePlan, add_forms, bracket_pairing,
                     endo_action_pairing, eval_form, exterior_derivative,
                     graded_product, max_gap, max_gap_of, scale_form)
 from .lgb import (GSection, TotalPoint, TotalTangent, TrivLgb, darboux,
-                  dexp_body, group_sample)
+                  dexp_body, group_sample, one_form_on)
 
 __all__ = [
     "TrivPrincipal", "Automorphism", "connection_one_form",
@@ -87,13 +87,9 @@ def connection_one_form(p: TrivPrincipal, pt: TotalPoint, t: TotalTangent) -> np
     of -A over the base directions. The omega defect term is what makes the
     form equivariant under the modified pushforward.
     """
-    alg = p.algebra
-    ad_inv = ad_matrix_of_group(alg, pt.g.matrix.conj().T)
-    a = np.zeros(alg.dim)
-    for k in range(p.chart.dim):
-        if t.X[k] != 0.0:
-            a += t.X[k] * p.a_local.components(pt.x, (k,))
-    w = p.lgb.omega_vec(pt.x, t.X)
+    ad_inv = ad_matrix_of_group(p.algebra, pt.g.matrix.conj().T)
+    a = one_form_on(p.a_local, pt.x, t.X)
+    w = one_form_on(p.lgb.omega, pt.x, t.X)
     return t.eta + ad_inv @ a + (ad_inv @ w - w)
 
 
@@ -117,7 +113,6 @@ def pushforward_via_section(p: TrivPrincipal, sigma: GSection, pt: TotalPoint,
     subtract the fundamental vector of the section's logarithmic derivative."""
     alg = p.algebra
     x = pt.x
-
     h_step = p.chart.default_step()
 
     def curve(s):
@@ -126,11 +121,7 @@ def pushforward_via_section(p: TrivPrincipal, sigma: GSection, pt: TotalPoint,
 
     body_dr = _body_stencil4(alg, curve, h=h_step)
     ds = darboux(p.lgb, sigma)
-    delta = np.zeros(alg.dim)
-    for k in range(p.chart.dim):
-        if t.X[k] != 0.0:
-            delta += t.X[k] * ds.components(x, (k,))
-    return TotalTangent(X=t.X.copy(), eta=body_dr - delta)
+    return TotalTangent(X=t.X.copy(), eta=body_dr - one_form_on(ds, x, t.X))
 
 
 def modified_pushforward(p: TrivPrincipal, g: GroupElement, pt: TotalPoint,
@@ -142,7 +133,7 @@ def modified_pushforward(p: TrivPrincipal, g: GroupElement, pt: TotalPoint,
     """
     alg = p.algebra
     ad_inv = ad_matrix_of_group(alg, g.matrix.conj().T)
-    w = p.lgb.omega_vec(pt.x, t.X)
+    w = one_form_on(p.lgb.omega, pt.x, t.X)
     return TotalTangent(X=np.asarray(t.X, dtype=float).copy(),
                         eta=ad_inv @ t.eta - (ad_inv @ w - w))
 
@@ -380,7 +371,7 @@ def gauge_transform_total(p: TrivPrincipal, aut: Automorphism, zeta: LieForm,
         ad_sig_inv = ad_matrix_of_group(alg, sig.matrix.conj().T)
         base = connection_one_form(p, TotalPoint(x, h), TotalTangent(X, V))
         dsig = _sigma_conj_body_derivative(p, aut, x, h, X, V)
-        w = p.lgb.omega_vec(x, X)
+        w = one_form_on(p.lgb.omega, x, X)
         return ad_sig_inv @ base + dsig + (ad_sig_inv @ w - w)
 
     gaps_a, gaps_f = [], []
@@ -519,12 +510,7 @@ def mixed_bracket_residual(p: TrivPrincipal, nu: LieForm, plan: SamplePlan,
             v = uv[n:]
             hm = h0.matrix @ expm(alg.rep_of(v))
             ad_inv = ad_matrix_of_group(alg, hm.conj().T)
-            a = np.zeros(d)
-            w = np.zeros(d)
-            for k in range(n):
-                if X[k] != 0.0:
-                    a += X[k] * p.a_local.components(x, (k,))
-                    w += X[k] * p.lgb.omega.components(x, (k,))
+            a, w = one_form_on(p.a_local, x, X), one_form_on(p.lgb.omega, x, X)
             body = -(ad_inv @ a + (ad_inv @ w - w))
             out = np.zeros(n + d)
             out[:n] = X
@@ -553,11 +539,8 @@ def mixed_bracket_residual(p: TrivPrincipal, nu: LieForm, plan: SamplePlan,
 
         pt = TotalPoint(x0, h0)
         got = connection_one_form(p, pt, TotalTangent(bracket[:n], bracket[n:]))
-        dnu = np.zeros(d)
-        for k in range(n):
-            if X[k] != 0.0:
-                dnu += X[k] * exterior_derivative(nu).components(x0, (k,))
-        want = dnu + bracket_c(alg, p.lgb.omega_vec(x0, X), nu.components(x0, ()))
+        want = one_form_on(exterior_derivative(nu), x0, X) + bracket_c(
+            alg, one_form_on(p.lgb.omega, x0, X), nu.components(x0, ()))
         yield got - want
 
 

@@ -195,3 +195,63 @@ def test_custom_descriptor_round_trip():
     np.testing.assert_allclose(back.rep_matrices, MIX.rep_matrices)
     np.testing.assert_allclose(back.kappa, MIX.kappa)
     assert back.variety_blocks == MIX.variety_blocks
+
+
+# -- the kernel broadcasts over stacks ----------------------------------------
+
+def rotated_su2():
+    """su(2) in an orthonormally rotated basis, loaded from a descriptor."""
+    q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 3)))
+    q[:, 0] *= np.sign(np.linalg.det(q))
+    reps = np.einsum('ba,bij->aij', q, SU2.rep_matrices)
+    c = np.einsum('ia,jb,ijk,kc->abc', q, q, SU2.structure_constants, q)
+    return alg.algebra_from_dict({
+        "dim": 3, "basis_labels": ["f1", "f2", "f3"],
+        "structure_constants": c.tolist(),
+        "rep_matrices": np.stack([reps.real, reps.imag], axis=-1).tolist(),
+        "kappa": (q.T @ SU2.kappa @ q).tolist(), "variety_blocks": [["su", 0, 2]]})
+
+
+KERNEL_ALGEBRAS = {"su2": alg.su2, "u1": alg.u1, "u1+su2": alg.u1_su2,
+                   "rotated-su2": rotated_su2}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_ALGEBRAS))
+def test_stacked_kernel_matches_a_loop_of_one_row_calls(name):
+    a = KERNEL_ALGEBRAS[name]()
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=(5, 2, a.dim))
+    g = alg.exp_c(a, coeffs)
+    ad = alg.ad_matrix_of_group(a, g)
+    variety = alg.variety_residual(a, g)
+    m = g @ a.rep_of(rng.normal(size=(5, 2, a.dim)))
+    expanded, off_span = alg.expand_in_rep(a, m)
+    assert g.shape == (5, 2, a.rep_dim, a.rep_dim) and ad.shape == (5, 2, a.dim, a.dim)
+    assert variety.shape == off_span.shape == (5, 2)
+    for i, j in np.ndindex(5, 2):
+        assert np.array_equal(g[i, j], alg.exp_c(a, coeffs[i, j]))
+        assert np.array_equal(g[i, j], expm(a.rep_of(coeffs[i, j])))
+        assert np.abs(ad[i, j] - alg.ad_matrix_of_group(a, g[i, j])).max() <= 1e-15
+        assert abs(variety[i, j] - alg.variety_residual(a, g[i, j])) <= 1e-15
+        one, resid = alg.expand_in_rep(a, m[i, j])
+        assert np.abs(expanded[i, j] - one).max() <= 1e-15
+        assert abs(off_span[i, j] - resid) <= 1e-15
+    assert np.all(variety <= alg.VARIETY_TOL)
+    assert alg.on_variety(a, g) is g
+
+
+def test_stacked_watchdogs_raise_on_a_finite_bad_row_only():
+    g = alg.exp_c(SU2, np.random.default_rng(2).normal(size=(4, 3)))
+    off = g.copy()
+    off[2] = np.diag([2.0, 1.0])  # finite, not unitary: Ad leaves the span
+    with pytest.raises(alg.ReexpansionError, match="off span"):
+        alg.ad_matrix_of_group(SU2, off)
+    with pytest.raises(alg.VarietyError, match="off the group variety"):
+        alg.on_variety(SU2, off)
+    poisoned = g.copy()
+    poisoned[2] = np.nan
+    ad = alg.ad_matrix_of_group(SU2, poisoned)
+    assert np.isnan(ad[2]).all() and np.isfinite(np.delete(ad, 2, axis=0)).all()
+    assert alg.on_variety(SU2, poisoned) is poisoned
+    variety = alg.variety_residual(SU2, poisoned)
+    assert np.isnan(variety[2]) and np.isfinite(np.delete(variety, 2)).all()

@@ -571,6 +571,74 @@ def test_form_suites_build_their_forms_once_whatever_the_plan(monkeypatch):
         assert "evaluate" not in counted and 0 < counted["built"] <= 100, suite
 
 
+# -- the group-kernel suites run on stacks over the plan -----------------------
+
+KERNEL_SUITES = ("algebra", "multiplicativity", "fibre-connection")
+
+
+def with_generator_nan_at(bundle, bad_point):
+    """The bundle with its generator NaN at one point, per point and in its
+    component table alike."""
+    def comp(x, idx, clean=bundle.generator.components):
+        return clean(x, idx) * (np.nan if np.array_equal(x, bad_point) else 1.0)
+
+    return dataclasses.replace(bundle, generator=dataclasses.replace(
+        bundle.generator, components=comp, batch=None))
+
+
+@pytest.mark.parametrize("name", ["flat-su2", "random-curved"])
+def test_nan_generator_at_one_point_is_one_nan_fibre_connection_row(name):
+    bundle = builtin_scenario(name)
+    (clean,) = run_suite(bundle, "fibre-connection", plan=NAN_PLAN).suites[0].checks
+    for ordinal, bad_point in enumerate(NAN_PLAN.points(bundle.chart)):
+        report = run_suite(with_generator_nan_at(bundle, bad_point),
+                           "fibre-connection", plan=NAN_PLAN)
+        assert not report.passed
+        (row,) = report.suites[0].checks
+        assert math.isnan(row.residual)
+        assert [i for i, r in row.per_point if not math.isfinite(r)] == [ordinal]
+        assert [pair for pair in row.per_point if pair[0] != ordinal] == [
+            pair for pair in clean.per_point if pair[0] != ordinal]
+
+
+def count_kernel_calls(monkeypatch, counts):
+    """Count calls of cym.algebra.expm and ad_matrix_of_group, wherever a cym
+    module binds them."""
+    import sys
+
+    import cym.algebra as kernel
+    for name in ("expm", "ad_matrix_of_group"):
+        original = getattr(kernel, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "cym":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+
+
+@pytest.mark.parametrize("name", ["random-curved", "preclassical-u1su2"])
+def test_kernel_suites_make_no_per_point_kernel_calls(monkeypatch, name):
+    counts = Counter()
+    count_kernel_calls(monkeypatch, counts)
+    per_plan = []
+    for count in (4, 40):
+        bundle = builtin_scenario(name)
+        per_suite = {}
+        for suite in KERNEL_SUITES:
+            counts.clear()
+            assert run_suite(bundle, suite, plan=SamplePlan(count=count)).passed
+            per_suite[suite] = dict(counts)
+        per_plan.append(per_suite)
+    assert per_plan[0] == per_plan[1]
+    for suite, counted in per_plan[0].items():
+        assert counted["expm"] > 0 and counted["ad_matrix_of_group"] > 0, suite
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------

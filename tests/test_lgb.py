@@ -13,8 +13,8 @@ from cym.lgb import (GSection, InconsistencyError, TotalPoint, TotalTangent,
                      TrivLgb, darboux, darboux_inverse_residual,
                      darboux_leibniz_residual, dexp_body,
                      generalized_mc_residual, group_sample,
-                     multiplicativity_residual, nabla_from_darboux,
-                     pullback_mc_residual)
+                     multiplicativity_residual, multiplicativity_rows,
+                     nabla_from_darboux, pullback_mc_residual)
 
 ALG = su2()
 
@@ -118,6 +118,35 @@ def test_multiplicativity_breaks_under_group_dependent_perturbation():
     assert multiplicativity_residual(su2_bundle(), plan, perturbation=rho) > 0.01
 
 
+def reference_multiplicativity_rows(lgb, plan):
+    """Per-point residuals of the law, one point, group pair and probe at a
+    time, with point i drawing from default_rng([plan.seed, i])."""
+    rows = []
+    for i, x in enumerate(plan.points(lgb.chart)):
+        rng = np.random.default_rng([plan.seed, i])
+        g, q = group_sample(lgb.algebra, rng), group_sample(lgb.algebra, rng)
+        ad_q_inv = ad_matrix_of_group(lgb.algebra, q.matrix.conj().T)
+
+        def mu(h, X, eta, x=x):
+            return lgb.mu_tot(TotalPoint(x, h), TotalTangent(X, eta))
+
+        gaps = []
+        for _ in range(plan.tangent_probes):
+            X = rng.normal(size=lgb.chart.dim)
+            eta, theta = rng.normal(size=lgb.algebra.dim), rng.normal(size=lgb.algebra.dim)
+            lhs = mu(g @ q, X, ad_q_inv @ eta + theta)
+            gaps.append(lhs - (ad_q_inv @ mu(g, X, eta) + mu(q, X, theta)))
+        rows.append(float(np.abs(gaps).max()))
+    return rows
+
+
+def test_multiplicativity_rows_match_a_per_point_reference():
+    plan = SamplePlan(count=9, seed=3, tangent_probes=3)
+    got = multiplicativity_rows(su2_bundle(), plan)
+    want = reference_multiplicativity_rows(su2_bundle(), plan)
+    assert got.shape == (9,) and np.abs(got - want).max() <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # logarithmic derivative of sections
 # ---------------------------------------------------------------------------
@@ -212,7 +241,7 @@ def test_section_product_requires_same_algebra():
 def test_fibre_connection_constant_flat_vanishes():
     lgb = flat_bundle()
     nu = poly_form(2, 0, (3,), {(): [(np.array([1., 0., 0.]), np.array([0, 0]))]})
-    got = nabla_from_darboux(lgb, nu, np.array([0.3, 0.1]), 0)
+    got = nabla_from_darboux(lgb, nu, np.array([0.3, 0.1]))[0]
     assert np.abs(got).max() < 1e-8
 
 
@@ -222,14 +251,14 @@ def test_fibre_connection_constant_generator_gives_bracket():
     omega = poly_form(2, 1, (3,), {(1,): [(np.array([0., 0., 1.]), np.array([0, 0]))]})
     lgb = TrivLgb(chart, ALG, omega)
     nu = poly_form(2, 0, (3,), {(): [(np.array([1., 0., 0.]), np.array([0, 0]))]})
-    got = nabla_from_darboux(lgb, nu, np.array([0.2, -0.4]), 1)
+    got = nabla_from_darboux(lgb, nu, np.array([0.2, -0.4]))[1]
     assert np.abs(got - np.array([0., 1., 0.])).max() < 1e-6
 
 
 def test_fibre_connection_linear_coefficient_gives_plain_derivative():
     lgb = flat_bundle()
     nu = poly_form(2, 0, (3,), {(): [(np.array([1., 0., 0.]), np.array([0, 1]))]})
-    got = nabla_from_darboux(lgb, nu, np.array([0.5, 0.2]), 1)
+    got = nabla_from_darboux(lgb, nu, np.array([0.5, 0.2]))[1]
     assert np.abs(got - np.array([1., 0., 0.])).max() < 1e-6
 
 
@@ -238,18 +267,41 @@ def test_fibre_connection_matches_closed_form_on_generic_data():
     nu = poly_form(2, 0, (3,), {(): [(np.array([0.5, 0., 0.]), np.array([1, 0])),
                                      (np.array([0., 0.3, 0.]), np.array([0, 1]))]})
     x = np.array([0.4, -0.3])
+    got_all = nabla_from_darboux(lgb, nu, x)
     for k in range(2):
-        got = nabla_from_darboux(lgb, nu, x, k)
+        got = got_all[k]
         want = nu.poly.d().evaluate(x, (k,)) + bracket_c(
             ALG, lgb.omega.components(x, (k,)), nu.components(x, ()))
         assert np.abs(got - want).max() < 1e-7
+
+
+def reference_nabla(lgb, nu, x, t_step=1e-5):
+    """The stencil route at one point, one axis at a time, through the
+    `darboux` forms of the sections exp(+-t_step nu)."""
+    def delta(t, k):
+        sec = GSection.from_exp_coeffs(lgb.algebra, lambda y: t * nu.components(y, ()))
+        return darboux(lgb, sec).components(x, (k,))
+
+    return np.array([(delta(t_step, k) - delta(-t_step, k)) / (2 * t_step)
+                     for k in range(lgb.chart.dim)])
+
+
+def test_fibre_connection_on_a_batch_matches_the_per_point_route():
+    lgb = su2_bundle()
+    nu = poly_form(2, 0, (3,), {(): [(np.array([0.5, 0., 0.2]), np.array([1, 0])),
+                                     (np.array([0., 0.3, 0.]), np.array([1, 1]))]})
+    X = SamplePlan(count=7, seed=4).points(lgb.chart)
+    got = nabla_from_darboux(lgb, nu, X)
+    assert got.shape == (7, 2, 3)
+    for x, row in zip(X, got):
+        assert np.abs(row - reference_nabla(lgb, nu, x)).max() <= 1e-12
 
 
 def test_fibre_connection_gate_trips_on_inconsistent_inputs():
     lgb = su2_bundle()
     nu = poly_form(2, 0, (3,), {(): [(np.array([1., 0., 0.]), np.array([0, 0]))]})
     with pytest.raises(InconsistencyError, match="disagree"):
-        nabla_from_darboux(lgb, nu, np.array([0.4, -0.3]), 1, tol=1e-18)
+        nabla_from_darboux(lgb, nu, np.array([0.4, -0.3]), tol=1e-18)
 
 
 # ---------------------------------------------------------------------------
