@@ -12,11 +12,13 @@ and the pairing act on them directly. All heavy lifting is plain numpy; the
 matrix exponential goes through scipy.linalg.expm.
 
 The kernel broadcasts over leading axes: (..., dim) coefficient stacks in
-`rep_of`, `exp_c`, `bracket_c`, `ad_matrix_c`; (..., r, r) matrix stacks in
+`rep_of`, `bracket_c`, `ad_matrix_c`; (..., r, r) matrix stacks in
 `expand_in_rep`, `ad_matrix_of_group`, `variety_residual`, `on_variety`. One
-vector or matrix is the one-row case. Watchdogs check every row: a finite row
-beyond its bound raises, a non-finite one passes through as NaN (a
-`GroupElement`, one finite matrix, still refuses NaN).
+vector or matrix is the one-row case; `expm(alg.rep_of(u))` exponentiates a
+stack in one scipy call, each row as a call on it alone would give it.
+Watchdogs check every row: a finite row beyond its bound raises, a
+non-finite one passes through as NaN (a `GroupElement`, one finite matrix,
+still refuses NaN).
 """
 from __future__ import annotations
 
@@ -24,7 +26,8 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
+# cym.algebra.expm is the name perfbench/tracer.py wraps to count exponentials
+from scipy.linalg import expm  # noqa: F401
 
 from .forms import max_gap_rows
 
@@ -45,7 +48,6 @@ __all__ = [
     "ad_matrix_c",
     "ad_matrix_of_group",
     "expand_in_rep",
-    "exp_c",
     "on_variety",
     "require_within",
 ]
@@ -367,12 +369,6 @@ def bracket_c(alg: LieAlgebraDescriptor, u: np.ndarray, v: np.ndarray) -> np.nda
     """Lie bracket [u, v] of coefficient vectors, by structure-constant
     contraction; (..., dim) stacks broadcast."""
     return np.einsum('...a,...b,abk->...k', u, v, alg.structure_constants)
-
-
-def exp_c(alg: LieAlgebraDescriptor, coeffs: np.ndarray) -> np.ndarray:
-    """exp(rep(x)) of (..., dim) coefficients, from one scipy `expm` call on
-    the stack; each row comes out as a call on it alone would give it."""
-    return expm(alg.rep_of(coeffs))
 
 
 def expand_in_rep(alg: LieAlgebraDescriptor, matrix: np.ndarray):

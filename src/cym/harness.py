@@ -21,7 +21,7 @@ from scipy.linalg import expm
 
 from .algebra import (LieAlgebraDescriptor, StructureError, ad_matrix_c,
                       ad_matrix_of_group, algebra_from_dict, algebra_to_dict,
-                      exp_c, su2, u1, u1_su2)
+                      su2, u1, u1_su2)
 from .connection import (COMPATIBILITY_TOL, check_compatibility,
                          field_redefine, potential_curvature)
 from .forms import (Chart, LieForm, PolyData, SamplePlan, euclidean_chart,
@@ -910,7 +910,7 @@ def algebra_kernel_residuals(alg: LieAlgebraDescriptor, count: int,
     jacobi = t1 + t2 + t3
     coeffs = np.array([np.random.default_rng([seed, i]).normal(scale=0.8, size=(2, alg.dim))
                        for i in range(count)])
-    gu, gv = np.moveaxis(exp_c(alg, coeffs), 1, 0)
+    gu, gv = np.moveaxis(expm(alg.rep_of(coeffs)), 1, 0)
     ad_u, ad_v, ad_uv = ad_matrix_of_group(alg, np.stack([gu, gv, gu @ gv]))
     kappa = alg.kappa
     return {"jacobi": float(np.abs(jacobi).max()),

@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from .algebra import (GroupElement, LieAlgebraDescriptor, ReexpansionError,
-                      ad_matrix_c, ad_matrix_of_group, bracket_c, exp_c,
-                      expand_in_rep, on_variety, require_within)
+                      ad_matrix_c, ad_matrix_of_group, bracket_c, expand_in_rep,
+                      on_variety, require_within)
 from .connection import LabConnection, cov_ext_deriv
 from .forms import (Chart, LieForm, SamplePlan, add_forms, bracket_pairing,
                     endo_action_pairing, exterior_derivative, graded_product,
@@ -77,7 +78,7 @@ def dexp_body(alg: LieAlgebraDescriptor, v: np.ndarray, w: np.ndarray) -> np.nda
 
 def group_sample(alg: LieAlgebraDescriptor, rng: np.random.Generator,
                  scale: float = 1.0) -> GroupElement:
-    return GroupElement(alg, exp_c(alg, rng.normal(scale=scale, size=alg.dim)))
+    return GroupElement(alg, expm(alg.rep_of(rng.normal(scale=scale, size=alg.dim))))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +122,7 @@ class GSection:
                         name: str = "exp") -> "GSection":
         """b(x) = exp of the algebra element with coefficients coeff_fn(x)."""
         def fn(x):
-            return GroupElement(alg, exp_c(alg, coeff_fn(x)))
+            return GroupElement(alg, expm(alg.rep_of(coeff_fn(x))))
         return cls(alg, fn, name=name)
 
     def product(self, other: "GSection") -> "GSection":
@@ -140,18 +141,29 @@ class GSection:
         x = np.asarray(x, dtype=float)
         step = np.zeros_like(x)
         step[axis] = h
-        db = (self.fn(x + step).matrix - self.fn(x - step).matrix) / (2 * h)
-        return _body_velocity(self.algebra, self(x).matrix, db,
+        return _body_velocity(self.algebra, self(x).matrix, self.fn(x + step).matrix,
+                              self.fn(x - step).matrix, h,
                               f"section {self.name!r} at axis {axis}")
 
 
-def _body_velocity(alg: LieAlgebraDescriptor, b, db, what: str) -> np.ndarray:
-    """b^{-1} db in the basis for (..., r, r) stacks b and db, with the drift
-    watchdog (DRIFT_TOL, relative to its size) on every row."""
+def _body_velocity(alg: LieAlgebraDescriptor, b, b_plus, b_minus, h: float,
+                   what: str) -> np.ndarray:
+    """b^{-1} (b_plus - b_minus) / 2h in the basis, the central-stencil body
+    velocity, for (..., r, r) stacks, with the drift watchdog (DRIFT_TOL,
+    relative to its size) on every row."""
+    db = (b_plus - b_minus) / (2 * h)
     coeffs, resid = expand_in_rep(alg, np.conj(np.swapaxes(b, -1, -2)) @ db)
     require_within(resid, DRIFT_TOL * np.maximum(1.0, np.linalg.norm(coeffs, axis=-1)),
                    ReexpansionError, what + " drifted off the variety: residual {:.3e}")
     return coeffs
+
+
+def _mu_rows(alg: LieAlgebraDescriptor, g, eta, w) -> np.ndarray:
+    """eta + (Ad_{g^{-1}} - id)(w): the total 1-form at g on body velocity eta
+    and horizontal value w, for (..., r, r) stacks g with eta and w broadcast.
+    The Darboux derivative of a section b is this at g = b, eta = b^{-1} db."""
+    ad_inv = ad_matrix_of_group(alg, np.conj(np.swapaxes(g, -1, -2)))
+    return eta + ((ad_inv @ w[..., None])[..., 0] - w)
 
 
 def one_form_on(form: LieForm, x, X) -> np.ndarray:
@@ -191,10 +203,8 @@ class TrivLgb:
         leading axes of p.x, p.g, t.X and t.eta broadcast."""
         if not self.chart.contains(p.x):
             raise ValueError(f"point {p.x} is outside the chart box")
-        g = getattr(p.g, "matrix", p.g)
-        ad_inv = ad_matrix_of_group(self.algebra, np.conj(np.swapaxes(g, -1, -2)))
-        w = one_form_on(self.omega, p.x, t.X)
-        return t.eta + ((ad_inv @ w[..., None])[..., 0] - w)
+        return _mu_rows(self.algebra, getattr(p.g, "matrix", p.g), t.eta,
+                        one_form_on(self.omega, p.x, t.X))
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +222,8 @@ def darboux(lgb: TrivLgb, section: GSection, h: float = None) -> LieForm:
 
     def comp(x, idx):
         k = idx[0]
-        body = section.body_derivative(x, k, h)
-        ad_inv = ad_matrix_of_group(alg, section(x).matrix.conj().T)
-        w = lgb.omega.components(x, (k,))
-        return body + (ad_inv @ w - w)
+        return _mu_rows(alg, section(x).matrix, section.body_derivative(x, k, h),
+                        lgb.omega.components(x, (k,)))
 
     return LieForm(n=lgb.chart.dim, degree=1, value_target="algebra",
                    value_shape=(alg.dim,), components=comp,
@@ -251,11 +259,12 @@ def darboux_inverse_residual(lgb: TrivLgb, s: GSection, plan: SamplePlan) -> flo
 def nabla_from_darboux(lgb: TrivLgb, nu: LieForm, X, t_step: float = 1e-5,
                        tol: float = 1e-6) -> np.ndarray:
     """Derivative of the family t -> Delta(exp(t nu)) at t = 0 along every
-    axis at each point of X, (..., n) -> (..., n, dim): `darboux` of the
-    sections exp(+-t_step nu), whose matrices at X and X +- h e_k come from
-    one exponential. A finite disagreement beyond `tol` with the closed form
-    `induced_connection` raises, since it indicates inconsistent sign
-    conventions in the inputs; `tol=np.inf` skips that gate.
+    axis at each point of X, (..., n) -> (..., n, dim): the Darboux derivative
+    of the sections exp(+-t_step nu) by the stencil and law of `darboux`, on
+    their matrices at X and X +- h e_k from one exponential. A finite
+    disagreement beyond `tol` with the closed form `induced_connection`
+    raises, since it indicates inconsistent sign conventions in the inputs;
+    `tol=np.inf` skips that gate.
     """
     alg, n = lgb.algebra, lgb.chart.dim
     X = np.asarray(X, dtype=float)
@@ -264,13 +273,11 @@ def nabla_from_darboux(lgb: TrivLgb, nu: LieForm, X, t_step: float = 1e-5,
     steps = np.concatenate([np.zeros((1, n)), np.kron(np.eye(n), [[h], [-h]])])  # 0, +-h e_k
     shifted = pts + steps[:, None, :]                      # (2n + 1, P, n)
     values = nu.table(shifted.reshape(-1, n))[:, 0].reshape(shifted.shape[:2] + (alg.dim,))
-    b = on_variety(alg, exp_c(alg, np.stack([t_step * values, -t_step * values])))
-    b0 = b[:, 0]                                           # (2, P, r, r)
-    body = _body_velocity(alg, b0[:, None], (b[:, 1::2] - b[:, 2::2]) / (2 * h),
-                          "section exp(t nu)")             # (2, n, P, dim)
-    ad_inv = ad_matrix_of_group(alg, np.conj(np.swapaxes(b0, -1, -2)))[:, None]
+    b = on_variety(alg, expm(alg.rep_of(np.stack([t_step * values, -t_step * values]))))
+    b0 = b[:, :1]                                          # (2, 1, P, r, r)
+    body = _body_velocity(alg, b0, b[:, 1::2], b[:, 2::2], h, "section exp(t nu)")
     w = np.swapaxes(lgb.omega.table(pts), 0, 1)            # (n, P, dim)
-    delta = body + ((ad_inv @ w[..., None])[..., 0] - w)
+    delta = _mu_rows(alg, b0, body, w)                     # (2, n, P, dim)
     got = np.moveaxis((delta[0] - delta[1]) / (2 * t_step), 0, 1)
     if tol < np.inf:
         gap = max_gap_rows(got - induced_connection(lgb, nu, pts))
@@ -309,7 +316,8 @@ def multiplicativity_rows(lgb: TrivLgb, plan: SamplePlan, perturbation: LieForm 
         group_coeffs.append(rng.normal(scale=group_scale, size=(2, d)))
         probes.append(rng.normal(size=(plan.tangent_probes, n + 2 * d)))
     # (P, 1, ...): one point and group pair per row, against (P, probes, ...)
-    g, q = np.moveaxis(on_variety(alg, exp_c(alg, np.array(group_coeffs))), 1, 0)[:, :, None]
+    g, q = np.moveaxis(on_variety(alg, expm(alg.rep_of(np.array(group_coeffs)))),
+                       1, 0)[:, :, None]
     gq = on_variety(alg, g @ q)
     X, eta, theta = np.split(np.array(probes), [n, n + d], axis=-1)
     x = x[:, None, :]
@@ -346,11 +354,8 @@ def _total_mu_form(lgb: TrivLgb, x0: np.ndarray, g0: GroupElement) -> LieForm:
         v = uv[n:]
         if i >= n:
             return dexp_body(alg, v, np.eye(d)[i - n])
-        x = x0 + uv[:n]
-        gm = g0m @ exp_c(alg, v)
-        ad_inv = ad_matrix_of_group(alg, gm.conj().T)
-        w = lgb.omega.components(x, (i,))
-        return ad_inv @ w - w
+        return _mu_rows(alg, g0m @ expm(alg.rep_of(v)), 0.0,
+                        lgb.omega.components(x0 + uv[:n], (i,)))
 
     return LieForm(n=n + d, degree=1, value_target="algebra", value_shape=(d,),
                    components=comp, fd_step=1e-5)

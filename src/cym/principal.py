@@ -15,12 +15,12 @@ import numpy as np
 from scipy.linalg import expm
 
 from .algebra import (GroupElement, LieAlgebraDescriptor, ad_matrix_c,
-                      ad_matrix_of_group, bracket_c, expand_in_rep)
+                      ad_matrix_of_group, expand_in_rep)
 from .forms import (LieForm, SamplePlan, add_forms, bracket_pairing,
                     endo_action_pairing, eval_form, exterior_derivative,
                     graded_product, max_gap, max_gap_of, scale_form)
 from .lgb import (GSection, TotalPoint, TotalTangent, TrivLgb, darboux,
-                  dexp_body, group_sample, one_form_on)
+                  dexp_body, group_sample, induced_connection, one_form_on)
 
 __all__ = [
     "TrivPrincipal", "Automorphism", "connection_one_form",
@@ -539,9 +539,7 @@ def mixed_bracket_residual(p: TrivPrincipal, nu: LieForm, plan: SamplePlan,
 
         pt = TotalPoint(x0, h0)
         got = connection_one_form(p, pt, TotalTangent(bracket[:n], bracket[n:]))
-        want = one_form_on(exterior_derivative(nu), x0, X) + bracket_c(
-            alg, one_form_on(p.lgb.omega, x0, X), nu.components(x0, ()))
-        yield got - want
+        yield got - X @ induced_connection(p.lgb, nu, x0[None])[0]
 
 
 @max_gap_of
