@@ -47,6 +47,8 @@ __all__ = [
     "bracket_c",
     "ad_matrix_c",
     "ad_matrix_of_group",
+    "ad_twist",
+    "dagger",
     "expand_in_rep",
     "on_variety",
     "require_within",
@@ -204,9 +206,6 @@ class GroupElement:
         if not resid <= VARIETY_TOL:
             raise VarietyError(f"matrix off the group variety by {resid:.3e}")
 
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.algebra, self.matrix.conj().T)
-
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.algebra, self.matrix @ other.matrix)
 
@@ -225,7 +224,7 @@ def variety_residual(alg: LieAlgebraDescriptor, matrix: np.ndarray):
     for kind, off, size in alg.variety_blocks:
         blk = matrix[..., off:off + size, off:off + size]
         mask[off:off + size, off:off + size] = True
-        gaps.append(np.conj(np.swapaxes(blk, -1, -2)) @ blk - np.eye(size))
+        gaps.append(dagger(blk) @ blk - np.eye(size))
         if kind == "su":
             with np.errstate(invalid="ignore"):  # a NaN block has a NaN det
                 gaps.append(np.linalg.det(blk) - 1.0)
@@ -396,11 +395,23 @@ def ad_matrix_of_group(alg: LieAlgebraDescriptor, g_matrix: np.ndarray) -> np.nd
         # abelian: conjugation is the identity, exactly
         return np.broadcast_to(np.eye(alg.dim), g.shape[:-2] + (alg.dim,) * 2).copy()
     g = g[..., None, :, :]
-    images = g @ alg.rep_matrices @ np.conj(np.swapaxes(g, -1, -2))
+    images = g @ alg.rep_matrices @ dagger(g)
     coeffs, resid = expand_in_rep(alg, images)
     require_within(resid, REEXPANSION_TOL, ReexpansionError,
                    "Ad image of a basis element off span by {:.3e}")
     return np.ascontiguousarray(np.swapaxes(coeffs, -1, -2))
+
+
+def dagger(m) -> np.ndarray:
+    """Conjugate transpose of each matrix of a (..., r, r) stack: the
+    inverse of a group matrix on a unitary variety."""
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def ad_twist(alg: LieAlgebraDescriptor, g, table) -> np.ndarray:
+    """Ad_g of every entry of a (P, C, dim) coefficient table, for a
+    (P, r, r) stack g of group matrices."""
+    return (ad_matrix_of_group(alg, g)[:, None] @ table[..., None])[..., 0]
 
 
 def ad_matrix_c(alg: LieAlgebraDescriptor, coeffs: np.ndarray) -> np.ndarray:

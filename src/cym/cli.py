@@ -106,10 +106,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _cmd_verify(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

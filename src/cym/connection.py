@@ -71,10 +71,6 @@ class LabConnection:
     def from_omega(cls, alg: LieAlgebraDescriptor, omega: LieForm) -> "LabConnection":
         return cls(algebra=alg, gamma=ad_mapped_form(alg, omega), omega=omega)
 
-    @classmethod
-    def from_gamma(cls, alg: LieAlgebraDescriptor, gamma: LieForm) -> "LabConnection":
-        return cls(algebra=alg, gamma=gamma)
-
 
 def cov_ext_deriv(nabla: LabConnection, alpha: LieForm) -> LieForm:
     """Covariant exterior derivative d alpha + Gamma ^ alpha (algebra-valued alpha)."""
@@ -114,10 +110,6 @@ class CompatibilityReport:
     @property
     def curvature_residual(self) -> float:
         return max_gap(self.curvature_rows)
-
-    @property
-    def points_used(self) -> int:
-        return len(self.derivation_rows)
 
     @property
     def passed(self) -> bool:

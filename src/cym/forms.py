@@ -32,12 +32,10 @@ __all__ = [
     "Chart", "LieForm", "PolyData", "Pairing", "SamplePlan",
     "euclidean_chart", "stereographic_chart", "minkowski_chart",
     "increasing_indices", "eval_form", "exterior_derivative",
-    "graded_product", "add_forms", "scale_form", "zero_form",
-    "constant_form", "form_from_poly",
+    "graded_product", "add_forms", "scale_form", "zero_form", "form_from_poly",
     "bracket_pairing", "kappa_pairing", "endo_action_pairing",
     "endo_compose_pairing", "hodge_star", "kappa_wedge_top",
-    "top_coefficient", "drain_order_loss_events", "max_gap", "max_gap_rows",
-    "max_gap_of",
+    "drain_order_loss_events", "max_gap", "max_gap_rows", "max_gap_of",
 ]
 
 # order-loss events from one-sided stencils; drained by reports
@@ -54,14 +52,6 @@ def drain_order_loss_events():
 def increasing_indices(n: int, k: int):
     """All strictly increasing multi-indices of length k in range(n)."""
     return tuple(itertools.combinations(range(n), k))
-
-
-@lru_cache(maxsize=None)
-def _levi_civita(n: int) -> np.ndarray:
-    eps = np.zeros((n,) * n)
-    for p in itertools.permutations(range(n)):
-        eps[p] = _perm_sign(p)
-    return eps
 
 
 def _perm_sign(p) -> int:
@@ -310,9 +300,11 @@ class LieForm:
 
     `batch`, when given, maps a (P, n) batch of points to the component
     table `table(X)` returns, with the values `components` gives; a form
-    without one is tabulated point by point. A batch belongs to the
-    components it came with: `dataclasses.replace` with new `components` and
-    no new `batch` drops the old one, so the table follows the new values.
+    without one is tabulated point by point. A form given `components=None`
+    is defined by its batch alone, and `components` is its one-row call. A
+    batch belongs to the components it came with: `dataclasses.replace` with
+    new `components` and no new `batch` drops the old one, so the table
+    follows the new values.
     """
 
     n: int
@@ -327,6 +319,8 @@ class LieForm:
     batch: callable = field(default=None, repr=False)  # (P, n) -> table(X)
 
     def __post_init__(self):
+        if self.components is None:
+            self.components = partial(_one_row, self.batch, self.n, self.degree)
         self.components = _point_memo(self.components)
         self.analytic_d = _point_memo(self.analytic_d)
         if getattr(self.batch, "components", self.components) is not self.components:
@@ -334,40 +328,38 @@ class LieForm:
         elif self.batch is not None and not hasattr(self.batch, "components"):
             self.batch = partial(self.batch)
             self.batch.components = self.components
-
-    def __call__(self, x, *vectors):
-        return eval_form(self, x, vectors)
+        self._last_table = (None, None)
 
     def has_exact_d(self) -> bool:
         return self.poly is not None or self.analytic_d is not None
 
-    def component_table(self, x) -> dict:
-        """Every component at x, keyed by increasing index, in index order."""
-        return {idx: self.components(x, idx) for idx in increasing_indices(self.n, self.degree)}
-
     def table(self, X) -> np.ndarray:
         """Components at each row of the (P, n) batch X, as an array of shape
-        (P, C(n, degree), *value_shape) in `increasing_indices` order."""
+        (P, C(n, degree), *value_shape) in `increasing_indices` order. The
+        table of the last batch is kept, keyed by its coordinates, and comes
+        back read-only, so a form read twice over one batch runs once."""
         X = np.asarray(X, dtype=float)
-        if self.batch is not None:
-            return self.batch(X)
-        shape = (len(X), len(increasing_indices(self.n, self.degree))) + self.value_shape
-        rows = [list(self.component_table(x).values()) for x in X]
-        return np.array(rows, dtype=float).reshape(shape)
+        key = (X.shape, X.tobytes())
+        if key != self._last_table[0]:
+            if self.batch is not None:
+                value = np.asarray(self.batch(X)).view()
+            else:
+                indices = increasing_indices(self.n, self.degree)
+                value = np.array([[self.components(x, I) for I in indices] for x in X],
+                                 dtype=float).reshape((len(X), len(indices)) + self.value_shape)
+            value.setflags(write=False)
+            self._last_table = (key, value)
+        return self._last_table[1]
+
+
+def _one_row(batch, n, degree, x, idx):
+    """Component idx at the point x of a form defined by its batch."""
+    return batch(x[None])[0, increasing_indices(n, degree).index(idx)]
 
 
 def zero_form(n, degree, value_target, value_shape, box=None) -> LieForm:
     return form_from_poly(n, degree, value_target, value_shape,
                           PolyData(n, degree, value_shape, {}), box=box)
-
-
-def constant_form(n, degree, value_target, table, box=None) -> LieForm:
-    """Form with constant components; `table` maps increasing idx -> value."""
-    shape = np.asarray(next(iter(table.values()))).shape
-    terms = {idx: [(np.asarray(v, dtype=float), np.zeros(n, dtype=int))]
-             for idx, v in table.items()}
-    return form_from_poly(n, degree, value_target, shape,
-                          PolyData(n, degree, shape, terms), box=box)
 
 
 def form_from_poly(n, degree, value_target, value_shape, poly: PolyData,
@@ -449,26 +441,35 @@ def _built_on_first_call(build):
 # exterior derivative
 # ---------------------------------------------------------------------------
 
-def _partial(f: LieForm, x, axis, idx, h):
-    """d/dx_axis of one component; one-sided at the box edge (order loss)."""
-    x = np.asarray(x, dtype=float)
-    step = np.zeros(f.n)
-    step[axis] = h
+def _stencil_at(f: LieForm, X, axis: int, h: float):
+    """The d/dx_axis stencil at each row of the (P, n) batch X: points (plus,
+    minus) and their distance, central inside the box and one-sided within
+    h of its edge, where it records an order-loss event (row, axis)."""
+    plus, minus = X.copy(), X.copy()
+    plus[:, axis] += h
+    minus[:, axis] -= h
+    width = np.full(len(X), 2 * h)
     if f.box is not None:
         lo, hi = f.box[axis]
-        if x[axis] + h > hi:
-            _ORDER_LOSS.append((tuple(x), axis))
-            return (f.components(x, idx) - f.components(x - step, idx)) / h
-        if x[axis] - h < lo:
-            _ORDER_LOSS.append((tuple(x), axis))
-            return (f.components(x + step, idx) - f.components(x, idx)) / h
-    return (f.components(x + step, idx) - f.components(x - step, idx)) / (2 * h)
+        high = X[:, axis] + h > hi
+        low = ~high & (X[:, axis] - h < lo)
+        plus[high], minus[low] = X[high], X[low]
+        width[high | low] = h
+        _ORDER_LOSS.extend((tuple(x), axis) for x in X[high | low])
+    return plus, minus, width
+
+
+def _partial(f: LieForm, x, axis, idx, h):
+    """d/dx_axis of one component at one point, by `_stencil_at`."""
+    (plus,), (minus,), (width,) = _stencil_at(f, np.asarray(x, dtype=float)[None], axis, h)
+    return (f.components(plus, idx) - f.components(minus, idx)) / width
 
 
 def exterior_derivative(f: LieForm) -> LieForm:
     """d on forms. Polynomial payloads are differentiated exactly; an
     analytic_d callable is used verbatim (and the result is exactly closed);
-    otherwise central finite differences with the form's step."""
+    otherwise central finite differences with the form's step, whose table
+    reads `f.table` once on the 2n stencil copies of the batch."""
     if f.degree >= f.n:
         return zero_form(f.n, min(f.degree + 1, f.n), f.value_target,
                          f.value_shape, box=f.box)
@@ -480,18 +481,32 @@ def exterior_derivative(f: LieForm) -> LieForm:
                        value_shape=f.value_shape, components=f.analytic_d,
                        analytic_d=lambda x, idx: np.zeros(f.value_shape),
                        fd_step=f.fd_step, box=f.box)
+    n, k = f.n, f.degree
+    column = {I: c for c, I in enumerate(increasing_indices(n, k))}
+    # d on the increasing index J: the signed partials of the components on
+    # J without its pos-th entry, along that entry's axis
+    terms = {J: [(J[pos], J[:pos] + J[pos + 1:], (-1.0) ** pos) for pos in range(len(J))]
+             for J in increasing_indices(n, k + 1)}
 
     def comp(x, J):
-        out = np.zeros(f.value_shape)
-        for pos in range(len(J)):
-            sub = J[:pos] + J[pos + 1:]
-            out = out + (-1.0) ** pos * _partial(f, x, J[pos], sub, f.fd_step)
+        return sum((sign * _partial(f, x, axis, sub, f.fd_step)
+                    for axis, sub, sign in terms[J]), np.zeros(f.value_shape))
+
+    def batch(X):
+        P, h = len(X), f.fd_step
+        plus, minus, width = zip(*(_stencil_at(f, X, axis, h) for axis in range(n)))
+        t = f.table(np.concatenate(plus + minus)).reshape((2, n, P, -1) + f.value_shape)
+        partials = (t[0] - t[1]) / np.reshape(width, (n, P, 1) + (1,) * len(f.value_shape))
+        out = np.zeros((P, len(terms)) + f.value_shape)
+        for c, J_terms in enumerate(terms.values()):
+            for axis, sub, sign in J_terms:
+                out[:, c] = out[:, c] + sign * partials[axis, :, column[sub]]
         return out
 
     # a second derivative of FD output needs a wider stencil to stay stable
-    return LieForm(n=f.n, degree=f.degree + 1, value_target=f.value_target,
+    return LieForm(n=n, degree=k + 1, value_target=f.value_target,
                    value_shape=f.value_shape, components=comp,
-                   fd_step=10 * f.fd_step, box=f.box)
+                   fd_step=10 * f.fd_step, box=f.box, batch=batch)
 
 
 # ---------------------------------------------------------------------------
@@ -623,33 +638,37 @@ def graded_product(pairing: Pairing, a: LieForm, b: LieForm) -> LieForm:
 def hodge_star(chart: Chart, f: LieForm) -> LieForm:
     """Musical-isomorphism star: raise the k indices with the inverse metric,
     contract with the Levi-Civita symbol, scale by sqrt|det g| and the chart
-    orientation. Works for any metric signature (|det| under the root)."""
+    orientation. Works for any metric signature (|det| under the root). On
+    the table, (*f)_J = scale sign(A, J) sum_B det(ginv[A, B]) f_B, with A
+    the complement of J: one map for a constant metric, one per row else."""
     n, k = f.n, f.degree
     if chart.dim != n:
         raise ValueError("chart/form dimension mismatch")
-    eps = _levi_civita(n)
-    kfact = math.factorial(k)
+    ins, outs = increasing_indices(n, k), increasing_indices(n, n - k)
+    rows = np.array([[i for i in range(n) if i not in J] for J in outs],
+                    dtype=int).reshape(len(outs), k)
+    cols = np.array(ins, dtype=int).reshape(len(ins), k)
+    signs = np.array([_perm_sign(tuple(A) + J) for A, J in zip(rows.tolist(), outs)])
 
-    def comp(x, J):
-        g = chart.metric(np.asarray(x, dtype=float))
+    def star_maps(g):
+        """(..., C(n, n-k), C(n, k)) maps of a (..., n, n) metric stack."""
         ginv = np.linalg.inv(g)
-        scale = chart.orientation * np.sqrt(abs(np.linalg.det(g)))
-        # dense antisymmetric component array with trailing value axes
-        dense = np.zeros((n,) * k + f.value_shape)
-        for I, v in f.component_table(x).items():
-            for perm in itertools.permutations(range(k)):
-                target = tuple(I[p] for p in perm)
-                dense[target] = _perm_sign(perm) * v
-        for axis in range(k):
-            dense = np.tensordot(ginv, dense, axes=(1, axis))
-            dense = np.moveaxis(dense, 0, axis)
-        eslice = eps[(slice(None),) * k + tuple(J)]
-        out = np.tensordot(eslice, dense, axes=(tuple(range(k)), tuple(range(k))))
-        return scale / kfact * out
+        minors = np.linalg.det(ginv[..., rows[:, None, :, None], cols[None, :, None, :]])
+        scale = chart.orientation * np.sqrt(np.abs(np.linalg.det(g)))
+        return scale[..., None, None] * signs[:, None] * minors
+
+    constant = star_maps(chart.metric(chart.box.mean(axis=1))) if (
+        chart.metric_kind in ("euclidean", "minkowski")) else None
+
+    def batch(X):
+        maps = np.broadcast_to(constant, (len(X),) + constant.shape) if (
+            constant is not None) else star_maps(
+                np.array([chart.metric(x) for x in X]).reshape(len(X), n, n))
+        return np.einsum('pJI,pI...->pJ...', maps, f.table(X))
 
     return LieForm(n=n, degree=n - k, value_target=f.value_target,
-                   value_shape=f.value_shape, components=comp,
-                   fd_step=f.fd_step, box=f.box)
+                   value_shape=f.value_shape, components=None,
+                   fd_step=f.fd_step, box=f.box, batch=batch)
 
 
 def kappa_wedge_top(alg: LieAlgebraDescriptor, f: LieForm, g: LieForm) -> LieForm:
@@ -657,13 +676,6 @@ def kappa_wedge_top(alg: LieAlgebraDescriptor, f: LieForm, g: LieForm) -> LieFor
     if f.degree + g.degree != f.n:
         raise ValueError("kappa wedge needs degrees summing to the chart dimension")
     return graded_product(kappa_pairing(alg), f, g)
-
-
-def top_coefficient(form: LieForm, x) -> float:
-    """Coefficient of the top form on the full increasing index (0, ..., n-1)."""
-    if form.degree != form.n:
-        raise ValueError("not a top-degree form")
-    return float(np.asarray(form.components(x, tuple(range(form.n)))))
 
 
 # ---------------------------------------------------------------------------

@@ -13,23 +13,23 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .algebra import LieAlgebraDescriptor, ad_matrix_of_group
+from .algebra import LieAlgebraDescriptor, ad_twist, dagger
 from .connection import (COMPATIBILITY_TOL, CompatibilityReport,
                          FieldRedefinition, LabConnection, check_compatibility,
                          cov_ext_deriv, field_redefine)
 from .forms import (Chart, LieForm, SamplePlan, add_forms, bracket_pairing,
-                    graded_product, hodge_star, increasing_indices,
-                    kappa_wedge_top, max_gap, max_gap_rows, scale_form,
-                    top_coefficient)
+                    graded_product, hodge_star, kappa_wedge_top, max_gap,
+                    max_gap_of, max_gap_rows, scale_form)
 from .lgb import GSection, TrivLgb, darboux
 
 __all__ = [
     "GaugeScenario", "CompatibilityGateError", "local_field_strength",
-    "ChangeOfGaugeResult", "change_of_gauge",
+    "ChangeOfGaugeResult", "gauge_changed_potential", "change_of_gauge",
     "bianchi_rows", "bianchi_residual", "lagrangian_density", "ChargeResult",
-    "instanton_charge", "density_gauge_invariance_residual",
+    "instanton_charge", "density_gauge_invariance_rows",
+    "density_gauge_invariance_residual", "density_infinitesimal_rows",
     "density_infinitesimal_residual", "field_redef_rows",
-    "field_redef_invariance_residual",
+    "field_redef_invariance_residual", "self_duality_rows",
     "self_duality_residual",
 ]
 
@@ -110,43 +110,40 @@ def local_field_strength(s: GaugeScenario, gate: bool = True) -> LieForm:
 @dataclass
 class ChangeOfGaugeResult:
     a_new: LieForm
-    f_residual: float
-    points_used: int
+    f_rows: np.ndarray  # (P,) residual of the field-strength law per point
+    f_residual: float   # their max_gap
 
 
 def _adjoint_twist(alg: LieAlgebraDescriptor, sigma: GSection, f: LieForm) -> LieForm:
-    def comp(x, idx):
-        ad_inv = ad_matrix_of_group(alg, sigma(x).matrix.conj().T)
-        return ad_inv @ f.components(x, idx)
+    """Ad_{sigma^{-1}} f, read over a batch from one stack of the section."""
     return LieForm(n=f.n, degree=f.degree, value_target="algebra",
-                   value_shape=f.value_shape, components=comp,
+                   value_shape=f.value_shape, components=None,
+                   batch=lambda X: ad_twist(alg, dagger(sigma(X)), f.table(X)),
                    fd_step=f.fd_step, box=f.box)
+
+
+def gauge_changed_potential(s: GaugeScenario, sigma: GSection) -> LieForm:
+    """A' = Ad_{sigma^{-1}} A + Delta sigma."""
+    twisted = _adjoint_twist(s.algebra, sigma, s.gauge_field)
+    dsig = darboux(s.lgb, sigma)
+    return LieForm(n=s.chart.dim, degree=1, value_target="algebra",
+                   value_shape=(s.algebra.dim,), components=None,
+                   batch=lambda X: twisted.table(X) + dsig.table(X),
+                   fd_step=dsig.fd_step, box=s.chart.box)
 
 
 def change_of_gauge(s: GaugeScenario, sigma: GSection,
                     plan: SamplePlan = None) -> ChangeOfGaugeResult:
-    """A' = Ad_{sigma^{-1}} A + Delta sigma, and the residual of the induced
-    transformation law F(A') = Ad_{sigma^{-1}} F(A) over the plan."""
+    """A' = `gauge_changed_potential`, and the residual of the induced
+    transformation law F(A') = Ad_{sigma^{-1}} F(A) at each point of the plan."""
     s.require_gate()
-    alg = s.algebra
     plan = plan or SamplePlan(count=16, seed=1)
-    dsig = darboux(s.lgb, sigma)
-
-    def a_comp(x, idx):
-        ad_inv = ad_matrix_of_group(alg, sigma(x).matrix.conj().T)
-        return ad_inv @ s.gauge_field.components(x, idx) + dsig.components(x, idx)
-
-    a_new = LieForm(n=s.chart.dim, degree=1, value_target="algebra",
-                    value_shape=(alg.dim,), components=a_comp,
-                    fd_step=dsig.fd_step, box=s.chart.box)
-    f_old = local_field_strength(s)
+    a_new = gauge_changed_potential(s, sigma)
     f_new = local_field_strength(s.with_gauge_field(a_new))
-    twisted = _adjoint_twist(alg, sigma, f_old)
-    residual = max_gap(f_new.components(x, idx) - twisted.components(x, idx)
-                       for x in plan.points(s.chart)
-                       for idx in increasing_indices(s.chart.dim, 2))
-    return ChangeOfGaugeResult(a_new=a_new, f_residual=residual,
-                               points_used=plan.count)
+    twisted = _adjoint_twist(s.algebra, sigma, local_field_strength(s))
+    X = plan.points(s.chart)
+    rows = max_gap_rows(f_new.table(X) - twisted.table(X))
+    return ChangeOfGaugeResult(a_new, rows, max_gap(rows))
 
 
 def bianchi_rows(s: GaugeScenario, plan: SamplePlan) -> np.ndarray:
@@ -163,9 +160,7 @@ def bianchi_rows(s: GaugeScenario, plan: SamplePlan) -> np.ndarray:
     return max_gap_rows(lhs.table(points) - rhs.table(points))
 
 
-def bianchi_residual(s: GaugeScenario, plan: SamplePlan) -> float:
-    """Largest Bianchi gap over the plan (see `bianchi_rows`)."""
-    return max_gap(bianchi_rows(s, plan))
+bianchi_residual = max_gap_of(bianchi_rows)  # its largest gap over the plan
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +168,17 @@ def bianchi_residual(s: GaugeScenario, plan: SamplePlan) -> float:
 # ---------------------------------------------------------------------------
 
 def lagrangian_density(s: GaugeScenario, gate: bool = True):
-    """x -> -1/2 kappa(F ^, *F) top coefficient (the scalar Lagrangian)."""
+    """X -> -1/2 kappa(F ^, *F) top coefficient (the scalar Lagrangian) at
+    each point of a (..., n) stack, read from the top-degree table."""
     if gate:
         s.require_gate()
     f = local_field_strength(s, gate=False)
-    star_f = hodge_star(s.chart, f)
-    paired = kappa_wedge_top(s.algebra, f, star_f)
+    paired = kappa_wedge_top(s.algebra, f, hodge_star(s.chart, f))
 
-    def density(x):
-        return -0.5 * top_coefficient(paired, np.asarray(x, dtype=float))
+    def density(X):
+        X = np.asarray(X, dtype=float)
+        top = paired.table(X.reshape(-1, s.chart.dim))[:, 0]
+        return (-0.5 * top).reshape(X.shape[:-1])[()]
 
     return density
 
@@ -256,30 +253,35 @@ def instanton_charge(s: GaugeScenario, radius: float = 20.0,
 # invariance residuals
 # ---------------------------------------------------------------------------
 
-def density_gauge_invariance_residual(s: GaugeScenario, sigma: GSection,
-                                      plan: SamplePlan) -> float:
-    """Pointwise difference of the Lagrangian before and after a gauge change."""
-    before = lagrangian_density(s)
-    changed = change_of_gauge(s, sigma, plan)
-    after = lagrangian_density(s.with_gauge_field(changed.a_new), gate=False)
-    return max_gap(after(x) - before(x) for x in plan.points(s.chart))
+def density_gauge_invariance_rows(s: GaugeScenario, sigma: GSection,
+                                  plan: SamplePlan) -> np.ndarray:
+    """Difference of the Lagrangian before and after a gauge change at each
+    point of the plan, (P,)."""
+    X = plan.points(s.chart)
+    before = lagrangian_density(s)(X)
+    changed = s.with_gauge_field(gauge_changed_potential(s, sigma))
+    return max_gap_rows(lagrangian_density(changed, gate=False)(X) - before)
 
 
-def density_infinitesimal_residual(s: GaugeScenario, eps: LieForm,
-                                   plan: SamplePlan, t_step: float = 1e-5) -> float:
-    """Magnitude of the t-derivative of the density along exp(t eps)."""
+def density_infinitesimal_rows(s: GaugeScenario, eps: LieForm, plan: SamplePlan,
+                               t_step: float = 1e-5) -> np.ndarray:
+    """Magnitude of the t-derivative of the density along exp(t eps) at
+    each point of the plan, (P,)."""
     s.require_gate()
-    alg = s.algebra
+    X = plan.points(s.chart)
 
     def density_at(t):
         sec = GSection.from_exp_coeffs(
-            alg, lambda y, tt=t: tt * eps.components(y, ()), name="exp(teps)")
-        res = change_of_gauge(s, sec, SamplePlan(count=1, seed=0))
-        return lagrangian_density(s.with_gauge_field(res.a_new), gate=False)
+            s.algebra, lambda y: t * eps.components(y, ()), name="exp(teps)")
+        return lagrangian_density(s.with_gauge_field(gauge_changed_potential(s, sec)),
+                                  gate=False)(X)
 
-    d_plus, d_minus = density_at(t_step), density_at(-t_step)
-    return max_gap((d_plus(x) - d_minus(x)) / (2 * t_step)
-                   for x in plan.points(s.chart))
+    return max_gap_rows((density_at(t_step) - density_at(-t_step)) / (2 * t_step))
+
+
+# the largest gap of each over the plan
+density_gauge_invariance_residual = max_gap_of(density_gauge_invariance_rows)
+density_infinitesimal_residual = max_gap_of(density_infinitesimal_rows)
 
 
 def field_redef_rows(s: GaugeScenario, shifted: FieldRedefinition,
@@ -303,9 +305,11 @@ def field_redef_invariance_residual(s: GaugeScenario, lam: LieForm,
     return max_gap(field_redef_rows(s, shifted, plan))
 
 
-def self_duality_residual(zeta: LieForm, chart: Chart, plan: SamplePlan) -> float:
-    """Pointwise deviation of the central form from its own Hodge dual."""
-    starred = hodge_star(chart, zeta)
-    return max_gap(starred.components(x, idx) - zeta.components(x, idx)
-                   for x in plan.points(chart)
-                   for idx in increasing_indices(chart.dim, 2))
+def self_duality_rows(zeta: LieForm, chart: Chart, plan: SamplePlan) -> np.ndarray:
+    """Deviation of the central form from its own Hodge dual at each point
+    of the plan, (P,)."""
+    X = plan.points(chart)
+    return max_gap_rows(hodge_star(chart, zeta).table(X) - zeta.table(X))
+
+
+self_duality_residual = max_gap_of(self_duality_rows)  # its largest gap over the plan

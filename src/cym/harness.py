@@ -29,13 +29,11 @@ from .forms import (Chart, LieForm, PolyData, SamplePlan, euclidean_chart,
                     max_gap_rows, minkowski_chart, stereographic_chart,
                     zero_form)
 from .gauge import (GaugeScenario, bianchi_rows, change_of_gauge,
-                    density_gauge_invariance_residual,
-                    density_infinitesimal_residual, field_redef_rows,
-                    instanton_charge, self_duality_residual)
-from .lgb import (GSection, TrivLgb, darboux_inverse_residual,
-                  darboux_leibniz_residual, generalized_mc_residual,
-                  induced_connection, multiplicativity_rows,
-                  nabla_from_darboux, pullback_mc_residual)
+                    density_gauge_invariance_rows, density_infinitesimal_rows,
+                    field_redef_rows, instanton_charge, self_duality_rows)
+from .lgb import (GSection, TrivLgb, darboux_inverse_rows, darboux_leibniz_rows,
+                  generalized_mc_residual, induced_connection,
+                  multiplicativity_rows, nabla_from_darboux, pullback_mc_rows)
 from .principal import (Automorphism, TrivPrincipal,
                         action_differential_residual, equivariance_residual,
                         field_strength_type_residual, gauge_transform_total,
@@ -198,19 +196,18 @@ def _section_from_poly(alg, poly: PolyData, name: str) -> GSection:
     return GSection.from_exp_coeffs(alg, lambda y: poly.evaluate(y, ()), name=name)
 
 
-def _sections_from_polys(alg, polys: dict) -> dict:
-    return {name: _section_from_poly(alg, poly, name)
-            for name, poly in polys.items()}
-
-
 def _assemble(name, chart, alg, omega, zeta, a, shift, generator,
               section_polys, automorphism_polys, metric_name,
               quadrature=None, expected_charge=None,
               plan=None, tolerances=None) -> ScenarioBundle:
+    # every scenario has an identity section and automorphism
+    identity = _const_poly(chart.dim, alg.dim, np.zeros(alg.dim))
+    section_polys = {"identity": identity, **section_polys}
+    automorphism_polys = {"identity": identity, **automorphism_polys}
     lgb = TrivLgb(chart, alg, omega)
     scenario = GaugeScenario(chart, alg, lgb.nabla, zeta, a, name=name)
     principal = TrivPrincipal(lgb, a)
-    sections = _sections_from_polys(alg, section_polys)
+    sections = {n: _section_from_poly(alg, p, n) for n, p in section_polys.items()}
     autos = {n: Automorphism(_section_from_poly(alg, p, n))
              for n, p in automorphism_polys.items()}
     return ScenarioBundle(
@@ -249,7 +246,6 @@ def _flat_su2() -> ScenarioBundle:
     generator = _poly_form(2, 0, 3, {(): [(_basis_vec(3, 2), np.array([1, 0]))]},
                            box=chart.box)
     sections = {
-        "identity": _const_poly(2, 3, [0.0, 0.0, 0.0]),
         "constant": _const_poly(2, 3, [0.3, -0.2, 0.5]),
         "generic": _linear_poly(2, 3, [([0.4, 0.0, 0.0], [0, 1]),
                                        ([0.0, 0.2, 0.0], [1, 1]),
@@ -259,7 +255,6 @@ def _flat_su2() -> ScenarioBundle:
                                      ([0.0, 0.0, 0.2], [1, 0])]),
     }
     autos = {
-        "identity": _const_poly(2, 3, [0.0, 0.0, 0.0]),
         "constant": _const_poly(2, 3, [0.2, 0.4, -0.1]),
         "generic": _linear_poly(2, 3, [([0.3, 0.0, 0.0], [1, 0]),
                                        ([0.0, -0.2, 0.0], [0, 1]),
@@ -286,13 +281,11 @@ def _abelian_u1() -> ScenarioBundle:
     generator = _poly_form(2, 0, 1, {(): [(np.array([0.4]), np.array([1, 1]))]},
                            box=chart.box)
     sections = {
-        "identity": _const_poly(2, 1, [0.0]),
         "constant": _const_poly(2, 1, [0.6]),
         "generic": _linear_poly(2, 1, [([0.4], [2, 0]), ([-0.3], [0, 1])]),
         "twist": _linear_poly(2, 1, [([0.25], [1, 1])]),
     }
     autos = {
-        "identity": _const_poly(2, 1, [0.0]),
         "constant": _const_poly(2, 1, [-0.35]),
         "generic": _linear_poly(2, 1, [([0.3], [1, 0]), ([0.2], [0, 2])]),
         "twist": _linear_poly(2, 1, [([-0.2], [1, 1])]),
@@ -318,7 +311,6 @@ def _preclassical_u1su2() -> ScenarioBundle:
     generator = _poly_form(2, 0, 4, {(): [(_basis_vec(4, 3), np.array([1, 0]))]},
                            box=chart.box)
     sections = {
-        "identity": _const_poly(2, 4, [0.0, 0.0, 0.0, 0.0]),
         "constant": _const_poly(2, 4, [0.4, 0.3, -0.2, 0.5]),
         "generic": _linear_poly(2, 4, [([0.2, 0.0, 0.0, 0.0], [1, 0]),
                                        ([0.0, 0.3, 0.0, 0.0], [0, 1]),
@@ -329,7 +321,6 @@ def _preclassical_u1su2() -> ScenarioBundle:
                                      ([0.15, 0.0, 0.0, 0.1], [1, 0])]),
     }
     autos = {
-        "identity": _const_poly(2, 4, [0.0, 0.0, 0.0, 0.0]),
         "constant": _const_poly(2, 4, [0.3, 0.2, 0.4, -0.1]),
         "generic": _linear_poly(2, 4, [([0.2, 0.3, 0.0, 0.0], [1, 0]),
                                        ([0.0, 0.0, -0.2, 0.0], [0, 1]),
@@ -355,7 +346,6 @@ def _bpst() -> ScenarioBundle:
                                           (_basis_vec(3, 2, 0.1), np.array([0, 0, 0, 1]))]},
                            box=chart.box)
     sections = {
-        "identity": _const_poly(4, 3, [0.0, 0.0, 0.0]),
         "constant": _const_poly(4, 3, [0.3, -0.2, 0.5]),
         "generic": _linear_poly(4, 3, [([0.15, 0.0, 0.0], [0, 1, 0, 0]),
                                        ([0.0, 0.1, 0.0], [1, 0, 0, 1]),
@@ -365,7 +355,6 @@ def _bpst() -> ScenarioBundle:
                                      ([0.0, 0.0, 0.1], [0, 0, 1, 0])]),
     }
     autos = {
-        "identity": _const_poly(4, 3, [0.0, 0.0, 0.0]),
         "constant": _const_poly(4, 3, [0.2, 0.4, -0.1]),
         "generic": _linear_poly(4, 3, [([0.1, 0.0, 0.0], [1, 0, 0, 0]),
                                        ([0.0, -0.1, 0.0], [0, 1, 0, 0]),
@@ -411,13 +400,11 @@ def _random_curved() -> ScenarioBundle:
                                    (scale * rng.normal(size=3), np.array([0, 1, 0]))])
 
     sections = {
-        "identity": _const_poly(3, 3, [0.0, 0.0, 0.0]),
         "constant": _const_poly(3, 3, rng.normal(size=3) * 0.4),
         "generic": rand_section_poly(0.3),
         "twist": rand_section_poly(0.25),
     }
     autos = {
-        "identity": _const_poly(3, 3, [0.0, 0.0, 0.0]),
         "constant": _const_poly(3, 3, rng.normal(size=3) * 0.3),
         "generic": rand_section_poly(0.25),
         "twist": rand_section_poly(0.2),
@@ -599,10 +586,8 @@ def scenario_from_dict(data, source="<dict>") -> ScenarioBundle:
                                                       box=chart.box))
 
     section_polys = _coeff_polys_from_dict("sections", data.get("sections"), n, dim)
-    section_polys.setdefault("identity", _const_poly(n, dim, np.zeros(dim)))
     auto_polys = _coeff_polys_from_dict("automorphisms",
                                         data.get("automorphisms"), n, dim)
-    auto_polys.setdefault("identity", _const_poly(n, dim, np.zeros(dim)))
 
     try:
         plan = SamplePlan.from_json(data.get("plan", {}))
@@ -855,11 +840,6 @@ class _FixedPlan:
     pts: np.ndarray
     seed: object
     tangent_probes: int = 4
-    mode: str = "fixed"
-
-    @property
-    def count(self) -> int:
-        return len(self.pts)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -968,13 +948,12 @@ def _suite_darboux(bundle, env):
     if len(named) >= 2:
         pairs = pairs + [(named[0], named[1])]
 
-    def both(single, i, x):
-        return (max_gap(darboux_leibniz_residual(bundle.lgb, s1, s2, single)
-                        for s1, s2 in pairs),
-                max_gap(darboux_inverse_residual(bundle.lgb, s1, single)
-                        for s1, _ in pairs))
-
-    return _per_point(bundle, env, both, "darboux/leibniz", "darboux/inverse")
+    # at each point, the largest gap over the pairs
+    return _plan_rows(
+        env, ("darboux/leibniz", max_gap_rows(np.column_stack(
+            [darboux_leibniz_rows(bundle.lgb, s1, s2, env.plan) for s1, s2 in pairs]))),
+        ("darboux/inverse", max_gap_rows(np.column_stack(
+            [darboux_inverse_rows(bundle.lgb, s1, env.plan) for s1, _ in pairs]))))
 
 
 def _suite_fibre_connection(bundle, env):
@@ -991,14 +970,12 @@ def _suite_multiplicativity(bundle, env):
 
 
 def _suite_generalized_mc(bundle, env):
-    sec = _distinguished_section(bundle)
+    def total_space(single, i, x):
+        return generalized_mc_residual(bundle.lgb, bundle.zeta, single)
 
-    def both(single, i, x):
-        return (generalized_mc_residual(bundle.lgb, bundle.zeta, single),
-                pullback_mc_residual(bundle.lgb, sec, bundle.zeta, single))
-
-    return _per_point(bundle, env, both, "generalized-mc/total-space",
-                      "generalized-mc/pullback")
+    return _per_point(bundle, env, total_space, "generalized-mc/total-space") + _plan_rows(
+        env, ("generalized-mc/pullback", pullback_mc_rows(
+            bundle.lgb, _distinguished_section(bundle), bundle.zeta, env.plan)))
 
 
 def _suite_principal(bundle, env):
@@ -1046,12 +1023,9 @@ def _suite_structure_equation(bundle, env):
 
 
 def _suite_gauge_laws(bundle, env):
-    rows = []
-    for name, sec in sorted(bundle.sections.items()):
-        def check(single, i, x, s=sec):
-            return change_of_gauge(bundle.scenario, s, single).f_residual
-
-        rows += _per_point(bundle, env, check, f"gauge-laws/section:{name}")
+    rows = _plan_rows(env, *((f"gauge-laws/section:{name}",
+                              change_of_gauge(bundle.scenario, sec, env.plan).f_rows)
+                             for name, sec in sorted(bundle.sections.items())))
     for name, aut in sorted(bundle.automorphisms.items()):
         def check(single, i, x, a=aut):
             res = gauge_transform_total(bundle.principal, a, bundle.zeta,
@@ -1084,23 +1058,17 @@ def _suite_field_redef(bundle, env):
 
 def _suite_lagrangian(bundle, env):
     s = bundle.scenario
-    sec = _distinguished_section(bundle)
     t_step = env.h2 if env.h2 is not None else 1e-5
-
-    def both(single, i, x):
-        return (density_gauge_invariance_residual(s, sec, single),
-                density_infinitesimal_residual(s, bundle.generator, single,
-                                               t_step=t_step))
-
-    return _per_point(bundle, env, both, "lagrangian/finite",
-                      "lagrangian/infinitesimal")
+    return _plan_rows(
+        env, ("lagrangian/finite", density_gauge_invariance_rows(
+            s, _distinguished_section(bundle), env.plan)),
+        ("lagrangian/infinitesimal", density_infinitesimal_rows(
+            s, bundle.generator, env.plan, t_step=t_step)))
 
 
 def _suite_self_duality(bundle, env):
-    def check(single, i, x):
-        return self_duality_residual(bundle.zeta, bundle.chart, single)
-
-    return _per_point(bundle, env, check, "self-duality/central-form")
+    return _plan_rows(env, ("self-duality/central-form",
+                            self_duality_rows(bundle.zeta, bundle.chart, env.plan)))
 
 
 def _suite_charge(bundle, env):

@@ -20,22 +20,20 @@ import numpy as np
 from scipy.linalg import expm
 
 from .algebra import (GroupElement, LieAlgebraDescriptor, ReexpansionError,
-                      ad_matrix_c, ad_matrix_of_group, bracket_c, expand_in_rep,
-                      on_variety, require_within)
+                      ad_matrix_c, ad_matrix_of_group, ad_twist, bracket_c,
+                      dagger, expand_in_rep, on_variety, require_within)
 from .connection import LabConnection, cov_ext_deriv
 from .forms import (Chart, LieForm, SamplePlan, add_forms, bracket_pairing,
                     endo_action_pairing, exterior_derivative, graded_product,
-                    increasing_indices, max_gap, max_gap_of, max_gap_rows,
-                    scale_form)
+                    increasing_indices, max_gap_of, max_gap_rows, scale_form)
 
 __all__ = [
     "TotalPoint", "TotalTangent", "TrivLgb", "GSection", "dexp_body",
     "InconsistencyError", "one_form_on",
-    "group_sample", "darboux", "darboux_leibniz_residual",
-    "darboux_inverse_residual", "nabla_from_darboux", "induced_connection",
-    "multiplicativity_rows", "multiplicativity_residual",
-    "generalized_mc_residual",
-    "pullback_mc_residual",
+    "group_sample", "darboux", "darboux_leibniz_rows", "darboux_leibniz_residual",
+    "darboux_inverse_rows", "darboux_inverse_residual", "nabla_from_darboux",
+    "induced_connection", "multiplicativity_rows", "multiplicativity_residual",
+    "generalized_mc_residual", "pullback_mc_rows", "pullback_mc_residual",
 ]
 
 DRIFT_TOL = 1e-9
@@ -86,54 +84,71 @@ def group_sample(alg: LieAlgebraDescriptor, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 class GSection:
-    """A group-valued section b: chart -> G, differentiated on matrix entries.
+    """A group-valued section b: chart -> G, on stacks of points.
 
-    `fn` must be a pure function of the point: calling the section memoises
-    its value at the last point seen, keyed by the point's coordinates (not
-    the array's identity), so repeated calls at one point cost one `fn`.
+    `section(X)` maps a (..., n) stack of points to the (..., r, r) stack of
+    their group matrices. `fn` maps one point to its group element (a
+    `GroupElement` or its matrix) and runs row by row; the sections that
+    `from_exp_coeffs`, `identity`, `constant`, `product` and `inverse` build
+    map a whole stack at once. Every finite row must lie on the group
+    variety (VarietyError otherwise); a non-finite row passes through as NaN.
+    A section must be a pure function of the point: the last stack is
+    memoised by its coordinates and its matrices come back read-only.
     """
 
     def __init__(self, alg: LieAlgebraDescriptor, fn, name: str = ""):
-        self.algebra = alg
-        self.fn = fn
-        self.name = name
-        self._key = None
-        self._value = None
+        self.algebra, self.name = alg, name
+        self._stack = lambda X: on_variety(alg, np.array(
+            [getattr(g, "matrix", g) for g in map(fn, X.reshape(-1, X.shape[-1]))],
+            dtype=complex).reshape(X.shape[:-1] + (alg.rep_dim,) * 2))
+        self._key = self._value = None
 
-    def __call__(self, x) -> GroupElement:
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
+    @classmethod
+    def _of_stack(cls, alg: LieAlgebraDescriptor, stack, name: str) -> "GSection":
+        """The section whose matrices on a (..., n) stack are stack(X)."""
+        section = cls(alg, None, name)
+        section._stack = stack
+        return section
+
+    def __call__(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        key = (X.shape, X.tobytes())
         if key != self._key:
-            value = self.fn(x)
+            value = np.asarray(self._stack(X)).view()
+            value.setflags(write=False)
             self._key, self._value = key, value
         return self._value
 
     @classmethod
     def identity(cls, alg: LieAlgebraDescriptor) -> "GSection":
-        eye = alg.group_identity()
-        return cls(alg, lambda x: eye, name="id")
+        return cls.constant(alg.group_identity(), name="id")
 
     @classmethod
     def constant(cls, g: GroupElement, name: str = "const") -> "GSection":
-        return cls(g.algebra, lambda x: g, name=name)
+        return cls._of_stack(g.algebra, lambda X: np.broadcast_to(
+            g.matrix, X.shape[:-1] + g.matrix.shape), name)
 
     @classmethod
     def from_exp_coeffs(cls, alg: LieAlgebraDescriptor, coeff_fn,
                         name: str = "exp") -> "GSection":
-        """b(x) = exp of the algebra element with coefficients coeff_fn(x)."""
-        def fn(x):
-            return GroupElement(alg, expm(alg.rep_of(coeff_fn(x))))
-        return cls(alg, fn, name=name)
+        """b(x) = exp of the algebra element with coefficients coeff_fn(x):
+        coeff_fn runs on each row, then one exponential and one variety
+        check cover the stack."""
+        def stack(X):
+            coeffs = np.array([coeff_fn(x) for x in X.reshape(-1, X.shape[-1])], dtype=float)
+            return on_variety(alg, expm(alg.rep_of(coeffs.reshape(X.shape[:-1] + (alg.dim,)))))
+        return cls._of_stack(alg, stack, name)
 
     def product(self, other: "GSection") -> "GSection":
         if other.algebra is not self.algebra:
             raise ValueError("sections live in different algebras")
-        return GSection(self.algebra, lambda x: self.fn(x) @ other.fn(x),
-                        name=f"{self.name}*{other.name}")
+        return GSection._of_stack(self.algebra, lambda X: on_variety(
+            self.algebra, self(X) @ other(X)), f"{self.name}*{other.name}")
 
     def inverse(self) -> "GSection":
-        return GSection(self.algebra, lambda x: self.fn(x).inverse(),
-                        name=f"{self.name}^-1")
+        # the conjugate transpose of a variety matrix is on the variety
+        return GSection._of_stack(self.algebra, lambda X: dagger(self(X)),
+                                  f"{self.name}^-1")
 
     def body_derivative(self, x, axis: int, h: float) -> np.ndarray:
         """b(x)^{-1} d_axis b(x) by a central matrix-entry stencil, re-expanded
@@ -141,8 +156,8 @@ class GSection:
         x = np.asarray(x, dtype=float)
         step = np.zeros_like(x)
         step[axis] = h
-        return _body_velocity(self.algebra, self(x).matrix, self.fn(x + step).matrix,
-                              self.fn(x - step).matrix, h,
+        b_plus, b_minus = self._stack(np.stack([x + step, x - step]))
+        return _body_velocity(self.algebra, self(x), b_plus, b_minus, h,
                               f"section {self.name!r} at axis {axis}")
 
 
@@ -152,7 +167,7 @@ def _body_velocity(alg: LieAlgebraDescriptor, b, b_plus, b_minus, h: float,
     velocity, for (..., r, r) stacks, with the drift watchdog (DRIFT_TOL,
     relative to its size) on every row."""
     db = (b_plus - b_minus) / (2 * h)
-    coeffs, resid = expand_in_rep(alg, np.conj(np.swapaxes(b, -1, -2)) @ db)
+    coeffs, resid = expand_in_rep(alg, dagger(b) @ db)
     require_within(resid, DRIFT_TOL * np.maximum(1.0, np.linalg.norm(coeffs, axis=-1)),
                    ReexpansionError, what + " drifted off the variety: residual {:.3e}")
     return coeffs
@@ -162,8 +177,22 @@ def _mu_rows(alg: LieAlgebraDescriptor, g, eta, w) -> np.ndarray:
     """eta + (Ad_{g^{-1}} - id)(w): the total 1-form at g on body velocity eta
     and horizontal value w, for (..., r, r) stacks g with eta and w broadcast.
     The Darboux derivative of a section b is this at g = b, eta = b^{-1} db."""
-    ad_inv = ad_matrix_of_group(alg, np.conj(np.swapaxes(g, -1, -2)))
+    ad_inv = ad_matrix_of_group(alg, dagger(g))
     return eta + ((ad_inv @ w[..., None])[..., 0] - w)
+
+
+def _darboux_rows(lgb: TrivLgb, X, h: float, matrices, what: str) -> np.ndarray:
+    """The Darboux derivative b^{-1} d_k b + (Ad_{b^{-1}} - id)(omega_k) along
+    every axis at each point of the (P, n) batch X, shape (..., n, P, dim),
+    where matrices(Y) gives the section's (..., 2n + 1, P, r, r) matrices on
+    the stack Y of X, then X + h e_k and X - h e_k for each axis k in turn."""
+    n = X.shape[-1]
+    steps = np.concatenate([np.zeros((1, n)), np.kron(np.eye(n), [[h], [-h]])])
+    b = matrices(X + steps[:, None, :])
+    b0 = b[..., :1, :, :, :]
+    body = _body_velocity(lgb.algebra, b0, b[..., 1::2, :, :, :], b[..., 2::2, :, :, :],
+                          h, what)
+    return _mu_rows(lgb.algebra, b0, body, np.swapaxes(lgb.omega.table(X), 0, 1))
 
 
 def one_form_on(form: LieForm, x, X) -> np.ndarray:
@@ -213,47 +242,41 @@ class TrivLgb:
 
 def darboux(lgb: TrivLgb, section: GSection, h: float = None) -> LieForm:
     """Logarithmic derivative of a section relative to the horizontal data:
-    components b^{-1} d_k b + (Ad_{b^{-1}} - id)(omega_k).
+    components b^{-1} d_k b + (Ad_{b^{-1}} - id)(omega_k), read over a batch
+    from one stack of the section at X and X +- h e_k (`_darboux_rows`).
 
     The output is finite-difference data; downstream exterior derivatives use
     a wider step (nested stencil)."""
-    alg = lgb.algebra
     h = h or lgb.chart.default_step()
 
-    def comp(x, idx):
-        k = idx[0]
-        return _mu_rows(alg, section(x).matrix, section.body_derivative(x, k, h),
-                        lgb.omega.components(x, (k,)))
+    def batch(X):
+        what = f"section {section.name!r}"
+        return np.swapaxes(_darboux_rows(lgb, X, h, section, what), 0, 1)
 
     return LieForm(n=lgb.chart.dim, degree=1, value_target="algebra",
-                   value_shape=(alg.dim,), components=comp,
+                   value_shape=(lgb.algebra.dim,), components=None, batch=batch,
                    fd_step=10 * lgb.chart.default_step(), box=lgb.chart.box)
 
 
-@max_gap_of
-def darboux_leibniz_residual(lgb: TrivLgb, s1: GSection, s2: GSection,
-                             plan: SamplePlan) -> float:
-    """max |Delta(s1 s2) - Ad_{s2^{-1}} Delta(s1) - Delta(s2)| over the plan."""
-    d1 = darboux(lgb, s1)
-    d2 = darboux(lgb, s2)
-    d12 = darboux(lgb, s1.product(s2))
-    for x in plan.points(lgb.chart):
-        ad_inv = ad_matrix_of_group(lgb.algebra, s2(x).matrix.conj().T)
-        for k in range(lgb.chart.dim):
-            lhs = d12.components(x, (k,))
-            rhs = ad_inv @ d1.components(x, (k,)) + d2.components(x, (k,))
-            yield lhs - rhs
+def darboux_leibniz_rows(lgb: TrivLgb, s1: GSection, s2: GSection,
+                         plan: SamplePlan) -> np.ndarray:
+    """|Delta(s1 s2) - Ad_{s2^{-1}} Delta(s1) - Delta(s2)| at each point of
+    the plan, as a (P,) array."""
+    X = plan.points(lgb.chart)
+    d1, d2, d12 = (darboux(lgb, s).table(X) for s in (s1, s2, s1.product(s2)))
+    return max_gap_rows(d12 - (ad_twist(lgb.algebra, dagger(s2(X)), d1) + d2))
 
 
-@max_gap_of
-def darboux_inverse_residual(lgb: TrivLgb, s: GSection, plan: SamplePlan) -> float:
-    """max |Delta(s^{-1}) + Ad_s Delta(s)| over the plan."""
-    d = darboux(lgb, s)
-    dinv = darboux(lgb, s.inverse())
-    for x in plan.points(lgb.chart):
-        ad_s = ad_matrix_of_group(lgb.algebra, s(x).matrix)
-        for k in range(lgb.chart.dim):
-            yield dinv.components(x, (k,)) + ad_s @ d.components(x, (k,))
+def darboux_inverse_rows(lgb: TrivLgb, s: GSection, plan: SamplePlan) -> np.ndarray:
+    """|Delta(s^{-1}) + Ad_s Delta(s)| at each point of the plan, (P,)."""
+    X = plan.points(lgb.chart)
+    d, dinv = (darboux(lgb, sec).table(X) for sec in (s, s.inverse()))
+    return max_gap_rows(dinv + ad_twist(lgb.algebra, s(X), d))
+
+
+# the largest gap of each over the plan
+darboux_leibniz_residual = max_gap_of(darboux_leibniz_rows)
+darboux_inverse_residual = max_gap_of(darboux_inverse_rows)
 
 
 def nabla_from_darboux(lgb: TrivLgb, nu: LieForm, X, t_step: float = 1e-5,
@@ -269,15 +292,13 @@ def nabla_from_darboux(lgb: TrivLgb, nu: LieForm, X, t_step: float = 1e-5,
     alg, n = lgb.algebra, lgb.chart.dim
     X = np.asarray(X, dtype=float)
     pts = X.reshape(-1, n)
-    h = lgb.chart.default_step()
-    steps = np.concatenate([np.zeros((1, n)), np.kron(np.eye(n), [[h], [-h]])])  # 0, +-h e_k
-    shifted = pts + steps[:, None, :]                      # (2n + 1, P, n)
-    values = nu.table(shifted.reshape(-1, n))[:, 0].reshape(shifted.shape[:2] + (alg.dim,))
-    b = on_variety(alg, expm(alg.rep_of(np.stack([t_step * values, -t_step * values]))))
-    b0 = b[:, :1]                                          # (2, 1, P, r, r)
-    body = _body_velocity(alg, b0, b[:, 1::2], b[:, 2::2], h, "section exp(t nu)")
-    w = np.swapaxes(lgb.omega.table(pts), 0, 1)            # (n, P, dim)
-    delta = _mu_rows(alg, b0, body, w)                     # (2, n, P, dim)
+
+    def matrices(shifted):  # exp(+-t_step nu) on the (2n + 1, P, n) stack
+        values = nu.table(shifted.reshape(-1, n))[:, 0].reshape(shifted.shape[:2] + (alg.dim,))
+        return on_variety(alg, expm(alg.rep_of(np.stack([t_step * values, -t_step * values]))))
+
+    delta = _darboux_rows(lgb, pts, lgb.chart.default_step(), matrices,
+                          "section exp(t nu)")             # (2, n, P, dim)
     got = np.moveaxis((delta[0] - delta[1]) / (2 * t_step), 0, 1)
     if tol < np.inf:
         gap = max_gap_rows(got - induced_connection(lgb, nu, pts))
@@ -325,20 +346,18 @@ def multiplicativity_rows(lgb: TrivLgb, plan: SamplePlan, perturbation: LieForm 
     def mu(gm, eta):
         out = lgb.mu_tot(TotalPoint(x, gm), TotalTangent(X, eta))
         if perturbation is not None:
-            ad_inv = ad_matrix_of_group(alg, np.conj(np.swapaxes(gm, -1, -2)))
+            ad_inv = ad_matrix_of_group(alg, dagger(gm))
             r = (ad_inv @ one_form_on(perturbation, x, X)[..., None])[..., 0]
             out = out + ((ad_inv @ r[..., None])[..., 0] - r)
         return out
 
-    ad_q_inv = ad_matrix_of_group(alg, np.conj(np.swapaxes(q, -1, -2)))
+    ad_q_inv = ad_matrix_of_group(alg, dagger(q))
     lhs = mu(gq, (ad_q_inv @ eta[..., None])[..., 0] + theta)
     rhs = (ad_q_inv @ mu(g, eta)[..., None])[..., 0] + mu(q, theta)
     return max_gap_rows(lhs - rhs)
 
 
-def multiplicativity_residual(lgb, plan, perturbation=None, group_scale=1.0) -> float:
-    """The largest `multiplicativity_rows` gap over the plan."""
-    return max_gap(multiplicativity_rows(lgb, plan, perturbation, group_scale))
+multiplicativity_residual = max_gap_of(multiplicativity_rows)  # its largest gap over the plan
 
 
 def _total_mu_form(lgb: TrivLgb, x0: np.ndarray, g0: GroupElement) -> LieForm:
@@ -403,17 +422,18 @@ def generalized_mc_residual(lgb: TrivLgb, zeta: LieForm, plan: SamplePlan,
             yield lhs
 
 
-@max_gap_of
-def pullback_mc_residual(lgb: TrivLgb, section: GSection, zeta: LieForm,
-                         plan: SamplePlan) -> float:
-    """Residual of the pulled-back curvature identity along one section:
+def pullback_mc_rows(lgb: TrivLgb, section: GSection, zeta: LieForm,
+                     plan: SamplePlan) -> np.ndarray:
+    """Residual of the pulled-back curvature identity along one section at
+    each point of the plan, (P,):
     del(Delta s) + (1/2)[Delta s ^, Delta s] + zeta - Ad_{s^{-1}} zeta = 0."""
     alg = lgb.algebra
+    X = plan.points(lgb.chart)
     ds = darboux(lgb, section)
     lhs = cov_ext_deriv(lgb.nabla, ds)
     sq = scale_form(graded_product(bracket_pairing(alg), ds, ds), 0.5)
-    for x in plan.points(lgb.chart):
-        ad_inv = ad_matrix_of_group(alg, section(x).matrix.conj().T)
-        for idx in increasing_indices(lgb.chart.dim, 2):
-            z = zeta.components(x, idx)
-            yield lhs.components(x, idx) + sq.components(x, idx) + z - ad_inv @ z
+    z = zeta.table(X)
+    return max_gap_rows(lhs.table(X) + sq.table(X) + z - ad_twist(alg, dagger(section(X)), z))
+
+
+pullback_mc_residual = max_gap_of(pullback_mc_rows)  # its largest gap over the plan

@@ -60,7 +60,7 @@ class Automorphism:
 
     def sigma_conj(self, x, h: GroupElement) -> GroupElement:
         """The conjugation section h^{-1} tau(x) h attached to the automorphism."""
-        return h.inverse() @ self.tau(x) @ h
+        return GroupElement(h.algebra, h.matrix.conj().T @ self.tau(x) @ h.matrix)
 
 
 def _dexp_matrix(alg: LieAlgebraDescriptor, v: np.ndarray) -> np.ndarray:
@@ -117,7 +117,7 @@ def pushforward_via_section(p: TrivPrincipal, sigma: GSection, pt: TotalPoint,
 
     def curve(s):
         step = x + s * t.X
-        return (pt.g.matrix @ expm(s * alg.rep_of(t.eta))) @ sigma(step).matrix
+        return (pt.g.matrix @ expm(s * alg.rep_of(t.eta))) @ sigma(step)
 
     body_dr = _body_stencil4(alg, curve, h=h_step)
     ds = darboux(p.lgb, sigma)
@@ -202,10 +202,10 @@ def action_differential_residual(p: TrivPrincipal, plan: SamplePlan,
 
             def rsigma_curve(s):
                 y = x + s * X
-                return (h.matrix @ expm(s * alg.rep_of(V))) @ sigma(y).matrix
+                return (h.matrix @ expm(s * alg.rep_of(V))) @ sigma(y)
 
             d_rsigma = _body_stencil4(alg, rsigma_curve)
-            body_dsigma = _body_stencil4(alg, lambda s: sigma(x + s * X).matrix)
+            body_dsigma = _body_stencil4(alg, lambda s: sigma(x + s * X))
             assembled = d_rsigma + (W - body_dsigma)
             yield direct - assembled
 
@@ -282,11 +282,6 @@ class TotalFieldStrength:
         out[self.n:] -= self.connection_value(t)
         return out
 
-    def horizontal_lift(self, X) -> np.ndarray:
-        t = np.zeros(self.n + self.d)
-        t[:self.n] = X
-        return self.horizontal_project(t)
-
     def evaluate(self, t1, t2) -> np.ndarray:
         return eval_form(self._full, self._origin,
                          [np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)])
@@ -336,7 +331,7 @@ def _sigma_conj_body_derivative(p: TrivPrincipal, aut: Automorphism,
 
     def curve(s):
         hs = h.matrix @ expm(s * alg.rep_of(V))
-        return np.linalg.inv(hs) @ aut.tau(x + s * X).matrix @ hs
+        return np.linalg.inv(hs) @ aut.tau(x + s * X) @ hs
 
     return _body_stencil4(alg, curve)
 
@@ -362,7 +357,7 @@ def gauge_transform_total(p: TrivPrincipal, aut: Automorphism, zeta: LieForm,
             if X[k] != 0.0:
                 body_dtau += X[k] * aut.tau.body_derivative(x, k, h_step)
         ad_h_inv = ad_matrix_of_group(alg, h.matrix.conj().T)
-        image_pt = TotalPoint(x, aut.tau(x) @ h)
+        image_pt = TotalPoint(x, GroupElement(alg, aut.tau(x) @ h.matrix))
         image_t = TotalTangent(X, V + ad_h_inv @ body_dtau)
         return connection_one_form(p, image_pt, image_t)
 
@@ -378,7 +373,7 @@ def gauge_transform_total(p: TrivPrincipal, aut: Automorphism, zeta: LieForm,
     for x in plan.points(p.chart):
         h = group_sample(alg, rng, group_scale)
         fs_here = total_field_strength(p, zeta, x, h)
-        fs_image = total_field_strength(p, zeta, x, aut.tau(x) @ h)
+        fs_image = total_field_strength(p, zeta, x, GroupElement(alg, aut.tau(x) @ h.matrix))
         ad_h_inv = ad_matrix_of_group(alg, h.matrix.conj().T)
         sig = aut.sigma_conj(x, h)
         ad_sig_inv = ad_matrix_of_group(alg, sig.matrix.conj().T)

@@ -44,11 +44,11 @@ def test_from_omega_gamma_is_adjoint_pointwise():
 
 def test_gamma_degree_and_target_validated():
     with pytest.raises(ValueError, match="endomorphism"):
-        LabConnection.from_gamma(ALG, zero_form(2, 1, "algebra", (3,)))
+        LabConnection(ALG, zero_form(2, 1, "algebra", (3,)))
 
 
 def test_cov_ext_deriv_flat_reduces_to_plain_d():
-    nabla = LabConnection.from_gamma(ALG, zero_form(2, 1, "endomorphism", (3, 3)))
+    nabla = LabConnection(ALG, zero_form(2, 1, "endomorphism", (3, 3)))
     alpha = poly_form(2, 1, (3,), {(0,): [(np.array([1., 0., 0.]), np.array([0, 2]))]})
     got = cov_ext_deriv(nabla, alpha)
     want = alpha.poly.d()
@@ -101,7 +101,7 @@ def test_double_cov_deriv_is_curvature_action_nested_stencils():
 # ---------------------------------------------------------------------------
 
 def test_curvature_flat_is_zero():
-    nabla = LabConnection.from_gamma(ALG, zero_form(2, 1, "endomorphism", (3, 3)))
+    nabla = LabConnection(ALG, zero_form(2, 1, "endomorphism", (3, 3)))
     r = curvature(nabla)
     x = np.array([0.6, -0.2])
     assert np.abs(r.components(x, (0, 1))).max() == 0.0
@@ -154,7 +154,7 @@ def test_compatibility_adjoint_connection_with_its_curvature():
 
 
 def test_compatibility_flat_case_exact():
-    nabla = LabConnection.from_gamma(ALG, zero_form(2, 1, "endomorphism", (3, 3)))
+    nabla = LabConnection(ALG, zero_form(2, 1, "endomorphism", (3, 3)))
     rep = check_compatibility(nabla, zero_form(2, 2, "algebra", (3,)), CHART,
                               SamplePlan(count=8, seed=7))
     assert rep.derivation_residual == 0.0
@@ -180,7 +180,7 @@ def test_compatibility_flags_non_derivation_gamma():
     bad[0, 0] = 1.0
     gamma = poly_form(2, 1, (3, 3), {(0,): [(bad, np.array([0, 0]))]},
                       target="endomorphism")
-    nabla = LabConnection.from_gamma(ALG, gamma)
+    nabla = LabConnection(ALG, gamma)
     rep = check_compatibility(nabla, zero_form(2, 2, "algebra", (3,)), CHART,
                               SamplePlan(count=8, seed=7))
     assert rep.derivation_residual > 0.1

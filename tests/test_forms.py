@@ -29,6 +29,20 @@ def poly_1form(entries):
                              fm.PolyData(4, 1, (3,), terms), box=CH.box)
 
 
+def constant_form(n, degree, value_target, table, box=None):
+    """Helper: a form with constant components; table maps idx -> value."""
+    shape = np.asarray(next(iter(table.values()))).shape
+    terms = {idx: [(np.asarray(v, dtype=float), np.zeros(n, dtype=int))]
+             for idx, v in table.items()}
+    return fm.form_from_poly(n, degree, value_target, shape,
+                             fm.PolyData(n, degree, shape, terms), box=box)
+
+
+def top_coefficient(form, x):
+    """Helper: the coefficient of a top form on (0, ..., n-1) at x."""
+    return float(form.components(x, tuple(range(form.n))))
+
+
 A_FORM = poly_1form({
     1: [(np.array([1.0, 0, 0]), np.array([1, 0, 0, 0]))],   # x0 dx1 e1
     0: [(np.array([0, 1.0, 0]), np.array([0, 1, 0, 0]))],   # x1 dx0 e2
@@ -41,14 +55,17 @@ def test_eval_antisymmetry_and_multilinearity():
     rng = np.random.default_rng(3)
     f = fm.graded_product(fm.bracket_pairing(SU2), A_FORM, A_FORM)
     X, Y = rng.normal(size=4), rng.normal(size=4)
-    np.testing.assert_allclose(f(X0, X, Y), -f(X0, Y, X), atol=1e-14)
-    np.testing.assert_allclose(f(X0, X, X), 0.0, atol=1e-14)
-    np.testing.assert_allclose(f(X0, 2.0 * X, Y), 2.0 * f(X0, X, Y), atol=1e-13)
+    def f_at(*vectors):
+        return fm.eval_form(f, X0, vectors)
+
+    np.testing.assert_allclose(f_at(X, Y), -f_at(Y, X), atol=1e-14)
+    np.testing.assert_allclose(f_at(X, X), 0.0, atol=1e-14)
+    np.testing.assert_allclose(f_at(2.0 * X, Y), 2.0 * f_at(X, Y), atol=1e-13)
 
 
 def test_eval_wrong_vector_count():
     with pytest.raises(ValueError):
-        A_FORM(X0, np.ones(4), np.ones(4))
+        fm.eval_form(A_FORM, X0, (np.ones(4), np.ones(4)))
 
 
 # -- graded products --------------------------------------------------------
@@ -60,19 +77,19 @@ def test_half_square_bracket_identity():
     sq = fm.scale_form(fm.graded_product(fm.bracket_pairing(SU2), A_FORM, A_FORM), 0.5)
     for _ in range(10):
         X, Y = rng.normal(size=4), rng.normal(size=4)
-        ax, ay = A_FORM(X0, X), A_FORM(X0, Y)
+        ax, ay = fm.eval_form(A_FORM, X0, (X,)), fm.eval_form(A_FORM, X0, (Y,))
         comm = SU2.rep_of(ax) @ SU2.rep_of(ay) - SU2.rep_of(ay) @ SU2.rep_of(ax)
         want, resid = alg.expand_in_rep(SU2, comm)
         assert resid < 1e-12
-        np.testing.assert_allclose(sq(X0, X, Y), want, atol=1e-12)
+        np.testing.assert_allclose(fm.eval_form(sq, X0, (X, Y)), want, atol=1e-12)
 
 
 @mark.parametrize("ka km".split(), ((1, 1), (1, 2), (2, 1), (2, 2)))
 def test_graded_antisymmetry(ka, km):
     rng = np.random.default_rng(ka * 7 + km)
-    fa = fm.constant_form(4, ka, "algebra", {
+    fa = constant_form(4, ka, "algebra", {
         idx: rng.normal(size=3) for idx in fm.increasing_indices(4, ka)}, box=CH.box)
-    fb = fm.constant_form(4, km, "algebra", {
+    fb = constant_form(4, km, "algebra", {
         idx: rng.normal(size=3) for idx in fm.increasing_indices(4, km)}, box=CH.box)
     br = fm.bracket_pairing(SU2)
     ab = fm.graded_product(br, fa, fb)
@@ -84,7 +101,7 @@ def test_graded_antisymmetry(ka, km):
 
 
 def test_product_beyond_top_degree_is_zero():
-    f3 = fm.constant_form(4, 3, "algebra", {
+    f3 = constant_form(4, 3, "algebra", {
         idx: np.ones(3) for idx in fm.increasing_indices(4, 3)}, box=CH.box)
     out = fm.graded_product(fm.bracket_pairing(SU2), f3, f3)
     assert out.degree == 4
@@ -93,17 +110,17 @@ def test_product_beyond_top_degree_is_zero():
 
 def test_kappa_wedge_frozen_coefficient():
     e = alg.u1()
-    w1 = fm.constant_form(4, 2, "algebra", {(0, 1): np.array([1.0])}, box=CH.box)
-    w2 = fm.constant_form(4, 2, "algebra", {(2, 3): np.array([1.0])}, box=CH.box)
+    w1 = constant_form(4, 2, "algebra", {(0, 1): np.array([1.0])}, box=CH.box)
+    w2 = constant_form(4, 2, "algebra", {(2, 3): np.array([1.0])}, box=CH.box)
     top = fm.kappa_wedge_top(e, w1, w2)
-    assert abs(fm.top_coefficient(top, X0) - 1.0) < 1e-14
+    assert abs(top_coefficient(top, X0) - 1.0) < 1e-14
     z = fm.zero_form(4, 2, "algebra", (1,), box=CH.box)
-    assert fm.top_coefficient(fm.kappa_wedge_top(e, z, z), X0) == 0.0
+    assert top_coefficient(fm.kappa_wedge_top(e, z, z), X0) == 0.0
 
 
 def test_kappa_wedge_degree_check():
-    w1 = fm.constant_form(4, 2, "algebra", {(0, 1): np.array([1.0])}, box=CH.box)
-    w3 = fm.constant_form(4, 1, "algebra", {(0,): np.array([1.0])}, box=CH.box)
+    w1 = constant_form(4, 2, "algebra", {(0, 1): np.array([1.0])}, box=CH.box)
+    w3 = constant_form(4, 1, "algebra", {(0,): np.array([1.0])}, box=CH.box)
     with pytest.raises(ValueError):
         fm.kappa_wedge_top(alg.u1(), w1, w3)
 
@@ -208,7 +225,7 @@ STAR_TABLE = {
 
 @mark.parametrize("pair", sorted(STAR_TABLE))
 def test_euclidean_star_table(pair):
-    f = fm.constant_form(4, 2, "scalar", {pair: np.array(1.0)}, box=CH.box)
+    f = constant_form(4, 2, "scalar", {pair: np.array(1.0)}, box=CH.box)
     s = fm.hodge_star(CH, f)
     target, sign = STAR_TABLE[pair]
     for J in fm.increasing_indices(4, 2):
@@ -218,7 +235,7 @@ def test_euclidean_star_table(pair):
 
 def test_double_star_identity_on_two_forms():
     rng = np.random.default_rng(17)
-    f = fm.constant_form(4, 2, "algebra", {
+    f = constant_form(4, 2, "algebra", {
         idx: rng.normal(size=3) for idx in fm.increasing_indices(4, 2)}, box=CH.box)
     ss = fm.hodge_star(CH, fm.hodge_star(CH, f))
     worst = max(np.abs(ss.components(X0, J) - f.components(X0, J)).max()
@@ -230,7 +247,7 @@ def test_star_conformal_invariance_mid_degree():
     chart = fm.stereographic_chart()
     flat = fm.Chart(dim=4, box=chart.box, orientation=chart.orientation)
     rng = np.random.default_rng(19)
-    f = fm.constant_form(4, 2, "scalar", {
+    f = constant_form(4, 2, "scalar", {
         idx: np.array(rng.normal()) for idx in fm.increasing_indices(4, 2)},
         box=chart.box)
     a = fm.hodge_star(chart, f)
@@ -243,17 +260,17 @@ def test_star_conformal_invariance_mid_degree():
 
 def test_star_isometry_sum_of_squares():
     rng = np.random.default_rng(23)
-    f = fm.constant_form(4, 2, "algebra", {
+    f = constant_form(4, 2, "algebra", {
         idx: rng.normal(size=3) for idx in fm.increasing_indices(4, 2)}, box=CH.box)
     top = fm.kappa_wedge_top(SU2, f, fm.hodge_star(CH, f))
     want = sum(float(f.components(X0, idx) @ f.components(X0, idx))
                for idx in fm.increasing_indices(4, 2))
-    assert abs(fm.top_coefficient(top, X0) - want) < 1e-10
+    assert abs(top_coefficient(top, X0) - want) < 1e-10
 
 
 def test_minkowski_star_flips_time_pairs():
     chm = fm.minkowski_chart()
-    f = fm.constant_form(4, 2, "scalar", {(0, 1): np.array(1.0)}, box=chm.box)
+    f = constant_form(4, 2, "scalar", {(0, 1): np.array(1.0)}, box=chm.box)
     s = fm.hodge_star(chm, f)
     assert abs(float(s.components(X0, (2, 3))) + 1.0) < 1e-14
 
@@ -322,7 +339,7 @@ def test_component_memo_values_are_read_only_and_wrapped_once():
     assert fm.exterior_derivative(f).components is f.analytic_d
     # a components callable rebound after construction is read as it is
     f.components = lambda x, idx: np.full(3, 2.0)
-    assert all(np.all(v == 2.0) for v in f.component_table(X0).values())
+    assert np.all(f.table(X0[None]) == 2.0)
 
 
 # -- batched component tables -------------------------------------------------
@@ -342,7 +359,7 @@ TABLE_FORMS = {
     "polynomial-scalar": lambda: fm.graded_product(
         fm.kappa_pairing(SU2), A_FORM, fm.exterior_derivative(A_FORM)),
     "zero": lambda: fm.zero_form(4, 2, "algebra", (3,), box=CH.box),
-    "constant": lambda: fm.constant_form(4, 1, "algebra", {
+    "constant": lambda: constant_form(4, 1, "algebra", {
         (k,): np.arange(3.0) + k for k in range(4)}),
     "bpst-central": lambda: bpst_central_form(),
     "scale": lambda: fm.scale_form(bpst_central_form(), -0.7),
@@ -363,6 +380,10 @@ TABLE_FORMS = {
         fm.endo_action_pairing(SU2),
         LabConnection.from_omega(SU2, bpst_potential()).gamma, _closure_2form()),
     "closure-fallback": _closure_2form,
+    # a closure without a batch: its stencil d reads the stacked fallback
+    "stencil-d": lambda: fm.exterior_derivative(_closure_2form()),
+    "star-euclidean": lambda: fm.hodge_star(CH, _closure_2form()),
+    "star-round-sphere": lambda: fm.hodge_star(fm.stereographic_chart(), _closure_2form()),
 }
 
 
@@ -375,6 +396,23 @@ def test_table_matches_stacked_per_point_components_bit_for_bit(name):
     assert got.shape == (len(BATCH), len(indices)) + form.value_shape
     assert np.array_equal(got, want)
     assert (form.batch is None) == (name == "closure-fallback")
+
+
+def test_stencil_d_table_takes_the_one_sided_rule_at_the_box_edge():
+    # rows 1 and 2 lie within the step of the box edge on axes 0, 1 and 3
+    X = np.array([[0.3, -0.2, 0.1, 0.4], [1.0 - 4e-6, 0.2, -0.3, 0.5],
+                  [0.1, -1.0 + 2e-6, 0.3, 1.0]])
+    df = fm.exterior_derivative(_closure_2form())
+    fm.drain_order_loss_events()
+    got = df.table(X)
+    table_events = fm.drain_order_loss_events()
+    want = np.array([[df.components(x, J) for J in fm.increasing_indices(4, 3)] for x in X])
+    point_events = fm.drain_order_loss_events()
+    assert np.array_equal(got, want)
+    # one event per row and axis from the table; per point, one per index
+    assert sorted(table_events) == sorted(set(point_events))
+    assert [(x, axis) for x, axis in table_events] == [
+        (tuple(X[1]), 0), (tuple(X[2]), 1), (tuple(X[2]), 3)]
 
 
 def test_scale_form_scales_the_batch_it_carries():

@@ -11,12 +11,13 @@ from cym.algebra import su2, u1
 from cym.connection import LabConnection, potential_curvature
 from cym.forms import (LieForm, PolyData, SamplePlan, euclidean_chart,
                        form_from_poly, kappa_wedge_top, minkowski_chart,
-                       top_coefficient, zero_form)
+                       zero_form)
 from cym.gauge import (ChargeResult, CompatibilityGateError, GaugeScenario,
                        bianchi_residual, change_of_gauge,
                        density_gauge_invariance_residual,
                        density_infinitesimal_residual,
-                       field_redef_invariance_residual, instanton_charge,
+                       field_redef_invariance_residual,
+                       gauge_changed_potential, instanton_charge,
                        lagrangian_density, local_field_strength,
                        self_duality_residual)
 from cym.harness import builtin_scenario
@@ -66,7 +67,7 @@ def test_central_form_degree_validated():
 
 def test_scenario_without_potential_has_no_lgb():
     gamma = zero_form(2, 1, "endomorphism", (3, 3))
-    s = GaugeScenario(CHART, SU2, LabConnection.from_gamma(SU2, gamma),
+    s = GaugeScenario(CHART, SU2, LabConnection(SU2, gamma),
                       zero_form(2, 2, "algebra", (3,)), zero_form(2, 1, "algebra", (3,)))
     with pytest.raises(ValueError, match="horizontal potential"):
         s.lgb
@@ -84,7 +85,7 @@ def test_gate_trips_on_non_derivation_connection():
     bad[0, 0] = 1.0
     gamma = poly_form(2, 1, (3, 3), {(0,): [(bad, np.array([0, 0]))]},
                       target="endomorphism")
-    s = GaugeScenario(CHART, SU2, LabConnection.from_gamma(SU2, gamma),
+    s = GaugeScenario(CHART, SU2, LabConnection(SU2, gamma),
                       zero_form(2, 2, "algebra", (3,)), zero_form(2, 1, "algebra", (3,)))
     with pytest.raises(CompatibilityGateError, match="derivation residual"):
         local_field_strength(s)
@@ -172,7 +173,7 @@ def test_change_of_gauge_transforms_field_strength():
         name="generic")
     res = change_of_gauge(s, sigma, SamplePlan(count=8, seed=5))
     assert res.f_residual < 1e-6
-    assert res.points_used == 8
+    assert len(res.f_rows) == 8
 
 
 def test_change_of_gauge_abelian_adds_gradient():
@@ -187,6 +188,33 @@ def test_change_of_gauge_abelian_adds_gradient():
         for k in (0, 1):
             want = s.gauge_field.components(x, (k,))[0] + grad[k]
             assert abs(res.a_new.components(x, (k,))[0] - want) < 1e-10
+
+
+def one_point_plan(x):
+    plan = SamplePlan(count=1, seed=0)
+    plan.points = lambda chart: x[None]
+    return plan
+
+
+def test_gauge_changed_potential_table_matches_per_point_bit_for_bit():
+    s = curved_scenario()
+    sigma = GSection.from_exp_coeffs(
+        SU2, lambda y: np.array([0.4 * y[1], 0.2 * y[0] * y[1], -0.3 * y[0]]))
+    a_new = gauge_changed_potential(s, sigma)
+    X = SamplePlan(count=8, seed=5).points(CHART)
+    want = np.array([[a_new.components(x, (k,)) for k in range(2)] for x in X])
+    assert np.array_equal(a_new.table(X), want)
+
+
+@pytest.mark.parametrize("count", [2, 8])
+def test_change_of_gauge_rows_match_one_point_plans_bit_for_bit(count):
+    bundle = builtin_scenario("bpst")
+    plan = SamplePlan(count=count, seed=3)
+    for name, sigma in sorted(bundle.sections.items()):
+        rows = change_of_gauge(bundle.scenario, sigma, plan).f_rows
+        assert rows.tolist() == [
+            change_of_gauge(bundle.scenario, sigma, one_point_plan(x)).f_rows[0]
+            for x in plan.points(bundle.chart)], name
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +374,10 @@ def test_charge_warns_when_integrand_does_not_decay():
 def test_charge_result_totals():
     q = ChargeResult(box_value=0.75, tail=0.25, radius=20.0, order=24)
     assert q.total == 1.0
+
+
+def top_coefficient(form, x):
+    return float(form.components(x, tuple(range(form.n))))
 
 
 def per_node_charge(s, radius, order):

@@ -13,20 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cym
-from cym.algebra import ad_matrix_c
+from cym.algebra import VarietyError, ad_matrix_c
 from cym.cli import main as cli_main
 from cym.connection import curvature, cov_ext_deriv, field_redefine
 from cym.forms import (PolyData, SamplePlan, add_forms, bracket_pairing,
                        exterior_derivative, graded_product, increasing_indices,
                        zero_form)
-from cym.gauge import GaugeScenario, local_field_strength
+from cym.gauge import GaugeScenario, change_of_gauge, local_field_strength
 from cym.harness import (SCENARIO_NAMES, SUITES, CheckRow, ScenarioError,
                          SuiteReport, VerificationReport,
                          algebra_kernel_residuals, bpst_central_form,
                          bpst_potential, builtin_scenario, load_scenario,
                          run_suite, save_scenario, scenario_from_dict,
                          scenario_to_dict, suite_names)
-from cym.lgb import generalized_mc_residual
+from cym.lgb import GSection, generalized_mc_residual
 
 QUICK = SamplePlan(count=4, seed=7)
 
@@ -637,6 +637,88 @@ def test_kernel_suites_make_no_per_point_kernel_calls(monkeypatch, name):
     assert per_plan[0] == per_plan[1]
     for suite, counted in per_plan[0].items():
         assert counted["expm"] > 0 and counted["ad_matrix_of_group"] > 0, suite
+
+
+# -- the section-driven suites read tables over the plan -----------------------
+
+SECTION_SUITES = ("darboux", "gauge-laws", "lagrangian", "generalized-mc")
+SECTION_CHECKS = ("darboux/leibniz", "darboux/inverse", "gauge-laws/section:constant",
+                  "gauge-laws/section:generic", "gauge-laws/section:twist",
+                  "lagrangian/finite", "lagrangian/infinitesimal",
+                  "generalized-mc/pullback")
+
+
+def section_suite_rows(bundle):
+    """suite/check -> per-point rows of the four section-driven suites."""
+    return {f"{suite}/{row.check}": row for suite in SECTION_SUITES
+            for row in run_suite(bundle, suite, plan=NAN_PLAN).suites[0].checks}
+
+
+def with_sections_nan_at(bundle, bad_point):
+    """The bundle with the coefficients of its named sections, and its
+    generator, NaN at one point."""
+    def section(poly, name):
+        def coeffs(y):
+            return poly.evaluate(y, ()) * (np.nan if np.array_equal(y, bad_point) else 1.0)
+        return GSection.from_exp_coeffs(bundle.algebra, coeffs, name)
+
+    sections = {name: section(poly, name) if name != "identity" else bundle.sections[name]
+                for name, poly in bundle.section_polys.items()}
+    return dataclasses.replace(with_generator_nan_at(bundle, bad_point), sections=sections)
+
+
+def test_nan_section_at_any_sample_point_is_a_nan_row_of_each_section_check():
+    bundle = builtin_scenario("flat-su2")
+    clean = section_suite_rows(bundle)
+    for ordinal, bad_point in enumerate(NAN_PLAN.points(bundle.chart)):
+        got = section_suite_rows(with_sections_nan_at(bundle, bad_point))
+        assert got.keys() == clean.keys()
+        for key, row in got.items():
+            others = [pair for pair in row.per_point if pair[0] != ordinal]
+            assert others == [pair for pair in clean[key].per_point if pair[0] != ordinal]
+            if key in SECTION_CHECKS:
+                assert math.isnan(row.residual) and not row.passed, key
+                assert math.isnan(row.per_point[ordinal][1]), key
+            else:
+                assert row.per_point == clean[key].per_point, key
+
+
+def test_finite_off_variety_section_row_still_raises():
+    bundle = builtin_scenario("flat-su2")
+    bad_point = NAN_PLAN.points(bundle.chart)[2]
+    generic = bundle.sections["generic"]
+
+    def doubled(y):  # finite, but twice a group matrix at one point
+        return (2.0 if np.array_equal(y, bad_point) else 1.0) * generic(y)
+
+    broken = dataclasses.replace(bundle, sections=dict(
+        bundle.sections, generic=GSection(bundle.algebra, doubled, "generic")))
+    for suite in SECTION_SUITES:
+        with pytest.raises(VarietyError, match="off the group variety"):
+            run_suite(broken, suite, plan=NAN_PLAN)
+
+
+def test_section_suites_make_no_per_point_kernel_calls(monkeypatch):
+    counts = Counter()
+    count_kernel_calls(monkeypatch, counts)
+    per_plan = []
+    for count in (4, 40):
+        plan = SamplePlan(count=count)
+        counted = {}
+        for name, suite in (("random-curved", "darboux"), ("random-curved", "lagrangian"),
+                            ("bpst", "self-duality")):
+            bundle = builtin_scenario(name)
+            counts.clear()
+            assert run_suite(bundle, suite, plan=plan).passed
+            counted[suite] = dict(counts)
+        bundle = builtin_scenario("random-curved")
+        counts.clear()
+        assert change_of_gauge(bundle.scenario, bundle.sections["generic"], plan).f_residual < 1e-5
+        counted["change_of_gauge"] = dict(counts)
+        per_plan.append(counted)
+    assert per_plan[0] == per_plan[1]
+    for check in ("darboux", "lagrangian", "change_of_gauge"):
+        assert per_plan[0][check]["expm"] > 0 and per_plan[0][check]["ad_matrix_of_group"] > 0
 
 
 # ---------------------------------------------------------------------------

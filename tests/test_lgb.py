@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cym.algebra import (GroupElement, ReexpansionError, ad_matrix_of_group,
-                         bracket_c, expand_in_rep, su2, u1, u1_su2)
+from cym.algebra import (GroupElement, ReexpansionError, VarietyError,
+                         ad_matrix_of_group, bracket_c, expand_in_rep, su2, u1,
+                         u1_su2)
 from cym.connection import potential_curvature
 from cym.forms import (PolyData, SamplePlan, euclidean_chart, form_from_poly,
                        zero_form)
@@ -15,6 +16,7 @@ from cym.lgb import (GSection, InconsistencyError, TotalPoint, TotalTangent,
                      generalized_mc_residual, group_sample,
                      multiplicativity_residual, multiplicativity_rows,
                      nabla_from_darboux, pullback_mc_residual)
+from cym.lgb import _mu_rows
 
 ALG = su2()
 
@@ -198,6 +200,48 @@ def test_darboux_inverse_rule():
     assert darboux_inverse_residual(lgb, s, plan) < 1e-6
 
 
+def test_darboux_table_matches_stacked_per_point_components_bit_for_bit():
+    from cym.harness import builtin_scenario
+    bpst = builtin_scenario("bpst")
+    lgb = su2_bundle()
+    s1 = GSection.from_exp_coeffs(
+        ALG, lambda y: np.array([0.3 * y[0], -0.2 * y[1], 0.1 * y[0] * y[1]]), "s1")
+    s2 = GSection.from_exp_coeffs(ALG, lambda y: np.array([0., 0.4 * y[0], -0.1]), "s2")
+    generic, twist = bpst.sections["generic"], bpst.sections["twist"]
+    for bundle, sections in ((lgb, (s1, s1.product(s2), s1.inverse())),
+                             (bpst.lgb, (generic, generic.product(twist),
+                                         twist.inverse()))):
+        X = SamplePlan(count=8, seed=5).points(bundle.chart)
+        h, n = bundle.chart.default_step(), bundle.chart.dim
+        for sec in sections:
+            form = darboux(bundle, sec)
+            got = form.table(X)
+            assert np.array_equal(got, np.array(
+                [[form.components(x, (k,)) for k in range(n)] for x in X])), sec.name
+            # the law applied one point and one axis at a time
+            assert np.array_equal(got, np.array(
+                [[_mu_rows(ALG, sec(x), sec.body_derivative(x, k, h),
+                           bundle.omega.components(x, (k,))) for k in range(n)]
+                 for x in X])), sec.name
+
+
+def test_section_stack_checks_every_row_on_the_variety():
+    bad = np.array([0.2, 0.1])
+
+    def fn(y):  # finite, but twice a group matrix at one point
+        return (2.0 if np.array_equal(y, bad) else 1.0) * np.eye(2, dtype=complex)
+
+    s = GSection(ALG, fn, "scaled")
+    assert np.array_equal(s(np.array([[0.0, 0.0], [0.5, 0.5]])), np.stack([np.eye(2)] * 2))
+    with pytest.raises(VarietyError, match="off the group variety"):
+        s(np.array([[0.0, 0.0], bad]))
+    # a non-finite row passes through as NaN, the others stay finite
+    nan = GSection.from_exp_coeffs(
+        ALG, lambda y: np.full(3, np.nan) if np.array_equal(y, bad) else np.ones(3))
+    got = nan(np.array([[0.0, 0.0], bad]))
+    assert np.isfinite(got[0]).all() and np.isnan(got[1]).all()
+
+
 def test_section_variety_drift_detection():
     # a violently oscillating section makes the matrix stencil pick up an
     # out-of-span (trace) component beyond the watchdog threshold
@@ -223,8 +267,8 @@ def test_section_memo_is_keyed_by_point_content():
     second = s(x)
     assert len(calls) == 2
     want = expm(ALG.rep_of(np.array([-0.6, 0.0, 0.0])))
-    assert np.abs(second.matrix - want).max() < 1e-14
-    assert np.abs(first.matrix - second.matrix).max() > 0.1
+    assert np.abs(second - want).max() < 1e-14
+    assert np.abs(first - second).max() > 0.1
 
 
 def test_section_product_requires_same_algebra():

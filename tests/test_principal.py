@@ -220,8 +220,8 @@ def test_field_strength_on_horizontal_lifts_matches_local_formula():
         cov_ext_deriv(nab, p.a_local),
         scale_form(graded_product(bracket_pairing(ALG), p.a_local, p.a_local), 0.5)),
         zeta)
-    l0 = fs.horizontal_lift(np.array([1.0, 0.0]))
-    l1 = fs.horizontal_lift(np.array([0.0, 1.0]))
+    l0 = fs.horizontal_project(np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+    l1 = fs.horizontal_project(np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
     assert np.abs(fs.evaluate(l0, l1) - local.components(x, (0, 1))).max() < 1e-6
 
 
@@ -281,5 +281,5 @@ def test_conjugation_section_equivariance_exact():
     x = np.array([0.1, 0.5])
     h, q = group_sample(ALG, rng), group_sample(ALG, rng)
     lhs = aut.sigma_conj(x, h @ q).matrix
-    rhs = (q.inverse() @ aut.sigma_conj(x, h) @ q).matrix
+    rhs = (GroupElement(ALG, q.matrix.conj().T) @ aut.sigma_conj(x, h) @ q).matrix
     assert np.abs(lhs - rhs).max() < 1e-12
