@@ -25,21 +25,20 @@ from .algebra import (LieAlgebraDescriptor, StructureError, ad_matrix_c,
 from .connection import (COMPATIBILITY_TOL, check_compatibility,
                          field_redefine, potential_curvature)
 from .forms import (Chart, LieForm, PolyData, SamplePlan, euclidean_chart,
-                    form_from_poly, increasing_indices, max_gap, max_gap_of,
+                    form_from_poly, increasing_indices, max_gap,
                     max_gap_rows, minkowski_chart, stereographic_chart,
                     zero_form)
 from .gauge import (GaugeScenario, bianchi_rows, change_of_gauge,
                     density_gauge_invariance_rows, density_infinitesimal_rows,
                     field_redef_rows, instanton_charge, self_duality_rows)
 from .lgb import (GSection, TrivLgb, darboux_inverse_rows, darboux_leibniz_rows,
-                  generalized_mc_residual, induced_connection,
+                  generalized_mc_rows, induced_connection,
                   multiplicativity_rows, nabla_from_darboux, pullback_mc_rows)
-from .principal import (Automorphism, TrivPrincipal,
-                        action_differential_residual, equivariance_residual,
-                        field_strength_type_residual, gauge_transform_total,
-                        kernel_invariance_residual, mixed_bracket_residual,
-                        projection_commutation_residual,
-                        section_independence_residual, total_field_strength)
+from .principal import (Automorphism, TrivPrincipal, action_differential_rows,
+                        equivariance_rows, gauge_transform_total,
+                        kernel_invariance_rows, mixed_bracket_rows,
+                        projection_commutation_rows, section_independence_rows,
+                        structure_equation_rows)
 
 __all__ = [
     "ScenarioError", "ScenarioBundle", "SCENARIO_NAMES", "builtin_scenario",
@@ -76,6 +75,12 @@ _BPST_PAIRS = {(0, 1): (0, 1.0), (2, 3): (0, -1.0),
                (0, 3): (2, 1.0), (1, 2): (2, -1.0)}
 
 
+def _one_plus_square(X) -> np.ndarray:
+    """1 + x @ x at each row of a (P, n) batch: a stacked matmul, which
+    rounds as x @ x does for one row."""
+    return 1.0 + (X[:, None, :] @ X[:, :, None])[:, 0, 0]
+
+
 def bpst_potential(box=None) -> LieForm:
     """Horizontal potential of the instanton bundle on the stereographic
     chart: the imaginary part of conj(q) dq divided by 1 + |x|^2, with the
@@ -87,6 +92,11 @@ def bpst_potential(box=None) -> LieForm:
         u = 1.0 + float(x @ x)
         return 2.0 * (planes[:, idx[0], :] @ x) / u
 
+    def batch(X):
+        # a row of a plane has one nonzero entry, so its product with x is
+        # exact in any order, and 1 + x @ x rounds as `comp` rounds it
+        return 2.0 * np.einsum('aik,pk->pia', planes, X) / _one_plus_square(X)[:, None, None]
+
     def dcomp(x, idx):
         mu, nu = idx
         x = np.asarray(x, dtype=float)
@@ -96,7 +106,8 @@ def bpst_potential(box=None) -> LieForm:
                        + mx[:, nu] * x[mu] - mx[:, mu] * x[nu]) / u ** 2
 
     return LieForm(n=4, degree=1, value_target="algebra", value_shape=(3,),
-                   components=comp, analytic_d=dcomp, fd_step=2e-5, box=box)
+                   components=comp, analytic_d=dcomp, fd_step=2e-5, box=box,
+                   batch=batch)
 
 
 def bpst_central_form(box=None) -> LieForm:
@@ -126,11 +137,10 @@ def bpst_central_form(box=None) -> LieForm:
                                    + x[k] * pair_vec(i, j))
 
     def batch(X):
-        # x @ x row by row as stacked matmul, and the square by Python's
-        # float power, round exactly as `profile` does (numpy's square
-        # differs from it in the last bit for about 1 in 1,000 points)
-        u = 1.0 + (X[:, None, :] @ X[:, :, None])[:, 0, 0]
-        prof = 4.0 / np.array([v ** 2 for v in u.tolist()])
+        # the square by Python's float power rounds exactly as `profile`
+        # does (numpy's square differs from it in the last bit for about 1
+        # in 1,000 points)
+        prof = 4.0 / np.array([v ** 2 for v in _one_plus_square(X).tolist()])
         out = np.zeros((len(X), 6, 3))
         for c, idx in enumerate(increasing_indices(4, 2)):
             slot, sign = _BPST_PAIRS[idx]
@@ -833,21 +843,6 @@ class RunEnv:
         return float(base) * self.tol_scale
 
 
-@dataclass
-class _FixedPlan:
-    """Single-point stand-in for a sampling plan, for per-point residuals."""
-
-    pts: np.ndarray
-    seed: object
-    tangent_probes: int = 4
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
-    def points(self, chart) -> np.ndarray:
-        return self.pts
-
-
 def _check_row(env: RunEnv, key: str, per_point: list) -> CheckRow:
     """Row of one check: its per-point residuals and their max_gap."""
     return CheckRow(check=key.split("/", 1)[1],
@@ -859,20 +854,6 @@ def _plan_rows(env: RunEnv, *checks) -> list:
     """One CheckRow per (key, (P,) per-point residuals over the plan)."""
     return [_check_row(env, key, list(enumerate(rows.tolist())))
             for key, rows in checks]
-
-
-def _per_point(bundle: ScenarioBundle, env: RunEnv, fn, *keys) -> list:
-    """One CheckRow per key. At each sample point fn(single_point_plan,
-    ordinal, point) returns one residual per key (checks that share
-    expensive intermediates evaluate them once per point)."""
-    columns = [[] for _ in keys]
-    for i, x in enumerate(env.plan.points(bundle.chart)):
-        single = _FixedPlan(pts=x[None, :], seed=[env.plan.seed, i],
-                            tangent_probes=env.plan.tangent_probes)
-        values = np.atleast_1d(fn(single, i, x))
-        for column, value in zip(columns, values, strict=True):
-            column.append((i, float(value)))
-    return [_check_row(env, key, column) for key, column in zip(keys, columns)]
 
 
 # -- individual suites -------------------------------------------------------
@@ -970,56 +951,30 @@ def _suite_multiplicativity(bundle, env):
 
 
 def _suite_generalized_mc(bundle, env):
-    def total_space(single, i, x):
-        return generalized_mc_residual(bundle.lgb, bundle.zeta, single)
-
-    return _per_point(bundle, env, total_space, "generalized-mc/total-space") + _plan_rows(
-        env, ("generalized-mc/pullback", pullback_mc_rows(
+    return _plan_rows(
+        env, ("generalized-mc/total-space",
+              generalized_mc_rows(bundle.lgb, bundle.zeta, env.plan)),
+        ("generalized-mc/pullback", pullback_mc_rows(
             bundle.lgb, _distinguished_section(bundle), bundle.zeta, env.plan)))
 
 
 def _suite_principal(bundle, env):
-    p = bundle.principal
+    p, plan = bundle.principal, env.plan
     fd = env.h if env.h is not None else 1e-5
-
-    def checks(s, i, x):
-        return (action_differential_residual(p, s),
-                section_independence_residual(p, s),
-                equivariance_residual(p, s),
-                kernel_invariance_residual(p, s),
-                projection_commutation_residual(p, s),
-                mixed_bracket_residual(p, bundle.generator, s, fd_step=fd))
-
-    return _per_point(bundle, env, checks, "principal/action-differential",
-                      "principal/section-independence",
-                      "principal/equivariance", "principal/kernel-invariance",
-                      "principal/projection-commutation",
-                      "principal/mixed-bracket")
+    return _plan_rows(
+        env, ("principal/action-differential", action_differential_rows(p, plan)),
+        ("principal/section-independence", section_independence_rows(p, plan)),
+        ("principal/equivariance", equivariance_rows(p, plan)),
+        ("principal/kernel-invariance", kernel_invariance_rows(p, plan)),
+        ("principal/projection-commutation", projection_commutation_rows(p, plan)),
+        ("principal/mixed-bracket", mixed_bracket_rows(p, bundle.generator, plan, fd_step=fd)))
 
 
 def _suite_structure_equation(bundle, env):
-    p = bundle.principal
-    alg = bundle.algebra
-    n = bundle.chart.dim
-
-    @max_gap_of
-    def horizontality(fs, single):
-        rng = single.rng()
-        for _ in range(single.tangent_probes):
-            vert = np.concatenate([np.zeros(n), rng.normal(size=alg.dim)])
-            other = rng.normal(size=n + alg.dim)
-            yield fs.evaluate(vert, other)
-
-    def checks(single, i, x):
-        fs = total_field_strength(p, bundle.zeta, x)
-        return (fs.structure_residual(probes=single.tangent_probes,
-                                      seed=hash((env.plan.seed, i)) % (2 ** 32)),
-                horizontality(fs, single),
-                field_strength_type_residual(p, bundle.zeta, single))
-
-    return _per_point(bundle, env, checks, "structure-equation/dual-path",
-                      "structure-equation/horizontality",
-                      "structure-equation/adjoint-type")
+    return _plan_rows(env, *zip(
+        ("structure-equation/dual-path", "structure-equation/horizontality",
+         "structure-equation/adjoint-type"),
+        structure_equation_rows(bundle.principal, bundle.zeta, env.plan)))
 
 
 def _suite_gauge_laws(bundle, env):
@@ -1027,14 +982,9 @@ def _suite_gauge_laws(bundle, env):
                               change_of_gauge(bundle.scenario, sec, env.plan).f_rows)
                              for name, sec in sorted(bundle.sections.items())))
     for name, aut in sorted(bundle.automorphisms.items()):
-        def check(single, i, x, a=aut):
-            res = gauge_transform_total(bundle.principal, a, bundle.zeta,
-                                        single)
-            return res.residual_a, res.residual_f
-
-        rows += _per_point(bundle, env, check,
-                           f"gauge-laws/automorphism-potential:{name}",
-                           f"gauge-laws/automorphism-field-strength:{name}")
+        res = gauge_transform_total(bundle.principal, aut, bundle.zeta, env.plan)
+        rows += _plan_rows(env, (f"gauge-laws/automorphism-potential:{name}", res.a_rows),
+                           (f"gauge-laws/automorphism-field-strength:{name}", res.f_rows))
     return rows
 
 

@@ -23,9 +23,9 @@ from .algebra import (GroupElement, LieAlgebraDescriptor, ReexpansionError,
                       ad_matrix_c, ad_matrix_of_group, ad_twist, bracket_c,
                       dagger, expand_in_rep, on_variety, require_within)
 from .connection import LabConnection, cov_ext_deriv
-from .forms import (Chart, LieForm, SamplePlan, add_forms, bracket_pairing,
-                    endo_action_pairing, exterior_derivative, graded_product,
-                    increasing_indices, max_gap_of, max_gap_rows, scale_form)
+from .forms import (Chart, LieForm, SamplePlan, bracket_pairing,
+                    exterior_derivative, graded_product, increasing_indices,
+                    max_gap_of, max_gap_rows, scale_form)
 
 __all__ = [
     "TotalPoint", "TotalTangent", "TrivLgb", "GSection", "dexp_body",
@@ -33,7 +33,9 @@ __all__ = [
     "group_sample", "darboux", "darboux_leibniz_rows", "darboux_leibniz_residual",
     "darboux_inverse_rows", "darboux_inverse_residual", "nabla_from_darboux",
     "induced_connection", "multiplicativity_rows", "multiplicativity_residual",
-    "generalized_mc_residual", "pullback_mc_rows", "pullback_mc_residual",
+    "base_rows", "total_form_rows", "product_curvature",
+    "generalized_mc_rows", "generalized_mc_residual", "pullback_mc_rows",
+    "pullback_mc_residual",
 ]
 
 DRIFT_TOL = 1e-9
@@ -59,19 +61,42 @@ class TotalTangent:
 
 
 def dexp_body(alg: LieAlgebraDescriptor, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Body velocity of s -> exp(v + s w) at s = 0.
+    """Body velocity of s -> exp(v + s w) at s = 0, for (..., dim) stacks of
+    v and w (broadcast):
 
     exp(-v) d/ds exp(v + s w) = sum_k (-ad_v)^k w / (k+1)!.
+
+    Each row sums its series until its own term drops below 1e-18, so it
+    gets the value a call on that row alone gives.
     """
     adv = ad_matrix_c(alg, v)
     term = np.asarray(w, dtype=float)
-    out = term.copy()
+    out = np.array(np.broadcast_to(term, np.broadcast_shapes(adv.shape[:-1], term.shape)))
+    live = np.ones(out.shape[:-1], dtype=bool)
     for k in range(1, 40):
-        term = -(adv @ term) / (k + 1)
-        out += term
-        if np.abs(term).max() < 1e-18:
+        term = -_act(adv, term) / (k + 1)
+        out[live] += term[live]
+        live &= ~(np.abs(term).max(axis=-1) < 1e-18)
+        if not live.any():
             break
     return out
+
+
+def _act(m, v) -> np.ndarray:
+    """m @ v for (..., k, k) matrices on (..., k) vectors, leading axes broadcast."""
+    return (m @ v[..., None])[..., 0]
+
+
+def _point_draws(plan: SamplePlan, count: int, dim: int, groups: int, width: int,
+                 probes: int = None, scale: float = 1.0):
+    """The random draws of each plan point, point i from
+    `default_rng([plan.seed, i])`: `groups` group coefficient vectors of
+    scale `scale`, then `probes` rows of `width` normals (the plan's tangent
+    probes by default); as (count, groups, dim) and (count, probes, width)."""
+    probes = plan.tangent_probes if probes is None else probes
+    rngs = [np.random.default_rng([plan.seed, i]) for i in range(count)]
+    coeffs = np.array([rng.normal(scale=scale, size=(groups, dim)) for rng in rngs])
+    return coeffs, np.array([rng.normal(size=(probes, width)) for rng in rngs])
 
 
 def group_sample(alg: LieAlgebraDescriptor, rng: np.random.Generator,
@@ -150,15 +175,14 @@ class GSection:
         return GSection._of_stack(self.algebra, lambda X: dagger(self(X)),
                                   f"{self.name}^-1")
 
-    def body_derivative(self, x, axis: int, h: float) -> np.ndarray:
-        """b(x)^{-1} d_axis b(x) by a central matrix-entry stencil, re-expanded
-        in the basis. Raises when the out-of-span drift exceeds the watchdog."""
-        x = np.asarray(x, dtype=float)
-        step = np.zeros_like(x)
-        step[axis] = h
-        b_plus, b_minus = self._stack(np.stack([x + step, x - step]))
-        return _body_velocity(self.algebra, self(x), b_plus, b_minus, h,
-                              f"section {self.name!r} at axis {axis}")
+    def body_derivative(self, X, h: float) -> np.ndarray:
+        """b^{-1} d_k b along every axis k at each point of a (..., n) stack,
+        (..., n, dim): a central matrix-entry stencil on one stack of the
+        section at X and X +- h e_k, re-expanded in the basis. Raises when
+        the out-of-span drift exceeds the watchdog."""
+        body = _body_rows(self.algebra, self, np.asarray(X, dtype=float), h,
+                          f"section {self.name!r}")[1]
+        return np.moveaxis(body, 0, -2)
 
 
 def _body_velocity(alg: LieAlgebraDescriptor, b, b_plus, b_minus, h: float,
@@ -177,29 +201,41 @@ def _mu_rows(alg: LieAlgebraDescriptor, g, eta, w) -> np.ndarray:
     """eta + (Ad_{g^{-1}} - id)(w): the total 1-form at g on body velocity eta
     and horizontal value w, for (..., r, r) stacks g with eta and w broadcast.
     The Darboux derivative of a section b is this at g = b, eta = b^{-1} db."""
-    ad_inv = ad_matrix_of_group(alg, dagger(g))
-    return eta + ((ad_inv @ w[..., None])[..., 0] - w)
+    return eta + (_act(ad_matrix_of_group(alg, dagger(g)), w) - w)
+
+
+def _body_rows(alg: LieAlgebraDescriptor, matrices, X, h: float, what: str):
+    """(b, b^{-1} d_k b) at each point of a (..., n) stack X, shapes
+    (E..., ..., r, r) and (n, E..., ..., dim), from one stack: matrices(Y)
+    gives the (E..., 2n + 1, ..., r, r) matrices on the stack Y of X, then
+    X + h e_k and X - h e_k for each axis k in turn."""
+    n = X.shape[-1]
+    steps = np.concatenate([np.zeros((1, n)), np.kron(np.eye(n), [[h], [-h]])])
+    b = np.moveaxis(matrices(X + steps.reshape((-1,) + (1,) * (X.ndim - 1) + (n,))),
+                    -X.ndim - 2, 0)
+    return b[0], _body_velocity(alg, b[0], b[1::2], b[2::2], h, what)
 
 
 def _darboux_rows(lgb: TrivLgb, X, h: float, matrices, what: str) -> np.ndarray:
     """The Darboux derivative b^{-1} d_k b + (Ad_{b^{-1}} - id)(omega_k) along
-    every axis at each point of the (P, n) batch X, shape (..., n, P, dim),
-    where matrices(Y) gives the section's (..., 2n + 1, P, r, r) matrices on
-    the stack Y of X, then X + h e_k and X - h e_k for each axis k in turn."""
-    n = X.shape[-1]
-    steps = np.concatenate([np.zeros((1, n)), np.kron(np.eye(n), [[h], [-h]])])
-    b = matrices(X + steps[:, None, :])
-    b0 = b[..., :1, :, :, :]
-    body = _body_velocity(lgb.algebra, b0, b[..., 1::2, :, :, :], b[..., 2::2, :, :, :],
-                          h, what)
-    return _mu_rows(lgb.algebra, b0, body, np.swapaxes(lgb.omega.table(X), 0, 1))
+    every axis at each point of a (..., n) stack X, shape (n, E..., ..., dim),
+    from the matrices of `_body_rows`."""
+    b0, body = _body_rows(lgb.algebra, matrices, X, h, what)
+    w = np.moveaxis(_table_at(lgb.omega, X), -2, 0)  # (n, ..., dim), against (n, E..., ..., dim)
+    return _mu_rows(lgb.algebra, b0, body, w.reshape(w.shape[:1] + (1,) * (
+        body.ndim - w.ndim) + w.shape[1:]))
+
+
+def _table_at(form: LieForm, x) -> np.ndarray:
+    """form.table at each point of a (..., n) stack, (..., C, *value_shape)."""
+    x = np.asarray(x, dtype=float)
+    return form.table(x.reshape(-1, form.n)).reshape(x.shape[:-1] + (-1,) + form.value_shape)
 
 
 def one_form_on(form: LieForm, x, X) -> np.ndarray:
     """form_x(X) of a vector-valued 1-form, summed over the axes in order;
     the leading axes of x and X broadcast."""
-    x = np.asarray(x, dtype=float)
-    table = form.table(x.reshape(-1, form.n)).reshape(x.shape + form.value_shape)
+    table = _table_at(form, x)
     X = np.asarray(X, dtype=float)
     return sum(X[..., k, None] * table[..., k, :] for k in range(form.n))
 
@@ -294,12 +330,12 @@ def nabla_from_darboux(lgb: TrivLgb, nu: LieForm, X, t_step: float = 1e-5,
     pts = X.reshape(-1, n)
 
     def matrices(shifted):  # exp(+-t_step nu) on the (2n + 1, P, n) stack
-        values = nu.table(shifted.reshape(-1, n))[:, 0].reshape(shifted.shape[:2] + (alg.dim,))
+        values = _table_at(nu, shifted)[..., 0, :]
         return on_variety(alg, expm(alg.rep_of(np.stack([t_step * values, -t_step * values]))))
 
     delta = _darboux_rows(lgb, pts, lgb.chart.default_step(), matrices,
-                          "section exp(t nu)")             # (2, n, P, dim)
-    got = np.moveaxis((delta[0] - delta[1]) / (2 * t_step), 0, 1)
+                          "section exp(t nu)")             # (n, 2, P, dim)
+    got = np.moveaxis((delta[:, 0] - delta[:, 1]) / (2 * t_step), 0, 1)
     if tol < np.inf:
         gap = max_gap_rows(got - induced_connection(lgb, nu, pts))
         require_within(gap, tol, InconsistencyError,
@@ -331,59 +367,93 @@ def multiplicativity_rows(lgb: TrivLgb, plan: SamplePlan, perturbation: LieForm 
     """
     alg, n, d = lgb.algebra, lgb.chart.dim, lgb.algebra.dim
     x = plan.points(lgb.chart)
-    group_coeffs, probes = [], []
-    for i in range(len(x)):
-        rng = np.random.default_rng([plan.seed, i])
-        group_coeffs.append(rng.normal(scale=group_scale, size=(2, d)))
-        probes.append(rng.normal(size=(plan.tangent_probes, n + 2 * d)))
+    group_coeffs, probes = _point_draws(plan, len(x), d, 2, n + 2 * d, scale=group_scale)
     # (P, 1, ...): one point and group pair per row, against (P, probes, ...)
-    g, q = np.moveaxis(on_variety(alg, expm(alg.rep_of(np.array(group_coeffs)))),
-                       1, 0)[:, :, None]
+    g, q = np.moveaxis(on_variety(alg, expm(alg.rep_of(group_coeffs))), 1, 0)[:, :, None]
     gq = on_variety(alg, g @ q)
-    X, eta, theta = np.split(np.array(probes), [n, n + d], axis=-1)
+    X, eta, theta = np.split(probes, [n, n + d], axis=-1)
     x = x[:, None, :]
 
     def mu(gm, eta):
         out = lgb.mu_tot(TotalPoint(x, gm), TotalTangent(X, eta))
         if perturbation is not None:
             ad_inv = ad_matrix_of_group(alg, dagger(gm))
-            r = (ad_inv @ one_form_on(perturbation, x, X)[..., None])[..., 0]
-            out = out + ((ad_inv @ r[..., None])[..., 0] - r)
+            r = _act(ad_inv, one_form_on(perturbation, x, X))
+            out = out + (_act(ad_inv, r) - r)
         return out
 
     ad_q_inv = ad_matrix_of_group(alg, dagger(q))
-    lhs = mu(gq, (ad_q_inv @ eta[..., None])[..., 0] + theta)
-    rhs = (ad_q_inv @ mu(g, eta)[..., None])[..., 0] + mu(q, theta)
+    lhs = mu(gq, _act(ad_q_inv, eta) + theta)
+    rhs = _act(ad_q_inv, mu(g, eta)) + mu(q, theta)
     return max_gap_rows(lhs - rhs)
 
 
 multiplicativity_residual = max_gap_of(multiplicativity_rows)  # its largest gap over the plan
 
 
-def _total_mu_form(lgb: TrivLgb, x0: np.ndarray, g0: GroupElement) -> LieForm:
-    """The total 1-form in product coordinates (u, v) centred at (x0, g0):
-    the point parametrized by (u, v) is (x0 + u, g0 exp(v))."""
-    alg = lgb.algebra
-    n = lgb.chart.dim
-    d = alg.dim
-    g0m = g0.matrix
+# ---------------------------------------------------------------------------
+# product coordinates around a stack of anchors
+# ---------------------------------------------------------------------------
 
-    def comp(uv, idx):
-        i = idx[0]
-        v = uv[n:]
-        if i >= n:
-            return dexp_body(alg, v, np.eye(d)[i - n])
-        return _mu_rows(alg, g0m @ expm(alg.rep_of(v)), 0.0,
-                        lgb.omega.components(x0 + uv[:n], (i,)))
-
-    return LieForm(n=n + d, degree=1, value_target="algebra", value_shape=(d,),
-                   components=comp, fd_step=1e-5)
+def base_rows(lgb: TrivLgb, x, g, a: LieForm = None) -> np.ndarray:
+    """Ad_{g^{-1}} a_k + (Ad_{g^{-1}} - id) omega_k on every base axis k at
+    each total-space point (x, g) of a stack: (..., n) points and (..., r, r)
+    matrices give (..., n, dim). `a` is a gauge field, zero when None; one
+    Ad stack and one table each of omega and `a` cover the stack."""
+    ad_inv = ad_matrix_of_group(lgb.algebra, dagger(g))[..., None, :, :]
+    w = _table_at(lgb.omega, x)
+    out = _act(ad_inv, w) - w
+    return out if a is None else _act(ad_inv, _table_at(a, x)) + out
 
 
-@max_gap_of
-def generalized_mc_residual(lgb: TrivLgb, zeta: LieForm, plan: SamplePlan,
-                            group_scale: float = 1.0) -> float:
-    """Residual of the curvature identity for the total 1-form.
+def total_form_rows(lgb: TrivLgb, x0, h0, uv, a: LieForm = None) -> np.ndarray:
+    """The total connection form in product coordinates (u, v) around each
+    anchor (x0, h0) of a stack, where (u, v) is the point (x0 + u, h0 exp(v)):
+    its rows on every axis at each offset of the (m, n + dim) stack uv, for
+    (P, n) anchors x0 and (P, r, r) matrices h0, shape (P, m, n + dim, dim).
+    Base axes carry `base_rows` (the gauge field `a`, zero when None), fibre
+    axes dexp_v of the basis; one exponential covers the offsets."""
+    alg, n = lgb.algebra, lgb.chart.dim
+    v = uv[:, n:]
+    base = base_rows(lgb, x0[:, None, :] + uv[:, :n], h0[:, None] @ expm(alg.rep_of(v)), a)
+    fibre = dexp_body(alg, v[:, None, :], np.eye(alg.dim))
+    return np.concatenate([base, np.broadcast_to(fibre, base.shape[:2] + fibre.shape[1:])],
+                          axis=-2)
+
+
+def product_curvature(lgb: TrivLgb, x0, h0, a: LieForm = None, step: float = 1e-5):
+    """The total connection form A at the origin of product coordinates
+    around each anchor of a stack (see `total_form_rows`), and its two
+    curvature parts there: dA + Gamma ^ A, with Gamma the base connection
+    pulled back (fibre axes act trivially), and (1/2)[A ^ A]. Shapes
+    (P, N, dim) and twice (P, C(N, 2), dim), N = n + dim. dA is the central
+    stencil of `step` on one stack of the offsets 0, +- step e_k."""
+    alg, n, d = lgb.algebra, lgb.chart.dim, lgb.algebra.dim
+    N = n + d
+    uv = np.zeros((2 * N + 1, N))
+    uv[1::2][range(N), range(N)] = step
+    uv[2::2][range(N), range(N)] = -step
+    rows = total_form_rows(lgb, x0, h0, uv, a)
+    partial = (rows[:, 1::2] - rows[:, 2::2]) / (2 * step)  # (P, axis, row, dim)
+    a0 = rows[:, 0]
+    gamma = np.zeros(a0.shape + (d,))
+    gamma[:, :n] = ad_matrix_c(alg, lgb.omega.table(x0))
+    i, j = np.array(increasing_indices(N, 2)).T
+    cov = (partial[:, i, j] - partial[:, j, i]) + (
+        _act(gamma[:, i], a0[:, j]) - _act(gamma[:, j], a0[:, i]))
+    return a0, cov, 0.5 * (bracket_c(alg, a0[:, i], a0[:, j]) - bracket_c(alg, a0[:, j], a0[:, i]))
+
+
+def _base_pairs(n: int, N: int) -> np.ndarray:
+    """Mask of the increasing index pairs on N axes that lie in the first n;
+    they come in the order of the pairs on n axes."""
+    return np.array(increasing_indices(N, 2)).reshape(-1, 2)[:, 1] < n
+
+
+def generalized_mc_rows(lgb: TrivLgb, zeta: LieForm, plan: SamplePlan,
+                        group_scale: float = 1.0) -> np.ndarray:
+    """Residual of the curvature identity for the total 1-form at each point
+    of the plan, (P,), anchored at (x, g0) with g0 from `default_rng([plan.seed, i])`.
 
     In product coordinates the covariant differential (with the base
     connection pulled back, fibre directions acting trivially) plus the
@@ -391,35 +461,18 @@ def generalized_mc_residual(lgb: TrivLgb, zeta: LieForm, plan: SamplePlan,
     pairs and vanish on mixed/fibre pairs.
     """
     alg = lgb.algebra
-    n = lgb.chart.dim
-    d = alg.dim
-    rng = plan.rng()
+    x0 = plan.points(lgb.chart)
+    coeffs, _ = _point_draws(plan, len(x0), alg.dim, 1, 0, scale=group_scale)
+    g0 = on_variety(alg, expm(alg.rep_of(coeffs[:, 0])))
+    _, cov, sq = product_curvature(lgb, x0, g0)
+    lhs = cov + sq
+    z = zeta.table(x0)
+    lhs[:, _base_pairs(lgb.chart.dim, lgb.chart.dim + alg.dim)] -= (
+        ad_twist(alg, dagger(g0), z) - z)
+    return max_gap_rows(lhs)
 
-    def gamma_comp(x0):
-        def comp(uv, idx):
-            i = idx[0]
-            if i >= n:
-                return np.zeros((d, d))
-            return ad_matrix_c(alg, lgb.omega.components(x0 + uv[:n], (i,)))
-        return comp
 
-    for x0 in plan.points(lgb.chart):
-        g0 = group_sample(alg, rng, group_scale)
-        mu = _total_mu_form(lgb, x0, g0)
-        gam = LieForm(n=n + d, degree=1, value_target="endomorphism",
-                      value_shape=(d, d), components=gamma_comp(x0), fd_step=1e-5)
-        two_form = add_forms(
-            add_forms(exterior_derivative(mu),
-                      graded_product(endo_action_pairing(alg), gam, mu)),
-            scale_form(graded_product(bracket_pairing(alg), mu, mu), 0.5))
-        ad_inv = ad_matrix_of_group(alg, g0.matrix.conj().T)
-        origin = np.zeros(n + d)
-        for (i, j) in increasing_indices(n + d, 2):
-            lhs = two_form.components(origin, (i, j))
-            if j < n:
-                z = zeta.components(x0, (i, j))
-                lhs = lhs - (ad_inv @ z - z)
-            yield lhs
+generalized_mc_residual = max_gap_of(generalized_mc_rows)  # its largest gap over the plan
 
 
 def pullback_mc_rows(lgb: TrivLgb, section: GSection, zeta: LieForm,

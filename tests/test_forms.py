@@ -362,6 +362,7 @@ TABLE_FORMS = {
     "constant": lambda: constant_form(4, 1, "algebra", {
         (k,): np.arange(3.0) + k for k in range(4)}),
     "bpst-central": lambda: bpst_central_form(),
+    "bpst-potential": lambda: bpst_potential(),
     "scale": lambda: fm.scale_form(bpst_central_form(), -0.7),
     "add": lambda: fm.add_forms(bpst_central_form(), _closure_2form(), 0.3, -1.2),
     "kappa-product": lambda: fm.kappa_wedge_top(SU2, bpst_central_form(),

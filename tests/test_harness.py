@@ -26,7 +26,8 @@ from cym.harness import (SCENARIO_NAMES, SUITES, CheckRow, ScenarioError,
                          bpst_potential, builtin_scenario, load_scenario,
                          run_suite, save_scenario, scenario_from_dict,
                          scenario_to_dict, suite_names)
-from cym.lgb import GSection, generalized_mc_residual
+from cym.lgb import GSection, TrivLgb, generalized_mc_residual
+from cym.principal import Automorphism, TrivPrincipal
 
 QUICK = SamplePlan(count=4, seed=7)
 
@@ -719,6 +720,81 @@ def test_section_suites_make_no_per_point_kernel_calls(monkeypatch):
     assert per_plan[0] == per_plan[1]
     for check in ("darboux", "lagrangian", "change_of_gauge"):
         assert per_plan[0][check]["expm"] > 0 and per_plan[0][check]["ad_matrix_of_group"] > 0
+
+
+# -- the total-space suites run on stacks of anchors over the plan ------------
+
+TOTAL_SPACE_SUITES = ("principal", "structure-equation", "generalized-mc", "gauge-laws")
+
+
+def with_forms_nan_at(bundle, bad_point):
+    """The bundle with its central form, horizontal potential and gauge field
+    NaN at one point, per point and in their component tables alike."""
+    def poisoned(form):
+        def comp(x, idx, clean=form.components):
+            return clean(x, idx) * (np.nan if np.array_equal(x, bad_point) else 1.0)
+        return dataclasses.replace(form, components=comp, batch=None)
+
+    lgb = TrivLgb(bundle.chart, bundle.algebra, poisoned(bundle.omega))
+    principal = TrivPrincipal(lgb, poisoned(bundle.gauge_field))
+    scenario = dataclasses.replace(bundle.scenario, nabla=lgb.nabla, zeta=poisoned(bundle.zeta),
+                                   gauge_field=principal.a_local)
+    return dataclasses.replace(bundle, lgb=lgb, principal=principal, scenario=scenario)
+
+
+def total_space_rows(bundle):
+    """suite/check -> CheckRow of the four total-space suites at NAN_PLAN."""
+    return {f"{suite}/{row.check}": row for suite in TOTAL_SPACE_SUITES
+            for row in run_suite(bundle, suite, plan=NAN_PLAN).suites[0].checks}
+
+
+@pytest.mark.parametrize("name", ["bpst", "random-curved"])
+def test_nan_form_at_one_point_is_a_nan_row_of_each_total_space_check(name):
+    bundle = builtin_scenario(name)
+    clean = total_space_rows(bundle)
+    assert all(row.passed for row in clean.values())
+    for ordinal, bad_point in enumerate(NAN_PLAN.points(bundle.chart)):
+        got = total_space_rows(with_forms_nan_at(bundle, bad_point))
+        assert got.keys() == clean.keys()
+        for key, row in got.items():
+            others = [pair for pair in row.per_point if pair[0] != ordinal]
+            assert others == [pair for pair in clean[key].per_point if pair[0] != ordinal], key
+            if key == "principal/action-differential":  # reads none of the forms
+                assert row.per_point == clean[key].per_point
+            else:
+                assert math.isnan(row.per_point[ordinal][1]) and not row.passed, key
+
+
+def test_finite_off_variety_automorphism_row_still_raises():
+    bundle = builtin_scenario("random-curved")
+    bad_point = NAN_PLAN.points(bundle.chart)[3]
+    generic = bundle.automorphisms["generic"].tau
+
+    def doubled(y):  # finite, but twice a group matrix at one point
+        return (2.0 if np.array_equal(y, bad_point) else 1.0) * generic(y)
+
+    broken = dataclasses.replace(bundle, automorphisms=dict(
+        bundle.automorphisms, generic=Automorphism(GSection(bundle.algebra, doubled, "generic"))))
+    with pytest.raises(VarietyError, match="off the group variety"):
+        run_suite(broken, "gauge-laws", plan=NAN_PLAN)
+
+
+@pytest.mark.parametrize("name", ["bpst", "random-curved"])
+def test_total_space_suites_make_no_per_point_kernel_calls(monkeypatch, name):
+    counts = Counter()
+    count_kernel_calls(monkeypatch, counts)
+    per_plan = []
+    for count in (4, 40):
+        bundle = builtin_scenario(name)
+        per_suite = {}
+        for suite in TOTAL_SPACE_SUITES:
+            counts.clear()
+            assert run_suite(bundle, suite, plan=SamplePlan(count=count)).passed
+            per_suite[suite] = dict(counts)
+        per_plan.append(per_suite)
+    assert per_plan[0] == per_plan[1]
+    for suite, counted in per_plan[0].items():
+        assert counted["expm"] > 0 and counted["ad_matrix_of_group"] > 0, suite
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import pytest
 from scipy.linalg import expm
 
 from cym.algebra import (GroupElement, ReexpansionError, VarietyError,
-                         ad_matrix_of_group, bracket_c, expand_in_rep, su2, u1,
-                         u1_su2)
+                         ad_matrix_c, ad_matrix_of_group, bracket_c,
+                         expand_in_rep, su2, u1, u1_su2)
 from cym.connection import potential_curvature
 from cym.forms import (PolyData, SamplePlan, euclidean_chart, form_from_poly,
                        zero_form)
@@ -192,6 +192,26 @@ def test_darboux_leibniz_rule():
     assert darboux_leibniz_residual(lgb, s1, s2, plan) < 1e-6
 
 
+def test_dexp_body_on_a_stack_matches_the_series_row_by_row():
+    def reference(v, w):  # the series of one row, stopped by that row's own term
+        adv = ad_matrix_c(ALG, v)
+        term, out = w, w.copy()
+        for k in range(1, 40):
+            term = -(adv @ term) / (k + 1)
+            out += term
+            if np.abs(term).max() < 1e-18:
+                break
+        return out
+
+    rng = np.random.default_rng(3)
+    v = np.concatenate([rng.normal(size=(4, 3)), 1e-5 * rng.normal(size=(4, 3)), np.zeros((1, 3))])
+    w = np.concatenate([rng.normal(size=(5, 3)), np.eye(3)[[0, 1, 2, 0]]])
+    want = np.array([reference(a, b) for a, b in zip(v, w)])
+    assert np.array_equal(dexp_body(ALG, v, w), want)
+    assert np.array_equal(dexp_body(ALG, v[:, None, :], np.eye(3)),
+                          np.array([[reference(a, e) for e in np.eye(3)] for a in v]))
+
+
 def test_darboux_inverse_rule():
     lgb = su2_bundle()
     s = GSection.from_exp_coeffs(
@@ -220,7 +240,7 @@ def test_darboux_table_matches_stacked_per_point_components_bit_for_bit():
                 [[form.components(x, (k,)) for k in range(n)] for x in X])), sec.name
             # the law applied one point and one axis at a time
             assert np.array_equal(got, np.array(
-                [[_mu_rows(ALG, sec(x), sec.body_derivative(x, k, h),
+                [[_mu_rows(ALG, sec(x), sec.body_derivative(x, h)[k],
                            bundle.omega.components(x, (k,))) for k in range(n)]
                  for x in X])), sec.name
 
@@ -248,7 +268,7 @@ def test_section_variety_drift_detection():
     s = GSection.from_exp_coeffs(
         ALG, lambda y: np.array([np.sin(50.0 * y[0]) * 40.0, 0., 0.]), "wild")
     with pytest.raises(ReexpansionError, match="drift"):
-        s.body_derivative(np.array([0.3, 0.0]), 0, 1e-2)
+        s.body_derivative(np.array([0.3, 0.0]), 1e-2)
 
 
 def test_section_memo_is_keyed_by_point_content():

@@ -9,7 +9,9 @@ from cym.connection import LabConnection, cov_ext_deriv, potential_curvature
 from cym.forms import (PolyData, SamplePlan, add_forms, bracket_pairing,
                        euclidean_chart, form_from_poly, graded_product,
                        scale_form, zero_form)
-from cym.lgb import GSection, TotalPoint, TotalTangent, TrivLgb, group_sample
+from cym.harness import builtin_scenario
+from cym.lgb import (GSection, TotalPoint, TotalTangent, TrivLgb, dexp_body,
+                     group_sample, total_form_rows)
 from cym.principal import (Automorphism, TrivPrincipal,
                            action_differential_residual, connection_one_form,
                            equivariance_residual, field_strength_type_residual,
@@ -183,10 +185,11 @@ def test_field_strength_vanishes_on_vertical_arguments():
     p = make_bundle()
     zeta = potential_curvature(ALG, p.lgb.omega)
     rng = np.random.default_rng(7)
-    fs = total_field_strength(p, zeta, np.array([0.3, -0.2]), group_sample(ALG, rng))
-    vertical = np.zeros(5)
-    vertical[3] = 1.0
-    probe = rng.normal(size=5)
+    fs = total_field_strength(p, zeta, np.array([[0.3, -0.2]]),
+                              group_sample(ALG, rng).matrix[None])
+    vertical = np.zeros((1, 5))
+    vertical[0, 3] = 1.0
+    probe = rng.normal(size=(1, 5))
     assert np.abs(fs.evaluate(vertical, probe)).max() < 1e-8
     assert np.abs(fs.evaluate(probe, vertical)).max() < 1e-8
 
@@ -195,34 +198,36 @@ def test_field_strength_reduces_to_central_form_when_flat():
     p = make_bundle(with_omega=False, with_a=False)
     zeta = poly_form(2, 2, (3,), {(0, 1): [(np.array([0.2, -0.1, 0.4]),
                                             np.array([1, 0]))]})
-    fs = total_field_strength(p, zeta, np.array([0.5, 0.1]))
-    t1 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-    t2 = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
+    fs = total_field_strength(p, zeta, np.array([[0.5, 0.1]]))
+    t1 = np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])
+    t2 = np.array([[0.0, 1.0, 0.0, 0.0, 0.0]])
     want = zeta.components(np.array([0.5, 0.1]), (0, 1))
-    assert np.abs(fs.evaluate(t1, t2) - want).max() < 1e-9
+    assert np.abs(fs.evaluate(t1, t2)[0] - want).max() < 1e-9
 
 
 def test_structure_equation_residual():
     p = make_bundle()
     zeta = potential_curvature(ALG, p.lgb.omega)
     rng = np.random.default_rng(8)
-    fs = total_field_strength(p, zeta, np.array([0.3, -0.2]), group_sample(ALG, rng))
-    assert fs.structure_residual(probes=8, seed=4) < 1e-6
+    fs = total_field_strength(p, zeta, np.array([[0.3, -0.2]]),
+                              group_sample(ALG, rng).matrix[None])
+    t1, t2 = np.random.default_rng(4).normal(size=(2, 1, 8, 5))
+    assert np.abs(fs.evaluate(t1, t2) - fs.structure_route(t1, t2)).max() < 1e-6
 
 
 def test_field_strength_on_horizontal_lifts_matches_local_formula():
     p = make_bundle()
     zeta = potential_curvature(ALG, p.lgb.omega)
     x = np.array([0.3, -0.2])
-    fs = total_field_strength(p, zeta, x)
+    fs = total_field_strength(p, zeta, x[None])
     nab = LabConnection.from_omega(ALG, p.lgb.omega)
     local = add_forms(add_forms(
         cov_ext_deriv(nab, p.a_local),
         scale_form(graded_product(bracket_pairing(ALG), p.a_local, p.a_local), 0.5)),
         zeta)
-    l0 = fs.horizontal_project(np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
-    l1 = fs.horizontal_project(np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
-    assert np.abs(fs.evaluate(l0, l1) - local.components(x, (0, 1))).max() < 1e-6
+    l0 = fs.horizontal_project(np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]))
+    l1 = fs.horizontal_project(np.array([[0.0, 1.0, 0.0, 0.0, 0.0]]))
+    assert np.abs(fs.evaluate(l0, l1)[0] - local.components(x, (0, 1))).max() < 1e-6
 
 
 def test_field_strength_is_adjoint_type():
@@ -230,6 +235,44 @@ def test_field_strength_is_adjoint_type():
     zeta = potential_curvature(ALG, p.lgb.omega)
     plan = SamplePlan(count=5, seed=5, tangent_probes=2)
     assert field_strength_type_residual(p, zeta, plan) < 1e-5
+
+
+@pytest.mark.parametrize("name", ["bpst", "random-curved", "preclassical-u1su2"])
+def test_field_strength_on_a_stack_of_anchors_matches_each_anchor_alone(name):
+    bundle = builtin_scenario(name)
+    alg, N = bundle.algebra, bundle.chart.dim + bundle.algebra.dim
+    rng = np.random.default_rng(12)
+    x = SamplePlan(count=5, seed=2).points(bundle.chart)
+    h = expm(alg.rep_of(rng.normal(size=(5, alg.dim))))
+    t1, t2 = rng.normal(size=(2, 5, 3, N))
+    stacked = total_field_strength(bundle.principal, bundle.zeta, x, h)
+    for i in range(5):
+        alone = total_field_strength(bundle.principal, bundle.zeta, x[i:i + 1], h[i:i + 1])
+        for table in ("a", "cov_da", "zeta", "full"):
+            assert np.array_equal(getattr(stacked, table)[i], getattr(alone, table)[0]), table
+        assert np.array_equal(stacked.evaluate(t1, t2)[i],
+                              alone.evaluate(t1[i:i + 1], t2[i:i + 1])[0])
+        assert np.array_equal(stacked.structure_route(t1, t2)[i],
+                              alone.structure_route(t1[i:i + 1], t2[i:i + 1])[0])
+
+
+def test_total_form_rows_are_the_connection_form_and_dexp_at_each_offset():
+    bundle = builtin_scenario("random-curved")
+    p, alg = bundle.principal, bundle.algebra
+    n, d = p.chart.dim, alg.dim
+    rng = np.random.default_rng(5)
+    x0 = SamplePlan(count=3, seed=4).points(p.chart)
+    h0 = expm(alg.rep_of(rng.normal(size=(3, d))))
+    uv = 1e-3 * rng.normal(size=(4, n + d))
+    rows = total_form_rows(p.lgb, x0, h0, uv, a=p.a_local)
+    for i in range(3):
+        for m, (u, v) in enumerate((row[:n], row[n:]) for row in uv):
+            pt = TotalPoint(x0[i] + u, h0[i] @ expm(alg.rep_of(v)))
+            for k in range(n):
+                got = connection_one_form(p, pt, TotalTangent(np.eye(n)[k], np.zeros(d)))
+                assert np.array_equal(rows[i, m, k], got)
+            for j in range(d):
+                assert np.array_equal(rows[i, m, n + j], dexp_body(alg, v, np.eye(d)[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +323,6 @@ def test_conjugation_section_equivariance_exact():
     rng = np.random.default_rng(11)
     x = np.array([0.1, 0.5])
     h, q = group_sample(ALG, rng), group_sample(ALG, rng)
-    lhs = aut.sigma_conj(x, h @ q).matrix
-    rhs = (GroupElement(ALG, q.matrix.conj().T) @ aut.sigma_conj(x, h) @ q).matrix
+    lhs = aut.sigma_conj(x, (h @ q).matrix)
+    rhs = q.matrix.conj().T @ aut.sigma_conj(x, h.matrix) @ q.matrix
     assert np.abs(lhs - rhs).max() < 1e-12
