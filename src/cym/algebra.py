@@ -8,14 +8,14 @@ Built-ins cover su(2) in the basis e_a = sigma_a/(2i) (so [e1,e2] = e3 and the
 direct sum.
 
 Elements are plain coefficient vectors: the bracket, the adjoint matrices
-and the pairing act on them directly. All heavy lifting is plain numpy; the
-matrix exponential goes through scipy.linalg.expm.
+and the pairing act on them directly. All heavy lifting is plain numpy,
+the matrix exponential `expm` included.
 
 The kernel broadcasts over leading axes: (..., dim) coefficient stacks in
 `rep_of`, `bracket_c`, `ad_matrix_c`; (..., r, r) matrix stacks in
 `expand_in_rep`, `ad_matrix_of_group`, `variety_residual`, `on_variety`. One
 vector or matrix is the one-row case; `expm(alg.rep_of(u))` exponentiates a
-stack in one scipy call, each row as a call on it alone would give it.
+stack in one call, each row as a call on it alone would give it.
 Watchdogs check every row: a finite row beyond its bound raises, a
 non-finite one passes through as NaN (a `GroupElement`, one finite matrix,
 still refuses NaN).
@@ -26,8 +26,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-# cym.algebra.expm is the name perfbench/tracer.py wraps to count exponentials
-from scipy.linalg import expm  # noqa: F401
 
 from .forms import max_gap_rows
 
@@ -50,6 +48,7 @@ __all__ = [
     "ad_twist",
     "dagger",
     "expand_in_rep",
+    "expm",
     "on_variety",
     "require_within",
 ]
@@ -400,6 +399,41 @@ def ad_matrix_of_group(alg: LieAlgebraDescriptor, g_matrix: np.ndarray) -> np.nd
     require_within(resid, REEXPANSION_TOL, ReexpansionError,
                    "Ad image of a basis element off span by {:.3e}")
     return np.ascontiguousarray(np.swapaxes(coeffs, -1, -2))
+
+
+# Pade(13) coefficients over b_0 (so exp(0) is I exactly) and the 1-norm up to
+# which that approximant is exact in double precision (Higham 2005, Table 2.3)
+PADE13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0))
+THETA13 = 5.371920351148152
+
+
+def expm(a) -> np.ndarray:
+    """exp of each matrix of a (..., n, n) stack by Pade(13) scaling and squaring
+    (N. J. Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005). Each row is scaled
+    by 2^-s for its own 1-norm and squared back s times, so it comes out bit for
+    bit as a call on it alone would. A row that is not finite comes out NaN."""
+    shape = np.shape(a)
+    a = np.reshape(a, (-1,) + shape[-2:])
+    finite = np.isfinite(a).all(axis=(1, 2))
+    a = np.where(finite[:, None, None], a, 0)
+    s = np.maximum(np.frexp(np.abs(a).sum(axis=1).max(axis=1) / THETA13)[1], 0)
+    a = a * np.ldexp(1.0, -s)[:, None, None]
+    b, eye = PADE13, np.eye(shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for i in range(s.max(initial=0)):
+        r = np.where((i < s)[:, None, None], r @ r, r)
+    r[~finite] = np.nan
+    return r.reshape(shape)
 
 
 def dagger(m) -> np.ndarray:

@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import (LieAlgebraDescriptor, StructureError, ad_matrix_c,
                       ad_matrix_of_group, algebra_from_dict, algebra_to_dict,
-                      su2, u1, u1_su2)
+                      expm, su2, u1, u1_su2)
 from .connection import (COMPATIBILITY_TOL, check_compatibility,
                          field_redefine, potential_curvature)
 from .forms import (Chart, LieForm, PolyData, SamplePlan, euclidean_chart,

@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import (GroupElement, LieAlgebraDescriptor, ReexpansionError,
                       ad_matrix_c, ad_matrix_of_group, ad_twist, bracket_c,
-                      dagger, expand_in_rep, on_variety, require_within)
+                      dagger, expand_in_rep, expm, on_variety, require_within)
 from .connection import LabConnection, cov_ext_deriv
 from .forms import (Chart, LieForm, SamplePlan, bracket_pairing,
                     exterior_derivative, graded_product, increasing_indices,

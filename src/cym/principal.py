@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import (LieAlgebraDescriptor, ad_matrix_of_group, dagger,
-                      expand_in_rep)
+                      expand_in_rep, expm)
 from .forms import (LieForm, SamplePlan, increasing_indices, max_gap,
                     max_gap_of, max_gap_rows)
 from .lgb import (GSection, TotalPoint, TotalTangent, TrivLgb, _act,

@@ -2,12 +2,14 @@
 
 Elements are coefficient vectors, exponentiated through their representation
 matrix, as in the residual suites."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import mark
-from scipy.linalg import expm
+from scipy.linalg import expm as scipy_expm
 
 import cym.algebra as alg
 
@@ -22,7 +24,7 @@ bounded = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
 def exp_group(a, coeffs):
     """exp of the element with these coefficients, on the group variety."""
-    return alg.GroupElement(a, expm(a.rep_of(coeffs)))
+    return alg.GroupElement(a, scipy_expm(a.rep_of(coeffs)))
 
 
 def test_su2_bracket_matches_matrix_commutator():
@@ -72,7 +74,7 @@ def test_ad_of_e3_matrix():
 @given(st.lists(bounded, min_size=3, max_size=3))
 @settings(max_examples=60, deadline=None)
 def test_exp_ad_equals_ad_exp(coeffs):
-    lhs = expm(alg.ad_matrix_c(SU2, coeffs))
+    lhs = scipy_expm(alg.ad_matrix_c(SU2, coeffs))
     rhs = alg.ad_matrix_of_group(SU2, exp_group(SU2, coeffs).matrix)
     assert np.abs(lhs - rhs).max() < 1e-9
 
@@ -221,7 +223,7 @@ def test_stacked_kernel_matches_a_loop_of_one_row_calls(name):
     a = KERNEL_ALGEBRAS[name]()
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=(5, 2, a.dim))
-    g = expm(a.rep_of(coeffs))
+    g = alg.expm(a.rep_of(coeffs))
     ad = alg.ad_matrix_of_group(a, g)
     variety = alg.variety_residual(a, g)
     m = g @ a.rep_of(rng.normal(size=(5, 2, a.dim)))
@@ -229,7 +231,7 @@ def test_stacked_kernel_matches_a_loop_of_one_row_calls(name):
     assert g.shape == (5, 2, a.rep_dim, a.rep_dim) and ad.shape == (5, 2, a.dim, a.dim)
     assert variety.shape == off_span.shape == (5, 2)
     for i, j in np.ndindex(5, 2):
-        assert np.array_equal(g[i, j], expm(a.rep_of(coeffs[i, j])))
+        assert np.array_equal(g[i, j], alg.expm(a.rep_of(coeffs[i, j])))
         assert np.abs(ad[i, j] - alg.ad_matrix_of_group(a, g[i, j])).max() <= 1e-15
         assert abs(variety[i, j] - alg.variety_residual(a, g[i, j])) <= 1e-15
         one, resid = alg.expand_in_rep(a, m[i, j])
@@ -240,7 +242,7 @@ def test_stacked_kernel_matches_a_loop_of_one_row_calls(name):
 
 
 def test_stacked_watchdogs_raise_on_a_finite_bad_row_only():
-    g = expm(SU2.rep_of(np.random.default_rng(2).normal(size=(4, 3))))
+    g = scipy_expm(SU2.rep_of(np.random.default_rng(2).normal(size=(4, 3))))
     off = g.copy()
     off[2] = np.diag([2.0, 1.0])  # finite, not unitary: Ad leaves the span
     with pytest.raises(alg.ReexpansionError, match="off span"):
@@ -254,3 +256,49 @@ def test_stacked_watchdogs_raise_on_a_finite_bad_row_only():
     assert alg.on_variety(SU2, poisoned) is poisoned
     variety = alg.variety_residual(SU2, poisoned)
     assert np.isnan(variety[2]) and np.isfinite(np.delete(variety, 2)).all()
+
+
+# -- the matrix exponential -----------------------------------------------------
+
+def unit_vectors(count, seed):
+    u = np.random.default_rng(seed).normal(size=(count, 3))
+    return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("theta", (1e-6, 1e-3, 0.1, 1.0, 3.0, 10.0))
+def test_expm_matches_the_su2_and_so3_closed_forms(theta):
+    u = theta * unit_vectors(8, seed=11)
+    m = SU2.rep_of(u)  # m @ m = -(theta/2)^2 on the representation
+    want = np.cos(theta / 2) * np.eye(2) + np.sin(theta / 2) / (theta / 2) * m
+    assert np.abs(alg.expm(m) - want).max() <= 1e-14
+    k = alg.ad_matrix_c(SU2, u)  # k @ v = u x v on so(3): Rodrigues' formula
+    rodrigues = (np.eye(3) + np.sin(theta) / theta * k
+                 + 2 * (np.sin(theta / 2) / theta) ** 2 * (k @ k))
+    assert np.abs(alg.expm(k) - rodrigues).max() <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["u1", "u1+su2", "rotated-su2"])
+def test_expm_matches_scipy_on_the_representation_and_the_adjoint(name):
+    a = KERNEL_ALGEBRAS[name]()
+    coeffs = np.random.default_rng(3).normal(scale=1.5, size=(6, 4, a.dim))
+    for m in (a.rep_of(coeffs), alg.ad_matrix_c(a, coeffs)):
+        got = alg.expm(m)
+        assert got.shape == m.shape and got.dtype == m.dtype
+        assert np.abs(got - scipy_expm(m)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("matrices", [SU2.rep_of, lambda u: alg.ad_matrix_c(SU2, u)],
+                         ids=["rep", "ad"])
+def test_expm_rows_of_a_mixed_stack_match_one_row_calls(matrices):
+    scales = np.array([0.0, 1e-300, 1e-12, 1.0, 40.0, 1e3, 1.0, 1.0, 1.0])
+    m = matrices(scales[:, None] * unit_vectors(len(scales), seed=2))
+    m[6, 0, 1], m[7, 1, 0], m[8, 0, 0] = np.nan, np.inf, -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = alg.expm(m.reshape(3, 3, *m.shape[1:])).reshape(m.shape)
+        for i in range(6):
+            assert np.array_equal(got[i], alg.expm(m[i]))
+    assert np.isnan(got[6:]).all() and np.isfinite(got[:6]).all()
+    eye = np.eye(len(m[0]))
+    assert np.array_equal(got[0], eye)
+    assert np.abs(got[:6] @ alg.dagger(got[:6]) - eye).max() <= 1e-13  # unitary

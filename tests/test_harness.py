@@ -4,7 +4,12 @@ import dataclasses
 import importlib
 import json
 import math
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 
 import numpy as np
@@ -888,3 +893,22 @@ def test_cli_seed_override_changes_env(tmp_path):
               "--report", str(report)])
     blob = json.loads(report.read_text())
     assert blob["env"]["seed"] == 99 and blob["env"]["points"] == 3
+
+
+def test_cli_run_leaves_scipy_linalg_unimported(tmp_path):
+    """Set-up and every suite run on numpy alone: importing scipy.linalg
+    would cost more than the rest of `import cym.cli`."""
+    script = textwrap.dedent(f"""
+        import sys
+        import cym.cli
+        code = cym.cli.main(["verify", "--scenario", "abelian-u1", "--suite", "all",
+                             "--points", "2", "--report", {str(tmp_path / "r.json")!r}])
+        assert code == 0, code
+        assert "scipy.linalg" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+    """)
+    src = str(pathlib.Path(cym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -2,9 +2,9 @@
 differential, total field strength, and automorphism pullbacks."""
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm as scipy_expm
 
-from cym.algebra import GroupElement, ad_matrix_of_group, su2, u1
+from cym.algebra import GroupElement, ad_matrix_of_group, expm, su2, u1
 from cym.connection import LabConnection, cov_ext_deriv, potential_curvature
 from cym.forms import (PolyData, SamplePlan, add_forms, bracket_pairing,
                        euclidean_chart, form_from_poly, graded_product,
@@ -110,7 +110,7 @@ def test_pushforward_section_routes_agree():
 
     def tilted_fn(y):
         c = np.array([0.3 * (y[0] - pt.x[0]) + 0.1 * (y[1] - pt.x[1]), 0.0, 0.0])
-        return GroupElement(ALG, expm(ALG.rep_of(c))) @ g
+        return GroupElement(ALG, scipy_expm(ALG.rep_of(c))) @ g
 
     tilted = GSection(ALG, tilted_fn, name="tilted")
     via_flat = pushforward_via_section(p, flat, pt, t)
@@ -243,7 +243,7 @@ def test_field_strength_on_a_stack_of_anchors_matches_each_anchor_alone(name):
     alg, N = bundle.algebra, bundle.chart.dim + bundle.algebra.dim
     rng = np.random.default_rng(12)
     x = SamplePlan(count=5, seed=2).points(bundle.chart)
-    h = expm(alg.rep_of(rng.normal(size=(5, alg.dim))))
+    h = scipy_expm(alg.rep_of(rng.normal(size=(5, alg.dim))))
     t1, t2 = rng.normal(size=(2, 5, 3, N))
     stacked = total_field_strength(bundle.principal, bundle.zeta, x, h)
     for i in range(5):
@@ -295,7 +295,7 @@ def test_identity_automorphism_fixes_everything():
 def test_constant_multiplier_without_omega_twists_by_adjoint():
     p = make_bundle(with_omega=False)
     zeta = zero_form(2, 2, "algebra", (3,))
-    g = GroupElement(ALG, expm(ALG.rep_of(np.array([0.5, -0.2, 0.9]))))
+    g = GroupElement(ALG, scipy_expm(ALG.rep_of(np.array([0.5, -0.2, 0.9]))))
     res = gauge_transform_total(p, Automorphism(GSection.constant(g)), zeta,
                                 SamplePlan(count=3, seed=9, tangent_probes=2))
     x = np.array([0.4, 0.2])
