@@ -44,12 +44,11 @@ def ad_mapped_form(alg: LieAlgebraDescriptor, omega: LieForm) -> LieForm:
         return form_from_poly(omega.n, omega.degree, "endomorphism", (d, d),
                               PolyData(omega.n, omega.degree, (d, d), terms),
                               box=omega.box, fd_step=omega.fd_step)
-    comp = lambda x, idx: ad_matrix_c(alg, omega.components(x, idx))
-    dcomp = None
-    if omega.analytic_d is not None:
-        dcomp = lambda x, idx: ad_matrix_c(alg, omega.analytic_d(x, idx))
+    d_omega = omega.analytic_d
     return LieForm(n=omega.n, degree=omega.degree, value_target="endomorphism",
-                   value_shape=(d, d), components=comp, analytic_d=dcomp,
+                   value_shape=(d, d), batch=lambda X: ad_matrix_c(alg, omega.table(X)),
+                   analytic_d=None if d_omega is None else (
+                       lambda X: ad_matrix_c(alg, d_omega(X))),
                    fd_step=omega.fd_step, box=omega.box)
 
 

@@ -1,12 +1,15 @@
 """Vector-valued differential forms on a boxed coordinate chart.
 
-Forms are stored by their components on strictly increasing multi-indices.
-A form may carry three layers of derivative information, used in this order:
+A form has one definition, its batch: the table of its components on the
+strictly increasing multi-indices at every point of a (P, n) batch. Sums,
+products, stars and derivatives are batches built on the batches of their
+factors, so a whole sampling plan is read in one pass. A form may carry
+three layers of derivative information, used in this order:
 
   1. a polynomial payload (`PolyData`): exact calculus, closed under the
      exterior derivative and under graded products with constant pairings;
-  2. an `analytic_d` callable supplying the components of its exterior
-     derivative (for closed-form but non-polynomial data);
+  2. an `analytic_d` batch, the table of its exterior derivative (for
+     closed-form but non-polynomial data);
   3. nothing: central finite differences with the form's own step, falling
      back to one-sided stencils at the box boundary (an order-loss event is
      recorded so reports can flag the accuracy drop).
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial, wraps
+from functools import cache, lru_cache, wraps
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,8 +34,9 @@ if TYPE_CHECKING:  # annotations only: algebra imports max_gap from here
 __all__ = [
     "Chart", "LieForm", "PolyData", "Pairing", "SamplePlan",
     "euclidean_chart", "stereographic_chart", "minkowski_chart",
-    "increasing_indices", "eval_form", "exterior_derivative",
-    "graded_product", "add_forms", "scale_form", "zero_form", "form_from_poly",
+    "increasing_indices", "exterior_derivative", "graded_product",
+    "add_forms", "scale_form", "zero_form", "form_from_poly",
+    "form_from_components",
     "bracket_pairing", "kappa_pairing", "endo_action_pairing",
     "endo_compose_pairing", "hodge_star", "kappa_wedge_top",
     "drain_order_loss_events", "max_gap", "max_gap_rows", "max_gap_of",
@@ -240,94 +244,32 @@ class PolyData:
 # the form container
 # ---------------------------------------------------------------------------
 
-_FLOAT64 = np.dtype(float)
-
-
-def _point_memo(fn):
-    """Memo of a component callable (x, idx) -> value at the last point seen.
-
-    The point is keyed by the bytes of its float64 coordinates, so a caller
-    that mutates its point array in place still gets fresh values. Array
-    values are returned as read-only views: a caller that tried to modify
-    one would raise instead of corrupting the memo. None and callables that
-    are memos already come back as they are.
-    """
-    if fn is None or getattr(fn, "point_memo", False):
-        return fn
-    last_key = None
-    last_values = {}
-
-    def memo(x, idx):
-        nonlocal last_key, last_values
-        if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
-            x = np.asarray(x, dtype=float)
-        if type(idx) is not tuple:
-            idx = tuple(idx)
-        key = x.tobytes()
-        if key == last_key:
-            values = last_values
-            value = values.get(idx)
-            if value is not None:
-                return value
-        else:
-            values = {}
-        # bound before the call: fn may re-enter this memo at other points
-        value = fn(x, idx)
-        if type(value) is np.ndarray:
-            value = value.view()
-            value.setflags(False)
-        values[idx] = value
-        last_key, last_values = key, values
-        return value
-
-    memo.point_memo = True
-    return memo
-
-
 @dataclass
 class LieForm:
     """A degree-k form with values in the algebra, its endomorphisms, or scalars.
 
-    `components(x, idx)` gives the value on the increasing multi-index idx at
-    the chart point x; `analytic_d` has the same signature for the exterior
-    derivative. Both must be pure functions of the point: each is wrapped in
-    a last-point memo (`_point_memo`), so it runs once per distinct point and
-    index, and later calls at that point return the stored, read-only value.
-    An already memoised callable (as passed on by `dataclasses.replace` or
-    shared with a derived form) is not wrapped again. Because of the memo, a
-    one-sided stencil records its order-loss event once per form, point and
-    index, not once per call.
-
-    `batch`, when given, maps a (P, n) batch of points to the component
-    table `table(X)` returns, with the values `components` gives; a form
-    without one is tabulated point by point. A form given `components=None`
-    is defined by its batch alone, and `components` is its one-row call. A
-    batch belongs to the components it came with: `dataclasses.replace` with
-    new `components` and no new `batch` drops the old one, so the table
-    follows the new values.
+    A form is its `batch`: the map from a (P, n) batch of points to the
+    (P, C(n, k), *value_shape) table of its components, in
+    `increasing_indices` order. `analytic_d`, when given, is the batch of its
+    exterior derivative, with the same convention one degree up. Both must be
+    pure functions of the points. `table(X)` reads the batch and keeps the
+    table of the last batch; `components(x, idx)` is the one-row read of it.
+    A per-point closure becomes a form through `form_from_components`.
     """
 
     n: int
     degree: int
     value_target: str          # "algebra" | "endomorphism" | "scalar"
     value_shape: tuple
-    components: callable       # (x, increasing idx tuple) -> ndarray value_shape
-    analytic_d: callable = None
+    batch: callable = field(default=None, repr=False)       # (P, n) -> table(X)
+    analytic_d: callable = field(default=None, repr=False)  # (P, n) -> table of d
     fd_step: float = 1e-5
     box: np.ndarray = None
     poly: PolyData = field(default=None, repr=False)
-    batch: callable = field(default=None, repr=False)  # (P, n) -> table(X)
 
     def __post_init__(self):
-        if self.components is None:
-            self.components = partial(_one_row, self.batch, self.n, self.degree)
-        self.components = _point_memo(self.components)
-        self.analytic_d = _point_memo(self.analytic_d)
-        if getattr(self.batch, "components", self.components) is not self.components:
-            self.batch = None  # handed on by `replace` with other components
-        elif self.batch is not None and not hasattr(self.batch, "components"):
-            self.batch = partial(self.batch)
-            self.batch.components = self.components
+        if self.batch is None:
+            raise ValueError("a LieForm needs a batch: (P, n) points -> component table")
         self._last_table = (None, None)
 
     def has_exact_d(self) -> bool:
@@ -341,20 +283,40 @@ class LieForm:
         X = np.asarray(X, dtype=float)
         key = (X.shape, X.tobytes())
         if key != self._last_table[0]:
-            if self.batch is not None:
-                value = np.asarray(self.batch(X)).view()
-            else:
-                indices = increasing_indices(self.n, self.degree)
-                value = np.array([[self.components(x, I) for I in indices] for x in X],
-                                 dtype=float).reshape((len(X), len(indices)) + self.value_shape)
+            value = np.asarray(self.batch(X)).view()
             value.setflags(write=False)
             self._last_table = (key, value)
         return self._last_table[1]
 
+    def components(self, x, idx) -> np.ndarray:
+        """The component on the increasing index idx at the point x: one row
+        of `table`."""
+        column = increasing_indices(self.n, self.degree).index(tuple(idx))
+        return self.table(np.asarray(x, dtype=float)[None])[0, column]
 
-def _one_row(batch, n, degree, x, idx):
-    """Component idx at the point x of a form defined by its batch."""
-    return batch(x[None])[0, increasing_indices(n, degree).index(idx)]
+
+def form_from_components(n, degree, value_target, value_shape, components,
+                         d=None, fd_step=1e-5, box=None) -> LieForm:
+    """The form of a per-point closure: components(x, idx) gives the value on
+    the increasing multi-index idx at the point x, and d(x, idx), when given,
+    that of the exterior derivative. Each closure is stacked into a batch, one
+    call per point and index; this is the one place that loops over points,
+    so a form read over many points is better given a batch.
+
+        f = form_from_components(2, 1, "scalar", (), lambda x, idx: x[idx[0]] ** 2)
+        f.table(np.zeros((5, 2)))  # shape (5, 2)
+    """
+    value_shape = tuple(value_shape)
+
+    def stacked(fn, k):
+        indices = increasing_indices(n, k)
+        return lambda X: np.array([[fn(x, I) for I in indices] for x in X], dtype=float
+                                  ).reshape((len(X), len(indices)) + value_shape)
+
+    return LieForm(n=n, degree=degree, value_target=value_target,
+                   value_shape=value_shape, batch=stacked(components, degree),
+                   analytic_d=None if d is None else stacked(d, degree + 1),
+                   fd_step=fd_step, box=box)
 
 
 def zero_form(n, degree, value_target, value_shape, box=None) -> LieForm:
@@ -364,29 +326,9 @@ def zero_form(n, degree, value_target, value_shape, box=None) -> LieForm:
 
 def form_from_poly(n, degree, value_target, value_shape, poly: PolyData,
                    box=None, fd_step=1e-5) -> LieForm:
-    dpoly = poly.d()
     return LieForm(n=n, degree=degree, value_target=value_target,
-                   value_shape=tuple(value_shape), components=poly.evaluate,
-                   analytic_d=dpoly.evaluate, fd_step=fd_step, box=box, poly=poly,
-                   batch=poly.table)
-
-
-def eval_form(f: LieForm, x, vectors) -> np.ndarray:
-    """Evaluate on tangent vectors: sum over increasing indices of
-    component(x, I) * det(rows of the vectors restricted to I)."""
-    vectors = [np.asarray(v, dtype=float) for v in vectors]
-    if len(vectors) != f.degree:
-        raise ValueError(f"degree-{f.degree} form needs {f.degree} vectors")
-    if f.degree == 0:
-        return f.components(x, ())
-    V = np.stack(vectors)
-    out = np.zeros(f.value_shape)
-    for idx in increasing_indices(f.n, f.degree):
-        sub = V[:, idx]
-        det = sub[0, 0] if f.degree == 1 else np.linalg.det(sub)
-        if det != 0.0:
-            out = out + f.components(x, idx) * det
-    return out
+                   value_shape=tuple(value_shape), batch=poly.table,
+                   analytic_d=poly.d().table, fd_step=fd_step, box=box, poly=poly)
 
 
 def add_forms(a: LieForm, b: LieForm, alpha=1.0, beta=1.0) -> LieForm:
@@ -397,44 +339,26 @@ def add_forms(a: LieForm, b: LieForm, alpha=1.0, beta=1.0) -> LieForm:
                               a.poly.combine(b.poly, alpha, beta),
                               box=a.box if a.box is not None else b.box,
                               fd_step=max(a.fd_step, b.fd_step))
-    comp = lambda x, idx: alpha * a.components(x, idx) + beta * b.components(x, idx)
-    dcomp = None
+    d = None
     if a.has_exact_d() and b.has_exact_d():
-        @_built_on_first_call
-        def dcomp():
-            da, db = exterior_derivative(a), exterior_derivative(b)
-            return lambda x, idx: alpha * da.components(x, idx) + beta * db.components(x, idx)
+        # built at its first read: building it here would recurse
+        d_sum = cache(lambda: add_forms(exterior_derivative(a), exterior_derivative(b),
+                                        alpha, beta))
+        d = lambda X: d_sum().table(X)
     return LieForm(n=a.n, degree=a.degree, value_target=a.value_target,
-                   value_shape=a.value_shape, components=comp, analytic_d=dcomp,
-                   fd_step=max(a.fd_step, b.fd_step),
-                   box=a.box if a.box is not None else b.box,
-                   batch=lambda X: alpha * a.table(X) + beta * b.table(X))
+                   value_shape=a.value_shape,
+                   batch=lambda X: alpha * a.table(X) + beta * b.table(X),
+                   analytic_d=d, fd_step=max(a.fd_step, b.fd_step),
+                   box=a.box if a.box is not None else b.box)
 
 
 def scale_form(a: LieForm, alpha: float) -> LieForm:
     if a.poly is not None:
         return form_from_poly(a.n, a.degree, a.value_target, a.value_shape,
                               a.poly.scaled(alpha), box=a.box, fd_step=a.fd_step)
-    comp = lambda x, idx: alpha * a.components(x, idx)
-    dcomp = (lambda x, idx: alpha * a.analytic_d(x, idx)) if a.analytic_d else None
-    # a batch is passed: `replace` would drop a's with its components
-    return replace(a, components=comp, analytic_d=dcomp,
-                   batch=lambda X: alpha * a.table(X))
-
-
-def _built_on_first_call(build):
-    """An (x, idx) callable that runs `build()` at its first call and from
-    then on delegates to the callable `build` returned, so a derivative that
-    is never read is never constructed."""
-    fn = None
-
-    def call(x, idx):
-        nonlocal fn
-        if fn is None:
-            fn = build()
-        return fn(x, idx)
-
-    return call
+    d = a.analytic_d
+    return replace(a, batch=lambda X: alpha * a.table(X),
+                   analytic_d=None if d is None else (lambda X: alpha * d(X)))
 
 
 # ---------------------------------------------------------------------------
@@ -459,54 +383,50 @@ def _stencil_at(f: LieForm, X, axis: int, h: float):
     return plus, minus, width
 
 
-def _partial(f: LieForm, x, axis, idx, h):
-    """d/dx_axis of one component at one point, by `_stencil_at`."""
-    (plus,), (minus,), (width,) = _stencil_at(f, np.asarray(x, dtype=float)[None], axis, h)
-    return (f.components(plus, idx) - f.components(minus, idx)) / width
+def _partial(f: LieForm, X, h: float) -> np.ndarray:
+    """d/dx_axis of every component at each row of the (P, n) batch X, for
+    every axis in turn, shape (n, P, C(n, k), *value_shape): one read of
+    `f.table` on the 2n stencil copies of the batch (`_stencil_at`)."""
+    P, n = X.shape
+    plus, minus, width = zip(*(_stencil_at(f, X, axis, h) for axis in range(n)))
+    t = f.table(np.concatenate(plus + minus)).reshape((2, n, P, -1) + f.value_shape)
+    return (t[0] - t[1]) / np.reshape(width, (n, P, 1) + (1,) * len(f.value_shape))
 
 
 def exterior_derivative(f: LieForm) -> LieForm:
     """d on forms. Polynomial payloads are differentiated exactly; an
-    analytic_d callable is used verbatim (and the result is exactly closed);
-    otherwise central finite differences with the form's step, whose table
-    reads `f.table` once on the 2n stencil copies of the batch."""
-    if f.degree >= f.n:
-        return zero_form(f.n, min(f.degree + 1, f.n), f.value_target,
-                         f.value_shape, box=f.box)
+    analytic_d batch is used verbatim (and the result is exactly closed);
+    otherwise central finite differences with the form's step (`_partial`)."""
+    n, k = f.n, f.degree
+    if k >= n:
+        return zero_form(n, min(k + 1, n), f.value_target, f.value_shape, box=f.box)
     if f.poly is not None:
-        return form_from_poly(f.n, f.degree + 1, f.value_target, f.value_shape,
+        return form_from_poly(n, k + 1, f.value_target, f.value_shape,
                               f.poly.d(), box=f.box, fd_step=f.fd_step)
     if f.analytic_d is not None:
-        return LieForm(n=f.n, degree=f.degree + 1, value_target=f.value_target,
-                       value_shape=f.value_shape, components=f.analytic_d,
-                       analytic_d=lambda x, idx: np.zeros(f.value_shape),
+        zeros = (math.comb(n, k + 2),) + f.value_shape
+        return LieForm(n=n, degree=k + 1, value_target=f.value_target,
+                       value_shape=f.value_shape, batch=f.analytic_d,
+                       analytic_d=lambda X: np.zeros((len(X),) + zeros),
                        fd_step=f.fd_step, box=f.box)
-    n, k = f.n, f.degree
     column = {I: c for c, I in enumerate(increasing_indices(n, k))}
     # d on the increasing index J: the signed partials of the components on
     # J without its pos-th entry, along that entry's axis
-    terms = {J: [(J[pos], J[:pos] + J[pos + 1:], (-1.0) ** pos) for pos in range(len(J))]
-             for J in increasing_indices(n, k + 1)}
-
-    def comp(x, J):
-        return sum((sign * _partial(f, x, axis, sub, f.fd_step)
-                    for axis, sub, sign in terms[J]), np.zeros(f.value_shape))
+    terms = [[(J[pos], column[J[:pos] + J[pos + 1:]], (-1.0) ** pos) for pos in range(len(J))]
+             for J in increasing_indices(n, k + 1)]
 
     def batch(X):
-        P, h = len(X), f.fd_step
-        plus, minus, width = zip(*(_stencil_at(f, X, axis, h) for axis in range(n)))
-        t = f.table(np.concatenate(plus + minus)).reshape((2, n, P, -1) + f.value_shape)
-        partials = (t[0] - t[1]) / np.reshape(width, (n, P, 1) + (1,) * len(f.value_shape))
-        out = np.zeros((P, len(terms)) + f.value_shape)
-        for c, J_terms in enumerate(terms.values()):
+        partials = _partial(f, X, f.fd_step)
+        out = np.zeros((len(X), len(terms)) + f.value_shape)
+        for c, J_terms in enumerate(terms):
             for axis, sub, sign in J_terms:
-                out[:, c] = out[:, c] + sign * partials[axis, :, column[sub]]
+                out[:, c] = out[:, c] + sign * partials[axis, :, sub]
         return out
 
     # a second derivative of FD output needs a wider stencil to stay stable
     return LieForm(n=n, degree=k + 1, value_target=f.value_target,
-                   value_shape=f.value_shape, components=comp,
-                   fd_step=10 * f.fd_step, box=f.box, batch=batch)
+                   value_shape=f.value_shape, batch=batch,
+                   fd_step=10 * f.fd_step, box=f.box)
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +455,7 @@ def bracket_pairing(alg: LieAlgebraDescriptor) -> Pairing:
 
 def kappa_pairing(alg: LieAlgebraDescriptor) -> Pairing:
     k = alg.kappa
-    # stacked matmul rounds as u @ k @ v does; an einsum would not
-    return Pairing(lambda u, v: np.asarray(
-        ((u @ k)[..., None, :] @ v[..., :, None])[..., 0, 0]), (), "scalar")
+    return Pairing(lambda u, v: np.einsum('...a,...a->...', u @ k, v), (), "scalar")
 
 
 def endo_action_pairing(alg: LieAlgebraDescriptor) -> Pairing:
@@ -597,17 +515,8 @@ def graded_product(pairing: Pairing, a: LieForm, b: LieForm) -> LieForm:
                               PolyData(n, deg, pairing.out_shape, terms),
                               box=box, fd_step=max(a.fd_step, b.fd_step))
 
-    def comp(x, K):
-        out = np.zeros(pairing.out_shape)
-        for S, T, sign in _shuffles(k, m):
-            va = a.components(x, tuple(K[i] for i in S))
-            vb = b.components(x, tuple(K[i] for i in T))
-            out = out + sign * pairing.fn(va, vb)
-        return out
-
     def batch(X):
-        ta = a.table(X)
-        tb = ta if b is a else b.table(X)
+        ta, tb = a.table(X), b.table(X)
         out = np.empty((len(X), len(increasing_indices(n, deg))) + pairing.out_shape)
         for c, terms in enumerate(_shuffle_columns(n, k, m)):
             acc = np.zeros((len(X),) + pairing.out_shape)
@@ -616,19 +525,18 @@ def graded_product(pairing: Pairing, a: LieForm, b: LieForm) -> LieForm:
             out[:, c] = acc
         return out
 
-    dcomp = None
+    d = None
     if a.has_exact_d() and b.has_exact_d():
-        @_built_on_first_call
-        def dcomp():
-            # graded Leibniz: d F(a^,b) = F(da^,b) + (-1)^k F(a^,db)
-            lhs = graded_product(pairing, exterior_derivative(a), b)
-            rhs = graded_product(pairing, a, exterior_derivative(b))
-            return lambda x, idx: lhs.components(x, idx) + (-1.0) ** k * rhs.components(x, idx)
+        # graded Leibniz: d F(a^,b) = F(da^,b) + (-1)^k F(a^,db), built at its
+        # first read: building it here would recurse
+        d_product = cache(lambda: add_forms(
+            graded_product(pairing, exterior_derivative(a), b),
+            graded_product(pairing, a, exterior_derivative(b)), 1.0, (-1.0) ** k))
+        d = lambda X: d_product().table(X)
 
     return LieForm(n=n, degree=deg, value_target=pairing.out_target,
-                   value_shape=pairing.out_shape, components=comp,
-                   analytic_d=dcomp, fd_step=max(a.fd_step, b.fd_step), box=box,
-                   batch=batch)
+                   value_shape=pairing.out_shape, batch=batch, analytic_d=d,
+                   fd_step=max(a.fd_step, b.fd_step), box=box)
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +575,7 @@ def hodge_star(chart: Chart, f: LieForm) -> LieForm:
         return np.einsum('pJI,pI...->pJ...', maps, f.table(X))
 
     return LieForm(n=n, degree=n - k, value_target=f.value_target,
-                   value_shape=f.value_shape, components=None,
-                   fd_step=f.fd_step, box=f.box, batch=batch)
+                   value_shape=f.value_shape, batch=batch, fd_step=f.fd_step, box=f.box)
 
 
 def kappa_wedge_top(alg: LieAlgebraDescriptor, f: LieForm, g: LieForm) -> LieForm:

@@ -117,7 +117,7 @@ class ChangeOfGaugeResult:
 def _adjoint_twist(alg: LieAlgebraDescriptor, sigma: GSection, f: LieForm) -> LieForm:
     """Ad_{sigma^{-1}} f, read over a batch from one stack of the section."""
     return LieForm(n=f.n, degree=f.degree, value_target="algebra",
-                   value_shape=f.value_shape, components=None,
+                   value_shape=f.value_shape,
                    batch=lambda X: ad_twist(alg, dagger(sigma(X)), f.table(X)),
                    fd_step=f.fd_step, box=f.box)
 
@@ -127,7 +127,7 @@ def gauge_changed_potential(s: GaugeScenario, sigma: GSection) -> LieForm:
     twisted = _adjoint_twist(s.algebra, sigma, s.gauge_field)
     dsig = darboux(s.lgb, sigma)
     return LieForm(n=s.chart.dim, degree=1, value_target="algebra",
-                   value_shape=(s.algebra.dim,), components=None,
+                   value_shape=(s.algebra.dim,),
                    batch=lambda X: twisted.table(X) + dsig.table(X),
                    fd_step=dsig.fd_step, box=s.chart.box)
 
@@ -271,8 +271,7 @@ def density_infinitesimal_rows(s: GaugeScenario, eps: LieForm, plan: SamplePlan,
     X = plan.points(s.chart)
 
     def density_at(t):
-        sec = GSection.from_exp_coeffs(
-            s.algebra, lambda y: t * eps.components(y, ()), name="exp(teps)")
+        sec = GSection.exp_of_form(s.algebra, eps, t, name="exp(teps)")
         return lagrangian_density(s.with_gauge_field(gauge_changed_potential(s, sec)),
                                   gate=False)(X)
 

@@ -68,15 +68,15 @@ _BPST_PLANES = np.array([
     [[0., 0., 0., -1.], [0., 0., 1., 0.], [0., -1., 0., 0.], [1., 0., 0., 0.]],
 ])
 
-# increasing index pair -> (algebra slot, sign) of the self-dual plane basis
-_BPST_PAIRS = {(0, 1): (0, 1.0), (2, 3): (0, -1.0),
-               (0, 2): (1, 1.0), (1, 3): (1, 1.0),
-               (0, 3): (2, 1.0), (1, 2): (2, -1.0)}
+# the self-dual plane basis on increasing_indices(4, 2), (6, 3): dx0^dx1 and
+# -dx2^dx3 carry the first algebra direction, dx0^dx2 and dx1^dx3 the second,
+# dx0^dx3 and -dx1^dx2 the third
+_BPST_BASIS = np.array([[1., 0., 0.], [0., 1., 0.], [0., 0., 1.],
+                        [0., 0., -1.], [0., 1., 0.], [-1., 0., 0.]])
 
 
 def _one_plus_square(X) -> np.ndarray:
-    """1 + x @ x at each row of a (P, n) batch: a stacked matmul, which
-    rounds as x @ x does for one row."""
+    """1 + x @ x at each row of a (P, n) batch."""
     return 1.0 + (X[:, None, :] @ X[:, :, None])[:, 0, 0]
 
 
@@ -84,71 +84,40 @@ def bpst_potential(box=None) -> LieForm:
     """Horizontal potential of the instanton bundle on the stereographic
     chart: the imaginary part of conj(q) dq divided by 1 + |x|^2, with the
     quaternion units identified with twice the algebra basis."""
-    planes = _BPST_PLANES
-
-    def comp(x, idx):
-        x = np.asarray(x, dtype=float)
-        u = 1.0 + float(x @ x)
-        return 2.0 * (planes[:, idx[0], :] @ x) / u
+    mu, nu = np.array(increasing_indices(4, 2)).T
 
     def batch(X):
-        # a row of a plane has one nonzero entry, so its product with x is
-        # exact in any order, and 1 + x @ x rounds as `comp` rounds it
-        return 2.0 * np.einsum('aik,pk->pia', planes, X) / _one_plus_square(X)[:, None, None]
+        return 2.0 * np.einsum('aik,pk->pia', _BPST_PLANES, X) / _one_plus_square(X)[:, None, None]
 
-    def dcomp(x, idx):
-        mu, nu = idx
-        x = np.asarray(x, dtype=float)
-        u = 1.0 + float(x @ x)
-        mx = planes @ x
-        return -4.0 * (planes[:, mu, nu] * u
-                       + mx[:, nu] * x[mu] - mx[:, mu] * x[nu]) / u ** 2
+    def d(X):
+        u = _one_plus_square(X)[:, None, None]
+        mx = np.einsum('aik,pk->pia', _BPST_PLANES, X)
+        return -4.0 * (_BPST_PLANES[:, mu, nu].T * u + mx[:, nu] * X[:, mu, None]
+                       - mx[:, mu] * X[:, nu, None]) / u ** 2
 
     return LieForm(n=4, degree=1, value_target="algebra", value_shape=(3,),
-                   components=comp, analytic_d=dcomp, fd_step=2e-5, box=box,
-                   batch=batch)
+                   batch=batch, analytic_d=d, fd_step=2e-5, box=box)
 
 
 def bpst_central_form(box=None) -> LieForm:
     """Curvature of the instanton potential in closed form: the self-dual
     plane basis times 4 / (1 + |x|^2)^2."""
-    def profile(x):
-        return 4.0 / (1.0 + float(np.asarray(x) @ np.asarray(x))) ** 2
-
-    def comp(x, idx):
-        out = np.zeros(3)
-        slot, sign = _BPST_PAIRS[tuple(idx)]
-        out[slot] = sign * profile(x)
-        return out
-
-    def pair_vec(p, q):
-        out = np.zeros(3)
-        slot, sign = _BPST_PAIRS[(p, q)]
-        out[slot] = sign
-        return out
-
-    def dcomp(x, idx):
-        i, j, k = idx
-        x = np.asarray(x, dtype=float)
-        u = 1.0 + float(x @ x)
-        return (-16.0 / u ** 3) * (x[i] * pair_vec(j, k)
-                                   - x[j] * pair_vec(i, k)
-                                   + x[k] * pair_vec(i, j))
+    # dx^i ^ basis: entry (c, i) is its value on the c-th increasing triple
+    pair = increasing_indices(4, 2).index
+    wedge = np.zeros((4, 4, 3))
+    for c, (i, j, k) in enumerate(increasing_indices(4, 3)):
+        wedge[c, i], wedge[c, j], wedge[c, k] = (
+            _BPST_BASIS[pair((j, k))], -_BPST_BASIS[pair((i, k))], _BPST_BASIS[pair((i, j))])
 
     def batch(X):
-        # the square by Python's float power rounds exactly as `profile`
-        # does (numpy's square differs from it in the last bit for about 1
-        # in 1,000 points)
-        prof = 4.0 / np.array([v ** 2 for v in _one_plus_square(X).tolist()])
-        out = np.zeros((len(X), 6, 3))
-        for c, idx in enumerate(increasing_indices(4, 2)):
-            slot, sign = _BPST_PAIRS[idx]
-            out[:, c, slot] = sign * prof
-        return out
+        return (4.0 / np.square(_one_plus_square(X)))[:, None, None] * _BPST_BASIS
+
+    def d(X):
+        return (-16.0 / _one_plus_square(X) ** 3)[:, None, None] * np.einsum(
+            'pi,cia->pca', X, wedge)
 
     return LieForm(n=4, degree=2, value_target="algebra", value_shape=(3,),
-                   components=comp, analytic_d=dcomp, fd_step=2e-5, box=box,
-                   batch=batch)
+                   batch=batch, analytic_d=d, fd_step=2e-5, box=box)
 
 
 # ---------------------------------------------------------------------------

@@ -113,8 +113,8 @@ class GSection:
     `section(X)` maps a (..., n) stack of points to the (..., r, r) stack of
     their group matrices. `fn` maps one point to its group element (a
     `GroupElement` or its matrix) and runs row by row; the sections that
-    `from_exp_coeffs`, `identity`, `constant`, `product` and `inverse` build
-    map a whole stack at once. Every finite row must lie on the group
+    `from_exp_coeffs`, `exp_of_form`, `identity`, `constant`, `product` and
+    `inverse` build map a whole stack at once. Every finite row must lie on the group
     variety (VarietyError otherwise); a non-finite row passes through as NaN.
     A section must be a pure function of the point: the last stack is
     memoised by its coordinates and its matrices come back read-only.
@@ -162,6 +162,14 @@ class GSection:
             coeffs = np.array([coeff_fn(x) for x in X.reshape(-1, X.shape[-1])], dtype=float)
             return on_variety(alg, expm(alg.rep_of(coeffs.reshape(X.shape[:-1] + (alg.dim,)))))
         return cls._of_stack(alg, stack, name)
+
+    @classmethod
+    def exp_of_form(cls, alg: LieAlgebraDescriptor, form: LieForm, scale: float = 1.0,
+                    name: str = "exp") -> "GSection":
+        """b(x) = exp(scale form(x)) of an algebra-valued 0-form: one table of
+        the form on the stack, then one exponential and one variety check."""
+        return cls._of_stack(alg, lambda X: on_variety(alg, expm(alg.rep_of(
+            scale * _table_at(form, X)[..., 0, :]))), name)
 
     def product(self, other: "GSection") -> "GSection":
         if other.algebra is not self.algebra:
@@ -289,7 +297,7 @@ def darboux(lgb: TrivLgb, section: GSection, h: float = None) -> LieForm:
         return np.swapaxes(_darboux_rows(lgb, X, h, section, what), 0, 1)
 
     return LieForm(n=lgb.chart.dim, degree=1, value_target="algebra",
-                   value_shape=(lgb.algebra.dim,), components=None, batch=batch,
+                   value_shape=(lgb.algebra.dim,), batch=batch,
                    fd_step=10 * lgb.chart.default_step(), box=lgb.chart.box)
 
 

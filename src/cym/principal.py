@@ -483,6 +483,6 @@ def gauge_transform_total(p: TrivPrincipal, aut: Automorphism, zeta: LieForm,
         return aut.tau.body_derivative(Y, h_step) + base_rows(p.lgb, Y, aut.tau(Y), p.a_local)
 
     a_new = LieForm(n=n, degree=1, value_target="algebra", value_shape=(d,),
-                    components=None, batch=new_a, fd_step=10 * h_step, box=p.chart.box)
+                    batch=new_a, fd_step=10 * h_step, box=p.chart.box)
     return GaugeTransformResult(a_new, max_gap_rows(direct - formula),
                                 max_gap_rows(f[P:] - _act(ad_sig_inv, f[:P])))

@@ -47,9 +47,7 @@ def origin_plan(dim):
 def hide_derivatives(f, step=1e-4):
     """Strip the polynomial/analytic payload so every derivative is a stencil."""
     return LieForm(n=f.n, degree=f.degree, value_target="algebra",
-                   value_shape=f.value_shape,
-                   components=lambda x, idx, ff=f: ff.components(x, idx),
-                   fd_step=step, box=f.box)
+                   value_shape=f.value_shape, batch=f.table, fd_step=step, box=f.box)
 
 
 def test_criterion_01_algebra_kernel_residuals():

@@ -1,0 +1,52 @@
+"""The names the benchmark's tracer (`perfbench/tracer.py`) wraps must stay in
+cym: a refactor that deletes or renames one fails here, in the test suite,
+and not only in the traced benchmark pass. The tracer is read, not changed."""
+import importlib
+import importlib.util
+import pathlib
+
+import numpy as np
+import pytest
+
+import cym.forms as fm
+import cym.harness  # noqa: F401  (imports every module the tracer names)
+
+TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACER = load_tracer()
+
+
+@pytest.mark.parametrize("layer, module, attr",
+                         TRACER.SPAN_FUNCTIONS + TRACER.COUNTED_FUNCTIONS)
+def test_traced_function_resolves(layer, module, attr):
+    assert callable(getattr(importlib.import_module(module), attr)), layer
+
+
+@pytest.mark.parametrize("layer, module, cls, attr",
+                         TRACER.SPAN_METHODS + TRACER.COUNTED_METHODS)
+def test_traced_method_resolves(layer, module, cls, attr):
+    # the tracer patches the method in the class's own namespace
+    assert callable(vars(getattr(importlib.import_module(module), cls))[attr]), layer
+
+
+def test_tracer_counts_components_and_stencils_then_restores():
+    init = vars(fm.LieForm)["__init__"]
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        f = fm.form_from_components(2, 0, "scalar", (), lambda x, idx: x[0] * x[1])
+        df = fm.exterior_derivative(f)
+        np.testing.assert_allclose(df.components(np.array([0.5, 0.25]), (1,)), 0.5)
+    finally:
+        tracer.restore()
+    assert vars(fm.LieForm)["__init__"] is init
+    assert tracer.calls["forms.components"] == 1
+    assert tracer.calls["forms.stencil_partial"] == 1

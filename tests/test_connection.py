@@ -7,7 +7,7 @@ from cym.algebra import ad_matrix_c, bracket_c, su2, u1, u1_su2
 from cym.connection import (CompatibilityReport, LabConnection, ad_mapped_form,
                             check_compatibility, cov_ext_deriv, curvature,
                             field_redefine, potential_curvature)
-from cym.forms import (LieForm, PolyData, SamplePlan, euclidean_chart,
+from cym.forms import (PolyData, SamplePlan, euclidean_chart, form_from_components,
                        form_from_poly, increasing_indices, zero_form)
 
 ALG = su2()
@@ -83,10 +83,10 @@ def test_double_cov_deriv_is_curvature_action_analytic():
 def test_double_cov_deriv_is_curvature_action_nested_stencils():
     # same law, with the potential handed over opaquely (no polynomial payload,
     # no analytic derivative) so both layers fall back to stencils
-    omega = LieForm(n=2, degree=1, value_target="algebra", value_shape=(3,),
-                    components=lambda x, idx: np.array([0., 0., np.sin(x[0])])
-                    if idx == (1,) else np.zeros(3),
-                    fd_step=1e-5, box=CHART.box)
+    omega = form_from_components(
+        2, 1, "algebra", (3,),
+        lambda x, idx: np.array([0., 0., np.sin(x[0])]) if idx == (1,) else np.zeros(3),
+        fd_step=1e-5, box=CHART.box)
     nabla = LabConnection.from_omega(ALG, omega)
     r = curvature(nabla)
     nu = const_section([0.0, 1.0, 0.0])

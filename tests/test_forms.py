@@ -43,6 +43,15 @@ def top_coefficient(form, x):
     return float(form.components(x, tuple(range(form.n))))
 
 
+def eval_on(form, x, vectors):
+    """Helper: the form at x on tangent vectors, the sum over increasing
+    indices I of its component on I times det(rows of the vectors on I)."""
+    V = np.array(vectors, dtype=float)
+    row = form.table(np.asarray(x, dtype=float)[None])[0]
+    return sum(value * np.linalg.det(V[:, I]) for value, I in
+               zip(row, fm.increasing_indices(form.n, form.degree)))
+
+
 A_FORM = poly_1form({
     1: [(np.array([1.0, 0, 0]), np.array([1, 0, 0, 0]))],   # x0 dx1 e1
     0: [(np.array([0, 1.0, 0]), np.array([0, 1, 0, 0]))],   # x1 dx0 e2
@@ -56,16 +65,11 @@ def test_eval_antisymmetry_and_multilinearity():
     f = fm.graded_product(fm.bracket_pairing(SU2), A_FORM, A_FORM)
     X, Y = rng.normal(size=4), rng.normal(size=4)
     def f_at(*vectors):
-        return fm.eval_form(f, X0, vectors)
+        return eval_on(f, X0, vectors)
 
     np.testing.assert_allclose(f_at(X, Y), -f_at(Y, X), atol=1e-14)
     np.testing.assert_allclose(f_at(X, X), 0.0, atol=1e-14)
     np.testing.assert_allclose(f_at(2.0 * X, Y), 2.0 * f_at(X, Y), atol=1e-13)
-
-
-def test_eval_wrong_vector_count():
-    with pytest.raises(ValueError):
-        fm.eval_form(A_FORM, X0, (np.ones(4), np.ones(4)))
 
 
 # -- graded products --------------------------------------------------------
@@ -77,11 +81,11 @@ def test_half_square_bracket_identity():
     sq = fm.scale_form(fm.graded_product(fm.bracket_pairing(SU2), A_FORM, A_FORM), 0.5)
     for _ in range(10):
         X, Y = rng.normal(size=4), rng.normal(size=4)
-        ax, ay = fm.eval_form(A_FORM, X0, (X,)), fm.eval_form(A_FORM, X0, (Y,))
+        ax, ay = eval_on(A_FORM, X0, (X,)), eval_on(A_FORM, X0, (Y,))
         comm = SU2.rep_of(ax) @ SU2.rep_of(ay) - SU2.rep_of(ay) @ SU2.rep_of(ax)
         want, resid = alg.expand_in_rep(SU2, comm)
         assert resid < 1e-12
-        np.testing.assert_allclose(fm.eval_form(sq, X0, (X, Y)), want, atol=1e-12)
+        np.testing.assert_allclose(eval_on(sq, X0, (X, Y)), want, atol=1e-12)
 
 
 @mark.parametrize("ka km".split(), ((1, 1), (1, 2), (2, 1), (2, 2)))
@@ -134,8 +138,7 @@ def test_fd_matches_analytic_derivative():
         return np.array([np.sin(x[k] + 0.5 * x[(k + 1) % 4]),
                          x[0] * x[k] ** 2, np.cos(x[2]) * x[k]])
 
-    f_fd = fm.LieForm(n=4, degree=1, value_target="algebra", value_shape=(3,),
-                      components=comp, fd_step=1e-5, box=CH.box)
+    f_fd = fm.form_from_components(4, 1, "algebra", (3,), comp, fd_step=1e-5, box=CH.box)
     rng = np.random.default_rng(11)
     worst = 0.0
     d_fd = fm.exterior_derivative(f_fd)
@@ -176,12 +179,11 @@ def test_dd_analytic_path():
             return v
         return np.array(pi(i, j) - pi(j, i))
 
-    f = fm.LieForm(n=4, degree=1, value_target="scalar", value_shape=(),
-                   components=comp, analytic_d=dcomp, fd_step=1e-5, box=CH.box)
+    f = fm.form_from_components(4, 1, "scalar", (), comp, d=dcomp, fd_step=1e-5,
+                                box=CH.box)
     df = fm.exterior_derivative(f)
     # rebuild without the exactness shortcut to actually measure d(df)
-    df_raw = fm.LieForm(n=4, degree=2, value_target="scalar", value_shape=(),
-                        components=df.components, fd_step=1e-5, box=CH.box)
+    df_raw = replace(df, analytic_d=None)
     ddf = fm.exterior_derivative(df_raw)
     worst = max(abs(float(ddf.components(X0, K)))
                 for K in fm.increasing_indices(4, 3))
@@ -193,8 +195,7 @@ def test_dd_nested_fd_path():
         return np.array(np.exp(0.3 * x[idx[0]]) * np.sin(x[(idx[0] + 1) % 4])
                         + x[2] * x[idx[0]] ** 2)
 
-    f = fm.LieForm(n=4, degree=1, value_target="scalar", value_shape=(),
-                   components=comp, fd_step=1e-5, box=CH.box)
+    f = fm.form_from_components(4, 1, "scalar", (), comp, fd_step=1e-5, box=CH.box)
     ddf = fm.exterior_derivative(fm.exterior_derivative(f))
     worst = max(abs(float(ddf.components(X0, K)))
                 for K in fm.increasing_indices(4, 3))
@@ -202,9 +203,8 @@ def test_dd_nested_fd_path():
 
 
 def test_one_sided_stencil_flags_order_loss():
-    f = fm.LieForm(n=4, degree=1, value_target="scalar", value_shape=(),
-                   components=lambda x, idx: np.array(x[idx[0]] ** 2),
-                   fd_step=1e-5, box=CH.box)
+    f = fm.form_from_components(4, 1, "scalar", (), lambda x, idx: x[idx[0]] ** 2,
+                                fd_step=1e-5, box=CH.box)
     df = fm.exterior_derivative(f)
     fm.drain_order_loss_events()
     _ = df.components(X0, (0, 1))
@@ -276,70 +276,99 @@ def test_minkowski_star_flips_time_pairs():
 
 
 def test_density_reads_each_field_strength_component_once(monkeypatch):
-    # the star reads every input component for each output index and the
-    # kappa wedge reads the star once per shuffle; per-point memos must
-    # still leave a single read of each of the six components
-    calls = Counter()
+    # the star and the kappa wedge both read the field strength; the table
+    # memo must leave one read of its batch per batch of points
+    reads = []
     field_strength = gauge.local_field_strength
 
     def counted_field_strength(s, gate=True):
         f = field_strength(s, gate)
-        inner = f.components
 
-        def counted(x, idx):
-            calls[idx] += 1
-            return inner(x, idx)
+        def counted(X):
+            reads.append(len(X))
+            return f.table(X)
 
-        return replace(f, components=counted)
+        return replace(f, batch=counted)
 
     monkeypatch.setattr(gauge, "local_field_strength", counted_field_strength)
     density = gauge.lagrangian_density(builtin_scenario("bpst").scenario)
     value = density(X0)
     assert np.isfinite(value) and value != 0.0
-    assert calls == {idx: 1 for idx in fm.increasing_indices(4, 2)}
+    assert reads == [1]
+    assert np.isfinite(density(BATCH)).all()
+    assert reads == [1, len(BATCH)]
 
 
-# -- per-point memo -----------------------------------------------------------
+# -- the table memo -------------------------------------------------------------
+
+def _counted_form(calls, value=lambda X: X[:, :1] ** 2):
+    """A scalar 1-form on the unit box whose batch records each batch it reads."""
+    def batch(X):
+        calls.append(X.copy())
+        return np.repeat(value(X), 4, axis=1)
+    return fm.LieForm(n=4, degree=1, value_target="scalar", value_shape=(),
+                      batch=batch, box=CH.box)
+
 
 def test_component_memo_is_keyed_by_point_content():
     calls = []
-
-    def comp(x, idx):
-        calls.append(idx)
-        return np.array(x[idx[0]] ** 2)
-
-    f = fm.LieForm(n=4, degree=1, value_target="scalar", value_shape=(),
-                   components=comp, box=CH.box)
-    x = X0.copy()
-    first = f.components(x, (0,))
-    assert f.components(x.copy(), (0,)) is first and len(calls) == 1
-    # mutate the point in place, as the charge quadrature does with its node
-    x[0] = -0.25
-    assert float(f.components(x, (0,))) == 0.0625
-    assert float(first) == X0[0] ** 2
+    f = _counted_form(calls)
+    X = BATCH.copy()
+    first = f.table(X)
+    assert f.table(X.copy()) is first and len(calls) == 1
+    # mutate the batch in place, as a caller reusing its buffer would
+    X[0, 0] = -0.25
+    assert f.table(X)[0, 0] == 0.0625
+    assert first[0, 0] == BATCH[0, 0] ** 2
     assert len(calls) == 2
+    # a batch of other shape is another key, even on the same coordinates
+    f.table(X[:6])
+    assert len(calls) == 3
 
 
 def test_component_memo_values_are_read_only_and_wrapped_once():
     calls = []
+    f = _counted_form(calls, value=lambda X: np.ones((len(X), 1)))
+    table = f.table(BATCH)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 2.0
+    assert np.all(f.table(BATCH) == 1.0) and len(calls) == 1
+    # replace keeps the batch, and a derivative reads the analytic batch as it is
+    d = lambda X: np.zeros((len(X), 6))
+    g = replace(f, fd_step=1e-4, analytic_d=d)
+    assert g.batch is f.batch and fm.exterior_derivative(g).batch is d
+    # a components callable rebound after construction leaves the table alone
+    f.components = lambda x, idx: np.array(2.0)
+    assert np.all(f.table(BATCH[:3]) == 1.0)
+
+
+def test_form_without_a_batch_is_refused():
+    with pytest.raises(ValueError, match="needs a batch"):
+        fm.LieForm(n=4, degree=1, value_target="scalar", value_shape=())
+    with pytest.raises(ValueError, match="needs a batch"):
+        replace(A_FORM, batch=None)
+
+
+def test_components_adapter_stacks_the_closure_and_its_derivative():
+    seen = []
 
     def comp(x, idx):
-        calls.append(idx)
-        return np.ones(3)
+        seen.append(idx)
+        return np.array([x[idx[0]] ** 2, 1.0])
 
-    f = fm.LieForm(n=4, degree=1, value_target="algebra", value_shape=(3,),
-                   components=comp, analytic_d=lambda x, idx: np.zeros(3),
-                   box=CH.box)
-    v = f.components(X0, (1,))
-    with pytest.raises(ValueError, match="read-only"):
-        v[0] = 2.0
-    assert np.all(f.components(X0, (1,)) == 1.0) and calls == [(1,)]
-    g = replace(f, fd_step=1e-4)
-    assert g.components is f.components
-    assert fm.exterior_derivative(f).components is f.analytic_d
-    # a components callable rebound after construction is read as it is
-    f.components = lambda x, idx: np.full(3, 2.0)
-    assert np.all(f.table(X0[None]) == 2.0)
+    def dcomp(x, J):
+        i, j = J
+        return np.array([-2.0 * x[j] * (i == j), 0.0])  # d(x_k^2 dx^k) = 0
+
+    f = fm.form_from_components(4, 1, "algebra", (2,), comp, d=dcomp, box=CH.box)
+    table = f.table(BATCH)
+    assert table.shape == (len(BATCH), 4, 2) and len(seen) == 4 * len(BATCH)
+    np.testing.assert_array_equal(table[:, :, 0], BATCH ** 2)
+    assert f.has_exact_d()
+    np.testing.assert_array_equal(fm.exterior_derivative(f).table(BATCH), 0.0)
+    plain = fm.form_from_components(4, 1, "algebra", (2,), comp, box=CH.box)
+    assert not plain.has_exact_d()
+    np.testing.assert_allclose(fm.exterior_derivative(plain).table(BATCH), 0.0, atol=1e-9)
 
 
 # -- batched component tables -------------------------------------------------
@@ -350,8 +379,7 @@ BATCH = np.random.default_rng(11).uniform(-1.5, 1.5, size=(12, 4))
 def _closure_2form():
     def comp(x, idx):
         return np.array([np.sin(x[idx[0]]) * x[idx[1]], np.exp(-float(x @ x)), 1.0])
-    return fm.LieForm(n=4, degree=2, value_target="algebra", value_shape=(3,),
-                      components=comp, box=CH.box)
+    return fm.form_from_components(4, 2, "algebra", (3,), comp, box=CH.box)
 
 
 TABLE_FORMS = {
@@ -375,13 +403,11 @@ TABLE_FORMS = {
     "endo-compose": lambda: curvature(LabConnection.from_omega(SU2, bpst_potential())),
     "endo-action": lambda: cov_ext_deriv(
         LabConnection.from_omega(SU2, A_FORM), _closure_2form()),
-    # per point, ad_matrix_c of the closed-form potential feeds the
-    # matrix-vector product one matrix at a time; the table stacks them
     "endo-action-curved": lambda: fm.graded_product(
         fm.endo_action_pairing(SU2),
         LabConnection.from_omega(SU2, bpst_potential()).gamma, _closure_2form()),
+    # a per-point closure, stacked by the adapter, and its stencil d
     "closure-fallback": _closure_2form,
-    # a closure without a batch: its stencil d reads the stacked fallback
     "stencil-d": lambda: fm.exterior_derivative(_closure_2form()),
     "star-euclidean": lambda: fm.hodge_star(CH, _closure_2form()),
     "star-round-sphere": lambda: fm.hodge_star(fm.stereographic_chart(), _closure_2form()),
@@ -390,13 +416,13 @@ TABLE_FORMS = {
 
 @mark.parametrize("name", sorted(TABLE_FORMS))
 def test_table_matches_stacked_per_point_components_bit_for_bit(name):
+    # a row of a batch's table does not depend on the other rows
     form = TABLE_FORMS[name]()
     indices = fm.increasing_indices(form.n, form.degree)
-    want = np.array([[form.components(x, idx) for idx in indices] for x in BATCH])
     got = form.table(BATCH)
+    want = np.array([[form.components(x, idx) for idx in indices] for x in BATCH])
     assert got.shape == (len(BATCH), len(indices)) + form.value_shape
     assert np.array_equal(got, want)
-    assert (form.batch is None) == (name == "closure-fallback")
 
 
 def test_stencil_d_table_takes_the_one_sided_rule_at_the_box_edge():
@@ -410,8 +436,8 @@ def test_stencil_d_table_takes_the_one_sided_rule_at_the_box_edge():
     want = np.array([[df.components(x, J) for J in fm.increasing_indices(4, 3)] for x in X])
     point_events = fm.drain_order_loss_events()
     assert np.array_equal(got, want)
-    # one event per row and axis from the table; per point, one per index
-    assert sorted(table_events) == sorted(set(point_events))
+    # one event per row and axis, read over the batch or a row at a time
+    assert point_events == table_events
     assert [(x, axis) for x, axis in table_events] == [
         (tuple(X[1]), 0), (tuple(X[2]), 1), (tuple(X[2]), 3)]
 
@@ -424,12 +450,11 @@ def test_scale_form_scales_the_batch_it_carries():
     np.testing.assert_array_equal(tripled.table(BATCH), 3.0 * zeta.table(BATCH))
 
 
-def test_replaced_components_drop_the_old_batch():
+def test_replaced_batch_drops_the_old_table():
     zeta = bpst_central_form()
-    doubled = replace(zeta, components=lambda x, idx: 2.0 * zeta.components(x, idx))
-    assert doubled.batch is None
+    zeta.table(BATCH)
+    doubled = replace(zeta, batch=lambda X: 2.0 * zeta.table(X))
     np.testing.assert_array_equal(doubled.table(BATCH), 2.0 * zeta.table(BATCH))
-    # a batch is kept with the components it came with
     assert replace(zeta, fd_step=1e-4).batch is zeta.batch
 
 
@@ -447,10 +472,10 @@ def test_sum_and_product_build_their_derivatives_on_first_use(monkeypatch):
     total = fm.add_forms(zeta, fm.scale_form(zeta, 2.0))
     assert not built
     assert product.has_exact_d() and total.has_exact_d()
-    np.testing.assert_allclose(total.analytic_d(X0, (0, 1, 2)),
-                               3.0 * zeta.analytic_d(X0, (0, 1, 2)), rtol=1e-15)
+    np.testing.assert_allclose(total.analytic_d(BATCH), 3.0 * zeta.analytic_d(BATCH),
+                               rtol=1e-15)
     assert built == {2: 2}
-    product.analytic_d(X0, (0, 1, 2, 3))
+    assert product.analytic_d(BATCH).shape == (len(BATCH), 1, 3)
     assert built == {2: 3, 1: 1}
 
 

@@ -10,8 +10,8 @@ from numpy.polynomial.legendre import leggauss
 from cym.algebra import su2, u1
 from cym.connection import LabConnection, potential_curvature
 from cym.forms import (LieForm, PolyData, SamplePlan, euclidean_chart,
-                       form_from_poly, kappa_wedge_top, minkowski_chart,
-                       zero_form)
+                       form_from_components, form_from_poly, kappa_wedge_top,
+                       minkowski_chart, zero_form)
 from cym.gauge import (ChargeResult, CompatibilityGateError, GaugeScenario,
                        bianchi_residual, change_of_gauge,
                        density_gauge_invariance_residual,
@@ -95,10 +95,11 @@ def test_gate_trips_on_central_form_that_is_nan_at_one_gate_point():
     s = curved_scenario()
     x_bad = s.gate_plan.points(s.chart)[3]
 
-    def comp(x, idx, clean=s.zeta.components):
-        return clean(x, idx) * (np.nan if np.array_equal(x, x_bad) else 1.0)
+    def batch(X, clean=s.zeta.table):
+        rows = np.where((X == x_bad).all(axis=1), np.nan, 1.0)
+        return clean(X) * rows[:, None, None]
 
-    zeta = dataclasses.replace(s.zeta, components=comp, poly=None)
+    zeta = dataclasses.replace(s.zeta, batch=batch, poly=None)
     bad = GaugeScenario(CHART, SU2, s.nabla, zeta, s.gauge_field)
     with pytest.raises(CompatibilityGateError, match="curvature residual nan"):
         bad.require_gate()
@@ -228,9 +229,7 @@ def bianchi_scenario(wrap=False):
                                (2,): [(0.3 * E2, np.array([1, 0, 0]))]})
     if wrap:  # hide the polynomial payload so every derivative is a stencil
         hide = lambda f: LieForm(n=3, degree=f.degree, value_target="algebra",
-                                 value_shape=(3,),
-                                 components=lambda x, idx, ff=f: ff.components(x, idx),
-                                 fd_step=1e-4)
+                                 value_shape=(3,), batch=f.table, fd_step=1e-4)
         omega, zeta, a = hide(omega), hide(zeta), hide(a)
     return GaugeScenario(euclidean_chart(3, half=1.0), SU2,
                          LabConnection.from_omega(SU2, omega), zeta, a)
@@ -316,8 +315,7 @@ def test_self_duality_residual_values():
             if tuple(idx) == (2, 3):
                 return np.array([0.7 * sign])
             return np.zeros(1)
-        return LieForm(n=4, degree=2, value_target="algebra", value_shape=(1,),
-                       components=comp, fd_step=1e-5)
+        return form_from_components(4, 2, "algebra", (1,), comp, fd_step=1e-5)
 
     chart = euclidean_chart(4, 1.0)
     plan = SamplePlan(count=4, seed=1)
@@ -348,8 +346,7 @@ def test_charge_vanishes_for_single_component_field():
         if tuple(idx) == (0, 1):
             return np.array([np.exp(-float(x @ x))])
         return np.zeros(1)
-    zeta = LieForm(n=4, degree=2, value_target="algebra", value_shape=(1,),
-                   components=comp, fd_step=1e-5)
+    zeta = form_from_components(4, 2, "algebra", (1,), comp, fd_step=1e-5)
     s = GaugeScenario(euclidean_chart(4, 5.0), U1,
                       LabConnection.from_omega(U1, zero_form(4, 1, "algebra", (1,))),
                       zeta, zero_form(4, 1, "algebra", (1,)), gate_tol=1e9)
@@ -362,8 +359,7 @@ def test_charge_warns_when_integrand_does_not_decay():
         if tuple(idx) in ((0, 1), (2, 3)):
             return float(x @ x) ** 2 * E1
         return np.zeros(3)
-    grow = LieForm(n=4, degree=2, value_target="algebra", value_shape=(3,),
-                   components=comp, fd_step=1e-3)
+    grow = form_from_components(4, 2, "algebra", (3,), comp, fd_step=1e-3)
     s = GaugeScenario(euclidean_chart(4, 1.0), SU2,
                       LabConnection.from_omega(SU2, zero_form(4, 1, "algebra", (3,))),
                       grow, zero_form(4, 1, "algebra", (3,)), gate_tol=1e9)
@@ -425,7 +421,7 @@ def test_charge_matches_per_node_reference(build, order):
 
 def test_charge_makes_no_per_point_component_calls():
     s = builtin_scenario("bpst").scenario
-    s.require_gate()  # the gate reads the central form point by point
+    s.require_gate()
     zeta = s.zeta
     calls = []
     inner = zeta.components

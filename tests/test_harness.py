@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cym
-from cym.algebra import VarietyError, ad_matrix_c
+from cym.algebra import VarietyError, ad_matrix_c, su2
 from cym.cli import main as cli_main
-from cym.connection import curvature, cov_ext_deriv, field_redefine
+from cym.connection import ad_mapped_form, curvature, cov_ext_deriv, field_redefine
 from cym.forms import (PolyData, SamplePlan, add_forms, bracket_pairing,
                        exterior_derivative, graded_product, increasing_indices,
                        zero_form)
@@ -86,22 +86,16 @@ def test_instanton_potential_closed_form_curvature():
 
 
 def test_instanton_forms_analytic_derivative_matches_stencil():
+    # the analytic_d batches of the closed-form potential, its central form
+    # and its ad image against the stencil d of the same forms over a batch
     om, ze = bpst_potential(), bpst_central_form()
-    x = np.array([0.3, -0.7, 0.4, 0.1])
-    h = 1e-6
-
-    def part(f, ax, comp_idx):
-        e = np.zeros(4)
-        e[ax] = h
-        return (f.components(x + e, comp_idx)
-                - f.components(x - e, comp_idx)) / (2 * h)
-
-    for mu, nu in increasing_indices(4, 2):
-        fd = part(om, mu, (nu,)) - part(om, nu, (mu,))
-        assert np.abs(om.analytic_d(x, (mu, nu)) - fd).max() < 1e-8
-    for i, j, k in increasing_indices(4, 3):
-        fd = part(ze, i, (j, k)) - part(ze, j, (i, k)) + part(ze, k, (i, j))
-        assert np.abs(ze.analytic_d(x, (i, j, k)) - fd).max() < 1e-8
+    X = np.random.default_rng(13).uniform(-1.9, 1.9, size=(16, 4))
+    for form in (om, ze, ad_mapped_form(su2(), om)):
+        exact = exterior_derivative(form)
+        stencil = exterior_derivative(dataclasses.replace(form, analytic_d=None))
+        assert exact.batch is form.analytic_d and stencil.batch is not form.analytic_d
+        got, want = exact.table(X), stencil.table(X)
+        assert got.shape == want.shape and np.abs(got - want).max() < 1e-8
 
 
 def test_instanton_central_form_at_origin():
@@ -445,13 +439,19 @@ def bpst_and_clean_rows():
     return bundle, list(report.csv_rows())
 
 
-def with_zeta_nan_at(bundle, bad_point):
-    """The bundle with its central form NaN at one point, per point and in
-    its component table alike."""
-    def comp(x, idx, clean=bundle.zeta.components):
-        return clean(x, idx) * (np.nan if np.array_equal(x, bad_point) else 1.0)
+def nan_at(form, bad_point):
+    """The form with its table NaN on the rows at one point; its exact
+    derivative, if any, stays as it is."""
+    def batch(X):
+        rows = np.where((X == bad_point).all(axis=1), np.nan, 1.0)
+        return form.table(X) * rows.reshape((-1,) + (1,) * (1 + len(form.value_shape)))
 
-    zeta = dataclasses.replace(bundle.zeta, components=comp, batch=None)
+    return dataclasses.replace(form, batch=batch)
+
+
+def with_zeta_nan_at(bundle, bad_point):
+    """The bundle with its central form NaN at one point."""
+    zeta = nan_at(bundle.zeta, bad_point)
     return dataclasses.replace(
         bundle, scenario=dataclasses.replace(bundle.scenario, zeta=zeta))
 
@@ -583,13 +583,8 @@ KERNEL_SUITES = ("algebra", "multiplicativity", "fibre-connection")
 
 
 def with_generator_nan_at(bundle, bad_point):
-    """The bundle with its generator NaN at one point, per point and in its
-    component table alike."""
-    def comp(x, idx, clean=bundle.generator.components):
-        return clean(x, idx) * (np.nan if np.array_equal(x, bad_point) else 1.0)
-
-    return dataclasses.replace(bundle, generator=dataclasses.replace(
-        bundle.generator, components=comp, batch=None))
+    """The bundle with its generator NaN at one point."""
+    return dataclasses.replace(bundle, generator=nan_at(bundle.generator, bad_point))
 
 
 @pytest.mark.parametrize("name", ["flat-su2", "random-curved"])
@@ -734,15 +729,11 @@ TOTAL_SPACE_SUITES = ("principal", "structure-equation", "generalized-mc", "gaug
 
 def with_forms_nan_at(bundle, bad_point):
     """The bundle with its central form, horizontal potential and gauge field
-    NaN at one point, per point and in their component tables alike."""
-    def poisoned(form):
-        def comp(x, idx, clean=form.components):
-            return clean(x, idx) * (np.nan if np.array_equal(x, bad_point) else 1.0)
-        return dataclasses.replace(form, components=comp, batch=None)
-
-    lgb = TrivLgb(bundle.chart, bundle.algebra, poisoned(bundle.omega))
-    principal = TrivPrincipal(lgb, poisoned(bundle.gauge_field))
-    scenario = dataclasses.replace(bundle.scenario, nabla=lgb.nabla, zeta=poisoned(bundle.zeta),
+    NaN at one point."""
+    lgb = TrivLgb(bundle.chart, bundle.algebra, nan_at(bundle.omega, bad_point))
+    principal = TrivPrincipal(lgb, nan_at(bundle.gauge_field, bad_point))
+    scenario = dataclasses.replace(bundle.scenario, nabla=lgb.nabla,
+                                   zeta=nan_at(bundle.zeta, bad_point),
                                    gauge_field=principal.a_local)
     return dataclasses.replace(bundle, lgb=lgb, principal=principal, scenario=scenario)
 

@@ -291,6 +291,17 @@ def test_section_memo_is_keyed_by_point_content():
     assert np.abs(first - second).max() > 0.1
 
 
+def test_exp_of_form_is_the_exp_section_of_its_table():
+    nu = poly_form(2, 0, (3,), {(): [(np.array([0.5, 0., 0.]), np.array([1, 0])),
+                                     (np.array([0., 0.3, -0.2]), np.array([0, 1]))]})
+    X = SamplePlan(count=6, seed=2).points(euclidean_chart(2, half=1.0))
+    stack = np.stack([X, X[::-1]])  # a (2, 6, n) stack of points
+    got = GSection.exp_of_form(ALG, nu, -0.7)(stack)
+    want = GSection.from_exp_coeffs(ALG, lambda y: -0.7 * nu.poly.evaluate(y, ()))(stack)
+    assert got.shape == (2, 6, 2, 2)
+    assert np.array_equal(got, want)
+
+
 def test_section_product_requires_same_algebra():
     s1 = GSection.identity(ALG)
     s2 = GSection.identity(u1())
