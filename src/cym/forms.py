@@ -326,9 +326,10 @@ def zero_form(n, degree, value_target, value_shape, box=None) -> LieForm:
 
 def form_from_poly(n, degree, value_target, value_shape, poly: PolyData,
                    box=None, fd_step=1e-5) -> LieForm:
+    d = cache(poly.d)  # built at the first read of the derivative
     return LieForm(n=n, degree=degree, value_target=value_target,
                    value_shape=tuple(value_shape), batch=poly.table,
-                   analytic_d=poly.d().table, fd_step=fd_step, box=box, poly=poly)
+                   analytic_d=lambda X: d().table(X), fd_step=fd_step, box=box, poly=poly)
 
 
 def add_forms(a: LieForm, b: LieForm, alpha=1.0, beta=1.0) -> LieForm:
@@ -578,11 +579,38 @@ def hodge_star(chart: Chart, f: LieForm) -> LieForm:
                    value_shape=f.value_shape, batch=batch, fd_step=f.fd_step, box=f.box)
 
 
+def _kappa_top_matrix(alg: LieAlgebraDescriptor, n: int, k: int, m: int) -> np.ndarray:
+    """The (C(n, k) dim, C(n, m) dim) matrix of (f, g) -> kappa(f ^ g) on the
+    flattened tables of a k-form and an m-form, k + m = n: sign kappa in the
+    block of each shuffle term."""
+    dim = alg.dim
+    blocks = np.zeros((math.comb(n, k), dim, math.comb(n, m), dim))
+    for ca, cb, sign in _shuffle_columns(n, k, m)[0]:
+        blocks[ca, :, cb, :] += sign * alg.kappa
+    return blocks.reshape(math.comb(n, k) * dim, math.comb(n, m) * dim)
+
+
 def kappa_wedge_top(alg: LieAlgebraDescriptor, f: LieForm, g: LieForm) -> LieForm:
-    """Invariant-pairing wedge into the top degree (scalar-valued density form)."""
+    """Invariant-pairing wedge into the top degree (scalar-valued density form).
+    Off the polynomial case a batch is one bilinear contraction of the two
+    flattened tables; a top-degree form's d is zero."""
+    if f.n != g.n:
+        raise ValueError("forms live on charts of different dimension")
     if f.degree + g.degree != f.n:
         raise ValueError("kappa wedge needs degrees summing to the chart dimension")
-    return graded_product(kappa_pairing(alg), f, g)
+    if f.poly is not None and g.poly is not None:
+        return graded_product(kappa_pairing(alg), f, g)
+    bilinear = _kappa_top_matrix(alg, f.n, f.degree, g.degree)
+
+    def batch(X):
+        P = len(X)
+        return ((f.table(X).reshape(P, -1) @ bilinear) * g.table(X).reshape(P, -1)
+                ).sum(axis=1)[:, None]
+
+    return LieForm(n=f.n, degree=f.n, value_target="scalar", value_shape=(),
+                   batch=batch, analytic_d=lambda X: np.zeros((len(X), 1)),
+                   fd_step=max(f.fd_step, g.fd_step),
+                   box=f.box if f.box is not None else g.box)
 
 
 # ---------------------------------------------------------------------------

@@ -218,12 +218,12 @@ def instanton_charge(s: GaugeScenario, radius: float = 20.0,
         nodes = t * radius
         weights = w * radius
     # one chunk per (x0, x1) node pair: the order^2 nodes of the (x2, x3) plane
-    plane = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+    chunk = np.empty((order ** 2, 4))
+    chunk[:, 2:] = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
     plane_weights = np.outer(weights, weights).ravel()
     box = 0.0
     for i0, i1 in np.ndindex(order, order):
-        chunk = np.column_stack([np.full(len(plane), nodes[i0]),
-                                 np.full(len(plane), nodes[i1]), plane])
+        chunk[:, 0], chunk[:, 1] = nodes[i0], nodes[i1]
         box += weights[i0] * weights[i1] * (plane_weights @ paired.table(chunk)[:, 0])
 
     # tail: fit the radial model c/(1+r^2)^4 on a sphere of the cutoff radius

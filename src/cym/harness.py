@@ -171,7 +171,8 @@ def _basis_vec(dim, slot, scale=1.0):
 
 
 def _section_from_poly(alg, poly: PolyData, name: str) -> GSection:
-    return GSection.from_exp_coeffs(alg, lambda y: poly.evaluate(y, ()), name=name)
+    return GSection.exp_of_form(alg, form_from_poly(poly.n, 0, "algebra", (alg.dim,), poly),
+                                name=name)
 
 
 def _assemble(name, chart, alg, omega, zeta, a, shift, generator,

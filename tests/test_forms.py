@@ -129,6 +129,46 @@ def test_kappa_wedge_degree_check():
         fm.kappa_wedge_top(alg.u1(), w1, w3)
 
 
+def _closure_form(degree, dim):
+    """Helper: a per-point closure with a distinct transcendental value on
+    each index and slot."""
+    def comp(x, idx):
+        phase = sum(k * x[i] for k, i in enumerate(idx, 1))
+        return np.array([np.cos(phase + a) * np.exp(-0.1 * float(x @ x)) for a in range(dim)])
+    return fm.form_from_components(4, degree, "algebra", (dim,), comp, box=CH.box)
+
+
+# u(1)+su(2) with a pairing that is not the identity: any scale on each summand
+WEIGHTED = replace(alg.u1_su2(), kappa=np.diag([-1.7, 0.6, 0.6, 0.6]))
+# an abelian algebra takes any symmetric pairing, so its kappa blocks are dense
+DENSE = replace(alg.direct_sum(alg.direct_sum(alg.u1(), alg.u1()), alg.u1()),
+                kappa=[[2.0, 0.7, -0.3], [0.7, 1.3, 0.2], [-0.3, 0.2, 0.9]])
+
+KAPPA_WEDGES = {
+    "bpst-central-squared": lambda: (SU2, bpst_central_form(), bpst_central_form()),
+    "star-stereographic": lambda: (SU2, _closure_form(2, 3), fm.hodge_star(
+        fm.stereographic_chart(), _closure_form(2, 3))),
+    "closure-central": lambda: (SU2, _closure_form(2, 3), bpst_central_form()),
+    "u1-1-3": lambda: (alg.u1(), _closure_form(1, 1), _closure_form(3, 1)),
+    "su2-3-1": lambda: (SU2, _closure_form(3, 3), _closure_form(1, 3)),
+    "weighted-sum-2-2": lambda: (WEIGHTED, _closure_form(2, 4), _closure_form(2, 4)),
+    "weighted-sum-1-3": lambda: (WEIGHTED, _closure_form(1, 4), _closure_form(3, 4)),
+    "dense-kappa-2-2": lambda: (DENSE, _closure_form(2, 3), _closure_form(2, 3)),
+}
+
+
+@mark.parametrize("name", sorted(KAPPA_WEDGES))
+def test_kappa_wedge_top_matches_the_shuffle_sum(name):
+    # the bilinear matrix against the graded product's sum over shuffles
+    algebra, f, g = KAPPA_WEDGES[name]()
+    top = fm.kappa_wedge_top(algebra, f, g)
+    assert top.poly is None and top.degree == 4 and top.value_shape == ()
+    got = top.table(BATCH)
+    want = fm.graded_product(fm.kappa_pairing(algebra), f, g).table(BATCH)
+    assert got.shape == want.shape == (len(BATCH), 1)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
 # -- exterior derivative ----------------------------------------------------
 
 def test_fd_matches_analytic_derivative():

@@ -24,7 +24,8 @@ from cym.connection import ad_mapped_form, curvature, cov_ext_deriv, field_redef
 from cym.forms import (PolyData, SamplePlan, add_forms, bracket_pairing,
                        exterior_derivative, graded_product, increasing_indices,
                        zero_form)
-from cym.gauge import GaugeScenario, change_of_gauge, local_field_strength
+from cym.gauge import (GaugeScenario, change_of_gauge, instanton_charge,
+                       local_field_strength)
 from cym.harness import (SCENARIO_NAMES, SUITES, CheckRow, ScenarioError,
                          SuiteReport, VerificationReport,
                          algebra_kernel_residuals, bpst_central_form,
@@ -720,6 +721,36 @@ def test_section_suites_make_no_per_point_kernel_calls(monkeypatch):
     assert per_plan[0] == per_plan[1]
     for check in ("darboux", "lagrangian", "change_of_gauge"):
         assert per_plan[0][check]["expm"] > 0 and per_plan[0][check]["ad_matrix_of_group"] > 0
+
+
+def test_builtin_sections_read_their_polynomials_as_one_table(monkeypatch):
+    counts = Counter()
+    evaluate = PolyData.evaluate
+
+    def counted_evaluate(self, x, idx):
+        counts["evaluate"] += 1
+        return evaluate(self, x, idx)
+
+    monkeypatch.setattr(PolyData, "evaluate", counted_evaluate)
+    for count in (4, 40):
+        for name in SCENARIO_NAMES:
+            bundle = builtin_scenario(name)
+            for suite in ("gauge-laws", "darboux"):
+                assert run_suite(bundle, suite, plan=SamplePlan(count=count)).passed
+    assert counts["evaluate"] == 0
+
+
+def test_instanton_charge_builds_its_kappa_matrix_once(monkeypatch):
+    calls = []
+    build = cym.forms._kappa_top_matrix
+
+    def counted(*args):
+        calls.append(args[1:])
+        return build(*args)
+
+    monkeypatch.setattr(cym.forms, "_kappa_top_matrix", counted)
+    instanton_charge(builtin_scenario("bpst").scenario, order=6)  # 36 planes
+    assert calls == [(4, 2, 2)]
 
 
 # -- the total-space suites run on stacks of anchors over the plan ------------
