@@ -6,15 +6,15 @@ optionally writes the deterministic JSON report and the per-point CSV.
 
 Exit status: 0 when every selected check passes, 1 when any check fails,
 2 on input errors (unknown scenario or suite, malformed scenario file, a
-sample count below 1, a tolerance scale or step that is not a finite number
-above 0, unwritable output path).
+sample count below 1, a negative seed, a tolerance scale or step that is not
+a finite number above 0, unwritable output path).
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
-from .forms import SamplePlan
 from .harness import (SCENARIO_NAMES, ScenarioError, builtin_scenario,
                       load_scenario, require_finite_positive, run_suite,
                       suite_names)
@@ -67,15 +67,12 @@ def _cmd_verify(args) -> int:
             require_finite_positive(flag, value)
     bundle = _resolve_scenario(args.scenario)
     plan = bundle.plan
-    if args.points is not None or args.seed is not None:
-        try:
-            plan = SamplePlan(
-                mode=plan.mode,
-                count=args.points if args.points is not None else plan.count,
-                seed=args.seed if args.seed is not None else plan.seed,
-                tangent_probes=plan.tangent_probes)
-        except ValueError as exc:
-            raise ScenarioError(f"--points: {exc}") from None
+    for flag, name, value in (("--points", "count", args.points), ("--seed", "seed", args.seed)):
+        if value is not None:
+            try:
+                plan = dataclasses.replace(plan, **{name: value})
+            except ValueError as exc:
+                raise ScenarioError(f"{flag}: {exc}") from None
 
     report = run_suite(bundle, args.suite, plan=plan, h=args.h, h2=args.h2,
                        tol_scale=args.tol_scale)

@@ -104,11 +104,11 @@ class CompatibilityReport:
 
     @property
     def derivation_residual(self) -> float:
-        return max_gap(self.derivation_rows)
+        return max_gap((self.derivation_rows,))
 
     @property
     def curvature_residual(self) -> float:
-        return max_gap(self.curvature_rows)
+        return max_gap((self.curvature_rows,))
 
     @property
     def passed(self) -> bool:

@@ -23,7 +23,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache, lru_cache, wraps
+from functools import cache, cached_property, lru_cache, wraps
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -156,21 +157,25 @@ def minkowski_chart(half: float = 1.0) -> Chart:
 # ---------------------------------------------------------------------------
 
 class PolyData:
-    """Polynomial components: idx -> list of (coefficient array, exponent vector)."""
+    """Polynomial components: idx -> list of (coefficient array, exponent
+    vector), one term per monomial. The terms given for a component that
+    share an exponent vector are merged, their coefficients summed in the
+    order they first appear, and a zero sum leaves no term."""
 
     def __init__(self, n, degree, value_shape, terms):
         self.n = n
         self.degree = degree
         self.value_shape = tuple(value_shape)
-        # normalize: tuples of (ndarray coef, ndarray int expo)
         self.terms = {}
         for idx, lst in terms.items():
-            idx = tuple(idx)
-            cleaned = [(np.asarray(c, dtype=float), np.asarray(e, dtype=int))
-                       for c, e in lst]
-            cleaned = [(c, e) for c, e in cleaned if np.abs(c).max() != 0.0]
+            merged = {}
+            for c, e in lst:
+                c, e = np.asarray(c, dtype=float), np.asarray(e, dtype=int)
+                key = (c.shape, e.tobytes())  # unequal shapes stay apart, to be rejected
+                merged[key] = (merged[key][0] + c, e) if key in merged else (c, e)
+            cleaned = [(c, e) for c, e in merged.values() if np.abs(c).max() != 0.0]
             if cleaned:
-                self.terms[idx] = cleaned
+                self.terms[tuple(idx)] = cleaned
 
     def evaluate(self, x, idx):
         out = np.zeros(self.value_shape)
@@ -178,17 +183,39 @@ class PolyData:
             out = out + coef * np.prod(np.asarray(x) ** expo)
         return out
 
+    @cached_property
+    def _slots(self):
+        """The distinct exponent vectors of the payload, (M, n), and for each
+        term position k the columns with a k-th term, the coefficients of
+        those terms and the rows of their exponent vectors."""
+        column = {I: c for c, I in enumerate(increasing_indices(self.n, self.degree))}
+        rows, slots = {}, []
+        for idx, lst in self.terms.items():
+            if idx not in column:  # not an increasing index: not a component
+                continue
+            for k, (coef, expo) in enumerate(lst):
+                if k == len(slots):
+                    slots.append(([], [], []))
+                row = rows.setdefault(expo.tobytes(), (len(rows), expo))[0]
+                for store, value in zip(slots[k], (column[idx], coef, row)):
+                    store.append(value)
+        exponents = np.array([e for _, e in rows.values()], dtype=int).reshape(-1, self.n)
+        return exponents, [tuple(map(np.array, slot)) for slot in slots]
+
     def table(self, X) -> np.ndarray:
         """Every component at each row of the (P, n) batch X, shape
-        (P, C(n, degree), *value_shape); the terms are summed in the order
-        `evaluate` sums them, so each entry matches it bit for bit."""
+        (P, C(n, degree), *value_shape). Each distinct monomial is read once
+        over the batch; then the k-th terms of all components are added at
+        once, for k = 0, 1, ..., so each entry sums its terms in the order
+        `evaluate` sums them and matches it bit for bit."""
         X = np.asarray(X, dtype=float)
-        indices = increasing_indices(self.n, self.degree)
-        out = np.zeros((len(X), len(indices)) + self.value_shape)
-        column = (-1,) + (1,) * len(self.value_shape)
-        for c, idx in enumerate(indices):
-            for coef, expo in self.terms.get(idx, ()):
-                out[:, c] = out[:, c] + coef * np.prod(X ** expo, axis=1).reshape(column)
+        exponents, slots = self._slots
+        monomials = np.prod(X[:, None, :] ** exponents, axis=2)
+        out = np.zeros((len(X), math.comb(self.n, self.degree)) + self.value_shape)
+        tail = (1,) * len(self.value_shape)
+        for cols, coefs, rows in slots:
+            out[:, cols] = out[:, cols] + coefs * monomials[:, rows].reshape(
+                (len(X), len(rows)) + tail)
         return out
 
     def d(self) -> "PolyData":
@@ -622,11 +649,13 @@ def max_gap(gaps) -> float:
 
     This is the one reduction behind every residual: a NaN or infinite entry
     makes the result NaN, which fails every `residual <= tolerance` test, and
-    an iterable with no items raises ValueError, because a check over no
-    gaps has verified nothing.
+    gaps with no entries raise ValueError, because a check over no gaps has
+    verified nothing.
     """
     worst = None
     for gap in gaps:
+        if np.size(gap) == 0:
+            continue
         value = float(np.abs(gap).max())
         if not math.isfinite(value):
             return math.nan
@@ -668,13 +697,14 @@ class SamplePlan:
     tangent_probes: int = 4
 
     def __post_init__(self):
-        if (isinstance(self.count, bool) or not isinstance(self.count, int)
-                or self.count < 1):
-            raise ValueError(f"count must be a positive integer, got {self.count!r}")
+        for name, least, kind in (("count", 1, "a positive integer"),
+                                  ("seed", 0, "a non-negative integer"),
+                                  ("tangent_probes", 2, "an integer of at least 2")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
         if self.mode not in ("random", "grid"):
             raise ValueError("mode must be 'random' or 'grid'")
-        if self.tangent_probes < 2:
-            raise ValueError("need at least two tangent probes")
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -699,7 +729,6 @@ class SamplePlan:
 
     @staticmethod
     def from_json(blob) -> "SamplePlan":
-        return SamplePlan(mode=blob.get("mode", "random"),
-                          count=int(blob.get("count", 64)),
-                          seed=int(blob.get("seed", 42)),
-                          tangent_probes=int(blob.get("tangent_probes", 4)))
+        return SamplePlan(mode=blob.get("mode", "random"), count=blob.get("count", 64),
+                          seed=blob.get("seed", 42),
+                          tangent_probes=blob.get("tangent_probes", 4))

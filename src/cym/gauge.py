@@ -143,7 +143,7 @@ def change_of_gauge(s: GaugeScenario, sigma: GSection,
     twisted = _adjoint_twist(s.algebra, sigma, local_field_strength(s))
     X = plan.points(s.chart)
     rows = max_gap_rows(f_new.table(X) - twisted.table(X))
-    return ChangeOfGaugeResult(a_new, rows, max_gap(rows))
+    return ChangeOfGaugeResult(a_new, rows, max_gap((rows,)))
 
 
 def bianchi_rows(s: GaugeScenario, plan: SamplePlan) -> np.ndarray:
@@ -301,7 +301,7 @@ def field_redef_invariance_residual(s: GaugeScenario, lam: LieForm,
     """Largest gap over the plan of F under the shift by lam (see
     `field_redef_rows`)."""
     shifted = field_redefine(s.nabla, s.zeta, s.gauge_field, lam)
-    return max_gap(field_redef_rows(s, shifted, plan))
+    return max_gap((field_redef_rows(s, shifted, plan),))
 
 
 def self_duality_rows(zeta: LieForm, chart: Chart, plan: SamplePlan) -> np.ndarray:

@@ -422,10 +422,21 @@ def _closure_2form():
     return fm.form_from_components(4, 2, "algebra", (3,), comp, box=CH.box)
 
 
+def _curved_1form():
+    """A 1-form like random-curved's potential, on four axes: a constant and
+    a linear term on each component, so its products repeat monomials."""
+    rng = np.random.default_rng(42)
+    return poly_1form({k: [(rng.normal(size=3), np.zeros(4, dtype=int)),
+                           (rng.normal(size=3), np.eye(4, dtype=int)[rng.integers(0, 4)])]
+                       for k in range(4)})
+
+
 TABLE_FORMS = {
     "polynomial": lambda: fm.exterior_derivative(A_FORM),
     "polynomial-scalar": lambda: fm.graded_product(
         fm.kappa_pairing(SU2), A_FORM, fm.exterior_derivative(A_FORM)),
+    "merged-product": lambda: fm.graded_product(
+        fm.bracket_pairing(SU2), _curved_1form(), _curved_1form()),
     "zero": lambda: fm.zero_form(4, 2, "algebra", (3,), box=CH.box),
     "constant": lambda: constant_form(4, 1, "algebra", {
         (k,): np.arange(3.0) + k for k in range(4)}),
@@ -519,6 +530,43 @@ def test_sum_and_product_build_their_derivatives_on_first_use(monkeypatch):
     assert built == {2: 3, 1: 1}
 
 
+# -- one term per monomial ----------------------------------------------------
+
+def test_poly_data_merges_the_terms_of_one_monomial_in_order():
+    e1, e2 = np.array([1, 0, 0, 0]), np.array([0, 2, 0, 1])
+    poly = fm.PolyData(4, 1, (3,), {
+        (0,): [(np.array([1.0, 0.0, 0.0]), e1), (np.array([0.0, 2.0, 0.0]), e2),
+               (np.array([0.5, 0.0, 1.0]), e1)],
+        (1,): [(np.array([1.0, 2.0, 3.0]), e2), (np.array([-1.0, -2.0, -3.0]), e2)]})
+    assert list(poly.terms) == [(0,)]
+    (c1, x1), (c2, x2) = poly.terms[(0,)]
+    assert np.array_equal(x1, e1) and np.array_equal(x2, e2)
+    assert np.array_equal(c1, [1.5, 0.0, 1.0]) and np.array_equal(c2, [0.0, 2.0, 0.0])
+    # x - x leaves no term
+    assert fm.add_forms(A_FORM, A_FORM, 1.0, -1.0).poly.terms == {}
+
+
+def test_poly_products_hold_one_term_per_monomial():
+    omega = builtin_scenario("random-curved").omega
+    square = fm.graded_product(fm.bracket_pairing(SU2), omega, omega).poly
+    # the square on (i, j) pairs the terms of omega on i and on j, both ways
+    terms = omega.poly.terms
+    given = sum(2 * len(terms[(i,)]) * len(terms[(j,)]) for i, j in fm.increasing_indices(3, 2))
+    assert sum(len(rows) for rows in square.terms.values()) < given
+    for product in (square, fm.graded_product(fm.bracket_pairing(SU2), _curved_1form(),
+                                              _curved_1form()).poly):
+        for rows in product.terms.values():
+            assert len({e.tobytes() for _, e in rows}) == len(rows)
+
+
+@mark.parametrize("name", ["merged-product", "polynomial", "polynomial-scalar", "constant"])
+def test_poly_table_matches_evaluate_bit_for_bit(name):
+    poly = TABLE_FORMS[name]().poly
+    want = np.array([[poly.evaluate(x, idx) for idx in fm.increasing_indices(4, poly.degree)]
+                     for x in BATCH]).reshape((len(BATCH), -1) + poly.value_shape)
+    assert np.array_equal(poly.table(BATCH), want)
+
+
 # -- serialization and plans --------------------------------------------------
 
 def test_poly_json_round_trip():
@@ -545,6 +593,13 @@ def test_sample_plan_determinism_and_modes():
     for bad in (0, -5, 2.5, True):
         with pytest.raises(ValueError, match="count must be a positive integer"):
             fm.SamplePlan(count=bad)
+    for bad in (-1, -5, 2.5, "3", True):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            fm.SamplePlan(seed=bad)
+    for bad in (1, 2.5, True):
+        with pytest.raises(ValueError, match="tangent_probes must be an integer of at least 2"):
+            fm.SamplePlan(tangent_probes=bad)
+    assert fm.SamplePlan(seed=np.int64(0), tangent_probes=2).seed == 0
 
 
 gap_entry = st.floats(allow_nan=True, allow_infinity=True)
@@ -569,6 +624,10 @@ def test_max_gap_refuses_an_empty_sample():
         fm.max_gap([])
     with pytest.raises(ValueError, match="sampled nothing"):
         fm.max_gap(x for x in ())
+    with pytest.raises(ValueError, match="sampled nothing"):
+        fm.max_gap([np.zeros(0), np.zeros((2, 0))])
+    # an empty gap array adds no entry to the others
+    assert fm.max_gap([np.zeros(0), np.array([-2.0, 1.0])]) == 2.0
 
 
 @given(st.lists(st.lists(gap_entry, min_size=6, max_size=6), min_size=1,

@@ -26,12 +26,12 @@ from cym.forms import (PolyData, SamplePlan, add_forms, bracket_pairing,
                        zero_form)
 from cym.gauge import (GaugeScenario, change_of_gauge, instanton_charge,
                        local_field_strength)
-from cym.harness import (SCENARIO_NAMES, SUITES, CheckRow, ScenarioError,
+from cym.harness import (SCENARIO_NAMES, SUITES, CheckRow, RunEnv, ScenarioError,
                          SuiteReport, VerificationReport,
                          algebra_kernel_residuals, bpst_central_form,
                          bpst_potential, builtin_scenario, load_scenario,
                          run_suite, save_scenario, scenario_from_dict,
-                         scenario_to_dict, suite_names)
+                         scenario_to_dict, suite_names, _plan_rows)
 from cym.lgb import GSection, TrivLgb, generalized_mc_residual
 from cym.principal import Automorphism, TrivPrincipal
 
@@ -278,6 +278,48 @@ def test_scenario_dict_keeps_plan_and_quadrature():
     assert scenario_from_dict(blob).expected_charge == -2.0
 
 
+def constant_entry(coeffs):
+    """A named section or automorphism entry with constant coefficients."""
+    return {"exp_coeffs": {"degree": 0, "terms": {"": [
+        {"coeffs": list(coeffs), "exponents": [0, 0]}]}}}
+
+
+def test_off_variety_entries_named_sections_first():
+    # exp of a coefficient near 1e8 misses the circle by about 5e-10,
+    # above VARIETY_TOL = 1e-10
+    blob = scenario_blob()
+    blob["sections"] = {"fine": constant_entry([0.3]), "huge": constant_entry([1e8])}
+    blob["automorphisms"] = {"huge": constant_entry([1e8])}
+    with pytest.raises(ScenarioError, match=r"^sections\.huge: matrix off the group variety"):
+        scenario_from_dict(blob)
+    blob["sections"] = {"fine": constant_entry([0.3])}
+    with pytest.raises(ScenarioError, match=r"^automorphisms\.huge: matrix off the group"):
+        scenario_from_dict(blob)
+    blob["automorphisms"] = {"fine": constant_entry([-0.3])}
+    bundle = scenario_from_dict(blob)
+    assert list(bundle.sections) == list(bundle.automorphisms) == ["identity", "fine"]
+
+
+def test_load_scenario_makes_one_exponential(monkeypatch, tmp_path):
+    path = tmp_path / "s.json"
+    save_scenario(builtin_scenario("random-curved"), path)
+    counts = Counter()
+    count_kernel_calls(monkeypatch, counts)
+    bundle = load_scenario(path)
+    assert counts["expm"] == 1
+    assert len(bundle.sections) == len(bundle.automorphisms) == 4
+
+
+def test_negative_plan_seed_in_a_file_names_the_field():
+    blob = scenario_blob()
+    blob["plan"] = {"seed": -5}
+    with pytest.raises(ScenarioError, match="plan: seed must be a non-negative integer, got -5"):
+        scenario_from_dict(blob)
+    blob["plan"] = {"tangent_probes": 2.5}
+    with pytest.raises(ScenarioError, match="plan: tangent_probes must be an integer"):
+        scenario_from_dict(blob)
+
+
 # ---------------------------------------------------------------------------
 # suite runner and reports
 # ---------------------------------------------------------------------------
@@ -390,6 +432,22 @@ def test_algebra_kernel_residuals_small_and_exact():
     assert max(res["ad-homomorphism"]) < 1e-12
     assert max(res["kappa-invariance"]) < 1e-12
     assert max(res["exp-ad-consistency"]) < 1e-12
+
+
+def test_plan_rows_reduce_each_row_once():
+    env = RunEnv(plan=QUICK)
+    fine, nan, inf = _plan_rows(
+        env, ("algebra/ad-homomorphism", np.array([1e-12, 3e-12, 2e-12])),
+        ("algebra/kappa-invariance", np.array([0.0, np.nan, 1.0])),
+        ("algebra/exp-ad-consistency", np.array([-np.inf, 0.0, 0.5])))
+    assert fine.residual == 3e-12 and fine.per_point == [(0, 1e-12), (1, 3e-12), (2, 2e-12)]
+    assert type(fine.residual) is float
+    assert math.isnan(nan.residual) and math.isnan(inf.residual)
+    assert inf.per_point[0] == (0, -math.inf)
+    with pytest.raises(ValueError, match="^no gaps to reduce: the check sampled nothing$"):
+        _plan_rows(env, ("algebra/ad-homomorphism", np.zeros(0)))
+    jacobi = run_suite(builtin_scenario("flat-su2"), "algebra", plan=QUICK).suites[0].checks[0]
+    assert jacobi.check == "jacobi" and jacobi.per_point == [(-1, jacobi.residual)]
 
 
 def test_suite_report_binding_check_is_worst_ratio():
@@ -792,6 +850,29 @@ def test_nan_form_at_one_point_is_a_nan_row_of_each_total_space_check(name):
                 assert math.isnan(row.per_point[ordinal][1]) and not row.passed, key
 
 
+LIGHT_SUITES = ("algebra", "compatibility", "multiplicativity", "bianchi",
+                "field-redef", "fibre-connection")
+
+
+def test_builtin_payloads_hold_one_term_per_monomial(monkeypatch):
+    payloads = []
+    init = PolyData.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        payloads.append(self)
+
+    monkeypatch.setattr(PolyData, "__init__", recorded)
+    for name in SCENARIO_NAMES:
+        bundle = builtin_scenario(name)
+        for suite in LIGHT_SUITES:
+            assert run_suite(bundle, suite, plan=QUICK).passed
+    assert len(payloads) > 100
+    for poly in payloads:
+        for rows in poly.terms.values():
+            assert len({e.tobytes() for _, e in rows}) == len(rows)
+
+
 def test_finite_off_variety_automorphism_row_still_raises():
     bundle = builtin_scenario("random-curved")
     bad_point = NAN_PLAN.points(bundle.chart)[3]
@@ -878,6 +959,28 @@ def test_cli_rejects_bad_scales_steps_and_counts(flag, value, capsys):
     assert err.startswith(f"error: {flag}: ")
     assert ("count must be a positive integer" if flag == "--points"
             else "must be a finite number greater than 0") in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "flat-su2", "--suite", "algebra", "--seed", "-1"],
+    ["--scenario", "abelian-u1", "--suite", "algebra", "--points", "2", "--seed", "-7"],
+])
+def test_cli_rejects_a_negative_seed(argv, capsys):
+    assert cli_main(["verify"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed: seed must be a non-negative integer, got -")
+    assert "Traceback" not in err
+
+
+def test_cli_rejects_a_negative_seed_in_a_scenario_file(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    save_scenario(builtin_scenario("flat-su2"), path)
+    blob = json.loads(path.read_text())
+    blob["plan"]["seed"] = -5
+    path.write_text(json.dumps(blob))
+    assert cli_main(["verify", "--scenario", str(path), "--suite", "algebra"]) == 2
+    assert capsys.readouterr().err == (
+        "error: plan: seed must be a non-negative integer, got -5\n")
 
 
 @pytest.mark.parametrize("field, mutate", [
