@@ -22,6 +22,7 @@ still refuses NaN).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -39,6 +40,7 @@ __all__ = [
     "u1",
     "u1_su2",
     "direct_sum",
+    "jacobi_tensor",
     "algebra_from_name",
     "algebra_from_dict",
     "algebra_to_dict",
@@ -94,6 +96,8 @@ class LieAlgebraDescriptor:
       variety_blocks: tuple of ("u"|"su", offset, size) describing the diagonal
         block structure of group-variety matrices.
       name: optional human-readable tag ("su2", ...).
+
+    The descriptor keeps read-only copies of the arrays it is given.
     """
 
     dim: int
@@ -109,14 +113,14 @@ class LieAlgebraDescriptor:
     _gram_inv: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.structure_constants = np.asarray(self.structure_constants, dtype=float)
-        self.rep_matrices = np.asarray(self.rep_matrices, dtype=complex)
-        self.kappa = np.asarray(self.kappa, dtype=float)
-        self.center_mask = np.asarray(self.center_mask, dtype=bool)
+        # own read-only copies, so a shared descriptor cannot be corrupted
+        for name, dtype in (("structure_constants", float), ("rep_matrices", complex),
+                            ("kappa", float), ("center_mask", bool)):
+            setattr(self, name, _frozen(np.array(getattr(self, name), dtype=dtype)))
         self._validate()
         reps = self.rep_matrices.reshape(self.dim, -1)
         gram = (reps.conj() @ reps.T).real
-        self._gram_inv = np.linalg.inv(gram)
+        self._gram_inv = _frozen(np.linalg.inv(gram))
 
     # -- validation ---------------------------------------------------------
 
@@ -134,26 +138,25 @@ class LieAlgebraDescriptor:
         if np.abs(c + np.swapaxes(c, 0, 1)).max() > JACOBI_TOL:
             raise StructureError("structure constants are not antisymmetric in (a, b)")
 
-        # Jacobi: [[ea,eb],ec] + [[eb,ec],ea] + [[ec,ea],eb] = 0
-        for a, b, e in itertools.combinations(range(d), 3):
-            resid = (np.einsum('k,kcm->cm', c[a, b], c)[e]
-                     + np.einsum('k,kcm->cm', c[b, e], c)[a]
-                     + np.einsum('k,kcm->cm', c[e, a], c)[b])
-            if np.abs(resid).max() > JACOBI_TOL:
-                raise StructureError(
-                    f"Jacobi identity fails on basis triple ({a}, {b}, {e}): "
-                    f"max residual {np.abs(resid).max():.3e}")
+        # Jacobi, on the triples a < b < e (the sum is alternating in them)
+        jacobi = np.abs(jacobi_tensor(c)).max(axis=-1, initial=0.0)
+        ordered = np.triu(np.ones((d, d), dtype=bool), 1)
+        bad = np.argwhere(ordered[:, :, None] & ordered[None] & (jacobi > JACOBI_TOL))
+        if len(bad):
+            a, b, e = bad[0]
+            raise StructureError(
+                f"Jacobi identity fails on basis triple ({a}, {b}, {e}): "
+                f"max residual {jacobi[a, b, e]:.3e}")
 
-        if self.rep_matrices.shape != (d, self.rep_dim, self.rep_dim):
+        reps = self.rep_matrices
+        if reps.shape != (d, self.rep_dim, self.rep_dim):
             raise StructureError("rep_matrices shape mismatch")
-        for a in range(d):
-            for b in range(d):
-                comm = self.rep_matrices[a] @ self.rep_matrices[b] \
-                    - self.rep_matrices[b] @ self.rep_matrices[a]
-                model = np.einsum('k,kij->ij', c[a, b], self.rep_matrices)
-                if np.abs(comm - model).max() > REP_TOL:
-                    raise StructureError(
-                        f"representation does not reproduce the bracket on ({a}, {b})")
+        comm = reps[:, None] @ reps[None] - reps[None] @ reps[:, None]
+        gap = np.abs(comm - np.einsum('abk,kij->abij', c, reps)).max(axis=(2, 3), initial=0.0)
+        bad = np.argwhere(gap > REP_TOL)
+        if len(bad):
+            raise StructureError("representation does not reproduce the bracket "
+                                 f"on ({bad[0][0]}, {bad[0][1]})")
 
         if self.kappa.shape != (d, d) or np.abs(self.kappa - self.kappa.T).max() > KAPPA_TOL:
             raise StructureError("kappa must be a symmetric (dim, dim) matrix")
@@ -249,10 +252,26 @@ def on_variety(alg: LieAlgebraDescriptor, matrices: np.ndarray) -> np.ndarray:
     return matrices
 
 
+def jacobi_tensor(c) -> np.ndarray:
+    """The cyclic sum [[e_a,e_b],e_e] + [[e_b,e_e],e_a] + [[e_e,e_a],e_b] of
+    structure constants c[a, b, k], as a (d, d, d, d) array J[a, b, e, m]."""
+    t1 = np.einsum('abk,kem->abem', c, c)
+    t2 = np.einsum('bek,kam->beam', c, c).transpose(2, 0, 1, 3)
+    t3 = np.einsum('eak,kbm->eabm', c, c).transpose(1, 2, 0, 3)
+    return t1 + t2 + t3
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 # ---------------------------------------------------------------------------
-# built-in descriptors
+# built-in descriptors: each is built and validated once per process, and
+# `algebra_from_name` hands out that one read-only instance
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def su2() -> LieAlgebraDescriptor:
     """su(2) in the basis e_a = sigma_a/(2i): [e1,e2]=e3 cyclic, kappa = -2tr = id."""
     reps = SIGMA / 2j
@@ -267,6 +286,7 @@ def su2() -> LieAlgebraDescriptor:
         name="su2")
 
 
+@functools.cache
 def u1() -> LieAlgebraDescriptor:
     """u(1) with generator [[i]]; exp(t) is the phase e^{it}. kappa = [[1]]."""
     return LieAlgebraDescriptor(
@@ -300,6 +320,7 @@ def direct_sum(a: LieAlgebraDescriptor, b: LieAlgebraDescriptor,
         name=name or f"{a.name}+{b.name}")
 
 
+@functools.cache
 def u1_su2() -> LieAlgebraDescriptor:
     return direct_sum(u1(), su2(), name="u1+su2")
 

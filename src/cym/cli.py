@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .harness import (SCENARIO_NAMES, ScenarioError, builtin_scenario,
@@ -20,6 +21,7 @@ from .harness import (SCENARIO_NAMES, ScenarioError, builtin_scenario,
                       suite_names)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cym",

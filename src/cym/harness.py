@@ -15,12 +15,14 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from .algebra import (VARIETY_TOL, LieAlgebraDescriptor, StructureError,
                       ad_matrix_c, ad_matrix_of_group, algebra_from_dict,
-                      algebra_to_dict, expm, su2, u1, u1_su2, variety_residual)
+                      algebra_to_dict, expm, jacobi_tensor, su2, u1, u1_su2,
+                      variety_residual)
 from .connection import (COMPATIBILITY_TOL, check_compatibility,
                          field_redefine, potential_curvature)
 from .forms import (Chart, LieForm, PolyData, SamplePlan, euclidean_chart,
@@ -30,8 +32,8 @@ from .forms import (Chart, LieForm, PolyData, SamplePlan, euclidean_chart,
 from .gauge import (GaugeScenario, bianchi_rows, change_of_gauge,
                     density_gauge_invariance_rows, density_infinitesimal_rows,
                     field_redef_rows, instanton_charge, self_duality_rows)
-from .lgb import (GSection, TrivLgb, darboux_inverse_rows, darboux_leibniz_rows,
-                  generalized_mc_rows, induced_connection,
+from .lgb import (GSection, TrivLgb, _point_draws, darboux_inverse_rows,
+                  darboux_leibniz_rows, generalized_mc_rows, induced_connection,
                   multiplicativity_rows, nabla_from_darboux, pullback_mc_rows)
 from .principal import (Automorphism, TrivPrincipal, action_differential_rows,
                         equivariance_rows, gauge_transform_total,
@@ -419,11 +421,11 @@ _METRIC_NAMES = {"euclidean": "euclidean", "round-s4": "round-s4",
 
 
 def _int_field(field_name, value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{field_name}: must be an integer, got "
-                            f"{value!r}") from None
+    """`value` if it is an integer (not a bool, a float or a string), as
+    `SamplePlan` demands of its counts."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ScenarioError(f"{field_name}: must be an integer, got {value!r}")
+    return int(value)
 
 
 def _chart_from_dict(blob) -> tuple:
@@ -828,18 +830,12 @@ def algebra_kernel_residuals(alg: LieAlgebraDescriptor, count: int,
     """Sampled residuals of the bracket/adjoint kernel laws (sample i drawn
     from `default_rng([seed, i])`), plus the exact Jacobi residual of the
     structure constants."""
-    c = alg.structure_constants
-    # explicit cyclic sum: [[a,b],e] + [[b,e],a] + [[e,a],b]
-    t1 = np.einsum('abk,kem->abem', c, c)
-    t2 = np.einsum('bek,kam->beam', c, c).transpose(2, 0, 1, 3)
-    t3 = np.einsum('eak,kbm->eabm', c, c).transpose(1, 2, 0, 3)
-    jacobi = t1 + t2 + t3
-    coeffs = np.array([np.random.default_rng([seed, i]).normal(scale=0.8, size=(2, alg.dim))
-                       for i in range(count)])
+    coeffs, _ = _point_draws(SamplePlan(count=count, seed=seed), count, alg.dim, 2, 0,
+                             probes=0, scale=0.8)
     gu, gv = np.moveaxis(expm(alg.rep_of(coeffs)), 1, 0)
     ad_u, ad_v, ad_uv = ad_matrix_of_group(alg, np.stack([gu, gv, gu @ gv]))
     kappa = alg.kappa
-    return {"jacobi": float(np.abs(jacobi).max()),
+    return {"jacobi": float(np.abs(jacobi_tensor(alg.structure_constants)).max()),
             "ad-homomorphism": max_gap_rows(ad_uv - ad_u @ ad_v).tolist(),
             "kappa-invariance": max_gap_rows(
                 np.swapaxes(ad_u, -1, -2) @ kappa @ ad_u - kappa).tolist(),

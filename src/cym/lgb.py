@@ -86,16 +86,40 @@ def _act(m, v) -> np.ndarray:
     return (m @ v[..., None])[..., 0]
 
 
+_draws_seed, _draws = None, np.empty((0, 0))
+
+
+def _normal_table(seed, count: int, width: int) -> np.ndarray:
+    """Read-only (count, width) view of a table whose row i holds the first
+    `width` standard normals of `default_rng([seed, i])`.
+
+    The table of the last seed asked for is kept for the process; a call
+    that needs more rows or columns redraws it whole at the larger size, at
+    least 64 columns wide so the usual widths need one draw."""
+    global _draws_seed, _draws
+    rows, cols = _draws.shape if seed == _draws_seed else (0, 0)
+    if count > rows or width > cols:
+        rows, cols = max(count, rows), max(width, cols, 64)
+        _draws = np.array([np.random.default_rng([seed, i]).standard_normal(cols)
+                           for i in range(rows)]).reshape(rows, cols)
+        _draws.flags.writeable = False
+        _draws_seed = seed
+    return _draws[:count, :width]
+
+
 def _point_draws(plan: SamplePlan, count: int, dim: int, groups: int, width: int,
                  probes: int = None, scale: float = 1.0):
     """The random draws of each plan point, point i from
     `default_rng([plan.seed, i])`: `groups` group coefficient vectors of
     scale `scale`, then `probes` rows of `width` normals (the plan's tangent
-    probes by default); as (count, groups, dim) and (count, probes, width)."""
+    probes by default); as (count, groups, dim) and (count, probes, width).
+    They are the values `rng.normal(scale=scale, size=(groups, dim))` and
+    then `rng.normal(size=(probes, width))` give, read from one shared table."""
     probes = plan.tangent_probes if probes is None else probes
-    rngs = [np.random.default_rng([plan.seed, i]) for i in range(count)]
-    coeffs = np.array([rng.normal(scale=scale, size=(groups, dim)) for rng in rngs])
-    return coeffs, np.array([rng.normal(size=(probes, width)) for rng in rngs])
+    head = groups * dim
+    z = _normal_table(plan.seed, count, head + probes * width)
+    return (scale * z[:, :head].reshape(count, groups, dim),
+            z[:, head:].copy().reshape(count, probes, width))
 
 
 def group_sample(alg: LieAlgebraDescriptor, rng: np.random.Generator,

@@ -2,6 +2,7 @@
 
 Elements are coefficient vectors, exponentiated through their representation
 matrix, as in the residual suites."""
+import dataclasses
 import warnings
 
 import numpy as np
@@ -197,6 +198,44 @@ def test_custom_descriptor_round_trip():
     np.testing.assert_allclose(back.rep_matrices, MIX.rep_matrices)
     np.testing.assert_allclose(back.kappa, MIX.kappa)
     assert back.variety_blocks == MIX.variety_blocks
+
+
+def test_builtin_descriptors_are_one_shared_instance_per_process():
+    for name, build in (("su2", alg.su2), ("u1", alg.u1), ("u1+su2", alg.u1_su2)):
+        assert alg.algebra_from_name(name) is alg.algebra_from_name(name)
+        assert alg.algebra_from_name(name) is build()
+
+
+@mark.parametrize("field", ["structure_constants", "rep_matrices", "kappa", "center_mask"])
+def test_builtin_descriptor_arrays_are_read_only(field):
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(alg.su2(), field)[0] = 0
+    assert np.array_equal(alg.su2().kappa, np.eye(3))
+
+
+def test_descriptor_owns_copies_of_its_arrays():
+    kappa = np.eye(3)
+    own = alg.LieAlgebraDescriptor(
+        dim=3, basis_labels=SU2.basis_labels, structure_constants=SU2.structure_constants,
+        rep_dim=2, rep_matrices=SU2.rep_matrices, kappa=kappa,
+        center_mask=SU2.center_mask, variety_blocks=SU2.variety_blocks)
+    kappa[0, 0] = 5.0
+    assert own.kappa[0, 0] == 1.0
+
+
+def test_replace_validates_a_new_descriptor():
+    scaled = dataclasses.replace(alg.su2(), kappa=2 * np.eye(3))
+    assert scaled is not alg.su2()
+    assert np.array_equal(scaled.kappa, 2 * np.eye(3))
+    assert not scaled.kappa.flags.writeable
+    assert np.array_equal(alg.su2().kappa, np.eye(3))
+    with pytest.raises(alg.StructureError, match="not ad-invariant"):
+        dataclasses.replace(alg.su2(), kappa=np.diag([1.0, 2.0, 3.0]))
+
+
+def test_representation_violation_names_the_first_pair():
+    with pytest.raises(alg.StructureError, match=r"bracket on \(0, 1\)"):
+        dataclasses.replace(alg.su2(), rep_matrices=2 * SU2.rep_matrices)
 
 
 # -- the kernel broadcasts over stacks ----------------------------------------

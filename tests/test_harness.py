@@ -212,6 +212,14 @@ def test_jacobi_violation_rejected_naming_triple():
      "chart.half: .*, got nan"),
     (lambda d: d.__setitem__("chart", {"dim": "two", "half": 1.0}),
      "chart.dim: must be an integer"),
+    (lambda d: d.__setitem__("chart", {"dim": 2.9, "half": 1.0}),
+     "chart.dim: must be an integer, got 2.9"),
+    (lambda d: d.__setitem__("chart", {"dim": "3", "half": 1.0}),
+     "chart.dim: must be an integer, got '3'"),
+    (lambda d: d.__setitem__("chart", {"dim": 2, "half": 1.0, "orientation": True}),
+     "chart.orientation: must be an integer, got True"),
+    (lambda d: d.__setitem__("quadrature", {"order": 24.7}),
+     "quadrature.order: must be an integer, got 24.7"),
     (lambda d: d.__setitem__("chart", {"dim": 2, "half": 1.0,
                                        "orientation": 0}),
      r"chart.orientation: must be \+1 or -1"),
@@ -943,6 +951,11 @@ def test_cli_input_errors(tmp_path, capsys):
     assert cli_main(["verify", "--scenario", str(bad), "--suite", "all"]) == 2
     err = capsys.readouterr().err
     assert "invalid JSON" in err
+    blob = scenario_blob()
+    blob["chart"]["dim"] = 2.9
+    bad.write_text(json.dumps(blob))
+    assert cli_main(["verify", "--scenario", str(bad), "--suite", "all"]) == 2
+    assert capsys.readouterr().err == "error: chart.dim: must be an integer, got 2.9\n"
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -1020,10 +1033,20 @@ def test_cli_seed_override_changes_env(tmp_path):
     assert blob["env"]["seed"] == 99 and blob["env"]["points"] == 3
 
 
+def _run_fresh(script):
+    """Run a Python script in a fresh interpreter that imports this cym."""
+    src = str(pathlib.Path(cym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
 def test_cli_run_leaves_scipy_linalg_unimported(tmp_path):
     """Set-up and every suite run on numpy alone: importing scipy.linalg
     would cost more than the rest of `import cym.cli`."""
-    script = textwrap.dedent(f"""
+    _run_fresh(f"""
         import sys
         import cym.cli
         code = cym.cli.main(["verify", "--scenario", "abelian-u1", "--suite", "all",
@@ -1031,9 +1054,45 @@ def test_cli_run_leaves_scipy_linalg_unimported(tmp_path):
         assert code == 0, code
         assert "scipy.linalg" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
     """)
-    src = str(pathlib.Path(cym.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    run = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
+
+
+def test_repeated_cli_runs_build_their_constants_once_per_process(tmp_path):
+    """Four `cym verify` calls in one process on one saved scenario, 40
+    points each: the per-point generators `default_rng([seed, i])`, the
+    algebra descriptor and the argument parser are built by the first call
+    at most, and reused after it."""
+    _run_fresh(f"""
+        import argparse
+        from collections import Counter
+        import numpy as np
+        import cym.cli
+        from cym.algebra import LieAlgebraDescriptor
+        from cym.harness import builtin_scenario, save_scenario
+
+        built = Counter()
+        def counting(key, fn, when=lambda *a: True):
+            def wrapper(*args, **kwargs):
+                built[key] += when(*args)
+                return fn(*args, **kwargs)
+            return wrapper
+        np.random.default_rng = counting("generators", np.random.default_rng,
+                                         lambda seed=None: isinstance(seed, list))
+        LieAlgebraDescriptor.__post_init__ = counting(
+            "descriptors", LieAlgebraDescriptor.__post_init__)
+        argparse.ArgumentParser.__init__ = counting(
+            "parsers", argparse.ArgumentParser.__init__)
+
+        path = {str(tmp_path / "flat-su2.json")!r}
+        save_scenario(builtin_scenario("flat-su2"), path)
+        built.clear()
+        after_first = None
+        for suite in ("multiplicativity", "multiplicativity", "algebra", "algebra"):
+            code = cym.cli.main(["verify", "--scenario", path, "--suite", suite,
+                                 "--points", "40"])
+            assert code == 0, code
+            if after_first is None:
+                after_first = dict(built)
+        for key in ("descriptors", "parsers"):
+            assert built[key] == after_first.get(key, 0), (key, after_first, built)
+        assert built["generators"] <= 40, built
+    """)

@@ -16,7 +16,7 @@ from cym.lgb import (GSection, InconsistencyError, TotalPoint, TotalTangent,
                      generalized_mc_residual, group_sample,
                      multiplicativity_residual, multiplicativity_rows,
                      nabla_from_darboux, pullback_mc_residual)
-from cym.lgb import _mu_rows
+from cym.lgb import _mu_rows, _normal_table, _point_draws
 
 ALG = su2()
 
@@ -35,6 +35,40 @@ def su2_bundle():
 def flat_bundle(alg=ALG, dim=2):
     chart = euclidean_chart(dim, half=1.0)
     return TrivLgb(chart, alg, zero_form(dim, 1, "algebra", (alg.dim,)))
+
+
+# ---------------------------------------------------------------------------
+# per-point draws
+# ---------------------------------------------------------------------------
+
+# (count, dim, groups, width, probes, scale); the widest row needs 72 normals
+DRAW_SHAPES = [(5, 3, 2, 7, 4, 0.8), (7, 1, 1, 0, 4, 0.5), (3, 4, 1, 30, 2, 1.0),
+               (6, 3, 0, 72, 1, 1.0), (4, 3, 2, 0, 0, 0.8), (9, 4, 1, 11, 3, 0.35)]
+
+
+def per_point_draws(seed, count, dim, groups, width, probes, scale):
+    """The draws as each point's own generator gives them, call by call."""
+    rngs = [np.random.default_rng([seed, i]) for i in range(count)]
+    coeffs = np.array([rng.normal(scale=scale, size=(groups, dim)) for rng in rngs])
+    return coeffs, np.array([rng.normal(size=(probes, width)) for rng in rngs])
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_point_draws_equal_the_per_point_generators_bit_for_bit(order):
+    for seed in (11, 12, 11):
+        for count, dim, groups, width, probes, scale in DRAW_SHAPES[::order]:
+            plan = SamplePlan(count=count, seed=seed)
+            got = _point_draws(plan, count, dim, groups, width, probes=probes, scale=scale)
+            want = per_point_draws(seed, count, dim, groups, width, probes, scale)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_normal_table_is_read_only():
+    table = _normal_table(3, 4, 5)
+    assert table.shape == (4, 5) and not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
