@@ -17,8 +17,7 @@ The kernel broadcasts over leading axes: (..., dim) coefficient stacks in
 vector or matrix is the one-row case; `expm(alg.rep_of(u))` exponentiates a
 stack in one call, each row as a call on it alone would give it.
 Watchdogs check every row: a finite row beyond its bound raises, a
-non-finite one passes through as NaN (a `GroupElement`, one finite matrix,
-still refuses NaN).
+non-finite one passes through as NaN.
 """
 from __future__ import annotations
 
@@ -28,11 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forms import max_gap_rows
+from .forms import ScenarioError, _int_field, max_gap_rows
 
 __all__ = [
     "LieAlgebraDescriptor",
-    "GroupElement",
     "StructureError",
     "VarietyError",
     "ReexpansionError",
@@ -184,33 +182,6 @@ class LieAlgebraDescriptor:
         """Representation matrices of (..., dim) coefficients, (..., r, r)."""
         return np.einsum('...a,aij->...ij', np.asarray(coeffs, dtype=float), self.rep_matrices)
 
-    def group_identity(self) -> "GroupElement":
-        return GroupElement(self, np.eye(self.rep_dim, dtype=complex))
-
-
-@dataclass
-class GroupElement:
-    """A group-variety matrix in the representation space.
-
-    The variety membership (block structure, unitarity, unit determinant on
-    special blocks) is checked once at construction, not on every operation.
-    """
-
-    algebra: LieAlgebraDescriptor
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        n = self.algebra.rep_dim
-        if self.matrix.shape != (n, n):
-            raise VarietyError(f"group matrix must be {n}x{n}")
-        resid = variety_residual(self.algebra, self.matrix)
-        if not resid <= VARIETY_TOL:
-            raise VarietyError(f"matrix off the group variety by {resid:.3e}")
-
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.algebra, self.matrix @ other.matrix)
-
 
 def variety_residual(alg: LieAlgebraDescriptor, matrix: np.ndarray):
     """Distance of each matrix of a (..., r, r) stack from the declared group
@@ -359,23 +330,34 @@ def algebra_to_dict(alg: LieAlgebraDescriptor) -> dict:
 
 
 def algebra_from_dict(data) -> LieAlgebraDescriptor:
+    """The descriptor of a built-in name, or of a full blob as
+    `algebra_to_dict` writes it. A blob that is not an object or a name, that
+    lacks a key, or whose `dim` or variety-block entry is not an integer
+    raises ScenarioError naming the field (`algebra.<key>`)."""
     if isinstance(data, str):
         return algebra_from_name(data)
-    if "name" in data and set(data) == {"name"}:
+    if not isinstance(data, dict):
+        raise ScenarioError(f"algebra: must be a name or an object, got {data!r}")
+    if set(data) == {"name"}:
         return algebra_from_name(data["name"])
+    for key in ("dim", "basis_labels", "structure_constants", "rep_matrices", "kappa",
+                "variety_blocks"):
+        if key not in data:
+            raise ScenarioError(f"algebra.{key}: missing")
     raw = np.asarray(data["rep_matrices"], dtype=float)
     reps = raw[..., 0] + 1j * raw[..., 1]
     c = np.asarray(data["structure_constants"], dtype=float)
     ad_norms = np.abs(c).max(axis=(1, 2))
     return LieAlgebraDescriptor(
-        dim=int(data["dim"]),
+        dim=_int_field("algebra.dim", data["dim"]),
         basis_labels=tuple(data["basis_labels"]),
         structure_constants=c,
         rep_dim=reps.shape[-1],
         rep_matrices=reps,
         kappa=np.asarray(data["kappa"], dtype=float),
         center_mask=ad_norms <= JACOBI_TOL,
-        variety_blocks=tuple((str(k), int(o), int(s))
+        variety_blocks=tuple((str(k), _int_field("algebra.variety_blocks", o),
+                              _int_field("algebra.variety_blocks", s))
                              for k, o, s in data["variety_blocks"]),
         name=str(data.get("label", "")))
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property, lru_cache, wraps
+from functools import cache, cached_property, lru_cache
 from numbers import Integral
 from typing import TYPE_CHECKING
 
@@ -40,11 +40,24 @@ __all__ = [
     "form_from_components",
     "bracket_pairing", "kappa_pairing", "endo_action_pairing",
     "endo_compose_pairing", "hodge_star", "kappa_wedge_top",
-    "drain_order_loss_events", "max_gap", "max_gap_rows", "max_gap_of",
+    "drain_order_loss_events", "max_gap", "max_gap_rows", "ScenarioError",
 ]
 
 # order-loss events from one-sided stencils; drained by reports
 _ORDER_LOSS: list = []
+
+
+class ScenarioError(ValueError):
+    """Scenario construction failure; the message names the offending field."""
+
+
+def _int_field(field_name, value) -> int:
+    """`value` if it is an integer (not a bool, a float or a string), as
+    `SamplePlan` demands of its counts; else ScenarioError naming the field.
+    A plain int, as JSON gives, skips the slower abstract-class check."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
+        raise ScenarioError(f"{field_name}: must be an integer, got {value!r}")
+    return int(value)
 
 
 def drain_order_loss_events():
@@ -263,8 +276,9 @@ class PolyData:
         for key, lst in blob.get("terms", {}).items():
             idx = tuple(int(s) for s in key.split(",")) if key else ()
             terms[idx] = [(np.asarray(t["coeffs"], dtype=float),
-                           np.asarray(t["exponents"], dtype=int)) for t in lst]
-        return PolyData(n, int(blob["degree"]), value_shape, terms)
+                           np.array([_int_field("exponents", e) for e in t["exponents"]],
+                                    dtype=int)) for t in lst]
+        return PolyData(n, _int_field("degree", blob["degree"]), value_shape, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +634,10 @@ def _kappa_top_matrix(alg: LieAlgebraDescriptor, n: int, k: int, m: int) -> np.n
 def kappa_wedge_top(alg: LieAlgebraDescriptor, f: LieForm, g: LieForm) -> LieForm:
     """Invariant-pairing wedge into the top degree (scalar-valued density form).
     Off the polynomial case a batch is one bilinear contraction of the two
-    flattened tables; a top-degree form's d is zero."""
+    flattened tables; a top-degree form's d is zero. A row of a batch equals
+    the one-row read bit for bit only when each column of the bilinear matrix
+    has one nonzero entry, as with a diagonal kappa (every built-in); else
+    BLAS may round the two differently in the last bits."""
     if f.n != g.n:
         raise ValueError("forms live on charts of different dimension")
     if f.degree + g.degree != f.n:
@@ -676,14 +693,6 @@ def max_gap_rows(table) -> np.ndarray:
     worst = np.abs(table.reshape(len(table), -1)).max(axis=1)
     worst[~np.isfinite(worst)] = np.nan
     return worst
-
-
-def max_gap_of(gap_fn):
-    """Decorator: a function that yields gaps returns their `max_gap`."""
-    @wraps(gap_fn)
-    def reduced(*args, **kwargs):
-        return max_gap(gap_fn(*args, **kwargs))
-    return reduced
 
 
 @dataclass

@@ -16,21 +16,18 @@ from numpy.polynomial.legendre import leggauss
 from .algebra import LieAlgebraDescriptor, ad_twist, dagger
 from .connection import (COMPATIBILITY_TOL, CompatibilityReport,
                          FieldRedefinition, LabConnection, check_compatibility,
-                         cov_ext_deriv, field_redefine)
+                         cov_ext_deriv)
 from .forms import (Chart, LieForm, SamplePlan, add_forms, bracket_pairing,
-                    graded_product, hodge_star, kappa_wedge_top, max_gap,
-                    max_gap_of, max_gap_rows, scale_form)
+                    graded_product, hodge_star, kappa_wedge_top, max_gap_rows,
+                    scale_form)
 from .lgb import GSection, TrivLgb, darboux
 
 __all__ = [
     "GaugeScenario", "CompatibilityGateError", "local_field_strength",
     "ChangeOfGaugeResult", "gauge_changed_potential", "change_of_gauge",
-    "bianchi_rows", "bianchi_residual", "lagrangian_density", "ChargeResult",
-    "instanton_charge", "density_gauge_invariance_rows",
-    "density_gauge_invariance_residual", "density_infinitesimal_rows",
-    "density_infinitesimal_residual", "field_redef_rows",
-    "field_redef_invariance_residual", "self_duality_rows",
-    "self_duality_residual",
+    "bianchi_rows", "lagrangian_density", "ChargeResult", "instanton_charge",
+    "density_gauge_invariance_rows", "density_infinitesimal_rows",
+    "field_redef_rows", "self_duality_rows",
 ]
 
 
@@ -111,7 +108,6 @@ def local_field_strength(s: GaugeScenario, gate: bool = True) -> LieForm:
 class ChangeOfGaugeResult:
     a_new: LieForm
     f_rows: np.ndarray  # (P,) residual of the field-strength law per point
-    f_residual: float   # their max_gap
 
 
 def _adjoint_twist(alg: LieAlgebraDescriptor, sigma: GSection, f: LieForm) -> LieForm:
@@ -142,8 +138,7 @@ def change_of_gauge(s: GaugeScenario, sigma: GSection,
     f_new = local_field_strength(s.with_gauge_field(a_new))
     twisted = _adjoint_twist(s.algebra, sigma, local_field_strength(s))
     X = plan.points(s.chart)
-    rows = max_gap_rows(f_new.table(X) - twisted.table(X))
-    return ChangeOfGaugeResult(a_new, rows, max_gap((rows,)))
+    return ChangeOfGaugeResult(a_new, max_gap_rows(f_new.table(X) - twisted.table(X)))
 
 
 def bianchi_rows(s: GaugeScenario, plan: SamplePlan) -> np.ndarray:
@@ -158,9 +153,6 @@ def bianchi_rows(s: GaugeScenario, plan: SamplePlan) -> np.ndarray:
     # exterior_derivative), so every point still yields its exact zero gap
     points = plan.points(s.chart)
     return max_gap_rows(lhs.table(points) - rhs.table(points))
-
-
-bianchi_residual = max_gap_of(bianchi_rows)  # its largest gap over the plan
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +270,6 @@ def density_infinitesimal_rows(s: GaugeScenario, eps: LieForm, plan: SamplePlan,
     return max_gap_rows((density_at(t_step) - density_at(-t_step)) / (2 * t_step))
 
 
-# the largest gap of each over the plan
-density_gauge_invariance_residual = max_gap_of(density_gauge_invariance_rows)
-density_infinitesimal_residual = max_gap_of(density_infinitesimal_rows)
-
-
 def field_redef_rows(s: GaugeScenario, shifted: FieldRedefinition,
                      plan: SamplePlan) -> np.ndarray:
     """Per-point gap between the field strength before and after a shift of
@@ -296,19 +283,8 @@ def field_redef_rows(s: GaugeScenario, shifted: FieldRedefinition,
     return max_gap_rows(f_after.table(points) - f_before.table(points))
 
 
-def field_redef_invariance_residual(s: GaugeScenario, lam: LieForm,
-                                    plan: SamplePlan) -> float:
-    """Largest gap over the plan of F under the shift by lam (see
-    `field_redef_rows`)."""
-    shifted = field_redefine(s.nabla, s.zeta, s.gauge_field, lam)
-    return max_gap((field_redef_rows(s, shifted, plan),))
-
-
 def self_duality_rows(zeta: LieForm, chart: Chart, plan: SamplePlan) -> np.ndarray:
     """Deviation of the central form from its own Hodge dual at each point
     of the plan, (P,)."""
     X = plan.points(chart)
     return max_gap_rows(hodge_star(chart, zeta).table(X) - zeta.table(X))
-
-
-self_duality_residual = max_gap_of(self_duality_rows)  # its largest gap over the plan

@@ -15,7 +15,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -25,10 +24,10 @@ from .algebra import (VARIETY_TOL, LieAlgebraDescriptor, StructureError,
                       variety_residual)
 from .connection import (COMPATIBILITY_TOL, check_compatibility,
                          field_redefine, potential_curvature)
-from .forms import (Chart, LieForm, PolyData, SamplePlan, euclidean_chart,
-                    form_from_poly, increasing_indices, max_gap,
-                    max_gap_rows, minkowski_chart, stereographic_chart,
-                    zero_form)
+from .forms import (Chart, LieForm, PolyData, SamplePlan, ScenarioError,
+                    _int_field, euclidean_chart, form_from_poly,
+                    increasing_indices, max_gap, max_gap_rows, minkowski_chart,
+                    stereographic_chart, zero_form)
 from .gauge import (GaugeScenario, bianchi_rows, change_of_gauge,
                     density_gauge_invariance_rows, density_infinitesimal_rows,
                     field_redef_rows, instanton_charge, self_duality_rows)
@@ -51,10 +50,6 @@ __all__ = [
 
 SCENARIO_NAMES = ("flat-su2", "abelian-u1", "preclassical-u1su2", "bpst",
                   "random-curved")
-
-
-class ScenarioError(ValueError):
-    """Scenario construction failure; the message names the offending field."""
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +415,6 @@ _METRIC_NAMES = {"euclidean": "euclidean", "round-s4": "round-s4",
                  "minkowski": "minkowski"}
 
 
-def _int_field(field_name, value) -> int:
-    """`value` if it is an integer (not a bool, a float or a string), as
-    `SamplePlan` demands of its counts."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ScenarioError(f"{field_name}: must be an integer, got {value!r}")
-    return int(value)
-
-
 def _chart_from_dict(blob) -> tuple:
     if not isinstance(blob, dict):
         raise ScenarioError("chart: must be an object")
@@ -466,7 +453,7 @@ def _chart_from_dict(blob) -> tuple:
 def _poly_from_blob(field_name, blob, n, dim) -> PolyData:
     try:
         poly = PolyData.from_json(n, (dim,), blob)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{field_name}: malformed polynomial payload "
                             f"({exc})") from None
     # JSON readers accept NaN and Infinity literals; no residual survives them
@@ -527,7 +514,9 @@ def scenario_from_dict(data, source="<dict>") -> ScenarioBundle:
 
     try:
         alg = algebra_from_dict(data.get("algebra", "su2"))
-    except StructureError as exc:
+    except ScenarioError:
+        raise  # already names its algebra.<key>
+    except (StructureError, TypeError, ValueError, IndexError) as exc:
         raise ScenarioError(f"algebra: {exc}") from None
 
     chart, metric = _chart_from_dict(data.get("chart", {"dim": 2, "half": 1.0}))
@@ -868,19 +857,20 @@ def _distinguished_section(bundle):
 
 
 def _random_section_pairs(bundle, count, seed):
+    """`count` sections exp(b + w y), section i with b and w drawn from
+    `default_rng([seed, 977, i])`, each paired with the one three on."""
     alg = bundle.algebra
     n = bundle.chart.dim
     scale = 0.35 / bundle.chart.half_width()
-    pairs = []
+    sections = []
     for i in range(count):
         rng = np.random.default_rng([seed, 977, i])
-
-        def coeff_fn(y, b=rng.normal(scale=0.5, size=alg.dim),
-                     w=rng.normal(scale=scale, size=(alg.dim, n))):
-            return b + w @ y
-
-        pairs.append(GSection.from_exp_coeffs(alg, coeff_fn, name=f"rand{i}"))
-    return [(pairs[i], pairs[(i + 3) % len(pairs)]) for i in range(len(pairs))]
+        b = rng.normal(scale=0.5, size=alg.dim)
+        w = rng.normal(scale=scale, size=(alg.dim, n))
+        # (w @ y[..., None])[..., 0] rounds as the row-by-row w @ y does; y @ w.T does not
+        sections.append(GSection(alg, lambda Y, b=b, w=w: expm(alg.rep_of(
+            b + (w @ Y[..., None])[..., 0])), name=f"rand{i}"))
+    return [(sections[i], sections[(i + 3) % count]) for i in range(count)]
 
 
 def _suite_darboux(bundle, env):

@@ -18,23 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (GroupElement, LieAlgebraDescriptor, ReexpansionError,
+from .algebra import (LieAlgebraDescriptor, ReexpansionError,
                       ad_matrix_c, ad_matrix_of_group, ad_twist, bracket_c,
                       dagger, expand_in_rep, expm, on_variety, require_within)
 from .connection import LabConnection, cov_ext_deriv
 from .forms import (Chart, LieForm, SamplePlan, bracket_pairing,
                     exterior_derivative, graded_product, increasing_indices,
-                    max_gap_of, max_gap_rows, scale_form)
+                    max_gap_rows, scale_form)
 
 __all__ = [
     "TotalPoint", "TotalTangent", "TrivLgb", "GSection", "dexp_body",
-    "InconsistencyError", "one_form_on",
-    "group_sample", "darboux", "darboux_leibniz_rows", "darboux_leibniz_residual",
-    "darboux_inverse_rows", "darboux_inverse_residual", "nabla_from_darboux",
-    "induced_connection", "multiplicativity_rows", "multiplicativity_residual",
-    "base_rows", "total_form_rows", "product_curvature",
-    "generalized_mc_rows", "generalized_mc_residual", "pullback_mc_rows",
-    "pullback_mc_residual",
+    "InconsistencyError", "one_form_on", "darboux", "darboux_leibniz_rows",
+    "darboux_inverse_rows", "nabla_from_darboux", "induced_connection",
+    "multiplicativity_rows", "base_rows", "total_form_rows", "product_curvature",
+    "generalized_mc_rows", "pullback_mc_rows",
 ]
 
 DRIFT_TOL = 1e-9
@@ -48,7 +45,7 @@ class InconsistencyError(RuntimeError):
 @dataclass
 class TotalPoint:
     x: np.ndarray
-    g: GroupElement  # or a (..., r, r) stack of matrices, for a batch of x
+    g: np.ndarray  # (..., r, r) group matrices, for the (..., n) points x
 
 
 @dataclass
@@ -122,11 +119,6 @@ def _point_draws(plan: SamplePlan, count: int, dim: int, groups: int, width: int
             z[:, head:].copy().reshape(count, probes, width))
 
 
-def group_sample(alg: LieAlgebraDescriptor, rng: np.random.Generator,
-                 scale: float = 1.0) -> GroupElement:
-    return GroupElement(alg, expm(alg.rep_of(rng.normal(scale=scale, size=alg.dim))))
-
-
 # ---------------------------------------------------------------------------
 # sections
 # ---------------------------------------------------------------------------
@@ -134,77 +126,54 @@ def group_sample(alg: LieAlgebraDescriptor, rng: np.random.Generator,
 class GSection:
     """A group-valued section b: chart -> G, on stacks of points.
 
-    `section(X)` maps a (..., n) stack of points to the (..., r, r) stack of
-    their group matrices. `fn` maps one point to its group element (a
-    `GroupElement` or its matrix) and runs row by row; the sections that
-    `from_exp_coeffs`, `exp_of_form`, `identity`, `constant`, `product` and
-    `inverse` build map a whole stack at once. Every finite row must lie on the group
-    variety (VarietyError otherwise); a non-finite row passes through as NaN.
+    `stack` maps a (..., n) stack of points to the (..., r, r) stack of
+    their group matrices, and `section(X)` reads it. A per-point closure of
+    algebra coefficients becomes a section through `exp_of_form` of
+    `form_from_components`. Every finite row must lie on the group variety
+    (VarietyError otherwise); a non-finite row passes through as NaN.
     A section must be a pure function of the point: the last stack is
     memoised by its coordinates and its matrices come back read-only.
     """
 
-    def __init__(self, alg: LieAlgebraDescriptor, fn, name: str = ""):
-        self.algebra, self.name = alg, name
-        self._stack = lambda X: on_variety(alg, np.array(
-            [getattr(g, "matrix", g) for g in map(fn, X.reshape(-1, X.shape[-1]))],
-            dtype=complex).reshape(X.shape[:-1] + (alg.rep_dim,) * 2))
+    def __init__(self, alg: LieAlgebraDescriptor, stack, name: str = ""):
+        self.algebra, self.name, self._stack = alg, name, stack
         self._key = self._value = None
-
-    @classmethod
-    def _of_stack(cls, alg: LieAlgebraDescriptor, stack, name: str) -> "GSection":
-        """The section whose matrices on a (..., n) stack are stack(X)."""
-        section = cls(alg, None, name)
-        section._stack = stack
-        return section
 
     def __call__(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         key = (X.shape, X.tobytes())
         if key != self._key:
-            value = np.asarray(self._stack(X)).view()
+            value = on_variety(self.algebra, np.asarray(self._stack(X))).view()
             value.setflags(write=False)
             self._key, self._value = key, value
         return self._value
 
     @classmethod
     def identity(cls, alg: LieAlgebraDescriptor) -> "GSection":
-        return cls.constant(alg.group_identity(), name="id")
+        return cls.constant(alg, np.eye(alg.rep_dim, dtype=complex), name="id")
 
     @classmethod
-    def constant(cls, g: GroupElement, name: str = "const") -> "GSection":
-        return cls._of_stack(g.algebra, lambda X: np.broadcast_to(
-            g.matrix, X.shape[:-1] + g.matrix.shape), name)
-
-    @classmethod
-    def from_exp_coeffs(cls, alg: LieAlgebraDescriptor, coeff_fn,
-                        name: str = "exp") -> "GSection":
-        """b(x) = exp of the algebra element with coefficients coeff_fn(x):
-        coeff_fn runs on each row, then one exponential and one variety
-        check cover the stack."""
-        def stack(X):
-            coeffs = np.array([coeff_fn(x) for x in X.reshape(-1, X.shape[-1])], dtype=float)
-            return on_variety(alg, expm(alg.rep_of(coeffs.reshape(X.shape[:-1] + (alg.dim,)))))
-        return cls._of_stack(alg, stack, name)
+    def constant(cls, alg: LieAlgebraDescriptor, matrix, name: str = "const") -> "GSection":
+        """b(x) = matrix at every point, for an (r, r) group matrix; a finite
+        matrix off the variety raises VarietyError here."""
+        matrix = on_variety(alg, np.asarray(matrix, dtype=complex))
+        return cls(alg, lambda X: np.broadcast_to(matrix, X.shape[:-1] + matrix.shape), name)
 
     @classmethod
     def exp_of_form(cls, alg: LieAlgebraDescriptor, form: LieForm, scale: float = 1.0,
                     name: str = "exp") -> "GSection":
         """b(x) = exp(scale form(x)) of an algebra-valued 0-form: one table of
-        the form on the stack, then one exponential and one variety check."""
-        return cls._of_stack(alg, lambda X: on_variety(alg, expm(alg.rep_of(
-            scale * _table_at(form, X)[..., 0, :]))), name)
+        the form on the stack, then one exponential."""
+        return cls(alg, lambda X: expm(alg.rep_of(scale * _table_at(form, X)[..., 0, :])), name)
 
     def product(self, other: "GSection") -> "GSection":
         if other.algebra is not self.algebra:
             raise ValueError("sections live in different algebras")
-        return GSection._of_stack(self.algebra, lambda X: on_variety(
-            self.algebra, self(X) @ other(X)), f"{self.name}*{other.name}")
+        return GSection(self.algebra, lambda X: self(X) @ other(X), f"{self.name}*{other.name}")
 
     def inverse(self) -> "GSection":
-        # the conjugate transpose of a variety matrix is on the variety
-        return GSection._of_stack(self.algebra, lambda X: dagger(self(X)),
-                                  f"{self.name}^-1")
+        # on a unitary variety the inverse is the conjugate transpose
+        return GSection(self.algebra, lambda X: dagger(self(X)), f"{self.name}^-1")
 
     def body_derivative(self, X, h: float) -> np.ndarray:
         """b^{-1} d_k b along every axis k at each point of a (..., n) stack,
@@ -299,8 +268,7 @@ class TrivLgb:
         leading axes of p.x, p.g, t.X and t.eta broadcast."""
         if not self.chart.contains(p.x):
             raise ValueError(f"point {p.x} is outside the chart box")
-        return _mu_rows(self.algebra, getattr(p.g, "matrix", p.g), t.eta,
-                        one_form_on(self.omega, p.x, t.X))
+        return _mu_rows(self.algebra, p.g, t.eta, one_form_on(self.omega, p.x, t.X))
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +307,6 @@ def darboux_inverse_rows(lgb: TrivLgb, s: GSection, plan: SamplePlan) -> np.ndar
     X = plan.points(lgb.chart)
     d, dinv = (darboux(lgb, sec).table(X) for sec in (s, s.inverse()))
     return max_gap_rows(dinv + ad_twist(lgb.algebra, s(X), d))
-
-
-# the largest gap of each over the plan
-darboux_leibniz_residual = max_gap_of(darboux_leibniz_rows)
-darboux_inverse_residual = max_gap_of(darboux_inverse_rows)
 
 
 def nabla_from_darboux(lgb: TrivLgb, nu: LieForm, X, t_step: float = 1e-5,
@@ -417,9 +380,6 @@ def multiplicativity_rows(lgb: TrivLgb, plan: SamplePlan, perturbation: LieForm 
     lhs = mu(gq, _act(ad_q_inv, eta) + theta)
     rhs = _act(ad_q_inv, mu(g, eta)) + mu(q, theta)
     return max_gap_rows(lhs - rhs)
-
-
-multiplicativity_residual = max_gap_of(multiplicativity_rows)  # its largest gap over the plan
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +463,6 @@ def generalized_mc_rows(lgb: TrivLgb, zeta: LieForm, plan: SamplePlan,
     return max_gap_rows(lhs)
 
 
-generalized_mc_residual = max_gap_of(generalized_mc_rows)  # its largest gap over the plan
-
-
 def pullback_mc_rows(lgb: TrivLgb, section: GSection, zeta: LieForm,
                      plan: SamplePlan) -> np.ndarray:
     """Residual of the pulled-back curvature identity along one section at
@@ -518,6 +475,3 @@ def pullback_mc_rows(lgb: TrivLgb, section: GSection, zeta: LieForm,
     sq = scale_form(graded_product(bracket_pairing(alg), ds, ds), 0.5)
     z = zeta.table(X)
     return max_gap_rows(lhs.table(X) + sq.table(X) + z - ad_twist(alg, dagger(section(X)), z))
-
-
-pullback_mc_residual = max_gap_of(pullback_mc_rows)  # its largest gap over the plan

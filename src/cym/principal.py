@@ -16,8 +16,7 @@ import numpy as np
 
 from .algebra import (LieAlgebraDescriptor, ad_matrix_of_group, dagger,
                       expand_in_rep, expm)
-from .forms import (LieForm, SamplePlan, increasing_indices, max_gap,
-                    max_gap_of, max_gap_rows)
+from .forms import LieForm, SamplePlan, increasing_indices, max_gap_rows
 from .lgb import (GSection, TotalPoint, TotalTangent, TrivLgb, _act,
                   _base_pairs, _darboux_rows, _point_draws, _table_at, base_rows,
                   dexp_body, induced_connection, one_form_on,
@@ -26,15 +25,11 @@ from .lgb import (GSection, TotalPoint, TotalTangent, TrivLgb, _act,
 __all__ = [
     "TrivPrincipal", "Automorphism", "connection_one_form",
     "modified_pushforward", "pushforward_matrix", "pushforward_via_section",
-    "action_differential_rows", "action_differential_residual",
-    "section_independence_rows", "section_independence_residual",
+    "action_differential_rows", "section_independence_rows",
     "TotalFieldStrength", "total_field_strength", "structure_equation_rows",
-    "GaugeTransformResult", "gauge_transform_total",
-    "equivariance_rows", "equivariance_residual",
-    "kernel_invariance_rows", "kernel_invariance_residual",
-    "projection_commutation_rows", "projection_commutation_residual",
-    "mixed_bracket_rows", "mixed_bracket_residual",
-    "field_strength_type_rows", "field_strength_type_residual",
+    "GaugeTransformResult", "gauge_transform_total", "equivariance_rows",
+    "kernel_invariance_rows", "projection_commutation_rows",
+    "mixed_bracket_rows", "field_strength_type_rows",
 ]
 
 
@@ -66,11 +61,6 @@ class Automorphism:
         """The conjugation section h^{-1} tau(x) h attached to the
         automorphism, for (..., n) points and (..., r, r) matrices h."""
         return dagger(h) @ self.tau(x) @ h
-
-
-def _matrix(g):
-    """The matrix of a `GroupElement`, or a stack of matrices as it is."""
-    return getattr(g, "matrix", g)
 
 
 _STENCIL4 = np.array([0.0, -2.0, -1.0, 1.0, 2.0])
@@ -109,8 +99,8 @@ def _sample(p: TrivPrincipal, plan: SamplePlan, groups: int, width: int,
 # connection 1-form and the modified pushforward
 # ---------------------------------------------------------------------------
 #
-# These act on stacks: the leading axes of the points, group matrices (or a
-# `GroupElement`) and tangents broadcast.
+# These act on stacks: the leading axes of the points, group matrices and
+# tangents broadcast.
 
 def connection_one_form(p: TrivPrincipal, pt: TotalPoint, t: TotalTangent) -> np.ndarray:
     """V + Ad_{h^{-1}}(A(X)) + (Ad_{h^{-1}} - id)(omega(X)) in body coordinates.
@@ -119,7 +109,7 @@ def connection_one_form(p: TrivPrincipal, pt: TotalPoint, t: TotalTangent) -> np
     of -A over the base directions. The omega defect term is what makes the
     form equivariant under the modified pushforward.
     """
-    ad_inv = ad_matrix_of_group(p.algebra, dagger(_matrix(pt.g)))
+    ad_inv = ad_matrix_of_group(p.algebra, dagger(pt.g))
     a = one_form_on(p.a_local, pt.x, t.X)
     w = one_form_on(p.lgb.omega, pt.x, t.X)
     return t.eta + _act(ad_inv, a) + (_act(ad_inv, w) - w)
@@ -129,11 +119,11 @@ def pushforward_matrix(p: TrivPrincipal, x, g) -> np.ndarray:
     """Matrix of the modified right-pushforward on (X, V) body blocks, at
     (..., n) points x for (..., r, r) matrices g: (..., n + dim, n + dim)."""
     n = p.chart.dim
-    ad_inv = ad_matrix_of_group(p.algebra, dagger(_matrix(g)))
+    ad_inv = ad_matrix_of_group(p.algebra, dagger(g))
     out = np.zeros(ad_inv.shape[:-2] + (n + p.algebra.dim,) * 2)
     out[..., :n, :n] = np.eye(n)
     out[..., n:, n:] = ad_inv
-    out[..., n:, :n] = -np.swapaxes(base_rows(p.lgb, x, _matrix(g)), -1, -2)
+    out[..., n:, :n] = -np.swapaxes(base_rows(p.lgb, x, g), -1, -2)
     return out
 
 
@@ -147,7 +137,7 @@ def pushforward_via_section(p: TrivPrincipal, sigma, pt: TotalPoint,
     h_step = p.chart.default_step()
 
     def curve(s):
-        return (_matrix(pt.g) @ _exp_rep(alg, s, t.eta)) @ sigma(x + s[..., None] * t.X)
+        return (pt.g @ _exp_rep(alg, s, t.eta)) @ sigma(x + s[..., None] * t.X)
 
     body_dr = _body_stencil4(alg, curve, np.ndim(t.X) - 1, h=h_step)
     ds = _darboux_rows(p.lgb, x, h_step, sigma, "section")
@@ -162,7 +152,7 @@ def modified_pushforward(p: TrivPrincipal, g, pt: TotalPoint,
     The closed form of the defining section route; the two are compared by
     `section_independence_rows`.
     """
-    ad_inv = ad_matrix_of_group(p.algebra, dagger(_matrix(g)))
+    ad_inv = ad_matrix_of_group(p.algebra, dagger(g))
     w = one_form_on(p.lgb.omega, pt.x, t.X)
     return TotalTangent(X=np.array(t.X, dtype=float),
                         eta=_act(ad_inv, t.eta) - (_act(ad_inv, w) - w))
@@ -301,15 +291,6 @@ def mixed_bracket_rows(p: TrivPrincipal, nu: LieForm, plan: SamplePlan,
     return max_gap_rows(got - (X[:, None, :] @ induced_connection(p.lgb, nu, x0))[:, 0])
 
 
-# the largest gap of each over the plan
-section_independence_residual = max_gap_of(section_independence_rows)
-action_differential_residual = max_gap_of(action_differential_rows)
-equivariance_residual = max_gap_of(equivariance_rows)
-kernel_invariance_residual = max_gap_of(kernel_invariance_rows)
-projection_commutation_residual = max_gap_of(projection_commutation_rows)
-mixed_bracket_residual = max_gap_of(mixed_bracket_rows)
-
-
 # ---------------------------------------------------------------------------
 # total-space field strength
 # ---------------------------------------------------------------------------
@@ -395,9 +376,6 @@ def field_strength_type_rows(p: TrivPrincipal, zeta: LieForm, plan: SamplePlan,
     return max_gap_rows(f[P:] - _act(ad_matrix_of_group(alg, dagger(g))[:, None], f[:P]))
 
 
-field_strength_type_residual = max_gap_of(field_strength_type_rows)  # its largest gap
-
-
 def structure_equation_rows(p: TrivPrincipal, zeta: LieForm, plan: SamplePlan):
     """The (dual-path, horizontality, adjoint-type) rows of the structure
     equation over the plan, (P,) each, at the anchors (x, identity):
@@ -426,14 +404,6 @@ class GaugeTransformResult:
     a_local_new: LieForm
     a_rows: np.ndarray  # (P,) potential-law residual at each plan point
     f_rows: np.ndarray  # (P,) field-strength-law residual at each plan point
-
-    @property
-    def residual_a(self) -> float:
-        return max_gap(self.a_rows)
-
-    @property
-    def residual_f(self) -> float:
-        return max_gap(self.f_rows)
 
 
 def gauge_transform_total(p: TrivPrincipal, aut: Automorphism, zeta: LieForm,

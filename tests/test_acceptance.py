@@ -11,12 +11,12 @@ import pytest
 
 from cym.algebra import su2, u1_su2
 from cym.connection import LabConnection, potential_curvature
-from cym.forms import LieForm, PolyData, SamplePlan, form_from_poly, zero_form
-from cym.gauge import GaugeScenario, bianchi_residual, field_redef_invariance_residual
+from cym.forms import LieForm, PolyData, SamplePlan, form_from_poly, max_gap, zero_form
+from cym.gauge import GaugeScenario, bianchi_rows, field_redef_rows
 from cym.connection import check_compatibility, field_redefine
 from cym.harness import (SCENARIO_NAMES, algebra_kernel_residuals,
                          builtin_scenario, run_suite)
-from cym.lgb import generalized_mc_residual, multiplicativity_residual
+from cym.lgb import generalized_mc_rows, multiplicativity_rows
 
 PLAN64 = SamplePlan(count=64, seed=42)
 
@@ -94,8 +94,8 @@ def test_criterion_04_total_form_multiplicativity(full_runs):
         (0,): [(np.array([0.1, 0.0, 0.0]), np.array([1, 0])),
                (np.array([0.0, 0.0, 0.05]), np.array([0, 0]))]}),
         box=bundle.chart.box)
-    broken = multiplicativity_residual(bundle.lgb, SamplePlan(count=8, seed=1),
-                                       perturbation=pert)
+    broken = max_gap(multiplicativity_rows(bundle.lgb, SamplePlan(count=8, seed=1),
+                                           perturbation=pert))
     print(f"criterion 4 [perturbed]: {broken:.3f}")
     assert broken > 1e-2
 
@@ -107,13 +107,13 @@ def test_criterion_05_generalized_curvature_identity(full_runs):
         # the identity with the central form taken as the potential curvature
         zeta = potential_curvature(bundle.algebra, bundle.omega)
         zeta.box = bundle.chart.box
-        r = generalized_mc_residual(bundle.lgb, zeta, PLAN64)
+        r = max_gap(generalized_mc_rows(bundle.lgb, zeta, PLAN64))
         print(f"criterion 5 [{name}]: {r:.3e}")
         assert r < 1e-5
     # dropping the central form on the instanton breaks the identity at 0
     bpst = full_runs["bpst"][0]
     wrong = zero_form(4, 2, "algebra", (3,), box=bpst.chart.box)
-    broken = generalized_mc_residual(bpst.lgb, wrong, origin_plan(4))
+    broken = max_gap(generalized_mc_rows(bpst.lgb, wrong, origin_plan(4)))
     elapsed = time.perf_counter() - t0
     print(f"criterion 5 [zeta=0 at origin]: {broken:.3f} in {elapsed:.1f}s")
     assert broken > 0.1
@@ -174,7 +174,7 @@ def test_criterion_09_differential_identity_both_routes(full_runs):
                                      hide_derivatives(bundle.omega)),
             hide_derivatives(bundle.zeta),
             hide_derivatives(bundle.gauge_field), gate_tol=1e-3)
-        r = bianchi_residual(s, PLAN64)
+        r = max_gap(bianchi_rows(s, PLAN64))
         print(f"criterion 9 [{name}] nested stencil: {r:.3e}")
         assert r < 1e-4
 
@@ -192,8 +192,8 @@ def test_criterion_10_field_redefinitions(full_runs):
                             np.eye(3, dtype=int)[rng.integers(0, 3)])]
         lam = form_from_poly(3, 1, "algebra", (3,), PolyData(3, 1, (3,), terms),
                              box=bundle.chart.box)
-        inv = field_redef_invariance_residual(s, lam, plan)
         shifted = field_redefine(s.nabla, s.zeta, s.gauge_field, lam)
+        inv = max_gap(field_redef_rows(s, shifted, plan))
         closure = check_compatibility(shifted.nabla, shifted.zeta,
                                       bundle.chart, plan)
         worst_closure = max(closure.derivation_residual,

@@ -476,6 +476,24 @@ def test_table_matches_stacked_per_point_components_bit_for_bit(name):
     assert np.array_equal(got, want)
 
 
+@mark.parametrize("name", sorted(KAPPA_WEDGES))
+def test_kappa_wedge_batch_rows_match_one_row_reads(name):
+    # bit for bit only when each column of the bilinear matrix has one
+    # nonzero entry, as for every diagonal kappa; the dense u(1)^3 kappa
+    # sums several products per column, which BLAS rounds differently in a
+    # batch and in one row, so its rows match to rounding
+    algebra, f, g = KAPPA_WEDGES[name]()
+    top = fm.kappa_wedge_top(algebra, f, g)
+    got = top.table(BATCH)[:, 0]
+    want = np.array([top.components(x, (0, 1, 2, 3)) for x in BATCH])
+    bilinear = fm._kappa_top_matrix(algebra, 4, f.degree, g.degree)
+    if (np.count_nonzero(bilinear, axis=0) <= 1).all():
+        assert np.array_equal(got, want)
+    else:
+        assert name == "dense-kappa-2-2"
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(got).max())
+
+
 def test_stencil_d_table_takes_the_one_sided_rule_at_the_box_edge():
     # rows 1 and 2 lie within the step of the box edge on axes 0, 1 and 3
     X = np.array([[0.3, -0.2, 0.1, 0.4], [1.0 - 4e-6, 0.2, -0.3, 0.5],

@@ -18,12 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cym
-from cym.algebra import VarietyError, ad_matrix_c, su2
+from cym.algebra import VarietyError, ad_matrix_c, algebra_to_dict, expm, su2, u1
 from cym.cli import main as cli_main
 from cym.connection import ad_mapped_form, curvature, cov_ext_deriv, field_redefine
 from cym.forms import (PolyData, SamplePlan, add_forms, bracket_pairing,
-                       exterior_derivative, graded_product, increasing_indices,
-                       zero_form)
+                       exterior_derivative, form_from_components, graded_product,
+                       increasing_indices, max_gap, zero_form)
 from cym.gauge import (GaugeScenario, change_of_gauge, instanton_charge,
                        local_field_strength)
 from cym.harness import (SCENARIO_NAMES, SUITES, CheckRow, RunEnv, ScenarioError,
@@ -31,8 +31,9 @@ from cym.harness import (SCENARIO_NAMES, SUITES, CheckRow, RunEnv, ScenarioError
                          algebra_kernel_residuals, bpst_central_form,
                          bpst_potential, builtin_scenario, load_scenario,
                          run_suite, save_scenario, scenario_from_dict,
-                         scenario_to_dict, suite_names, _plan_rows)
-from cym.lgb import GSection, TrivLgb, generalized_mc_residual
+                         scenario_to_dict, suite_names, _plan_rows,
+                         _random_section_pairs)
+from cym.lgb import GSection, TrivLgb, generalized_mc_rows
 from cym.principal import Automorphism, TrivPrincipal
 
 QUICK = SamplePlan(count=4, seed=7)
@@ -52,6 +53,13 @@ def scenario_blob():
                   "terms": {"1": [{"coeffs": [0.5], "exponents": [1, 0]}]}},
         },
     }
+
+
+def custom_u1(**changes):
+    """The full descriptor blob of u(1) under another name, with the given
+    entries replaced, or dropped where given as None."""
+    blob = dict(algebra_to_dict(dataclasses.replace(u1(), name="my-u1")), **changes)
+    return {key: value for key, value in blob.items() if value is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +121,8 @@ def test_wrong_central_form_violates_curvature_identity_at_origin():
     plan = SamplePlan(count=1, seed=0)
     plan.points = lambda chart: np.zeros((1, 4))
     wrong = zero_form(4, 2, "algebra", (3,), box=bundle.chart.box)
-    assert generalized_mc_residual(bundle.lgb, wrong, plan) > 0.1
-    assert generalized_mc_residual(bundle.lgb, bundle.zeta, plan) < 1e-8
+    assert max_gap(generalized_mc_rows(bundle.lgb, wrong, plan)) > 0.1
+    assert max_gap(generalized_mc_rows(bundle.lgb, bundle.zeta, plan)) < 1e-8
 
 
 def test_zero_central_form_override_fails_the_suite():
@@ -220,6 +228,32 @@ def test_jacobi_violation_rejected_naming_triple():
      "chart.orientation: must be an integer, got True"),
     (lambda d: d.__setitem__("quadrature", {"order": 24.7}),
      "quadrature.order: must be an integer, got 24.7"),
+    (lambda d: d.__setitem__("algebra", custom_u1(dim=1.7)),
+     "algebra.dim: must be an integer, got 1.7"),
+    (lambda d: d.__setitem__("algebra", custom_u1(dim="1")),
+     "algebra.dim: must be an integer, got '1'"),
+    (lambda d: d.__setitem__("algebra", custom_u1(variety_blocks=[["u", 0.4, 1.9]])),
+     "algebra.variety_blocks: must be an integer, got 0.4"),
+    (lambda d: d.__setitem__("algebra", 5),
+     "algebra: must be a name or an object, got 5"),
+    (lambda d: d.__setitem__("algebra", custom_u1(kappa=None)),
+     "algebra.kappa: missing"),
+    (lambda d: d.__setitem__("algebra", custom_u1(kappa=[[1.0], []])),
+     "algebra: setting an array element with a sequence"),
+    (lambda d: d.__setitem__("algebra", custom_u1(variety_blocks=[["u", 0]])),
+     r"algebra: not enough values to unpack \(expected 3, got 2\)"),
+    (lambda d: d["forms"]["A"].__setitem__("degree", 1.9),
+     r"forms.A: malformed polynomial payload \(degree: must be an integer, got 1.9\)"),
+    (lambda d: d["forms"]["A"]["terms"]["1"][0].__setitem__("exponents", [1.9, 0]),
+     "forms.A: .*exponents: must be an integer, got 1.9"),
+    (lambda d: d["forms"]["A"]["terms"]["1"][0].__setitem__("exponents", [True, 0]),
+     "forms.A: .*exponents: must be an integer, got True"),
+    (lambda d: d["forms"]["omega"]["terms"]["0"][0].__setitem__("exponents", [0, 1e30]),
+     r"forms.omega: .*exponents: must be an integer, got 1e\+30"),
+    (lambda d: d["forms"]["omega"]["terms"]["0"][0].__setitem__("exponents", [0, 10 ** 30]),
+     "forms.omega: malformed polynomial payload"),
+    (lambda d: d["forms"]["A"].__setitem__("terms", []),
+     "forms.A: malformed polynomial payload"),
     (lambda d: d.__setitem__("chart", {"dim": 2, "half": 1.0,
                                        "orientation": 0}),
      r"chart.orientation: must be \+1 or -1"),
@@ -726,9 +760,10 @@ def with_sections_nan_at(bundle, bad_point):
     """The bundle with the coefficients of its named sections, and its
     generator, NaN at one point."""
     def section(poly, name):
-        def coeffs(y):
+        def coeffs(y, idx):
             return poly.evaluate(y, ()) * (np.nan if np.array_equal(y, bad_point) else 1.0)
-        return GSection.from_exp_coeffs(bundle.algebra, coeffs, name)
+        return GSection.exp_of_form(bundle.algebra, form_from_components(
+            poly.n, 0, "algebra", (bundle.algebra.dim,), coeffs), name=name)
 
     sections = {name: section(poly, name) if name != "identity" else bundle.sections[name]
                 for name, poly in bundle.section_polys.items()}
@@ -756,14 +791,37 @@ def test_finite_off_variety_section_row_still_raises():
     bad_point = NAN_PLAN.points(bundle.chart)[2]
     generic = bundle.sections["generic"]
 
-    def doubled(y):  # finite, but twice a group matrix at one point
-        return (2.0 if np.array_equal(y, bad_point) else 1.0) * generic(y)
+    def doubled(Y):  # finite, but twice a group matrix at one point
+        return np.where((Y == bad_point).all(axis=-1), 2.0, 1.0)[..., None, None] * generic(Y)
 
     broken = dataclasses.replace(bundle, sections=dict(
         bundle.sections, generic=GSection(bundle.algebra, doubled, "generic")))
     for suite in SECTION_SUITES:
         with pytest.raises(VarietyError, match="off the group variety"):
             run_suite(broken, suite, plan=NAN_PLAN)
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_random_sections_are_their_row_by_row_exponentials_bit_for_bit(name):
+    # the darboux suite's sections on the (2n + 1, P, n) stack of X and
+    # X +- h e_k; the stacked (w @ y[..., None])[..., 0] must round as the
+    # one-row w @ y does, which y @ w.T does not on most draws
+    bundle = builtin_scenario(name)
+    alg, n = bundle.algebra, bundle.chart.dim
+    plan = SamplePlan(count=5, seed=11)
+    h = bundle.chart.default_step()
+    steps = np.concatenate([np.zeros((1, n)), np.kron(np.eye(n), [[h], [-h]])])
+    Y = plan.points(bundle.chart) + steps[:, None, :]
+    pairs = _random_section_pairs(bundle, 8, plan.seed)
+    for i, (section, partner) in enumerate(pairs):
+        assert partner is pairs[(i + 3) % 8][0]
+        rng = np.random.default_rng([plan.seed, 977, i])
+        b = rng.normal(scale=0.5, size=alg.dim)
+        w = rng.normal(scale=0.35 / bundle.chart.half_width(), size=(alg.dim, n))
+        want = np.array([expm(alg.rep_of(b + w @ y)) for y in Y.reshape(-1, n)])
+        got = section(Y)
+        assert got.shape == (2 * n + 1, 5, alg.rep_dim, alg.rep_dim)
+        assert np.array_equal(got, want.reshape(got.shape)), section.name
 
 
 def test_section_suites_make_no_per_point_kernel_calls(monkeypatch):
@@ -781,7 +839,8 @@ def test_section_suites_make_no_per_point_kernel_calls(monkeypatch):
             counted[suite] = dict(counts)
         bundle = builtin_scenario("random-curved")
         counts.clear()
-        assert change_of_gauge(bundle.scenario, bundle.sections["generic"], plan).f_residual < 1e-5
+        rows = change_of_gauge(bundle.scenario, bundle.sections["generic"], plan).f_rows
+        assert max_gap(rows) < 1e-5
         counted["change_of_gauge"] = dict(counts)
         per_plan.append(counted)
     assert per_plan[0] == per_plan[1]
@@ -886,8 +945,8 @@ def test_finite_off_variety_automorphism_row_still_raises():
     bad_point = NAN_PLAN.points(bundle.chart)[3]
     generic = bundle.automorphisms["generic"].tau
 
-    def doubled(y):  # finite, but twice a group matrix at one point
-        return (2.0 if np.array_equal(y, bad_point) else 1.0) * generic(y)
+    def doubled(Y):  # finite, but twice a group matrix at one point
+        return np.where((Y == bad_point).all(axis=-1), 2.0, 1.0)[..., None, None] * generic(Y)
 
     broken = dataclasses.replace(bundle, automorphisms=dict(
         bundle.automorphisms, generic=Automorphism(GSection(bundle.algebra, doubled, "generic"))))
@@ -956,6 +1015,18 @@ def test_cli_input_errors(tmp_path, capsys):
     bad.write_text(json.dumps(blob))
     assert cli_main(["verify", "--scenario", str(bad), "--suite", "all"]) == 2
     assert capsys.readouterr().err == "error: chart.dim: must be an integer, got 2.9\n"
+    for algebra, message in ((5, "algebra: must be a name or an object, got 5"),
+                             (custom_u1(kappa=None), "algebra.kappa: missing"),
+                             (custom_u1(dim=1.7), "algebra.dim: must be an integer, got 1.7")):
+        bad.write_text(json.dumps(dict(scenario_blob(), algebra=algebra)))
+        assert cli_main(["verify", "--scenario", str(bad), "--suite", "all"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    blob = scenario_blob()
+    blob["forms"]["A"]["degree"] = 1.9
+    bad.write_text(json.dumps(blob))
+    assert cli_main(["verify", "--scenario", str(bad), "--suite", "all"]) == 2
+    assert capsys.readouterr().err == ("error: forms.A: malformed polynomial payload "
+                                       "(degree: must be an integer, got 1.9)\n")
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -4,21 +4,32 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cym.algebra import (GroupElement, ReexpansionError, VarietyError,
-                         ad_matrix_c, ad_matrix_of_group, bracket_c,
-                         expand_in_rep, su2, u1, u1_su2)
+import cym.algebra
+from cym.algebra import (ReexpansionError, VarietyError, ad_matrix_c,
+                         ad_matrix_of_group, bracket_c, expand_in_rep, su2, u1,
+                         u1_su2)
 from cym.connection import potential_curvature
-from cym.forms import (PolyData, SamplePlan, euclidean_chart, form_from_poly,
-                       zero_form)
+from cym.forms import (PolyData, SamplePlan, euclidean_chart,
+                       form_from_components, form_from_poly, max_gap, zero_form)
 from cym.lgb import (GSection, InconsistencyError, TotalPoint, TotalTangent,
-                     TrivLgb, darboux, darboux_inverse_residual,
-                     darboux_leibniz_residual, dexp_body,
-                     generalized_mc_residual, group_sample,
-                     multiplicativity_residual, multiplicativity_rows,
-                     nabla_from_darboux, pullback_mc_residual)
+                     TrivLgb, darboux, darboux_inverse_rows,
+                     darboux_leibniz_rows, dexp_body, generalized_mc_rows,
+                     multiplicativity_rows, nabla_from_darboux, pullback_mc_rows)
 from cym.lgb import _mu_rows, _normal_table, _point_draws
 
 ALG = su2()
+IDENTITY = np.eye(2, dtype=complex)
+
+
+def group_sample(alg, rng):
+    """exp of normal coefficients: one matrix on the group variety."""
+    return cym.algebra.expm(alg.rep_of(rng.normal(size=alg.dim)))
+
+
+def exp_section(coeff_fn, name="exp", alg=ALG):
+    """The section y -> exp(coeff_fn(y)) on a 2-chart, through the per-point adapter."""
+    return GSection.exp_of_form(alg, form_from_components(
+        2, 0, "algebra", (alg.dim,), lambda y, idx: coeff_fn(y)), name=name)
 
 
 def poly_form(n, degree, shape, terms):
@@ -94,7 +105,7 @@ def test_dexp_body_matches_matrix_stencil(seed):
 
 def test_mu_tot_identity_group_point_passes_tangent_through():
     lgb = su2_bundle()
-    p = TotalPoint(np.array([0.3, -0.2]), ALG.group_identity())
+    p = TotalPoint(np.array([0.3, -0.2]), IDENTITY)
     t = TotalTangent(np.array([1.0, -2.0]), np.array([1.0, 0.0, 0.0]))
     assert np.array_equal(lgb.mu_tot(p, t), t.eta)
 
@@ -119,7 +130,7 @@ def test_mu_tot_vertical_tangent_is_exact_for_any_group_point():
 
 def test_mu_tot_rejects_point_outside_box():
     lgb = su2_bundle()
-    p = TotalPoint(np.array([5.0, 0.0]), ALG.group_identity())
+    p = TotalPoint(np.array([5.0, 0.0]), IDENTITY)
     with pytest.raises(ValueError, match="outside"):
         lgb.mu_tot(p, TotalTangent(np.zeros(2), np.zeros(3)))
 
@@ -136,7 +147,7 @@ def test_bundle_rejects_wrong_degree_omega():
 
 def test_multiplicativity_holds_on_curved_su2():
     plan = SamplePlan(count=24, seed=3, tangent_probes=3)
-    assert multiplicativity_residual(su2_bundle(), plan) < 1e-9
+    assert max_gap(multiplicativity_rows(su2_bundle(), plan)) < 1e-9
 
 
 def test_multiplicativity_exact_on_abelian():
@@ -145,13 +156,13 @@ def test_multiplicativity_exact_on_abelian():
     omega = form_from_poly(2, 1, "algebra", (1,), PolyData(
         2, 1, (1,), {(0,): [(np.array([1.0]), np.array([0, 1]))]}))
     plan = SamplePlan(count=16, seed=6, tangent_probes=3)
-    assert multiplicativity_residual(TrivLgb(chart, alg, omega), plan) == 0.0
+    assert max_gap(multiplicativity_rows(TrivLgb(chart, alg, omega), plan)) == 0.0
 
 
 def test_multiplicativity_breaks_under_group_dependent_perturbation():
     rho = poly_form(2, 1, (3,), {(0,): [(np.array([0.2, 0., 0.]), np.array([0, 0]))]})
     plan = SamplePlan(count=24, seed=3, tangent_probes=3)
-    assert multiplicativity_residual(su2_bundle(), plan, perturbation=rho) > 0.01
+    assert max_gap(multiplicativity_rows(su2_bundle(), plan, perturbation=rho)) > 0.01
 
 
 def reference_multiplicativity_rows(lgb, plan):
@@ -161,7 +172,7 @@ def reference_multiplicativity_rows(lgb, plan):
     for i, x in enumerate(plan.points(lgb.chart)):
         rng = np.random.default_rng([plan.seed, i])
         g, q = group_sample(lgb.algebra, rng), group_sample(lgb.algebra, rng)
-        ad_q_inv = ad_matrix_of_group(lgb.algebra, q.matrix.conj().T)
+        ad_q_inv = ad_matrix_of_group(lgb.algebra, q.conj().T)
 
         def mu(h, X, eta, x=x):
             return lgb.mu_tot(TotalPoint(x, h), TotalTangent(X, eta))
@@ -197,7 +208,7 @@ def test_darboux_identity_section_vanishes():
 
 def test_darboux_flat_bundle_is_plain_log_derivative():
     lgb = flat_bundle()
-    s = GSection.from_exp_coeffs(ALG, lambda y: np.array([0.7 * y[0], 0., 0.]), "s")
+    s = exp_section(lambda y: np.array([0.7 * y[0], 0., 0.]), "s")
     ds = darboux(lgb, s)
     x = np.array([0.2, 0.1])
     # single-generator path: b^{-1} db = 0.7 e1 along axis 0, zero along axis 1
@@ -207,10 +218,10 @@ def test_darboux_flat_bundle_is_plain_log_derivative():
 
 def test_darboux_constant_section_reduces_to_conjugation_defect():
     lgb = su2_bundle()
-    g = GroupElement(ALG, expm(ALG.rep_of(np.array([0.4, -0.8, 1.1]))))
-    ds = darboux(lgb, GSection.constant(g))
+    g = expm(ALG.rep_of(np.array([0.4, -0.8, 1.1])))
+    ds = darboux(lgb, GSection.constant(ALG, g))
     x = np.array([0.5, -0.3])
-    ad_inv = ad_matrix_of_group(ALG, g.matrix.conj().T)
+    ad_inv = ad_matrix_of_group(ALG, g.conj().T)
     for k in range(2):
         w = lgb.omega.components(x, (k,))
         assert np.abs(ds.components(x, (k,)) - (ad_inv @ w - w)).max() < 1e-12
@@ -218,12 +229,10 @@ def test_darboux_constant_section_reduces_to_conjugation_defect():
 
 def test_darboux_leibniz_rule():
     lgb = su2_bundle()
-    s1 = GSection.from_exp_coeffs(
-        ALG, lambda y: np.array([0.3 * y[0], -0.2 * y[1], 0.1 * y[0] * y[1]]), "s1")
-    s2 = GSection.from_exp_coeffs(
-        ALG, lambda y: np.array([0., 0.4 * y[0], -0.1]), "s2")
+    s1 = exp_section(lambda y: np.array([0.3 * y[0], -0.2 * y[1], 0.1 * y[0] * y[1]]), "s1")
+    s2 = exp_section(lambda y: np.array([0., 0.4 * y[0], -0.1]), "s2")
     plan = SamplePlan(count=12, seed=5)
-    assert darboux_leibniz_residual(lgb, s1, s2, plan) < 1e-6
+    assert max_gap(darboux_leibniz_rows(lgb, s1, s2, plan)) < 1e-6
 
 
 def test_dexp_body_on_a_stack_matches_the_series_row_by_row():
@@ -248,19 +257,17 @@ def test_dexp_body_on_a_stack_matches_the_series_row_by_row():
 
 def test_darboux_inverse_rule():
     lgb = su2_bundle()
-    s = GSection.from_exp_coeffs(
-        ALG, lambda y: np.array([0.3 * y[0], -0.2 * y[1], 0.1 * y[0] * y[1]]), "s")
+    s = exp_section(lambda y: np.array([0.3 * y[0], -0.2 * y[1], 0.1 * y[0] * y[1]]), "s")
     plan = SamplePlan(count=12, seed=5)
-    assert darboux_inverse_residual(lgb, s, plan) < 1e-6
+    assert max_gap(darboux_inverse_rows(lgb, s, plan)) < 1e-6
 
 
 def test_darboux_table_matches_stacked_per_point_components_bit_for_bit():
     from cym.harness import builtin_scenario
     bpst = builtin_scenario("bpst")
     lgb = su2_bundle()
-    s1 = GSection.from_exp_coeffs(
-        ALG, lambda y: np.array([0.3 * y[0], -0.2 * y[1], 0.1 * y[0] * y[1]]), "s1")
-    s2 = GSection.from_exp_coeffs(ALG, lambda y: np.array([0., 0.4 * y[0], -0.1]), "s2")
+    s1 = exp_section(lambda y: np.array([0.3 * y[0], -0.2 * y[1], 0.1 * y[0] * y[1]]), "s1")
+    s2 = exp_section(lambda y: np.array([0., 0.4 * y[0], -0.1]), "s2")
     generic, twist = bpst.sections["generic"], bpst.sections["twist"]
     for bundle, sections in ((lgb, (s1, s1.product(s2), s1.inverse())),
                              (bpst.lgb, (generic, generic.product(twist),
@@ -282,25 +289,31 @@ def test_darboux_table_matches_stacked_per_point_components_bit_for_bit():
 def test_section_stack_checks_every_row_on_the_variety():
     bad = np.array([0.2, 0.1])
 
-    def fn(y):  # finite, but twice a group matrix at one point
-        return (2.0 if np.array_equal(y, bad) else 1.0) * np.eye(2, dtype=complex)
+    def stack(Y):  # finite, but twice a group matrix at one point
+        return np.where((Y == bad).all(axis=-1), 2.0, 1.0)[..., None, None] * IDENTITY
 
-    s = GSection(ALG, fn, "scaled")
+    s = GSection(ALG, stack, "scaled")
     assert np.array_equal(s(np.array([[0.0, 0.0], [0.5, 0.5]])), np.stack([np.eye(2)] * 2))
     with pytest.raises(VarietyError, match="off the group variety"):
         s(np.array([[0.0, 0.0], bad]))
     # a non-finite row passes through as NaN, the others stay finite
-    nan = GSection.from_exp_coeffs(
-        ALG, lambda y: np.full(3, np.nan) if np.array_equal(y, bad) else np.ones(3))
+    nan = exp_section(lambda y: np.full(3, np.nan) if np.array_equal(y, bad) else np.ones(3))
     got = nan(np.array([[0.0, 0.0], bad]))
     assert np.isfinite(got[0]).all() and np.isnan(got[1]).all()
+
+
+def test_constant_section_checks_its_matrix_when_built():
+    with pytest.raises(VarietyError, match="off the group variety"):
+        GSection.constant(ALG, 2.0 * IDENTITY)
+    g = expm(ALG.rep_of(np.array([0.4, -0.8, 1.1])))
+    got = GSection.constant(ALG, g)(np.zeros((3, 4, 2)))
+    assert np.array_equal(got, np.broadcast_to(g, (3, 4, 2, 2)))
 
 
 def test_section_variety_drift_detection():
     # a violently oscillating section makes the matrix stencil pick up an
     # out-of-span (trace) component beyond the watchdog threshold
-    s = GSection.from_exp_coeffs(
-        ALG, lambda y: np.array([np.sin(50.0 * y[0]) * 40.0, 0., 0.]), "wild")
+    s = exp_section(lambda y: np.array([np.sin(50.0 * y[0]) * 40.0, 0., 0.]), "wild")
     with pytest.raises(ReexpansionError, match="drift"):
         s.body_derivative(np.array([0.3, 0.0]), 1e-2)
 
@@ -312,7 +325,7 @@ def test_section_memo_is_keyed_by_point_content():
         calls.append(y.copy())
         return np.array([y[0], 0.0, 0.0])
 
-    s = GSection.from_exp_coeffs(ALG, coeffs, "first-axis")
+    s = exp_section(coeffs, "first-axis")
     x = np.array([0.3, -0.2])
     first = s(x)
     assert s(x.copy()) is first and len(calls) == 1
@@ -331,7 +344,7 @@ def test_exp_of_form_is_the_exp_section_of_its_table():
     X = SamplePlan(count=6, seed=2).points(euclidean_chart(2, half=1.0))
     stack = np.stack([X, X[::-1]])  # a (2, 6, n) stack of points
     got = GSection.exp_of_form(ALG, nu, -0.7)(stack)
-    want = GSection.from_exp_coeffs(ALG, lambda y: -0.7 * nu.poly.evaluate(y, ()))(stack)
+    want = exp_section(lambda y: -0.7 * nu.poly.evaluate(y, ()))(stack)
     assert got.shape == (2, 6, 2, 2)
     assert np.array_equal(got, want)
 
@@ -388,7 +401,7 @@ def reference_nabla(lgb, nu, x, t_step=1e-5):
     """The stencil route at one point, one axis at a time, through the
     `darboux` forms of the sections exp(+-t_step nu)."""
     def delta(t, k):
-        sec = GSection.from_exp_coeffs(lgb.algebra, lambda y: t * nu.components(y, ()))
+        sec = exp_section(lambda y: t * nu.components(y, ()), alg=lgb.algebra)
         return darboux(lgb, sec).components(x, (k,))
 
     return np.array([(delta(t_step, k) - delta(-t_step, k)) / (2 * t_step)
@@ -421,21 +434,21 @@ def test_total_curvature_identity_flat_case():
     plan = SamplePlan(count=6, seed=11)
     lgb = flat_bundle()
     z = zero_form(2, 2, "algebra", (3,))
-    assert generalized_mc_residual(lgb, z, plan) < 1e-6
+    assert max_gap(generalized_mc_rows(lgb, z, plan)) < 1e-6
 
 
 def test_total_curvature_identity_with_potential_curvature():
     lgb = su2_bundle()
     zeta = potential_curvature(ALG, lgb.omega)
     plan = SamplePlan(count=6, seed=11)
-    assert generalized_mc_residual(lgb, zeta, plan) < 1e-5
+    assert max_gap(generalized_mc_rows(lgb, zeta, plan)) < 1e-5
 
 
 def test_total_curvature_identity_detects_wrong_zeta():
     lgb = su2_bundle()
     z = zero_form(2, 2, "algebra", (3,))
     plan = SamplePlan(count=6, seed=11)
-    assert generalized_mc_residual(lgb, z, plan) > 0.1
+    assert max_gap(generalized_mc_rows(lgb, z, plan)) > 0.1
 
 
 def test_total_curvature_identity_blind_to_central_shift():
@@ -449,29 +462,27 @@ def test_total_curvature_identity_blind_to_central_shift():
         2, 2, (4,), {(0, 1): [(np.array([0.7, 0., 0., 0.]), np.array([1, 1]))]}))
     from cym.forms import add_forms
     plan = SamplePlan(count=6, seed=13)
-    assert generalized_mc_residual(lgb, add_forms(zeta, central), plan) < 1e-5
+    assert max_gap(generalized_mc_rows(lgb, add_forms(zeta, central), plan)) < 1e-5
 
 
 def test_pullback_identity_along_identity_section_is_exact():
     lgb = su2_bundle()
     zeta = potential_curvature(ALG, lgb.omega)
     plan = SamplePlan(count=6, seed=2)
-    assert pullback_mc_residual(lgb, GSection.identity(ALG), zeta, plan) < 1e-12
+    assert max_gap(pullback_mc_rows(lgb, GSection.identity(ALG), zeta, plan)) < 1e-12
 
 
 def test_pullback_identity_classical_case():
     lgb = flat_bundle()
-    s = GSection.from_exp_coeffs(
-        ALG, lambda y: np.array([0.4 * y[0], 0.3 * y[1], -0.2 * y[0] * y[1]]), "s")
+    s = exp_section(lambda y: np.array([0.4 * y[0], 0.3 * y[1], -0.2 * y[0] * y[1]]), "s")
     plan = SamplePlan(count=6, seed=2)
     z = zero_form(2, 2, "algebra", (3,))
-    assert pullback_mc_residual(lgb, s, z, plan) < 1e-6
+    assert max_gap(pullback_mc_rows(lgb, s, z, plan)) < 1e-6
 
 
 def test_pullback_identity_curved_case():
     lgb = su2_bundle()
     zeta = potential_curvature(ALG, lgb.omega)
-    s = GSection.from_exp_coeffs(
-        ALG, lambda y: np.array([0.3 * y[0], -0.2 * y[1], 0.1 * y[0] * y[1]]), "s")
+    s = exp_section(lambda y: np.array([0.3 * y[0], -0.2 * y[1], 0.1 * y[0] * y[1]]), "s")
     plan = SamplePlan(count=6, seed=2)
-    assert pullback_mc_residual(lgb, s, zeta, plan) < 1e-4
+    assert max_gap(pullback_mc_rows(lgb, s, zeta, plan)) < 1e-4
