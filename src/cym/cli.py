@@ -44,9 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=None,
                         help="override the sampling seed")
     verify.add_argument("--h", type=float, default=None,
-                        help="step for first-derivative stencils")
+                        help="t-step of fibre-connection/stencil-vs-analytic "
+                             "and stencil step of principal/mixed-bracket")
     verify.add_argument("--h2", type=float, default=None,
-                        help="step for nested/second-derivative stencils")
+                        help="t-step of lagrangian/infinitesimal")
     verify.add_argument("--tol-scale", type=float, default=1.0,
                         help="multiply every tolerance by this factor")
     verify.add_argument("--report", default=None, metavar="OUT.json",

@@ -7,7 +7,6 @@ laws before any density is trusted (the invariance proofs depend on them).
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,7 @@ from .lgb import GSection, TrivLgb, darboux
 __all__ = [
     "GaugeScenario", "CompatibilityGateError", "local_field_strength",
     "ChangeOfGaugeResult", "gauge_changed_potential", "change_of_gauge",
-    "bianchi_rows", "lagrangian_density", "ChargeResult", "instanton_charge",
+    "bianchi_rows", "lagrangian_density", "instanton_charge",
     "density_gauge_invariance_rows", "density_infinitesimal_rows",
     "field_redef_rows", "self_duality_rows",
 ]
@@ -175,27 +174,14 @@ def lagrangian_density(s: GaugeScenario, gate: bool = True):
     return density
 
 
-@dataclass
-class ChargeResult:
-    box_value: float
-    tail: float
-    radius: float
-    order: int
-
-    @property
-    def total(self) -> float:
-        return self.box_value + self.tail
-
-
-def instanton_charge(s: GaugeScenario, radius: float = 20.0,
-                     order: int = 24) -> ChargeResult:
+def instanton_charge(s: GaugeScenario, order: int = 24) -> float:
     """(1/16 pi^2) times the oriented integral of kappa(F ^, F) over the chart,
-    by tensor-product Gauss-Legendre quadrature on [-radius, radius]^4 plus an
-    analytic tail for integrands decaying like (1 + r^2)^{-4}.
+    by tensor-product Gauss-Legendre quadrature in t on (-1, 1)^4, with each
+    axis mapped onto the whole line by x = tan(pi t / 2).
 
-    The nodes pass through the odd quintic map t -> t (1 + (radius - 1) t^4),
-    which keeps unit node density near the origin (where a localized integrand
-    concentrates) while still reaching the truncation radius at t = +-1."""
+    The map has unit length: on the stereographic chart of the unit S^4 the
+    density of a smooth field falls off like (1 + |x|^2)^{-4} on the unit
+    scale, so half of each axis's nodes land in |x| < 1 and none is cut off."""
     if s.chart.dim != 4:
         raise ValueError("the charge integral needs a four-dimensional chart")
     s.require_gate()
@@ -203,42 +189,17 @@ def instanton_charge(s: GaugeScenario, radius: float = 20.0,
     paired = kappa_wedge_top(s.algebra, f, f)
 
     t, w = leggauss(order)
-    if radius > 1.0:
-        nodes = t * (1.0 + (radius - 1.0) * t ** 4)
-        weights = w * (1.0 + 5.0 * (radius - 1.0) * t ** 4)
-    else:
-        nodes = t * radius
-        weights = w * radius
+    nodes = np.tan(0.5 * np.pi * t)
+    weights = w * (0.5 * np.pi) / np.cos(0.5 * np.pi * t) ** 2
     # one chunk per (x0, x1) node pair: the order^2 nodes of the (x2, x3) plane
     chunk = np.empty((order ** 2, 4))
     chunk[:, 2:] = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
     plane_weights = np.outer(weights, weights).ravel()
-    box = 0.0
+    total = 0.0
     for i0, i1 in np.ndindex(order, order):
         chunk[:, 0], chunk[:, 1] = nodes[i0], nodes[i1]
-        box += weights[i0] * weights[i1] * (plane_weights @ paired.table(chunk)[:, 0])
-
-    # tail: fit the radial model c/(1+r^2)^4 on a sphere of the cutoff radius
-    dirs = []
-    for k in range(4):
-        for sgn in (1.0, -1.0):
-            e = np.zeros(4)
-            e[k] = sgn
-            dirs.append(e)
-    diag = np.ones(4) / 2.0
-    for signs in ([1, 1, 1, 1], [1, -1, 1, -1], [-1, 1, 1, -1], [-1, -1, 1, 1]):
-        dirs.append(diag * np.asarray(signs, dtype=float) * 2.0 / np.sqrt(4))
-    u = 1.0 + radius ** 2
-    tail_points = np.array([radius * d / np.linalg.norm(d) for d in dirs])
-    c_fit = float(np.mean(paired.table(tail_points)[:, 0] * u ** 4))
-    if abs(c_fit) > 1e4:
-        warnings.warn("charge integrand does not appear to decay; the tail "
-                      "estimate (and the charge itself) is unreliable")
-    tail = c_fit * 2 * np.pi ** 2 * (1.0 / (4 * u ** 2) - 1.0 / (6 * u ** 3))
-
-    scale = s.chart.orientation / (16 * np.pi ** 2)
-    return ChargeResult(box_value=float(scale * box), tail=float(scale * tail),
-                        radius=radius, order=order)
+        total += weights[i0] * weights[i1] * (plane_weights @ paired.table(chunk)[:, 0])
+    return float(s.chart.orientation / (16 * np.pi ** 2) * total)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -137,7 +138,7 @@ class ScenarioBundle:
     generator: LieForm      # infinitesimal generator / fibre field (epsilon slot)
     plan: SamplePlan = field(default_factory=SamplePlan)
     tolerances: dict = field(default_factory=dict)
-    quadrature: dict = field(default_factory=lambda: {"radius": 20.0, "order": 24})
+    quadrature: dict = field(default_factory=lambda: {"order": 24})
     expected_charge: float = None
     section_polys: dict = field(default_factory=dict)
     automorphism_polys: dict = field(default_factory=dict)
@@ -191,7 +192,7 @@ def _assemble(name, chart, alg, omega, zeta, a, shift, generator,
         principal=principal, sections=sections, automorphisms=autos,
         shift=shift, generator=generator, plan=plan or SamplePlan(),
         tolerances=dict(tolerances or {}),
-        quadrature=dict(quadrature or {"radius": 20.0, "order": 24}),
+        quadrature=dict(quadrature or {"order": 24}),
         expected_charge=expected_charge, section_polys=dict(section_polys),
         automorphism_polys=dict(automorphism_polys), metric_name=metric_name)
 
@@ -340,9 +341,7 @@ def _bpst() -> ScenarioBundle:
                                      ([0.0, 0.0, -0.1], [0, 0, 0, 1])]),
     }
     return _assemble("bpst", chart, alg, omega, zeta, a, shift, generator,
-                     sections, autos, "round-s4",
-                     quadrature={"radius": 20.0, "order": 24},
-                     expected_charge=1.0)
+                     sections, autos, "round-s4", expected_charge=1.0)
 
 
 def _random_curved() -> ScenarioBundle:
@@ -411,8 +410,7 @@ def builtin_scenario(name: str) -> ScenarioBundle:
 # scenario files
 # ---------------------------------------------------------------------------
 
-_METRIC_NAMES = {"euclidean": "euclidean", "round-s4": "round-s4",
-                 "minkowski": "minkowski"}
+_METRIC_NAMES = ("euclidean", "round-s4", "minkowski")
 
 
 def _chart_from_dict(blob) -> tuple:
@@ -422,8 +420,7 @@ def _chart_from_dict(blob) -> tuple:
         if key not in blob:
             raise ScenarioError(f"chart: missing key {key!r}")
     dim = _int_field("chart.dim", blob["dim"])
-    require_finite_positive("chart.half", blob["half"])
-    half = float(blob["half"])
+    half = require_finite_positive("chart.half", blob["half"])
     metric = blob.get("metric", "euclidean")
     orientation = _int_field("chart.orientation", blob.get("orientation", 1))
     if metric not in _METRIC_NAMES:
@@ -565,21 +562,18 @@ def scenario_from_dict(data, source="<dict>") -> ScenarioBundle:
     quad = data.get("quadrature", {})
     if not isinstance(quad, dict):
         raise ScenarioError("quadrature: must be an object")
-    radius = quad.get("radius", 20.0)
-    require_finite_positive("quadrature.radius", radius)
+    for key in quad:
+        if key != "order":
+            raise ScenarioError(f"quadrature.{key}: not a field; the charge "
+                                f"rule maps all of R^4 and takes only 'order'")
     order = _int_field("quadrature.order", quad.get("order", 24))
     if order < 1:
         raise ScenarioError(f"quadrature.order: must be a positive integer, "
                             f"got {order}")
-    quadrature = {"radius": float(radius), "order": order}
-    try:
-        expected = data.get("expected_charge")
-        expected_charge = None if expected is None else float(expected)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"expected_charge: {exc}") from None
-    if expected_charge is not None and not math.isfinite(expected_charge):
-        raise ScenarioError(f"expected_charge: must be a finite number, "
-                            f"got {expected!r}")
+    quadrature = {"order": order}
+    expected_charge = data.get("expected_charge")
+    if expected_charge is not None:
+        expected_charge = _finite_real("expected_charge", expected_charge)
 
     bundle = _assemble(name, chart, alg, omega, zeta, a, shift, generator,
                        section_polys, auto_polys, metric,
@@ -973,11 +967,9 @@ def _suite_self_duality(bundle, env):
 
 
 def _suite_charge(bundle, env):
-    q = instanton_charge(bundle.scenario,
-                         radius=bundle.quadrature["radius"],
-                         order=bundle.quadrature["order"])
+    q = instanton_charge(bundle.scenario, order=bundle.quadrature["order"])
     expected = bundle.expected_charge if bundle.expected_charge is not None else 0.0
-    residual = abs(q.total - expected)
+    residual = abs(q - expected)
     return [_check_row(env, "charge/instanton-number", [residual], [-1])]
 
 
@@ -1048,8 +1040,8 @@ SUITES = {
         "the central form equals its own Hodge dual on the instanton chart",
         _needs_dim4, _suite_self_duality),
     "charge": (
-        "topological charge from the paired field strength by box quadrature "
-        "with an analytic tail",
+        "topological charge from the paired field strength by Gauss-Legendre "
+        "quadrature mapped onto the whole chart",
         _needs_dim4, _suite_charge),
 }
 
@@ -1058,16 +1050,26 @@ def suite_names():
     return tuple(SUITES)
 
 
-def require_finite_positive(field_name: str, value) -> None:
-    """Raise ScenarioError naming the field unless value is a finite number
-    greater than 0 (a step, a tolerance or the tolerance scale)."""
-    try:
-        ok = 0.0 < float(value) < math.inf
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        raise ScenarioError(f"{field_name}: must be a finite number greater "
-                            f"than 0, got {value!r}")
+def _finite_real(field_name: str, value, positive: bool = False) -> float:
+    """`value` as a float if it is a finite real number (not a bool or a
+    string), and greater than 0 if `positive`; else ScenarioError naming
+    the field."""
+    x = math.nan
+    if isinstance(value, Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if not (math.isfinite(x) and (x > 0.0 or not positive)):
+        raise ScenarioError(f"{field_name}: must be a finite number"
+                            f"{' greater than 0' if positive else ''}, got {value!r}")
+    return x
+
+
+def require_finite_positive(field_name: str, value) -> float:
+    """`_finite_real` for a step, a tolerance, the tolerance scale or the
+    chart's half-width: each must be greater than 0."""
+    return _finite_real(field_name, value, positive=True)
 
 
 def run_suite(bundle: ScenarioBundle, suite_name: str, plan: SamplePlan = None,

@@ -214,6 +214,13 @@ def test_jacobi_violation_rejected_naming_triple():
     (lambda d: d.__setitem__("chart", {"dim": 2, "half": 1.0,
                                        "metric": "hyperbolic"}),
      "chart.metric: unknown metric"),
+    (lambda d: d.__setitem__("chart", {"dim": 2, "half": 1.0,
+                                       "metric": ["euclidean"]}),
+     r"chart.metric: unknown metric \['euclidean'\]"),
+    (lambda d: d.__setitem__("chart", {"dim": 2, "half": "1"}),
+     "chart.half: must be a finite number greater than 0, got '1'"),
+    (lambda d: d.__setitem__("chart", {"dim": 2, "half": True}),
+     "chart.half: .*, got True"),
     (lambda d: d.__setitem__("chart", {"dim": 2, "half": -1.0}),
      "chart.half: must be a finite number greater than 0"),
     (lambda d: d.__setitem__("chart", {"dim": 2, "half": math.nan}),
@@ -262,10 +269,8 @@ def test_jacobi_violation_rejected_naming_triple():
      "needs dim 4"),
     (lambda d: d.__setitem__("sections", {"s": {"nope": 1}}),
      "sections.s: needs an 'exp_coeffs'"),
-    (lambda d: d.__setitem__("quadrature", {"radius": "wide"}),
-     "quadrature"),
-    (lambda d: d.__setitem__("quadrature", {"radius": math.inf}),
-     "quadrature.radius: must be a finite number greater than 0"),
+    (lambda d: d.__setitem__("quadrature", {"radius": 20.0, "order": 24}),
+     "quadrature.radius: not a field"),
     (lambda d: d.__setitem__("quadrature", {"order": 0}),
      "quadrature.order: must be a positive integer"),
     (lambda d: d["forms"]["omega"]["terms"]["0"][0].__setitem__(
@@ -286,6 +291,10 @@ def test_jacobi_violation_rejected_naming_triple():
      "expected_charge: must be a finite number, got nan"),
     (lambda d: d.__setitem__("expected_charge", -math.inf),
      "expected_charge: must be a finite number, got -inf"),
+    (lambda d: d.__setitem__("expected_charge", "2"),
+     "expected_charge: must be a finite number, got '2'"),
+    (lambda d: d.__setitem__("expected_charge", True),
+     "expected_charge: .*, got True"),
 ])
 def test_malformed_scenarios_name_the_field(mutate, message):
     blob = scenario_blob()
@@ -309,12 +318,12 @@ def test_missing_file_reported():
 def test_scenario_dict_keeps_plan_and_quadrature():
     blob = scenario_blob()
     blob["plan"] = {"count": 12, "seed": 5}
-    blob["quadrature"] = {"radius": 8.0, "order": 10}
+    blob["quadrature"] = {"order": 10}
     blob["expected_charge"] = 0.0
     bundle = scenario_from_dict(blob)
     assert bundle.plan.count == 12 and bundle.plan.seed == 5
     out = scenario_to_dict(bundle)
-    assert out["quadrature"] == {"radius": 8.0, "order": 10}
+    assert out["quadrature"] == {"order": 10}
     assert out["expected_charge"] == 0.0
     blob["expected_charge"] = -2.0
     assert scenario_from_dict(blob).expected_charge == -2.0
@@ -1075,6 +1084,10 @@ def test_cli_rejects_a_negative_seed_in_a_scenario_file(tmp_path, capsys):
     ("chart.half", lambda d: d["chart"].__setitem__("half", math.nan)),
     ("quadrature.order", lambda d: d.__setitem__("quadrature", {"order": 0})),
     ("expected_charge", lambda d: d.__setitem__("expected_charge", math.nan)),
+    ("chart.metric", lambda d: d["chart"].__setitem__("metric", ["round-s4"])),
+    ("quadrature.radius", lambda d: d["quadrature"].__setitem__("radius", 20.0)),
+    ("tolerances.algebra/jacobi",
+     lambda d: d.__setitem__("tolerances", {"algebra/jacobi": "1e-9"})),
 ])
 def test_cli_rejects_malformed_scenario_file(tmp_path, capsys, field, mutate):
     path = tmp_path / "f.json"
