@@ -8,14 +8,14 @@ Built-ins cover su(2) in the basis e_a = sigma_a/(2i) (so [e1,e2] = e3 and the
 direct sum.
 
 Elements are plain coefficient vectors: the bracket, the adjoint matrices
-and the pairing act on them directly. All heavy lifting is plain numpy,
-the matrix exponential `expm` included.
+and the pairing act on them directly. All heavy lifting is plain numpy:
+`group_exp` exponentiates each variety block apart, by a 1x1 or 2x2 closed form.
 
 The kernel broadcasts over leading axes: (..., dim) coefficient stacks in
-`rep_of`, `bracket_c`, `ad_matrix_c`; (..., r, r) matrix stacks in
-`expand_in_rep`, `ad_matrix_of_group`, `variety_residual`, `on_variety`. One
-vector or matrix is the one-row case; `expm(alg.rep_of(u))` exponentiates a
-stack in one call, each row as a call on it alone would give it.
+`rep_of`, `group_exp`, `bracket_c`, `ad_matrix_c`; (..., r, r) matrix stacks
+in `expm`, `expand_in_rep`, `ad_matrix_of_group`, `variety_residual`,
+`on_variety`. One vector or matrix is the one-row case; `group_exp(alg, u)`
+exponentiates a stack in one call, each row as a call on it alone would give it.
 Watchdogs check every row: a finite row beyond its bound raises, a
 non-finite one passes through as NaN.
 """
@@ -49,6 +49,7 @@ __all__ = [
     "dagger",
     "expand_in_rep",
     "expm",
+    "group_exp",
     "on_variety",
     "require_within",
 ]
@@ -107,14 +108,19 @@ class LieAlgebraDescriptor:
     center_mask: np.ndarray
     variety_blocks: tuple
     name: str = ""
-    # filled in __post_init__, used by the hot re-expansion path
+    # filled in __post_init__, used by the hot re-expansion and variety paths
     _gram_inv: np.ndarray = field(default=None, repr=False, compare=False)
+    _off_blocks: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         # own read-only copies, so a shared descriptor cannot be corrupted
         for name, dtype in (("structure_constants", float), ("rep_matrices", complex),
                             ("kappa", float), ("center_mask", bool)):
             setattr(self, name, _frozen(np.array(getattr(self, name), dtype=dtype)))
+        off_blocks = np.ones((self.rep_dim,) * 2, dtype=bool)
+        for _, off, size in self.variety_blocks:
+            off_blocks[off:off + size, off:off + size] = False
+        self._off_blocks = _frozen(off_blocks)
         self._validate()
         reps = self.rep_matrices.reshape(self.dim, -1)
         gram = (reps.conj() @ reps.T).real
@@ -175,6 +181,8 @@ class LieAlgebraDescriptor:
                          for i in range(off, off + size))
         if covered != list(range(self.rep_dim)):
             raise StructureError("variety_blocks must tile the representation space")
+        if reps[:, self._off_blocks].any():
+            raise StructureError("representation matrices have entries off the variety blocks")
 
     # -- helpers ------------------------------------------------------------
 
@@ -192,17 +200,15 @@ def variety_residual(alg: LieAlgebraDescriptor, matrix: np.ndarray):
     """
     matrix = np.asarray(matrix)
     lead = matrix.shape[:-2]
-    mask = np.zeros(matrix.shape[-2:], dtype=bool)
     gaps = []
     for kind, off, size in alg.variety_blocks:
         blk = matrix[..., off:off + size, off:off + size]
-        mask[off:off + size, off:off + size] = True
         gaps.append(dagger(blk) @ blk - np.eye(size))
         if kind == "su":
             with np.errstate(invalid="ignore"):  # a NaN block has a NaN det
                 gaps.append(np.linalg.det(blk) - 1.0)
-    if not mask.all():
-        gaps.append(matrix[..., ~mask])
+    if alg._off_blocks.any():
+        gaps.append(matrix[..., alg._off_blocks])
     rows = np.abs(np.concatenate([g.reshape(lead + (-1,)) for g in gaps], axis=-1))
     return max_gap_rows(rows.reshape(-1, rows.shape[-1])).reshape(lead)[()]
 
@@ -414,17 +420,42 @@ THETA13 = 5.371920351148152
 
 
 def expm(a) -> np.ndarray:
-    """exp of each matrix of a (..., n, n) stack by Pade(13) scaling and squaring
-    (N. J. Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005). Each row is scaled
-    by 2^-s for its own 1-norm and squared back s times, so it comes out bit for
-    bit as a call on it alone would. A row that is not finite comes out NaN."""
+    """exp of each matrix of a (..., n, n) stack: `np.exp` for n = 1, the Cayley-Hamilton
+    closed form for n = 2 (Bernstein and So, IEEE TAC 38(8), 1993), else Pade(13) scaling
+    and squaring (N. J. Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005). Each row comes
+    out bit for bit as a call on it alone would, exp(0) is I exactly and a real row stays
+    real. A row that is not finite, or whose exponential overflows, comes out NaN."""
     shape = np.shape(a)
     a = np.reshape(a, (-1,) + shape[-2:])
     finite = np.isfinite(a).all(axis=(1, 2))
     a = np.where(finite[:, None, None], a, 0)
-    s = np.maximum(np.frexp(np.abs(a).sum(axis=1).max(axis=1) / THETA13)[1], 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.exp(a) if shape[-1] == 1 else _expm2(a) if shape[-1] == 2 else _pade13(a)
+    r[~(finite & np.isfinite(r).all(axis=(1, 2)))] = np.nan
+    return r.reshape(shape)
+
+
+def _expm2(a) -> np.ndarray:
+    """exp(m I + b) = e^m (cosh(q) I + sinh(q)/q b) for m = tr(a)/2 and the traceless b,
+    b^2 = delta I = q^2 I; both factors are even in q. p r is summed from real parts, so an
+    anti-Hermitian b keeps delta real, as a fused complex product would not."""
+    m, b0 = (a[:, 0, 0] + a[:, 1, 1]) / 2, (a[:, 0, 0] - a[:, 1, 1]) / 2
+    p, r = a[:, 0, 1], a[:, 1, 0]
+    pr = (p.real * r.real - p.imag * r.imag) + 1j * (p.real * r.imag + p.imag * r.real)
+    delta = b0 * b0 + pr
+    q = np.sqrt(delta + 0j)
+    small = np.abs(delta) < 1e-8
+    sinhc = np.where(small, 1 + delta / 6 + delta**2 / 120, np.sinh(q) / np.where(small, 1, q))
+    c, s = (np.exp(m) * (f if np.iscomplexobj(a) else f.real) for f in (np.cosh(q), sinhc))
+    return np.stack([c + s * b0, s * p, s * r, c - s * b0], axis=-1).reshape(-1, 2, 2)
+
+
+def _pade13(a) -> np.ndarray:
+    """Pade(13), each row scaled by 2^-s for its own 1-norm and squared back s times."""
+    norm = np.minimum(np.abs(a).sum(axis=1).max(axis=1), np.finfo(float).max)  # sums may overflow
+    s = np.maximum(np.frexp(norm / THETA13)[1], 0)
     a = a * np.ldexp(1.0, -s)[:, None, None]
-    b, eye = PADE13, np.eye(shape[-1])
+    b, eye = PADE13, np.eye(a.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4
@@ -435,8 +466,18 @@ def expm(a) -> np.ndarray:
     r = np.linalg.solve(v - u, v + u)
     for i in range(s.max(initial=0)):
         r = np.where((i < s)[:, None, None], r @ r, r)
-    r[~finite] = np.nan
-    return r.reshape(shape)
+    return r
+
+
+def group_exp(alg: LieAlgebraDescriptor, coeffs) -> np.ndarray:
+    """exp(rep_of(coeffs)) of a (..., dim) coefficient stack, (..., r, r): one
+    `expm` call per variety block, in place; off the blocks rep_of is zero,
+    as the descriptor admits no representation entry there."""
+    rep = alg.rep_of(coeffs)
+    for _, off, size in alg.variety_blocks:
+        blk = (..., slice(off, off + size), slice(off, off + size))
+        rep[blk] = expm(rep[blk])
+    return rep
 
 
 def dagger(m) -> np.ndarray:

@@ -633,11 +633,10 @@ def _kappa_top_matrix(alg: LieAlgebraDescriptor, n: int, k: int, m: int) -> np.n
 
 def kappa_wedge_top(alg: LieAlgebraDescriptor, f: LieForm, g: LieForm) -> LieForm:
     """Invariant-pairing wedge into the top degree (scalar-valued density form).
-    Off the polynomial case a batch is one bilinear contraction of the two
-    flattened tables; a top-degree form's d is zero. A row of a batch equals
-    the one-row read bit for bit only when each column of the bilinear matrix
-    has one nonzero entry, as with a diagonal kappa (every built-in); else
-    BLAS may round the two differently in the last bits."""
+    Off the polynomial case a batch sums coeff F[row] G[col] over the nonzero
+    entries of the bilinear matrix, each symmetric pair taken once when f is
+    g; every row of a batch equals its one-row read bit for bit. A
+    top-degree form's d is zero."""
     if f.n != g.n:
         raise ValueError("forms live on charts of different dimension")
     if f.degree + g.degree != f.n:
@@ -645,11 +644,16 @@ def kappa_wedge_top(alg: LieAlgebraDescriptor, f: LieForm, g: LieForm) -> LieFor
     if f.poly is not None and g.poly is not None:
         return graded_product(kappa_pairing(alg), f, g)
     bilinear = _kappa_top_matrix(alg, f.n, f.degree, g.degree)
+    if f is g:  # F_i F_j = F_j F_i: fold each (j, i) onto (i, j)
+        bilinear = np.triu(bilinear + np.tril(bilinear, -1).T)
+    rows, cols = np.nonzero(bilinear)
+    coeffs = bilinear[rows, cols]
 
     def batch(X):
-        P = len(X)
-        return ((f.table(X).reshape(P, -1) @ bilinear) * g.table(X).reshape(P, -1)
-                ).sum(axis=1)[:, None]
+        ft = f.table(X).reshape(len(X), -1)
+        gt = ft if f is g else g.table(X).reshape(len(X), -1)
+        # einsum sums each row alone; a BLAS gemv would not
+        return np.einsum('pk,pk,k->p', ft[:, rows], gt[:, cols], coeffs)[:, None]
 
     return LieForm(n=f.n, degree=f.n, value_target="scalar", value_shape=(),
                    batch=batch, analytic_d=lambda X: np.zeros((len(X), 1)),

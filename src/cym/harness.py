@@ -21,8 +21,8 @@ import numpy as np
 
 from .algebra import (VARIETY_TOL, LieAlgebraDescriptor, StructureError,
                       ad_matrix_c, ad_matrix_of_group, algebra_from_dict,
-                      algebra_to_dict, expm, jacobi_tensor, su2, u1, u1_su2,
-                      variety_residual)
+                      algebra_to_dict, expm, group_exp, jacobi_tensor, su2, u1,
+                      u1_su2, variety_residual)
 from .connection import (COMPATIBILITY_TOL, check_compatibility,
                          field_redefine, potential_curvature)
 from .forms import (Chart, LieForm, PolyData, SamplePlan, ScenarioError,
@@ -588,7 +588,7 @@ def scenario_from_dict(data, source="<dict>") -> ScenarioBundle:
         for key, poly in polys.items()]
     center = chart.box.mean(axis=1)[None]
     coeffs = np.array([poly.table(center)[0, 0] for _, poly in named])
-    for (label, _), resid in zip(named, variety_residual(alg, expm(alg.rep_of(coeffs)))):
+    for (label, _), resid in zip(named, variety_residual(alg, group_exp(alg, coeffs))):
         if math.isfinite(resid) and resid > VARIETY_TOL:
             raise ScenarioError(f"{label}: matrix off the group variety by {resid:.3e}")
     return bundle
@@ -815,7 +815,7 @@ def algebra_kernel_residuals(alg: LieAlgebraDescriptor, count: int,
     structure constants."""
     coeffs, _ = _point_draws(SamplePlan(count=count, seed=seed), count, alg.dim, 2, 0,
                              probes=0, scale=0.8)
-    gu, gv = np.moveaxis(expm(alg.rep_of(coeffs)), 1, 0)
+    gu, gv = np.moveaxis(group_exp(alg, coeffs), 1, 0)
     ad_u, ad_v, ad_uv = ad_matrix_of_group(alg, np.stack([gu, gv, gu @ gv]))
     kappa = alg.kappa
     return {"jacobi": float(np.abs(jacobi_tensor(alg.structure_constants)).max()),
@@ -862,8 +862,8 @@ def _random_section_pairs(bundle, count, seed):
         b = rng.normal(scale=0.5, size=alg.dim)
         w = rng.normal(scale=scale, size=(alg.dim, n))
         # (w @ y[..., None])[..., 0] rounds as the row-by-row w @ y does; y @ w.T does not
-        sections.append(GSection(alg, lambda Y, b=b, w=w: expm(alg.rep_of(
-            b + (w @ Y[..., None])[..., 0])), name=f"rand{i}"))
+        sections.append(GSection(alg, lambda Y, b=b, w=w: group_exp(
+            alg, b + (w @ Y[..., None])[..., 0]), name=f"rand{i}"))
     return [(sections[i], sections[(i + 3) % count]) for i in range(count)]
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import (LieAlgebraDescriptor, ReexpansionError,
                       ad_matrix_c, ad_matrix_of_group, ad_twist, bracket_c,
-                      dagger, expand_in_rep, expm, on_variety, require_within)
+                      dagger, expand_in_rep, group_exp, on_variety, require_within)
 from .connection import LabConnection, cov_ext_deriv
 from .forms import (Chart, LieForm, SamplePlan, bracket_pairing,
                     exterior_derivative, graded_product, increasing_indices,
@@ -164,7 +164,7 @@ class GSection:
                     name: str = "exp") -> "GSection":
         """b(x) = exp(scale form(x)) of an algebra-valued 0-form: one table of
         the form on the stack, then one exponential."""
-        return cls(alg, lambda X: expm(alg.rep_of(scale * _table_at(form, X)[..., 0, :])), name)
+        return cls(alg, lambda X: group_exp(alg, scale * _table_at(form, X)[..., 0, :]), name)
 
     def product(self, other: "GSection") -> "GSection":
         if other.algebra is not self.algebra:
@@ -325,7 +325,7 @@ def nabla_from_darboux(lgb: TrivLgb, nu: LieForm, X, t_step: float = 1e-5,
 
     def matrices(shifted):  # exp(+-t_step nu) on the (2n + 1, P, n) stack
         values = _table_at(nu, shifted)[..., 0, :]
-        return on_variety(alg, expm(alg.rep_of(np.stack([t_step * values, -t_step * values]))))
+        return on_variety(alg, group_exp(alg, np.stack([t_step * values, -t_step * values])))
 
     delta = _darboux_rows(lgb, pts, lgb.chart.default_step(), matrices,
                           "section exp(t nu)")             # (n, 2, P, dim)
@@ -363,7 +363,7 @@ def multiplicativity_rows(lgb: TrivLgb, plan: SamplePlan, perturbation: LieForm 
     x = plan.points(lgb.chart)
     group_coeffs, probes = _point_draws(plan, len(x), d, 2, n + 2 * d, scale=group_scale)
     # (P, 1, ...): one point and group pair per row, against (P, probes, ...)
-    g, q = np.moveaxis(on_variety(alg, expm(alg.rep_of(group_coeffs))), 1, 0)[:, :, None]
+    g, q = np.moveaxis(on_variety(alg, group_exp(alg, group_coeffs)), 1, 0)[:, :, None]
     gq = on_variety(alg, g @ q)
     X, eta, theta = np.split(probes, [n, n + d], axis=-1)
     x = x[:, None, :]
@@ -406,7 +406,7 @@ def total_form_rows(lgb: TrivLgb, x0, h0, uv, a: LieForm = None) -> np.ndarray:
     axes dexp_v of the basis; one exponential covers the offsets."""
     alg, n = lgb.algebra, lgb.chart.dim
     v = uv[:, n:]
-    base = base_rows(lgb, x0[:, None, :] + uv[:, :n], h0[:, None] @ expm(alg.rep_of(v)), a)
+    base = base_rows(lgb, x0[:, None, :] + uv[:, :n], h0[:, None] @ group_exp(alg, v), a)
     fibre = dexp_body(alg, v[:, None, :], np.eye(alg.dim))
     return np.concatenate([base, np.broadcast_to(fibre, base.shape[:2] + fibre.shape[1:])],
                           axis=-2)
@@ -454,7 +454,7 @@ def generalized_mc_rows(lgb: TrivLgb, zeta: LieForm, plan: SamplePlan,
     alg = lgb.algebra
     x0 = plan.points(lgb.chart)
     coeffs, _ = _point_draws(plan, len(x0), alg.dim, 1, 0, scale=group_scale)
-    g0 = on_variety(alg, expm(alg.rep_of(coeffs[:, 0])))
+    g0 = on_variety(alg, group_exp(alg, coeffs[:, 0]))
     _, cov, sq = product_curvature(lgb, x0, g0)
     lhs = cov + sq
     z = zeta.table(x0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (LieAlgebraDescriptor, ad_matrix_of_group, dagger,
-                      expand_in_rep, expm)
+                      expand_in_rep, group_exp)
 from .forms import LieForm, SamplePlan, increasing_indices, max_gap_rows
 from .lgb import (GSection, TotalPoint, TotalTangent, TrivLgb, _act,
                   _base_pairs, _darboux_rows, _point_draws, _table_at, base_rows,
@@ -75,14 +75,9 @@ def _body_stencil4(alg: LieAlgebraDescriptor, curve, lead: int, h: float = 1e-3)
     return expand_in_rep(alg, np.linalg.inv(m[0]) @ dm)[0]
 
 
-def _exp_rep(alg: LieAlgebraDescriptor, s, coeffs) -> np.ndarray:
-    """exp(s X) for the (..., dim) coefficients of X, s broadcast."""
-    return expm(s[..., None, None] * alg.rep_of(coeffs))
-
-
 def _groups(alg: LieAlgebraDescriptor, coeffs) -> np.ndarray:
     """The (groups, P, r, r) matrices of (P, groups, dim) drawn coefficients."""
-    return np.moveaxis(expm(alg.rep_of(coeffs)), 1, 0)
+    return np.moveaxis(group_exp(alg, coeffs), 1, 0)
 
 
 def _sample(p: TrivPrincipal, plan: SamplePlan, groups: int, width: int,
@@ -137,7 +132,7 @@ def pushforward_via_section(p: TrivPrincipal, sigma, pt: TotalPoint,
     h_step = p.chart.default_step()
 
     def curve(s):
-        return (pt.g @ _exp_rep(alg, s, t.eta)) @ sigma(x + s[..., None] * t.X)
+        return (pt.g @ group_exp(alg, s[..., None] * t.eta)) @ sigma(x + s[..., None] * t.X)
 
     body_dr = _body_stencil4(alg, curve, np.ndim(t.X) - 1, h=h_step)
     ds = _darboux_rows(p.lgb, x, h_step, sigma, "section")
@@ -176,7 +171,7 @@ def section_independence_rows(p: TrivPrincipal, plan: SamplePlan) -> np.ndarray:
         return np.broadcast_to(g, Y.shape[:-1] + g.shape[-2:])
 
     def tilted(Y):
-        return expm(alg.rep_of(slope * ((Y - x) @ np.full(n, 1.0 / n))[..., None])) @ g
+        return group_exp(alg, slope * ((Y - x) @ np.full(n, 1.0 / n))[..., None]) @ g
 
     via_const, via_tilted = (pushforward_via_section(p, s, pt, t) for s in (const, tilted))
     closed = modified_pushforward(p, g, pt, t)
@@ -198,11 +193,11 @@ def action_differential_rows(p: TrivPrincipal, plan: SamplePlan,
     X, V, W = np.split(probes, [n, n + d], axis=-1)
 
     def sigma(Y):  # section through g with linear body slope, matched to W at x
-        return expm(alg.rep_of(((Y - x) @ np.full(n, 1.0 / n))[..., None] * W)) @ g
+        return group_exp(alg, ((Y - x) @ np.full(n, 1.0 / n))[..., None] * W) @ g
 
-    direct = _body_stencil4(alg, lambda s: (h @ _exp_rep(alg, s, V)) @ (
-        g @ _exp_rep(alg, s, W)), 2)
-    d_rsigma = _body_stencil4(alg, lambda s: (h @ _exp_rep(alg, s, V)) @ sigma(
+    direct = _body_stencil4(alg, lambda s: (h @ group_exp(alg, s[..., None] * V)) @ (
+        g @ group_exp(alg, s[..., None] * W)), 2)
+    d_rsigma = _body_stencil4(alg, lambda s: (h @ group_exp(alg, s[..., None] * V)) @ sigma(
         x + s[..., None] * X), 2)
     body_dsigma = _body_stencil4(alg, lambda s: sigma(x + s[..., None] * X), 2)
     return max_gap_rows(direct - (d_rsigma + (W - body_dsigma)))
@@ -272,7 +267,7 @@ def mixed_bracket_rows(p: TrivPrincipal, nu: LieForm, plan: SamplePlan,
     steps = np.eye(N) * fd_step
     uv = np.concatenate([np.zeros((1, N)), steps, -steps])
     x = x0[:, None, :] + uv[:, :n]
-    ad_inv = ad_matrix_of_group(alg, dagger(h0[:, None] @ expm(alg.rep_of(uv[:, n:]))))
+    ad_inv = ad_matrix_of_group(alg, dagger(h0[:, None] @ group_exp(alg, uv[:, n:])))
     a, w = (one_form_on(f, x, X[:, None, :]) for f in (p.a_local, p.lgb.omega))
     dexp = np.swapaxes(dexp_body(alg, uv[:, None, n:], np.eye(d)), -1, -2)
 
@@ -437,7 +432,7 @@ def gauge_transform_total(p: TrivPrincipal, aut: Automorphism, zeta: LieForm,
     direct = connection_one_form(p, TotalPoint(x1, image[:, None]), TotalTangent(X, V + dtau(X)))
 
     def conj_curve(s):  # the conjugation section along s -> (x + sX, h exp(sV))
-        hs = h[:, None] @ _exp_rep(alg, s, V)
+        hs = h[:, None] @ group_exp(alg, s[..., None] * V)
         return np.linalg.inv(hs) @ aut.tau(x1 + s[..., None] * X) @ hs
 
     w = one_form_on(p.lgb.omega, x1, X)

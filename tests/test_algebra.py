@@ -328,15 +328,105 @@ def test_expm_matches_scipy_on_the_representation_and_the_adjoint(name):
 @pytest.mark.parametrize("matrices", [SU2.rep_of, lambda u: alg.ad_matrix_c(SU2, u)],
                          ids=["rep", "ad"])
 def test_expm_rows_of_a_mixed_stack_match_one_row_calls(matrices):
-    scales = np.array([0.0, 1e-300, 1e-12, 1.0, 40.0, 1e3, 1.0, 1.0, 1.0])
+    # row 6 is finite, but its exponential overflows
+    scales = np.array([0.0, 1e-300, 1e-12, 1.0, 40.0, 1e3, 1e308, 1.0, 1.0, 1.0])
     m = matrices(scales[:, None] * unit_vectors(len(scales), seed=2))
-    m[6, 0, 1], m[7, 1, 0], m[8, 0, 0] = np.nan, np.inf, -np.inf
+    m[7, 0, 1], m[8, 1, 0], m[9, 0, 0] = np.nan, np.inf, -np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = alg.expm(m.reshape(3, 3, *m.shape[1:])).reshape(m.shape)
-        for i in range(6):
-            assert np.array_equal(got[i], alg.expm(m[i]))
+        got = alg.expm(m.reshape(2, 5, *m.shape[1:])).reshape(m.shape)
+        for i in range(len(m)):
+            assert np.array_equal(got[i], alg.expm(m[i]), equal_nan=True)
+    assert np.isfinite(m[6]).all()
     assert np.isnan(got[6:]).all() and np.isfinite(got[:6]).all()
     eye = np.eye(len(m[0]))
     assert np.array_equal(got[0], eye)
     assert np.abs(got[:6] @ alg.dagger(got[:6]) - eye).max() <= 1e-13  # unitary
+
+
+@pytest.mark.parametrize("theta", (0.0, 1e-12, 1e-6, 1e-3, 0.5, 3.0, 40.0, 1e3, 1e6))
+def test_expm_2x2_closed_form_matches_su2_cos_sin(theta):
+    # exp(theta u.e) = cos(theta/2) I + 2 sin(theta/2) u.e for a unit u; scipy
+    # is no reference at large theta, its own error reaches 1.3e-10 at 1e6
+    u = unit_vectors(8, seed=11)
+    want = np.cos(theta / 2) * np.eye(2) + 2 * np.sin(theta / 2) * SU2.rep_of(u)
+    got = alg.expm(SU2.rep_of(theta * u))
+    assert np.abs(got - want).max() <= 2 * np.finfo(float).eps * max(1.0, theta)
+
+
+def test_expm_2x2_closed_form_matches_scipy_on_random_complex_matrices():
+    rng = np.random.default_rng(4)
+    m = rng.normal(size=(50, 2, 2)) + 1j * rng.normal(size=(50, 2, 2))
+    want = scipy_expm(m)
+    gap = np.abs(alg.expm(m) - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+    assert gap.max() <= 1e-14
+
+
+def test_expm_of_a_nilpotent_2x2_is_one_plus_it():
+    n = np.array([[0.0, 3.5], [0.0, 0.0]])
+    for m in (n, n.T, 1j * n):
+        assert np.array_equal(alg.expm(m), np.eye(2) + m)
+    assert np.array_equal(alg.expm(2 * np.eye(2) + n), np.exp(2.0) * (np.eye(2) + n))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("dtype", (float, complex))
+def test_expm_of_zero_is_the_identity_and_every_result_keeps_the_dtype(n, dtype):
+    got = alg.expm(np.zeros((4, n, n), dtype=dtype))
+    assert got.dtype == dtype and np.array_equal(got, np.broadcast_to(np.eye(n), got.shape))
+    m = np.random.default_rng(n).normal(size=(4, n, n)).astype(dtype)
+    assert alg.expm(m).dtype == dtype
+
+
+def test_descriptor_rejects_representation_entries_off_the_variety_blocks():
+    # i I and the rotation commute, so the bracket holds; but the rotation
+    # couples the two declared u(1) blocks, which `group_exp` would drop
+    reps = np.array([1j * np.eye(2), [[0, 1], [-1, 0]]])
+    with pytest.raises(alg.StructureError, match="off the variety blocks"):
+        alg.LieAlgebraDescriptor(
+            dim=2, basis_labels=("a", "b"), structure_constants=np.zeros((2, 2, 2)),
+            rep_dim=2, rep_matrices=reps, kappa=np.eye(2), center_mask=np.ones(2, dtype=bool),
+            variety_blocks=(("u", 0, 1), ("u", 1, 1)))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_ALGEBRAS))
+def test_group_exp_is_the_exponential_of_the_representation(name):
+    a = KERNEL_ALGEBRAS[name]()
+    coeffs = np.random.default_rng(6).normal(scale=1.5, size=(5, 2, a.dim))
+    got = alg.group_exp(a, coeffs)
+    assert got.shape == (5, 2, a.rep_dim, a.rep_dim)
+    assert np.abs(got - scipy_expm(a.rep_of(coeffs))).max() <= 1e-13
+    assert np.array_equal(alg.group_exp(a, np.zeros(a.dim)), np.eye(a.rep_dim))
+    for i, j in np.ndindex(5, 2):
+        assert np.array_equal(got[i, j], alg.group_exp(a, coeffs[i, j]))
+
+
+@pytest.mark.parametrize("name", ["su2", "u1", "u1+su2"])
+def test_group_exp_stays_on_the_variety_at_huge_coefficients(name):
+    # delta is summed from real parts, so an anti-Hermitian block keeps a real
+    # delta: a fused complex product would leave about 1e-10 of gap at 1e8
+    a = KERNEL_ALGEBRAS[name]()
+    coeffs = np.random.default_rng(8).normal(size=(3, 50, a.dim)) * np.array(
+        [1e8, 1e15, 1e100])[:, None, None]
+    assert alg.variety_residual(a, alg.group_exp(a, coeffs)).max() <= 4 * np.finfo(float).eps
+
+
+def test_group_exp_makes_one_closed_form_call_per_block(monkeypatch):
+    sizes = []
+    expm = alg.expm
+
+    def counted(m):
+        sizes.append(np.shape(m)[-2:])
+        return expm(m)
+
+    def no_solve(*args):
+        raise AssertionError("Pade(13) reached")
+
+    monkeypatch.setattr(alg, "expm", counted)
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    rng = np.random.default_rng(1)
+    for shape in ((MIX.dim,), (7, MIX.dim), (3, 5, MIX.dim)):
+        sizes.clear()
+        g = alg.group_exp(MIX, rng.normal(size=shape))
+        assert sizes == [(1, 1), (2, 2)] and g.shape == shape[:-1] + (3, 3)
+        assert not g[..., 0, 1:].any() and not g[..., 1:, 0].any()

@@ -154,7 +154,14 @@ KAPPA_WEDGES = {
     "weighted-sum-2-2": lambda: (WEIGHTED, _closure_form(2, 4), _closure_form(2, 4)),
     "weighted-sum-1-3": lambda: (WEIGHTED, _closure_form(1, 4), _closure_form(3, 4)),
     "dense-kappa-2-2": lambda: (DENSE, _closure_form(2, 3), _closure_form(2, 3)),
+    # one form paired with itself takes each symmetric pair of entries once
+    "su2-self-2-2": lambda: _self_pair(SU2, _closure_form(2, 3)),
+    "dense-kappa-self-2-2": lambda: _self_pair(DENSE, _closure_form(2, 3)),
 }
+
+
+def _self_pair(algebra, form):
+    return algebra, form, form
 
 
 @mark.parametrize("name", sorted(KAPPA_WEDGES))
@@ -478,20 +485,12 @@ def test_table_matches_stacked_per_point_components_bit_for_bit(name):
 
 @mark.parametrize("name", sorted(KAPPA_WEDGES))
 def test_kappa_wedge_batch_rows_match_one_row_reads(name):
-    # bit for bit only when each column of the bilinear matrix has one
-    # nonzero entry, as for every diagonal kappa; the dense u(1)^3 kappa
-    # sums several products per column, which BLAS rounds differently in a
-    # batch and in one row, so its rows match to rounding
+    # the dense u(1)^3 kappa too: the contraction sums each row on its own
     algebra, f, g = KAPPA_WEDGES[name]()
     top = fm.kappa_wedge_top(algebra, f, g)
     got = top.table(BATCH)[:, 0]
     want = np.array([top.components(x, (0, 1, 2, 3)) for x in BATCH])
-    bilinear = fm._kappa_top_matrix(algebra, 4, f.degree, g.degree)
-    if (np.count_nonzero(bilinear, axis=0) <= 1).all():
-        assert np.array_equal(got, want)
-    else:
-        assert name == "dense-kappa-2-2"
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(got).max())
+    assert np.array_equal(got, want)
 
 
 def test_stencil_d_table_takes_the_one_sided_rule_at_the_box_edge():

@@ -2,6 +2,7 @@
 Lagrangian density, invariance residuals, and the topological charge."""
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -377,16 +378,20 @@ def top_coefficient(form, x):
 
 
 def per_node_charge(s, order):
-    """Reference: the mapped rule read one node at a time, as a quadruple loop."""
+    """Reference: the mapped rule read one node at a time, as a quadruple
+    loop summed exactly by `math.fsum`; also the scale (1/16 pi^2) sum of
+    |weight density| that bounds the rounding of any summation order."""
     paired = kappa_wedge_top(s.algebra, local_field_strength(s), local_field_strength(s))
     t, w = leggauss(order)
-    total = 0.0
+    terms = []
     for i in itertools.product(range(order), repeat=4):
         ti = t[list(i)]
         x = np.tan(np.pi * ti / 2)
         weight = np.prod(w[list(i)] * (np.pi / 2) / np.cos(np.pi * ti / 2) ** 2)
-        total += weight * top_coefficient(paired, x)
-    return s.chart.orientation / (16 * np.pi ** 2) * total
+        terms.append(weight * top_coefficient(paired, x))
+    norm = 16 * np.pi ** 2
+    return (s.chart.orientation * math.fsum(terms) / norm,
+            math.fsum(abs(term) for term in terms) / norm)
 
 
 def bpst_with_gauge_field():
@@ -405,8 +410,10 @@ def bpst_with_gauge_field():
     (bpst_with_gauge_field, 6),
 ])
 def test_charge_matches_per_node_reference(build, order):
+    # Higham's bound on the rounding of a sum, with room for the density's own
     s = build()
-    assert abs(instanton_charge(s, order=order) - per_node_charge(s, order)) <= 1e-13
+    want, scale = per_node_charge(s, order)
+    assert abs(instanton_charge(s, order=order) - want) <= 8 * np.finfo(float).eps * scale
 
 
 def test_charge_reads_order_to_the_fourth_rows(monkeypatch):

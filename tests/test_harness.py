@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cym
-from cym.algebra import VarietyError, ad_matrix_c, algebra_to_dict, expm, su2, u1
+from cym.algebra import VarietyError, ad_matrix_c, algebra_to_dict, group_exp, su2, u1
 from cym.cli import main as cli_main
 from cym.connection import ad_mapped_form, curvature, cov_ext_deriv, field_redefine
 from cym.forms import (PolyData, SamplePlan, add_forms, bracket_pairing,
@@ -335,20 +335,57 @@ def constant_entry(coeffs):
         {"coeffs": list(coeffs), "exponents": [0, 0]}]}}}
 
 
+def adjoint_su2():
+    """su(2) as a file algebra in its real adjoint representation: one
+    3x3 block, which `expm` takes by Pade(13), not by a closed form."""
+    c = su2().structure_constants
+    ad = np.einsum('abk->akb', c)
+    return {"dim": 3, "basis_labels": ["e1", "e2", "e3"], "structure_constants": c.tolist(),
+            "rep_matrices": np.stack([ad, np.zeros_like(ad)], axis=-1).tolist(),
+            "kappa": np.eye(3).tolist(), "variety_blocks": [["u", 0, 3]]}
+
+
 def test_off_variety_entries_named_sections_first():
-    # exp of a coefficient near 1e8 misses the circle by about 5e-10,
-    # above VARIETY_TOL = 1e-10
-    blob = scenario_blob()
-    blob["sections"] = {"fine": constant_entry([0.3]), "huge": constant_entry([1e8])}
-    blob["automorphisms"] = {"huge": constant_entry([1e8])}
+    # Pade(13) on the adjoint block at a coefficient of 1e8 misses the
+    # orthogonal group by about 4e-9, above VARIETY_TOL = 1e-10
+    blob = scenario_to_dict(builtin_scenario("flat-su2"))
+    blob["algebra"] = adjoint_su2()
+    blob["sections"] = {"fine": constant_entry([0.3, 0, 0]), "huge": constant_entry([1e8, 0, 0])}
+    blob["automorphisms"] = {"huge": constant_entry([0, 1e8, 0])}
     with pytest.raises(ScenarioError, match=r"^sections\.huge: matrix off the group variety"):
         scenario_from_dict(blob)
-    blob["sections"] = {"fine": constant_entry([0.3])}
+    blob["sections"] = {"fine": constant_entry([0.3, 0, 0])}
     with pytest.raises(ScenarioError, match=r"^automorphisms\.huge: matrix off the group"):
         scenario_from_dict(blob)
-    blob["automorphisms"] = {"fine": constant_entry([-0.3])}
+    blob["automorphisms"] = {"fine": constant_entry([0, -0.3, 0])}
     bundle = scenario_from_dict(blob)
     assert list(bundle.sections) == list(bundle.automorphisms) == ["identity", "fine"]
+
+
+def test_huge_u1_and_su2_sections_load_as_exact_group_elements():
+    # the 1x1 and 2x2 closed forms land on the variety at any finite angle
+    blob = scenario_blob()
+    blob["sections"] = {"huge": constant_entry([1e8])}
+    assert list(scenario_from_dict(blob).sections) == ["identity", "huge"]
+    blob = scenario_to_dict(builtin_scenario("flat-su2"))
+    blob["sections"] = {"huge": constant_entry([1.23456789e7, 9.87654321e7, 3.1415926e7])}
+    assert list(scenario_from_dict(blob).sections) == ["identity", "huge"]
+
+
+def test_file_algebra_with_entries_off_its_blocks_exits_2(tmp_path, capsys):
+    # i I and the rotation commute, but the rotation couples the two
+    # declared u(1) blocks
+    blob = scenario_blob()
+    blob["algebra"] = custom_u1(
+        dim=2, basis_labels=["a", "b"], structure_constants=np.zeros((2, 2, 2)).tolist(),
+        rep_matrices=[[[[0, 1], [0, 0]], [[0, 0], [0, 1]]],
+                      [[[0, 0], [1, 0]], [[-1, 0], [0, 0]]]],
+        kappa=np.eye(2).tolist(), variety_blocks=[["u", 0, 1], ["u", 1, 1]])
+    path = tmp_path / "off-block.json"
+    path.write_text(json.dumps(blob))
+    assert cli_main(["verify", "--scenario", str(path), "--suite", "algebra"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: algebra: representation matrices have entries off the variety blocks")
 
 
 def test_load_scenario_makes_one_exponential(monkeypatch, tmp_path):
@@ -827,7 +864,7 @@ def test_random_sections_are_their_row_by_row_exponentials_bit_for_bit(name):
         rng = np.random.default_rng([plan.seed, 977, i])
         b = rng.normal(scale=0.5, size=alg.dim)
         w = rng.normal(scale=0.35 / bundle.chart.half_width(), size=(alg.dim, n))
-        want = np.array([expm(alg.rep_of(b + w @ y)) for y in Y.reshape(-1, n)])
+        want = np.array([group_exp(alg, b + w @ y) for y in Y.reshape(-1, n)])
         got = section(Y)
         assert got.shape == (2 * n + 1, 5, alg.rep_dim, alg.rep_dim)
         assert np.array_equal(got, want.reshape(got.shape)), section.name
