@@ -96,8 +96,9 @@ def _perm_sign(p) -> int:
 class Chart:
     """A coordinate box with a metric and an orientation sign.
 
-    metric_kind is one of "euclidean", "round-sphere-stereographic",
-    "minkowski", "custom"; `metric` maps a point to the (dim, dim) matrix.
+    metric_kind is one of "euclidean", "round-s4" (the stereographic chart
+    of the round 4-sphere), "minkowski", "custom"; it is the word a scenario
+    file's chart.metric uses. `metric` maps a point to the (dim, dim) matrix.
     """
 
     dim: int
@@ -123,16 +124,16 @@ class Chart:
     def default_step(self) -> float:
         return 1e-5 * self.half_width()
 
-    def contains(self, x, pad: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x)
-        return bool(((x >= self.box[:, 0] + pad) & (x <= self.box[:, 1] - pad)).all())
+        return bool(((x >= self.box[:, 0]) & (x <= self.box[:, 1])).all())
 
 
 def _metric_for(kind: str, dim: int):
     if kind == "euclidean":
         eye = np.eye(dim)
         return lambda x: eye
-    if kind == "round-sphere-stereographic":
+    if kind == "round-s4":
         def metric(x):
             s = 4.0 / (1.0 + float(np.dot(x, x))) ** 2
             return s * np.eye(dim)
@@ -157,7 +158,7 @@ def stereographic_chart(half: float = 2.0, orientation: int = -1) -> Chart:
     """
     box = np.array([[-half, half]] * 4)
     return Chart(dim=4, box=box, orientation=orientation,
-                 metric_kind="round-sphere-stereographic")
+                 metric_kind="round-s4")
 
 
 def minkowski_chart(half: float = 1.0) -> Chart:
@@ -633,16 +634,13 @@ def _kappa_top_matrix(alg: LieAlgebraDescriptor, n: int, k: int, m: int) -> np.n
 
 def kappa_wedge_top(alg: LieAlgebraDescriptor, f: LieForm, g: LieForm) -> LieForm:
     """Invariant-pairing wedge into the top degree (scalar-valued density form).
-    Off the polynomial case a batch sums coeff F[row] G[col] over the nonzero
-    entries of the bilinear matrix, each symmetric pair taken once when f is
-    g; every row of a batch equals its one-row read bit for bit. A
-    top-degree form's d is zero."""
+    A batch sums coeff F[row] G[col] over the nonzero entries of the bilinear
+    matrix, each symmetric pair taken once when f is g; every row of a batch
+    equals its one-row read bit for bit. A top-degree form's d is zero."""
     if f.n != g.n:
         raise ValueError("forms live on charts of different dimension")
     if f.degree + g.degree != f.n:
         raise ValueError("kappa wedge needs degrees summing to the chart dimension")
-    if f.poly is not None and g.poly is not None:
-        return graded_product(kappa_pairing(alg), f, g)
     bilinear = _kappa_top_matrix(alg, f.n, f.degree, g.degree)
     if f is g:  # F_i F_j = F_j F_i: fold each (j, i) onto (i, j)
         bilinear = np.triu(bilinear + np.tril(bilinear, -1).T)

@@ -23,7 +23,7 @@ from .lgb import GSection, TrivLgb, darboux
 
 __all__ = [
     "GaugeScenario", "CompatibilityGateError", "local_field_strength",
-    "ChangeOfGaugeResult", "gauge_changed_potential", "change_of_gauge",
+    "gauge_changed_potential", "change_of_gauge",
     "bianchi_rows", "lagrangian_density", "instanton_charge",
     "density_gauge_invariance_rows", "density_infinitesimal_rows",
     "field_redef_rows", "self_duality_rows",
@@ -103,12 +103,6 @@ def local_field_strength(s: GaugeScenario, gate: bool = True) -> LieForm:
     return add_forms(add_forms(cov_ext_deriv(s.nabla, a), sq), s.zeta)
 
 
-@dataclass
-class ChangeOfGaugeResult:
-    a_new: LieForm
-    f_rows: np.ndarray  # (P,) residual of the field-strength law per point
-
-
 def _adjoint_twist(alg: LieAlgebraDescriptor, sigma: GSection, f: LieForm) -> LieForm:
     """Ad_{sigma^{-1}} f, read over a batch from one stack of the section."""
     return LieForm(n=f.n, degree=f.degree, value_target="algebra",
@@ -127,17 +121,14 @@ def gauge_changed_potential(s: GaugeScenario, sigma: GSection) -> LieForm:
                    fd_step=dsig.fd_step, box=s.chart.box)
 
 
-def change_of_gauge(s: GaugeScenario, sigma: GSection,
-                    plan: SamplePlan = None) -> ChangeOfGaugeResult:
-    """A' = `gauge_changed_potential`, and the residual of the induced
-    transformation law F(A') = Ad_{sigma^{-1}} F(A) at each point of the plan."""
+def change_of_gauge(s: GaugeScenario, sigma: GSection, plan: SamplePlan) -> np.ndarray:
+    """The residual of the transformation law F(A') = Ad_{sigma^{-1}} F(A),
+    A' the `gauge_changed_potential`, at each point of the plan, (P,)."""
     s.require_gate()
-    plan = plan or SamplePlan(count=16, seed=1)
-    a_new = gauge_changed_potential(s, sigma)
-    f_new = local_field_strength(s.with_gauge_field(a_new))
+    f_new = local_field_strength(s.with_gauge_field(gauge_changed_potential(s, sigma)))
     twisted = _adjoint_twist(s.algebra, sigma, local_field_strength(s))
     X = plan.points(s.chart)
-    return ChangeOfGaugeResult(a_new, max_gap_rows(f_new.table(X) - twisted.table(X)))
+    return max_gap_rows(f_new.table(X) - twisted.table(X))
 
 
 def bianchi_rows(s: GaugeScenario, plan: SamplePlan) -> np.ndarray:

@@ -35,7 +35,7 @@ from .gauge import (GaugeScenario, bianchi_rows, change_of_gauge,
 from .lgb import (GSection, TrivLgb, _point_draws, darboux_inverse_rows,
                   darboux_leibniz_rows, generalized_mc_rows, induced_connection,
                   multiplicativity_rows, nabla_from_darboux, pullback_mc_rows)
-from .principal import (Automorphism, TrivPrincipal, action_differential_rows,
+from .principal import (TrivPrincipal, action_differential_rows,
                         equivariance_rows, gauge_transform_total,
                         kernel_invariance_rows, mixed_bracket_rows,
                         projection_commutation_rows, section_independence_rows,
@@ -142,7 +142,6 @@ class ScenarioBundle:
     expected_charge: float = None
     section_polys: dict = field(default_factory=dict)
     automorphism_polys: dict = field(default_factory=dict)
-    metric_name: str = "euclidean"
 
     @property
     def omega(self) -> LieForm:
@@ -174,7 +173,7 @@ def _section_from_poly(alg, poly: PolyData, name: str) -> GSection:
 
 
 def _assemble(name, chart, alg, omega, zeta, a, shift, generator,
-              section_polys, automorphism_polys, metric_name,
+              section_polys, automorphism_polys,
               quadrature=None, expected_charge=None,
               plan=None, tolerances=None) -> ScenarioBundle:
     # every scenario has an identity section and automorphism
@@ -185,8 +184,7 @@ def _assemble(name, chart, alg, omega, zeta, a, shift, generator,
     scenario = GaugeScenario(chart, alg, lgb.nabla, zeta, a, name=name)
     principal = TrivPrincipal(lgb, a)
     sections = {n: _section_from_poly(alg, p, n) for n, p in section_polys.items()}
-    autos = {n: Automorphism(_section_from_poly(alg, p, n))
-             for n, p in automorphism_polys.items()}
+    autos = {n: _section_from_poly(alg, p, n) for n, p in automorphism_polys.items()}
     return ScenarioBundle(
         name=name, chart=chart, algebra=alg, scenario=scenario, lgb=lgb,
         principal=principal, sections=sections, automorphisms=autos,
@@ -194,7 +192,7 @@ def _assemble(name, chart, alg, omega, zeta, a, shift, generator,
         tolerances=dict(tolerances or {}),
         quadrature=dict(quadrature or {"order": 24}),
         expected_charge=expected_charge, section_polys=dict(section_polys),
-        automorphism_polys=dict(automorphism_polys), metric_name=metric_name)
+        automorphism_polys=dict(automorphism_polys))
 
 
 def _const_poly(n, dim, coeffs) -> PolyData:
@@ -241,7 +239,7 @@ def _flat_su2() -> ScenarioBundle:
                                      ([0.0, 0.0, -0.2], [0, 1])]),
     }
     return _assemble("flat-su2", chart, alg, omega, zeta, a, shift, generator,
-                     sections, autos, "euclidean")
+                     sections, autos)
 
 
 def _abelian_u1() -> ScenarioBundle:
@@ -268,7 +266,7 @@ def _abelian_u1() -> ScenarioBundle:
         "twist": _linear_poly(2, 1, [([-0.2], [1, 1])]),
     }
     return _assemble("abelian-u1", chart, alg, omega, zeta, a, shift, generator,
-                     sections, autos, "euclidean")
+                     sections, autos)
 
 
 def _preclassical_u1su2() -> ScenarioBundle:
@@ -307,7 +305,7 @@ def _preclassical_u1su2() -> ScenarioBundle:
                                      ([0.0, 0.0, 0.0, -0.2], [0, 1])]),
     }
     return _assemble("preclassical-u1su2", chart, alg, omega, zeta, a, shift,
-                     generator, sections, autos, "euclidean")
+                     generator, sections, autos)
 
 
 def _bpst() -> ScenarioBundle:
@@ -341,7 +339,7 @@ def _bpst() -> ScenarioBundle:
                                      ([0.0, 0.0, -0.1], [0, 0, 0, 1])]),
     }
     return _assemble("bpst", chart, alg, omega, zeta, a, shift, generator,
-                     sections, autos, "round-s4", expected_charge=1.0)
+                     sections, autos, expected_charge=1.0)
 
 
 def _random_curved() -> ScenarioBundle:
@@ -385,7 +383,7 @@ def _random_curved() -> ScenarioBundle:
         "twist": rand_section_poly(0.2),
     }
     return _assemble("random-curved", chart, alg, omega, zeta, a, shift,
-                     generator, sections, autos, "euclidean")
+                     generator, sections, autos)
 
 
 _BUILDERS = {
@@ -413,7 +411,7 @@ def builtin_scenario(name: str) -> ScenarioBundle:
 _METRIC_NAMES = ("euclidean", "round-s4", "minkowski")
 
 
-def _chart_from_dict(blob) -> tuple:
+def _chart_from_dict(blob) -> Chart:
     if not isinstance(blob, dict):
         raise ScenarioError("chart: must be an object")
     for key in ("dim", "half"):
@@ -435,16 +433,14 @@ def _chart_from_dict(blob) -> tuple:
     if metric == "round-s4":
         if dim != 4:
             raise ScenarioError("chart.metric: the round-sphere metric needs dim 4")
-        chart = stereographic_chart(half=half, orientation=orientation)
-    elif metric == "minkowski":
+        return stereographic_chart(half=half, orientation=orientation)
+    if metric == "minkowski":
         if dim != 4:
             raise ScenarioError("chart.metric: the minkowski chart needs dim 4")
         if orientation != 1:
             raise ScenarioError("chart.orientation: minkowski chart is oriented +1")
-        chart = minkowski_chart(half=half)
-    else:
-        chart = euclidean_chart(dim, half=half, orientation=orientation)
-    return chart, metric
+        return minkowski_chart(half=half)
+    return euclidean_chart(dim, half=half, orientation=orientation)
 
 
 def _poly_from_blob(field_name, blob, n, dim) -> PolyData:
@@ -516,7 +512,7 @@ def scenario_from_dict(data, source="<dict>") -> ScenarioBundle:
     except (StructureError, TypeError, ValueError, IndexError) as exc:
         raise ScenarioError(f"algebra: {exc}") from None
 
-    chart, metric = _chart_from_dict(data.get("chart", {"dim": 2, "half": 1.0}))
+    chart = _chart_from_dict(data.get("chart", {"dim": 2, "half": 1.0}))
     n, dim = chart.dim, alg.dim
 
     forms = data.get("forms", {})
@@ -576,7 +572,7 @@ def scenario_from_dict(data, source="<dict>") -> ScenarioBundle:
         expected_charge = _finite_real("expected_charge", expected_charge)
 
     bundle = _assemble(name, chart, alg, omega, zeta, a, shift, generator,
-                       section_polys, auto_polys, metric,
+                       section_polys, auto_polys,
                        quadrature=quadrature, expected_charge=expected_charge,
                        plan=plan, tolerances=tolerances)
 
@@ -619,7 +615,7 @@ def scenario_to_dict(bundle: ScenarioBundle) -> dict:
         "algebra": algebra_to_dict(bundle.algebra),
         "chart": {"dim": bundle.chart.dim,
                   "half": float(bundle.chart.box[0, 1]),
-                  "metric": bundle.metric_name,
+                  "metric": bundle.chart.metric_kind,
                   "orientation": bundle.chart.orientation},
         "forms": {
             "omega": _form_to_blob("forms.omega", bundle.omega),
@@ -885,7 +881,7 @@ def _suite_darboux(bundle, env):
 def _suite_fibre_connection(bundle, env):
     X = env.plan.points(bundle.chart)
     t_step = env.h if env.h is not None else 1e-5
-    got = nabla_from_darboux(bundle.lgb, bundle.generator, X, t_step=t_step, tol=np.inf)
+    got = nabla_from_darboux(bundle.lgb, bundle.generator, X, t_step=t_step)
     gap = max_gap_rows(got - induced_connection(bundle.lgb, bundle.generator, X))
     return _plan_rows(env, ("fibre-connection/stencil-vs-analytic", gap))
 
@@ -924,12 +920,12 @@ def _suite_structure_equation(bundle, env):
 
 def _suite_gauge_laws(bundle, env):
     rows = _plan_rows(env, *((f"gauge-laws/section:{name}",
-                              change_of_gauge(bundle.scenario, sec, env.plan).f_rows)
+                              change_of_gauge(bundle.scenario, sec, env.plan))
                              for name, sec in sorted(bundle.sections.items())))
-    for name, aut in sorted(bundle.automorphisms.items()):
-        res = gauge_transform_total(bundle.principal, aut, bundle.zeta, env.plan)
-        rows += _plan_rows(env, (f"gauge-laws/automorphism-potential:{name}", res.a_rows),
-                           (f"gauge-laws/automorphism-field-strength:{name}", res.f_rows))
+    for name, tau in sorted(bundle.automorphisms.items()):
+        a_rows, f_rows = gauge_transform_total(bundle.principal, tau, bundle.zeta, env.plan)
+        rows += _plan_rows(env, (f"gauge-laws/automorphism-potential:{name}", a_rows),
+                           (f"gauge-laws/automorphism-field-strength:{name}", f_rows))
     return rows
 
 

@@ -7,6 +7,11 @@ bundle layer. Every transformation law is evaluated along two independent
 routes (direct differentiation vs the closed-form right-hand side) and the
 disagreement is surfaced as a residual, at every point of a sample plan at
 once: the laws act on stacks of points, group matrices and tangents.
+
+The connection form is the group bundle's `total_form` with the gauge
+field. Right translation moves only the fibre, so the modified pushforward
+keeps the base direction and returns the new fibre velocity alone. A
+bundle automorphism (x, h) -> (x, tau(x) h) is its section tau.
 """
 from __future__ import annotations
 
@@ -14,20 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (LieAlgebraDescriptor, ad_matrix_of_group, dagger,
-                      expand_in_rep, group_exp)
+from .algebra import LieAlgebraDescriptor, ad_matrix_of_group, dagger, group_exp
 from .forms import LieForm, SamplePlan, increasing_indices, max_gap_rows
 from .lgb import (GSection, TotalPoint, TotalTangent, TrivLgb, _act,
-                  _base_pairs, _darboux_rows, _point_draws, _table_at, base_rows,
-                  dexp_body, induced_connection, one_form_on,
-                  product_curvature)
+                  _base_pairs, _body_coeffs, _darboux_rows, _point_draws,
+                  _table_at, dexp_body, induced_connection, one_form_on,
+                  product_curvature, total_form)
 
 __all__ = [
-    "TrivPrincipal", "Automorphism", "connection_one_form",
-    "modified_pushforward", "pushforward_matrix", "pushforward_via_section",
-    "action_differential_rows", "section_independence_rows",
-    "TotalFieldStrength", "total_field_strength", "structure_equation_rows",
-    "GaugeTransformResult", "gauge_transform_total", "equivariance_rows",
+    "TrivPrincipal", "connection_one_form", "modified_pushforward",
+    "pushforward_via_section", "action_differential_rows",
+    "section_independence_rows", "TotalFieldStrength", "total_field_strength",
+    "structure_equation_rows", "gauge_transform_total", "equivariance_rows",
     "kernel_invariance_rows", "projection_commutation_rows",
     "mixed_bracket_rows", "field_strength_type_rows",
 ]
@@ -51,28 +54,17 @@ class TrivPrincipal:
         return self.lgb.chart
 
 
-@dataclass
-class Automorphism:
-    """Bundle automorphism acting by a left multiplier: (x, h) -> (x, tau(x) h)."""
-
-    tau: GSection
-
-    def sigma_conj(self, x, h) -> np.ndarray:
-        """The conjugation section h^{-1} tau(x) h attached to the
-        automorphism, for (..., n) points and (..., r, r) matrices h."""
-        return dagger(h) @ self.tau(x) @ h
-
-
 _STENCIL4 = np.array([0.0, -2.0, -1.0, 1.0, 2.0])
 
 
 def _body_stencil4(alg: LieAlgebraDescriptor, curve, lead: int, h: float = 1e-3) -> np.ndarray:
     """Body velocity at s = 0 of a stack of matrix-valued curves, by the
     fourth-order stencil: curve(s) maps the (5, 1, ..., 1) stack of s, with
-    `lead` unit axes, to its (5, ..., r, r) matrices."""
+    `lead` unit axes, to its (5, ..., r, r) matrices. A curve off the group
+    variety raises ReexpansionError (the watchdog of `_body_coeffs`)."""
     m = curve((h * _STENCIL4).reshape((5,) + (1,) * lead))
     dm = (m[1] - 8 * m[2] + 8 * m[3] - m[4]) / (12 * h)
-    return expand_in_rep(alg, np.linalg.inv(m[0]) @ dm)[0]
+    return _body_coeffs(alg, np.linalg.inv(m[0]), dm, "curve")
 
 
 def _groups(alg: LieAlgebraDescriptor, coeffs) -> np.ndarray:
@@ -80,13 +72,12 @@ def _groups(alg: LieAlgebraDescriptor, coeffs) -> np.ndarray:
     return np.moveaxis(group_exp(alg, coeffs), 1, 0)
 
 
-def _sample(p: TrivPrincipal, plan: SamplePlan, groups: int, width: int,
-            scale: float = 1.0):
+def _sample(p: TrivPrincipal, plan: SamplePlan, groups: int, width: int):
     """The plan's points as (P, 1, n), the `groups` group matrices of each
     point as (groups, P, 1, r, r) and its tangent probes (P, probes, width),
     drawn by `_point_draws`."""
     x = plan.points(p.chart)
-    coeffs, probes = _point_draws(plan, len(x), p.algebra.dim, groups, width, scale=scale)
+    coeffs, probes = _point_draws(plan, len(x), p.algebra.dim, groups, width)
     return x[:, None, :], _groups(p.algebra, coeffs)[:, :, None], probes
 
 
@@ -98,36 +89,36 @@ def _sample(p: TrivPrincipal, plan: SamplePlan, groups: int, width: int,
 # tangents broadcast.
 
 def connection_one_form(p: TrivPrincipal, pt: TotalPoint, t: TotalTangent) -> np.ndarray:
-    """V + Ad_{h^{-1}}(A(X)) + (Ad_{h^{-1}} - id)(omega(X)) in body coordinates.
+    """V + Ad_{h^{-1}}(A(X)) + (Ad_{h^{-1}} - id)(omega(X)) in body
+    coordinates: `total_form` with the gauge field A.
 
     Identity on vertical tangents; its kernel at h = identity is the graph
     of -A over the base directions. The omega defect term is what makes the
     form equivariant under the modified pushforward.
     """
-    ad_inv = ad_matrix_of_group(p.algebra, dagger(pt.g))
-    a = one_form_on(p.a_local, pt.x, t.X)
-    w = one_form_on(p.lgb.omega, pt.x, t.X)
-    return t.eta + _act(ad_inv, a) + (_act(ad_inv, w) - w)
+    return total_form(p.algebra, pt.g, one_form_on(p.lgb.omega, pt.x, t.X), eta=t.eta,
+                      a=one_form_on(p.a_local, pt.x, t.X))
 
 
-def pushforward_matrix(p: TrivPrincipal, x, g) -> np.ndarray:
-    """Matrix of the modified right-pushforward on (X, V) body blocks, at
-    (..., n) points x for (..., r, r) matrices g: (..., n + dim, n + dim)."""
-    n = p.chart.dim
-    ad_inv = ad_matrix_of_group(p.algebra, dagger(g))
-    out = np.zeros(ad_inv.shape[:-2] + (n + p.algebra.dim,) * 2)
-    out[..., :n, :n] = np.eye(n)
-    out[..., n:, n:] = ad_inv
-    out[..., n:, :n] = -np.swapaxes(base_rows(p.lgb, x, g), -1, -2)
-    return out
+def modified_pushforward(p: TrivPrincipal, g, x, t: TotalTangent) -> np.ndarray:
+    """The fibre velocity Ad_{g^{-1}}(V) - (Ad_{g^{-1}} - id)(omega(X)) that
+    right translation by g gives a tangent (X, V) over the points x; the
+    base direction X is unchanged. It is `total_form` at g with V in the
+    gauge-field slot and -omega(X) for omega(X).
+
+    The closed form of the defining section route; the two are compared by
+    `section_independence_rows`.
+    """
+    return total_form(p.algebra, g, -one_form_on(p.lgb.omega, x, t.X), a=t.eta)
 
 
 def pushforward_via_section(p: TrivPrincipal, sigma, pt: TotalPoint,
-                            t: TotalTangent) -> TotalTangent:
-    """Defining route: differentiate right translation by the section, then
-    subtract the fundamental vector of the section's logarithmic derivative.
-    `sigma` maps (..., n) points to (..., r, r) matrices, as a `GSection`
-    does, broadcast against the leading axes of pt."""
+                            t: TotalTangent) -> np.ndarray:
+    """Defining route of the pushed fibre velocity: differentiate right
+    translation by the section, then subtract the fundamental vector of the
+    section's logarithmic derivative. `sigma` maps (..., n) points to
+    (..., r, r) matrices, as a `GSection` does, broadcast against the
+    leading axes of pt."""
     alg, x = p.algebra, np.asarray(pt.x, dtype=float)
     h_step = p.chart.default_step()
 
@@ -136,21 +127,7 @@ def pushforward_via_section(p: TrivPrincipal, sigma, pt: TotalPoint,
 
     body_dr = _body_stencil4(alg, curve, np.ndim(t.X) - 1, h=h_step)
     ds = _darboux_rows(p.lgb, x, h_step, sigma, "section")
-    return TotalTangent(X=np.array(t.X, dtype=float),
-                        eta=body_dr - sum(t.X[..., k, None] * ds[k] for k in range(len(ds))))
-
-
-def modified_pushforward(p: TrivPrincipal, g, pt: TotalPoint,
-                         t: TotalTangent) -> TotalTangent:
-    """(X, Ad_{g^{-1}}(V) - (Ad_{g^{-1}} - id)(omega(X))) at the translated point.
-
-    The closed form of the defining section route; the two are compared by
-    `section_independence_rows`.
-    """
-    ad_inv = ad_matrix_of_group(p.algebra, dagger(g))
-    w = one_form_on(p.lgb.omega, pt.x, t.X)
-    return TotalTangent(X=np.array(t.X, dtype=float),
-                        eta=_act(ad_inv, t.eta) - (_act(ad_inv, w) - w))
+    return body_dr - sum(t.X[..., k, None] * ds[k] for k in range(len(ds)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +151,11 @@ def section_independence_rows(p: TrivPrincipal, plan: SamplePlan) -> np.ndarray:
         return group_exp(alg, slope * ((Y - x) @ np.full(n, 1.0 / n))[..., None]) @ g
 
     via_const, via_tilted = (pushforward_via_section(p, s, pt, t) for s in (const, tilted))
-    closed = modified_pushforward(p, g, pt, t)
-    return max_gap_rows(np.concatenate([via_const.X - via_tilted.X,
-                                        via_const.eta - via_tilted.eta,
-                                        via_const.eta - closed.eta], axis=-1))
+    return max_gap_rows(np.concatenate([via_const - via_tilted,
+                                        via_const - modified_pushforward(p, g, x, t)], axis=-1))
 
 
-def action_differential_rows(p: TrivPrincipal, plan: SamplePlan,
-                             group_scale: float = 1.0) -> np.ndarray:
+def action_differential_rows(p: TrivPrincipal, plan: SamplePlan) -> np.ndarray:
     """Differential of the fibrewise action, direct stencil vs assembled law.
 
     Direct: body velocity of s -> h(s) g(s) for matched curves. Assembled:
@@ -189,7 +163,7 @@ def action_differential_rows(p: TrivPrincipal, plan: SamplePlan,
     (body) part of the group-side tangent relative to that section.
     """
     alg, n, d = p.algebra, p.chart.dim, p.algebra.dim
-    x, (h, g), probes = _sample(p, plan, 2, n + 2 * d, group_scale)
+    x, (h, g), probes = _sample(p, plan, 2, n + 2 * d)
     X, V, W = np.split(probes, [n, n + d], axis=-1)
 
     def sigma(Y):  # section through g with linear body slope, matched to W at x
@@ -203,50 +177,41 @@ def action_differential_rows(p: TrivPrincipal, plan: SamplePlan,
     return max_gap_rows(direct - (d_rsigma + (W - body_dsigma)))
 
 
-def equivariance_rows(p: TrivPrincipal, plan: SamplePlan,
-                      group_scale: float = 1.0) -> np.ndarray:
+def equivariance_rows(p: TrivPrincipal, plan: SamplePlan) -> np.ndarray:
     """Pullback of the connection form along the modified pushforward must be
     its adjoint twist: A(r-hat(t)) = Ad_{g^{-1}} A(t)."""
     alg, n, d = p.algebra, p.chart.dim, p.algebra.dim
-    x, (g, h), probes = _sample(p, plan, 2, n + d, group_scale)
+    x, (g, h), probes = _sample(p, plan, 2, n + d)
     pt, t = TotalPoint(x, h), TotalTangent(*np.split(probes, [n], axis=-1))
-    lhs = connection_one_form(p, TotalPoint(x, h @ g), modified_pushforward(p, g, pt, t))
+    pushed = TotalTangent(t.X, modified_pushforward(p, g, x, t))
+    lhs = connection_one_form(p, TotalPoint(x, h @ g), pushed)
     ad_g_inv = ad_matrix_of_group(alg, dagger(g))
     return max_gap_rows(lhs - _act(ad_g_inv, connection_one_form(p, pt, t)))
 
 
-def kernel_invariance_rows(p: TrivPrincipal, plan: SamplePlan,
-                           group_scale: float = 1.0) -> np.ndarray:
+def kernel_invariance_rows(p: TrivPrincipal, plan: SamplePlan) -> np.ndarray:
     """The pushforward must map the connection kernel into itself."""
     n, d = p.chart.dim, p.algebra.dim
-    x, (g, h), _ = _sample(p, plan, 2, 0, group_scale)
+    x, (g, h), _ = _sample(p, plan, 2, 0)
     pt, X = TotalPoint(x, h), np.broadcast_to(np.eye(n), (len(x), n, n))
     ker = TotalTangent(X, -connection_one_form(p, pt, TotalTangent(X, np.zeros(d))))
-    return max_gap_rows(connection_one_form(p, TotalPoint(x, h @ g),
-                                            modified_pushforward(p, g, pt, ker)))
+    pushed = TotalTangent(X, modified_pushforward(p, g, x, ker))
+    return max_gap_rows(connection_one_form(p, TotalPoint(x, h @ g), pushed))
 
 
-def projection_commutation_rows(p: TrivPrincipal, plan: SamplePlan,
-                                group_scale: float = 1.0) -> np.ndarray:
-    """Horizontal/vertical projectors commute with the modified pushforward."""
+def projection_commutation_rows(p: TrivPrincipal, plan: SamplePlan) -> np.ndarray:
+    """Horizontal/vertical projectors commute with the modified pushforward.
+    The vertical part of (X, V) is (0, A(X, V)) and the horizontal part
+    (X, V - A(X, V)); the pushforward keeps X, so the gaps are in V alone."""
     n, d = p.chart.dim, p.algebra.dim
-    x, (g, h), probes = _sample(p, plan, 2, n + d, group_scale)
-    pt, pt_img = TotalPoint(x, h), TotalPoint(x, h @ g)
-    t = TotalTangent(*np.split(probes, [n], axis=-1))
-
-    def vert(pt, t):
-        return TotalTangent(np.zeros_like(t.X), connection_one_form(p, pt, t))
-
-    def horiz(pt, t):
-        v = vert(pt, t)
-        return TotalTangent(t.X - v.X, t.eta - v.eta)
-
-    gaps = []
-    for proj in (vert, horiz):
-        a = modified_pushforward(p, g, pt, proj(pt, t))
-        b = proj(pt_img, modified_pushforward(p, g, pt, t))
-        gaps += [a.eta - b.eta, a.X - b.X]
-    return max_gap_rows(np.concatenate(gaps, axis=-1))
+    x, (g, h), probes = _sample(p, plan, 2, n + d)
+    pt, t = TotalPoint(x, h), TotalTangent(*np.split(probes, [n], axis=-1))
+    pushed = TotalTangent(t.X, modified_pushforward(p, g, x, t))
+    v, v_img = (connection_one_form(p, pt, t),
+                connection_one_form(p, TotalPoint(x, h @ g), pushed))
+    vert = modified_pushforward(p, g, x, TotalTangent(np.zeros_like(t.X), v)) - v_img
+    horiz = modified_pushforward(p, g, x, TotalTangent(t.X, t.eta - v)) - (pushed.eta - v_img)
+    return max_gap_rows(np.concatenate([vert, horiz], axis=-1))
 
 
 def mixed_bracket_rows(p: TrivPrincipal, nu: LieForm, plan: SamplePlan,
@@ -267,7 +232,6 @@ def mixed_bracket_rows(p: TrivPrincipal, nu: LieForm, plan: SamplePlan,
     steps = np.eye(N) * fd_step
     uv = np.concatenate([np.zeros((1, N)), steps, -steps])
     x = x0[:, None, :] + uv[:, :n]
-    ad_inv = ad_matrix_of_group(alg, dagger(h0[:, None] @ group_exp(alg, uv[:, n:])))
     a, w = (one_form_on(f, x, X[:, None, :]) for f in (p.a_local, p.lgb.omega))
     dexp = np.swapaxes(dexp_body(alg, uv[:, None, n:], np.eye(d)), -1, -2)
 
@@ -275,7 +239,7 @@ def mixed_bracket_rows(p: TrivPrincipal, nu: LieForm, plan: SamplePlan,
         return np.concatenate([base, np.linalg.solve(dexp, body[..., None])[..., 0]], axis=-1)
 
     lift = field(np.broadcast_to(X[:, None, :], x.shape),
-                 -(_act(ad_inv, a) + (_act(ad_inv, w) - w)))
+                 -total_form(alg, h0[:, None] @ group_exp(alg, uv[:, n:]), w, a=a))
     fund = field(np.zeros(x.shape), _table_at(nu, x)[..., 0, :])
 
     def jacobian(f):  # columns k: the central stencil along axis k
@@ -353,21 +317,25 @@ def total_field_strength(p: TrivPrincipal, zeta: LieForm, x0,
     return TotalFieldStrength(p, zeta, x0, h0)
 
 
-def field_strength_type_rows(p: TrivPrincipal, zeta: LieForm, plan: SamplePlan,
-                             group_scale: float = 1.0) -> np.ndarray:
+def field_strength_type_rows(p: TrivPrincipal, zeta: LieForm, plan: SamplePlan) -> np.ndarray:
     """Adjoint type of the field strength under the modified pushforward:
     F(r-hat t1, r-hat t2) = Ad_{g^{-1}} F(t1, t2), anchored at (x, identity)
     and (x, g) in one stack."""
-    alg, N = p.algebra, p.chart.dim + p.algebra.dim
+    alg, n = p.algebra, p.chart.dim
     x = plan.points(p.chart)
     P = len(x)
-    coeffs, probes = _point_draws(plan, P, alg.dim, 1, 2 * N, scale=group_scale)
+    coeffs, probes = _point_draws(plan, P, alg.dim, 1, 2 * (n + alg.dim))
     (g,) = _groups(alg, coeffs)
-    mat = pushforward_matrix(p, x, g)[:, None]
     t1, t2 = np.split(probes, 2, axis=-1)
+
+    def push(t):
+        X = t[..., :n]
+        return np.concatenate([X, modified_pushforward(
+            p, g[:, None], x[:, None], TotalTangent(X, t[..., n:]))], axis=-1)
+
     identity = np.broadcast_to(np.eye(alg.rep_dim, dtype=complex), g.shape)
     fs = total_field_strength(p, zeta, np.concatenate([x, x]), np.concatenate([identity, g]))
-    f = fs.evaluate(np.concatenate([t1, _act(mat, t1)]), np.concatenate([t2, _act(mat, t2)]))
+    f = fs.evaluate(np.concatenate([t1, push(t1)]), np.concatenate([t2, push(t2)]))
     return max_gap_rows(f[P:] - _act(ad_matrix_of_group(alg, dagger(g))[:, None], f[:P]))
 
 
@@ -394,33 +362,27 @@ def structure_equation_rows(p: TrivPrincipal, zeta: LieForm, plan: SamplePlan):
 # gauge transformations by automorphisms
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GaugeTransformResult:
-    a_local_new: LieForm
-    a_rows: np.ndarray  # (P,) potential-law residual at each plan point
-    f_rows: np.ndarray  # (P,) field-strength-law residual at each plan point
-
-
-def gauge_transform_total(p: TrivPrincipal, aut: Automorphism, zeta: LieForm,
-                          plan: SamplePlan, group_scale: float = 1.0) -> GaugeTransformResult:
-    """Pull the connection form and field strength back through the automorphism.
+def gauge_transform_total(p: TrivPrincipal, tau: GSection, zeta: LieForm,
+                          plan: SamplePlan) -> tuple:
+    """Pull the connection form and field strength back through the bundle
+    automorphism (x, h) -> (x, tau(x) h) of a section tau.
 
     Route one differentiates the automorphism directly; route two assembles
-    the transformation law through the conjugation section (adjoint twist of
-    the form plus the section's pulled-back logarithmic derivative). Point i
-    draws h and its probes from `default_rng([plan.seed, i])`; the rows of
-    both disagreements are returned with the transformed identity-gauge field.
+    the transformation law through the conjugation section h^{-1} tau h
+    (adjoint twist of the form plus the section's pulled-back logarithmic
+    derivative). Point i draws h and its probes from
+    `default_rng([plan.seed, i])`; returns the (P,) rows of the potential
+    law and of the field-strength law.
     """
     alg, n, d = p.algebra, p.chart.dim, p.algebra.dim
-    h_step = p.chart.default_step()
     x = plan.points(p.chart)
     P = len(x)
-    coeffs, probes = _point_draws(plan, P, d, 1, 3 * n + 3 * d, scale=group_scale)
+    coeffs, probes = _point_draws(plan, P, d, 1, 3 * n + 3 * d)
     (h,) = _groups(alg, coeffs)
     X, V, t1, t2 = np.split(probes, [n, n + d, 2 * n + 2 * d], axis=-1)
-    image, body_dtau = aut.tau(x) @ h, aut.tau.body_derivative(x, h_step)
+    image, body_dtau = tau(x) @ h, tau.body_derivative(x, p.chart.default_step())
     ad_h_inv = ad_matrix_of_group(alg, dagger(h))[:, None]
-    ad_sig_inv = ad_matrix_of_group(alg, dagger(aut.sigma_conj(x, h)))[:, None]
+    sigma = dagger(h) @ tau(x) @ h
     x1 = x[:, None, :]
 
     def dtau(base):  # the fibre velocity tau adds along base directions at h
@@ -433,21 +395,14 @@ def gauge_transform_total(p: TrivPrincipal, aut: Automorphism, zeta: LieForm,
 
     def conj_curve(s):  # the conjugation section along s -> (x + sX, h exp(sV))
         hs = h[:, None] @ group_exp(alg, s[..., None] * V)
-        return np.linalg.inv(hs) @ aut.tau(x1 + s[..., None] * X) @ hs
+        return np.linalg.inv(hs) @ tau(x1 + s[..., None] * X) @ hs
 
-    w = one_form_on(p.lgb.omega, x1, X)
     base = connection_one_form(p, TotalPoint(x1, h[:, None]), TotalTangent(X, V))
-    formula = _act(ad_sig_inv, base) + _body_stencil4(alg, conj_curve, 2) + (
-        _act(ad_sig_inv, w) - w)
+    formula = total_form(alg, sigma[:, None], one_form_on(p.lgb.omega, x1, X),
+                         eta=_body_stencil4(alg, conj_curve, 2), a=base)
 
     fs = total_field_strength(p, zeta, np.concatenate([x, x]), np.concatenate([h, image]))
     f = fs.evaluate(np.concatenate([t1, push_through_h(t1)]),
                     np.concatenate([t2, push_through_h(t2)]))
-
-    def new_a(Y):  # the direct pullback at h = identity along each axis
-        return aut.tau.body_derivative(Y, h_step) + base_rows(p.lgb, Y, aut.tau(Y), p.a_local)
-
-    a_new = LieForm(n=n, degree=1, value_target="algebra", value_shape=(d,),
-                    batch=new_a, fd_step=10 * h_step, box=p.chart.box)
-    return GaugeTransformResult(a_new, max_gap_rows(direct - formula),
-                                max_gap_rows(f[P:] - _act(ad_sig_inv, f[:P])))
+    ad_sig_inv = ad_matrix_of_group(alg, dagger(sigma))[:, None]
+    return max_gap_rows(direct - formula), max_gap_rows(f[P:] - _act(ad_sig_inv, f[:P]))

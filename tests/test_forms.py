@@ -157,7 +157,20 @@ KAPPA_WEDGES = {
     # one form paired with itself takes each symmetric pair of entries once
     "su2-self-2-2": lambda: _self_pair(SU2, _closure_form(2, 3)),
     "dense-kappa-self-2-2": lambda: _self_pair(DENSE, _closure_form(2, 3)),
+    # polynomial forms take the same contraction, not a polynomial product
+    "poly-2-2": lambda: (SU2, _poly_form(2, [[0.5, 0.0, -0.2], [0.1, 0.3, 0.0]]),
+                         _poly_form(2, [[0.0, -0.4, 0.2], [0.6, 0.0, 0.1]])),
 }
+
+
+def _poly_form(degree, coeffs):
+    """Helper: a polynomial su(2)-valued form on every increasing index,
+    one linear and one constant term each, with coefficient rows `coeffs`."""
+    terms = {idx: [(np.roll(coeffs[0], i), np.eye(4, dtype=int)[i % 4]),
+                   (np.roll(coeffs[1], i), np.zeros(4, dtype=int))]
+             for i, idx in enumerate(fm.increasing_indices(4, degree))}
+    return fm.form_from_poly(4, degree, "algebra", (3,), fm.PolyData(4, degree, (3,), terms),
+                             box=CH.box)
 
 
 def _self_pair(algebra, form):

@@ -34,7 +34,7 @@ from cym.harness import (SCENARIO_NAMES, SUITES, CheckRow, RunEnv, ScenarioError
                          scenario_to_dict, suite_names, _plan_rows,
                          _random_section_pairs)
 from cym.lgb import GSection, TrivLgb, generalized_mc_rows
-from cym.principal import Automorphism, TrivPrincipal
+from cym.principal import TrivPrincipal
 
 QUICK = SamplePlan(count=4, seed=7)
 
@@ -885,7 +885,7 @@ def test_section_suites_make_no_per_point_kernel_calls(monkeypatch):
             counted[suite] = dict(counts)
         bundle = builtin_scenario("random-curved")
         counts.clear()
-        rows = change_of_gauge(bundle.scenario, bundle.sections["generic"], plan).f_rows
+        rows = change_of_gauge(bundle.scenario, bundle.sections["generic"], plan)
         assert max_gap(rows) < 1e-5
         counted["change_of_gauge"] = dict(counts)
         per_plan.append(counted)
@@ -989,13 +989,13 @@ def test_builtin_payloads_hold_one_term_per_monomial(monkeypatch):
 def test_finite_off_variety_automorphism_row_still_raises():
     bundle = builtin_scenario("random-curved")
     bad_point = NAN_PLAN.points(bundle.chart)[3]
-    generic = bundle.automorphisms["generic"].tau
+    generic = bundle.automorphisms["generic"]
 
     def doubled(Y):  # finite, but twice a group matrix at one point
         return np.where((Y == bad_point).all(axis=-1), 2.0, 1.0)[..., None, None] * generic(Y)
 
     broken = dataclasses.replace(bundle, automorphisms=dict(
-        bundle.automorphisms, generic=Automorphism(GSection(bundle.algebra, doubled, "generic"))))
+        bundle.automorphisms, generic=GSection(bundle.algebra, doubled, "generic")))
     with pytest.raises(VarietyError, match="off the group variety"):
         run_suite(broken, "gauge-laws", plan=NAN_PLAN)
 
@@ -1042,6 +1042,21 @@ def test_cli_failure_exit_code(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "[FAIL] lagrangian" in out and "checks FAILED" in out
+
+
+def test_fibre_connection_row_fails_under_a_tiny_tolerance(tmp_path, capsys):
+    # the row compares the stencil route with the closed form; no gate
+    # inside the library raises first
+    path = tmp_path / "strict.json"
+    save_scenario(builtin_scenario("random-curved"), path)
+    blob = json.loads(path.read_text())
+    blob["tolerances"] = {"fibre-connection/stencil-vs-analytic": 1e-18}
+    path.write_text(json.dumps(blob))
+    code = cli_main(["verify", "--scenario", str(path), "--suite",
+                     "fibre-connection", "--points", "4"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "[FAIL] fibre-connection" in out and "stencil-vs-analytic" in out
 
 
 def test_cli_input_errors(tmp_path, capsys):

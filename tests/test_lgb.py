@@ -11,11 +11,11 @@ from cym.algebra import (ReexpansionError, VarietyError, ad_matrix_c,
 from cym.connection import potential_curvature
 from cym.forms import (PolyData, SamplePlan, euclidean_chart,
                        form_from_components, form_from_poly, max_gap, zero_form)
-from cym.lgb import (GSection, InconsistencyError, TotalPoint, TotalTangent,
-                     TrivLgb, darboux, darboux_inverse_rows,
-                     darboux_leibniz_rows, dexp_body, generalized_mc_rows,
-                     multiplicativity_rows, nabla_from_darboux, pullback_mc_rows)
-from cym.lgb import _mu_rows, _normal_table, _point_draws
+from cym.lgb import (GSection, TotalPoint, TotalTangent, TrivLgb, darboux,
+                     darboux_inverse_rows, darboux_leibniz_rows, dexp_body,
+                     generalized_mc_rows, multiplicativity_rows,
+                     nabla_from_darboux, pullback_mc_rows, total_form)
+from cym.lgb import _normal_table, _point_draws
 
 ALG = su2()
 IDENTITY = np.eye(2, dtype=complex)
@@ -281,8 +281,8 @@ def test_darboux_table_matches_stacked_per_point_components_bit_for_bit():
                 [[form.components(x, (k,)) for k in range(n)] for x in X])), sec.name
             # the law applied one point and one axis at a time
             assert np.array_equal(got, np.array(
-                [[_mu_rows(ALG, sec(x), sec.body_derivative(x, h)[k],
-                           bundle.omega.components(x, (k,))) for k in range(n)]
+                [[total_form(ALG, sec(x), bundle.omega.components(x, (k,)),
+                             eta=sec.body_derivative(x, h)[k]) for k in range(n)]
                  for x in X])), sec.name
 
 
@@ -418,12 +418,6 @@ def test_fibre_connection_on_a_batch_matches_the_per_point_route():
     for x, row in zip(X, got):
         assert np.abs(row - reference_nabla(lgb, nu, x)).max() <= 1e-12
 
-
-def test_fibre_connection_gate_trips_on_inconsistent_inputs():
-    lgb = su2_bundle()
-    nu = poly_form(2, 0, (3,), {(): [(np.array([1., 0., 0.]), np.array([0, 0]))]})
-    with pytest.raises(InconsistencyError, match="disagree"):
-        nabla_from_darboux(lgb, nu, np.array([0.4, -0.3]), tol=1e-18)
 
 
 # ---------------------------------------------------------------------------

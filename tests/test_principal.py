@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
-from cym.algebra import ad_matrix_of_group, expm, su2, u1
+from cym.algebra import ReexpansionError, ad_matrix_of_group, expm, su2, u1
 from cym.connection import LabConnection, cov_ext_deriv, potential_curvature
 from cym.forms import (PolyData, SamplePlan, add_forms, bracket_pairing,
                        euclidean_chart, form_from_components, form_from_poly,
@@ -12,12 +12,12 @@ from cym.forms import (PolyData, SamplePlan, add_forms, bracket_pairing,
 from cym.harness import builtin_scenario
 from cym.lgb import (GSection, TotalPoint, TotalTangent, TrivLgb, dexp_body,
                      total_form_rows)
-from cym.principal import (Automorphism, TrivPrincipal,
+from cym.principal import (TrivPrincipal, _body_stencil4,
                            action_differential_rows, connection_one_form,
                            equivariance_rows, field_strength_type_rows,
                            gauge_transform_total, kernel_invariance_rows,
                            mixed_bracket_rows, modified_pushforward,
-                           projection_commutation_rows, pushforward_matrix,
+                           projection_commutation_rows,
                            pushforward_via_section, total_field_strength)
 
 ALG = su2()
@@ -78,6 +78,15 @@ def test_connection_form_kernel_without_gauge_field():
     assert np.abs(connection_one_form(p, pt, t)).max() == 0.0
 
 
+def test_connection_form_without_gauge_field_is_mu_tot_bit_for_bit():
+    p = make_bundle(with_a=False)
+    rng = np.random.default_rng(12)
+    pt = TotalPoint(rng.uniform(-0.9, 0.9, size=(5, 2)),
+                    np.array([group_sample(ALG, rng) for _ in range(5)]))
+    t = TotalTangent(rng.normal(size=(5, 2)), rng.normal(size=(5, 3)))
+    assert np.array_equal(connection_one_form(p, pt, t), p.lgb.mu_tot(pt, t))
+
+
 def test_bundle_rejects_wrong_degree_gauge_field():
     lgb = TrivLgb(CHART, ALG, zero_form(2, 1, "algebra", (3,)))
     with pytest.raises(ValueError, match="1-form"):
@@ -94,10 +103,9 @@ def test_pushforward_classical_on_vertical_inputs():
     g = group_sample(ALG, rng)
     pt = TotalPoint(np.array([0.2, 0.4]), group_sample(ALG, rng))
     nu = rng.normal(size=3)
-    out = modified_pushforward(p, g, pt, TotalTangent(np.zeros(2), nu))
+    out = modified_pushforward(p, g, pt.x, TotalTangent(np.zeros(2), nu))
     want = ad_matrix_of_group(ALG, g.conj().T) @ nu
-    assert np.array_equal(out.eta, want)
-    assert np.abs(out.X).max() == 0.0
+    assert np.array_equal(out, want)
 
 
 def test_pushforward_classical_when_omega_vanishes():
@@ -106,9 +114,9 @@ def test_pushforward_classical_when_omega_vanishes():
     g = group_sample(ALG, rng)
     pt = TotalPoint(np.array([0.2, 0.4]), group_sample(ALG, rng))
     t = TotalTangent(rng.normal(size=2), rng.normal(size=3))
-    out = modified_pushforward(p, g, pt, t)
+    out = modified_pushforward(p, g, pt.x, t)
     want = ad_matrix_of_group(ALG, g.conj().T) @ t.eta
-    assert np.abs(out.eta - want).max() < 1e-12
+    assert np.abs(out - want).max() < 1e-12
 
 
 def test_pushforward_section_routes_agree():
@@ -117,7 +125,7 @@ def test_pushforward_section_routes_agree():
     g = group_sample(ALG, rng)
     pt = TotalPoint(np.array([0.2, 0.4]), group_sample(ALG, rng))
     t = TotalTangent(rng.normal(size=2), rng.normal(size=3))
-    closed = modified_pushforward(p, g, pt, t)
+    closed = modified_pushforward(p, g, pt.x, t)
     flat = GSection.constant(ALG, g)
 
     def tilted_stack(Y):  # g tilted along e1, linearly in the offset from pt.x
@@ -127,18 +135,29 @@ def test_pushforward_section_routes_agree():
     tilted = GSection(ALG, tilted_stack, name="tilted")
     via_flat = pushforward_via_section(p, flat, pt, t)
     via_tilted = pushforward_via_section(p, tilted, pt, t)
-    assert np.abs(via_flat.eta - via_tilted.eta).max() < 1e-8
-    assert np.abs(via_flat.eta - closed.eta).max() < 1e-8
+    assert np.abs(via_flat - via_tilted).max() < 1e-8
+    assert np.abs(via_flat - closed).max() < 1e-8
 
 
-def test_pushforward_matrix_is_bijective():
+def test_pushforward_by_inverse_at_image_inverts_it():
+    # the base direction is unchanged, so pushing (X, eta') back by g^{-1}
+    # over the same point must return eta
     p = make_bundle()
     rng = np.random.default_rng(6)
     for _ in range(4):
-        m = pushforward_matrix(p, rng.uniform(-0.9, 0.9, size=2),
-                               group_sample(ALG, rng))
-        assert np.linalg.matrix_rank(m) == 5
-        assert abs(abs(np.linalg.det(m)) - 1.0) < 1e-12
+        x, g = rng.uniform(-0.9, 0.9, size=2), group_sample(ALG, rng)
+        t = TotalTangent(rng.normal(size=2), rng.normal(size=3))
+        pushed = TotalTangent(t.X, modified_pushforward(p, g, x, t))
+        back = modified_pushforward(p, g.conj().T, x, pushed)
+        assert np.abs(back - t.eta).max() < 1e-12
+
+
+def test_body_stencil_rejects_a_curve_off_the_variety():
+    def curve(s):  # (1 + s) I leaves SU(2) at once
+        return (1 + s)[..., None, None] * IDENTITY
+
+    with pytest.raises(ReexpansionError, match="drifted off the variety"):
+        _body_stencil4(ALG, curve, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,45 +313,35 @@ def test_total_form_rows_are_the_connection_form_and_dexp_at_each_offset():
 def test_identity_automorphism_fixes_everything():
     p = make_bundle()
     zeta = potential_curvature(ALG, p.lgb.omega)
-    res = gauge_transform_total(p, Automorphism(GSection.identity(ALG)), zeta,
-                                SamplePlan(count=3, seed=7, tangent_probes=2))
-    assert max_gap(res.a_rows) < 1e-10
-    assert max_gap(res.f_rows) < 1e-10
-    x = np.array([0.3, -0.2])
-    for k in range(2):
-        assert np.abs(res.a_local_new.components(x, (k,))
-                      - p.a_local.components(x, (k,))).max() < 1e-12
+    a_rows, f_rows = gauge_transform_total(p, GSection.identity(ALG), zeta,
+                                           SamplePlan(count=3, seed=7, tangent_probes=2))
+    assert max_gap(a_rows) < 1e-10
+    assert max_gap(f_rows) < 1e-10
 
 
 def test_constant_multiplier_without_omega_twists_by_adjoint():
     p = make_bundle(with_omega=False)
     zeta = zero_form(2, 2, "algebra", (3,))
     g = scipy_expm(ALG.rep_of(np.array([0.5, -0.2, 0.9])))
-    res = gauge_transform_total(p, Automorphism(GSection.constant(ALG, g)), zeta,
-                                SamplePlan(count=3, seed=9, tangent_probes=2))
+    a_rows, f_rows = gauge_transform_total(p, GSection.constant(ALG, g), zeta,
+                                           SamplePlan(count=3, seed=9, tangent_probes=2))
+    assert max_gap(a_rows) < 1e-9
+    assert max_gap(f_rows) < 1e-9
+    # the constant multiplier moves (x, identity) to (x, g) with no fibre
+    # velocity, so the pulled-back form on base axes is Ad_{g^{-1}} A
     x = np.array([0.4, 0.2])
     ad_inv = ad_matrix_of_group(ALG, g.conj().T)
     for k in range(2):
+        got = connection_one_form(p, TotalPoint(x, g), TotalTangent(np.eye(2)[k], np.zeros(3)))
         want = ad_inv @ p.a_local.components(x, (k,))
-        assert np.abs(res.a_local_new.components(x, (k,)) - want).max() < 1e-9
+        assert np.abs(got - want).max() < 1e-9
 
 
 def test_generic_automorphism_dual_routes_agree():
     p = make_bundle()
     zeta = potential_curvature(ALG, p.lgb.omega)
     tau = exp_section(lambda y: np.array([0.3 * y[0], -0.4 * y[1], 0.2]), "tau")
-    res = gauge_transform_total(p, Automorphism(tau), zeta,
-                                SamplePlan(count=4, seed=8, tangent_probes=2))
-    assert max_gap(res.a_rows) < 1e-5
-    assert max_gap(res.f_rows) < 1e-5
-
-
-def test_conjugation_section_equivariance_exact():
-    tau = exp_section(lambda y: np.array([0.3 * y[0], -0.4 * y[1], 0.2]), "tau")
-    aut = Automorphism(tau)
-    rng = np.random.default_rng(11)
-    x = np.array([0.1, 0.5])
-    h, q = group_sample(ALG, rng), group_sample(ALG, rng)
-    lhs = aut.sigma_conj(x, h @ q)
-    rhs = q.conj().T @ aut.sigma_conj(x, h) @ q
-    assert np.abs(lhs - rhs).max() < 1e-12
+    a_rows, f_rows = gauge_transform_total(p, tau, zeta,
+                                           SamplePlan(count=4, seed=8, tangent_probes=2))
+    assert max_gap(a_rows) < 1e-5
+    assert max_gap(f_rows) < 1e-5
