@@ -24,8 +24,8 @@ __all__ = [
     "potential_curvature", "check_compatibility", "field_redefine",
 ]
 
-# bound on both compatibility residuals: the report's verdict, the gate in
-# front of every Lagrangian-level operation, and the compatibility suite
+# bound on both compatibility residuals: the report's verdict, the suite, and
+# the gate that `cym.harness.run_suite` runs before the suites that need the pair
 COMPATIBILITY_TOL = 1e-6
 
 

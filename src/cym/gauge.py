@@ -1,45 +1,31 @@
 """Chart-local gauge theory: field strength, gauge-change laws, the Bianchi
 identity, the Lagrangian density, and the topological charge integral.
 
-All Lagrangian-level operations run behind a compatibility gate: the fibre
-connection and the central 2-form must satisfy the two pointwise compatibility
-laws before any density is trusted (the invariance proofs depend on them).
+The invariance proofs hold only when the fibre connection and the central
+2-form satisfy the two pointwise compatibility laws. These functions compute
+what they are given; `cym.harness.run_suite` checks the laws once, before the
+first suite that depends on them, and reports a failure as a row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .algebra import LieAlgebraDescriptor, ad_twist, dagger
-from .connection import (COMPATIBILITY_TOL, CompatibilityReport,
-                         FieldRedefinition, LabConnection, check_compatibility,
-                         cov_ext_deriv)
+from .connection import FieldRedefinition, LabConnection, cov_ext_deriv
 from .forms import (Chart, LieForm, SamplePlan, add_forms, bracket_pairing,
                     graded_product, hodge_star, kappa_wedge_top, max_gap_rows,
                     scale_form)
 from .lgb import GSection, TrivLgb, darboux
 
 __all__ = [
-    "GaugeScenario", "CompatibilityGateError", "local_field_strength",
-    "gauge_changed_potential", "change_of_gauge",
+    "GaugeScenario", "local_field_strength", "gauge_changed_potential", "change_of_gauge",
     "bianchi_rows", "lagrangian_density", "instanton_charge",
     "density_gauge_invariance_rows", "density_infinitesimal_rows",
     "field_redef_rows", "self_duality_rows",
 ]
-
-
-class CompatibilityGateError(RuntimeError):
-    """Raised when a Lagrangian-level operation is requested on a scenario
-    whose connection/central-form pair fails the compatibility laws."""
-
-    def __init__(self, report: CompatibilityReport):
-        self.report = report
-        super().__init__(
-            "compatibility gate failed: derivation residual "
-            f"{report.derivation_residual:.3e}, curvature residual "
-            f"{report.curvature_residual:.3e}")
 
 
 @dataclass
@@ -49,28 +35,12 @@ class GaugeScenario:
     nabla: LabConnection
     zeta: LieForm
     gauge_field: LieForm
-    name: str = ""
-    gate_plan: SamplePlan = field(default_factory=lambda: SamplePlan(count=16, seed=0))
-    gate_tol: float = COMPATIBILITY_TOL
 
     def __post_init__(self):
         if self.gauge_field.degree != 1 or self.gauge_field.value_target != "algebra":
             raise ValueError("the gauge field must be an algebra-valued 1-form")
         if self.zeta.degree != 2 or self.zeta.value_target != "algebra":
             raise ValueError("the central form must be an algebra-valued 2-form")
-        self._gate_report = None
-
-    def compatibility(self) -> CompatibilityReport:
-        if self._gate_report is None:
-            self._gate_report = check_compatibility(
-                self.nabla, self.zeta, self.chart, self.gate_plan)
-        return self._gate_report
-
-    def require_gate(self):
-        rep = self.compatibility()
-        if not (rep.derivation_residual <= self.gate_tol
-                and rep.curvature_residual <= self.gate_tol):
-            raise CompatibilityGateError(rep)
 
     @property
     def lgb(self) -> TrivLgb:
@@ -79,23 +49,13 @@ class GaugeScenario:
                              "section-based gauge changes are unavailable")
         return TrivLgb(self.chart, self.algebra, self.nabla.omega)
 
-    def with_gauge_field(self, a: LieForm, name: str = None) -> "GaugeScenario":
-        out = GaugeScenario(chart=self.chart, algebra=self.algebra,
-                            nabla=self.nabla, zeta=self.zeta, gauge_field=a,
-                            name=name or self.name, gate_plan=self.gate_plan,
-                            gate_tol=self.gate_tol)
-        out._gate_report = self._gate_report
-        return out
-
 
 # ---------------------------------------------------------------------------
 # field strength and gauge transformations
 # ---------------------------------------------------------------------------
 
-def local_field_strength(s: GaugeScenario, gate: bool = True) -> LieForm:
+def local_field_strength(s: GaugeScenario) -> LieForm:
     """F = covariant d of A plus half its bracket square plus the central form."""
-    if gate:
-        s.require_gate()
     a = s.gauge_field
     if a.poly is not None and not a.poly.terms:
         return s.zeta  # A is identically zero, so both A-terms vanish
@@ -124,8 +84,7 @@ def gauge_changed_potential(s: GaugeScenario, sigma: GSection) -> LieForm:
 def change_of_gauge(s: GaugeScenario, sigma: GSection, plan: SamplePlan) -> np.ndarray:
     """The residual of the transformation law F(A') = Ad_{sigma^{-1}} F(A),
     A' the `gauge_changed_potential`, at each point of the plan, (P,)."""
-    s.require_gate()
-    f_new = local_field_strength(s.with_gauge_field(gauge_changed_potential(s, sigma)))
+    f_new = local_field_strength(replace(s, gauge_field=gauge_changed_potential(s, sigma)))
     twisted = _adjoint_twist(s.algebra, sigma, local_field_strength(s))
     X = plan.points(s.chart)
     return max_gap_rows(f_new.table(X) - twisted.table(X))
@@ -149,12 +108,10 @@ def bianchi_rows(s: GaugeScenario, plan: SamplePlan) -> np.ndarray:
 # Lagrangian density and topological charge
 # ---------------------------------------------------------------------------
 
-def lagrangian_density(s: GaugeScenario, gate: bool = True):
+def lagrangian_density(s: GaugeScenario):
     """X -> -1/2 kappa(F ^, *F) top coefficient (the scalar Lagrangian) at
     each point of a (..., n) stack, read from the top-degree table."""
-    if gate:
-        s.require_gate()
-    f = local_field_strength(s, gate=False)
+    f = local_field_strength(s)
     paired = kappa_wedge_top(s.algebra, f, hodge_star(s.chart, f))
 
     def density(X):
@@ -175,8 +132,7 @@ def instanton_charge(s: GaugeScenario, order: int = 24) -> float:
     scale, so half of each axis's nodes land in |x| < 1 and none is cut off."""
     if s.chart.dim != 4:
         raise ValueError("the charge integral needs a four-dimensional chart")
-    s.require_gate()
-    f = local_field_strength(s, gate=False)
+    f = local_field_strength(s)
     paired = kappa_wedge_top(s.algebra, f, f)
 
     t, w = leggauss(order)
@@ -203,21 +159,19 @@ def density_gauge_invariance_rows(s: GaugeScenario, sigma: GSection,
     point of the plan, (P,)."""
     X = plan.points(s.chart)
     before = lagrangian_density(s)(X)
-    changed = s.with_gauge_field(gauge_changed_potential(s, sigma))
-    return max_gap_rows(lagrangian_density(changed, gate=False)(X) - before)
+    changed = replace(s, gauge_field=gauge_changed_potential(s, sigma))
+    return max_gap_rows(lagrangian_density(changed)(X) - before)
 
 
 def density_infinitesimal_rows(s: GaugeScenario, eps: LieForm, plan: SamplePlan,
                                t_step: float = 1e-5) -> np.ndarray:
     """Magnitude of the t-derivative of the density along exp(t eps) at
     each point of the plan, (P,)."""
-    s.require_gate()
     X = plan.points(s.chart)
 
     def density_at(t):
         sec = GSection.exp_of_form(s.algebra, eps, t, name="exp(teps)")
-        return lagrangian_density(s.with_gauge_field(gauge_changed_potential(s, sec)),
-                                  gate=False)(X)
+        return lagrangian_density(replace(s, gauge_field=gauge_changed_potential(s, sec)))(X)
 
     return max_gap_rows((density_at(t_step) - density_at(-t_step)) / (2 * t_step))
 
@@ -227,10 +181,8 @@ def field_redef_rows(s: GaugeScenario, shifted: FieldRedefinition,
     """Per-point gap between the field strength before and after a shift of
     the splitting (`field_redefine`); the field strength must not see it."""
     f_before = local_field_strength(s)
-    after = GaugeScenario(chart=s.chart, algebra=s.algebra, nabla=shifted.nabla,
-                          zeta=shifted.zeta, gauge_field=shifted.gauge_field,
-                          name=s.name, gate_plan=s.gate_plan, gate_tol=s.gate_tol)
-    f_after = local_field_strength(after, gate=False)
+    f_after = local_field_strength(replace(s, nabla=shifted.nabla, zeta=shifted.zeta,
+                                           gauge_field=shifted.gauge_field))
     points = plan.points(s.chart)
     return max_gap_rows(f_after.table(points) - f_before.table(points))
 

@@ -19,10 +19,11 @@ from numbers import Real
 
 import numpy as np
 
-from .algebra import (VARIETY_TOL, LieAlgebraDescriptor, StructureError,
-                      ad_matrix_c, ad_matrix_of_group, algebra_from_dict,
-                      algebra_to_dict, expm, group_exp, jacobi_tensor, su2, u1,
-                      u1_su2, variety_residual)
+from .algebra import (VARIETY_TOL, LieAlgebraDescriptor, ReexpansionError,
+                      StructureError, VarietyError, ad_matrix_c,
+                      ad_matrix_of_group, algebra_from_dict, algebra_to_dict,
+                      expm, group_exp, jacobi_tensor, su2, u1, u1_su2,
+                      variety_residual)
 from .connection import (COMPATIBILITY_TOL, check_compatibility,
                          field_redefine, potential_curvature)
 from .forms import (Chart, LieForm, PolyData, SamplePlan, ScenarioError,
@@ -32,7 +33,7 @@ from .forms import (Chart, LieForm, PolyData, SamplePlan, ScenarioError,
 from .gauge import (GaugeScenario, bianchi_rows, change_of_gauge,
                     density_gauge_invariance_rows, density_infinitesimal_rows,
                     field_redef_rows, instanton_charge, self_duality_rows)
-from .lgb import (GSection, TrivLgb, _point_draws, darboux_inverse_rows,
+from .lgb import (DRIFT_TOL, GSection, TrivLgb, _point_draws, darboux_inverse_rows,
                   darboux_leibniz_rows, generalized_mc_rows, induced_connection,
                   multiplicativity_rows, nabla_from_darboux, pullback_mc_rows)
 from .principal import (TrivPrincipal, action_differential_rows,
@@ -181,7 +182,7 @@ def _assemble(name, chart, alg, omega, zeta, a, shift, generator,
     section_polys = {"identity": identity, **section_polys}
     automorphism_polys = {"identity": identity, **automorphism_polys}
     lgb = TrivLgb(chart, alg, omega)
-    scenario = GaugeScenario(chart, alg, lgb.nabla, zeta, a, name=name)
+    scenario = GaugeScenario(chart, alg, lgb.nabla, zeta, a)
     principal = TrivPrincipal(lgb, a)
     sections = {n: _section_from_poly(alg, p, n) for n, p in section_polys.items()}
     autos = {n: _section_from_poly(alg, p, n) for n, p in automorphism_polys.items()}
@@ -409,6 +410,7 @@ def builtin_scenario(name: str) -> ScenarioBundle:
 # ---------------------------------------------------------------------------
 
 _METRIC_NAMES = ("euclidean", "round-s4", "minkowski")
+_MAX_DIM = 16
 
 
 def _chart_from_dict(blob) -> Chart:
@@ -430,6 +432,10 @@ def _chart_from_dict(blob) -> Chart:
     if dim < 2:
         raise ScenarioError("chart.dim: the central form is a 2-form, so the "
                             "chart needs at least two axes")
+    if dim > _MAX_DIM:  # a run reads C(dim, 3) components a point; the box alone may not fit
+        raise ScenarioError(f"chart.dim: at most {_MAX_DIM} axes, got {dim}")
+    if not math.isfinite(2 * half):  # the sample points span the box's width
+        raise ScenarioError(f"chart.half: the box width 2 * half overflows, got {half!r}")
     if metric == "round-s4":
         if dim != 4:
             raise ScenarioError("chart.metric: the round-sphere metric needs dim 4")
@@ -449,11 +455,13 @@ def _poly_from_blob(field_name, blob, n, dim) -> PolyData:
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{field_name}: malformed polynomial payload "
                             f"({exc})") from None
-    # JSON readers accept NaN and Infinity literals; no residual survives them
-    if not all(np.isfinite(c).all() for rows in poly.terms.values()
-               for c, _ in rows):
-        raise ScenarioError(f"{field_name}: polynomial coefficients must be "
-                            "finite")
+    # the number rule of `_finite_real`, on the blob's own values: a bool or a
+    # string is no coefficient, and no residual survives a NaN or an Infinity
+    for term in (t for rows in blob.get("terms", {}).values() for t in rows):
+        for c in np.asarray(term["coeffs"], dtype=object).ravel():
+            if isinstance(c, bool) or not isinstance(c, Real) or not math.isfinite(c):
+                raise ScenarioError(f"{field_name}: polynomial coefficients must be "
+                                    f"finite numbers, got {c!r}")
     return poly
 
 
@@ -1068,10 +1076,40 @@ def require_finite_positive(field_name: str, value) -> float:
     return _finite_real(field_name, value, positive=True)
 
 
+# the suites whose laws the paper proves only for a compatible connection and
+# central form; a run checks the pair once, before the first of them
+_GATED = ("gauge-laws", "bianchi", "field-redef", "lagrangian", "charge")
+GATE_PLAN = SamplePlan(count=16, seed=0)
+
+
+def _gate_rows(s: GaugeScenario) -> list:
+    """[] when the pair passes both compatibility laws on GATE_PLAN within
+    COMPATIBILITY_TOL (which the tolerance scale does not move), else the one
+    global row `compatibility-gate`, at the larger residual, that each gated
+    suite reports in place of its checks."""
+    rep = check_compatibility(s.nabla, s.zeta, s.chart, GATE_PLAN)
+    if rep.passed:
+        return []
+    residual = max_gap((rep.derivation_rows, rep.curvature_rows))
+    return [CheckRow("compatibility-gate", residual, COMPATIBILITY_TOL, [(-1, residual)])]
+
+
+def _suite_checks(fn, bundle, env) -> list:
+    """The rows of one suite; a variety or drift watchdog that fires inside
+    it gives the one global row `watchdog`, NaN against the watchdog's bound."""
+    try:
+        return fn(bundle, env)
+    except (VarietyError, ReexpansionError) as exc:
+        bound = VARIETY_TOL if isinstance(exc, VarietyError) else DRIFT_TOL
+        return [CheckRow("watchdog", math.nan, bound, [(-1, math.nan)])]
+
+
 def run_suite(bundle: ScenarioBundle, suite_name: str, plan: SamplePlan = None,
               tolerances: dict = None, h: float = None, h2: float = None,
               tol_scale: float = 1.0) -> VerificationReport:
-    """Run one named suite (or "all") against a scenario bundle."""
+    """Run one named suite (or "all") against a scenario bundle. A failed
+    compatibility gate or a watchdog that fires gives a failing row, not an
+    exception (see `_gate_rows` and `_suite_checks`)."""
     require_finite_positive("tol_scale", tol_scale)
     for field_name, step in (("h", h), ("h2", h2)):
         if step is not None:
@@ -1095,11 +1133,13 @@ def run_suite(bundle: ScenarioBundle, suite_name: str, plan: SamplePlan = None,
                                 f"{applicable}")
         selected = [suite_name]
 
-    reports = []
+    reports, gate = [], None
     for name in selected:
         anchor, _, fn = SUITES[name]
-        reports.append(SuiteReport(name=name, anchor=anchor,
-                                   checks=fn(bundle, env)))
+        if name in _GATED and gate is None:
+            gate = _gate_rows(bundle.scenario)
+        checks = list(gate) if name in _GATED and gate else _suite_checks(fn, bundle, env)
+        reports.append(SuiteReport(name=name, anchor=anchor, checks=checks))
     env_blob = {"seed": env.plan.seed, "points": env.plan.count,
                 "tangent_probes": env.plan.tangent_probes,
                 "h": "default" if env.h is None else env.h,

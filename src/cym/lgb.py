@@ -31,28 +31,13 @@ from .forms import (Chart, LieForm, SamplePlan, bracket_pairing,
                     max_gap_rows, scale_form)
 
 __all__ = [
-    "TotalPoint", "TotalTangent", "TrivLgb", "GSection", "dexp_body",
-    "total_form", "one_form_on", "darboux", "darboux_leibniz_rows",
-    "darboux_inverse_rows", "nabla_from_darboux", "induced_connection",
-    "multiplicativity_rows", "base_rows", "total_form_rows", "product_curvature",
-    "generalized_mc_rows", "pullback_mc_rows",
+    "TrivLgb", "GSection", "dexp_body", "total_form", "one_form_on", "darboux",
+    "darboux_leibniz_rows", "darboux_inverse_rows", "nabla_from_darboux",
+    "induced_connection", "multiplicativity_rows", "base_rows", "total_form_rows",
+    "product_curvature", "generalized_mc_rows", "pullback_mc_rows",
 ]
 
 DRIFT_TOL = 1e-9
-
-
-@dataclass
-class TotalPoint:
-    x: np.ndarray
-    g: np.ndarray  # (..., r, r) group matrices, for the (..., n) points x
-
-
-@dataclass
-class TotalTangent:
-    """Base direction X plus fibre velocity in body coordinates."""
-
-    X: np.ndarray
-    eta: np.ndarray
 
 
 def dexp_body(alg: LieAlgebraDescriptor, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -269,12 +254,13 @@ class TrivLgb:
             self._nabla = LabConnection.from_omega(self.algebra, self.omega)
         return self._nabla
 
-    def mu_tot(self, p: TotalPoint, t: TotalTangent) -> np.ndarray:
-        """eta + (Ad_{g^{-1}} - id)(omega_x(X)) in body coordinates, with the
-        leading axes of p.x, p.g, t.X and t.eta broadcast."""
-        if not self.chart.contains(p.x):
-            raise ValueError(f"point {p.x} is outside the chart box")
-        return total_form(self.algebra, p.g, one_form_on(self.omega, p.x, t.X), eta=t.eta)
+    def mu_tot(self, x, g, X, eta) -> np.ndarray:
+        """eta + (Ad_{g^{-1}} - id)(omega_x(X)) in body coordinates at the
+        total-space points (x, g), for (..., n) points, (..., r, r) matrices,
+        base directions X and body velocities eta, leading axes broadcast."""
+        if not self.chart.contains(x):
+            raise ValueError(f"point {x} is outside the chart box")
+        return total_form(self.algebra, g, one_form_on(self.omega, x, X), eta=eta)
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +334,14 @@ def induced_connection(lgb: TrivLgb, nu: LieForm, X) -> np.ndarray:
 # multiplicativity and the curvature identity on the total space
 # ---------------------------------------------------------------------------
 
-def multiplicativity_rows(lgb: TrivLgb, plan: SamplePlan,
-                          perturbation: LieForm = None) -> np.ndarray:
+def multiplicativity_rows(lgb: TrivLgb, plan: SamplePlan) -> np.ndarray:
     """Deviation of the total 1-form from the multiplication-compatibility
     law at each point of the plan, as a (P,) array.
 
     For (g, q) over the same point and matched tangents, the pulled-back form
     along fibrewise multiplication must equal Ad_{q^{-1}} of the first slot
     plus the second slot; point i draws g, q and its tangent probes from
-    `default_rng([plan.seed, i])`. `perturbation` (the negative control)
-    adds (Ad_{g^{-1}} - id) Ad_{g^{-1}} rho(X), which any nonzero rho breaks.
+    `default_rng([plan.seed, i])`.
     """
     alg, n, d = lgb.algebra, lgb.chart.dim, lgb.algebra.dim
     x = plan.points(lgb.chart)
@@ -368,16 +352,9 @@ def multiplicativity_rows(lgb: TrivLgb, plan: SamplePlan,
     X, eta, theta = np.split(probes, [n, n + d], axis=-1)
     x = x[:, None, :]
 
-    def mu(gm, eta):
-        out = lgb.mu_tot(TotalPoint(x, gm), TotalTangent(X, eta))
-        if perturbation is not None:
-            r = _act(ad_matrix_of_group(alg, dagger(gm)), one_form_on(perturbation, x, X))
-            out = total_form(alg, gm, r, eta=out)
-        return out
-
     ad_q_inv = ad_matrix_of_group(alg, dagger(q))
-    lhs = mu(gq, _act(ad_q_inv, eta) + theta)
-    rhs = _act(ad_q_inv, mu(g, eta)) + mu(q, theta)
+    lhs = lgb.mu_tot(x, gq, X, _act(ad_q_inv, eta) + theta)
+    rhs = _act(ad_q_inv, lgb.mu_tot(x, g, X, eta)) + lgb.mu_tot(x, q, X, theta)
     return max_gap_rows(lhs - rhs)
 
 

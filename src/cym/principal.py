@@ -21,10 +21,9 @@ import numpy as np
 
 from .algebra import LieAlgebraDescriptor, ad_matrix_of_group, dagger, group_exp
 from .forms import LieForm, SamplePlan, increasing_indices, max_gap_rows
-from .lgb import (GSection, TotalPoint, TotalTangent, TrivLgb, _act,
-                  _base_pairs, _body_coeffs, _darboux_rows, _point_draws,
-                  _table_at, dexp_body, induced_connection, one_form_on,
-                  product_curvature, total_form)
+from .lgb import (GSection, TrivLgb, _act, _base_pairs, _body_coeffs,
+                  _darboux_rows, _point_draws, _table_at, dexp_body,
+                  induced_connection, one_form_on, product_curvature, total_form)
 
 __all__ = [
     "TrivPrincipal", "connection_one_form", "modified_pushforward",
@@ -88,19 +87,20 @@ def _sample(p: TrivPrincipal, plan: SamplePlan, groups: int, width: int):
 # These act on stacks: the leading axes of the points, group matrices and
 # tangents broadcast.
 
-def connection_one_form(p: TrivPrincipal, pt: TotalPoint, t: TotalTangent) -> np.ndarray:
+def connection_one_form(p: TrivPrincipal, x, h, X, V) -> np.ndarray:
     """V + Ad_{h^{-1}}(A(X)) + (Ad_{h^{-1}} - id)(omega(X)) in body
-    coordinates: `total_form` with the gauge field A.
+    coordinates at the total-space points (x, h), for the base directions X
+    and fibre velocities V: `total_form` with the gauge field A.
 
     Identity on vertical tangents; its kernel at h = identity is the graph
     of -A over the base directions. The omega defect term is what makes the
     form equivariant under the modified pushforward.
     """
-    return total_form(p.algebra, pt.g, one_form_on(p.lgb.omega, pt.x, t.X), eta=t.eta,
-                      a=one_form_on(p.a_local, pt.x, t.X))
+    return total_form(p.algebra, h, one_form_on(p.lgb.omega, x, X), eta=V,
+                      a=one_form_on(p.a_local, x, X))
 
 
-def modified_pushforward(p: TrivPrincipal, g, x, t: TotalTangent) -> np.ndarray:
+def modified_pushforward(p: TrivPrincipal, g, x, X, V) -> np.ndarray:
     """The fibre velocity Ad_{g^{-1}}(V) - (Ad_{g^{-1}} - id)(omega(X)) that
     right translation by g gives a tangent (X, V) over the points x; the
     base direction X is unchanged. It is `total_form` at g with V in the
@@ -109,25 +109,24 @@ def modified_pushforward(p: TrivPrincipal, g, x, t: TotalTangent) -> np.ndarray:
     The closed form of the defining section route; the two are compared by
     `section_independence_rows`.
     """
-    return total_form(p.algebra, g, -one_form_on(p.lgb.omega, x, t.X), a=t.eta)
+    return total_form(p.algebra, g, -one_form_on(p.lgb.omega, x, X), a=V)
 
 
-def pushforward_via_section(p: TrivPrincipal, sigma, pt: TotalPoint,
-                            t: TotalTangent) -> np.ndarray:
+def pushforward_via_section(p: TrivPrincipal, sigma, x, g, X, V) -> np.ndarray:
     """Defining route of the pushed fibre velocity: differentiate right
     translation by the section, then subtract the fundamental vector of the
-    section's logarithmic derivative. `sigma` maps (..., n) points to
-    (..., r, r) matrices, as a `GSection` does, broadcast against the
-    leading axes of pt."""
-    alg, x = p.algebra, np.asarray(pt.x, dtype=float)
+    section's logarithmic derivative, for the tangent (X, V) at (x, g).
+    `sigma` maps (..., n) points to (..., r, r) matrices, as a `GSection`
+    does, broadcast against the leading axes of x."""
+    alg, x = p.algebra, np.asarray(x, dtype=float)
     h_step = p.chart.default_step()
 
     def curve(s):
-        return (pt.g @ group_exp(alg, s[..., None] * t.eta)) @ sigma(x + s[..., None] * t.X)
+        return (g @ group_exp(alg, s[..., None] * V)) @ sigma(x + s[..., None] * X)
 
-    body_dr = _body_stencil4(alg, curve, np.ndim(t.X) - 1, h=h_step)
+    body_dr = _body_stencil4(alg, curve, np.ndim(X) - 1, h=h_step)
     ds = _darboux_rows(p.lgb, x, h_step, sigma, "section")
-    return body_dr - sum(t.X[..., k, None] * ds[k] for k in range(len(ds)))
+    return body_dr - sum(X[..., k, None] * ds[k] for k in range(len(ds)))
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +139,8 @@ def section_independence_rows(p: TrivPrincipal, plan: SamplePlan) -> np.ndarray:
     pushforward, and both must agree with the closed form."""
     alg, n, d = p.algebra, p.chart.dim, p.algebra.dim
     x, (g,), probes = _sample(p, plan, 1, n + d)
-    pt = TotalPoint(x, np.broadcast_to(np.eye(alg.rep_dim), g.shape))
-    t = TotalTangent(*np.split(probes, [n], axis=-1))
+    identity = np.broadcast_to(np.eye(alg.rep_dim), g.shape)
+    X, V = np.split(probes, [n], axis=-1)
     slope = 0.2 * np.arange(1, d + 1)
 
     def const(Y):
@@ -150,9 +149,9 @@ def section_independence_rows(p: TrivPrincipal, plan: SamplePlan) -> np.ndarray:
     def tilted(Y):
         return group_exp(alg, slope * ((Y - x) @ np.full(n, 1.0 / n))[..., None]) @ g
 
-    via_const, via_tilted = (pushforward_via_section(p, s, pt, t) for s in (const, tilted))
-    return max_gap_rows(np.concatenate([via_const - via_tilted,
-                                        via_const - modified_pushforward(p, g, x, t)], axis=-1))
+    via = [pushforward_via_section(p, s, x, identity, X, V) for s in (const, tilted)]
+    closed = modified_pushforward(p, g, x, X, V)
+    return max_gap_rows(np.concatenate([via[0] - via[1], via[0] - closed], axis=-1))
 
 
 def action_differential_rows(p: TrivPrincipal, plan: SamplePlan) -> np.ndarray:
@@ -182,21 +181,20 @@ def equivariance_rows(p: TrivPrincipal, plan: SamplePlan) -> np.ndarray:
     its adjoint twist: A(r-hat(t)) = Ad_{g^{-1}} A(t)."""
     alg, n, d = p.algebra, p.chart.dim, p.algebra.dim
     x, (g, h), probes = _sample(p, plan, 2, n + d)
-    pt, t = TotalPoint(x, h), TotalTangent(*np.split(probes, [n], axis=-1))
-    pushed = TotalTangent(t.X, modified_pushforward(p, g, x, t))
-    lhs = connection_one_form(p, TotalPoint(x, h @ g), pushed)
+    X, V = np.split(probes, [n], axis=-1)
+    lhs = connection_one_form(p, x, h @ g, X, modified_pushforward(p, g, x, X, V))
     ad_g_inv = ad_matrix_of_group(alg, dagger(g))
-    return max_gap_rows(lhs - _act(ad_g_inv, connection_one_form(p, pt, t)))
+    return max_gap_rows(lhs - _act(ad_g_inv, connection_one_form(p, x, h, X, V)))
 
 
 def kernel_invariance_rows(p: TrivPrincipal, plan: SamplePlan) -> np.ndarray:
     """The pushforward must map the connection kernel into itself."""
     n, d = p.chart.dim, p.algebra.dim
     x, (g, h), _ = _sample(p, plan, 2, 0)
-    pt, X = TotalPoint(x, h), np.broadcast_to(np.eye(n), (len(x), n, n))
-    ker = TotalTangent(X, -connection_one_form(p, pt, TotalTangent(X, np.zeros(d))))
-    pushed = TotalTangent(X, modified_pushforward(p, g, x, ker))
-    return max_gap_rows(connection_one_form(p, TotalPoint(x, h @ g), pushed))
+    X = np.broadcast_to(np.eye(n), (len(x), n, n))
+    ker = -connection_one_form(p, x, h, X, np.zeros(d))
+    pushed = modified_pushforward(p, g, x, X, ker)
+    return max_gap_rows(connection_one_form(p, x, h @ g, X, pushed))
 
 
 def projection_commutation_rows(p: TrivPrincipal, plan: SamplePlan) -> np.ndarray:
@@ -205,12 +203,12 @@ def projection_commutation_rows(p: TrivPrincipal, plan: SamplePlan) -> np.ndarra
     (X, V - A(X, V)); the pushforward keeps X, so the gaps are in V alone."""
     n, d = p.chart.dim, p.algebra.dim
     x, (g, h), probes = _sample(p, plan, 2, n + d)
-    pt, t = TotalPoint(x, h), TotalTangent(*np.split(probes, [n], axis=-1))
-    pushed = TotalTangent(t.X, modified_pushforward(p, g, x, t))
-    v, v_img = (connection_one_form(p, pt, t),
-                connection_one_form(p, TotalPoint(x, h @ g), pushed))
-    vert = modified_pushforward(p, g, x, TotalTangent(np.zeros_like(t.X), v)) - v_img
-    horiz = modified_pushforward(p, g, x, TotalTangent(t.X, t.eta - v)) - (pushed.eta - v_img)
+    X, V = np.split(probes, [n], axis=-1)
+    pushed = modified_pushforward(p, g, x, X, V)
+    v, v_img = (connection_one_form(p, x, h, X, V),
+                connection_one_form(p, x, h @ g, X, pushed))
+    vert = modified_pushforward(p, g, x, np.zeros_like(X), v) - v_img
+    horiz = modified_pushforward(p, g, x, X, V - v) - (pushed - v_img)
     return max_gap_rows(np.concatenate([vert, horiz], axis=-1))
 
 
@@ -246,7 +244,7 @@ def mixed_bracket_rows(p: TrivPrincipal, nu: LieForm, plan: SamplePlan,
         return np.swapaxes((f[:, 1:N + 1] - f[:, N + 1:]) / (2 * fd_step), -1, -2)
 
     bracket = _act(jacobian(fund), lift[:, 0]) - _act(jacobian(lift), fund[:, 0])
-    got = connection_one_form(p, TotalPoint(x0, h0), TotalTangent(bracket[:, :n], bracket[:, n:]))
+    got = connection_one_form(p, x0, h0, bracket[:, :n], bracket[:, n:])
     return max_gap_rows(got - (X[:, None, :] @ induced_connection(p.lgb, nu, x0))[:, 0])
 
 
@@ -331,7 +329,7 @@ def field_strength_type_rows(p: TrivPrincipal, zeta: LieForm, plan: SamplePlan) 
     def push(t):
         X = t[..., :n]
         return np.concatenate([X, modified_pushforward(
-            p, g[:, None], x[:, None], TotalTangent(X, t[..., n:]))], axis=-1)
+            p, g[:, None], x[:, None], X, t[..., n:])], axis=-1)
 
     identity = np.broadcast_to(np.eye(alg.rep_dim, dtype=complex), g.shape)
     fs = total_field_strength(p, zeta, np.concatenate([x, x]), np.concatenate([identity, g]))
@@ -391,13 +389,13 @@ def gauge_transform_total(p: TrivPrincipal, tau: GSection, zeta: LieForm,
     def push_through_h(t):
         return np.concatenate([t[..., :n], t[..., n:] + dtau(t[..., :n])], axis=-1)
 
-    direct = connection_one_form(p, TotalPoint(x1, image[:, None]), TotalTangent(X, V + dtau(X)))
+    direct = connection_one_form(p, x1, image[:, None], X, V + dtau(X))
 
     def conj_curve(s):  # the conjugation section along s -> (x + sX, h exp(sV))
         hs = h[:, None] @ group_exp(alg, s[..., None] * V)
         return np.linalg.inv(hs) @ tau(x1 + s[..., None] * X) @ hs
 
-    base = connection_one_form(p, TotalPoint(x1, h[:, None]), TotalTangent(X, V))
+    base = connection_one_form(p, x1, h[:, None], X, V)
     formula = total_form(alg, sigma[:, None], one_form_on(p.lgb.omega, x1, X),
                          eta=_body_stencil4(alg, conj_curve, 2), a=base)
 

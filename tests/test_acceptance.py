@@ -9,14 +9,15 @@ import time
 import numpy as np
 import pytest
 
-from cym.algebra import su2, u1_su2
+from cym.algebra import ad_matrix_of_group, dagger, su2, u1_su2
 from cym.connection import LabConnection, potential_curvature
 from cym.forms import LieForm, PolyData, SamplePlan, form_from_poly, max_gap, zero_form
 from cym.gauge import GaugeScenario, bianchi_rows, field_redef_rows
 from cym.connection import check_compatibility, field_redefine
-from cym.harness import (SCENARIO_NAMES, algebra_kernel_residuals,
+from cym.harness import (GATE_PLAN, SCENARIO_NAMES, algebra_kernel_residuals,
                          builtin_scenario, run_suite)
-from cym.lgb import generalized_mc_rows, multiplicativity_rows
+from cym.lgb import (TrivLgb, generalized_mc_rows, multiplicativity_rows, one_form_on,
+                     total_form)
 
 PLAN64 = SamplePlan(count=64, seed=42)
 
@@ -88,14 +89,22 @@ def test_criterion_04_total_form_multiplicativity(full_runs):
         r = rows["total-form"].residual
         print(f"criterion 4 [{name}]: {r:.3e}")
         assert r < 1e-9
-    # a deliberately perturbed total form must fail loudly
+    # a deliberately perturbed total form must fail loudly: mu plus
+    # (Ad_{g^{-1}} - id) Ad_{g^{-1}} rho(X), which depends on the group element
     bundle = builtin_scenario("flat-su2")
-    pert = form_from_poly(2, 1, "algebra", (3,), PolyData(2, 1, (3,), {
+    rho = form_from_poly(2, 1, "algebra", (3,), PolyData(2, 1, (3,), {
         (0,): [(np.array([0.1, 0.0, 0.0]), np.array([1, 0])),
                (np.array([0.0, 0.0, 0.05]), np.array([0, 0]))]}),
         box=bundle.chart.box)
-    broken = max_gap(multiplicativity_rows(bundle.lgb, SamplePlan(count=8, seed=1),
-                                           perturbation=pert))
+
+    class PerturbedLgb(TrivLgb):
+        def mu_tot(self, x, g, X, eta):
+            twisted = ad_matrix_of_group(self.algebra, dagger(g)) @ one_form_on(
+                rho, x, X)[..., None]
+            return total_form(self.algebra, g, twisted[..., 0], eta=super().mu_tot(x, g, X, eta))
+
+    perturbed = PerturbedLgb(bundle.chart, bundle.algebra, bundle.omega)
+    broken = max_gap(multiplicativity_rows(perturbed, SamplePlan(count=8, seed=1)))
     print(f"criterion 4 [perturbed]: {broken:.3f}")
     assert broken > 1e-2
 
@@ -173,7 +182,10 @@ def test_criterion_09_differential_identity_both_routes(full_runs):
             LabConnection.from_omega(bundle.algebra,
                                      hide_derivatives(bundle.omega)),
             hide_derivatives(bundle.zeta),
-            hide_derivatives(bundle.gauge_field), gate_tol=1e-3)
+            hide_derivatives(bundle.gauge_field))
+        # the stencil pair is compatible to within 1e-3 on the gate's plan
+        rep = check_compatibility(s.nabla, s.zeta, s.chart, GATE_PLAN)
+        assert rep.derivation_residual <= 1e-3 and rep.curvature_residual <= 1e-3, name
         r = max_gap(bianchi_rows(s, PLAN64))
         print(f"criterion 9 [{name}] nested stencil: {r:.3e}")
         assert r < 1e-4

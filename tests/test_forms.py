@@ -341,8 +341,8 @@ def test_density_reads_each_field_strength_component_once(monkeypatch):
     reads = []
     field_strength = gauge.local_field_strength
 
-    def counted_field_strength(s, gate=True):
-        f = field_strength(s, gate)
+    def counted_field_strength(s):
+        f = field_strength(s)
 
         def counted(X):
             reads.append(len(X))

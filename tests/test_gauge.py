@@ -9,18 +9,20 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from cym.algebra import su2, u1
-from cym.connection import LabConnection, field_redefine, potential_curvature
+import cym.harness as harness
+from cym.connection import (COMPATIBILITY_TOL, LabConnection, check_compatibility,
+                            field_redefine, potential_curvature)
 from cym.forms import (LieForm, PolyData, SamplePlan, euclidean_chart,
                        form_from_components, form_from_poly, kappa_wedge_top,
-                       max_gap, minkowski_chart, zero_form)
-from cym.gauge import (CompatibilityGateError, GaugeScenario,
+                       max_gap, minkowski_chart, scale_form, zero_form)
+from cym.gauge import (GaugeScenario,
                        bianchi_rows, change_of_gauge,
                        density_gauge_invariance_rows,
                        density_infinitesimal_rows, field_redef_rows,
                        gauge_changed_potential, instanton_charge,
                        lagrangian_density, local_field_strength,
                        self_duality_rows)
-from cym.harness import builtin_scenario
+from cym.harness import GATE_PLAN, SUITES, builtin_scenario, run_suite
 from cym.lgb import GSection
 
 SU2, U1 = su2(), u1()
@@ -59,6 +61,8 @@ def abelian_scenario(c=0.7):
 # scenario validation and the compatibility gate
 # ---------------------------------------------------------------------------
 
+GATED = ("gauge-laws", "bianchi", "field-redef", "lagrangian", "charge")
+
 def test_gauge_field_degree_validated():
     with pytest.raises(ValueError, match="1-form"):
         GaugeScenario(CHART, SU2, LabConnection.from_omega(SU2, zero_form(2, 1, "algebra", (3,))),
@@ -80,42 +84,90 @@ def test_scenario_without_potential_has_no_lgb():
 
 
 def test_gate_passes_on_curvature_pair():
-    rep = curved_scenario().compatibility()
+    s = curved_scenario()
+    rep = check_compatibility(s.nabla, s.zeta, s.chart, GATE_PLAN)
     assert rep.derivation_residual < 1e-7
     assert rep.curvature_residual < 1e-7
     assert rep.passed
 
 
-def test_gate_trips_on_non_derivation_connection():
+def with_scenario(bundle, **changes):
+    """The bundle with its gauge scenario's fields replaced."""
+    return dataclasses.replace(bundle, scenario=dataclasses.replace(bundle.scenario, **changes))
+
+
+def gate_rows(report):
+    """suite -> [(check, residual, tolerance, per_point)] of each gated suite."""
+    return {suite.name: [(c.check, c.residual, c.tolerance, c.per_point) for c in suite.checks]
+            for suite in report.suites if suite.name in GATED}
+
+
+def test_gate_trips_on_non_derivation_connection(monkeypatch):
     bad = np.zeros((3, 3))
     bad[0, 0] = 1.0
     gamma = poly_form(2, 1, (3, 3), {(0,): [(bad, np.array([0, 0]))]},
                       target="endomorphism")
-    s = GaugeScenario(CHART, SU2, LabConnection(SU2, gamma),
-                      zero_form(2, 2, "algebra", (3,)), zero_form(2, 1, "algebra", (3,)))
-    with pytest.raises(CompatibilityGateError, match="derivation residual"):
-        local_field_strength(s)
+    bundle = with_scenario(builtin_scenario("flat-su2"), nabla=LabConnection(SU2, gamma))
+    rep = check_compatibility(bundle.scenario.nabla, bundle.zeta, bundle.chart, GATE_PLAN)
+    assert rep.derivation_residual > 0.5
+
+    def not_called(bundle, env):
+        raise AssertionError("a gated suite ran behind a failed gate")
+
+    for name in GATED:
+        anchor, applicable, _ = SUITES[name]
+        monkeypatch.setitem(SUITES, name, (anchor, applicable, not_called))
+    # the gate's bound is COMPATIBILITY_TOL whatever the tolerance scale
+    report = run_suite(bundle, "all", plan=SamplePlan(count=2, seed=1), tol_scale=1e9)
+    row = ("compatibility-gate", rep.derivation_residual, COMPATIBILITY_TOL,
+           [(-1, rep.derivation_residual)])
+    assert gate_rows(report) == {name: [row] for name in GATED if name != "charge"}
+    assert [s.name for s in report.suites if not s.passed] == [
+        "gauge-laws", "bianchi", "field-redef", "lagrangian"]
 
 
 def test_gate_trips_on_central_form_that_is_nan_at_one_gate_point():
-    s = curved_scenario()
-    x_bad = s.gate_plan.points(s.chart)[3]
+    bundle = builtin_scenario("flat-su2")
+    x_bad = GATE_PLAN.points(bundle.chart)[3]
 
-    def batch(X, clean=s.zeta.table):
+    def batch(X, clean=bundle.zeta.table):
         rows = np.where((X == x_bad).all(axis=1), np.nan, 1.0)
         return clean(X) * rows[:, None, None]
 
-    zeta = dataclasses.replace(s.zeta, batch=batch, poly=None)
-    bad = GaugeScenario(CHART, SU2, s.nabla, zeta, s.gauge_field)
-    with pytest.raises(CompatibilityGateError, match="curvature residual nan"):
-        bad.require_gate()
+    bad = with_scenario(bundle, zeta=dataclasses.replace(bundle.zeta, batch=batch, poly=None))
+    report = run_suite(bad, "bianchi", plan=SamplePlan(count=2, seed=1))
+    ((check, residual, tol, per_point),) = gate_rows(report)["bianchi"]
+    assert (check, tol) == ("compatibility-gate", COMPATIBILITY_TOL)
+    assert math.isnan(residual) and per_point[0][0] == -1 and math.isnan(per_point[0][1])
+    assert not report.passed
+    assert '"residual": "nan"' in report.to_json()
 
 
-def test_gate_report_shared_across_field_change():
-    s = curved_scenario()
-    first = s.compatibility()
-    s2 = s.with_gauge_field(zero_form(2, 1, "algebra", (3,)))
-    assert s2.compatibility() is first
+def test_gate_runs_once_per_run_suite_call(monkeypatch):
+    plans = []
+    inner = harness.check_compatibility
+
+    def counted(nabla, zeta, chart, plan):
+        plans.append(plan)
+        return inner(nabla, zeta, chart, plan)
+
+    monkeypatch.setattr(harness, "check_compatibility", counted)
+    bundle = builtin_scenario("bpst")
+    plan = SamplePlan(count=2, seed=1)
+    for suite, gates in (("all", 1), ("algebra", 0), ("charge", 1), ("field-redef", 1)):
+        plans.clear()
+        assert run_suite(bundle, suite, plan=plan).passed
+        assert plans.count(GATE_PLAN) == gates, suite
+    # the compatibility suite and the field-redef closure are checks of their own
+    plans.clear()
+    run_suite(bundle, "all", plan=plan)
+    assert plans == [plan, GATE_PLAN, plan]
+    # a failed gate is read once for all the gated suites
+    zeta = scale_form(bundle.zeta, 1.01)
+    plans.clear()
+    report = run_suite(with_scenario(bundle, zeta=zeta), "all", plan=plan)
+    assert plans == [plan, GATE_PLAN]
+    assert sorted(gate_rows(report)) == sorted(GATED)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +182,7 @@ def test_field_strength_frozen_value():
 
 
 def test_field_strength_of_vanishing_gauge_field_is_central_form():
-    s = curved_scenario().with_gauge_field(zero_form(2, 1, "algebra", (3,)))
+    s = dataclasses.replace(curved_scenario(), gauge_field=zero_form(2, 1, "algebra", (3,)))
     f = local_field_strength(s)
     rng = np.random.default_rng(4)
     for _ in range(5):
@@ -351,7 +403,7 @@ def test_charge_vanishes_for_single_component_field():
     zeta = form_from_components(4, 2, "algebra", (1,), comp, fd_step=1e-5)
     s = GaugeScenario(euclidean_chart(4, 5.0), U1,
                       LabConnection.from_omega(U1, zero_form(4, 1, "algebra", (1,))),
-                      zeta, zero_form(4, 1, "algebra", (1,)), gate_tol=1e9)
+                      zeta, zero_form(4, 1, "algebra", (1,)))
     assert instanton_charge(s, order=8) == 0.0
 
 
@@ -365,7 +417,7 @@ def test_charge_of_growing_integrand_is_huge():
     grow = form_from_components(4, 2, "algebra", (3,), comp, fd_step=1e-3)
     s = GaugeScenario(euclidean_chart(4, 1.0), SU2,
                       LabConnection.from_omega(SU2, zero_form(4, 1, "algebra", (3,))),
-                      grow, zero_form(4, 1, "algebra", (3,)), gate_tol=1e9)
+                      grow, zero_form(4, 1, "algebra", (3,)))
     assert abs(instanton_charge(s, order=4)) > 1e6
 
 
@@ -401,7 +453,7 @@ def bpst_with_gauge_field():
     a = poly_form(4, 1, (3,), {(0,): [(0.2 * E1, np.array([0, 1, 0, 0]))],
                                (2,): [(-0.1 * E3, np.array([0, 0, 0, 1]))],
                                (3,): [(0.3 * E2, np.zeros(4, dtype=int))]})
-    return s.with_gauge_field(a)
+    return dataclasses.replace(s, gauge_field=a)
 
 
 @pytest.mark.parametrize("build, order", [
@@ -438,7 +490,6 @@ def test_charge_reads_order_to_the_fourth_rows(monkeypatch):
 
 def test_charge_makes_no_per_point_component_calls():
     s = builtin_scenario("bpst").scenario
-    s.require_gate()
     zeta = s.zeta
     calls = []
     inner = zeta.components

@@ -1,5 +1,6 @@
 """Scenario registry, scenario-file ingestion, suite runner, report
 determinism, and the command-line wrapper."""
+import copy
 import dataclasses
 import importlib
 import json
@@ -18,15 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cym
-from cym.algebra import VarietyError, ad_matrix_c, algebra_to_dict, group_exp, su2, u1
+from cym.algebra import (VARIETY_TOL, VarietyError, ad_matrix_c, algebra_to_dict,
+                         group_exp, su2, u1)
 from cym.cli import main as cli_main
-from cym.connection import ad_mapped_form, curvature, cov_ext_deriv, field_redefine
+from cym.connection import (ad_mapped_form, check_compatibility, curvature,
+                            cov_ext_deriv, field_redefine)
 from cym.forms import (PolyData, SamplePlan, add_forms, bracket_pairing,
                        exterior_derivative, form_from_components, graded_product,
                        increasing_indices, max_gap, zero_form)
 from cym.gauge import (GaugeScenario, change_of_gauge, instanton_charge,
                        local_field_strength)
-from cym.harness import (SCENARIO_NAMES, SUITES, CheckRow, RunEnv, ScenarioError,
+from cym.harness import (GATE_PLAN, SCENARIO_NAMES, SUITES, CheckRow, RunEnv,
+                         ScenarioError,
                          SuiteReport, VerificationReport,
                          algebra_kernel_residuals, bpst_central_form,
                          bpst_potential, builtin_scenario, load_scenario,
@@ -34,7 +38,7 @@ from cym.harness import (SCENARIO_NAMES, SUITES, CheckRow, RunEnv, ScenarioError
                          scenario_to_dict, suite_names, _plan_rows,
                          _random_section_pairs)
 from cym.lgb import GSection, TrivLgb, generalized_mc_rows
-from cym.principal import TrivPrincipal
+from cym.principal import TrivPrincipal, gauge_transform_total
 
 QUICK = SamplePlan(count=4, seed=7)
 
@@ -70,8 +74,8 @@ def custom_u1(**changes):
 def test_builtin_scenarios_construct_and_gate(name):
     bundle = builtin_scenario(name)
     assert bundle.name == name
-    report = bundle.scenario.compatibility()
-    assert report.passed
+    s = bundle.scenario
+    assert check_compatibility(s.nabla, s.zeta, s.chart, GATE_PLAN).passed
     assert "identity" in bundle.sections
     assert "identity" in bundle.automorphisms
 
@@ -225,6 +229,10 @@ def test_jacobi_violation_rejected_naming_triple():
      "chart.half: must be a finite number greater than 0"),
     (lambda d: d.__setitem__("chart", {"dim": 2, "half": math.nan}),
      "chart.half: .*, got nan"),
+    (lambda d: d.__setitem__("chart", {"dim": 2, "half": 1e308}),
+     "chart.half: the box width 2 \\* half overflows, got 1e\\+308"),
+    (lambda d: d.__setitem__("chart", {"dim": 10 ** 30, "half": 1.0}),
+     "chart.dim: at most 16 axes, got 10+$"),
     (lambda d: d.__setitem__("chart", {"dim": "two", "half": 1.0}),
      "chart.dim: must be an integer"),
     (lambda d: d.__setitem__("chart", {"dim": 2.9, "half": 1.0}),
@@ -283,6 +291,16 @@ def test_jacobi_violation_rejected_naming_triple():
         "degree": 0, "terms": {"": [{"coeffs": [math.nan],
                                      "exponents": [0, 0]}]}}}}),
      "sections.generic: polynomial coefficients must be finite"),
+    (lambda d: d["forms"]["omega"]["terms"]["0"][0].__setitem__("coeffs", ["1"]),
+     "forms.omega: polynomial coefficients must be finite numbers, got '1'"),
+    (lambda d: d["forms"]["omega"]["terms"]["0"][0].__setitem__("coeffs", [True]),
+     "forms.omega: polynomial coefficients must be finite numbers, got True"),
+    (lambda d: d.__setitem__("sections", {"generic": {"exp_coeffs": {
+        "degree": 0, "terms": {"": [{"coeffs": ["1"], "exponents": [0, 0]}]}}}}),
+     "sections.generic: polynomial coefficients must be finite numbers, got '1'"),
+    (lambda d: d.__setitem__("sections", {"generic": {"exp_coeffs": {
+        "degree": 0, "terms": {"": [{"coeffs": [True], "exponents": [0, 0]}]}}}}),
+     "sections.generic: polynomial coefficients must be finite numbers, got True"),
     (lambda d: d.__setitem__("plan", {"count": 0}),
      "plan: count must be a positive integer"),
     (lambda d: d.__setitem__("chart", {"dim": 1, "half": 1.0}),
@@ -406,6 +424,43 @@ def test_negative_plan_seed_in_a_file_names_the_field():
     blob["plan"] = {"tangent_probes": 2.5}
     with pytest.raises(ScenarioError, match="plan: tangent_probes must be an integer"):
         scenario_from_dict(blob)
+
+
+PROBE_VALUES = (0, -1, 1e3, 1e6, 1e308, 10 ** 30, math.inf, -math.inf, math.nan, "1", True,
+                None, [], {})
+MUTATION_BLOBS = {name: scenario_to_dict(builtin_scenario(name))
+                  for name in ("flat-su2", "preclassical-u1su2", "random-curved")}
+
+
+def leaf_paths(value, path=()):
+    """The key paths to the leaves of a JSON blob: its scalars and its empty
+    lists and objects."""
+    if isinstance(value, (dict, list)) and value:
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [leaf for key, v in items for leaf in leaf_paths(v, path + (key,))]
+    return [path]
+
+
+MUTATION_LEAVES = [(name, path) for name, blob in MUTATION_BLOBS.items()
+                   for path in leaf_paths(blob)]
+
+
+@given(st.sampled_from(MUTATION_LEAVES), st.sampled_from(PROBE_VALUES))
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_every_single_leaf_mutation_ends_in_a_report_or_a_scenario_error(leaf, value):
+    name, path = leaf
+    blob = copy.deepcopy(MUTATION_BLOBS[name])
+    node = blob
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        bundle = scenario_from_dict(blob)
+    except ScenarioError:
+        return
+    with np.errstate(all="ignore"):  # huge values overflow into NaN rows, as they should
+        report = run_suite(bundle, "all", plan=SamplePlan(count=2, seed=1))
+    assert json.loads(report.to_json())["suites"]
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +724,7 @@ def reference_rows(bundle, points):
     rhs = cov_ext_deriv(s.nabla, s.zeta)
     shifted = field_redefine(s.nabla, s.zeta, s.gauge_field, bundle.shift)
     f_after = local_field_strength(GaugeScenario(
-        s.chart, s.algebra, shifted.nabla, shifted.zeta, shifted.gauge_field),
-        gate=False)
+        s.chart, s.algebra, shifted.nabla, shifted.zeta, shifted.gauge_field))
 
     def gaps(a, b):
         return [max(float(np.abs(a.components(x, idx) - b.components(x, idx)).max())
@@ -832,6 +886,15 @@ def test_nan_section_at_any_sample_point_is_a_nan_row_of_each_section_check():
                 assert row.per_point == clean[key].per_point, key
 
 
+def assert_watchdog_row(report, bound):
+    """The report's one suite failed with the global NaN row `watchdog`."""
+    (suite,) = report.suites
+    ((check, residual, tolerance, per_point),) = [
+        (c.check, c.residual, c.tolerance, c.per_point) for c in suite.checks]
+    assert (check, tolerance, per_point[0][0]) == ("watchdog", bound, -1)
+    assert math.isnan(residual) and math.isnan(per_point[0][1]) and not report.passed
+
+
 def test_finite_off_variety_section_row_still_raises():
     bundle = builtin_scenario("flat-su2")
     bad_point = NAN_PLAN.points(bundle.chart)[2]
@@ -842,9 +905,11 @@ def test_finite_off_variety_section_row_still_raises():
 
     broken = dataclasses.replace(bundle, sections=dict(
         bundle.sections, generic=GSection(bundle.algebra, doubled, "generic")))
+    with pytest.raises(VarietyError, match="off the group variety"):
+        change_of_gauge(broken.scenario, broken.sections["generic"], NAN_PLAN)
+    # run_suite reports the watchdog as its suite's one failing row
     for suite in SECTION_SUITES:
-        with pytest.raises(VarietyError, match="off the group variety"):
-            run_suite(broken, suite, plan=NAN_PLAN)
+        assert_watchdog_row(run_suite(broken, suite, plan=NAN_PLAN), VARIETY_TOL)
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
@@ -997,7 +1062,9 @@ def test_finite_off_variety_automorphism_row_still_raises():
     broken = dataclasses.replace(bundle, automorphisms=dict(
         bundle.automorphisms, generic=GSection(bundle.algebra, doubled, "generic")))
     with pytest.raises(VarietyError, match="off the group variety"):
-        run_suite(broken, "gauge-laws", plan=NAN_PLAN)
+        gauge_transform_total(broken.principal, broken.automorphisms["generic"],
+                              broken.zeta, NAN_PLAN)
+    assert_watchdog_row(run_suite(broken, "gauge-laws", plan=NAN_PLAN), VARIETY_TOL)
 
 
 @pytest.mark.parametrize("name", ["bpst", "random-curved"])
@@ -1131,6 +1198,14 @@ def test_cli_rejects_a_negative_seed_in_a_scenario_file(tmp_path, capsys):
 @pytest.mark.parametrize("field, mutate", [
     ("forms.omega", lambda d: d["forms"]["omega"]["terms"]["0"][0].__setitem__(
         "coeffs", [math.nan, 0.0, 0.0])),
+    pytest.param("forms.omega", lambda d: d["forms"]["omega"]["terms"]["0"][0].__setitem__(
+        "coeffs", ["1", 0.0, 0.0]), id="forms.omega-string-coefficient"),
+    pytest.param("forms.omega", lambda d: d["forms"]["omega"]["terms"]["0"][0].__setitem__(
+        "coeffs", [True, 0.0, 0.0]), id="forms.omega-bool-coefficient"),
+    pytest.param("sections.generic", lambda d: d["sections"]["generic"]["exp_coeffs"][
+        "terms"][""][0]["coeffs"].__setitem__(0, "1"), id="sections.generic-string-coefficient"),
+    pytest.param("sections.generic", lambda d: d["sections"]["generic"]["exp_coeffs"][
+        "terms"][""][0]["coeffs"].__setitem__(0, True), id="sections.generic-bool-coefficient"),
     ("chart.orientation", lambda d: d["chart"].__setitem__("orientation", 0)),
     ("chart.dim", lambda d: d["chart"].__setitem__("dim", "two")),
     ("chart.half", lambda d: d["chart"].__setitem__("half", math.nan)),
@@ -1150,6 +1225,42 @@ def test_cli_rejects_malformed_scenario_file(tmp_path, capsys, field, mutate):
     assert cli_main(["verify", "--scenario", str(path),
                      "--suite", "gauge-laws"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def scale_zeta(blob, factor=1.01):
+    for rows in blob["forms"]["zeta"]["terms"].values():
+        for term in rows:
+            term["coeffs"] = [factor * c for c in term["coeffs"]]
+
+
+def drift_twist(blob):  # finite at the chart centre, off the variety on the stencil
+    blob["automorphisms"]["twist"]["exp_coeffs"]["terms"][""][2]["coeffs"][0] = 1e6
+
+
+GATE_ROW = ["compatibility-gate"]
+
+
+@pytest.mark.parametrize("mutate, failing", [
+    (scale_zeta, {"compatibility": ["curvature"],
+                  "generalized-mc": ["total-space", "pullback"],
+                  "structure-equation": ["adjoint-type"], "gauge-laws": GATE_ROW,
+                  "bianchi": GATE_ROW, "field-redef": GATE_ROW, "lagrangian": GATE_ROW}),
+    (drift_twist, {"gauge-laws": ["watchdog"]}),
+])
+def test_cli_reports_a_failed_gate_or_watchdog_as_failing_rows(tmp_path, capsys, mutate,
+                                                               failing):
+    path, report = tmp_path / "s.json", tmp_path / "r.json"
+    save_scenario(builtin_scenario("random-curved"), path)
+    blob = json.loads(path.read_text())
+    mutate(blob)
+    path.write_text(json.dumps(blob))
+    assert cli_main(["verify", "--scenario", str(path), "--suite", "all", "--points", "4",
+                     "--report", str(report)]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith("random-curved: checks FAILED\n")
+    written = json.loads(report.read_text())
+    assert {suite["name"]: [c["check"] for c in suite["checks"] if not c["pass"]]
+            for suite in written["suites"] if not suite["pass"]} == failing
 
 
 def test_cli_scenario_file_runs(tmp_path):

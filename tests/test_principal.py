@@ -10,8 +10,7 @@ from cym.forms import (PolyData, SamplePlan, add_forms, bracket_pairing,
                        euclidean_chart, form_from_components, form_from_poly,
                        graded_product, max_gap, scale_form, zero_form)
 from cym.harness import builtin_scenario
-from cym.lgb import (GSection, TotalPoint, TotalTangent, TrivLgb, dexp_body,
-                     total_form_rows)
+from cym.lgb import GSection, TrivLgb, dexp_body, total_form_rows
 from cym.principal import (TrivPrincipal, _body_stencil4,
                            action_differential_rows, connection_one_form,
                            equivariance_rows, field_strength_type_rows,
@@ -57,34 +56,33 @@ def test_connection_form_identity_on_vertical():
     p = make_bundle()
     rng = np.random.default_rng(1)
     for _ in range(5):
-        pt = TotalPoint(rng.uniform(-0.9, 0.9, size=2), group_sample(ALG, rng))
+        x, h = rng.uniform(-0.9, 0.9, size=2), group_sample(ALG, rng)
         nu = rng.normal(size=3)
-        got = connection_one_form(p, pt, TotalTangent(np.zeros(2), nu))
+        got = connection_one_form(p, x, h, np.zeros(2), nu)
         assert np.array_equal(got, nu)
 
 
 def test_connection_form_at_identity_gauge():
     p = make_bundle()
-    pt = TotalPoint(np.array([0.3, -0.2]), IDENTITY)
-    t = TotalTangent(np.array([1.0, 2.0]), np.array([0.1, 0.2, 0.3]))
-    a = p.a_local.components(pt.x, (0,)) + 2.0 * p.a_local.components(pt.x, (1,))
-    assert np.abs(connection_one_form(p, pt, t) - (t.eta + a)).max() < 1e-15
+    x, X, V = np.array([0.3, -0.2]), np.array([1.0, 2.0]), np.array([0.1, 0.2, 0.3])
+    a = p.a_local.components(x, (0,)) + 2.0 * p.a_local.components(x, (1,))
+    assert np.abs(connection_one_form(p, x, IDENTITY, X, V) - (V + a)).max() < 1e-15
 
 
 def test_connection_form_kernel_without_gauge_field():
     p = make_bundle(with_a=False)
-    pt = TotalPoint(np.array([0.4, 0.1]), IDENTITY)
-    t = TotalTangent(np.array([1.0, -1.0]), np.zeros(3))
-    assert np.abs(connection_one_form(p, pt, t)).max() == 0.0
+    got = connection_one_form(p, np.array([0.4, 0.1]), IDENTITY, np.array([1.0, -1.0]),
+                              np.zeros(3))
+    assert np.abs(got).max() == 0.0
 
 
 def test_connection_form_without_gauge_field_is_mu_tot_bit_for_bit():
     p = make_bundle(with_a=False)
     rng = np.random.default_rng(12)
-    pt = TotalPoint(rng.uniform(-0.9, 0.9, size=(5, 2)),
-                    np.array([group_sample(ALG, rng) for _ in range(5)]))
-    t = TotalTangent(rng.normal(size=(5, 2)), rng.normal(size=(5, 3)))
-    assert np.array_equal(connection_one_form(p, pt, t), p.lgb.mu_tot(pt, t))
+    x = rng.uniform(-0.9, 0.9, size=(5, 2))
+    h = np.array([group_sample(ALG, rng) for _ in range(5)])
+    X, V = rng.normal(size=(5, 2)), rng.normal(size=(5, 3))
+    assert np.array_equal(connection_one_form(p, x, h, X, V), p.lgb.mu_tot(x, h, X, V))
 
 
 def test_bundle_rejects_wrong_degree_gauge_field():
@@ -101,9 +99,9 @@ def test_pushforward_classical_on_vertical_inputs():
     p = make_bundle()
     rng = np.random.default_rng(2)
     g = group_sample(ALG, rng)
-    pt = TotalPoint(np.array([0.2, 0.4]), group_sample(ALG, rng))
+    group_sample(ALG, rng)  # the fibre point, which the pushforward does not read
     nu = rng.normal(size=3)
-    out = modified_pushforward(p, g, pt.x, TotalTangent(np.zeros(2), nu))
+    out = modified_pushforward(p, g, np.array([0.2, 0.4]), np.zeros(2), nu)
     want = ad_matrix_of_group(ALG, g.conj().T) @ nu
     assert np.array_equal(out, want)
 
@@ -112,10 +110,10 @@ def test_pushforward_classical_when_omega_vanishes():
     p = make_bundle(with_omega=False)
     rng = np.random.default_rng(3)
     g = group_sample(ALG, rng)
-    pt = TotalPoint(np.array([0.2, 0.4]), group_sample(ALG, rng))
-    t = TotalTangent(rng.normal(size=2), rng.normal(size=3))
-    out = modified_pushforward(p, g, pt.x, t)
-    want = ad_matrix_of_group(ALG, g.conj().T) @ t.eta
+    group_sample(ALG, rng)  # the fibre point, which the pushforward does not read
+    X, V = rng.normal(size=2), rng.normal(size=3)
+    out = modified_pushforward(p, g, np.array([0.2, 0.4]), X, V)
+    want = ad_matrix_of_group(ALG, g.conj().T) @ V
     assert np.abs(out - want).max() < 1e-12
 
 
@@ -123,18 +121,18 @@ def test_pushforward_section_routes_agree():
     p = make_bundle()
     rng = np.random.default_rng(4)
     g = group_sample(ALG, rng)
-    pt = TotalPoint(np.array([0.2, 0.4]), group_sample(ALG, rng))
-    t = TotalTangent(rng.normal(size=2), rng.normal(size=3))
-    closed = modified_pushforward(p, g, pt.x, t)
+    x, h = np.array([0.2, 0.4]), group_sample(ALG, rng)
+    X, V = rng.normal(size=2), rng.normal(size=3)
+    closed = modified_pushforward(p, g, x, X, V)
     flat = GSection.constant(ALG, g)
 
-    def tilted_stack(Y):  # g tilted along e1, linearly in the offset from pt.x
-        c = 0.3 * (Y[..., 0] - pt.x[0]) + 0.1 * (Y[..., 1] - pt.x[1])
+    def tilted_stack(Y):  # g tilted along e1, linearly in the offset from x
+        c = 0.3 * (Y[..., 0] - x[0]) + 0.1 * (Y[..., 1] - x[1])
         return scipy_expm(ALG.rep_of(c[..., None] * np.eye(3)[0])) @ g
 
     tilted = GSection(ALG, tilted_stack, name="tilted")
-    via_flat = pushforward_via_section(p, flat, pt, t)
-    via_tilted = pushforward_via_section(p, tilted, pt, t)
+    via_flat = pushforward_via_section(p, flat, x, h, X, V)
+    via_tilted = pushforward_via_section(p, tilted, x, h, X, V)
     assert np.abs(via_flat - via_tilted).max() < 1e-8
     assert np.abs(via_flat - closed).max() < 1e-8
 
@@ -146,10 +144,9 @@ def test_pushforward_by_inverse_at_image_inverts_it():
     rng = np.random.default_rng(6)
     for _ in range(4):
         x, g = rng.uniform(-0.9, 0.9, size=2), group_sample(ALG, rng)
-        t = TotalTangent(rng.normal(size=2), rng.normal(size=3))
-        pushed = TotalTangent(t.X, modified_pushforward(p, g, x, t))
-        back = modified_pushforward(p, g.conj().T, x, pushed)
-        assert np.abs(back - t.eta).max() < 1e-12
+        X, eta = rng.normal(size=2), rng.normal(size=3)
+        back = modified_pushforward(p, g.conj().T, x, X, modified_pushforward(p, g, x, X, eta))
+        assert np.abs(back - eta).max() < 1e-12
 
 
 def test_body_stencil_rejects_a_curve_off_the_variety():
@@ -298,9 +295,9 @@ def test_total_form_rows_are_the_connection_form_and_dexp_at_each_offset():
     rows = total_form_rows(p.lgb, x0, h0, uv, a=p.a_local)
     for i in range(3):
         for m, (u, v) in enumerate((row[:n], row[n:]) for row in uv):
-            pt = TotalPoint(x0[i] + u, h0[i] @ expm(alg.rep_of(v)))
+            x, h = x0[i] + u, h0[i] @ expm(alg.rep_of(v))
             for k in range(n):
-                got = connection_one_form(p, pt, TotalTangent(np.eye(n)[k], np.zeros(d)))
+                got = connection_one_form(p, x, h, np.eye(n)[k], np.zeros(d))
                 assert np.array_equal(rows[i, m, k], got)
             for j in range(d):
                 assert np.array_equal(rows[i, m, n + j], dexp_body(alg, v, np.eye(d)[j]))
@@ -332,7 +329,7 @@ def test_constant_multiplier_without_omega_twists_by_adjoint():
     x = np.array([0.4, 0.2])
     ad_inv = ad_matrix_of_group(ALG, g.conj().T)
     for k in range(2):
-        got = connection_one_form(p, TotalPoint(x, g), TotalTangent(np.eye(2)[k], np.zeros(3)))
+        got = connection_one_form(p, x, g, np.eye(2)[k], np.zeros(3))
         want = ad_inv @ p.a_local.components(x, (k,))
         assert np.abs(got - want).max() < 1e-9
 
