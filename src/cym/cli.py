@@ -16,6 +16,8 @@ import dataclasses
 import functools
 import sys
 
+import numpy as np
+
 from .harness import (SCENARIO_NAMES, ScenarioError, builtin_scenario,
                       load_scenario, require_finite_positive, run_suite,
                       suite_names)
@@ -63,6 +65,7 @@ def _resolve_scenario(token: str):
     return load_scenario(token)
 
 
+@np.errstate(all="ignore")  # an overflow or a NaN is a failing row, not a warning
 def _cmd_verify(args) -> int:
     for flag, value in (("--tol-scale", args.tol_scale), ("--h", args.h),
                         ("--h2", args.h2)):

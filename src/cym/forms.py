@@ -187,7 +187,8 @@ class PolyData:
                 c, e = np.asarray(c, dtype=float), np.asarray(e, dtype=int)
                 key = (c.shape, e.tobytes())  # unequal shapes stay apart, to be rejected
                 merged[key] = (merged[key][0] + c, e) if key in merged else (c, e)
-            cleaned = [(c, e) for c, e in merged.values() if np.abs(c).max() != 0.0]
+            cleaned = [(c, e) for c, e in merged.values()  # a NaN is nonzero; max raises on []
+                       if np.count_nonzero(c) or not c.size and np.abs(c).max()]
             if cleaned:
                 self.terms[tuple(idx)] = cleaned
 
@@ -249,6 +250,7 @@ class PolyData:
             if acc:
                 new[J] = acc
         return PolyData(self.n, self.degree + 1, self.value_shape, new)
+    _d = cached_property(d)  # what a form differentiates by, built at its first read
 
     def combine(self, other, alpha=1.0, beta=1.0) -> "PolyData":
         terms = {}
@@ -368,10 +370,9 @@ def zero_form(n, degree, value_target, value_shape, box=None) -> LieForm:
 
 def form_from_poly(n, degree, value_target, value_shape, poly: PolyData,
                    box=None, fd_step=1e-5) -> LieForm:
-    d = cache(poly.d)  # built at the first read of the derivative
     return LieForm(n=n, degree=degree, value_target=value_target,
                    value_shape=tuple(value_shape), batch=poly.table,
-                   analytic_d=lambda X: d().table(X), fd_step=fd_step, box=box, poly=poly)
+                   analytic_d=lambda X: poly._d.table(X), fd_step=fd_step, box=box, poly=poly)
 
 
 def add_forms(a: LieForm, b: LieForm, alpha=1.0, beta=1.0) -> LieForm:
@@ -445,7 +446,7 @@ def exterior_derivative(f: LieForm) -> LieForm:
         return zero_form(n, min(k + 1, n), f.value_target, f.value_shape, box=f.box)
     if f.poly is not None:
         return form_from_poly(n, k + 1, f.value_target, f.value_shape,
-                              f.poly.d(), box=f.box, fd_step=f.fd_step)
+                              f.poly._d, box=f.box, fd_step=f.fd_step)
     if f.analytic_d is not None:
         zeros = (math.comb(n, k + 2),) + f.value_shape
         return LieForm(n=n, degree=k + 1, value_target=f.value_target,

@@ -12,6 +12,7 @@ verified law lives in exactly one table.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -449,26 +450,25 @@ def _chart_from_dict(blob) -> Chart:
     return euclidean_chart(dim, half=half, orientation=orientation)
 
 
-def _poly_from_blob(field_name, blob, n, dim) -> PolyData:
-    try:
-        poly = PolyData.from_json(n, (dim,), blob)
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{field_name}: malformed polynomial payload "
-                            f"({exc})") from None
-    # the number rule of `_finite_real`, on the blob's own values: a bool or a
-    # string is no coefficient, and no residual survives a NaN or an Infinity
-    for term in (t for rows in blob.get("terms", {}).values() for t in rows):
-        for c in np.asarray(term["coeffs"], dtype=object).ravel():
-            if isinstance(c, bool) or not isinstance(c, Real) or not math.isfinite(c):
-                raise ScenarioError(f"{field_name}: polynomial coefficients must be "
-                                    f"finite numbers, got {c!r}")
-    return poly
-
-
-def _form_from_blob(field_name, blob, n, dim, degree) -> LieForm:
+def _poly_from_blob(field_name, blob, n, dim, degree) -> PolyData:
+    """The payload of a degree-`degree` form blob, checked in one pass."""
     if not isinstance(blob, dict):
         raise ScenarioError(f"{field_name}: must be a polynomial-form object")
-    poly = _poly_from_blob(field_name, blob, n, dim)
+    try:
+        poly = PolyData.from_json(n, (dim,), blob)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{field_name}: malformed polynomial payload "
+                            f"({exc})") from None
+    # `_finite_real`'s number rule on the blob's own values: no bool, string, NaN or Infinity
+    # is a coefficient; the floats and ints JSON gives skip the slower abstract-class check
+    for term in (t for rows in blob.get("terms", {}).values() for t in rows):
+        coeffs = term["coeffs"]
+        plain = type(coeffs) is list and all(type(c) in (float, int) for c in coeffs)
+        for c in coeffs if plain else np.asarray(coeffs, dtype=object).ravel():
+            if not (plain or isinstance(c, Real) and not isinstance(c, bool)) \
+                    or not math.isfinite(c):
+                raise ScenarioError(f"{field_name}: polynomial coefficients must be "
+                                    f"finite numbers, got {c!r}")
     if poly.degree != degree:
         raise ScenarioError(f"{field_name}: expected a degree-{degree} form, "
                             f"got degree {poly.degree}")
@@ -484,10 +484,15 @@ def _form_from_blob(field_name, blob, n, dim, degree) -> LieForm:
                 raise ScenarioError(f"{field_name}: coefficient shape "
                                     f"{coeff.shape} does not match the "
                                     f"algebra dimension {dim}")
-            if expo.shape != (n,) or (expo < 0).any():
+            if expo.shape != (n,) or min(expo.tolist()) < 0:
                 raise ScenarioError(f"{field_name}: exponent vector {expo} "
                                     f"must be {n} non-negative integers")
-    return form_from_poly(n, degree, "algebra", (dim,), poly)
+    return poly
+
+
+def _form_from_blob(field_name, blob, chart, dim, degree) -> LieForm:
+    poly = _poly_from_blob(field_name, blob, chart.dim, dim, degree)
+    return form_from_poly(chart.dim, degree, "algebra", (dim,), poly, box=chart.box)
 
 
 def _coeff_polys_from_dict(field_name, blob, n, dim) -> dict:
@@ -500,8 +505,8 @@ def _coeff_polys_from_dict(field_name, blob, n, dim) -> dict:
         if not isinstance(entry, dict) or "exp_coeffs" not in entry:
             raise ScenarioError(f"{field_name}.{name}: needs an 'exp_coeffs' "
                                 "polynomial")
-        out[name] = _form_from_blob(f"{field_name}.{name}", entry["exp_coeffs"],
-                                    n, dim, 0).poly
+        out[name] = _poly_from_blob(f"{field_name}.{name}", entry["exp_coeffs"],
+                                    n, dim, 0)
     return out
 
 
@@ -528,8 +533,7 @@ def scenario_from_dict(data, source="<dict>") -> ScenarioBundle:
         raise ScenarioError("forms: must be an object")
     if "omega" not in forms:
         raise ScenarioError("forms.omega: missing")
-    omega = _form_from_blob("forms.omega", forms["omega"], n, dim, 1)
-    omega.box = chart.box
+    omega = _form_from_blob("forms.omega", forms["omega"], chart, dim, 1)
 
     if "zeta" not in forms:
         raise ScenarioError("forms.zeta: missing (give a 2-form or the "
@@ -537,20 +541,16 @@ def scenario_from_dict(data, source="<dict>") -> ScenarioBundle:
     if forms["zeta"] == "curvature-of-omega":
         zeta = potential_curvature(alg, omega)
     else:
-        zeta = _form_from_blob("forms.zeta", forms["zeta"], n, dim, 2)
-    zeta.box = chart.box
+        zeta = _form_from_blob("forms.zeta", forms["zeta"], chart, dim, 2)
 
     if "A" not in forms:
         raise ScenarioError("forms.A: missing")
-    a = _form_from_blob("forms.A", forms["A"], n, dim, 1)
-    a.box = chart.box
+    a = _form_from_blob("forms.A", forms["A"], chart, dim, 1)
 
-    shift = (_form_from_blob("forms.lambda", forms["lambda"], n, dim, 1)
-             if "lambda" in forms else zero_form(n, 1, "algebra", (dim,),
-                                                 box=chart.box))
-    generator = (_form_from_blob("forms.epsilon", forms["epsilon"], n, dim, 0)
-                 if "epsilon" in forms else zero_form(n, 0, "algebra", (dim,),
-                                                      box=chart.box))
+    # a missing shift or generator is the zero form
+    shift = _form_from_blob("forms.lambda", forms.get("lambda", {"degree": 1}), chart, dim, 1)
+    generator = _form_from_blob("forms.epsilon", forms.get("epsilon", {"degree": 0}),
+                                chart, dim, 0)
 
     section_polys = _coeff_polys_from_dict("sections", data.get("sections"), n, dim)
     auto_polys = _coeff_polys_from_dict("automorphisms",
@@ -590,8 +590,9 @@ def scenario_from_dict(data, source="<dict>") -> ScenarioBundle:
     named = [(f"{label}.{key}", poly) for label, polys in (
         ("sections", bundle.section_polys), ("automorphisms", bundle.automorphism_polys))
         for key, poly in polys.items()]
-    center = chart.box.mean(axis=1)[None]
-    coeffs = np.array([poly.table(center)[0, 0] for _, poly in named])
+    center = chart.box.mean(axis=1).tolist()
+    coeffs = np.array([sum((c * math.prod(map(pow, center, e.tolist())) for c, e in
+                            poly.terms.get((), ())), np.zeros(dim)) for _, poly in named])
     for (label, _), resid in zip(named, variety_residual(alg, group_exp(alg, coeffs))):
         if math.isfinite(resid) and resid > VARIETY_TOL:
             raise ScenarioError(f"{label}: matrix off the group variety by {resid:.3e}")
@@ -731,10 +732,15 @@ class VerificationReport:
                     yield (suite.name, check.check, point, repr(residual))
 
     def write_csv(self, path):
+        """`csv_rows` under a header, as `csv.writer` writes them; a check's
+        quoted `suite,check,` prefix is rendered once for all its points."""
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["suite", "check", "point", "residual"])
-            writer.writerows(self.csv_rows())
+            fh.write("suite,check,point,residual\r\n")
+            for suite, check in ((s, c) for s in self.suites for c in s.checks):
+                line = io.StringIO()
+                csv.writer(line).writerow((suite.name, check.check, ""))
+                prefix = line.getvalue()[:-2]  # less its "\r\n"
+                fh.write("".join(f"{prefix}{p},{r!r}\r\n" for p, r in check.per_point))
 
 
 # ---------------------------------------------------------------------------

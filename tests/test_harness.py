@@ -1,8 +1,10 @@
 """Scenario registry, scenario-file ingestion, suite runner, report
 determinism, and the command-line wrapper."""
 import copy
+import csv
 import dataclasses
 import importlib
+import io
 import json
 import math
 import os
@@ -269,6 +271,8 @@ def test_jacobi_violation_rejected_naming_triple():
      "forms.omega: malformed polynomial payload"),
     (lambda d: d["forms"]["A"].__setitem__("terms", []),
      "forms.A: malformed polynomial payload"),
+    (lambda d: d["forms"]["A"]["terms"]["1"].__setitem__(0, np.float32(0.25)),
+     "forms.A: malformed polynomial payload"),
     (lambda d: d.__setitem__("chart", {"dim": 2, "half": 1.0,
                                        "orientation": 0}),
      r"chart.orientation: must be \+1 or -1"),
@@ -318,6 +322,23 @@ def test_malformed_scenarios_name_the_field(mutate, message):
     blob = scenario_blob()
     mutate(blob)
     with pytest.raises(ScenarioError, match=message):
+        scenario_from_dict(blob)
+
+
+@pytest.mark.parametrize("coeff", [np.float64(0.5), np.float32(0.5), np.int64(2), 3, 2.5])
+def test_real_numbers_of_any_type_load_as_coefficients(coeff):
+    blob = scenario_blob()
+    blob["forms"]["A"]["terms"]["1"][0]["coeffs"] = [coeff]
+    (term,) = scenario_from_dict(blob).gauge_field.poly.terms[(1,)]
+    assert term[0].tolist() == [float(coeff)]
+
+
+@pytest.mark.parametrize("coeff", [np.True_, True, "1", None, math.nan])
+def test_bools_strings_none_and_nan_are_no_coefficients(coeff):
+    blob = scenario_blob()
+    blob["forms"]["A"]["terms"]["1"][0]["coeffs"] = [coeff]
+    with pytest.raises(ScenarioError, match=r"^forms\.A: polynomial coefficients must be "
+                                            r"finite numbers, got "):
         scenario_from_dict(blob)
 
 
@@ -414,6 +435,24 @@ def test_load_scenario_makes_one_exponential(monkeypatch, tmp_path):
     bundle = load_scenario(path)
     assert counts["expm"] == 1
     assert len(bundle.sections) == len(bundle.automorphisms) == 4
+
+
+def test_load_scenario_reads_no_polynomial_table_and_makes_one_group_exp(monkeypatch,
+                                                                        tmp_path):
+    path = tmp_path / "s.json"
+    save_scenario(builtin_scenario("random-curved"), path)
+    counts = Counter()
+    count_kernel_calls(monkeypatch, counts, names=("group_exp",))
+    for name in ("table", "evaluate"):
+        original = getattr(PolyData, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(PolyData, name, counted)
+    load_scenario(path)
+    assert counts == {"group_exp": 1}
 
 
 def test_negative_plan_seed_in_a_file_names_the_field():
@@ -689,6 +728,24 @@ def test_nan_in_a_table_row_shows_only_in_that_row(suite, check):
             row for row in clean_rows if row[1:3] != (check, ordinal)]
 
 
+def test_write_csv_is_the_csv_writer_text_of_csv_rows(tmp_path):
+    bundle = builtin_scenario("bpst")
+    odd = dict(zip(('a,b', 'say "hi"', 'two\nlines'), bundle.sections.values()))
+    named = run_suite(dataclasses.replace(bundle, sections=odd), "gauge-laws", plan=NAN_PLAN)
+    bad_point = NAN_PLAN.points(bundle.chart)[2]
+    poisoned = run_suite(with_zeta_nan_at(bundle, bad_point), "self-duality", plan=NAN_PLAN)
+    report = VerificationReport("odd", named.suites + poisoned.suites, named.env)
+    rows = list(report.csv_rows())
+    assert ("self-duality", "central-form", 2, "nan") in rows
+    assert {row[1] for row in rows} >= {'section:a,b', 'section:say "hi"', 'section:two\nlines'}
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(["suite", "check", "point", "residual"])
+    writer.writerows(rows)
+    report.write_csv(tmp_path / "rows.csv")
+    assert (tmp_path / "rows.csv").read_bytes() == want.getvalue().encode("utf-8")
+
+
 # -- the form-algebra suites read one component table over the plan -----------
 
 FORM_SUITES = ("compatibility", "bianchi", "field-redef")
@@ -803,13 +860,13 @@ def test_nan_generator_at_one_point_is_one_nan_fibre_connection_row(name):
             pair for pair in clean.per_point if pair[0] != ordinal]
 
 
-def count_kernel_calls(monkeypatch, counts):
-    """Count calls of cym.algebra.expm and ad_matrix_of_group, wherever a cym
-    module binds them."""
+def count_kernel_calls(monkeypatch, counts, names=("expm", "ad_matrix_of_group")):
+    """Count calls of the cym.algebra functions names, by default expm and
+    ad_matrix_of_group, wherever a cym module binds them."""
     import sys
 
     import cym.algebra as kernel
-    for name in ("expm", "ad_matrix_of_group"):
+    for name in names:
         original = getattr(kernel, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -1288,6 +1345,22 @@ def _run_fresh(script):
     run = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+    return run
+
+
+def test_cli_overflow_is_a_failing_row_and_no_warning_on_stderr(tmp_path):
+    path, report = tmp_path / "s.json", tmp_path / "r.json"
+    blob = scenario_to_dict(builtin_scenario("flat-su2"))
+    blob["forms"]["A"]["terms"]["1"][0]["coeffs"][1] = 1e308
+    path.write_text(json.dumps(blob))
+    # in a fresh interpreter: under pytest a warning is recorded, not printed
+    run = _run_fresh(f"""
+        import cym.cli
+        assert cym.cli.main(["verify", "--scenario", {str(path)!r}, "--suite", "all",
+                             "--points", "4", "--report", {str(report)!r}]) == 1
+    """)
+    assert run.stderr == ""
+    assert json.loads(report.read_text())["pass"] is False
 
 
 def test_cli_run_leaves_scipy_linalg_unimported(tmp_path):
