@@ -7,27 +7,28 @@ Built-ins cover su(2) in the basis e_a = sigma_a/(2i) (so [e1,e2] = e3 and the
 -2*trace pairing is the identity matrix), u(1) with generator [[i]], and their
 direct sum.
 
-Elements are plain coefficient vectors: the bracket, the adjoint matrices
-and the pairing act on them directly. All heavy lifting is plain numpy:
-`group_exp` exponentiates each variety block apart, by a 1x1 or 2x2 closed form.
+Elements are plain coefficient vectors; the bracket, the adjoint matrices and the pairing
+act on them. All heavy lifting is plain numpy with no product big enough to wake a BLAS
+worker thread: `group_exp` takes each variety block by a 1x1 or 2x2 closed form, and Ad_g
+is a real quadratic map of g's block entries g_ik conj(g_jl), fixed by the descriptor,
+behind a watchdog that g is block-unitary (the elementwise gap of `variety_residual`).
 
-The kernel broadcasts over leading axes: (..., dim) coefficient stacks in
-`rep_of`, `group_exp`, `bracket_c`, `ad_matrix_c`; (..., r, r) matrix stacks
-in `expm`, `expand_in_rep`, `ad_matrix_of_group`, `variety_residual`,
-`on_variety`. One vector or matrix is the one-row case; `group_exp(alg, u)`
-exponentiates a stack in one call, each row as a call on it alone would give it.
-Watchdogs check every row: a finite row beyond its bound raises, a
-non-finite one passes through as NaN.
+The kernel broadcasts over leading axes: (..., dim) coefficient stacks in `rep_of`,
+`group_exp`, `bracket_c`, `ad_matrix_c`; (..., r, r) matrix stacks in `expm`,
+`expand_in_rep`, `ad_matrix_of_group`, `variety_residual`, `on_variety`. One vector or
+matrix is the one-row case, and a stack gives each row as a call on it alone would.
+Watchdogs check every row: a finite row beyond its bound raises, a non-finite one passes
+through as NaN.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import ScenarioError, _int_field, max_gap_rows
+from .forms import ScenarioError, _int_field
 
 __all__ = [
     "LieAlgebraDescriptor",
@@ -108,12 +109,10 @@ class LieAlgebraDescriptor:
     center_mask: np.ndarray
     variety_blocks: tuple
     name: str = ""
-    # filled in __post_init__, used by the hot re-expansion and variety paths
-    _gram_inv: np.ndarray = field(default=None, repr=False, compare=False)
-    _off_blocks: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        # own read-only copies, so a shared descriptor cannot be corrupted
+        # own read-only copies, so a shared descriptor cannot be corrupted; the
+        # private tables below serve the hot re-expansion, Ad and variety paths
         for name, dtype in (("structure_constants", float), ("rep_matrices", complex),
                             ("kappa", float), ("center_mask", bool)):
             setattr(self, name, _frozen(np.array(getattr(self, name), dtype=dtype)))
@@ -125,6 +124,11 @@ class LieAlgebraDescriptor:
         reps = self.rep_matrices.reshape(self.dim, -1)
         gram = (reps.conj() @ reps.T).real
         self._gram_inv = _frozen(np.linalg.inv(gram))
+        # Ad's map: K[(i,k), (j,l), (a,b)] = sum_c G^-1_ac conj(T_c)_ij (T_b)_kl on blocks
+        inb = ~off_blocks.ravel()
+        k = np.einsum('ac,cij,bkl->ikjlab', self._gram_inv, self.rep_matrices.conj(),
+                      self.rep_matrices).reshape((self.rep_dim ** 2,) * 2 + (-1,))[inb][:, inb]
+        self._ad_map = _frozen(np.stack([k.real, -k.imag], axis=2).reshape(-1, self.dim ** 2))
 
     # -- validation ---------------------------------------------------------
 
@@ -198,19 +202,25 @@ def variety_residual(alg: LieAlgebraDescriptor, matrix: np.ndarray):
     Off-block entries must vanish, each block must be unitary, and "su"
     blocks must additionally have unit determinant.
     """
-    matrix = np.asarray(matrix)
-    lead = matrix.shape[:-2]
-    gaps = []
+    return _block_gap(alg, np.asarray(matrix), unit_det=True)[()]
+
+
+def _block_gap(alg: LieAlgebraDescriptor, matrix: np.ndarray, unit_det: bool) -> np.ndarray:
+    """Per matrix of a (..., r, r) stack: the largest |g^dagger g - I| over the variety blocks,
+    |g| off them and, with `unit_det`, |det - 1| of an "su" block (ad - bc for 2x2); NaN if g
+    is not finite. Elementwise products on a rows-last copy: long loops and no matmul."""
+    t = np.ascontiguousarray(matrix.reshape((-1,) + matrix.shape[-2:]).transpose(1, 2, 0))
+    gap = np.abs(t[alg._off_blocks]).max(axis=0, initial=0.0)
     for kind, off, size in alg.variety_blocks:
-        blk = matrix[..., off:off + size, off:off + size]
-        gaps.append(dagger(blk) @ blk - np.eye(size))
-        if kind == "su":
+        b = t[off:off + size, off:off + size]
+        gram = (b.conj()[:, :, None] * b[:, None, :]).sum(axis=0) - np.eye(size)[..., None]
+        gap = np.maximum(gap, np.abs(gram).max(axis=(0, 1)))
+        if unit_det and kind == "su":
             with np.errstate(invalid="ignore"):  # a NaN block has a NaN det
-                gaps.append(np.linalg.det(blk) - 1.0)
-    if alg._off_blocks.any():
-        gaps.append(matrix[..., alg._off_blocks])
-    rows = np.abs(np.concatenate([g.reshape(lead + (-1,)) for g in gaps], axis=-1))
-    return max_gap_rows(rows.reshape(-1, rows.shape[-1])).reshape(lead)[()]
+                det = (b[0, 0] if size == 1 else b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
+                       if size == 2 else np.linalg.det(np.moveaxis(b, -1, 0)))
+            gap = np.maximum(gap, np.abs(det - 1.0))
+    return np.where(np.isfinite(gap), gap, np.nan).reshape(matrix.shape[:-2])
 
 
 def require_within(resid, bound, error, message: str) -> None:
@@ -396,18 +406,23 @@ def expand_in_rep(alg: LieAlgebraDescriptor, matrix: np.ndarray):
 
 
 def ad_matrix_of_group(alg: LieAlgebraDescriptor, g_matrix: np.ndarray) -> np.ndarray:
-    """Matrices of Ad_g on basis coefficients (columns are Ad_g(e_b)),
-    (..., r, r) -> (..., dim, dim)."""
+    """Matrices of Ad_g on basis coefficients (columns are Ad_g(e_b)), (..., r, r) ->
+    (..., dim, dim), as the descriptor's real quadratic map of g_ik conj(g_jl) on block
+    entries. A finite row off its unitary blocks (its g T_b g^dagger may leave the span)
+    raises ReexpansionError; a row that is not finite comes out NaN."""
     g = np.asarray(g_matrix)
     if alg.center_mask.all():
         # abelian: conjugation is the identity, exactly
         return np.broadcast_to(np.eye(alg.dim), g.shape[:-2] + (alg.dim,) * 2).copy()
-    g = g[..., None, :, :]
-    images = g @ alg.rep_matrices @ dagger(g)
-    coeffs, resid = expand_in_rep(alg, images)
-    require_within(resid, REEXPANSION_TOL, ReexpansionError,
-                   "Ad image of a basis element off span by {:.3e}")
-    return np.ascontiguousarray(np.swapaxes(coeffs, -1, -2))
+    g = g.reshape((-1,) + g.shape[-2:])
+    gap = _block_gap(alg, g, unit_det=False)
+    require_within(gap, REEXPANSION_TOL, ReexpansionError,
+                   "Ad image of a basis element off span: g off its unitary blocks by {:.3e}")
+    v = g[:, ~alg._off_blocks]
+    gg = np.multiply(v[:, :, None], v[:, None, :].conj(), order="C", dtype=complex)
+    ad = gg.view(float).reshape(len(g), 1, -1) @ alg._ad_map  # (1, n) rows: no BLAS threads
+    ad[np.isnan(gap)] = np.nan
+    return ad.reshape(np.shape(g_matrix)[:-2] + (alg.dim,) * 2)
 
 
 # Pade(13) coefficients over b_0 (so exp(0) is I exactly) and the 1-norm up to

@@ -296,6 +296,111 @@ def test_stacked_watchdogs_raise_on_a_finite_bad_row_only():
     assert np.isnan(variety[2]) and np.isfinite(np.delete(variety, 2)).all()
 
 
+# -- Ad as a quadratic map, the variety check in closed form ----------------------
+
+def so3():
+    """so(3) on its 3x3 real antisymmetric generators (L_a)_bc = -eps_abc, one
+    "su" block of size 3, loaded from a descriptor."""
+    reps = -SU2.structure_constants
+    return alg.algebra_from_dict({
+        "dim": 3, "basis_labels": ["l1", "l2", "l3"],
+        "structure_constants": SU2.structure_constants.tolist(),
+        "rep_matrices": np.stack([reps, np.zeros_like(reps)], axis=-1).tolist(),
+        "kappa": np.eye(3).tolist(), "variety_blocks": [["su", 0, 3]]})
+
+
+def reference_ad(a, g):
+    """Ad_g by conjugating each basis matrix, g T_b g^dagger, and re-expanding
+    the images in the representation span."""
+    g = g[..., None, :, :]
+    coeffs, _ = alg.expand_in_rep(a, g @ a.rep_matrices @ alg.dagger(g))
+    return np.swapaxes(coeffs, -1, -2)
+
+
+def reference_variety(a, g):
+    """The variety residual by a stacked matmul per block and numpy's det."""
+    gaps = [np.abs(g[..., a._off_blocks]).max(axis=-1, initial=0.0)]
+    for kind, off, size in a.variety_blocks:
+        blk = g[..., off:off + size, off:off + size]
+        gaps.append(np.abs(alg.dagger(blk) @ blk - np.eye(size)).max(axis=(-2, -1)))
+        if kind == "su":
+            with np.errstate(invalid="ignore"):
+                gaps.append(np.abs(np.linalg.det(blk) - 1.0))
+    return np.max(gaps, axis=0)
+
+
+ROUTE_ALGEBRAS = dict(KERNEL_ALGEBRAS, so3=so3)
+
+
+@pytest.mark.parametrize("shape", ((), (5,), (5, 2)), ids=str)
+@pytest.mark.parametrize("name", sorted(ROUTE_ALGEBRAS))
+def test_quadratic_ad_and_elementwise_variety_match_the_matmul_routes(name, shape):
+    a = ROUTE_ALGEBRAS[name]()
+    g = alg.group_exp(a, np.random.default_rng(9).normal(scale=2.0, size=shape + (a.dim,)))
+    ad = alg.ad_matrix_of_group(a, g)
+    assert ad.shape == shape + (a.dim, a.dim)
+    assert np.abs(ad - reference_ad(a, g)).max() <= 1e-15
+    variety = alg.variety_residual(a, g)
+    assert np.shape(variety) == shape
+    assert np.abs(variety - reference_variety(a, g)).max() <= 1e-15
+    if shape:
+        g[(0,) * len(shape)] = np.nan
+        variety = alg.variety_residual(a, g)
+        want = np.isnan(reference_variety(a, g))
+        assert want.any() and np.array_equal(np.isnan(variety), want)
+        assert np.abs(variety - reference_variety(a, g))[~want].max() <= 1e-15
+
+
+def test_ad_watchdog_is_block_unitarity():
+    g = alg.group_exp(SU2, np.random.default_rng(4).normal(size=(3, 3)))
+    scaled = g.copy()
+    scaled[1] *= 1.5  # finite, not unitary, though g T g^dagger stays in the span
+    with pytest.raises(alg.ReexpansionError, match="off span"):
+        alg.ad_matrix_of_group(SU2, scaled)
+    mixed = alg.group_exp(MIX, np.random.default_rng(5).normal(size=(3, 4)))
+    assert alg.variety_residual(MIX, mixed).max() <= 1e-15
+    mixed[1, 0, 2] = 1e-6  # each block still unitary, an entry off the blocks
+    with pytest.raises(alg.ReexpansionError, match="off span"):
+        alg.ad_matrix_of_group(MIX, mixed)
+    infinite = g.copy()
+    infinite[1, 0, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        ad = alg.ad_matrix_of_group(SU2, infinite)
+    assert np.isnan(ad[1]).all() and np.isfinite(ad[[0, 2]]).all()
+    phased = np.exp(0.3j) * g  # in U(2), det e^{0.6i}: Ad stays in the span
+    assert np.abs(alg.ad_matrix_of_group(SU2, phased) - alg.ad_matrix_of_group(SU2, g)).max() \
+        <= 1e-15
+    with pytest.raises(alg.VarietyError, match="off the group variety"):
+        alg.on_variety(SU2, phased)
+
+
+@pytest.mark.parametrize("name", ["su2", "u1+su2"])
+def test_ad_and_variety_stay_exact_at_huge_coefficients(name):
+    # the products that are real in exact arithmetic come from matrix entries of
+    # modulus at most 1, so a fused complex product leaves no more than an ulp
+    a = KERNEL_ALGEBRAS[name]()
+    coeffs = np.random.default_rng(8).normal(size=(3, 50, a.dim)) * np.array(
+        [1.0, 1e8, 1e15])[:, None, None]
+    g = alg.group_exp(a, coeffs)
+    ad = alg.ad_matrix_of_group(a, g)
+    orthogonality = np.swapaxes(ad, -1, -2) @ a.kappa @ ad - a.kappa
+    assert np.abs(orthogonality).max() <= 8 * np.finfo(float).eps
+    assert alg.variety_residual(a, g).max() <= 8 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("name", ["su2", "u1", "u1+su2"])
+def test_ad_and_variety_call_neither_expand_in_rep_nor_det(monkeypatch, name):
+    def refused(*args, **kwargs):
+        raise AssertionError("old route reached")
+
+    monkeypatch.setattr(alg, "expand_in_rep", refused)
+    monkeypatch.setattr(np.linalg, "det", refused)
+    a = KERNEL_ALGEBRAS[name]()
+    g = alg.group_exp(a, np.random.default_rng(6).normal(size=(7, 2, a.dim)))
+    assert alg.ad_matrix_of_group(a, g).shape == (7, 2, a.dim, a.dim)
+    assert alg.variety_residual(a, g).shape == (7, 2)
+
+
 # -- the matrix exponential -----------------------------------------------------
 
 def unit_vectors(count, seed):
