@@ -1,10 +1,14 @@
-"""Connections on the algebra bundle: covariant exterior calculus,
-curvature, infinitesimal compatibility checks, and field redefinitions.
+"""Connections on the algebra bundle, the theory they belong to, covariant
+exterior calculus, curvature, infinitesimal compatibility checks, and field
+redefinitions.
 
 The connection is stored as an endomorphism-valued 1-form Gamma (so that
 deliberately broken inputs can be expressed for negative tests); when Gamma
 is the adjoint of an algebra-valued potential omega, the potential is kept
 alongside for the layers that need it (the group bundle, field redefinitions).
+
+A `GaugeScenario` is the one theory value every law reads: the chart, the
+algebra, the connection, the central 2-form zeta and the gauge field A.
 """
 from __future__ import annotations
 
@@ -19,8 +23,8 @@ from .forms import (Chart, LieForm, PolyData, SamplePlan, add_forms,
                     max_gap, max_gap_rows, scale_form)
 
 __all__ = [
-    "COMPATIBILITY_TOL", "LabConnection", "CompatibilityReport",
-    "FieldRedefinition", "ad_mapped_form", "cov_ext_deriv", "curvature",
+    "COMPATIBILITY_TOL", "LabConnection", "GaugeScenario", "CompatibilityReport",
+    "ad_mapped_form", "cov_ext_deriv", "curvature",
     "potential_curvature", "check_compatibility", "field_redefine",
 ]
 
@@ -63,12 +67,41 @@ class LabConnection:
     def __post_init__(self):
         if self.gamma.degree != 1 or self.gamma.value_target != "endomorphism":
             raise ValueError("gamma must be an endomorphism-valued 1-form")
-        if self.omega is not None and self.omega.degree != 1:
-            raise ValueError("omega must be a 1-form")
+        if self.omega is not None and (self.omega.degree != 1
+                                       or self.omega.value_target != "algebra"):
+            raise ValueError("omega must be an algebra-valued 1-form")
 
     @classmethod
     def from_omega(cls, alg: LieAlgebraDescriptor, omega: LieForm) -> "LabConnection":
         return cls(algebra=alg, gamma=ad_mapped_form(alg, omega), omega=omega)
+
+
+@dataclass
+class GaugeScenario:
+    """The data every law is a statement about: the connection del on the
+    algebra bundle (with its potential omega when it has one), the central
+    2-form zeta with R = ad(zeta), and the gauge field A."""
+
+    chart: Chart
+    algebra: LieAlgebraDescriptor
+    nabla: LabConnection
+    zeta: LieForm
+    gauge_field: LieForm
+
+    def __post_init__(self):
+        if self.gauge_field.degree != 1 or self.gauge_field.value_target != "algebra":
+            raise ValueError("the gauge field must be an algebra-valued 1-form")
+        if self.zeta.degree != 2 or self.zeta.value_target != "algebra":
+            raise ValueError("the central form must be an algebra-valued 2-form")
+
+    @property
+    def omega(self) -> LieForm:
+        """The horizontal potential of del, which the group-bundle and
+        principal laws read; ValueError when del has none."""
+        if self.nabla.omega is None:
+            raise ValueError("scenario carries no horizontal potential; the "
+                             "group-bundle and principal laws need one")
+        return self.nabla.omega
 
 
 def cov_ext_deriv(nabla: LabConnection, alpha: LieForm) -> LieForm:
@@ -100,7 +133,6 @@ class CompatibilityReport:
 
     derivation_rows: np.ndarray  # (P,) per-point residuals
     curvature_rows: np.ndarray
-    plan: SamplePlan
 
     @property
     def derivation_residual(self) -> float:
@@ -116,9 +148,9 @@ class CompatibilityReport:
                 and self.curvature_residual <= COMPATIBILITY_TOL)
 
 
-def check_compatibility(nabla: LabConnection, zeta: LieForm, chart: Chart,
-                        plan: SamplePlan) -> CompatibilityReport:
-    """Evaluate both compatibility conditions on the plan's points.
+def check_compatibility(s: GaugeScenario, plan: SamplePlan) -> CompatibilityReport:
+    """Evaluate both compatibility conditions of the scenario's connection
+    and central form on the plan's points.
 
     Derivation law: Gamma(X) must act as a derivation of the bracket,
     equivalently del[mu,nu] = [del mu,nu] + [mu,del nu] for all sections
@@ -126,36 +158,28 @@ def check_compatibility(nabla: LabConnection, zeta: LieForm, chart: Chart,
     sections decide it pointwise). Curvature law: R(X,Y) = ad(zeta(X,Y)).
     Both are read from the component tables of the forms over all points.
     """
-    alg = nabla.algebra
+    nabla, alg = s.nabla, s.nabla.algebra
     c = alg.structure_constants
-    points = plan.points(chart)
+    points = plan.points(s.chart)
     g = nabla.gamma.table(points)  # (P, n, d, d)
     lhs = np.einsum('abm,...km->...abk', c, g)
     rhs = (np.einsum('...ma,mbk->...abk', g, c)
            + np.einsum('...mb,amk->...abk', g, c))
-    curv = curvature(nabla).table(points) - ad_matrix_c(alg, zeta.table(points))
+    curv = curvature(nabla).table(points) - ad_matrix_c(alg, s.zeta.table(points))
     return CompatibilityReport(derivation_rows=max_gap_rows(lhs - rhs),
-                               curvature_rows=max_gap_rows(curv), plan=plan)
+                               curvature_rows=max_gap_rows(curv))
 
 
-@dataclass
-class FieldRedefinition:
-    nabla: LabConnection
-    zeta: LieForm
-    gauge_field: LieForm
-
-
-def field_redefine(nabla: LabConnection, zeta: LieForm, gauge_field: LieForm,
-                   lam: LieForm) -> FieldRedefinition:
-    """Shift the splitting by a 1-form lambda.
+def field_redefine(s: GaugeScenario, lam: LieForm) -> GaugeScenario:
+    """The scenario with its splitting shifted by a 1-form lambda.
 
     gauge field -> A + lambda, connection -> del - ad(lambda),
     zeta -> zeta - del lambda + (1/2)[lambda ^, lambda].
     """
-    alg = nabla.algebra
+    nabla, alg = s.nabla, s.algebra
     if lam.degree != 1 or lam.value_target != "algebra":
         raise ValueError("lambda must be an algebra-valued 1-form")
-    new_a = add_forms(gauge_field, lam)
+    new_a = add_forms(s.gauge_field, lam)
     new_gamma = add_forms(nabla.gamma, ad_mapped_form(alg, lam), 1.0, -1.0)
     new_omega = None
     if nabla.omega is not None:
@@ -163,5 +187,5 @@ def field_redefine(nabla: LabConnection, zeta: LieForm, gauge_field: LieForm,
     new_nabla = LabConnection(algebra=alg, gamma=new_gamma, omega=new_omega)
     dlam = cov_ext_deriv(nabla, lam)
     sq = scale_form(graded_product(bracket_pairing(alg), lam, lam), 0.5)
-    new_zeta = add_forms(add_forms(zeta, dlam, 1.0, -1.0), sq)
-    return FieldRedefinition(nabla=new_nabla, zeta=new_zeta, gauge_field=new_a)
+    new_zeta = add_forms(add_forms(s.zeta, dlam, 1.0, -1.0), sq)
+    return GaugeScenario(s.chart, alg, new_nabla, new_zeta, new_a)

@@ -1,5 +1,6 @@
 """Chart-local gauge theory: field strength, gauge-change laws, the Bianchi
-identity, the Lagrangian density, and the topological charge integral.
+identity, the Lagrangian density, and the topological charge integral, each
+read from one `GaugeScenario` (`cym.connection`).
 
 The invariance proofs hold only when the fibre connection and the central
 2-form satisfy the two pointwise compatibility laws. These functions compute
@@ -8,46 +9,24 @@ first suite that depends on them, and reports a failure as a row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .algebra import LieAlgebraDescriptor, ad_twist, dagger
-from .connection import FieldRedefinition, LabConnection, cov_ext_deriv
-from .forms import (Chart, LieForm, SamplePlan, add_forms, bracket_pairing,
+from .connection import GaugeScenario, cov_ext_deriv
+from .forms import (LieForm, SamplePlan, add_forms, bracket_pairing,
                     graded_product, hodge_star, kappa_wedge_top, max_gap_rows,
                     scale_form)
-from .lgb import GSection, TrivLgb, darboux
+from .lgb import GSection, darboux
 
 __all__ = [
-    "GaugeScenario", "local_field_strength", "gauge_changed_potential", "change_of_gauge",
+    "local_field_strength", "gauge_changed_potential", "change_of_gauge",
     "bianchi_rows", "lagrangian_density", "instanton_charge",
     "density_gauge_invariance_rows", "density_infinitesimal_rows",
     "field_redef_rows", "self_duality_rows",
 ]
-
-
-@dataclass
-class GaugeScenario:
-    chart: Chart
-    algebra: LieAlgebraDescriptor
-    nabla: LabConnection
-    zeta: LieForm
-    gauge_field: LieForm
-
-    def __post_init__(self):
-        if self.gauge_field.degree != 1 or self.gauge_field.value_target != "algebra":
-            raise ValueError("the gauge field must be an algebra-valued 1-form")
-        if self.zeta.degree != 2 or self.zeta.value_target != "algebra":
-            raise ValueError("the central form must be an algebra-valued 2-form")
-
-    @property
-    def lgb(self) -> TrivLgb:
-        if self.nabla.omega is None:
-            raise ValueError("scenario carries no horizontal potential; "
-                             "section-based gauge changes are unavailable")
-        return TrivLgb(self.chart, self.algebra, self.nabla.omega)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +53,7 @@ def _adjoint_twist(alg: LieAlgebraDescriptor, sigma: GSection, f: LieForm) -> Li
 def gauge_changed_potential(s: GaugeScenario, sigma: GSection) -> LieForm:
     """A' = Ad_{sigma^{-1}} A + Delta sigma."""
     twisted = _adjoint_twist(s.algebra, sigma, s.gauge_field)
-    dsig = darboux(s.lgb, sigma)
+    dsig = darboux(s, sigma)
     return LieForm(n=s.chart.dim, degree=1, value_target="algebra",
                    value_shape=(s.algebra.dim,),
                    batch=lambda X: twisted.table(X) + dsig.table(X),
@@ -176,19 +155,18 @@ def density_infinitesimal_rows(s: GaugeScenario, eps: LieForm, plan: SamplePlan,
     return max_gap_rows((density_at(t_step) - density_at(-t_step)) / (2 * t_step))
 
 
-def field_redef_rows(s: GaugeScenario, shifted: FieldRedefinition,
+def field_redef_rows(s: GaugeScenario, shifted: GaugeScenario,
                      plan: SamplePlan) -> np.ndarray:
     """Per-point gap between the field strength before and after a shift of
     the splitting (`field_redefine`); the field strength must not see it."""
     f_before = local_field_strength(s)
-    f_after = local_field_strength(replace(s, nabla=shifted.nabla, zeta=shifted.zeta,
-                                           gauge_field=shifted.gauge_field))
+    f_after = local_field_strength(shifted)
     points = plan.points(s.chart)
     return max_gap_rows(f_after.table(points) - f_before.table(points))
 
 
-def self_duality_rows(zeta: LieForm, chart: Chart, plan: SamplePlan) -> np.ndarray:
+def self_duality_rows(s: GaugeScenario, plan: SamplePlan) -> np.ndarray:
     """Deviation of the central form from its own Hodge dual at each point
     of the plan, (P,)."""
-    X = plan.points(chart)
-    return max_gap_rows(hodge_star(chart, zeta).table(X) - zeta.table(X))
+    X = plan.points(s.chart)
+    return max_gap_rows(hodge_star(s.chart, s.zeta).table(X) - s.zeta.table(X))

@@ -1,13 +1,15 @@
 """Built-in verification scenarios, scenario-file ingestion, the named suite
 registry, and deterministic report emission.
 
-A scenario bundles everything the residual suites consume: the chart, the
-algebra, the group bundle with its horizontal potential, the principal-side
-wrapper with a gauge field, a compatible central 2-form, named group-valued
-sections and bundle automorphisms, a splitting shift and an infinitesimal
-generator, plus sampling and tolerance defaults. Suites are registered
-declaratively as (anchor, applicability, closure) triples so that every
-verified law lives in exactly one table.
+A scenario bundles everything the residual suites consume: the theory as one
+`GaugeScenario` (the chart, the algebra, the connection from its horizontal
+potential, a compatible central 2-form and the gauge field), named
+group-valued sections and bundle automorphisms (each exp of a polynomial
+0-form, which `GSection.form` keeps for saving), a splitting shift and an
+infinitesimal generator, plus sampling and tolerance defaults. Every suite
+and the compatibility gate read the theory from `ScenarioBundle.scenario`
+alone. Suites are registered declaratively as (anchor, applicability,
+closure) triples so that every verified law lives in exactly one table.
 """
 from __future__ import annotations
 
@@ -25,19 +27,19 @@ from .algebra import (VARIETY_TOL, LieAlgebraDescriptor, ReexpansionError,
                       ad_matrix_of_group, algebra_from_dict, algebra_to_dict,
                       expm, group_exp, jacobi_tensor, su2, u1, u1_su2,
                       variety_residual)
-from .connection import (COMPATIBILITY_TOL, check_compatibility,
-                         field_redefine, potential_curvature)
+from .connection import (COMPATIBILITY_TOL, GaugeScenario, LabConnection,
+                         check_compatibility, field_redefine, potential_curvature)
 from .forms import (Chart, LieForm, PolyData, SamplePlan, ScenarioError,
                     _int_field, euclidean_chart, form_from_poly,
                     increasing_indices, max_gap, max_gap_rows, minkowski_chart,
                     stereographic_chart, zero_form)
-from .gauge import (GaugeScenario, bianchi_rows, change_of_gauge,
+from .gauge import (bianchi_rows, change_of_gauge,
                     density_gauge_invariance_rows, density_infinitesimal_rows,
                     field_redef_rows, instanton_charge, self_duality_rows)
-from .lgb import (DRIFT_TOL, GSection, TrivLgb, _point_draws, darboux_inverse_rows,
+from .lgb import (DRIFT_TOL, GSection, _point_draws, darboux_inverse_rows,
                   darboux_leibniz_rows, generalized_mc_rows, induced_connection,
                   multiplicativity_rows, nabla_from_darboux, pullback_mc_rows)
-from .principal import (TrivPrincipal, action_differential_rows,
+from .principal import (action_differential_rows,
                         equivariance_rows, gauge_transform_total,
                         kernel_invariance_rows, mixed_bracket_rows,
                         projection_commutation_rows, section_independence_rows,
@@ -126,14 +128,12 @@ def bpst_central_form(box=None) -> LieForm:
 
 @dataclass
 class ScenarioBundle:
-    """Everything a verification run needs, under one name."""
+    """Everything a verification run needs, under one name. The theory is
+    `scenario` alone; `chart`, `algebra`, `omega`, `zeta` and `gauge_field`
+    read through to it."""
 
     name: str
-    chart: Chart
-    algebra: LieAlgebraDescriptor
     scenario: GaugeScenario
-    lgb: TrivLgb
-    principal: TrivPrincipal
     sections: dict
     automorphisms: dict
     shift: LieForm          # splitting-shift 1-form (lambda slot)
@@ -142,12 +142,18 @@ class ScenarioBundle:
     tolerances: dict = field(default_factory=dict)
     quadrature: dict = field(default_factory=lambda: {"order": 24})
     expected_charge: float = None
-    section_polys: dict = field(default_factory=dict)
-    automorphism_polys: dict = field(default_factory=dict)
+
+    @property
+    def chart(self) -> Chart:
+        return self.scenario.chart
+
+    @property
+    def algebra(self) -> LieAlgebraDescriptor:
+        return self.scenario.algebra
 
     @property
     def omega(self) -> LieForm:
-        return self.lgb.omega
+        return self.scenario.omega
 
     @property
     def gauge_field(self) -> LieForm:
@@ -174,27 +180,25 @@ def _section_from_poly(alg, poly: PolyData, name: str) -> GSection:
                                 name=name)
 
 
-def _assemble(name, chart, alg, omega, zeta, a, shift, generator,
-              section_polys, automorphism_polys,
+def _assemble(name, chart, alg, omega, zeta, a, shift, generator, sections, autos,
               quadrature=None, expected_charge=None,
               plan=None, tolerances=None) -> ScenarioBundle:
-    # every scenario has an identity section and automorphism
+    """The bundle whose sections and automorphisms are exp of the named
+    polynomial 0-forms; every scenario has an identity section and automorphism."""
     identity = _const_poly(chart.dim, alg.dim, np.zeros(alg.dim))
-    section_polys = {"identity": identity, **section_polys}
-    automorphism_polys = {"identity": identity, **automorphism_polys}
-    lgb = TrivLgb(chart, alg, omega)
-    scenario = GaugeScenario(chart, alg, lgb.nabla, zeta, a)
-    principal = TrivPrincipal(lgb, a)
-    sections = {n: _section_from_poly(alg, p, n) for n, p in section_polys.items()}
-    autos = {n: _section_from_poly(alg, p, n) for n, p in automorphism_polys.items()}
+
+    def exp_sections(polys):
+        polys = {"identity": identity, **polys}
+        return {n: _section_from_poly(alg, p, n) for n, p in polys.items()}
+
+    scenario = GaugeScenario(chart, alg, LabConnection.from_omega(alg, omega), zeta, a)
     return ScenarioBundle(
-        name=name, chart=chart, algebra=alg, scenario=scenario, lgb=lgb,
-        principal=principal, sections=sections, automorphisms=autos,
+        name=name, scenario=scenario, sections=exp_sections(sections),
+        automorphisms=exp_sections(autos),
         shift=shift, generator=generator, plan=plan or SamplePlan(),
         tolerances=dict(tolerances or {}),
         quadrature=dict(quadrature or {"order": 24}),
-        expected_charge=expected_charge, section_polys=dict(section_polys),
-        automorphism_polys=dict(automorphism_polys))
+        expected_charge=expected_charge)
 
 
 def _const_poly(n, dim, coeffs) -> PolyData:
@@ -552,9 +556,8 @@ def scenario_from_dict(data, source="<dict>") -> ScenarioBundle:
     generator = _form_from_blob("forms.epsilon", forms.get("epsilon", {"degree": 0}),
                                 chart, dim, 0)
 
-    section_polys = _coeff_polys_from_dict("sections", data.get("sections"), n, dim)
-    auto_polys = _coeff_polys_from_dict("automorphisms",
-                                        data.get("automorphisms"), n, dim)
+    sections = _coeff_polys_from_dict("sections", data.get("sections"), n, dim)
+    autos = _coeff_polys_from_dict("automorphisms", data.get("automorphisms"), n, dim)
 
     try:
         plan = SamplePlan.from_json(data.get("plan", {}))
@@ -580,16 +583,16 @@ def scenario_from_dict(data, source="<dict>") -> ScenarioBundle:
         expected_charge = _finite_real("expected_charge", expected_charge)
 
     bundle = _assemble(name, chart, alg, omega, zeta, a, shift, generator,
-                       section_polys, auto_polys,
+                       sections, autos,
                        quadrature=quadrature, expected_charge=expected_charge,
                        plan=plan, tolerances=tolerances)
 
     # eager invariant: every section and automorphism is a group-variety
     # element at the chart center. One exponential and one variety check
     # cover them all; a non-finite row passes, as it passes `on_variety`.
-    named = [(f"{label}.{key}", poly) for label, polys in (
-        ("sections", bundle.section_polys), ("automorphisms", bundle.automorphism_polys))
-        for key, poly in polys.items()]
+    named = [(f"{label}.{key}", sec.form.poly) for label, secs in (
+        ("sections", bundle.sections), ("automorphisms", bundle.automorphisms))
+        for key, sec in secs.items()]
     center = chart.box.mean(axis=1).tolist()
     coeffs = np.array([sum((c * math.prod(map(pow, center, e.tolist())) for c, e in
                             poly.terms.get((), ())), np.zeros(dim)) for _, poly in named])
@@ -618,6 +621,14 @@ def _form_to_blob(field_name, f: LieForm):
     return f.poly.to_json()
 
 
+def _section_to_blob(field_name, sec: GSection) -> dict:
+    """{"exp_coeffs": c} of a section exp(c), c a polynomial 0-form."""
+    if sec.form is None or sec.scale != 1.0:
+        raise ScenarioError(f"{field_name}: only a section exp(c) of a polynomial "
+                            "0-form c can be serialized to a scenario file")
+    return {"exp_coeffs": _form_to_blob(field_name, sec.form)}
+
+
 def scenario_to_dict(bundle: ScenarioBundle) -> dict:
     return {
         "name": bundle.name,
@@ -633,10 +644,10 @@ def scenario_to_dict(bundle: ScenarioBundle) -> dict:
             "lambda": _form_to_blob("forms.lambda", bundle.shift),
             "epsilon": _form_to_blob("forms.epsilon", bundle.generator),
         },
-        "sections": {name: {"exp_coeffs": poly.to_json()}
-                     for name, poly in bundle.section_polys.items()},
-        "automorphisms": {name: {"exp_coeffs": poly.to_json()}
-                          for name, poly in bundle.automorphism_polys.items()},
+        "sections": {name: _section_to_blob(f"sections.{name}", sec)
+                     for name, sec in bundle.sections.items()},
+        "automorphisms": {name: _section_to_blob(f"automorphisms.{name}", sec)
+                          for name, sec in bundle.automorphisms.items()},
         "plan": bundle.plan.to_json(),
         "tolerances": dict(bundle.tolerances),
         "quadrature": dict(bundle.quadrature),
@@ -843,8 +854,7 @@ def _suite_algebra(bundle, env):
 
 
 def _suite_compatibility(bundle, env):
-    rep = check_compatibility(bundle.lgb.nabla, bundle.zeta, bundle.chart,
-                              env.plan)
+    rep = check_compatibility(bundle.scenario, env.plan)
     return _plan_rows(env, ("compatibility/derivation", rep.derivation_rows),
                       ("compatibility/curvature", rep.curvature_rows))
 
@@ -887,49 +897,49 @@ def _suite_darboux(bundle, env):
     # at each point, the largest gap over the pairs
     return _plan_rows(
         env, ("darboux/leibniz", max_gap_rows(np.column_stack(
-            [darboux_leibniz_rows(bundle.lgb, s1, s2, env.plan) for s1, s2 in pairs]))),
+            [darboux_leibniz_rows(bundle.scenario, s1, s2, env.plan) for s1, s2 in pairs]))),
         ("darboux/inverse", max_gap_rows(np.column_stack(
-            [darboux_inverse_rows(bundle.lgb, s1, env.plan) for s1, _ in pairs]))))
+            [darboux_inverse_rows(bundle.scenario, s1, env.plan) for s1, _ in pairs]))))
 
 
 def _suite_fibre_connection(bundle, env):
     X = env.plan.points(bundle.chart)
     t_step = env.h if env.h is not None else 1e-5
-    got = nabla_from_darboux(bundle.lgb, bundle.generator, X, t_step=t_step)
-    gap = max_gap_rows(got - induced_connection(bundle.lgb, bundle.generator, X))
+    got = nabla_from_darboux(bundle.scenario, bundle.generator, X, t_step=t_step)
+    gap = max_gap_rows(got - induced_connection(bundle.scenario, bundle.generator, X))
     return _plan_rows(env, ("fibre-connection/stencil-vs-analytic", gap))
 
 
 def _suite_multiplicativity(bundle, env):
     return _plan_rows(env, ("multiplicativity/total-form",
-                            multiplicativity_rows(bundle.lgb, env.plan)))
+                            multiplicativity_rows(bundle.scenario, env.plan)))
 
 
 def _suite_generalized_mc(bundle, env):
     return _plan_rows(
         env, ("generalized-mc/total-space",
-              generalized_mc_rows(bundle.lgb, bundle.zeta, env.plan)),
+              generalized_mc_rows(bundle.scenario, env.plan)),
         ("generalized-mc/pullback", pullback_mc_rows(
-            bundle.lgb, _distinguished_section(bundle), bundle.zeta, env.plan)))
+            bundle.scenario, _distinguished_section(bundle), env.plan)))
 
 
 def _suite_principal(bundle, env):
-    p, plan = bundle.principal, env.plan
+    s, plan = bundle.scenario, env.plan
     fd = env.h if env.h is not None else 1e-5
     return _plan_rows(
-        env, ("principal/action-differential", action_differential_rows(p, plan)),
-        ("principal/section-independence", section_independence_rows(p, plan)),
-        ("principal/equivariance", equivariance_rows(p, plan)),
-        ("principal/kernel-invariance", kernel_invariance_rows(p, plan)),
-        ("principal/projection-commutation", projection_commutation_rows(p, plan)),
-        ("principal/mixed-bracket", mixed_bracket_rows(p, bundle.generator, plan, fd_step=fd)))
+        env, ("principal/action-differential", action_differential_rows(s, plan)),
+        ("principal/section-independence", section_independence_rows(s, plan)),
+        ("principal/equivariance", equivariance_rows(s, plan)),
+        ("principal/kernel-invariance", kernel_invariance_rows(s, plan)),
+        ("principal/projection-commutation", projection_commutation_rows(s, plan)),
+        ("principal/mixed-bracket", mixed_bracket_rows(s, bundle.generator, plan, fd_step=fd)))
 
 
 def _suite_structure_equation(bundle, env):
     return _plan_rows(env, *zip(
         ("structure-equation/dual-path", "structure-equation/horizontality",
          "structure-equation/adjoint-type"),
-        structure_equation_rows(bundle.principal, bundle.zeta, env.plan)))
+        structure_equation_rows(bundle.scenario, env.plan)))
 
 
 def _suite_gauge_laws(bundle, env):
@@ -937,24 +947,24 @@ def _suite_gauge_laws(bundle, env):
                               change_of_gauge(bundle.scenario, sec, env.plan))
                              for name, sec in sorted(bundle.sections.items())))
     for name, tau in sorted(bundle.automorphisms.items()):
-        a_rows, f_rows = gauge_transform_total(bundle.principal, tau, bundle.zeta, env.plan)
+        a_rows, f_rows = gauge_transform_total(bundle.scenario, tau, env.plan)
         rows += _plan_rows(env, (f"gauge-laws/automorphism-potential:{name}", a_rows),
                            (f"gauge-laws/automorphism-field-strength:{name}", f_rows))
     return rows
 
 
 def _suite_bianchi(bundle, env):
-    analytic = (bundle.omega.has_exact_d() and bundle.zeta.has_exact_d()
-                and bundle.gauge_field.has_exact_d())
+    s = bundle.scenario
+    analytic = (s.nabla.gamma.has_exact_d() and s.zeta.has_exact_d()
+                and s.gauge_field.has_exact_d())
     key = "bianchi/analytic" if analytic else "bianchi/stencil"
-    return _plan_rows(env, (key, bianchi_rows(bundle.scenario, env.plan)))
+    return _plan_rows(env, (key, bianchi_rows(s, env.plan)))
 
 
 def _suite_field_redef(bundle, env):
     s = bundle.scenario
-    shifted = field_redefine(s.nabla, s.zeta, s.gauge_field, bundle.shift)
-    closure = check_compatibility(shifted.nabla, shifted.zeta, bundle.chart,
-                                  env.plan)
+    shifted = field_redefine(s, bundle.shift)
+    closure = check_compatibility(shifted, env.plan)
     return _plan_rows(
         env, ("field-redef/invariance", field_redef_rows(s, shifted, env.plan)),
         ("field-redef/closure-derivation", closure.derivation_rows),
@@ -973,7 +983,7 @@ def _suite_lagrangian(bundle, env):
 
 def _suite_self_duality(bundle, env):
     return _plan_rows(env, ("self-duality/central-form",
-                            self_duality_rows(bundle.zeta, bundle.chart, env.plan)))
+                            self_duality_rows(bundle.scenario, env.plan)))
 
 
 def _suite_charge(bundle, env):
@@ -993,6 +1003,12 @@ def _always(bundle):
     return True
 
 
+def _needs_potential(bundle):
+    """The group-bundle and principal laws read the horizontal potential omega."""
+    return (bundle.scenario.nabla.omega is not None
+            or "needs the horizontal potential omega; the scenario's connection has none")
+
+
 # name -> (anchor, applicability, implementation). Anchors are plain-language
 # statements of the law each suite verifies.
 SUITES = {
@@ -1008,32 +1024,32 @@ SUITES = {
     "darboux": (
         "product and inverse laws of the logarithmic derivative of "
         "group-valued sections",
-        _always, _suite_darboux),
+        _needs_potential, _suite_darboux),
     "fibre-connection": (
         "the fibre connection recovered from the parameter derivative of "
         "logarithmic derivatives along section families",
-        _always, _suite_fibre_connection),
+        _needs_potential, _suite_fibre_connection),
     "multiplicativity": (
         "the total one-form intertwines fibrewise multiplication with the "
         "adjoint twist of its slots",
-        _always, _suite_multiplicativity),
+        _needs_potential, _suite_multiplicativity),
     "generalized-mc": (
         "curvature identity of the total one-form, the central form entering "
         "through the adjoint defect, and its pullback along sections",
-        _always, _suite_generalized_mc),
+        _needs_potential, _suite_generalized_mc),
     "principal": (
         "differential of the fibrewise action, equivariance and kernel "
         "stability of the connection one-form, projector commutation, and "
         "the mixed bracket of horizontal lifts with fundamental fields",
-        _always, _suite_principal),
+        _needs_potential, _suite_principal),
     "structure-equation": (
         "the total field strength agrees with its covariant-derivative "
         "assembly, kills vertical arguments, and transforms in the adjoint",
-        _always, _suite_structure_equation),
+        _needs_potential, _suite_structure_equation),
     "gauge-laws": (
         "finite transformation laws of the potential and the field strength "
         "under group-valued sections and bundle automorphisms",
-        _always, _suite_gauge_laws),
+        _needs_potential, _suite_gauge_laws),
     "bianchi": (
         "differential identity binding the field strength, the potential, "
         "and the central form",
@@ -1045,7 +1061,7 @@ SUITES = {
     "lagrangian": (
         "gauge invariance of the curved Yang-Mills density, finite and "
         "infinitesimal",
-        _always, _suite_lagrangian),
+        _needs_potential, _suite_lagrangian),
     "self-duality": (
         "the central form equals its own Hodge dual on the instanton chart",
         _needs_dim4, _suite_self_duality),
@@ -1093,7 +1109,7 @@ def _gate_rows(s: GaugeScenario) -> list:
     COMPATIBILITY_TOL (which the tolerance scale does not move), else the one
     global row `compatibility-gate`, at the larger residual, that each gated
     suite reports in place of its checks."""
-    rep = check_compatibility(s.nabla, s.zeta, s.chart, GATE_PLAN)
+    rep = check_compatibility(s, GATE_PLAN)
     if rep.passed:
         return []
     residual = max_gap((rep.derivation_rows, rep.curvature_rows))

@@ -2,6 +2,10 @@
 group-valued logarithmic derivatives of sections, the induced fibre
 connection, and the curvature identity on the total space.
 
+Each law takes the theory as one `GaugeScenario` and reads its chart, its
+algebra, the horizontal potential omega of its connection
+(`GaugeScenario.omega`) and, where the law has it, its central form zeta.
+
 The total 1-form mu, the Darboux derivative of a section (mu pulled back
 along it) and the connection form of the principal bundle (mu plus the
 adjoint twist of the gauge field) are one kernel, `total_form`.
@@ -18,20 +22,18 @@ plan on stacks of group matrices (see `cym.algebra`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import (LieAlgebraDescriptor, ReexpansionError,
                       ad_matrix_c, ad_matrix_of_group, ad_twist, bracket_c,
                       dagger, expand_in_rep, group_exp, on_variety, require_within)
-from .connection import LabConnection, cov_ext_deriv
-from .forms import (Chart, LieForm, SamplePlan, bracket_pairing,
+from .connection import GaugeScenario, cov_ext_deriv
+from .forms import (LieForm, SamplePlan, bracket_pairing,
                     exterior_derivative, graded_product, increasing_indices,
                     max_gap_rows, scale_form)
 
 __all__ = [
-    "TrivLgb", "GSection", "dexp_body", "total_form", "one_form_on", "darboux",
+    "GSection", "dexp_body", "total_form", "mu_tot", "one_form_on", "darboux",
     "darboux_leibniz_rows", "darboux_inverse_rows", "nabla_from_darboux",
     "induced_connection", "multiplicativity_rows", "base_rows", "total_form_rows",
     "product_curvature", "generalized_mc_rows", "pullback_mc_rows",
@@ -113,8 +115,10 @@ class GSection:
     `stack` maps a (..., n) stack of points to the (..., r, r) stack of
     their group matrices, and `section(X)` reads it. A per-point closure of
     algebra coefficients becomes a section through `exp_of_form` of
-    `form_from_components`. Every finite row must lie on the group variety
-    (VarietyError otherwise); a non-finite row passes through as NaN.
+    `form_from_components`; such a section keeps the 0-form it exponentiates
+    and its scale (`form`, `scale`, None otherwise). Every finite row must
+    lie on the group variety (VarietyError otherwise); a non-finite row
+    passes through as NaN.
     A section must be a pure function of the point: the last stack is
     memoised by its coordinates and its matrices come back read-only.
     """
@@ -122,6 +126,7 @@ class GSection:
     def __init__(self, alg: LieAlgebraDescriptor, stack, name: str = ""):
         self.algebra, self.name, self._stack = alg, name, stack
         self._key = self._value = None
+        self.form = self.scale = None
 
     def __call__(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -148,7 +153,9 @@ class GSection:
                     name: str = "exp") -> "GSection":
         """b(x) = exp(scale form(x)) of an algebra-valued 0-form: one table of
         the form on the stack, then one exponential."""
-        return cls(alg, lambda X: group_exp(alg, scale * _table_at(form, X)[..., 0, :]), name)
+        section = cls(alg, lambda X: group_exp(alg, scale * _table_at(form, X)[..., 0, :]), name)
+        section.form, section.scale = form, scale
+        return section
 
     def product(self, other: "GSection") -> "GSection":
         if other.algebra is not self.algebra:
@@ -207,13 +214,13 @@ def _body_rows(alg: LieAlgebraDescriptor, matrices, X, h: float, what: str):
     return b[0], _body_coeffs(alg, dagger(b[0]), (b[1::2] - b[2::2]) / (2 * h), what)
 
 
-def _darboux_rows(lgb: TrivLgb, X, h: float, matrices, what: str) -> np.ndarray:
+def _darboux_rows(s: GaugeScenario, X, h: float, matrices, what: str) -> np.ndarray:
     """The Darboux derivative b^{-1} d_k b + (Ad_{b^{-1}} - id)(omega_k) along
     every axis at each point of a (..., n) stack X, shape (n, E..., ..., dim),
     from the matrices of `_body_rows`."""
-    b0, body = _body_rows(lgb.algebra, matrices, X, h, what)
-    w = np.moveaxis(_table_at(lgb.omega, X), -2, 0)  # (n, ..., dim), against (n, E..., ..., dim)
-    return total_form(lgb.algebra, b0, w.reshape(w.shape[:1] + (1,) * (
+    b0, body = _body_rows(s.algebra, matrices, X, h, what)
+    w = np.moveaxis(_table_at(s.omega, X), -2, 0)  # (n, ..., dim), against (n, E..., ..., dim)
+    return total_form(s.algebra, b0, w.reshape(w.shape[:1] + (1,) * (
         body.ndim - w.ndim) + w.shape[1:]), eta=body)
 
 
@@ -231,43 +238,21 @@ def one_form_on(form: LieForm, x, X) -> np.ndarray:
     return sum(X[..., k, None] * table[..., k, :] for k in range(form.n))
 
 
-# ---------------------------------------------------------------------------
-# the bundle
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TrivLgb:
-    """Group bundle in a trivialized chart, with horizontal data omega."""
-
-    chart: Chart
-    algebra: LieAlgebraDescriptor
-    omega: LieForm
-
-    def __post_init__(self):
-        if self.omega.degree != 1 or self.omega.value_target != "algebra":
-            raise ValueError("omega must be an algebra-valued 1-form")
-        self._nabla = None
-
-    @property
-    def nabla(self) -> LabConnection:
-        if self._nabla is None:
-            self._nabla = LabConnection.from_omega(self.algebra, self.omega)
-        return self._nabla
-
-    def mu_tot(self, x, g, X, eta) -> np.ndarray:
-        """eta + (Ad_{g^{-1}} - id)(omega_x(X)) in body coordinates at the
-        total-space points (x, g), for (..., n) points, (..., r, r) matrices,
-        base directions X and body velocities eta, leading axes broadcast."""
-        if not self.chart.contains(x):
-            raise ValueError(f"point {x} is outside the chart box")
-        return total_form(self.algebra, g, one_form_on(self.omega, x, X), eta=eta)
+def mu_tot(s: GaugeScenario, x, g, X, eta) -> np.ndarray:
+    """The total 1-form of the group bundle, eta + (Ad_{g^{-1}} - id)(omega_x(X))
+    in body coordinates at the total-space points (x, g), for (..., n)
+    points, (..., r, r) matrices, base directions X and body velocities eta,
+    leading axes broadcast."""
+    if not s.chart.contains(x):
+        raise ValueError(f"point {x} is outside the chart box")
+    return total_form(s.algebra, g, one_form_on(s.omega, x, X), eta=eta)
 
 
 # ---------------------------------------------------------------------------
 # group-valued logarithmic derivative and the induced connection
 # ---------------------------------------------------------------------------
 
-def darboux(lgb: TrivLgb, section: GSection) -> LieForm:
+def darboux(s: GaugeScenario, section: GSection) -> LieForm:
     """Logarithmic derivative of a section relative to the horizontal data:
     components b^{-1} d_k b + (Ad_{b^{-1}} - id)(omega_k), read over a batch
     from one stack of the section at X and X +- h e_k (`_darboux_rows`), h
@@ -275,33 +260,34 @@ def darboux(lgb: TrivLgb, section: GSection) -> LieForm:
 
     The output is finite-difference data; downstream exterior derivatives use
     a wider step (nested stencil)."""
-    h, what = lgb.chart.default_step(), f"section {section.name!r}"
+    h, what = s.chart.default_step(), f"section {section.name!r}"
 
     def batch(X):
-        return np.swapaxes(_darboux_rows(lgb, X, h, section, what), 0, 1)
+        return np.swapaxes(_darboux_rows(s, X, h, section, what), 0, 1)
 
-    return LieForm(n=lgb.chart.dim, degree=1, value_target="algebra",
-                   value_shape=(lgb.algebra.dim,), batch=batch, fd_step=10 * h,
-                   box=lgb.chart.box)
+    return LieForm(n=s.chart.dim, degree=1, value_target="algebra",
+                   value_shape=(s.algebra.dim,), batch=batch, fd_step=10 * h,
+                   box=s.chart.box)
 
 
-def darboux_leibniz_rows(lgb: TrivLgb, s1: GSection, s2: GSection,
+def darboux_leibniz_rows(s: GaugeScenario, s1: GSection, s2: GSection,
                          plan: SamplePlan) -> np.ndarray:
     """|Delta(s1 s2) - Ad_{s2^{-1}} Delta(s1) - Delta(s2)| at each point of
     the plan, as a (P,) array."""
-    X = plan.points(lgb.chart)
-    d1, d2, d12 = (darboux(lgb, s).table(X) for s in (s1, s2, s1.product(s2)))
-    return max_gap_rows(d12 - (ad_twist(lgb.algebra, dagger(s2(X)), d1) + d2))
+    X = plan.points(s.chart)
+    d1, d2, d12 = (darboux(s, sec).table(X) for sec in (s1, s2, s1.product(s2)))
+    return max_gap_rows(d12 - (ad_twist(s.algebra, dagger(s2(X)), d1) + d2))
 
 
-def darboux_inverse_rows(lgb: TrivLgb, s: GSection, plan: SamplePlan) -> np.ndarray:
-    """|Delta(s^{-1}) + Ad_s Delta(s)| at each point of the plan, (P,)."""
-    X = plan.points(lgb.chart)
-    d, dinv = (darboux(lgb, sec).table(X) for sec in (s, s.inverse()))
-    return max_gap_rows(dinv + ad_twist(lgb.algebra, s(X), d))
+def darboux_inverse_rows(s: GaugeScenario, section: GSection, plan: SamplePlan) -> np.ndarray:
+    """|Delta(b^{-1}) + Ad_b Delta(b)| for the section b at each point of the
+    plan, (P,)."""
+    X = plan.points(s.chart)
+    d, dinv = (darboux(s, sec).table(X) for sec in (section, section.inverse()))
+    return max_gap_rows(dinv + ad_twist(s.algebra, section(X), d))
 
 
-def nabla_from_darboux(lgb: TrivLgb, nu: LieForm, X, t_step: float = 1e-5) -> np.ndarray:
+def nabla_from_darboux(s: GaugeScenario, nu: LieForm, X, t_step: float = 1e-5) -> np.ndarray:
     """Derivative of the family t -> Delta(exp(t nu)) at t = 0 along every
     axis at each point of X, (..., n) -> (..., n, dim): the Darboux derivative
     of the sections exp(+-t_step nu) by the stencil and law of `darboux`, on
@@ -309,7 +295,7 @@ def nabla_from_darboux(lgb: TrivLgb, nu: LieForm, X, t_step: float = 1e-5) -> np
     fibre-connection suite compares it with the closed form
     `induced_connection`.
     """
-    alg, n = lgb.algebra, lgb.chart.dim
+    alg, n = s.algebra, s.chart.dim
     X = np.asarray(X, dtype=float)
     pts = X.reshape(-1, n)
 
@@ -317,24 +303,24 @@ def nabla_from_darboux(lgb: TrivLgb, nu: LieForm, X, t_step: float = 1e-5) -> np
         values = _table_at(nu, shifted)[..., 0, :]
         return on_variety(alg, group_exp(alg, np.stack([t_step * values, -t_step * values])))
 
-    delta = _darboux_rows(lgb, pts, lgb.chart.default_step(), matrices,
+    delta = _darboux_rows(s, pts, s.chart.default_step(), matrices,
                           "section exp(t nu)")             # (n, 2, P, dim)
     got = np.moveaxis((delta[:, 0] - delta[:, 1]) / (2 * t_step), 0, 1)
     return got.reshape(X.shape + (alg.dim,))
 
 
-def induced_connection(lgb: TrivLgb, nu: LieForm, X) -> np.ndarray:
+def induced_connection(s: GaugeScenario, nu: LieForm, X) -> np.ndarray:
     """The induced fibre connection in closed form, d nu + [omega, nu], along
     every axis at each point of the (P, n) batch X: shape (P, n, dim)."""
     return exterior_derivative(nu).table(X) + bracket_c(
-        lgb.algebra, lgb.omega.table(X), nu.table(X))
+        s.algebra, s.omega.table(X), nu.table(X))
 
 
 # ---------------------------------------------------------------------------
 # multiplicativity and the curvature identity on the total space
 # ---------------------------------------------------------------------------
 
-def multiplicativity_rows(lgb: TrivLgb, plan: SamplePlan) -> np.ndarray:
+def multiplicativity_rows(s: GaugeScenario, plan: SamplePlan) -> np.ndarray:
     """Deviation of the total 1-form from the multiplication-compatibility
     law at each point of the plan, as a (P,) array.
 
@@ -343,8 +329,8 @@ def multiplicativity_rows(lgb: TrivLgb, plan: SamplePlan) -> np.ndarray:
     plus the second slot; point i draws g, q and its tangent probes from
     `default_rng([plan.seed, i])`.
     """
-    alg, n, d = lgb.algebra, lgb.chart.dim, lgb.algebra.dim
-    x = plan.points(lgb.chart)
+    alg, n, d = s.algebra, s.chart.dim, s.algebra.dim
+    x = plan.points(s.chart)
     group_coeffs, probes = _point_draws(plan, len(x), d, 2, n + 2 * d)
     # (P, 1, ...): one point and group pair per row, against (P, probes, ...)
     g, q = np.moveaxis(on_variety(alg, group_exp(alg, group_coeffs)), 1, 0)[:, :, None]
@@ -353,8 +339,8 @@ def multiplicativity_rows(lgb: TrivLgb, plan: SamplePlan) -> np.ndarray:
     x = x[:, None, :]
 
     ad_q_inv = ad_matrix_of_group(alg, dagger(q))
-    lhs = lgb.mu_tot(x, gq, X, _act(ad_q_inv, eta) + theta)
-    rhs = _act(ad_q_inv, lgb.mu_tot(x, g, X, eta)) + lgb.mu_tot(x, q, X, theta)
+    lhs = mu_tot(s, x, gq, X, _act(ad_q_inv, eta) + theta)
+    rhs = _act(ad_q_inv, mu_tot(s, x, g, X, eta)) + mu_tot(s, x, q, X, theta)
     return max_gap_rows(lhs - rhs)
 
 
@@ -362,47 +348,47 @@ def multiplicativity_rows(lgb: TrivLgb, plan: SamplePlan) -> np.ndarray:
 # product coordinates around a stack of anchors
 # ---------------------------------------------------------------------------
 
-def base_rows(lgb: TrivLgb, x, g, a: LieForm = None) -> np.ndarray:
+def base_rows(s: GaugeScenario, x, g, a: LieForm = None) -> np.ndarray:
     """`total_form` on every base axis k at each total-space point (x, g) of
     a stack, no fibre velocity: (..., n) points and (..., r, r) matrices give
     (..., n, dim). `a` is a gauge field, zero when None; one Ad stack and one
     table each of omega and `a` cover the stack."""
-    return total_form(lgb.algebra, g[..., None, :, :], _table_at(lgb.omega, x),
+    return total_form(s.algebra, g[..., None, :, :], _table_at(s.omega, x),
                       a=None if a is None else _table_at(a, x))
 
 
-def total_form_rows(lgb: TrivLgb, x0, h0, uv, a: LieForm = None) -> np.ndarray:
+def total_form_rows(s: GaugeScenario, x0, h0, uv, a: LieForm = None) -> np.ndarray:
     """The total connection form in product coordinates (u, v) around each
     anchor (x0, h0) of a stack, where (u, v) is the point (x0 + u, h0 exp(v)):
     its rows on every axis at each offset of the (m, n + dim) stack uv, for
     (P, n) anchors x0 and (P, r, r) matrices h0, shape (P, m, n + dim, dim).
     Base axes carry `base_rows` (the gauge field `a`, zero when None), fibre
     axes dexp_v of the basis; one exponential covers the offsets."""
-    alg, n = lgb.algebra, lgb.chart.dim
+    alg, n = s.algebra, s.chart.dim
     v = uv[:, n:]
-    base = base_rows(lgb, x0[:, None, :] + uv[:, :n], h0[:, None] @ group_exp(alg, v), a)
+    base = base_rows(s, x0[:, None, :] + uv[:, :n], h0[:, None] @ group_exp(alg, v), a)
     fibre = dexp_body(alg, v[:, None, :], np.eye(alg.dim))
     return np.concatenate([base, np.broadcast_to(fibre, base.shape[:2] + fibre.shape[1:])],
                           axis=-2)
 
 
-def product_curvature(lgb: TrivLgb, x0, h0, a: LieForm = None):
+def product_curvature(s: GaugeScenario, x0, h0, a: LieForm = None):
     """The total connection form A at the origin of product coordinates
     around each anchor of a stack (see `total_form_rows`), and its two
     curvature parts there: dA + Gamma ^ A, with Gamma the base connection
     pulled back (fibre axes act trivially), and (1/2)[A ^ A]. Shapes
     (P, N, dim) and twice (P, C(N, 2), dim), N = n + dim. dA is the central
     stencil of step 1e-5 on one stack of the offsets 0, +- 1e-5 e_k."""
-    alg, n, d = lgb.algebra, lgb.chart.dim, lgb.algebra.dim
+    alg, n, d = s.algebra, s.chart.dim, s.algebra.dim
     N, step = n + d, 1e-5
     uv = np.zeros((2 * N + 1, N))
     uv[1::2][range(N), range(N)] = step
     uv[2::2][range(N), range(N)] = -step
-    rows = total_form_rows(lgb, x0, h0, uv, a)
+    rows = total_form_rows(s, x0, h0, uv, a)
     partial = (rows[:, 1::2] - rows[:, 2::2]) / (2 * step)  # (P, axis, row, dim)
     a0 = rows[:, 0]
     gamma = np.zeros(a0.shape + (d,))
-    gamma[:, :n] = ad_matrix_c(alg, lgb.omega.table(x0))
+    gamma[:, :n] = ad_matrix_c(alg, s.omega.table(x0))
     i, j = np.array(increasing_indices(N, 2)).T
     cov = (partial[:, i, j] - partial[:, j, i]) + (
         _act(gamma[:, i], a0[:, j]) - _act(gamma[:, j], a0[:, i]))
@@ -415,7 +401,7 @@ def _base_pairs(n: int, N: int) -> np.ndarray:
     return np.array(increasing_indices(N, 2)).reshape(-1, 2)[:, 1] < n
 
 
-def generalized_mc_rows(lgb: TrivLgb, zeta: LieForm, plan: SamplePlan) -> np.ndarray:
+def generalized_mc_rows(s: GaugeScenario, plan: SamplePlan) -> np.ndarray:
     """Residual of the curvature identity for the total 1-form at each point
     of the plan, (P,), anchored at (x, g0) with g0 from `default_rng([plan.seed, i])`.
 
@@ -424,27 +410,26 @@ def generalized_mc_rows(lgb: TrivLgb, zeta: LieForm, plan: SamplePlan) -> np.nda
     half-bracket square must reproduce (Ad_{g^{-1}} - id) of zeta on base
     pairs and vanish on mixed/fibre pairs.
     """
-    alg = lgb.algebra
-    x0 = plan.points(lgb.chart)
+    alg = s.algebra
+    x0 = plan.points(s.chart)
     coeffs, _ = _point_draws(plan, len(x0), alg.dim, 1, 0)
     g0 = on_variety(alg, group_exp(alg, coeffs[:, 0]))
-    _, cov, sq = product_curvature(lgb, x0, g0)
+    _, cov, sq = product_curvature(s, x0, g0)
     lhs = cov + sq
-    z = zeta.table(x0)
-    lhs[:, _base_pairs(lgb.chart.dim, lgb.chart.dim + alg.dim)] -= (
+    z = s.zeta.table(x0)
+    lhs[:, _base_pairs(s.chart.dim, s.chart.dim + alg.dim)] -= (
         ad_twist(alg, dagger(g0), z) - z)
     return max_gap_rows(lhs)
 
 
-def pullback_mc_rows(lgb: TrivLgb, section: GSection, zeta: LieForm,
-                     plan: SamplePlan) -> np.ndarray:
+def pullback_mc_rows(s: GaugeScenario, section: GSection, plan: SamplePlan) -> np.ndarray:
     """Residual of the pulled-back curvature identity along one section at
     each point of the plan, (P,):
     del(Delta s) + (1/2)[Delta s ^, Delta s] + zeta - Ad_{s^{-1}} zeta = 0."""
-    alg = lgb.algebra
-    X = plan.points(lgb.chart)
-    ds = darboux(lgb, section)
-    lhs = cov_ext_deriv(lgb.nabla, ds)
+    alg = s.algebra
+    X = plan.points(s.chart)
+    ds = darboux(s, section)
+    lhs = cov_ext_deriv(s.nabla, ds)
     sq = scale_form(graded_product(bracket_pairing(alg), ds, ds), 0.5)
-    z = zeta.table(X)
+    z = s.zeta.table(X)
     return max_gap_rows(lhs.table(X) + sq.table(X) + z - ad_twist(alg, dagger(section(X)), z))

@@ -1,12 +1,14 @@
 """Trivialized principal bundle carrying a structural group bundle.
 
-The bundle is chart x G with two pieces of connection data: the structural
-horizontal data omega (shared with the group bundle) and the gauge field in
-the identity gauge. Fibre tangents are body coordinates, as in the group
-bundle layer. Every transformation law is evaluated along two independent
-routes (direct differentiation vs the closed-form right-hand side) and the
-disagreement is surfaced as a residual, at every point of a sample plan at
-once: the laws act on stacks of points, group matrices and tangents.
+The bundle is chart x G with two pieces of connection data, both read from
+the one `GaugeScenario`: the structural horizontal data omega (shared with
+the group bundle, `GaugeScenario.omega`) and the gauge field A in the
+identity gauge; the field-strength laws read its central form zeta too.
+Fibre tangents are body coordinates, as in the group bundle layer. Every
+transformation law is evaluated along two independent routes (direct
+differentiation vs the closed-form right-hand side) and the disagreement is
+surfaced as a residual, at every point of a sample plan at once: the laws
+act on stacks of points, group matrices and tangents.
 
 The connection form is the group bundle's `total_form` with the gauge
 field. Right translation moves only the fibre, so the modified pushforward
@@ -15,18 +17,17 @@ bundle automorphism (x, h) -> (x, tau(x) h) is its section tau.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import LieAlgebraDescriptor, ad_matrix_of_group, dagger, group_exp
+from .connection import GaugeScenario
 from .forms import LieForm, SamplePlan, increasing_indices, max_gap_rows
-from .lgb import (GSection, TrivLgb, _act, _base_pairs, _body_coeffs,
+from .lgb import (GSection, _act, _base_pairs, _body_coeffs,
                   _darboux_rows, _point_draws, _table_at, dexp_body,
                   induced_connection, one_form_on, product_curvature, total_form)
 
 __all__ = [
-    "TrivPrincipal", "connection_one_form", "modified_pushforward",
+    "connection_one_form", "modified_pushforward",
     "pushforward_via_section", "action_differential_rows",
     "section_independence_rows", "TotalFieldStrength", "total_field_strength",
     "structure_equation_rows", "gauge_transform_total", "equivariance_rows",
@@ -35,30 +36,12 @@ __all__ = [
 ]
 
 
-@dataclass
-class TrivPrincipal:
-    lgb: TrivLgb
-    a_local: LieForm  # gauge field in the gauge x -> (x, identity)
-
-    def __post_init__(self):
-        if self.a_local.degree != 1 or self.a_local.value_target != "algebra":
-            raise ValueError("the gauge field must be an algebra-valued 1-form")
-
-    @property
-    def algebra(self) -> LieAlgebraDescriptor:
-        return self.lgb.algebra
-
-    @property
-    def chart(self):
-        return self.lgb.chart
-
-
 _STENCIL4 = np.array([0.0, -2.0, -1.0, 1.0, 2.0])
 
 
 def _body_stencil4(alg: LieAlgebraDescriptor, curve, lead: int, h: float = 1e-3) -> np.ndarray:
-    """Body velocity at s = 0 of a stack of matrix-valued curves, by the
-    fourth-order stencil: curve(s) maps the (5, 1, ..., 1) stack of s, with
+    """Body velocity at t = 0 of a stack of matrix-valued curves, by the
+    fourth-order stencil: curve(t) maps the (5, 1, ..., 1) stack of t, with
     `lead` unit axes, to its (5, ..., r, r) matrices. A curve off the group
     variety raises ReexpansionError (the watchdog of `_body_coeffs`)."""
     m = curve((h * _STENCIL4).reshape((5,) + (1,) * lead))
@@ -71,13 +54,13 @@ def _groups(alg: LieAlgebraDescriptor, coeffs) -> np.ndarray:
     return np.moveaxis(group_exp(alg, coeffs), 1, 0)
 
 
-def _sample(p: TrivPrincipal, plan: SamplePlan, groups: int, width: int):
+def _sample(s: GaugeScenario, plan: SamplePlan, groups: int, width: int):
     """The plan's points as (P, 1, n), the `groups` group matrices of each
     point as (groups, P, 1, r, r) and its tangent probes (P, probes, width),
     drawn by `_point_draws`."""
-    x = plan.points(p.chart)
-    coeffs, probes = _point_draws(plan, len(x), p.algebra.dim, groups, width)
-    return x[:, None, :], _groups(p.algebra, coeffs)[:, :, None], probes
+    x = plan.points(s.chart)
+    coeffs, probes = _point_draws(plan, len(x), s.algebra.dim, groups, width)
+    return x[:, None, :], _groups(s.algebra, coeffs)[:, :, None], probes
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +70,7 @@ def _sample(p: TrivPrincipal, plan: SamplePlan, groups: int, width: int):
 # These act on stacks: the leading axes of the points, group matrices and
 # tangents broadcast.
 
-def connection_one_form(p: TrivPrincipal, x, h, X, V) -> np.ndarray:
+def connection_one_form(s: GaugeScenario, x, h, X, V) -> np.ndarray:
     """V + Ad_{h^{-1}}(A(X)) + (Ad_{h^{-1}} - id)(omega(X)) in body
     coordinates at the total-space points (x, h), for the base directions X
     and fibre velocities V: `total_form` with the gauge field A.
@@ -96,11 +79,11 @@ def connection_one_form(p: TrivPrincipal, x, h, X, V) -> np.ndarray:
     of -A over the base directions. The omega defect term is what makes the
     form equivariant under the modified pushforward.
     """
-    return total_form(p.algebra, h, one_form_on(p.lgb.omega, x, X), eta=V,
-                      a=one_form_on(p.a_local, x, X))
+    return total_form(s.algebra, h, one_form_on(s.omega, x, X), eta=V,
+                      a=one_form_on(s.gauge_field, x, X))
 
 
-def modified_pushforward(p: TrivPrincipal, g, x, X, V) -> np.ndarray:
+def modified_pushforward(s: GaugeScenario, g, x, X, V) -> np.ndarray:
     """The fibre velocity Ad_{g^{-1}}(V) - (Ad_{g^{-1}} - id)(omega(X)) that
     right translation by g gives a tangent (X, V) over the points x; the
     base direction X is unchanged. It is `total_form` at g with V in the
@@ -109,23 +92,23 @@ def modified_pushforward(p: TrivPrincipal, g, x, X, V) -> np.ndarray:
     The closed form of the defining section route; the two are compared by
     `section_independence_rows`.
     """
-    return total_form(p.algebra, g, -one_form_on(p.lgb.omega, x, X), a=V)
+    return total_form(s.algebra, g, -one_form_on(s.omega, x, X), a=V)
 
 
-def pushforward_via_section(p: TrivPrincipal, sigma, x, g, X, V) -> np.ndarray:
+def pushforward_via_section(s: GaugeScenario, sigma, x, g, X, V) -> np.ndarray:
     """Defining route of the pushed fibre velocity: differentiate right
     translation by the section, then subtract the fundamental vector of the
     section's logarithmic derivative, for the tangent (X, V) at (x, g).
     `sigma` maps (..., n) points to (..., r, r) matrices, as a `GSection`
     does, broadcast against the leading axes of x."""
-    alg, x = p.algebra, np.asarray(x, dtype=float)
-    h_step = p.chart.default_step()
+    alg, x = s.algebra, np.asarray(x, dtype=float)
+    h_step = s.chart.default_step()
 
-    def curve(s):
-        return (g @ group_exp(alg, s[..., None] * V)) @ sigma(x + s[..., None] * X)
+    def curve(t):
+        return (g @ group_exp(alg, t[..., None] * V)) @ sigma(x + t[..., None] * X)
 
     body_dr = _body_stencil4(alg, curve, np.ndim(X) - 1, h=h_step)
-    ds = _darboux_rows(p.lgb, x, h_step, sigma, "section")
+    ds = _darboux_rows(s, x, h_step, sigma, "section")
     return body_dr - sum(X[..., k, None] * ds[k] for k in range(len(ds)))
 
 
@@ -134,11 +117,11 @@ def pushforward_via_section(p: TrivPrincipal, sigma, x, g, X, V) -> np.ndarray:
 # from default_rng([plan.seed, i]) and gives row i of a (P,) residual array
 # ---------------------------------------------------------------------------
 
-def section_independence_rows(p: TrivPrincipal, plan: SamplePlan) -> np.ndarray:
+def section_independence_rows(s: GaugeScenario, plan: SamplePlan) -> np.ndarray:
     """Two sections through the same multiplier must induce the same
     pushforward, and both must agree with the closed form."""
-    alg, n, d = p.algebra, p.chart.dim, p.algebra.dim
-    x, (g,), probes = _sample(p, plan, 1, n + d)
+    alg, n, d = s.algebra, s.chart.dim, s.algebra.dim
+    x, (g,), probes = _sample(s, plan, 1, n + d)
     identity = np.broadcast_to(np.eye(alg.rep_dim), g.shape)
     X, V = np.split(probes, [n], axis=-1)
     slope = 0.2 * np.arange(1, d + 1)
@@ -149,70 +132,70 @@ def section_independence_rows(p: TrivPrincipal, plan: SamplePlan) -> np.ndarray:
     def tilted(Y):
         return group_exp(alg, slope * ((Y - x) @ np.full(n, 1.0 / n))[..., None]) @ g
 
-    via = [pushforward_via_section(p, s, x, identity, X, V) for s in (const, tilted)]
-    closed = modified_pushforward(p, g, x, X, V)
+    via = [pushforward_via_section(s, sec, x, identity, X, V) for sec in (const, tilted)]
+    closed = modified_pushforward(s, g, x, X, V)
     return max_gap_rows(np.concatenate([via[0] - via[1], via[0] - closed], axis=-1))
 
 
-def action_differential_rows(p: TrivPrincipal, plan: SamplePlan) -> np.ndarray:
+def action_differential_rows(s: GaugeScenario, plan: SamplePlan) -> np.ndarray:
     """Differential of the fibrewise action, direct stencil vs assembled law.
 
-    Direct: body velocity of s -> h(s) g(s) for matched curves. Assembled:
+    Direct: body velocity of t -> h(t) g(t) for matched curves. Assembled:
     derivative of right translation by a section through g plus the vertical
     (body) part of the group-side tangent relative to that section.
     """
-    alg, n, d = p.algebra, p.chart.dim, p.algebra.dim
-    x, (h, g), probes = _sample(p, plan, 2, n + 2 * d)
+    alg, n, d = s.algebra, s.chart.dim, s.algebra.dim
+    x, (h, g), probes = _sample(s, plan, 2, n + 2 * d)
     X, V, W = np.split(probes, [n, n + d], axis=-1)
 
     def sigma(Y):  # section through g with linear body slope, matched to W at x
         return group_exp(alg, ((Y - x) @ np.full(n, 1.0 / n))[..., None] * W) @ g
 
-    direct = _body_stencil4(alg, lambda s: (h @ group_exp(alg, s[..., None] * V)) @ (
-        g @ group_exp(alg, s[..., None] * W)), 2)
-    d_rsigma = _body_stencil4(alg, lambda s: (h @ group_exp(alg, s[..., None] * V)) @ sigma(
-        x + s[..., None] * X), 2)
-    body_dsigma = _body_stencil4(alg, lambda s: sigma(x + s[..., None] * X), 2)
+    direct = _body_stencil4(alg, lambda t: (h @ group_exp(alg, t[..., None] * V)) @ (
+        g @ group_exp(alg, t[..., None] * W)), 2)
+    d_rsigma = _body_stencil4(alg, lambda t: (h @ group_exp(alg, t[..., None] * V)) @ sigma(
+        x + t[..., None] * X), 2)
+    body_dsigma = _body_stencil4(alg, lambda t: sigma(x + t[..., None] * X), 2)
     return max_gap_rows(direct - (d_rsigma + (W - body_dsigma)))
 
 
-def equivariance_rows(p: TrivPrincipal, plan: SamplePlan) -> np.ndarray:
+def equivariance_rows(s: GaugeScenario, plan: SamplePlan) -> np.ndarray:
     """Pullback of the connection form along the modified pushforward must be
     its adjoint twist: A(r-hat(t)) = Ad_{g^{-1}} A(t)."""
-    alg, n, d = p.algebra, p.chart.dim, p.algebra.dim
-    x, (g, h), probes = _sample(p, plan, 2, n + d)
+    alg, n, d = s.algebra, s.chart.dim, s.algebra.dim
+    x, (g, h), probes = _sample(s, plan, 2, n + d)
     X, V = np.split(probes, [n], axis=-1)
-    lhs = connection_one_form(p, x, h @ g, X, modified_pushforward(p, g, x, X, V))
+    lhs = connection_one_form(s, x, h @ g, X, modified_pushforward(s, g, x, X, V))
     ad_g_inv = ad_matrix_of_group(alg, dagger(g))
-    return max_gap_rows(lhs - _act(ad_g_inv, connection_one_form(p, x, h, X, V)))
+    return max_gap_rows(lhs - _act(ad_g_inv, connection_one_form(s, x, h, X, V)))
 
 
-def kernel_invariance_rows(p: TrivPrincipal, plan: SamplePlan) -> np.ndarray:
+def kernel_invariance_rows(s: GaugeScenario, plan: SamplePlan) -> np.ndarray:
     """The pushforward must map the connection kernel into itself."""
-    n, d = p.chart.dim, p.algebra.dim
-    x, (g, h), _ = _sample(p, plan, 2, 0)
+    n, d = s.chart.dim, s.algebra.dim
+    x, (g, h), _ = _sample(s, plan, 2, 0)
     X = np.broadcast_to(np.eye(n), (len(x), n, n))
-    ker = -connection_one_form(p, x, h, X, np.zeros(d))
-    pushed = modified_pushforward(p, g, x, X, ker)
-    return max_gap_rows(connection_one_form(p, x, h @ g, X, pushed))
+    ker = -connection_one_form(s, x, h, X, np.zeros(d))
+    pushed = modified_pushforward(s, g, x, X, ker)
+    return max_gap_rows(connection_one_form(s, x, h @ g, X, pushed))
 
 
-def projection_commutation_rows(p: TrivPrincipal, plan: SamplePlan) -> np.ndarray:
+def projection_commutation_rows(s: GaugeScenario, plan: SamplePlan) -> np.ndarray:
     """Horizontal/vertical projectors commute with the modified pushforward.
     The vertical part of (X, V) is (0, A(X, V)) and the horizontal part
     (X, V - A(X, V)); the pushforward keeps X, so the gaps are in V alone."""
-    n, d = p.chart.dim, p.algebra.dim
-    x, (g, h), probes = _sample(p, plan, 2, n + d)
+    n, d = s.chart.dim, s.algebra.dim
+    x, (g, h), probes = _sample(s, plan, 2, n + d)
     X, V = np.split(probes, [n], axis=-1)
-    pushed = modified_pushforward(p, g, x, X, V)
-    v, v_img = (connection_one_form(p, x, h, X, V),
-                connection_one_form(p, x, h @ g, X, pushed))
-    vert = modified_pushforward(p, g, x, np.zeros_like(X), v) - v_img
-    horiz = modified_pushforward(p, g, x, X, V - v) - (pushed - v_img)
+    pushed = modified_pushforward(s, g, x, X, V)
+    v, v_img = (connection_one_form(s, x, h, X, V),
+                connection_one_form(s, x, h @ g, X, pushed))
+    vert = modified_pushforward(s, g, x, np.zeros_like(X), v) - v_img
+    horiz = modified_pushforward(s, g, x, X, V - v) - (pushed - v_img)
     return max_gap_rows(np.concatenate([vert, horiz], axis=-1))
 
 
-def mixed_bracket_rows(p: TrivPrincipal, nu: LieForm, plan: SamplePlan,
+def mixed_bracket_rows(s: GaugeScenario, nu: LieForm, plan: SamplePlan,
                        fd_step: float = 1e-5) -> np.ndarray:
     """Connection form applied to the bracket of a horizontal lift with a
     fundamental field equals the fibre covariant derivative of the generator.
@@ -222,15 +205,15 @@ def mixed_bracket_rows(p: TrivPrincipal, nu: LieForm, plan: SamplePlan,
     point; fibre coordinate frames are converted to body coordinates through
     the exponential differential.
     """
-    alg, n, d = p.algebra, p.chart.dim, p.algebra.dim
+    alg, n, d = s.algebra, s.chart.dim, s.algebra.dim
     N = n + d
-    x0 = plan.points(p.chart)
+    x0 = plan.points(s.chart)
     coeffs, X = _point_draws(plan, len(x0), d, 1, n, probes=1)
     (h0,), X = _groups(alg, coeffs), X[:, 0]
     steps = np.eye(N) * fd_step
     uv = np.concatenate([np.zeros((1, N)), steps, -steps])
     x = x0[:, None, :] + uv[:, :n]
-    a, w = (one_form_on(f, x, X[:, None, :]) for f in (p.a_local, p.lgb.omega))
+    a, w = (one_form_on(f, x, X[:, None, :]) for f in (s.gauge_field, s.omega))
     dexp = np.swapaxes(dexp_body(alg, uv[:, None, n:], np.eye(d)), -1, -2)
 
     def field(base, body):  # coordinate field with body-coordinate fibre part
@@ -244,8 +227,8 @@ def mixed_bracket_rows(p: TrivPrincipal, nu: LieForm, plan: SamplePlan,
         return np.swapaxes((f[:, 1:N + 1] - f[:, N + 1:]) / (2 * fd_step), -1, -2)
 
     bracket = _act(jacobian(fund), lift[:, 0]) - _act(jacobian(lift), fund[:, 0])
-    got = connection_one_form(p, x0, h0, bracket[:, :n], bracket[:, n:])
-    return max_gap_rows(got - (X[:, None, :] @ induced_connection(p.lgb, nu, x0))[:, 0])
+    got = connection_one_form(s, x0, h0, bracket[:, :n], bracket[:, n:])
+    return max_gap_rows(got - (X[:, None, :] @ induced_connection(s, nu, x0))[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +259,12 @@ class TotalFieldStrength:
     row p for anchor p.
     """
 
-    def __init__(self, p: TrivPrincipal, zeta: LieForm, x0, h0):
-        n = p.chart.dim
+    def __init__(self, s: GaugeScenario, x0, h0):
+        n = s.chart.dim
         self.n = n
-        self.a, self.cov_da, sq = product_curvature(p.lgb, x0, h0, a=p.a_local)
+        self.a, self.cov_da, sq = product_curvature(s, x0, h0, a=s.gauge_field)
         self.zeta = np.zeros_like(sq)
-        self.zeta[:, _base_pairs(n, n + p.algebra.dim)] = zeta.table(x0)
+        self.zeta[:, _base_pairs(n, n + s.algebra.dim)] = s.zeta.table(x0)
         self.full = self.cov_da + sq + self.zeta
 
     def connection_value(self, t) -> np.ndarray:
@@ -304,23 +287,22 @@ class TotalFieldStrength:
                 + _two_form_on(self.zeta, t1, t2))
 
 
-def total_field_strength(p: TrivPrincipal, zeta: LieForm, x0,
-                         h0=None) -> TotalFieldStrength:
+def total_field_strength(s: GaugeScenario, x0, h0=None) -> TotalFieldStrength:
     """The field strength at the (P, n) anchors x0 with (P, r, r) group
     matrices h0 (the identity when None)."""
     x0 = np.asarray(x0, dtype=float)
     if h0 is None:
-        h0 = np.broadcast_to(np.eye(p.algebra.rep_dim, dtype=complex),
-                             x0.shape[:-1] + (p.algebra.rep_dim,) * 2)
-    return TotalFieldStrength(p, zeta, x0, h0)
+        h0 = np.broadcast_to(np.eye(s.algebra.rep_dim, dtype=complex),
+                             x0.shape[:-1] + (s.algebra.rep_dim,) * 2)
+    return TotalFieldStrength(s, x0, h0)
 
 
-def field_strength_type_rows(p: TrivPrincipal, zeta: LieForm, plan: SamplePlan) -> np.ndarray:
+def field_strength_type_rows(s: GaugeScenario, plan: SamplePlan) -> np.ndarray:
     """Adjoint type of the field strength under the modified pushforward:
     F(r-hat t1, r-hat t2) = Ad_{g^{-1}} F(t1, t2), anchored at (x, identity)
     and (x, g) in one stack."""
-    alg, n = p.algebra, p.chart.dim
-    x = plan.points(p.chart)
+    alg, n = s.algebra, s.chart.dim
+    x = plan.points(s.chart)
     P = len(x)
     coeffs, probes = _point_draws(plan, P, alg.dim, 1, 2 * (n + alg.dim))
     (g,) = _groups(alg, coeffs)
@@ -329,23 +311,23 @@ def field_strength_type_rows(p: TrivPrincipal, zeta: LieForm, plan: SamplePlan) 
     def push(t):
         X = t[..., :n]
         return np.concatenate([X, modified_pushforward(
-            p, g[:, None], x[:, None], X, t[..., n:])], axis=-1)
+            s, g[:, None], x[:, None], X, t[..., n:])], axis=-1)
 
     identity = np.broadcast_to(np.eye(alg.rep_dim, dtype=complex), g.shape)
-    fs = total_field_strength(p, zeta, np.concatenate([x, x]), np.concatenate([identity, g]))
+    fs = total_field_strength(s, np.concatenate([x, x]), np.concatenate([identity, g]))
     f = fs.evaluate(np.concatenate([t1, push(t1)]), np.concatenate([t2, push(t2)]))
     return max_gap_rows(f[P:] - _act(ad_matrix_of_group(alg, dagger(g))[:, None], f[:P]))
 
 
-def structure_equation_rows(p: TrivPrincipal, zeta: LieForm, plan: SamplePlan):
+def structure_equation_rows(s: GaugeScenario, plan: SamplePlan):
     """The (dual-path, horizontality, adjoint-type) rows of the structure
     equation over the plan, (P,) each, at the anchors (x, identity):
     F against its covariant assembly `structure_route` on probes from
     `default_rng(hash((plan.seed, i)) % 2**32)`, F on a vertical and an
     arbitrary probe, and `field_strength_type_rows`."""
-    n, d = p.chart.dim, p.algebra.dim
-    x = plan.points(p.chart)
-    fs = total_field_strength(p, zeta, x)
+    n, d = s.chart.dim, s.algebra.dim
+    x = plan.points(s.chart)
+    fs = total_field_strength(s, x)
     dual = np.array([np.random.default_rng(hash((plan.seed, i)) % (2 ** 32)).normal(
         size=(plan.tangent_probes, 2, n + d)) for i in range(len(x))])
     t1, t2 = dual[:, :, 0], dual[:, :, 1]
@@ -353,15 +335,14 @@ def structure_equation_rows(p: TrivPrincipal, zeta: LieForm, plan: SamplePlan):
     vert = np.concatenate([np.zeros(probes.shape[:-1] + (n,)), probes[..., :d]], axis=-1)
     return (max_gap_rows(fs.evaluate(t1, t2) - fs.structure_route(t1, t2)),
             max_gap_rows(fs.evaluate(vert, probes[..., d:])),
-            field_strength_type_rows(p, zeta, plan))
+            field_strength_type_rows(s, plan))
 
 
 # ---------------------------------------------------------------------------
 # gauge transformations by automorphisms
 # ---------------------------------------------------------------------------
 
-def gauge_transform_total(p: TrivPrincipal, tau: GSection, zeta: LieForm,
-                          plan: SamplePlan) -> tuple:
+def gauge_transform_total(s: GaugeScenario, tau: GSection, plan: SamplePlan) -> tuple:
     """Pull the connection form and field strength back through the bundle
     automorphism (x, h) -> (x, tau(x) h) of a section tau.
 
@@ -372,13 +353,13 @@ def gauge_transform_total(p: TrivPrincipal, tau: GSection, zeta: LieForm,
     `default_rng([plan.seed, i])`; returns the (P,) rows of the potential
     law and of the field-strength law.
     """
-    alg, n, d = p.algebra, p.chart.dim, p.algebra.dim
-    x = plan.points(p.chart)
+    alg, n, d = s.algebra, s.chart.dim, s.algebra.dim
+    x = plan.points(s.chart)
     P = len(x)
     coeffs, probes = _point_draws(plan, P, d, 1, 3 * n + 3 * d)
     (h,) = _groups(alg, coeffs)
     X, V, t1, t2 = np.split(probes, [n, n + d, 2 * n + 2 * d], axis=-1)
-    image, body_dtau = tau(x) @ h, tau.body_derivative(x, p.chart.default_step())
+    image, body_dtau = tau(x) @ h, tau.body_derivative(x, s.chart.default_step())
     ad_h_inv = ad_matrix_of_group(alg, dagger(h))[:, None]
     sigma = dagger(h) @ tau(x) @ h
     x1 = x[:, None, :]
@@ -389,17 +370,17 @@ def gauge_transform_total(p: TrivPrincipal, tau: GSection, zeta: LieForm,
     def push_through_h(t):
         return np.concatenate([t[..., :n], t[..., n:] + dtau(t[..., :n])], axis=-1)
 
-    direct = connection_one_form(p, x1, image[:, None], X, V + dtau(X))
+    direct = connection_one_form(s, x1, image[:, None], X, V + dtau(X))
 
-    def conj_curve(s):  # the conjugation section along s -> (x + sX, h exp(sV))
-        hs = h[:, None] @ group_exp(alg, s[..., None] * V)
-        return np.linalg.inv(hs) @ tau(x1 + s[..., None] * X) @ hs
+    def conj_curve(t):  # the conjugation section along t -> (x + tX, h exp(tV))
+        hs = h[:, None] @ group_exp(alg, t[..., None] * V)
+        return np.linalg.inv(hs) @ tau(x1 + t[..., None] * X) @ hs
 
-    base = connection_one_form(p, x1, h[:, None], X, V)
-    formula = total_form(alg, sigma[:, None], one_form_on(p.lgb.omega, x1, X),
+    base = connection_one_form(s, x1, h[:, None], X, V)
+    formula = total_form(alg, sigma[:, None], one_form_on(s.omega, x1, X),
                          eta=_body_stencil4(alg, conj_curve, 2), a=base)
 
-    fs = total_field_strength(p, zeta, np.concatenate([x, x]), np.concatenate([h, image]))
+    fs = total_field_strength(s, np.concatenate([x, x]), np.concatenate([h, image]))
     f = fs.evaluate(np.concatenate([t1, push_through_h(t1)]),
                     np.concatenate([t2, push_through_h(t2)]))
     ad_sig_inv = ad_matrix_of_group(alg, dagger(sigma))[:, None]

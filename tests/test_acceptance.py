@@ -5,19 +5,20 @@ criterion. Heavy full-suite runs are shared through a module-scoped fixture;
 criteria with their own runtime budgets time their work separately.
 """
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import cym.lgb
 from cym.algebra import ad_matrix_of_group, dagger, su2, u1_su2
-from cym.connection import LabConnection, potential_curvature
+from cym.connection import GaugeScenario, LabConnection, potential_curvature
 from cym.forms import LieForm, PolyData, SamplePlan, form_from_poly, max_gap, zero_form
-from cym.gauge import GaugeScenario, bianchi_rows, field_redef_rows
+from cym.gauge import bianchi_rows, field_redef_rows
 from cym.connection import check_compatibility, field_redefine
 from cym.harness import (GATE_PLAN, SCENARIO_NAMES, algebra_kernel_residuals,
                          builtin_scenario, run_suite)
-from cym.lgb import (TrivLgb, generalized_mc_rows, multiplicativity_rows, one_form_on,
-                     total_form)
+from cym.lgb import generalized_mc_rows, multiplicativity_rows, one_form_on, total_form
 
 PLAN64 = SamplePlan(count=64, seed=42)
 
@@ -83,7 +84,7 @@ def test_criterion_03_fibre_connection_from_section_families(full_runs):
         assert r < 1e-6
 
 
-def test_criterion_04_total_form_multiplicativity(full_runs):
+def test_criterion_04_total_form_multiplicativity(full_runs, monkeypatch):
     for name in SCENARIO_NAMES:
         rows = suite_rows(full_runs[name][1], "multiplicativity")
         r = rows["total-form"].residual
@@ -97,14 +98,14 @@ def test_criterion_04_total_form_multiplicativity(full_runs):
                (np.array([0.0, 0.0, 0.05]), np.array([0, 0]))]}),
         box=bundle.chart.box)
 
-    class PerturbedLgb(TrivLgb):
-        def mu_tot(self, x, g, X, eta):
-            twisted = ad_matrix_of_group(self.algebra, dagger(g)) @ one_form_on(
-                rho, x, X)[..., None]
-            return total_form(self.algebra, g, twisted[..., 0], eta=super().mu_tot(x, g, X, eta))
+    mu_tot = cym.lgb.mu_tot
 
-    perturbed = PerturbedLgb(bundle.chart, bundle.algebra, bundle.omega)
-    broken = max_gap(multiplicativity_rows(perturbed, SamplePlan(count=8, seed=1)))
+    def perturbed(s, x, g, X, eta):
+        twisted = ad_matrix_of_group(s.algebra, dagger(g)) @ one_form_on(rho, x, X)[..., None]
+        return total_form(s.algebra, g, twisted[..., 0], eta=mu_tot(s, x, g, X, eta))
+
+    monkeypatch.setattr(cym.lgb, "mu_tot", perturbed)
+    broken = max_gap(multiplicativity_rows(bundle.scenario, SamplePlan(count=8, seed=1)))
     print(f"criterion 4 [perturbed]: {broken:.3f}")
     assert broken > 1e-2
 
@@ -116,13 +117,13 @@ def test_criterion_05_generalized_curvature_identity(full_runs):
         # the identity with the central form taken as the potential curvature
         zeta = potential_curvature(bundle.algebra, bundle.omega)
         zeta.box = bundle.chart.box
-        r = max_gap(generalized_mc_rows(bundle.lgb, zeta, PLAN64))
+        r = max_gap(generalized_mc_rows(replace(bundle.scenario, zeta=zeta), PLAN64))
         print(f"criterion 5 [{name}]: {r:.3e}")
         assert r < 1e-5
     # dropping the central form on the instanton breaks the identity at 0
     bpst = full_runs["bpst"][0]
     wrong = zero_form(4, 2, "algebra", (3,), box=bpst.chart.box)
-    broken = max_gap(generalized_mc_rows(bpst.lgb, wrong, origin_plan(4)))
+    broken = max_gap(generalized_mc_rows(replace(bpst.scenario, zeta=wrong), origin_plan(4)))
     elapsed = time.perf_counter() - t0
     print(f"criterion 5 [zeta=0 at origin]: {broken:.3f} in {elapsed:.1f}s")
     assert broken > 0.1
@@ -184,7 +185,7 @@ def test_criterion_09_differential_identity_both_routes(full_runs):
             hide_derivatives(bundle.zeta),
             hide_derivatives(bundle.gauge_field))
         # the stencil pair is compatible to within 1e-3 on the gate's plan
-        rep = check_compatibility(s.nabla, s.zeta, s.chart, GATE_PLAN)
+        rep = check_compatibility(s, GATE_PLAN)
         assert rep.derivation_residual <= 1e-3 and rep.curvature_residual <= 1e-3, name
         r = max_gap(bianchi_rows(s, PLAN64))
         print(f"criterion 9 [{name}] nested stencil: {r:.3e}")
@@ -204,10 +205,9 @@ def test_criterion_10_field_redefinitions(full_runs):
                             np.eye(3, dtype=int)[rng.integers(0, 3)])]
         lam = form_from_poly(3, 1, "algebra", (3,), PolyData(3, 1, (3,), terms),
                              box=bundle.chart.box)
-        shifted = field_redefine(s.nabla, s.zeta, s.gauge_field, lam)
+        shifted = field_redefine(s, lam)
         inv = max_gap(field_redef_rows(s, shifted, plan))
-        closure = check_compatibility(shifted.nabla, shifted.zeta,
-                                      bundle.chart, plan)
+        closure = check_compatibility(shifted, plan)
         worst_closure = max(closure.derivation_residual,
                             closure.curvature_residual)
         print(f"criterion 10 [lambda {trial}]: invariance {inv:.3e}, "
@@ -216,8 +216,7 @@ def test_criterion_10_field_redefinitions(full_runs):
         assert worst_closure < 1e-6
     # shifting the instanton splitting by its own potential flattens it
     bpst = full_runs["bpst"][0]
-    red = field_redefine(bpst.scenario.nabla, bpst.zeta, bpst.gauge_field,
-                         bpst.omega)
+    red = field_redefine(bpst.scenario, bpst.omega)
     flat_norm = 0.0
     for x in SamplePlan(count=16, seed=5).points(bpst.chart):
         for k in range(4):

@@ -1,13 +1,17 @@
 """The names the benchmark's tracer (`perfbench/tracer.py`) wraps must stay in
-cym: a refactor that deletes or renames one fails here, in the test suite,
-and not only in the traced benchmark pass. The tracer is read, not changed."""
+cym, and the suite registry must keep the shape the tracer wraps: a refactor
+that deletes or renames one, or changes `SUITES` entries, fails here, in the
+test suite, and not only in the traced benchmark pass. The tracer is read,
+not changed."""
 import importlib
 import importlib.util
 import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import cym.cli
 import cym.forms as fm
 import cym.harness  # noqa: F401  (imports every module the tracer names)
 
@@ -50,3 +54,25 @@ def test_tracer_counts_components_and_stencils_then_restores():
     assert vars(fm.LieForm)["__init__"] is init
     assert tracer.calls["forms.components"] == 1
     assert tracer.calls["forms.stencil_partial"] == 1
+
+
+def test_traced_run_spans_each_suite_once_then_restores_the_registry(tmp_path):
+    suites = cym.harness.SUITES
+    before = dict(suites)
+    bundle = cym.harness.builtin_scenario("flat-su2")
+    ran = [name for name, (_, applicable, _) in suites.items() if applicable(bundle) is True]
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        assert all(suites[name][2] is not before[name][2] for name in before)
+        code = cym.cli.main(["verify", "--scenario", "flat-su2", "--suite", "all",
+                             "--points", "2", "--report", str(tmp_path / "r.json")])
+    finally:
+        tracer.restore()
+    assert code == 0
+    spans = Counter(layer for _, _, layer, _, _ in tracer.spans
+                    if layer.startswith("harness.suite."))
+    assert spans == {f"harness.suite.{name}": 1 for name in ran}
+    assert cym.harness.SUITES is suites
+    assert suites.keys() == before.keys()
+    assert all(suites[name][i] is before[name][i] for name in before for i in range(3))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cym.algebra import ad_matrix_c, bracket_c, su2, u1, u1_su2
-from cym.connection import (CompatibilityReport, LabConnection, ad_mapped_form,
+from cym.connection import (CompatibilityReport, GaugeScenario, LabConnection, ad_mapped_form,
                             check_compatibility, cov_ext_deriv, curvature,
                             field_redefine, potential_curvature)
 from cym.forms import (PolyData, SamplePlan, euclidean_chart, form_from_components,
@@ -21,6 +21,14 @@ def poly_form(n, degree, shape, terms, target="algebra"):
 def curved_omega():
     """omega = x0 dx1 . e3."""
     return poly_form(2, 1, (3,), {(1,): [(np.array([0., 0., 1.]), np.array([1, 0]))]})
+
+
+def theory(nabla, zeta, a=None):
+    """The scenario of del and zeta on CHART, with the gauge field a (zero
+    when None)."""
+    d = nabla.algebra.dim
+    a = zero_form(2, 1, "algebra", (d,)) if a is None else a
+    return GaugeScenario(CHART, nabla.algebra, nabla, zeta, a)
 
 
 def const_section(coeffs):
@@ -147,7 +155,7 @@ def test_curvature_crosscheck_against_potential():
 def test_compatibility_adjoint_connection_with_its_curvature():
     nabla = LabConnection.from_omega(ALG, curved_omega())
     zeta = potential_curvature(ALG, nabla.omega)
-    rep = check_compatibility(nabla, zeta, CHART, SamplePlan(count=16, seed=7))
+    rep = check_compatibility(theory(nabla, zeta), SamplePlan(count=16, seed=7))
     assert rep.derivation_residual < 1e-7
     assert rep.curvature_residual < 1e-7
     assert rep.passed
@@ -155,7 +163,7 @@ def test_compatibility_adjoint_connection_with_its_curvature():
 
 def test_compatibility_flat_case_exact():
     nabla = LabConnection(ALG, zero_form(2, 1, "endomorphism", (3, 3)))
-    rep = check_compatibility(nabla, zero_form(2, 2, "algebra", (3,)), CHART,
+    rep = check_compatibility(theory(nabla, zero_form(2, 2, "algebra", (3,))),
                               SamplePlan(count=8, seed=7))
     assert rep.derivation_residual == 0.0
     assert rep.curvature_residual == 0.0
@@ -170,7 +178,7 @@ def test_compatibility_blind_to_central_shift():
     central = form_from_poly(2, 2, "algebra", (4,), PolyData(
         2, 2, (4,), {(0, 1): [(np.array([0.9, 0., 0., 0.]), np.array([2, 0]))]}))
     from cym.forms import add_forms
-    rep = check_compatibility(nabla, add_forms(zeta, central), CHART,
+    rep = check_compatibility(theory(nabla, add_forms(zeta, central)),
                               SamplePlan(count=8, seed=7))
     assert rep.curvature_residual < 1e-7
 
@@ -181,7 +189,7 @@ def test_compatibility_flags_non_derivation_gamma():
     gamma = poly_form(2, 1, (3, 3), {(0,): [(bad, np.array([0, 0]))]},
                       target="endomorphism")
     nabla = LabConnection(ALG, gamma)
-    rep = check_compatibility(nabla, zero_form(2, 2, "algebra", (3,)), CHART,
+    rep = check_compatibility(theory(nabla, zero_form(2, 2, "algebra", (3,))),
                               SamplePlan(count=8, seed=7))
     assert rep.derivation_residual > 0.1
     assert not rep.passed
@@ -195,7 +203,8 @@ def test_redefine_zero_shift_is_identity():
     nabla = LabConnection.from_omega(ALG, curved_omega())
     zeta = potential_curvature(ALG, nabla.omega)
     a = poly_form(2, 1, (3,), {(0,): [(np.array([0.2, 0., 0.]), np.array([0, 0]))]})
-    out = field_redefine(nabla, zeta, a, zero_form(2, 1, "algebra", (3,)))
+    out = field_redefine(theory(nabla, zeta, a), zero_form(2, 1, "algebra", (3,)))
+    assert isinstance(out, GaugeScenario) and out.chart is CHART and out.algebra is ALG
     x = np.array([0.3, -0.6])
     for k in range(2):
         assert np.allclose(out.gauge_field.components(x, (k,)),
@@ -214,7 +223,7 @@ def test_redefine_abelian_shifts_only_zeta_by_exact_d():
     zeta = potential_curvature(alg, omega)
     lam = form_from_poly(2, 1, "algebra", (1,), PolyData(
         2, 1, (1,), {(1,): [(np.array([0.5]), np.array([2, 0]))]}))
-    out = field_redefine(nabla, zeta, zero_form(2, 1, "algebra", (1,)), lam)
+    out = field_redefine(theory(nabla, zeta), lam)
     x = np.array([0.4, 0.2])
     for k in range(2):
         assert np.allclose(out.nabla.gamma.components(x, (k,)),
@@ -227,8 +236,7 @@ def test_redefine_requires_degree_one_shift():
     nabla = LabConnection.from_omega(ALG, curved_omega())
     zeta = potential_curvature(ALG, nabla.omega)
     with pytest.raises(ValueError, match="1-form"):
-        field_redefine(nabla, zeta, zero_form(2, 1, "algebra", (3,)),
-                       zero_form(2, 2, "algebra", (3,)))
+        field_redefine(theory(nabla, zeta), zero_form(2, 2, "algebra", (3,)))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -239,8 +247,8 @@ def test_redefinition_closure_preserves_compatibility(seed):
     terms = {(k,): [(rng.normal(size=3), np.array(e))]
              for k in range(2) for e in ([1, 0], [0, 1])}
     lam = poly_form(2, 1, (3,), terms)
-    out = field_redefine(nabla, zeta, zero_form(2, 1, "algebra", (3,)), lam)
-    rep = check_compatibility(out.nabla, out.zeta, CHART, SamplePlan(count=12, seed=9))
+    out = field_redefine(theory(nabla, zeta), lam)
+    rep = check_compatibility(out, SamplePlan(count=12, seed=9))
     assert rep.derivation_residual < 1e-6
     assert rep.curvature_residual < 1e-6
 
@@ -249,7 +257,7 @@ def test_redefine_by_potential_flattens_connection_and_kills_zeta():
     omega = curved_omega()
     nabla = LabConnection.from_omega(ALG, omega)
     zeta = potential_curvature(ALG, omega)
-    out = field_redefine(nabla, zeta, zero_form(2, 1, "algebra", (3,)), omega)
+    out = field_redefine(theory(nabla, zeta), omega)
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = rng.uniform(-0.9, 0.9, size=2)

@@ -10,13 +10,12 @@ from numpy.polynomial.legendre import leggauss
 
 from cym.algebra import su2, u1
 import cym.harness as harness
-from cym.connection import (COMPATIBILITY_TOL, LabConnection, check_compatibility,
-                            field_redefine, potential_curvature)
+from cym.connection import (COMPATIBILITY_TOL, GaugeScenario, LabConnection,
+                            check_compatibility, field_redefine, potential_curvature)
 from cym.forms import (LieForm, PolyData, SamplePlan, euclidean_chart,
                        form_from_components, form_from_poly, kappa_wedge_top,
                        max_gap, minkowski_chart, scale_form, zero_form)
-from cym.gauge import (GaugeScenario,
-                       bianchi_rows, change_of_gauge,
+from cym.gauge import (bianchi_rows, change_of_gauge,
                        density_gauge_invariance_rows,
                        density_infinitesimal_rows, field_redef_rows,
                        gauge_changed_potential, instanton_charge,
@@ -75,17 +74,20 @@ def test_central_form_degree_validated():
                       zero_form(2, 1, "algebra", (3,)), zero_form(2, 1, "algebra", (3,)))
 
 
-def test_scenario_without_potential_has_no_lgb():
+def test_scenario_without_potential_has_no_omega():
     gamma = zero_form(2, 1, "endomorphism", (3, 3))
     s = GaugeScenario(CHART, SU2, LabConnection(SU2, gamma),
                       zero_form(2, 2, "algebra", (3,)), zero_form(2, 1, "algebra", (3,)))
     with pytest.raises(ValueError, match="horizontal potential"):
-        s.lgb
+        s.omega
+    changed = gauge_changed_potential(s, GSection.identity(SU2))
+    with pytest.raises(ValueError, match="horizontal potential"):
+        changed.table(np.zeros((1, 2)))
 
 
 def test_gate_passes_on_curvature_pair():
     s = curved_scenario()
-    rep = check_compatibility(s.nabla, s.zeta, s.chart, GATE_PLAN)
+    rep = check_compatibility(s, GATE_PLAN)
     assert rep.derivation_residual < 1e-7
     assert rep.curvature_residual < 1e-7
     assert rep.passed
@@ -108,7 +110,7 @@ def test_gate_trips_on_non_derivation_connection(monkeypatch):
     gamma = poly_form(2, 1, (3, 3), {(0,): [(bad, np.array([0, 0]))]},
                       target="endomorphism")
     bundle = with_scenario(builtin_scenario("flat-su2"), nabla=LabConnection(SU2, gamma))
-    rep = check_compatibility(bundle.scenario.nabla, bundle.zeta, bundle.chart, GATE_PLAN)
+    rep = check_compatibility(bundle.scenario, GATE_PLAN)
     assert rep.derivation_residual > 0.5
 
     def not_called(bundle, env):
@@ -121,9 +123,13 @@ def test_gate_trips_on_non_derivation_connection(monkeypatch):
     report = run_suite(bundle, "all", plan=SamplePlan(count=2, seed=1), tol_scale=1e9)
     row = ("compatibility-gate", rep.derivation_residual, COMPATIBILITY_TOL,
            [(-1, rep.derivation_residual)])
-    assert gate_rows(report) == {name: [row] for name in GATED if name != "charge"}
-    assert [s.name for s in report.suites if not s.passed] == [
-        "gauge-laws", "bianchi", "field-redef", "lagrangian"]
+    # the suites that read omega do not apply to a connection without one
+    assert [s.name for s in report.suites] == ["algebra", "compatibility", "bianchi",
+                                               "field-redef"]
+    assert gate_rows(report) == {name: [row] for name in ("bianchi", "field-redef")}
+    assert [s.name for s in report.suites if not s.passed] == ["bianchi", "field-redef"]
+    with pytest.raises(harness.ScenarioError, match="not applicable: needs the horizontal"):
+        run_suite(bundle, "darboux", plan=SamplePlan(count=2, seed=1))
 
 
 def test_gate_trips_on_central_form_that_is_nan_at_one_gate_point():
@@ -147,9 +153,9 @@ def test_gate_runs_once_per_run_suite_call(monkeypatch):
     plans = []
     inner = harness.check_compatibility
 
-    def counted(nabla, zeta, chart, plan):
+    def counted(s, plan):
         plans.append(plan)
-        return inner(nabla, zeta, chart, plan)
+        return inner(s, plan)
 
     monkeypatch.setattr(harness, "check_compatibility", counted)
     bundle = builtin_scenario("bpst")
@@ -357,7 +363,7 @@ def test_field_redef_leaves_field_strength_alone():
     lam = poly_form(2, 1, (3,), {(0,): [(0.2 * E2, np.array([1, 0]))],
                                  (1,): [(0.1 * E1, np.array([0, 1]))]})
     s = curved_scenario()
-    shifted = field_redefine(s.nabla, s.zeta, s.gauge_field, lam)
+    shifted = field_redefine(s, lam)
     resid = max_gap(field_redef_rows(s, shifted, SamplePlan(count=6, seed=8)))
     assert resid < 1e-12
 
@@ -372,10 +378,13 @@ def test_self_duality_residual_values():
             return np.zeros(1)
         return form_from_components(4, 2, "algebra", (1,), comp, fd_step=1e-5)
 
-    chart = euclidean_chart(4, 1.0)
+    def scenario(zeta):
+        return GaugeScenario(euclidean_chart(4, 1.0), U1, LabConnection.from_omega(
+            U1, zero_form(4, 1, "algebra", (1,))), zeta, zero_form(4, 1, "algebra", (1,)))
+
     plan = SamplePlan(count=4, seed=1)
-    assert max_gap(self_duality_rows(pair_form(+1), chart, plan)) == 0.0
-    assert abs(max_gap(self_duality_rows(pair_form(-1), chart, plan)) - 1.4) < 1e-14
+    assert max_gap(self_duality_rows(scenario(pair_form(+1)), plan)) == 0.0
+    assert abs(max_gap(self_duality_rows(scenario(pair_form(-1)), plan)) - 1.4) < 1e-14
 
 
 # ---------------------------------------------------------------------------

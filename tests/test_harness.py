@@ -24,13 +24,12 @@ import cym
 from cym.algebra import (VARIETY_TOL, VarietyError, ad_matrix_c, algebra_to_dict,
                          group_exp, su2, u1)
 from cym.cli import main as cli_main
-from cym.connection import (ad_mapped_form, check_compatibility, curvature,
-                            cov_ext_deriv, field_redefine)
+from cym.connection import (LabConnection, ad_mapped_form, check_compatibility,
+                            curvature, cov_ext_deriv, field_redefine)
 from cym.forms import (PolyData, SamplePlan, add_forms, bracket_pairing,
-                       exterior_derivative, form_from_components, graded_product,
-                       increasing_indices, max_gap, zero_form)
-from cym.gauge import (GaugeScenario, change_of_gauge, instanton_charge,
-                       local_field_strength)
+                       exterior_derivative, form_from_components, form_from_poly,
+                       graded_product, increasing_indices, max_gap, zero_form)
+from cym.gauge import change_of_gauge, instanton_charge, local_field_strength
 from cym.harness import (GATE_PLAN, SCENARIO_NAMES, SUITES, CheckRow, RunEnv,
                          ScenarioError,
                          SuiteReport, VerificationReport,
@@ -39,8 +38,8 @@ from cym.harness import (GATE_PLAN, SCENARIO_NAMES, SUITES, CheckRow, RunEnv,
                          run_suite, save_scenario, scenario_from_dict,
                          scenario_to_dict, suite_names, _plan_rows,
                          _random_section_pairs)
-from cym.lgb import GSection, TrivLgb, generalized_mc_rows
-from cym.principal import TrivPrincipal, gauge_transform_total
+from cym.lgb import GSection, generalized_mc_rows
+from cym.principal import gauge_transform_total
 
 QUICK = SamplePlan(count=4, seed=7)
 
@@ -77,7 +76,7 @@ def test_builtin_scenarios_construct_and_gate(name):
     bundle = builtin_scenario(name)
     assert bundle.name == name
     s = bundle.scenario
-    assert check_compatibility(s.nabla, s.zeta, s.chart, GATE_PLAN).passed
+    assert check_compatibility(s, GATE_PLAN).passed
     assert "identity" in bundle.sections
     assert "identity" in bundle.automorphisms
 
@@ -127,8 +126,9 @@ def test_wrong_central_form_violates_curvature_identity_at_origin():
     plan = SamplePlan(count=1, seed=0)
     plan.points = lambda chart: np.zeros((1, 4))
     wrong = zero_form(4, 2, "algebra", (3,), box=bundle.chart.box)
-    assert max_gap(generalized_mc_rows(bundle.lgb, wrong, plan)) > 0.1
-    assert max_gap(generalized_mc_rows(bundle.lgb, bundle.zeta, plan)) < 1e-8
+    wrong = dataclasses.replace(bundle.scenario, zeta=wrong)
+    assert max_gap(generalized_mc_rows(wrong, plan)) > 0.1
+    assert max_gap(generalized_mc_rows(bundle.scenario, plan)) < 1e-8
 
 
 def test_zero_central_form_override_fails_the_suite():
@@ -178,6 +178,24 @@ def test_round_trip_other_builtins(tmp_path, name):
 def test_instanton_scenario_is_not_serializable(tmp_path):
     with pytest.raises(ScenarioError, match="only polynomial forms"):
         save_scenario(builtin_scenario("bpst"), tmp_path / "x.json")
+
+
+def test_saved_sections_are_the_bundles_own_sections(tmp_path):
+    bundle = builtin_scenario("flat-su2")
+    swapped = dataclasses.replace(bundle, sections=dict(
+        bundle.sections, generic=bundle.sections["twist"]))
+    save_scenario(swapped, tmp_path / "s.json")
+    blob = scenario_to_dict(load_scenario(tmp_path / "s.json"))
+    assert blob["sections"]["generic"] == blob["sections"]["twist"] != \
+        scenario_to_dict(bundle)["sections"]["generic"]
+    # a section that is not exp of a polynomial 0-form cannot be written
+    for section in (bundle.sections["twist"].inverse(),
+                    GSection.exp_of_form(bundle.algebra, bundle.generator, 0.5),
+                    GSection.exp_of_form(bundle.algebra, form_from_components(
+                        2, 0, "algebra", (3,), lambda y, idx: np.zeros(3)))):
+        odd = dataclasses.replace(bundle, automorphisms=dict(bundle.automorphisms, odd=section))
+        with pytest.raises(ScenarioError, match="^automorphisms.odd: only"):
+            save_scenario(odd, tmp_path / "x.json")
 
 
 def test_jacobi_violation_rejected_naming_triple():
@@ -779,16 +797,15 @@ def reference_rows(bundle, points):
     lhs = add_forms(cov_ext_deriv(s.nabla, f),
                     graded_product(bracket_pairing(s.algebra), s.gauge_field, f))
     rhs = cov_ext_deriv(s.nabla, s.zeta)
-    shifted = field_redefine(s.nabla, s.zeta, s.gauge_field, bundle.shift)
-    f_after = local_field_strength(GaugeScenario(
-        s.chart, s.algebra, shifted.nabla, shifted.zeta, shifted.gauge_field))
+    shifted = field_redefine(s, bundle.shift)
+    f_after = local_field_strength(shifted)
 
     def gaps(a, b):
         return [max(float(np.abs(a.components(x, idx) - b.components(x, idx)).max())
                     for idx in increasing_indices(a.n, a.degree)) for x in points]
 
     rows = dict(zip(("compatibility/derivation", "compatibility/curvature"),
-                    reference_compatibility(bundle.lgb.nabla, s.zeta, points)))
+                    reference_compatibility(s.nabla, s.zeta, points)))
     rows.update(zip(("field-redef/closure-derivation", "field-redef/closure-curvature"),
                     reference_compatibility(shifted.nabla, shifted.zeta, points)))
     rows["bianchi/analytic"] = gaps(lhs, rhs)
@@ -922,8 +939,8 @@ def with_sections_nan_at(bundle, bad_point):
         return GSection.exp_of_form(bundle.algebra, form_from_components(
             poly.n, 0, "algebra", (bundle.algebra.dim,), coeffs), name=name)
 
-    sections = {name: section(poly, name) if name != "identity" else bundle.sections[name]
-                for name, poly in bundle.section_polys.items()}
+    sections = {name: section(sec.form.poly, name) if name != "identity" else sec
+                for name, sec in bundle.sections.items()}
     return dataclasses.replace(with_generator_nan_at(bundle, bad_point), sections=sections)
 
 
@@ -1054,12 +1071,60 @@ TOTAL_SPACE_SUITES = ("principal", "structure-equation", "generalized-mc", "gaug
 def with_forms_nan_at(bundle, bad_point):
     """The bundle with its central form, horizontal potential and gauge field
     NaN at one point."""
-    lgb = TrivLgb(bundle.chart, bundle.algebra, nan_at(bundle.omega, bad_point))
-    principal = TrivPrincipal(lgb, nan_at(bundle.gauge_field, bad_point))
-    scenario = dataclasses.replace(bundle.scenario, nabla=lgb.nabla,
-                                   zeta=nan_at(bundle.zeta, bad_point),
-                                   gauge_field=principal.a_local)
-    return dataclasses.replace(bundle, lgb=lgb, principal=principal, scenario=scenario)
+    s = bundle.scenario
+    return dataclasses.replace(bundle, scenario=dataclasses.replace(
+        s, nabla=LabConnection.from_omega(s.algebra, nan_at(s.omega, bad_point)),
+        zeta=nan_at(s.zeta, bad_point), gauge_field=nan_at(s.gauge_field, bad_point)))
+
+
+def all_rows(bundle, plan):
+    """suite/check -> CheckRow of a run of every applicable suite."""
+    return {f"{suite.name}/{row.check}": row
+            for suite in run_suite(bundle, "all", plan=plan).suites for row in suite.checks}
+
+
+def test_a_connection_replaced_in_the_scenario_reaches_the_suite_and_the_gate():
+    bad = np.zeros((3, 3))
+    bad[0, 0] = 1.0  # Gamma_0 = bad is no derivation of the su(2) bracket
+    gamma = form_from_poly(2, 1, "endomorphism", (3, 3),
+                           PolyData(2, 1, (3, 3), {(0,): [(bad, np.array([0, 0]))]}))
+    bundle = builtin_scenario("flat-su2")
+    bundle = dataclasses.replace(bundle, scenario=dataclasses.replace(
+        bundle.scenario, nabla=LabConnection(bundle.algebra, gamma)))
+    rows = all_rows(bundle, SamplePlan(count=4, seed=1))
+    derivation = rows["compatibility/derivation"]
+    assert not derivation.passed and derivation.residual == 1.0
+    assert rows["bianchi/compatibility-gate"].residual == derivation.residual
+    assert rows["field-redef/compatibility-gate"].residual == derivation.residual
+
+
+# the checks whose routes read the gauge field's table, and those that read
+# no gauge field; bianchi and field-redef differentiate A's polynomial
+# exactly, so a NaN that only its table carries need not reach them
+READS_A = ("principal/equivariance", "principal/kernel-invariance",
+           "principal/projection-commutation", "principal/mixed-bracket",
+           "structure-equation/dual-path", "structure-equation/horizontality",
+           "structure-equation/adjoint-type", "lagrangian/finite", "lagrangian/infinitesimal")
+READS_NO_A = ("algebra/", "compatibility/", "darboux/", "fibre-connection/",
+              "multiplicativity/", "generalized-mc/", "principal/action-differential",
+              "principal/section-independence")
+
+
+def test_a_gauge_field_replaced_in_the_scenario_reaches_every_suite_that_reads_it():
+    bundle = builtin_scenario("flat-su2")
+    clean = all_rows(bundle, NAN_PLAN)
+    ordinal = 2
+    bad_point = NAN_PLAN.points(bundle.chart)[ordinal]
+    got = all_rows(dataclasses.replace(bundle, scenario=dataclasses.replace(
+        bundle.scenario, gauge_field=nan_at(bundle.gauge_field, bad_point))), NAN_PLAN)
+    assert got.keys() == clean.keys()
+    for key, row in got.items():
+        others = [pair for pair in row.per_point if pair[0] != ordinal]
+        assert others == [pair for pair in clean[key].per_point if pair[0] != ordinal], key
+        if key in READS_A or key.startswith("gauge-laws/"):
+            assert math.isnan(row.per_point[ordinal][1]) and not row.passed, key
+        elif key.startswith(READS_NO_A):
+            assert row.per_point == clean[key].per_point, key
 
 
 def total_space_rows(bundle):
@@ -1119,8 +1184,7 @@ def test_finite_off_variety_automorphism_row_still_raises():
     broken = dataclasses.replace(bundle, automorphisms=dict(
         bundle.automorphisms, generic=GSection(bundle.algebra, doubled, "generic")))
     with pytest.raises(VarietyError, match="off the group variety"):
-        gauge_transform_total(broken.principal, broken.automorphisms["generic"],
-                              broken.zeta, NAN_PLAN)
+        gauge_transform_total(broken.scenario, broken.automorphisms["generic"], NAN_PLAN)
     assert_watchdog_row(run_suite(broken, "gauge-laws", plan=NAN_PLAN), VARIETY_TOL)
 
 

@@ -1,20 +1,21 @@
 """Group-bundle layer: total 1-form, section derivatives, induced connection,
 and the curvature identity on the total space."""
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import cym.algebra
+import cym.lgb
 from cym.algebra import (ReexpansionError, VarietyError, ad_matrix_c,
                          ad_matrix_of_group, bracket_c, dagger, expand_in_rep,
                          su2, u1, u1_su2)
-from cym.connection import potential_curvature
+from cym.connection import GaugeScenario, LabConnection, potential_curvature
 from cym.forms import (PolyData, SamplePlan, euclidean_chart,
                        form_from_components, form_from_poly, max_gap, zero_form)
-from cym.lgb import (GSection, TrivLgb, darboux, darboux_inverse_rows,
-                     darboux_leibniz_rows, dexp_body, generalized_mc_rows,
+from cym.lgb import (GSection, darboux, darboux_inverse_rows,
+                     darboux_leibniz_rows, dexp_body, generalized_mc_rows, mu_tot,
                      multiplicativity_rows, nabla_from_darboux, one_form_on,
                      pullback_mc_rows, total_form)
 from cym.lgb import _normal_table, _point_draws
@@ -38,16 +39,25 @@ def poly_form(n, degree, shape, terms):
     return form_from_poly(n, degree, "algebra", shape, PolyData(n, degree, shape, terms))
 
 
+def theory(chart, alg, omega, zeta=None):
+    """The scenario of the horizontal potential omega, with zero gauge field
+    and the central form zeta (zero when None)."""
+    n, d = chart.dim, alg.dim
+    zeta = zero_form(n, 2, "algebra", (d,)) if zeta is None else zeta
+    return GaugeScenario(chart, alg, LabConnection.from_omega(alg, omega), zeta,
+                         zero_form(n, 1, "algebra", (d,)))
+
+
 def su2_bundle():
     """omega = x0 dx1 . e3 on a euclidean 2-chart."""
     chart = euclidean_chart(2, half=1.0)
     omega = poly_form(2, 1, (3,), {(1,): [(np.array([0., 0., 1.]), np.array([1, 0]))]})
-    return TrivLgb(chart, ALG, omega)
+    return theory(chart, ALG, omega)
 
 
 def flat_bundle(alg=ALG, dim=2):
     chart = euclidean_chart(dim, half=1.0)
-    return TrivLgb(chart, alg, zero_form(dim, 1, "algebra", (alg.dim,)))
+    return theory(chart, alg, zero_form(dim, 1, "algebra", (alg.dim,)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,15 +118,15 @@ def test_dexp_body_matches_matrix_stencil(seed):
 def test_mu_tot_identity_group_point_passes_tangent_through():
     lgb = su2_bundle()
     eta = np.array([1.0, 0.0, 0.0])
-    assert np.array_equal(lgb.mu_tot(np.array([0.3, -0.2]), IDENTITY,
-                                     np.array([1.0, -2.0]), eta), eta)
+    assert np.array_equal(mu_tot(lgb, np.array([0.3, -0.2]), IDENTITY,
+                                 np.array([1.0, -2.0]), eta), eta)
 
 
 def test_mu_tot_flat_bundle_passes_tangent_through():
     lgb = flat_bundle()
     g = group_sample(ALG, np.random.default_rng(4))
     eta = np.array([0.0, 2.0, -1.0])
-    assert np.array_equal(lgb.mu_tot(np.array([0.1, 0.2]), g, np.array([0.5, 0.5]), eta), eta)
+    assert np.array_equal(mu_tot(lgb, np.array([0.1, 0.2]), g, np.array([0.5, 0.5]), eta), eta)
 
 
 def test_mu_tot_vertical_tangent_is_exact_for_any_group_point():
@@ -125,20 +135,21 @@ def test_mu_tot_vertical_tangent_is_exact_for_any_group_point():
     for _ in range(5):
         x, g = rng.uniform(-0.9, 0.9, size=2), group_sample(ALG, rng)
         eta = rng.normal(size=3)
-        got = lgb.mu_tot(x, g, np.zeros(2), eta)
+        got = mu_tot(lgb, x, g, np.zeros(2), eta)
         assert np.array_equal(got, eta)
 
 
 def test_mu_tot_rejects_point_outside_box():
     lgb = su2_bundle()
     with pytest.raises(ValueError, match="outside"):
-        lgb.mu_tot(np.array([5.0, 0.0]), IDENTITY, np.zeros(2), np.zeros(3))
+        mu_tot(lgb, np.array([5.0, 0.0]), IDENTITY, np.zeros(2), np.zeros(3))
 
 
-def test_bundle_rejects_wrong_degree_omega():
-    chart = euclidean_chart(2, half=1.0)
-    with pytest.raises(ValueError, match="1-form"):
-        TrivLgb(chart, ALG, zero_form(2, 2, "algebra", (3,)))
+def test_connection_rejects_an_omega_that_is_not_an_algebra_valued_1_form():
+    gamma = zero_form(2, 1, "endomorphism", (3, 3))
+    for omega in (zero_form(2, 2, "algebra", (3,)), gamma):
+        with pytest.raises(ValueError, match="algebra-valued 1-form"):
+            LabConnection(ALG, gamma, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -156,28 +167,21 @@ def test_multiplicativity_exact_on_abelian():
     omega = form_from_poly(2, 1, "algebra", (1,), PolyData(
         2, 1, (1,), {(0,): [(np.array([1.0]), np.array([0, 1]))]}))
     plan = SamplePlan(count=16, seed=6, tangent_probes=3)
-    assert max_gap(multiplicativity_rows(TrivLgb(chart, alg, omega), plan)) == 0.0
+    assert max_gap(multiplicativity_rows(theory(chart, alg, omega), plan)) == 0.0
 
 
-@dataclass
-class PerturbedLgb(TrivLgb):
-    """mu plus (Ad_{g^{-1}} - id) Ad_{g^{-1}} rho(X), which depends on the
-    group element and so breaks multiplicativity for any nonzero rho."""
-
-    rho: object = None
-
-    def mu_tot(self, x, g, X, eta):
-        twisted = ad_matrix_of_group(self.algebra, dagger(g)) @ one_form_on(
-            self.rho, x, X)[..., None]
-        return total_form(self.algebra, g, twisted[..., 0], eta=super().mu_tot(x, g, X, eta))
-
-
-def test_multiplicativity_breaks_under_group_dependent_perturbation():
+def test_multiplicativity_breaks_under_group_dependent_perturbation(monkeypatch):
     rho = poly_form(2, 1, (3,), {(0,): [(np.array([0.2, 0., 0.]), np.array([0, 0]))]})
     plan = SamplePlan(count=24, seed=3, tangent_probes=3)
-    lgb = su2_bundle()
-    perturbed = PerturbedLgb(lgb.chart, lgb.algebra, lgb.omega, rho)
-    assert max_gap(multiplicativity_rows(perturbed, plan)) > 0.01
+
+    def perturbed(s, x, g, X, eta):
+        """mu plus (Ad_{g^{-1}} - id) Ad_{g^{-1}} rho(X), which depends on the
+        group element and so breaks multiplicativity for any nonzero rho."""
+        twisted = ad_matrix_of_group(s.algebra, dagger(g)) @ one_form_on(rho, x, X)[..., None]
+        return total_form(s.algebra, g, twisted[..., 0], eta=mu_tot(s, x, g, X, eta))
+
+    monkeypatch.setattr(cym.lgb, "mu_tot", perturbed)
+    assert max_gap(multiplicativity_rows(su2_bundle(), plan)) > 0.01
 
 
 def reference_multiplicativity_rows(lgb, plan):
@@ -190,7 +194,7 @@ def reference_multiplicativity_rows(lgb, plan):
         ad_q_inv = ad_matrix_of_group(lgb.algebra, q.conj().T)
 
         def mu(h, X, eta, x=x):
-            return lgb.mu_tot(x, h, X, eta)
+            return mu_tot(lgb, x, h, X, eta)
 
         gaps = []
         for _ in range(plan.tangent_probes):
@@ -285,7 +289,7 @@ def test_darboux_table_matches_stacked_per_point_components_bit_for_bit():
     s2 = exp_section(lambda y: np.array([0., 0.4 * y[0], -0.1]), "s2")
     generic, twist = bpst.sections["generic"], bpst.sections["twist"]
     for bundle, sections in ((lgb, (s1, s1.product(s2), s1.inverse())),
-                             (bpst.lgb, (generic, generic.product(twist),
+                             (bpst.scenario, (generic, generic.product(twist),
                                          twist.inverse()))):
         X = SamplePlan(count=8, seed=5).points(bundle.chart)
         h, n = bundle.chart.default_step(), bundle.chart.dim
@@ -386,7 +390,7 @@ def test_fibre_connection_constant_generator_gives_bracket():
     # omega = dx1 . e3, nu = e1 (constant): derivative along axis 1 is [e3, e1] = e2
     chart = euclidean_chart(2, half=1.0)
     omega = poly_form(2, 1, (3,), {(1,): [(np.array([0., 0., 1.]), np.array([0, 0]))]})
-    lgb = TrivLgb(chart, ALG, omega)
+    lgb = theory(chart, ALG, omega)
     nu = poly_form(2, 0, (3,), {(): [(np.array([1., 0., 0.]), np.array([0, 0]))]})
     got = nabla_from_darboux(lgb, nu, np.array([0.2, -0.4]))[1]
     assert np.abs(got - np.array([0., 1., 0.])).max() < 1e-6
@@ -441,23 +445,19 @@ def test_fibre_connection_on_a_batch_matches_the_per_point_route():
 
 def test_total_curvature_identity_flat_case():
     plan = SamplePlan(count=6, seed=11)
-    lgb = flat_bundle()
-    z = zero_form(2, 2, "algebra", (3,))
-    assert max_gap(generalized_mc_rows(lgb, z, plan)) < 1e-6
+    assert max_gap(generalized_mc_rows(flat_bundle(), plan)) < 1e-6
 
 
 def test_total_curvature_identity_with_potential_curvature():
     lgb = su2_bundle()
     zeta = potential_curvature(ALG, lgb.omega)
     plan = SamplePlan(count=6, seed=11)
-    assert max_gap(generalized_mc_rows(lgb, zeta, plan)) < 1e-5
+    assert max_gap(generalized_mc_rows(replace(lgb, zeta=zeta), plan)) < 1e-5
 
 
 def test_total_curvature_identity_detects_wrong_zeta():
-    lgb = su2_bundle()
-    z = zero_form(2, 2, "algebra", (3,))
-    plan = SamplePlan(count=6, seed=11)
-    assert max_gap(generalized_mc_rows(lgb, z, plan)) > 0.1
+    plan = SamplePlan(count=6, seed=11)  # su2_bundle() is curved; its zeta is zero
+    assert max_gap(generalized_mc_rows(su2_bundle(), plan)) > 0.1
 
 
 def test_total_curvature_identity_blind_to_central_shift():
@@ -465,33 +465,32 @@ def test_total_curvature_identity_blind_to_central_shift():
     chart = euclidean_chart(2, half=1.0)
     omega = form_from_poly(2, 1, "algebra", (4,), PolyData(
         2, 1, (4,), {(1,): [(np.array([0., 0., 0., 1.]), np.array([1, 0]))]}))
-    lgb = TrivLgb(chart, alg, omega)
     zeta = potential_curvature(alg, omega)
     central = form_from_poly(2, 2, "algebra", (4,), PolyData(
         2, 2, (4,), {(0, 1): [(np.array([0.7, 0., 0., 0.]), np.array([1, 1]))]}))
     from cym.forms import add_forms
     plan = SamplePlan(count=6, seed=13)
-    assert max_gap(generalized_mc_rows(lgb, add_forms(zeta, central), plan)) < 1e-5
+    lgb = theory(chart, alg, omega, add_forms(zeta, central))
+    assert max_gap(generalized_mc_rows(lgb, plan)) < 1e-5
 
 
 def test_pullback_identity_along_identity_section_is_exact():
     lgb = su2_bundle()
-    zeta = potential_curvature(ALG, lgb.omega)
+    lgb = replace(lgb, zeta=potential_curvature(ALG, lgb.omega))
     plan = SamplePlan(count=6, seed=2)
-    assert max_gap(pullback_mc_rows(lgb, GSection.identity(ALG), zeta, plan)) < 1e-12
+    assert max_gap(pullback_mc_rows(lgb, GSection.identity(ALG), plan)) < 1e-12
 
 
 def test_pullback_identity_classical_case():
     lgb = flat_bundle()
     s = exp_section(lambda y: np.array([0.4 * y[0], 0.3 * y[1], -0.2 * y[0] * y[1]]), "s")
     plan = SamplePlan(count=6, seed=2)
-    z = zero_form(2, 2, "algebra", (3,))
-    assert max_gap(pullback_mc_rows(lgb, s, z, plan)) < 1e-6
+    assert max_gap(pullback_mc_rows(lgb, s, plan)) < 1e-6
 
 
 def test_pullback_identity_curved_case():
     lgb = su2_bundle()
-    zeta = potential_curvature(ALG, lgb.omega)
+    lgb = replace(lgb, zeta=potential_curvature(ALG, lgb.omega))
     s = exp_section(lambda y: np.array([0.3 * y[0], -0.2 * y[1], 0.1 * y[0] * y[1]]), "s")
     plan = SamplePlan(count=6, seed=2)
-    assert max_gap(pullback_mc_rows(lgb, s, zeta, plan)) < 1e-4
+    assert max_gap(pullback_mc_rows(lgb, s, plan)) < 1e-4

@@ -5,13 +5,13 @@ import pytest
 from scipy.linalg import expm as scipy_expm
 
 from cym.algebra import ReexpansionError, ad_matrix_of_group, expm, su2, u1
-from cym.connection import LabConnection, cov_ext_deriv, potential_curvature
+from cym.connection import GaugeScenario, LabConnection, cov_ext_deriv, potential_curvature
 from cym.forms import (PolyData, SamplePlan, add_forms, bracket_pairing,
                        euclidean_chart, form_from_components, form_from_poly,
                        graded_product, max_gap, scale_form, zero_form)
 from cym.harness import builtin_scenario
-from cym.lgb import GSection, TrivLgb, dexp_body, total_form_rows
-from cym.principal import (TrivPrincipal, _body_stencil4,
+from cym.lgb import GSection, dexp_body, mu_tot, total_form_rows
+from cym.principal import (_body_stencil4,
                            action_differential_rows, connection_one_form,
                            equivariance_rows, field_strength_type_rows,
                            gauge_transform_total, kernel_invariance_rows,
@@ -39,13 +39,19 @@ def poly_form(n, degree, shape, terms):
     return form_from_poly(n, degree, "algebra", shape, PolyData(n, degree, shape, terms))
 
 
-def make_bundle(with_omega=True, with_a=True):
+def theory(alg, omega, a, zeta=None):
+    """The scenario on CHART; zeta is the curvature of omega when None."""
+    zeta = potential_curvature(alg, omega) if zeta is None else zeta
+    return GaugeScenario(CHART, alg, LabConnection.from_omega(alg, omega), zeta, a)
+
+
+def make_bundle(with_omega=True, with_a=True, zeta=None):
     omega = poly_form(2, 1, (3,), {(1,): [(np.array([0., 0., 1.]), np.array([1, 0]))]}) \
         if with_omega else zero_form(2, 1, "algebra", (3,))
     a = poly_form(2, 1, (3,), {(0,): [(np.array([0.5, 0., 0.]), np.array([0, 1]))],
                                (1,): [(np.array([0., 0.3, 0.]), np.array([1, 0]))]}) \
         if with_a else zero_form(2, 1, "algebra", (3,))
-    return TrivPrincipal(TrivLgb(CHART, ALG, omega), a)
+    return theory(ALG, omega, a, zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +71,7 @@ def test_connection_form_identity_on_vertical():
 def test_connection_form_at_identity_gauge():
     p = make_bundle()
     x, X, V = np.array([0.3, -0.2]), np.array([1.0, 2.0]), np.array([0.1, 0.2, 0.3])
-    a = p.a_local.components(x, (0,)) + 2.0 * p.a_local.components(x, (1,))
+    a = p.gauge_field.components(x, (0,)) + 2.0 * p.gauge_field.components(x, (1,))
     assert np.abs(connection_one_form(p, x, IDENTITY, X, V) - (V + a)).max() < 1e-15
 
 
@@ -82,13 +88,17 @@ def test_connection_form_without_gauge_field_is_mu_tot_bit_for_bit():
     x = rng.uniform(-0.9, 0.9, size=(5, 2))
     h = np.array([group_sample(ALG, rng) for _ in range(5)])
     X, V = rng.normal(size=(5, 2)), rng.normal(size=(5, 3))
-    assert np.array_equal(connection_one_form(p, x, h, X, V), p.lgb.mu_tot(x, h, X, V))
+    assert np.array_equal(connection_one_form(p, x, h, X, V), mu_tot(p, x, h, X, V))
 
 
-def test_bundle_rejects_wrong_degree_gauge_field():
-    lgb = TrivLgb(CHART, ALG, zero_form(2, 1, "algebra", (3,)))
-    with pytest.raises(ValueError, match="1-form"):
-        TrivPrincipal(lgb, zero_form(2, 2, "algebra", (3,)))
+def test_principal_laws_need_a_horizontal_potential():
+    p = make_bundle()
+    bare = GaugeScenario(CHART, ALG, LabConnection(ALG, p.nabla.gamma), p.zeta, p.gauge_field)
+    plan = SamplePlan(count=2, seed=1)
+    with pytest.raises(ValueError, match="horizontal potential"):
+        equivariance_rows(bare, plan)
+    # the action differential reads neither omega nor A
+    assert np.array_equal(action_differential_rows(bare, plan), action_differential_rows(p, plan))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +183,7 @@ def test_action_differential_abelian():
         2, 1, (1,), {(0,): [(np.array([1.0]), np.array([0, 1]))]}))
     a = form_from_poly(2, 1, "algebra", (1,), PolyData(
         2, 1, (1,), {(1,): [(np.array([0.4]), np.array([1, 0]))]}))
-    p = TrivPrincipal(TrivLgb(CHART, alg, omega), a)
+    p = theory(alg, omega, a)
     plan = SamplePlan(count=8, seed=3, tangent_probes=2)
     assert max_gap(action_differential_rows(p, plan)) < 1e-10
 
@@ -211,9 +221,8 @@ def test_mixed_bracket_of_lift_and_fundamental_field():
 
 def test_field_strength_vanishes_on_vertical_arguments():
     p = make_bundle()
-    zeta = potential_curvature(ALG, p.lgb.omega)
     rng = np.random.default_rng(7)
-    fs = total_field_strength(p, zeta, np.array([[0.3, -0.2]]),
+    fs = total_field_strength(p, np.array([[0.3, -0.2]]),
                               group_sample(ALG, rng)[None])
     vertical = np.zeros((1, 5))
     vertical[0, 3] = 1.0
@@ -223,10 +232,10 @@ def test_field_strength_vanishes_on_vertical_arguments():
 
 
 def test_field_strength_reduces_to_central_form_when_flat():
-    p = make_bundle(with_omega=False, with_a=False)
     zeta = poly_form(2, 2, (3,), {(0, 1): [(np.array([0.2, -0.1, 0.4]),
                                             np.array([1, 0]))]})
-    fs = total_field_strength(p, zeta, np.array([[0.5, 0.1]]))
+    p = make_bundle(with_omega=False, with_a=False, zeta=zeta)
+    fs = total_field_strength(p, np.array([[0.5, 0.1]]))
     t1 = np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])
     t2 = np.array([[0.0, 1.0, 0.0, 0.0, 0.0]])
     want = zeta.components(np.array([0.5, 0.1]), (0, 1))
@@ -235,9 +244,8 @@ def test_field_strength_reduces_to_central_form_when_flat():
 
 def test_structure_equation_residual():
     p = make_bundle()
-    zeta = potential_curvature(ALG, p.lgb.omega)
     rng = np.random.default_rng(8)
-    fs = total_field_strength(p, zeta, np.array([[0.3, -0.2]]),
+    fs = total_field_strength(p, np.array([[0.3, -0.2]]),
                               group_sample(ALG, rng)[None])
     t1, t2 = np.random.default_rng(4).normal(size=(2, 1, 8, 5))
     assert np.abs(fs.evaluate(t1, t2) - fs.structure_route(t1, t2)).max() < 1e-6
@@ -245,24 +253,21 @@ def test_structure_equation_residual():
 
 def test_field_strength_on_horizontal_lifts_matches_local_formula():
     p = make_bundle()
-    zeta = potential_curvature(ALG, p.lgb.omega)
     x = np.array([0.3, -0.2])
-    fs = total_field_strength(p, zeta, x[None])
-    nab = LabConnection.from_omega(ALG, p.lgb.omega)
+    fs = total_field_strength(p, x[None])
+    nab = LabConnection.from_omega(ALG, p.omega)
     local = add_forms(add_forms(
-        cov_ext_deriv(nab, p.a_local),
-        scale_form(graded_product(bracket_pairing(ALG), p.a_local, p.a_local), 0.5)),
-        zeta)
+        cov_ext_deriv(nab, p.gauge_field),
+        scale_form(graded_product(bracket_pairing(ALG), p.gauge_field, p.gauge_field), 0.5)),
+        p.zeta)
     l0 = fs.horizontal_project(np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]))
     l1 = fs.horizontal_project(np.array([[0.0, 1.0, 0.0, 0.0, 0.0]]))
     assert np.abs(fs.evaluate(l0, l1)[0] - local.components(x, (0, 1))).max() < 1e-6
 
 
 def test_field_strength_is_adjoint_type():
-    p = make_bundle()
-    zeta = potential_curvature(ALG, p.lgb.omega)
     plan = SamplePlan(count=5, seed=5, tangent_probes=2)
-    assert max_gap(field_strength_type_rows(p, zeta, plan)) < 1e-5
+    assert max_gap(field_strength_type_rows(make_bundle(), plan)) < 1e-5
 
 
 @pytest.mark.parametrize("name", ["bpst", "random-curved", "preclassical-u1su2"])
@@ -273,9 +278,9 @@ def test_field_strength_on_a_stack_of_anchors_matches_each_anchor_alone(name):
     x = SamplePlan(count=5, seed=2).points(bundle.chart)
     h = scipy_expm(alg.rep_of(rng.normal(size=(5, alg.dim))))
     t1, t2 = rng.normal(size=(2, 5, 3, N))
-    stacked = total_field_strength(bundle.principal, bundle.zeta, x, h)
+    stacked = total_field_strength(bundle.scenario, x, h)
     for i in range(5):
-        alone = total_field_strength(bundle.principal, bundle.zeta, x[i:i + 1], h[i:i + 1])
+        alone = total_field_strength(bundle.scenario, x[i:i + 1], h[i:i + 1])
         for table in ("a", "cov_da", "zeta", "full"):
             assert np.array_equal(getattr(stacked, table)[i], getattr(alone, table)[0]), table
         assert np.array_equal(stacked.evaluate(t1, t2)[i],
@@ -286,13 +291,13 @@ def test_field_strength_on_a_stack_of_anchors_matches_each_anchor_alone(name):
 
 def test_total_form_rows_are_the_connection_form_and_dexp_at_each_offset():
     bundle = builtin_scenario("random-curved")
-    p, alg = bundle.principal, bundle.algebra
+    p, alg = bundle.scenario, bundle.algebra
     n, d = p.chart.dim, alg.dim
     rng = np.random.default_rng(5)
     x0 = SamplePlan(count=3, seed=4).points(p.chart)
     h0 = expm(alg.rep_of(rng.normal(size=(3, d))))
     uv = 1e-3 * rng.normal(size=(4, n + d))
-    rows = total_form_rows(p.lgb, x0, h0, uv, a=p.a_local)
+    rows = total_form_rows(p, x0, h0, uv, a=p.gauge_field)
     for i in range(3):
         for m, (u, v) in enumerate((row[:n], row[n:]) for row in uv):
             x, h = x0[i] + u, h0[i] @ expm(alg.rep_of(v))
@@ -308,19 +313,16 @@ def test_total_form_rows_are_the_connection_form_and_dexp_at_each_offset():
 # ---------------------------------------------------------------------------
 
 def test_identity_automorphism_fixes_everything():
-    p = make_bundle()
-    zeta = potential_curvature(ALG, p.lgb.omega)
-    a_rows, f_rows = gauge_transform_total(p, GSection.identity(ALG), zeta,
+    a_rows, f_rows = gauge_transform_total(make_bundle(), GSection.identity(ALG),
                                            SamplePlan(count=3, seed=7, tangent_probes=2))
     assert max_gap(a_rows) < 1e-10
     assert max_gap(f_rows) < 1e-10
 
 
 def test_constant_multiplier_without_omega_twists_by_adjoint():
-    p = make_bundle(with_omega=False)
-    zeta = zero_form(2, 2, "algebra", (3,))
+    p = make_bundle(with_omega=False, zeta=zero_form(2, 2, "algebra", (3,)))
     g = scipy_expm(ALG.rep_of(np.array([0.5, -0.2, 0.9])))
-    a_rows, f_rows = gauge_transform_total(p, GSection.constant(ALG, g), zeta,
+    a_rows, f_rows = gauge_transform_total(p, GSection.constant(ALG, g),
                                            SamplePlan(count=3, seed=9, tangent_probes=2))
     assert max_gap(a_rows) < 1e-9
     assert max_gap(f_rows) < 1e-9
@@ -330,15 +332,13 @@ def test_constant_multiplier_without_omega_twists_by_adjoint():
     ad_inv = ad_matrix_of_group(ALG, g.conj().T)
     for k in range(2):
         got = connection_one_form(p, x, g, np.eye(2)[k], np.zeros(3))
-        want = ad_inv @ p.a_local.components(x, (k,))
+        want = ad_inv @ p.gauge_field.components(x, (k,))
         assert np.abs(got - want).max() < 1e-9
 
 
 def test_generic_automorphism_dual_routes_agree():
-    p = make_bundle()
-    zeta = potential_curvature(ALG, p.lgb.omega)
     tau = exp_section(lambda y: np.array([0.3 * y[0], -0.4 * y[1], 0.2]), "tau")
-    a_rows, f_rows = gauge_transform_total(p, tau, zeta,
+    a_rows, f_rows = gauge_transform_total(make_bundle(), tau,
                                            SamplePlan(count=4, seed=8, tangent_probes=2))
     assert max_gap(a_rows) < 1e-5
     assert max_gap(f_rows) < 1e-5
