@@ -28,6 +28,8 @@ from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
+# numpy 2 imports numpy.random on first use; every run draws its points from it
+from numpy.random import default_rng
 
 if TYPE_CHECKING:  # annotations only: algebra imports max_gap from here
     from .algebra import LieAlgebraDescriptor
@@ -719,7 +721,7 @@ class SamplePlan:
             raise ValueError("mode must be 'random' or 'grid'")
 
     def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
+        return default_rng(self.seed)
 
     def points(self, chart: Chart) -> np.ndarray:
         lo = chart.box[:, 0].copy()

@@ -1,6 +1,11 @@
 """Built-in verification scenarios, scenario-file ingestion, the named suite
 registry, and deterministic report emission.
 
+The four polynomial built-ins are ordinary scenario files shipped in
+`scenarios/` and read by `load_scenario`, so they pass the same checks as a
+user's file; only bpst, whose instanton potential and curvature are
+closed-form, is built in code.
+
 A scenario bundles everything the residual suites consume: the theory as one
 `GaugeScenario` (the chart, the algebra, the connection from its horizontal
 potential, a compatible central 2-form and the gauge field), named
@@ -17,6 +22,7 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from numbers import Real
 
@@ -25,8 +31,7 @@ import numpy as np
 from .algebra import (VARIETY_TOL, LieAlgebraDescriptor, ReexpansionError,
                       StructureError, VarietyError, ad_matrix_c,
                       ad_matrix_of_group, algebra_from_dict, algebra_to_dict,
-                      expm, group_exp, jacobi_tensor, su2, u1, u1_su2,
-                      variety_residual)
+                      expm, group_exp, jacobi_tensor, su2, variety_residual)
 from .connection import (COMPATIBILITY_TOL, GaugeScenario, LabConnection,
                          check_compatibility, field_redefine, potential_curvature)
 from .forms import (Chart, LieForm, PolyData, SamplePlan, ScenarioError,
@@ -164,17 +169,6 @@ class ScenarioBundle:
         return self.scenario.zeta
 
 
-def _poly_form(n, degree, dim, terms, box=None) -> LieForm:
-    return form_from_poly(n, degree, "algebra", (dim,),
-                          PolyData(n, degree, (dim,), terms), box=box)
-
-
-def _basis_vec(dim, slot, scale=1.0):
-    v = np.zeros(dim)
-    v[slot] = scale
-    return v
-
-
 def _section_from_poly(alg, poly: PolyData, name: str) -> GSection:
     return GSection.exp_of_form(alg, form_from_poly(poly.n, 0, "algebra", (alg.dim,), poly),
                                 name=name)
@@ -213,107 +207,6 @@ def _linear_poly(n, dim, rows) -> PolyData:
                                         for c, e in rows]})
 
 
-def _flat_su2() -> ScenarioBundle:
-    alg = su2()
-    chart = euclidean_chart(2, half=1.0)
-    omega = zero_form(2, 1, "algebra", (3,), box=chart.box)
-    zeta = zero_form(2, 2, "algebra", (3,), box=chart.box)
-    a = _poly_form(2, 1, 3, {(0,): [(_basis_vec(3, 0, 0.5), np.array([0, 1]))],
-                             (1,): [(_basis_vec(3, 1, 0.3), np.array([1, 0]))]},
-                   box=chart.box)
-    shift = _poly_form(2, 1, 3, {(0,): [(_basis_vec(3, 1, 0.2), np.array([1, 0]))],
-                                 (1,): [(_basis_vec(3, 0, 0.1), np.array([0, 1]))]},
-                       box=chart.box)
-    generator = _poly_form(2, 0, 3, {(): [(_basis_vec(3, 2), np.array([1, 0]))]},
-                           box=chart.box)
-    sections = {
-        "constant": _const_poly(2, 3, [0.3, -0.2, 0.5]),
-        "generic": _linear_poly(2, 3, [([0.4, 0.0, 0.0], [0, 1]),
-                                       ([0.0, 0.2, 0.0], [1, 1]),
-                                       ([0.0, 0.0, -0.3], [1, 0])]),
-        "twist": _linear_poly(2, 3, [([0.1, 0.0, 0.0], [2, 0]),
-                                     ([0.0, -0.3, 0.0], [0, 1]),
-                                     ([0.0, 0.0, 0.2], [1, 0])]),
-    }
-    autos = {
-        "constant": _const_poly(2, 3, [0.2, 0.4, -0.1]),
-        "generic": _linear_poly(2, 3, [([0.3, 0.0, 0.0], [1, 0]),
-                                       ([0.0, -0.2, 0.0], [0, 1]),
-                                       ([0.0, 0.0, 0.25], [1, 1])]),
-        "twist": _linear_poly(2, 3, [([-0.15, 0.0, 0.0], [0, 2]),
-                                     ([0.0, 0.1, 0.0], [1, 0]),
-                                     ([0.0, 0.0, -0.2], [0, 1])]),
-    }
-    return _assemble("flat-su2", chart, alg, omega, zeta, a, shift, generator,
-                     sections, autos)
-
-
-def _abelian_u1() -> ScenarioBundle:
-    alg = u1()
-    chart = euclidean_chart(2, half=1.0)
-    omega = zero_form(2, 1, "algebra", (1,), box=chart.box)
-    # closed central 2-form; every adjoint defect of it vanishes
-    zeta = _poly_form(2, 2, 1, {(0, 1): [(np.array([0.3]), np.array([0, 0]))]},
-                      box=chart.box)
-    a = _poly_form(2, 1, 1, {(0,): [(np.array([0.7]), np.array([0, 1]))]},
-                   box=chart.box)
-    shift = _poly_form(2, 1, 1, {(1,): [(np.array([0.15]), np.array([1, 0]))]},
-                       box=chart.box)
-    generator = _poly_form(2, 0, 1, {(): [(np.array([0.4]), np.array([1, 1]))]},
-                           box=chart.box)
-    sections = {
-        "constant": _const_poly(2, 1, [0.6]),
-        "generic": _linear_poly(2, 1, [([0.4], [2, 0]), ([-0.3], [0, 1])]),
-        "twist": _linear_poly(2, 1, [([0.25], [1, 1])]),
-    }
-    autos = {
-        "constant": _const_poly(2, 1, [-0.35]),
-        "generic": _linear_poly(2, 1, [([0.3], [1, 0]), ([0.2], [0, 2])]),
-        "twist": _linear_poly(2, 1, [([-0.2], [1, 1])]),
-    }
-    return _assemble("abelian-u1", chart, alg, omega, zeta, a, shift, generator,
-                     sections, autos)
-
-
-def _preclassical_u1su2() -> ScenarioBundle:
-    alg = u1_su2()
-    chart = euclidean_chart(2, half=1.0)
-    # horizontal potential entirely in the central slot: the connection is
-    # flat while its curvature potential (= the central form) is nonzero
-    omega = _poly_form(2, 1, 4, {(1,): [(_basis_vec(4, 0), np.array([1, 0]))]},
-                       box=chart.box)
-    zeta = potential_curvature(alg, omega)
-    a = _poly_form(2, 1, 4, {(0,): [(_basis_vec(4, 1, 0.5), np.array([0, 1]))],
-                             (1,): [(_basis_vec(4, 2, 0.3), np.array([1, 0]))]},
-                   box=chart.box)
-    shift = _poly_form(2, 1, 4, {(0,): [(_basis_vec(4, 2, 0.2), np.array([1, 0]))],
-                                 (1,): [(_basis_vec(4, 3, 0.1), np.array([0, 1]))]},
-                       box=chart.box)
-    generator = _poly_form(2, 0, 4, {(): [(_basis_vec(4, 3), np.array([1, 0]))]},
-                           box=chart.box)
-    sections = {
-        "constant": _const_poly(2, 4, [0.4, 0.3, -0.2, 0.5]),
-        "generic": _linear_poly(2, 4, [([0.2, 0.0, 0.0, 0.0], [1, 0]),
-                                       ([0.0, 0.3, 0.0, 0.0], [0, 1]),
-                                       ([0.0, 0.0, 0.15, 0.0], [1, 1]),
-                                       ([0.0, 0.0, 0.0, -0.25], [1, 0])]),
-        "twist": _linear_poly(2, 4, [([0.0, 0.1, 0.0, 0.0], [2, 0]),
-                                     ([0.0, 0.0, -0.2, 0.0], [0, 1]),
-                                     ([0.15, 0.0, 0.0, 0.1], [1, 0])]),
-    }
-    autos = {
-        "constant": _const_poly(2, 4, [0.3, 0.2, 0.4, -0.1]),
-        "generic": _linear_poly(2, 4, [([0.2, 0.3, 0.0, 0.0], [1, 0]),
-                                       ([0.0, 0.0, -0.2, 0.0], [0, 1]),
-                                       ([0.0, 0.0, 0.0, 0.25], [1, 1])]),
-        "twist": _linear_poly(2, 4, [([0.0, -0.15, 0.0, 0.0], [0, 2]),
-                                     ([0.1, 0.0, 0.1, 0.0], [1, 0]),
-                                     ([0.0, 0.0, 0.0, -0.2], [0, 1])]),
-    }
-    return _assemble("preclassical-u1su2", chart, alg, omega, zeta, a, shift,
-                     generator, sections, autos)
-
-
 def _bpst() -> ScenarioBundle:
     alg = su2()
     chart = stereographic_chart(half=2.0, orientation=-1)
@@ -322,10 +215,11 @@ def _bpst() -> ScenarioBundle:
     a = zero_form(4, 1, "algebra", (3,), box=chart.box)
     # the shift that straightens the splitting: the potential itself
     shift = omega
-    generator = _poly_form(4, 0, 3, {(): [(_basis_vec(3, 0, 0.2), np.array([0, 1, 0, 0])),
-                                          (_basis_vec(3, 1, -0.1), np.array([1, 0, 0, 0])),
-                                          (_basis_vec(3, 2, 0.1), np.array([0, 0, 0, 1]))]},
-                           box=chart.box)
+    generator = form_from_poly(4, 0, "algebra", (3,),
+                               _linear_poly(4, 3, [([0.2, 0.0, 0.0], [0, 1, 0, 0]),
+                                                   ([0.0, -0.1, 0.0], [1, 0, 0, 0]),
+                                                   ([0.0, 0.0, 0.1], [0, 0, 0, 1])]),
+                               box=chart.box)
     sections = {
         "constant": _const_poly(4, 3, [0.3, -0.2, 0.5]),
         "generic": _linear_poly(4, 3, [([0.15, 0.0, 0.0], [0, 1, 0, 0]),
@@ -348,66 +242,18 @@ def _bpst() -> ScenarioBundle:
                      sections, autos, expected_charge=1.0)
 
 
-def _random_curved() -> ScenarioBundle:
-    alg = su2()
-    chart = euclidean_chart(3, half=1.0)
-    rng = np.random.default_rng(42)
-
-    def rand_one_form(scale):
-        terms = {}
-        for k in range(3):
-            rows = [(scale * rng.normal(size=3), np.zeros(3, dtype=int))]
-            mono = np.zeros(3, dtype=int)
-            mono[rng.integers(0, 3)] = 1
-            rows.append((scale * rng.normal(size=3), mono))
-            terms[(k,)] = rows
-        return _poly_form(3, 1, 3, terms, box=chart.box)
-
-    omega = rand_one_form(0.4)
-    zeta = potential_curvature(alg, omega)
-    a = rand_one_form(0.3)
-    shift = rand_one_form(0.2)
-    generator = _poly_form(3, 0, 3, {(): [(0.4 * rng.normal(size=3),
-                                           np.array([1, 0, 0])),
-                                          (0.3 * rng.normal(size=3),
-                                           np.array([0, 0, 1]))]},
-                           box=chart.box)
-
-    def rand_section_poly(scale):
-        return _linear_poly(3, 3, [(scale * rng.normal(size=3), np.zeros(3, dtype=int)),
-                                   (scale * rng.normal(size=3), np.array([1, 0, 0])),
-                                   (scale * rng.normal(size=3), np.array([0, 1, 0]))])
-
-    sections = {
-        "constant": _const_poly(3, 3, rng.normal(size=3) * 0.4),
-        "generic": rand_section_poly(0.3),
-        "twist": rand_section_poly(0.25),
-    }
-    autos = {
-        "constant": _const_poly(3, 3, rng.normal(size=3) * 0.3),
-        "generic": rand_section_poly(0.25),
-        "twist": rand_section_poly(0.2),
-    }
-    return _assemble("random-curved", chart, alg, omega, zeta, a, shift,
-                     generator, sections, autos)
-
-
-_BUILDERS = {
-    "flat-su2": _flat_su2,
-    "abelian-u1": _abelian_u1,
-    "preclassical-u1su2": _preclassical_u1su2,
-    "bpst": _bpst,
-    "random-curved": _random_curved,
-}
+_SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "scenarios")
 
 
 def builtin_scenario(name: str) -> ScenarioBundle:
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
+    """The named built-in: bpst from its closed-form builder, every other one
+    from its packaged scenario file `scenarios/<name>.json`."""
+    if name not in SCENARIO_NAMES:
         raise ScenarioError(f"unknown built-in scenario {name!r}; "
-                            f"choose from {sorted(_BUILDERS)}") from None
-    return builder()
+                            f"choose from {sorted(SCENARIO_NAMES)}")
+    if name == "bpst":
+        return _bpst()
+    return load_scenario(os.path.join(_SCENARIO_DIR, f"{name}.json"))
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,12 @@ from cym.algebra import (VARIETY_TOL, VarietyError, ad_matrix_c, algebra_to_dict
                          group_exp, su2, u1)
 from cym.cli import main as cli_main
 from cym.connection import (LabConnection, ad_mapped_form, check_compatibility,
-                            curvature, cov_ext_deriv, field_redefine)
+                            curvature, cov_ext_deriv, field_redefine,
+                            potential_curvature)
 from cym.forms import (PolyData, SamplePlan, add_forms, bracket_pairing,
-                       exterior_derivative, form_from_components, form_from_poly,
-                       graded_product, increasing_indices, max_gap, zero_form)
+                       euclidean_chart, exterior_derivative, form_from_components,
+                       form_from_poly, graded_product, increasing_indices, max_gap,
+                       zero_form)
 from cym.gauge import change_of_gauge, instanton_charge, local_field_strength
 from cym.harness import (GATE_PLAN, SCENARIO_NAMES, SUITES, CheckRow, RunEnv,
                          ScenarioError,
@@ -36,8 +38,8 @@ from cym.harness import (GATE_PLAN, SCENARIO_NAMES, SUITES, CheckRow, RunEnv,
                          algebra_kernel_residuals, bpst_central_form,
                          bpst_potential, builtin_scenario, load_scenario,
                          run_suite, save_scenario, scenario_from_dict,
-                         scenario_to_dict, suite_names, _plan_rows,
-                         _random_section_pairs)
+                         scenario_to_dict, suite_names, _assemble, _const_poly,
+                         _linear_poly, _plan_rows, _random_section_pairs)
 from cym.lgb import GSection, generalized_mc_rows
 from cym.principal import gauge_transform_total
 
@@ -86,9 +88,75 @@ def test_unknown_builtin_rejected():
         builtin_scenario("moebius")
 
 
+SCENARIO_DIR = pathlib.Path(cym.__file__).with_name("scenarios")
+POLYNOMIAL_BUILTINS = [name for name in SCENARIO_NAMES if name != "bpst"]
+
+
+def test_every_polynomial_builtin_is_one_packaged_file():
+    assert sorted(p.name for p in SCENARIO_DIR.iterdir()) == sorted(
+        f"{name}.json" for name in POLYNOMIAL_BUILTINS)
+
+
+@pytest.mark.parametrize("name", POLYNOMIAL_BUILTINS)
+def test_packaged_scenario_file_is_a_fixed_point_of_save(tmp_path, name):
+    save_scenario(builtin_scenario(name), tmp_path / "s.json")
+    assert (tmp_path / "s.json").read_bytes() == (SCENARIO_DIR / f"{name}.json").read_bytes()
+
+
+def random_curved_recipe():
+    """The seeded recipe that froze `scenarios/random-curved.json`: su(2) on
+    the euclidean 3-chart, its forms and section exponents drawn from seed 42."""
+    alg = su2()
+    chart = euclidean_chart(3, half=1.0)
+    rng = np.random.default_rng(42)
+
+    def poly_form(degree, terms):
+        return form_from_poly(3, degree, "algebra", (3,), PolyData(3, degree, (3,), terms),
+                              box=chart.box)
+
+    def rand_one_form(scale):
+        terms = {}
+        for k in range(3):
+            rows = [(scale * rng.normal(size=3), np.zeros(3, dtype=int))]
+            mono = np.zeros(3, dtype=int)
+            mono[rng.integers(0, 3)] = 1
+            rows.append((scale * rng.normal(size=3), mono))
+            terms[(k,)] = rows
+        return poly_form(1, terms)
+
+    omega = rand_one_form(0.4)
+    zeta = potential_curvature(alg, omega)
+    a = rand_one_form(0.3)
+    shift = rand_one_form(0.2)
+    generator = poly_form(0, {(): [(0.4 * rng.normal(size=3), np.array([1, 0, 0])),
+                                   (0.3 * rng.normal(size=3), np.array([0, 0, 1]))]})
+
+    def rand_section_poly(scale):
+        return _linear_poly(3, 3, [(scale * rng.normal(size=3), np.zeros(3, dtype=int)),
+                                   (scale * rng.normal(size=3), np.array([1, 0, 0])),
+                                   (scale * rng.normal(size=3), np.array([0, 1, 0]))])
+
+    sections = {
+        "constant": _const_poly(3, 3, rng.normal(size=3) * 0.4),
+        "generic": rand_section_poly(0.3),
+        "twist": rand_section_poly(0.25),
+    }
+    autos = {
+        "constant": _const_poly(3, 3, rng.normal(size=3) * 0.3),
+        "generic": rand_section_poly(0.25),
+        "twist": rand_section_poly(0.2),
+    }
+    return _assemble("random-curved", chart, alg, omega, zeta, a, shift,
+                     generator, sections, autos)
+
+
+def test_random_curved_file_is_its_seeded_recipe():
+    packaged = json.loads((SCENARIO_DIR / "random-curved.json").read_text(encoding="utf-8"))
+    assert scenario_to_dict(random_curved_recipe()) == packaged
+
+
 def test_instanton_potential_closed_form_curvature():
     # the bundled central 2-form must equal the curvature of the potential
-    from cym.connection import potential_curvature
     bundle = builtin_scenario("bpst")
     direct = potential_curvature(bundle.algebra, bundle.omega)
     rng = np.random.default_rng(11)
@@ -153,26 +221,23 @@ def test_curvature_directive_builds_zeta_from_omega():
     assert got == pytest.approx([-0.2], abs=1e-15)
 
 
-def test_round_trip_preserves_residuals(tmp_path):
-    bundle = builtin_scenario("flat-su2")
-    path = tmp_path / "flat.json"
+def assert_round_trip_reports_all_suites(name, path):
+    bundle = builtin_scenario(name)
     save_scenario(bundle, path)
-    reloaded = load_scenario(path)
-    a = run_suite(bundle, "darboux", plan=QUICK)
-    b = run_suite(reloaded, "darboux", plan=QUICK)
+    a = run_suite(bundle, "all", plan=QUICK)
+    b = run_suite(load_scenario(path), "all", plan=QUICK)
     assert a.to_json() == b.to_json()
+    assert list(a.csv_rows()) == list(b.csv_rows())
+
+
+def test_round_trip_preserves_residuals(tmp_path):
+    assert_round_trip_reports_all_suites("flat-su2", tmp_path / "flat.json")
 
 
 @pytest.mark.parametrize("name", ["abelian-u1", "preclassical-u1su2",
                                   "random-curved"])
 def test_round_trip_other_builtins(tmp_path, name):
-    bundle = builtin_scenario(name)
-    path = tmp_path / "s.json"
-    save_scenario(bundle, path)
-    reloaded = load_scenario(path)
-    a = run_suite(bundle, "compatibility", plan=QUICK)
-    b = run_suite(reloaded, "compatibility", plan=QUICK)
-    assert a.to_json() == b.to_json()
+    assert_round_trip_reports_all_suites(name, tmp_path / "s.json")
 
 
 def test_instanton_scenario_is_not_serializable(tmp_path):
