@@ -124,6 +124,12 @@ class LieAlgebraDescriptor:
         reps = self.rep_matrices.reshape(self.dim, -1)
         gram = (reps.conj() @ reps.T).real
         self._gram_inv = _frozen(np.linalg.inv(gram))
+        # Ad of the variety keeps the span iff [u(blocks), span] lies in it; E_jk on blocks
+        units = np.eye(self.rep_dim ** 2).reshape((self.rep_dim,) * 4)[~off_blocks]
+        u = np.concatenate([units - dagger(units), 1j * (units + dagger(units))])[:, None]
+        if expand_in_rep(self, u @ self.rep_matrices - self.rep_matrices @ u)[1].max() > REP_TOL:
+            raise StructureError("[u(blocks), span] leaves the representation span: the "
+                                 "variety blocks are not the group of the span")
         # Ad's map: K[(i,k), (j,l), (a,b)] = sum_c G^-1_ac conj(T_c)_ij (T_b)_kl on blocks
         inb = ~off_blocks.ravel()
         k = np.einsum('ac,cij,bkl->ikjlab', self._gram_inv, self.rep_matrices.conj(),

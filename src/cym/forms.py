@@ -1,12 +1,12 @@
 """Vector-valued differential forms on a boxed coordinate chart.
 
-A form has one definition, its batch: the table of its components on the
-strictly increasing multi-indices at every point of a (P, n) batch. Sums,
-products, stars and derivatives are batches built on the batches of their
-factors, so a whole sampling plan is read in one pass. A form may carry
-three layers of derivative information, used in this order:
+A form has one definition of its components on the strictly increasing
+multi-indices at the points of a (P, n) batch: its polynomial payload, which
+polynomial sums and products build from their parts' payloads, or else its
+batch, the map to their table that other forms build on their factors'
+tables, so a whole plan is read in one pass. Its d comes, in order, from:
 
-  1. a polynomial payload (`PolyData`): exact calculus, closed under the
+  1. the payload (`PolyData`): exact calculus, closed under the
      exterior derivative and under graded products with constant pairings;
   2. an `analytic_d` batch, the table of its exterior derivative (for
      closed-form but non-polynomial data);
@@ -294,13 +294,13 @@ class PolyData:
 class LieForm:
     """A degree-k form with values in the algebra, its endomorphisms, or scalars.
 
-    A form is its `batch`: the map from a (P, n) batch of points to the
-    (P, C(n, k), *value_shape) table of its components, in
-    `increasing_indices` order. `analytic_d`, when given, is the batch of its
-    exterior derivative, with the same convention one degree up. Both must be
-    pure functions of the points. `table(X)` reads the batch and keeps the
-    table of the last batch; `components(x, idx)` is the one-row read of it.
-    A per-point closure becomes a form through `form_from_components`.
+    A form has one definition of the (P, C(n, k), *value_shape) table of its
+    components at a (P, n) batch of points, in `increasing_indices` order:
+    its polynomial payload `poly`, or else its `batch`, with `analytic_d`,
+    when given, the batch of its exterior derivative one degree up; batches
+    must be pure functions of the points. `table(X)` reads the definition and
+    keeps the table of the last batch; `components(x, idx)` is the one-row
+    read of it. A per-point closure becomes a form through `form_from_components`.
     """
 
     n: int
@@ -314,8 +314,8 @@ class LieForm:
     poly: PolyData = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.batch is None:
-            raise ValueError("a LieForm needs a batch: (P, n) points -> component table")
+        if (self.batch is None) == (self.poly is None) or self.poly and self.analytic_d:
+            raise ValueError("a LieForm needs a batch, or a payload and no batch or analytic_d")
         self._last_table = (None, None)
 
     def has_exact_d(self) -> bool:
@@ -329,7 +329,7 @@ class LieForm:
         X = np.asarray(X, dtype=float)
         key = (X.shape, X.tobytes())
         if key != self._last_table[0]:
-            value = np.asarray(self.batch(X)).view()
+            value = np.asarray((self.batch if self.poly is None else self.poly.table)(X)).view()
             value.setflags(write=False)
             self._last_table = (key, value)
         return self._last_table[1]
@@ -373,8 +373,7 @@ def zero_form(n, degree, value_target, value_shape, box=None) -> LieForm:
 def form_from_poly(n, degree, value_target, value_shape, poly: PolyData,
                    box=None, fd_step=1e-5) -> LieForm:
     return LieForm(n=n, degree=degree, value_target=value_target,
-                   value_shape=tuple(value_shape), batch=poly.table,
-                   analytic_d=lambda X: poly._d.table(X), fd_step=fd_step, box=box, poly=poly)
+                   value_shape=tuple(value_shape), fd_step=fd_step, box=box, poly=poly)
 
 
 def add_forms(a: LieForm, b: LieForm, alpha=1.0, beta=1.0) -> LieForm:

@@ -10,7 +10,7 @@ A scenario bundles everything the residual suites consume: the theory as one
 `GaugeScenario` (the chart, the algebra, the connection from its horizontal
 potential, a compatible central 2-form and the gauge field), named
 group-valued sections and bundle automorphisms (each exp of a polynomial
-0-form, which `GSection.form` keeps for saving), a splitting shift and an
+0-form, which its stack holds for `GSection.form`), a splitting shift and an
 infinitesimal generator, plus sampling and tolerance defaults. Every suite
 and the compatibility gate read the theory from `ScenarioBundle.scenario`
 alone. Suites are registered declaratively as (anchor, applicability,

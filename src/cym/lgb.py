@@ -109,16 +109,26 @@ def _point_draws(plan: SamplePlan, count: int, dim: int, groups: int, width: int
 # sections
 # ---------------------------------------------------------------------------
 
+class _ExpStack:
+    """exp(scale form(x)) at a (..., n) stack: one table of the 0-form, one exponential."""
+
+    def __init__(self, alg: LieAlgebraDescriptor, form: LieForm, scale: float):
+        self.algebra, self.form, self.scale = alg, form, scale
+
+    def __call__(self, X):
+        return group_exp(self.algebra, self.scale * _table_at(self.form, X)[..., 0, :])
+
+
 class GSection:
     """A group-valued section b: chart -> G, on stacks of points.
 
     `stack` maps a (..., n) stack of points to the (..., r, r) stack of
     their group matrices, and `section(X)` reads it. A per-point closure of
     algebra coefficients becomes a section through `exp_of_form` of
-    `form_from_components`; such a section keeps the 0-form it exponentiates
-    and its scale (`form`, `scale`, None otherwise). Every finite row must
-    lie on the group variety (VarietyError otherwise); a non-finite row
-    passes through as NaN.
+    `form_from_components`; its stack is computed from the 0-form and scale
+    that `form` and `scale` read (None otherwise) and cannot assign. Every
+    finite row must lie on the group variety (VarietyError otherwise); a
+    non-finite row passes through as NaN.
     A section must be a pure function of the point: the last stack is
     memoised by its coordinates and its matrices come back read-only.
     """
@@ -126,7 +136,10 @@ class GSection:
     def __init__(self, alg: LieAlgebraDescriptor, stack, name: str = ""):
         self.algebra, self.name, self._stack = alg, name, stack
         self._key = self._value = None
-        self.form = self.scale = None
+
+    # the 0-form and scale of an exp-section, read from its stack; None otherwise
+    form = property(lambda self: self._stack.form if isinstance(self._stack, _ExpStack) else None)
+    scale = property(lambda self: None if self.form is None else self._stack.scale)
 
     def __call__(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -151,11 +164,8 @@ class GSection:
     @classmethod
     def exp_of_form(cls, alg: LieAlgebraDescriptor, form: LieForm, scale: float = 1.0,
                     name: str = "exp") -> "GSection":
-        """b(x) = exp(scale form(x)) of an algebra-valued 0-form: one table of
-        the form on the stack, then one exponential."""
-        section = cls(alg, lambda X: group_exp(alg, scale * _table_at(form, X)[..., 0, :]), name)
-        section.form, section.scale = form, scale
-        return section
+        """b(x) = exp(scale form(x)) of an algebra-valued 0-form (`_ExpStack`)."""
+        return cls(alg, _ExpStack(alg, form, scale), name)
 
     def product(self, other: "GSection") -> "GSection":
         if other.algebra is not self.algebra:

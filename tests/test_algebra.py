@@ -298,15 +298,21 @@ def test_stacked_watchdogs_raise_on_a_finite_bad_row_only():
 
 # -- Ad as a quadratic map, the variety check in closed form ----------------------
 
-def so3():
-    """so(3) on its 3x3 real antisymmetric generators (L_a)_bc = -eps_abc, one
-    "su" block of size 3, loaded from a descriptor."""
-    reps = -SU2.structure_constants
+def su3():
+    """su(3) on the Gell-Mann matrices over 2i, one "su" block of size 3
+    (Pade(13) and numpy's det), loaded from a descriptor; kappa = -2 tr = id."""
+    lam = []
+    for j, k in ((0, 1), (0, 2), (1, 2)):
+        sym = np.zeros((3, 3))
+        sym[j, k] = sym[k, j] = 1.0
+        lam += [sym, 1j * (np.tril(sym) - np.triu(sym))]
+    reps = np.array(lam + [np.diag([1.0, -1.0, 0.0]), np.diag([1.0, 1.0, -2.0]) / np.sqrt(3)]) / 2j
+    comm = reps[:, None] @ reps[None] - reps[None] @ reps[:, None]
     return alg.algebra_from_dict({
-        "dim": 3, "basis_labels": ["l1", "l2", "l3"],
-        "structure_constants": SU2.structure_constants.tolist(),
-        "rep_matrices": np.stack([reps, np.zeros_like(reps)], axis=-1).tolist(),
-        "kappa": np.eye(3).tolist(), "variety_blocks": [["su", 0, 3]]})
+        "dim": 8, "basis_labels": [f"e{a}" for a in range(1, 9)],
+        "structure_constants": (-2 * np.einsum('abij,kji->abk', comm, reps).real).tolist(),
+        "rep_matrices": np.stack([reps.real, reps.imag], axis=-1).tolist(),
+        "kappa": np.eye(8).tolist(), "variety_blocks": [["su", 0, 3]]})
 
 
 def reference_ad(a, g):
@@ -329,7 +335,7 @@ def reference_variety(a, g):
     return np.max(gaps, axis=0)
 
 
-ROUTE_ALGEBRAS = dict(KERNEL_ALGEBRAS, so3=so3)
+ROUTE_ALGEBRAS = dict(KERNEL_ALGEBRAS, su3=su3)
 
 
 @pytest.mark.parametrize("shape", ((), (5,), (5, 2)), ids=str)

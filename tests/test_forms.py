@@ -406,7 +406,21 @@ def test_form_without_a_batch_is_refused():
     with pytest.raises(ValueError, match="needs a batch"):
         fm.LieForm(n=4, degree=1, value_target="scalar", value_shape=())
     with pytest.raises(ValueError, match="needs a batch"):
-        replace(A_FORM, batch=None)
+        replace(A_FORM, poly=None)
+    # a polynomial form is its payload and has no batch to lose
+    assert np.array_equal(replace(A_FORM, batch=None).table(BATCH), A_FORM.table(BATCH))
+
+
+def test_a_polynomial_form_is_its_payload_alone():
+    def zeros(X):
+        return np.zeros((len(X), 4, 3))
+
+    assert A_FORM.batch is None and A_FORM.analytic_d is None
+    for stale in ({"batch": zeros}, {"analytic_d": zeros}):
+        with pytest.raises(ValueError, match="a payload and no batch or analytic_d"):
+            replace(A_FORM, **stale)
+    batch_form = replace(A_FORM, poly=None, batch=zeros)
+    assert np.array_equal(batch_form.table(BATCH), zeros(BATCH))
 
 
 def test_components_adapter_stacks_the_closure_and_its_derivative():

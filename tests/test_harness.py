@@ -457,29 +457,37 @@ def constant_entry(coeffs):
         {"coeffs": list(coeffs), "exponents": [0, 0]}]}}}
 
 
-def adjoint_su2():
-    """su(2) as a file algebra in its real adjoint representation: one
-    3x3 block, which `expm` takes by Pade(13), not by a closed form."""
-    c = su2().structure_constants
-    ad = np.einsum('abk->akb', c)
-    return {"dim": 3, "basis_labels": ["e1", "e2", "e3"], "structure_constants": c.tolist(),
-            "rep_matrices": np.stack([ad, np.zeros_like(ad)], axis=-1).tolist(),
-            "kappa": np.eye(3).tolist(), "variety_blocks": [["u", 0, 3]]}
+def su3_blob():
+    """su(3) as a file algebra on the Gell-Mann matrices over 2i: one 3x3
+    "su" block, which `expm` takes by Pade(13), not by a closed form."""
+    lam = []
+    for j, k in ((0, 1), (0, 2), (1, 2)):
+        sym = np.zeros((3, 3))
+        sym[j, k] = sym[k, j] = 1.0
+        lam += [sym, 1j * (np.tril(sym) - np.triu(sym))]
+    reps = np.array(lam + [np.diag([1.0, -1.0, 0.0]), np.diag([1.0, 1.0, -2.0]) / np.sqrt(3)]) / 2j
+    comm = reps[:, None] @ reps[None] - reps[None] @ reps[:, None]
+    return {"dim": 8, "basis_labels": [f"e{a}" for a in range(1, 9)],
+            "structure_constants": (-2 * np.einsum('abij,kji->abk', comm, reps).real).tolist(),
+            "rep_matrices": np.stack([reps.real, reps.imag], axis=-1).tolist(),
+            "kappa": np.eye(8).tolist(), "variety_blocks": [["su", 0, 3]]}
 
 
 def test_off_variety_entries_named_sections_first():
-    # Pade(13) on the adjoint block at a coefficient of 1e8 misses the
-    # orthogonal group by about 4e-9, above VARIETY_TOL = 1e-10
-    blob = scenario_to_dict(builtin_scenario("flat-su2"))
-    blob["algebra"] = adjoint_su2()
-    blob["sections"] = {"fine": constant_entry([0.3, 0, 0]), "huge": constant_entry([1e8, 0, 0])}
-    blob["automorphisms"] = {"huge": constant_entry([0, 1e8, 0])}
+    # Pade(13) on the su(3) block at a coefficient of 1e8 misses the
+    # special unitary group by about 2e-9, above VARIETY_TOL = 1e-10
+    blob = scenario_blob()
+    blob["algebra"] = su3_blob()
+    blob["forms"] = {"omega": {"degree": 1}, "zeta": {"degree": 2}, "A": {"degree": 1}}
+    e = np.eye(8)
+    blob["sections"] = {"fine": constant_entry(0.3 * e[0]), "huge": constant_entry(1e8 * e[0])}
+    blob["automorphisms"] = {"huge": constant_entry(1e8 * e[1])}
     with pytest.raises(ScenarioError, match=r"^sections\.huge: matrix off the group variety"):
         scenario_from_dict(blob)
-    blob["sections"] = {"fine": constant_entry([0.3, 0, 0])}
+    blob["sections"] = {"fine": constant_entry(0.3 * e[0])}
     with pytest.raises(ScenarioError, match=r"^automorphisms\.huge: matrix off the group"):
         scenario_from_dict(blob)
-    blob["automorphisms"] = {"fine": constant_entry([0, -0.3, 0])}
+    blob["automorphisms"] = {"fine": constant_entry(-0.3 * e[1])}
     bundle = scenario_from_dict(blob)
     assert list(bundle.sections) == list(bundle.automorphisms) == ["identity", "fine"]
 
@@ -492,6 +500,24 @@ def test_huge_u1_and_su2_sections_load_as_exact_group_elements():
     blob = scenario_to_dict(builtin_scenario("flat-su2"))
     blob["sections"] = {"huge": constant_entry([1.23456789e7, 9.87654321e7, 3.1415926e7])}
     assert list(scenario_from_dict(blob).sections) == ["identity", "huge"]
+
+
+def test_file_algebra_whose_blocks_are_not_its_span_group_is_refused():
+    # su(2) as T + T on two "su" blocks: exp(u) + exp(v), u != v, lies on the
+    # blocks' variety, but its Ad leaves the span
+    t = su2().rep_matrices
+    reps = np.zeros((3, 4, 4), dtype=complex)
+    reps[:, :2, :2] = reps[:, 2:, 2:] = t
+    blob = scenario_to_dict(builtin_scenario("flat-su2"))
+    blob["algebra"] = {"dim": 3, "basis_labels": ["e1", "e2", "e3"],
+                       "structure_constants": su2().structure_constants.tolist(),
+                       "rep_matrices": np.stack([reps.real, reps.imag], axis=-1).tolist(),
+                       "kappa": np.eye(3).tolist(), "variety_blocks": [["su", 0, 2], ["su", 2, 2]]}
+    with pytest.raises(ScenarioError, match=r"^algebra: \[u\(blocks\), span\] leaves the"):
+        scenario_from_dict(blob)
+    blob["algebra"]["variety_blocks"] = [["su", 0, 4]]  # one block of SU(4): still refused
+    with pytest.raises(ScenarioError, match=r"^algebra: \[u\(blocks\), span\] leaves the"):
+        scenario_from_dict(blob)
 
 
 def test_file_algebra_with_entries_off_its_blocks_exits_2(tmp_path, capsys):
@@ -764,13 +790,20 @@ def bpst_and_clean_rows():
 
 
 def nan_at(form, bad_point):
-    """The form with its table NaN on the rows at one point; its exact
-    derivative, if any, stays as it is."""
+    """The batch form whose table is the form's, NaN on the rows at one
+    point; the form's exact derivative, if any, is its analytic_d."""
     def batch(X):
         rows = np.where((X == bad_point).all(axis=1), np.nan, 1.0)
         return form.table(X) * rows.reshape((-1,) + (1,) * (1 + len(form.value_shape)))
 
-    return dataclasses.replace(form, batch=batch)
+    d = exterior_derivative(form).table if form.has_exact_d() else None
+    return dataclasses.replace(form, poly=None, batch=batch, analytic_d=d)
+
+
+def off_the_plan(bundle):
+    """A point outside the chart box, which no plan point or stencil reaches:
+    `nan_at` there gives a reference with the same routes and no NaN."""
+    return bundle.chart.box[:, 1] + 1.0
 
 
 def with_zeta_nan_at(bundle, bad_point):
@@ -1164,24 +1197,30 @@ def test_a_connection_replaced_in_the_scenario_reaches_the_suite_and_the_gate():
 
 
 # the checks whose routes read the gauge field's table, and those that read
-# no gauge field; bianchi and field-redef differentiate A's polynomial
-# exactly, so a NaN that only its table carries need not reach them
+# no gauge field; bianchi/analytic reads it too on three or more axes (on two
+# its form is a zero top form, which reads no table)
 READS_A = ("principal/equivariance", "principal/kernel-invariance",
            "principal/projection-commutation", "principal/mixed-bracket",
            "structure-equation/dual-path", "structure-equation/horizontality",
-           "structure-equation/adjoint-type", "lagrangian/finite", "lagrangian/infinitesimal")
+           "structure-equation/adjoint-type", "lagrangian/finite", "lagrangian/infinitesimal",
+           "field-redef/invariance")
 READS_NO_A = ("algebra/", "compatibility/", "darboux/", "fibre-connection/",
               "multiplicativity/", "generalized-mc/", "principal/action-differential",
               "principal/section-independence")
 
 
+def with_gauge_field_nan_at(bundle, bad_point):
+    """The bundle with its gauge field NaN at one point."""
+    return dataclasses.replace(bundle, scenario=dataclasses.replace(
+        bundle.scenario, gauge_field=nan_at(bundle.gauge_field, bad_point)))
+
+
 def test_a_gauge_field_replaced_in_the_scenario_reaches_every_suite_that_reads_it():
     bundle = builtin_scenario("flat-su2")
-    clean = all_rows(bundle, NAN_PLAN)
+    clean = all_rows(with_gauge_field_nan_at(bundle, off_the_plan(bundle)), NAN_PLAN)
     ordinal = 2
     bad_point = NAN_PLAN.points(bundle.chart)[ordinal]
-    got = all_rows(dataclasses.replace(bundle, scenario=dataclasses.replace(
-        bundle.scenario, gauge_field=nan_at(bundle.gauge_field, bad_point))), NAN_PLAN)
+    got = all_rows(with_gauge_field_nan_at(bundle, bad_point), NAN_PLAN)
     assert got.keys() == clean.keys()
     for key, row in got.items():
         others = [pair for pair in row.per_point if pair[0] != ordinal]
@@ -1190,6 +1229,26 @@ def test_a_gauge_field_replaced_in_the_scenario_reaches_every_suite_that_reads_i
             assert math.isnan(row.per_point[ordinal][1]) and not row.passed, key
         elif key.startswith(READS_NO_A):
             assert row.per_point == clean[key].per_point, key
+
+
+@pytest.mark.parametrize("name", ["flat-su2", "random-curved"])
+def test_nan_in_the_gauge_field_is_a_nan_row_of_every_check_that_reads_it(name):
+    # A has one definition, so its derivative and its products read the
+    # table that carries the NaN: bianchi and field-redef see it as well
+    bundle, plan, ordinal = builtin_scenario(name), SamplePlan(count=4, seed=1), 1
+    bad_point = plan.points(bundle.chart)[ordinal]
+    with pytest.raises(ValueError, match="needs a batch"):  # a table beside the payload
+        dataclasses.replace(bundle.gauge_field, batch=nan_at(bundle.gauge_field, bad_point).batch)
+    got = all_rows(with_gauge_field_nan_at(bundle, bad_point), plan)
+    nan = {key for key, row in got.items()
+           if any(i == ordinal and math.isnan(r) for i, r in row.per_point)}
+    reads_a = {key for key in got if key in READS_A or key.startswith("gauge-laws/")}
+    if bundle.chart.dim > 2:
+        reads_a.add("bianchi/analytic")
+    else:
+        assert got["bianchi/analytic"].per_point[ordinal] == (ordinal, 0.0)
+    assert nan == reads_a
+    assert all(not math.isnan(r) for key in got.keys() - nan for _, r in got[key].per_point)
 
 
 def total_space_rows(bundle):
@@ -1201,7 +1260,7 @@ def total_space_rows(bundle):
 @pytest.mark.parametrize("name", ["bpst", "random-curved"])
 def test_nan_form_at_one_point_is_a_nan_row_of_each_total_space_check(name):
     bundle = builtin_scenario(name)
-    clean = total_space_rows(bundle)
+    clean = total_space_rows(with_forms_nan_at(bundle, off_the_plan(bundle)))
     assert all(row.passed for row in clean.values())
     for ordinal, bad_point in enumerate(NAN_PLAN.points(bundle.chart)):
         got = total_space_rows(with_forms_nan_at(bundle, bad_point))

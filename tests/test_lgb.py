@@ -368,6 +368,18 @@ def test_exp_of_form_is_the_exp_section_of_its_table():
     assert np.array_equal(got, want)
 
 
+def test_an_exp_section_reads_its_form_and_scale_from_its_stack():
+    nu = poly_form(2, 0, (3,), {(): [(np.array([0.5, 0., 0.]), np.array([1, 0]))]})
+    section = GSection.exp_of_form(ALG, nu, -0.7)
+    assert section.form is nu and section.scale == -0.7
+    for name in ("form", "scale"):
+        with pytest.raises(AttributeError):
+            setattr(section, name, None)
+    plain = GSection(ALG, section, "plain")  # a stack that is no exp-section's
+    assert plain.form is None and plain.scale is None
+    assert GSection.identity(ALG).form is None
+
+
 def test_section_product_requires_same_algebra():
     s1 = GSection.identity(ALG)
     s2 = GSection.identity(u1())
