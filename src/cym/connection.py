@@ -2,10 +2,10 @@
 exterior calculus, curvature, infinitesimal compatibility checks, and field
 redefinitions.
 
-The connection is stored as an endomorphism-valued 1-form Gamma (so that
-deliberately broken inputs can be expressed for negative tests); when Gamma
-is the adjoint of an algebra-valued potential omega, the potential is kept
-alongside for the layers that need it (the group bundle, field redefinitions).
+A connection has one definition: its algebra-valued potential omega, from
+which Gamma = ad(omega) is derived, or an endomorphism-valued 1-form Gamma
+given alone (so that deliberately broken inputs can be expressed for
+negative tests). The group-bundle and principal laws need omega.
 
 A `GaugeScenario` is the one theory value every law reads: the chart, the
 algebra, the connection, the central 2-form zeta and the gauge field A.
@@ -13,6 +13,7 @@ algebra, the connection, the central 2-form zeta and the gauge field A.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,22 +59,32 @@ def ad_mapped_form(alg: LieAlgebraDescriptor, omega: LieForm) -> LieForm:
 
 @dataclass
 class LabConnection:
-    """del = d + Gamma on sections of the algebra bundle."""
+    """del = d + Gamma on sections of the algebra bundle, defined by exactly
+    one of: its potential `omega` (`from_omega`), with Gamma = ad(omega)
+    derived from it, or a Gamma given alone (`given_gamma`)."""
 
     algebra: LieAlgebraDescriptor
-    gamma: LieForm
-    omega: LieForm = None   # optional generating potential with Gamma = ad(omega)
+    given_gamma: LieForm = None
+    omega: LieForm = None
 
     def __post_init__(self):
-        if self.gamma.degree != 1 or self.gamma.value_target != "endomorphism":
-            raise ValueError("gamma must be an endomorphism-valued 1-form")
-        if self.omega is not None and (self.omega.degree != 1
-                                       or self.omega.value_target != "algebra"):
+        if (self.given_gamma is None) == (self.omega is None):
+            raise ValueError("a connection is its potential omega or a Gamma given "
+                             "alone: give exactly one")
+        if self.omega is None:
+            if self.given_gamma.degree != 1 or self.given_gamma.value_target != "endomorphism":
+                raise ValueError("gamma must be an endomorphism-valued 1-form")
+        elif self.omega.degree != 1 or self.omega.value_target != "algebra":
             raise ValueError("omega must be an algebra-valued 1-form")
 
     @classmethod
     def from_omega(cls, alg: LieAlgebraDescriptor, omega: LieForm) -> "LabConnection":
-        return cls(algebra=alg, gamma=ad_mapped_form(alg, omega), omega=omega)
+        return cls(algebra=alg, omega=omega)
+
+    @cached_property
+    def gamma(self) -> LieForm:
+        """Gamma: ad(omega) when del has a potential, else the given Gamma."""
+        return self.given_gamma if self.omega is None else ad_mapped_form(self.algebra, self.omega)
 
 
 @dataclass
@@ -173,18 +184,18 @@ def check_compatibility(s: GaugeScenario, plan: SamplePlan) -> CompatibilityRepo
 def field_redefine(s: GaugeScenario, lam: LieForm) -> GaugeScenario:
     """The scenario with its splitting shifted by a 1-form lambda.
 
-    gauge field -> A + lambda, connection -> del - ad(lambda),
+    gauge field -> A + lambda, connection -> del - ad(lambda) (its potential
+    omega -> omega - lambda when it has one, else Gamma -> Gamma - ad(lambda)),
     zeta -> zeta - del lambda + (1/2)[lambda ^, lambda].
     """
     nabla, alg = s.nabla, s.algebra
     if lam.degree != 1 or lam.value_target != "algebra":
         raise ValueError("lambda must be an algebra-valued 1-form")
     new_a = add_forms(s.gauge_field, lam)
-    new_gamma = add_forms(nabla.gamma, ad_mapped_form(alg, lam), 1.0, -1.0)
-    new_omega = None
     if nabla.omega is not None:
-        new_omega = add_forms(nabla.omega, lam, 1.0, -1.0)
-    new_nabla = LabConnection(algebra=alg, gamma=new_gamma, omega=new_omega)
+        new_nabla = LabConnection.from_omega(alg, add_forms(nabla.omega, lam, 1.0, -1.0))
+    else:
+        new_nabla = LabConnection(alg, add_forms(nabla.gamma, ad_mapped_form(alg, lam), 1.0, -1.0))
     dlam = cov_ext_deriv(nabla, lam)
     sq = scale_form(graded_product(bracket_pairing(alg), lam, lam), 0.5)
     new_zeta = add_forms(add_forms(s.zeta, dlam, 1.0, -1.0), sq)

@@ -13,8 +13,9 @@ group-valued sections and bundle automorphisms (each exp of a polynomial
 0-form, which its stack holds for `GSection.form`), a splitting shift and an
 infinitesimal generator, plus sampling and tolerance defaults. Every suite
 and the compatibility gate read the theory from `ScenarioBundle.scenario`
-alone. Suites are registered declaratively as (anchor, applicability,
-closure) triples so that every verified law lives in exactly one table.
+alone. Each check is declared once, in `CHECKS`; each suite in `SUITES`, as
+an (anchor, applicability, closure) triple whose closure returns {check:
+residuals}, from which `_suite_checks` builds the suite's rows.
 """
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ __all__ = [
     "bpst_potential", "bpst_central_form", "load_scenario", "save_scenario",
     "scenario_from_dict", "scenario_to_dict", "SUITES", "suite_names",
     "run_suite", "CheckRow", "SuiteReport", "VerificationReport",
-    "algebra_kernel_residuals", "DEFAULT_TOLERANCES",
+    "algebra_kernel_residuals", "CHECKS", "DEFAULT_TOLERANCES",
 ]
 
 SCENARIO_NAMES = ("flat-su2", "abelian-u1", "preclassical-u1su2", "bpst",
@@ -604,41 +605,33 @@ class VerificationReport:
 # suite machinery
 # ---------------------------------------------------------------------------
 
-DEFAULT_TOLERANCES = {
-    "algebra/jacobi": 1e-9,
-    "algebra/ad-homomorphism": 1e-9,
-    "algebra/kappa-invariance": 1e-9,
-    "algebra/exp-ad-consistency": 1e-9,
-    "compatibility/derivation": COMPATIBILITY_TOL,
-    "compatibility/curvature": COMPATIBILITY_TOL,
-    "darboux/leibniz": 1e-6,
-    "darboux/inverse": 1e-6,
-    "fibre-connection/stencil-vs-analytic": 1e-6,
-    "multiplicativity/total-form": 1e-9,
-    "generalized-mc/total-space": 1e-5,
-    "generalized-mc/pullback": 1e-3,
-    "principal/action-differential": 1e-7,
-    "principal/section-independence": 1e-8,
-    "principal/equivariance": 1e-8,
-    "principal/kernel-invariance": 1e-8,
-    "principal/projection-commutation": 1e-8,
-    "principal/mixed-bracket": 1e-4,
-    "structure-equation/dual-path": 1e-6,
-    "structure-equation/horizontality": 1e-8,
-    "structure-equation/adjoint-type": 1e-5,
-    "gauge-laws/section": 1e-5,
-    "gauge-laws/automorphism-potential": 1e-5,
-    "gauge-laws/automorphism-field-strength": 1e-5,
-    "bianchi/analytic": 1e-7,
-    "bianchi/stencil": 1e-4,
-    "field-redef/invariance": 1e-6,
-    "field-redef/closure-derivation": COMPATIBILITY_TOL,
-    "field-redef/closure-curvature": COMPATIBILITY_TOL,
-    "lagrangian/finite": 1e-6,
-    "lagrangian/infinitesimal": 1e-5,
-    "self-duality/central-form": 1e-6,
-    "charge/instanton-number": 1e-2,
+# Every check, declared once: suite -> {check: default tolerance}, in report
+# order. A gauge-laws check is reported once per section or automorphism, as
+# "<check>:<name>"; bianchi reports "analytic" when del, zeta and A have an
+# exact d, else "stencil".
+CHECKS = {
+    "algebra": {"jacobi": 1e-9, "ad-homomorphism": 1e-9, "kappa-invariance": 1e-9,
+                "exp-ad-consistency": 1e-9},
+    "compatibility": {"derivation": COMPATIBILITY_TOL, "curvature": COMPATIBILITY_TOL},
+    "darboux": {"leibniz": 1e-6, "inverse": 1e-6},
+    "fibre-connection": {"stencil-vs-analytic": 1e-6},
+    "multiplicativity": {"total-form": 1e-9},
+    "generalized-mc": {"total-space": 1e-5, "pullback": 1e-3},
+    "principal": {"action-differential": 1e-7, "section-independence": 1e-8,
+                  "equivariance": 1e-8, "kernel-invariance": 1e-8,
+                  "projection-commutation": 1e-8, "mixed-bracket": 1e-4},
+    "structure-equation": {"dual-path": 1e-6, "horizontality": 1e-8, "adjoint-type": 1e-5},
+    "gauge-laws": {"section": 1e-5, "automorphism-potential": 1e-5,
+                   "automorphism-field-strength": 1e-5},
+    "bianchi": {"analytic": 1e-7, "stencil": 1e-4},
+    "field-redef": {"invariance": 1e-6, "closure-derivation": COMPATIBILITY_TOL,
+                    "closure-curvature": COMPATIBILITY_TOL},
+    "lagrangian": {"finite": 1e-6, "infinitesimal": 1e-5},
+    "self-duality": {"central-form": 1e-6},
+    "charge": {"instanton-number": 1e-2},
 }
+DEFAULT_TOLERANCES = {f"{suite}/{check}": tol
+                      for suite, checks in CHECKS.items() for check, tol in checks.items()}
 
 
 @dataclass
@@ -650,27 +643,20 @@ class RunEnv:
     overrides: dict = field(default_factory=dict)
 
     def tol(self, key: str) -> float:
-        probe = key
-        base = self.overrides.get(probe, DEFAULT_TOLERANCES.get(probe))
-        if base is None and ":" in key:
-            probe = key.split(":", 1)[0]
-            base = self.overrides.get(probe, DEFAULT_TOLERANCES.get(probe))
-        if base is None:
-            raise KeyError(f"no tolerance registered for {key!r}")
-        return float(base) * self.tol_scale
+        """The bound of check `key` times tol_scale: its own override, else
+        that of its key before ':', else that key's default."""
+        base = key.split(":", 1)[0]
+        return float(self.overrides.get(key, self.overrides.get(
+            base, DEFAULT_TOLERANCES[base]))) * self.tol_scale
 
 
-def _check_row(env: RunEnv, key: str, residuals, points) -> CheckRow:
-    """Row of one check: its residuals at the plan ordinals `points` (-1 for
-    a global residual) and their max_gap."""
+def _check_row(env: RunEnv, key: str, residuals) -> CheckRow:
+    """Row of one check from its residuals: a (P,) array, one per plan point,
+    or a float, the one global residual at point -1; and their max_gap."""
     residuals = np.asarray(residuals, dtype=float)
-    return CheckRow(check=key.split("/", 1)[1], residual=max_gap((residuals,)),
-                    tolerance=env.tol(key), per_point=list(zip(points, residuals.tolist())))
-
-
-def _plan_rows(env: RunEnv, *checks) -> list:
-    """One CheckRow per (key, (P,) per-point residuals over the plan)."""
-    return [_check_row(env, key, rows, range(len(rows))) for key, rows in checks]
+    points = range(len(residuals)) if residuals.ndim else [-1]
+    return CheckRow(key.split("/", 1)[1], max_gap((residuals,)), env.tol(key),
+                    list(zip(points, np.atleast_1d(residuals).tolist())))
 
 
 # -- individual suites -------------------------------------------------------
@@ -694,15 +680,12 @@ def algebra_kernel_residuals(alg: LieAlgebraDescriptor, count: int,
 
 
 def _suite_algebra(bundle, env):
-    res = algebra_kernel_residuals(bundle.algebra, env.plan.count, seed=env.plan.seed)
-    return [_check_row(env, "algebra/jacobi", [res.pop("jacobi")], [-1])] + _plan_rows(
-        env, *((f"algebra/{key}", np.array(rows)) for key, rows in res.items()))
+    return algebra_kernel_residuals(bundle.algebra, env.plan.count, seed=env.plan.seed)
 
 
 def _suite_compatibility(bundle, env):
     rep = check_compatibility(bundle.scenario, env.plan)
-    return _plan_rows(env, ("compatibility/derivation", rep.derivation_rows),
-                      ("compatibility/curvature", rep.curvature_rows))
+    return {"derivation": rep.derivation_rows, "curvature": rep.curvature_rows}
 
 
 def _distinguished_section(bundle):
@@ -741,102 +724,86 @@ def _suite_darboux(bundle, env):
         pairs = pairs + [(named[0], named[1])]
 
     # at each point, the largest gap over the pairs
-    return _plan_rows(
-        env, ("darboux/leibniz", max_gap_rows(np.column_stack(
-            [darboux_leibniz_rows(bundle.scenario, s1, s2, env.plan) for s1, s2 in pairs]))),
-        ("darboux/inverse", max_gap_rows(np.column_stack(
-            [darboux_inverse_rows(bundle.scenario, s1, env.plan) for s1, _ in pairs]))))
+    return {"leibniz": max_gap_rows(np.column_stack(
+                [darboux_leibniz_rows(bundle.scenario, s1, s2, env.plan) for s1, s2 in pairs])),
+            "inverse": max_gap_rows(np.column_stack(
+                [darboux_inverse_rows(bundle.scenario, s1, env.plan) for s1, _ in pairs]))}
 
 
 def _suite_fibre_connection(bundle, env):
     X = env.plan.points(bundle.chart)
     t_step = env.h if env.h is not None else 1e-5
     got = nabla_from_darboux(bundle.scenario, bundle.generator, X, t_step=t_step)
-    gap = max_gap_rows(got - induced_connection(bundle.scenario, bundle.generator, X))
-    return _plan_rows(env, ("fibre-connection/stencil-vs-analytic", gap))
+    return {"stencil-vs-analytic": max_gap_rows(
+        got - induced_connection(bundle.scenario, bundle.generator, X))}
 
 
 def _suite_multiplicativity(bundle, env):
-    return _plan_rows(env, ("multiplicativity/total-form",
-                            multiplicativity_rows(bundle.scenario, env.plan)))
+    return {"total-form": multiplicativity_rows(bundle.scenario, env.plan)}
 
 
 def _suite_generalized_mc(bundle, env):
-    return _plan_rows(
-        env, ("generalized-mc/total-space",
-              generalized_mc_rows(bundle.scenario, env.plan)),
-        ("generalized-mc/pullback", pullback_mc_rows(
-            bundle.scenario, _distinguished_section(bundle), env.plan)))
+    return {"total-space": generalized_mc_rows(bundle.scenario, env.plan),
+            "pullback": pullback_mc_rows(
+                bundle.scenario, _distinguished_section(bundle), env.plan)}
 
 
 def _suite_principal(bundle, env):
     s, plan = bundle.scenario, env.plan
     fd = env.h if env.h is not None else 1e-5
-    return _plan_rows(
-        env, ("principal/action-differential", action_differential_rows(s, plan)),
-        ("principal/section-independence", section_independence_rows(s, plan)),
-        ("principal/equivariance", equivariance_rows(s, plan)),
-        ("principal/kernel-invariance", kernel_invariance_rows(s, plan)),
-        ("principal/projection-commutation", projection_commutation_rows(s, plan)),
-        ("principal/mixed-bracket", mixed_bracket_rows(s, bundle.generator, plan, fd_step=fd)))
+    return {"action-differential": action_differential_rows(s, plan),
+            "section-independence": section_independence_rows(s, plan),
+            "equivariance": equivariance_rows(s, plan),
+            "kernel-invariance": kernel_invariance_rows(s, plan),
+            "projection-commutation": projection_commutation_rows(s, plan),
+            "mixed-bracket": mixed_bracket_rows(s, bundle.generator, plan, fd_step=fd)}
 
 
 def _suite_structure_equation(bundle, env):
-    return _plan_rows(env, *zip(
-        ("structure-equation/dual-path", "structure-equation/horizontality",
-         "structure-equation/adjoint-type"),
-        structure_equation_rows(bundle.scenario, env.plan)))
+    return dict(zip(("dual-path", "horizontality", "adjoint-type"),
+                    structure_equation_rows(bundle.scenario, env.plan)))
 
 
 def _suite_gauge_laws(bundle, env):
-    rows = _plan_rows(env, *((f"gauge-laws/section:{name}",
-                              change_of_gauge(bundle.scenario, sec, env.plan))
-                             for name, sec in sorted(bundle.sections.items())))
+    checks = {f"section:{name}": change_of_gauge(bundle.scenario, sec, env.plan)
+              for name, sec in sorted(bundle.sections.items())}
     for name, tau in sorted(bundle.automorphisms.items()):
-        a_rows, f_rows = gauge_transform_total(bundle.scenario, tau, env.plan)
-        rows += _plan_rows(env, (f"gauge-laws/automorphism-potential:{name}", a_rows),
-                           (f"gauge-laws/automorphism-field-strength:{name}", f_rows))
-    return rows
+        (checks[f"automorphism-potential:{name}"],
+         checks[f"automorphism-field-strength:{name}"]) = gauge_transform_total(
+            bundle.scenario, tau, env.plan)
+    return checks
 
 
 def _suite_bianchi(bundle, env):
     s = bundle.scenario
-    analytic = (s.nabla.gamma.has_exact_d() and s.zeta.has_exact_d()
-                and s.gauge_field.has_exact_d())
-    key = "bianchi/analytic" if analytic else "bianchi/stencil"
-    return _plan_rows(env, (key, bianchi_rows(s, env.plan)))
+    analytic = all(form.has_exact_d() for form in (s.nabla.gamma, s.zeta, s.gauge_field))
+    return {"analytic" if analytic else "stencil": bianchi_rows(s, env.plan)}
 
 
 def _suite_field_redef(bundle, env):
     s = bundle.scenario
     shifted = field_redefine(s, bundle.shift)
     closure = check_compatibility(shifted, env.plan)
-    return _plan_rows(
-        env, ("field-redef/invariance", field_redef_rows(s, shifted, env.plan)),
-        ("field-redef/closure-derivation", closure.derivation_rows),
-        ("field-redef/closure-curvature", closure.curvature_rows))
+    return {"invariance": field_redef_rows(s, shifted, env.plan),
+            "closure-derivation": closure.derivation_rows,
+            "closure-curvature": closure.curvature_rows}
 
 
 def _suite_lagrangian(bundle, env):
     s = bundle.scenario
     t_step = env.h2 if env.h2 is not None else 1e-5
-    return _plan_rows(
-        env, ("lagrangian/finite", density_gauge_invariance_rows(
-            s, _distinguished_section(bundle), env.plan)),
-        ("lagrangian/infinitesimal", density_infinitesimal_rows(
-            s, bundle.generator, env.plan, t_step=t_step)))
+    return {"finite": density_gauge_invariance_rows(s, _distinguished_section(bundle), env.plan),
+            "infinitesimal": density_infinitesimal_rows(s, bundle.generator, env.plan,
+                                                        t_step=t_step)}
 
 
 def _suite_self_duality(bundle, env):
-    return _plan_rows(env, ("self-duality/central-form",
-                            self_duality_rows(bundle.scenario, env.plan)))
+    return {"central-form": self_duality_rows(bundle.scenario, env.plan)}
 
 
 def _suite_charge(bundle, env):
     q = instanton_charge(bundle.scenario, order=bundle.quadrature["order"])
-    expected = bundle.expected_charge if bundle.expected_charge is not None else 0.0
-    residual = abs(q - expected)
-    return [_check_row(env, "charge/instanton-number", [residual], [-1])]
+    return {"instanton-number": abs(q - (bundle.expected_charge or 0.0))}
 
 
 def _needs_dim4(bundle):
@@ -962,14 +929,16 @@ def _gate_rows(s: GaugeScenario) -> list:
     return [CheckRow("compatibility-gate", residual, COMPATIBILITY_TOL, [(-1, residual)])]
 
 
-def _suite_checks(fn, bundle, env) -> list:
-    """The rows of one suite; a variety or drift watchdog that fires inside
-    it gives the one global row `watchdog`, NaN against the watchdog's bound."""
+def _suite_checks(name, fn, bundle, env) -> list:
+    """The rows of suite `name` from its {check: residuals}, one `_check_row`
+    each; a variety or drift watchdog that fires inside it gives the one
+    global row `watchdog`, NaN against the watchdog's bound."""
     try:
-        return fn(bundle, env)
+        checks = fn(bundle, env)
     except (VarietyError, ReexpansionError) as exc:
         bound = VARIETY_TOL if isinstance(exc, VarietyError) else DRIFT_TOL
         return [CheckRow("watchdog", math.nan, bound, [(-1, math.nan)])]
+    return [_check_row(env, f"{name}/{check}", residuals) for check, residuals in checks.items()]
 
 
 def run_suite(bundle: ScenarioBundle, suite_name: str, plan: SamplePlan = None,
@@ -982,9 +951,11 @@ def run_suite(bundle: ScenarioBundle, suite_name: str, plan: SamplePlan = None,
     for field_name, step in (("h", h), ("h2", h2)):
         if step is not None:
             require_finite_positive(field_name, step)
-    overrides = dict(bundle.tolerances)
-    overrides.update(tolerances or {})
+    overrides = {**bundle.tolerances, **(tolerances or {})}
     for key, value in overrides.items():
+        if str(key).split(":", 1)[0] not in DEFAULT_TOLERANCES:
+            raise ScenarioError(f"tolerances.{key}: names no check; choose from "
+                                f"{sorted(DEFAULT_TOLERANCES)}")
         require_finite_positive(f"tolerances.{key}", value)
     env = RunEnv(plan=plan or bundle.plan, h=h, h2=h2, tol_scale=tol_scale,
                  overrides=overrides)
@@ -997,8 +968,7 @@ def run_suite(bundle: ScenarioBundle, suite_name: str, plan: SamplePlan = None,
                                 f"{sorted(SUITES)} or 'all'")
         applicable = SUITES[suite_name][1](bundle)
         if applicable is not True:
-            raise ScenarioError(f"suite {suite_name!r} is not applicable: "
-                                f"{applicable}")
+            raise ScenarioError(f"suite {suite_name!r} is not applicable: {applicable}")
         selected = [suite_name]
 
     reports, gate = [], None
@@ -1006,12 +976,11 @@ def run_suite(bundle: ScenarioBundle, suite_name: str, plan: SamplePlan = None,
         anchor, _, fn = SUITES[name]
         if name in _GATED and gate is None:
             gate = _gate_rows(bundle.scenario)
-        checks = list(gate) if name in _GATED and gate else _suite_checks(fn, bundle, env)
+        checks = list(gate) if name in _GATED and gate else _suite_checks(name, fn, bundle, env)
         reports.append(SuiteReport(name=name, anchor=anchor, checks=checks))
     env_blob = {"seed": env.plan.seed, "points": env.plan.count,
                 "tangent_probes": env.plan.tangent_probes,
                 "h": "default" if env.h is None else env.h,
                 "h2": "default" if env.h2 is None else env.h2,
                 "tol_scale": env.tol_scale}
-    return VerificationReport(scenario=bundle.name, suites=reports,
-                              env=env_blob)
+    return VerificationReport(scenario=bundle.name, suites=reports, env=env_blob)

@@ -1,12 +1,15 @@
 """The names the benchmark's tracer (`perfbench/tracer.py`) wraps must stay in
-cym, and the suite registry must keep the shape the tracer wraps: a refactor
-that deletes or renames one, or changes `SUITES` entries, fails here, in the
-test suite, and not only in the traced benchmark pass. The tracer is read,
-not changed."""
+cym, the suite registry must keep the shape the tracer wraps, and the checks
+the benchmark's verdict gate expects (`perfbench/workload.py`) must be the
+declared ones: a refactor that deletes or renames one, or changes `SUITES`
+entries, fails here, in the test suite, and not only in the benchmark pass.
+The tracer and the workload are read, not changed."""
 import importlib
 import importlib.util
 import pathlib
+import sys
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,14 +21,17 @@ import cym.harness  # noqa: F401  (imports every module the tracer names)
 TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACER = load_tracer()
+TRACER = load_module("perfbench_tracer", TRACER_PATH)
+# the workload imports the tracer by its bare name and puts src/ on sys.path
+with mock.patch.dict(sys.modules, tracer=TRACER), mock.patch.object(sys, "path", list(sys.path)):
+    WORKLOAD = load_module("perfbench_workload", TRACER_PATH.with_name("workload.py"))
 
 
 @pytest.mark.parametrize("layer, module, attr",
@@ -76,3 +82,20 @@ def test_traced_run_spans_each_suite_once_then_restores_the_registry(tmp_path):
     assert cym.harness.SUITES is suites
     assert suites.keys() == before.keys()
     assert all(suites[name][i] is before[name][i] for name in before for i in range(3))
+
+
+def test_the_benchmark_expects_the_declared_checks():
+    expected, declared = WORKLOAD.EXPECTED_CHECKS, cym.harness.CHECKS
+    assert list(expected) == list(declared)
+    for suite, checks in expected.items():
+        # gauge-laws checks are expected once per named entry, and bianchi's
+        # analytic key, the one every built-in reports, in place of its stencil key
+        names = {check.split(":", 1)[0] for check, _ in checks}
+        assert names == declared[suite].keys() - ({"stencil"} if suite == "bianchi" else set())
+    global_checks = {check for checks in expected.values() for check, is_global in checks
+                     if is_global}
+    report = cym.harness.run_suite(cym.harness.builtin_scenario("bpst"), "all",
+                                   plan=fm.SamplePlan(count=2, seed=0))
+    assert {row.check for suite in report.suites for row in suite.checks
+            if [point for point, _ in row.per_point] == [-1]} == global_checks
+    assert global_checks == {"jacobi", "instanton-number"}

@@ -10,6 +10,7 @@ import math
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 import textwrap
@@ -32,14 +33,14 @@ from cym.forms import (PolyData, SamplePlan, add_forms, bracket_pairing,
                        form_from_poly, graded_product, increasing_indices, max_gap,
                        zero_form)
 from cym.gauge import change_of_gauge, instanton_charge, local_field_strength
-from cym.harness import (GATE_PLAN, SCENARIO_NAMES, SUITES, CheckRow, RunEnv,
-                         ScenarioError,
+from cym.harness import (CHECKS, DEFAULT_TOLERANCES, GATE_PLAN, SCENARIO_NAMES,
+                         SUITES, CheckRow, RunEnv, ScenarioError,
                          SuiteReport, VerificationReport,
                          algebra_kernel_residuals, bpst_central_form,
                          bpst_potential, builtin_scenario, load_scenario,
                          run_suite, save_scenario, scenario_from_dict,
                          scenario_to_dict, suite_names, _assemble, _const_poly,
-                         _linear_poly, _plan_rows, _random_section_pairs)
+                         _check_row, _linear_poly, _random_section_pairs)
 from cym.lgb import GSection, generalized_mc_rows
 from cym.principal import gauge_transform_total
 
@@ -636,6 +637,32 @@ def test_every_exported_name_resolves(module):
     assert [name for name in exported if not hasattr(mod, name)] == []
 
 
+def without_exact_d(bundle):
+    """The bundle with the analytic d of its potential and central form
+    dropped, so that d of either is a stencil."""
+    s = bundle.scenario
+    return dataclasses.replace(bundle, scenario=dataclasses.replace(
+        s, nabla=LabConnection.from_omega(s.algebra,
+                                          dataclasses.replace(s.omega, analytic_d=None)),
+        zeta=dataclasses.replace(s.zeta, analytic_d=None)))
+
+
+def test_the_check_table_declares_exactly_the_reported_checks():
+    # the five built-ins report every check but bianchi/stencil, which a
+    # scenario whose forms have no exact d reports
+    bundles = [builtin_scenario(name) for name in SCENARIO_NAMES]
+    bundles.append(without_exact_d(builtin_scenario("bpst")))
+    assert list(CHECKS) == list(SUITES)
+    reported = set()
+    for bundle in bundles:
+        for suite in run_suite(bundle, "all", plan=SamplePlan(count=2, seed=0)).suites:
+            # a gauge-laws check is reported once per entry, as "<check>:<name>"
+            names = list(dict.fromkeys(row.check.split(":", 1)[0] for row in suite.checks))
+            assert names == sorted(names, key=list(CHECKS[suite.name]).index), suite.name
+            reported.update(f"{suite.name}/{name}" for name in names)
+    assert reported == DEFAULT_TOLERANCES.keys()
+
+
 def test_all_excludes_inapplicable_suites():
     flat = run_suite(builtin_scenario("flat-su2"), "all", plan=QUICK)
     names = {s.name for s in flat.suites}
@@ -716,6 +743,34 @@ def test_scenario_file_tolerances_must_be_finite_and_positive(bound):
         run_suite(bundle, "compatibility", plan=QUICK)
 
 
+@pytest.mark.parametrize("key", ["lagrangian/finit", "lagrangain/finite",
+                                 "gauge-laws/sectoin:generic"])
+def test_a_tolerance_key_that_names_no_check_is_refused(key):
+    with pytest.raises(ScenarioError, match=f"^tolerances.{re.escape(key)}: names no check"):
+        run_suite(builtin_scenario("flat-su2"), "lagrangian", plan=QUICK,
+                  tolerances={key: 1e-30})
+
+
+def test_a_per_entry_tolerance_binds_its_entry_alone():
+    report = run_suite(builtin_scenario("flat-su2"), "gauge-laws", plan=QUICK,
+                       tolerances={"gauge-laws/section:generic": 1e-30})
+    bounds = {row.check: row.tolerance for row in report.suites[0].checks}
+    assert bounds["section:generic"] == 1e-30 and bounds["section:twist"] == 1e-5
+
+
+def test_a_scenario_file_tolerance_that_names_no_check_exits_2(tmp_path, capsys):
+    path = tmp_path / "typo.json"
+    save_scenario(builtin_scenario("flat-su2"), path)
+    blob = json.loads(path.read_text())
+    blob["tolerances"] = {"lagrangian/finit": 1e-30}
+    path.write_text(json.dumps(blob))
+    code = cli_main(["verify", "--scenario", str(path), "--suite", "lagrangian",
+                     "--points", "2", "--report", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "error: tolerances.lagrangian/finit: names no check" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_algebra_kernel_residuals_small_and_exact():
     from cym.algebra import su2
     res = algebra_kernel_residuals(su2(), count=8, seed=3)
@@ -727,16 +782,16 @@ def test_algebra_kernel_residuals_small_and_exact():
 
 def test_plan_rows_reduce_each_row_once():
     env = RunEnv(plan=QUICK)
-    fine, nan, inf = _plan_rows(
-        env, ("algebra/ad-homomorphism", np.array([1e-12, 3e-12, 2e-12])),
+    fine, nan, inf = (_check_row(env, key, rows) for key, rows in (
+        ("algebra/ad-homomorphism", np.array([1e-12, 3e-12, 2e-12])),
         ("algebra/kappa-invariance", np.array([0.0, np.nan, 1.0])),
-        ("algebra/exp-ad-consistency", np.array([-np.inf, 0.0, 0.5])))
+        ("algebra/exp-ad-consistency", np.array([-np.inf, 0.0, 0.5]))))
     assert fine.residual == 3e-12 and fine.per_point == [(0, 1e-12), (1, 3e-12), (2, 2e-12)]
     assert type(fine.residual) is float
     assert math.isnan(nan.residual) and math.isnan(inf.residual)
     assert inf.per_point[0] == (0, -math.inf)
     with pytest.raises(ValueError, match="^no gaps to reduce: the check sampled nothing$"):
-        _plan_rows(env, ("algebra/ad-homomorphism", np.zeros(0)))
+        _check_row(env, "algebra/ad-homomorphism", np.zeros(0))
     jacobi = run_suite(builtin_scenario("flat-su2"), "algebra", plan=QUICK).suites[0].checks[0]
     assert jacobi.check == "jacobi" and jacobi.per_point == [(-1, jacobi.residual)]
 
@@ -1249,6 +1304,21 @@ def test_nan_in_the_gauge_field_is_a_nan_row_of_every_check_that_reads_it(name):
         assert got["bianchi/analytic"].per_point[ordinal] == (ordinal, 0.0)
     assert nan == reads_a
     assert all(not math.isnan(r) for key in got.keys() - nan for _, r in got[key].per_point)
+
+
+def test_a_potential_replaced_in_the_connection_reaches_every_check_of_its_gamma():
+    # Gamma is derived from omega, so the checks that read Gamma (compatibility,
+    # bianchi, field-redef) see the NaN that the group-bundle laws see
+    bundle, plan, ordinal = builtin_scenario("random-curved"), SamplePlan(count=4, seed=1), 1
+    s = bundle.scenario
+    nabla = dataclasses.replace(s.nabla, omega=nan_at(s.omega, plan.points(bundle.chart)[ordinal]))
+    got = all_rows(dataclasses.replace(bundle, scenario=dataclasses.replace(s, nabla=nabla)),
+                   plan)
+    for key in ("compatibility/curvature", "bianchi/analytic", "field-redef/invariance",
+                "darboux/leibniz", "principal/equivariance"):
+        assert math.isnan(got[key].per_point[ordinal][1]) and not got[key].passed, key
+    with pytest.raises(ValueError, match="give exactly one"):
+        LabConnection(s.algebra, s.nabla.gamma, s.omega)
 
 
 def total_space_rows(bundle):

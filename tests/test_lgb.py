@@ -149,7 +149,7 @@ def test_connection_rejects_an_omega_that_is_not_an_algebra_valued_1_form():
     gamma = zero_form(2, 1, "endomorphism", (3, 3))
     for omega in (zero_form(2, 2, "algebra", (3,)), gamma):
         with pytest.raises(ValueError, match="algebra-valued 1-form"):
-            LabConnection(ALG, gamma, omega)
+            LabConnection(ALG, omega=omega)
 
 
 # ---------------------------------------------------------------------------
