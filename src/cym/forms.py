@@ -10,9 +10,9 @@ tables, so a whole plan is read in one pass. Its d comes, in order, from:
      exterior derivative and under graded products with constant pairings;
   2. an `analytic_d` batch, the table of its exterior derivative (for
      closed-form but non-polynomial data);
-  3. nothing: central finite differences with the form's own step, falling
-     back to one-sided stencils at the box boundary (an order-loss event is
-     recorded so reports can flag the accuracy drop).
+  3. nothing: the central stencil every law in cym reads, at the form's own
+     step, one-sided at the box boundary (an order-loss event is recorded so
+     reports can flag the accuracy drop).
 
 The graded product implements the shuffle form of the 1/(k! m!)-normalized
 permutation sum for an arbitrary constant bilinear pairing, so e.g.
@@ -47,6 +47,8 @@ __all__ = [
 
 # order-loss events from one-sided stencils; drained by reports
 _ORDER_LOSS: list = []
+
+FD_STEP = 1e-5  # the default step of a central stencil
 
 
 class ScenarioError(ValueError):
@@ -124,7 +126,7 @@ class Chart:
         return float((self.box[:, 1] - self.box[:, 0]).max() / 2)
 
     def default_step(self) -> float:
-        return 1e-5 * self.half_width()
+        return FD_STEP * self.half_width()
 
     def contains(self, x) -> bool:
         x = np.asarray(x)
@@ -236,19 +238,18 @@ class PolyData:
         return out
 
     def d(self) -> "PolyData":
-        """Exact exterior derivative of the payload."""
+        """Exact exterior derivative of the payload, d f = dx ^ df/dx on the (1, k)-shuffles."""
         new = {}
         for J in increasing_indices(self.n, self.degree + 1):
             acc = []
-            for pos in range(len(J)):
-                j = J[pos]
-                sub = J[:pos] + J[pos + 1:]
+            for (pos,), rest, sign in _shuffles(1, self.degree):
+                j, sub = J[pos], tuple(J[i] for i in rest)
                 for coef, expo in self.terms.get(sub, ()):
                     if expo[j] == 0:
                         continue
                     e2 = expo.copy()
                     e2[j] -= 1
-                    acc.append(((-1.0) ** pos * expo[j] * coef, e2))
+                    acc.append((sign * expo[j] * coef, e2))
             if acc:
                 new[J] = acc
         return PolyData(self.n, self.degree + 1, self.value_shape, new)
@@ -309,7 +310,7 @@ class LieForm:
     value_shape: tuple
     batch: callable = field(default=None, repr=False)       # (P, n) -> table(X)
     analytic_d: callable = field(default=None, repr=False)  # (P, n) -> table of d
-    fd_step: float = 1e-5
+    fd_step: float = FD_STEP
     box: np.ndarray = None
     poly: PolyData = field(default=None, repr=False)
 
@@ -342,7 +343,7 @@ class LieForm:
 
 
 def form_from_components(n, degree, value_target, value_shape, components,
-                         d=None, fd_step=1e-5, box=None) -> LieForm:
+                         d=None, fd_step=FD_STEP, box=None) -> LieForm:
     """The form of a per-point closure: components(x, idx) gives the value on
     the increasing multi-index idx at the point x, and d(x, idx), when given,
     that of the exterior derivative. Each closure is stacked into a batch, one
@@ -371,7 +372,7 @@ def zero_form(n, degree, value_target, value_shape, box=None) -> LieForm:
 
 
 def form_from_poly(n, degree, value_target, value_shape, poly: PolyData,
-                   box=None, fd_step=1e-5) -> LieForm:
+                   box=None, fd_step=FD_STEP) -> LieForm:
     return LieForm(n=n, degree=degree, value_target=value_target,
                    value_shape=tuple(value_shape), fd_step=fd_step, box=box, poly=poly)
 
@@ -410,32 +411,40 @@ def scale_form(a: LieForm, alpha: float) -> LieForm:
 # exterior derivative
 # ---------------------------------------------------------------------------
 
-def _stencil_at(f: LieForm, X, axis: int, h: float):
-    """The d/dx_axis stencil at each row of the (P, n) batch X: points (plus,
-    minus) and their distance, central inside the box and one-sided within
-    h of its edge, where it records an order-loss event (row, axis)."""
-    plus, minus = X.copy(), X.copy()
-    plus[:, axis] += h
-    minus[:, axis] -= h
-    width = np.full(len(X), 2 * h)
-    if f.box is not None:
-        lo, hi = f.box[axis]
-        high = X[:, axis] + h > hi
-        low = ~high & (X[:, axis] - h < lo)
-        plus[high], minus[low] = X[high], X[low]
-        width[high | low] = h
-        _ORDER_LOSS.extend((tuple(x), axis) for x in X[high | low])
-    return plus, minus, width
+def _central_offsets(N: int, h: float) -> np.ndarray:
+    """The (2N + 1, N) offsets of the central stencil of step h: the origin,
+    then +h e_k and -h e_k for each axis k in turn."""
+    offsets = np.zeros((2 * N + 1, N))
+    offsets[1::2][range(N), range(N)] = h
+    offsets[2::2][range(N), range(N)] = -h
+    return offsets
+
+
+def _central_quotient(values, h, axis: int = 0) -> np.ndarray:
+    """(f(+h e_k) - f(-h e_k)) / 2h for each axis k in turn, from the values
+    f at the rows of `_central_offsets` after the origin, stacked along
+    `axis`; h broadcasts against the quotients."""
+    values = np.moveaxis(values, axis, 0)
+    return np.moveaxis((values[0::2] - values[1::2]) / (2 * h), 0, axis)
 
 
 def _partial(f: LieForm, X, h: float) -> np.ndarray:
     """d/dx_axis of every component at each row of the (P, n) batch X, for
-    every axis in turn, shape (n, P, C(n, k), *value_shape): one read of
-    `f.table` on the 2n stencil copies of the batch (`_stencil_at`)."""
+    every axis in turn, shape (n, P, C(n, k), *value_shape), from one read of
+    `f.table`: central, or one-sided (half the width) within h of the box
+    edge, where it records an order-loss event (row, axis)."""
     P, n = X.shape
-    plus, minus, width = zip(*(_stencil_at(f, X, axis, h) for axis in range(n)))
-    t = f.table(np.concatenate(plus + minus)).reshape((2, n, P, -1) + f.value_shape)
-    return (t[0] - t[1]) / np.reshape(width, (n, P, 1) + (1,) * len(f.value_shape))
+    shifted = X + _central_offsets(n, h)[1:, None, :]  # (2n, P, n)
+    step = np.full((n, P), h)
+    if f.box is not None:
+        for axis, (lo, hi) in enumerate(f.box):
+            high = X[:, axis] + h > hi
+            low = ~high & (X[:, axis] - h < lo)
+            shifted[2 * axis][high], shifted[2 * axis + 1][low] = X[high], X[low]
+            step[axis, high | low] = h / 2
+            _ORDER_LOSS.extend((tuple(x), axis) for x in X[high | low])
+    t = f.table(shifted.reshape(-1, n)).reshape((2 * n, P, -1) + f.value_shape)
+    return _central_quotient(t, step.reshape((n, P, 1) + (1,) * len(f.value_shape)))
 
 
 def exterior_derivative(f: LieForm) -> LieForm:
@@ -454,11 +463,7 @@ def exterior_derivative(f: LieForm) -> LieForm:
                        value_shape=f.value_shape, batch=f.analytic_d,
                        analytic_d=lambda X: np.zeros((len(X),) + zeros),
                        fd_step=f.fd_step, box=f.box)
-    column = {I: c for c, I in enumerate(increasing_indices(n, k))}
-    # d on the increasing index J: the signed partials of the components on
-    # J without its pos-th entry, along that entry's axis
-    terms = [[(J[pos], column[J[:pos] + J[pos + 1:]], (-1.0) ** pos) for pos in range(len(J))]
-             for J in increasing_indices(n, k + 1)]
+    terms = _shuffle_columns(n, 1, k)  # d f = dx ^ df/dx: (axis, column, sign) on each J
 
     def batch(X):
         partials = _partial(f, X, f.fd_step)
@@ -731,7 +736,7 @@ class SamplePlan:
         if self.mode == "random":
             u = self.rng().random((self.count, chart.dim))
             return lo + u * (hi - lo)
-        per_axis = max(2, math.ceil(self.count ** (1.0 / chart.dim)))
+        per_axis = next(k for k in itertools.count(2) if k ** chart.dim >= self.count)
         axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(chart.dim)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         return mesh.reshape(-1, chart.dim)[:self.count]

@@ -16,7 +16,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .algebra import LieAlgebraDescriptor, ad_twist, dagger
 from .connection import GaugeScenario, cov_ext_deriv
-from .forms import (LieForm, SamplePlan, add_forms, bracket_pairing,
+from .forms import (FD_STEP, LieForm, SamplePlan, add_forms, bracket_pairing,
                     graded_product, hodge_star, kappa_wedge_top, max_gap_rows,
                     scale_form)
 from .lgb import GSection, darboux
@@ -143,7 +143,7 @@ def density_gauge_invariance_rows(s: GaugeScenario, sigma: GSection,
 
 
 def density_infinitesimal_rows(s: GaugeScenario, eps: LieForm, plan: SamplePlan,
-                               t_step: float = 1e-5) -> np.ndarray:
+                               t_step: float = FD_STEP) -> np.ndarray:
     """Magnitude of the t-derivative of the density along exp(t eps) at
     each point of the plan, (P,)."""
     X = plan.points(s.chart)

@@ -35,7 +35,7 @@ from .algebra import (VARIETY_TOL, LieAlgebraDescriptor, ReexpansionError,
                       expm, group_exp, jacobi_tensor, su2, variety_residual)
 from .connection import (COMPATIBILITY_TOL, GaugeScenario, LabConnection,
                          check_compatibility, field_redefine, potential_curvature)
-from .forms import (Chart, LieForm, PolyData, SamplePlan, ScenarioError,
+from .forms import (FD_STEP, Chart, LieForm, PolyData, SamplePlan, ScenarioError,
                     _int_field, euclidean_chart, form_from_poly,
                     increasing_indices, max_gap, max_gap_rows, minkowski_chart,
                     stereographic_chart, zero_form)
@@ -265,9 +265,21 @@ _METRIC_NAMES = ("euclidean", "round-s4", "minkowski")
 _MAX_DIM = 16
 
 
-def _chart_from_dict(blob) -> Chart:
+def _object(path: str, blob, fields, label=None) -> dict:
+    """`blob` if it is an object whose every key names one of `fields`, else
+    ScenarioError naming `label` (default `path`) or the key: a misspelt key
+    is refused, not dropped. Keys of the top level (path '') are named alone."""
     if not isinstance(blob, dict):
-        raise ScenarioError("chart: must be an object")
+        raise ScenarioError(f"{label or path}: must be an object")
+    for key in blob:
+        if key not in fields:
+            raise ScenarioError(f"{path}{'.' if path else ''}{key}: not a field; "
+                                f"choose from {list(fields)}")
+    return blob
+
+
+def _chart_from_dict(blob) -> Chart:
+    _object("chart", blob, ("dim", "half", "metric", "orientation"))
     for key in ("dim", "half"):
         if key not in blob:
             raise ScenarioError(f"chart: missing key {key!r}")
@@ -353,17 +365,18 @@ def _coeff_polys_from_dict(field_name, blob, n, dim) -> dict:
     if not isinstance(blob, dict):
         raise ScenarioError(f"{field_name}: must be an object of named entries")
     for name, entry in blob.items():
+        path = f"{field_name}.{name}"
         if not isinstance(entry, dict) or "exp_coeffs" not in entry:
-            raise ScenarioError(f"{field_name}.{name}: needs an 'exp_coeffs' "
-                                "polynomial")
-        out[name] = _poly_from_blob(f"{field_name}.{name}", entry["exp_coeffs"],
+            raise ScenarioError(f"{path}: needs an 'exp_coeffs' polynomial")
+        out[name] = _poly_from_blob(path, _object(path, entry, ("exp_coeffs",))["exp_coeffs"],
                                     n, dim, 0)
     return out
 
 
 def scenario_from_dict(data, source="<dict>") -> ScenarioBundle:
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{source}: top level must be an object")
+    _object("", data, ("name", "algebra", "chart", "forms", "sections", "automorphisms",
+                       "plan", "tolerances", "quadrature", "expected_charge"),
+            label=f"{source}: top level")
     try:
         name = str(data["name"])
     except KeyError:
@@ -379,9 +392,7 @@ def scenario_from_dict(data, source="<dict>") -> ScenarioBundle:
     chart = _chart_from_dict(data.get("chart", {"dim": 2, "half": 1.0}))
     n, dim = chart.dim, alg.dim
 
-    forms = data.get("forms", {})
-    if not isinstance(forms, dict):
-        raise ScenarioError("forms: must be an object")
+    forms = _object("forms", data.get("forms", {}), ("omega", "zeta", "A", "lambda", "epsilon"))
     if "omega" not in forms:
         raise ScenarioError("forms.omega: missing")
     omega = _form_from_blob("forms.omega", forms["omega"], chart, dim, 1)
@@ -406,20 +417,15 @@ def scenario_from_dict(data, source="<dict>") -> ScenarioBundle:
     sections = _coeff_polys_from_dict("sections", data.get("sections"), n, dim)
     autos = _coeff_polys_from_dict("automorphisms", data.get("automorphisms"), n, dim)
 
+    plan_blob = _object("plan", data.get("plan", {}), ("mode", "count", "seed", "tangent_probes"))
     try:
-        plan = SamplePlan.from_json(data.get("plan", {}))
-    except (AttributeError, TypeError, ValueError) as exc:
+        plan = SamplePlan.from_json(plan_blob)
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"plan: {exc}") from None
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ScenarioError("tolerances: must be an object of check -> bound")
-    quad = data.get("quadrature", {})
-    if not isinstance(quad, dict):
-        raise ScenarioError("quadrature: must be an object")
-    for key in quad:
-        if key != "order":
-            raise ScenarioError(f"quadrature.{key}: not a field; the charge "
-                                f"rule maps all of R^4 and takes only 'order'")
+    quad = _object("quadrature", data.get("quadrature", {}), ("order",))
     order = _int_field("quadrature.order", quad.get("order", 24))
     if order < 1:
         raise ScenarioError(f"quadrature.order: must be a positive integer, "
@@ -732,8 +738,7 @@ def _suite_darboux(bundle, env):
 
 def _suite_fibre_connection(bundle, env):
     X = env.plan.points(bundle.chart)
-    t_step = env.h if env.h is not None else 1e-5
-    got = nabla_from_darboux(bundle.scenario, bundle.generator, X, t_step=t_step)
+    got = nabla_from_darboux(bundle.scenario, bundle.generator, X, t_step=env.h or FD_STEP)
     return {"stencil-vs-analytic": max_gap_rows(
         got - induced_connection(bundle.scenario, bundle.generator, X))}
 
@@ -750,13 +755,12 @@ def _suite_generalized_mc(bundle, env):
 
 def _suite_principal(bundle, env):
     s, plan = bundle.scenario, env.plan
-    fd = env.h if env.h is not None else 1e-5
     return {"action-differential": action_differential_rows(s, plan),
             "section-independence": section_independence_rows(s, plan),
             "equivariance": equivariance_rows(s, plan),
             "kernel-invariance": kernel_invariance_rows(s, plan),
             "projection-commutation": projection_commutation_rows(s, plan),
-            "mixed-bracket": mixed_bracket_rows(s, bundle.generator, plan, fd_step=fd)}
+            "mixed-bracket": mixed_bracket_rows(s, bundle.generator, plan, env.h or FD_STEP)}
 
 
 def _suite_structure_equation(bundle, env):
@@ -791,10 +795,9 @@ def _suite_field_redef(bundle, env):
 
 def _suite_lagrangian(bundle, env):
     s = bundle.scenario
-    t_step = env.h2 if env.h2 is not None else 1e-5
     return {"finite": density_gauge_invariance_rows(s, _distinguished_section(bundle), env.plan),
             "infinitesimal": density_infinitesimal_rows(s, bundle.generator, env.plan,
-                                                        t_step=t_step)}
+                                                        t_step=env.h2 or FD_STEP)}
 
 
 def _suite_self_duality(bundle, env):
@@ -952,10 +955,13 @@ def run_suite(bundle: ScenarioBundle, suite_name: str, plan: SamplePlan = None,
         if step is not None:
             require_finite_positive(field_name, step)
     overrides = {**bundle.tolerances, **(tolerances or {})}
+    # a key names a check, or a gauge-laws check and the one entry of its rows
+    keys = {*DEFAULT_TOLERANCES, *(f"gauge-laws/section:{name}" for name in bundle.sections),
+            *(f"gauge-laws/automorphism-{law}:{name}" for law in ("potential", "field-strength")
+              for name in bundle.automorphisms)}
     for key, value in overrides.items():
-        if str(key).split(":", 1)[0] not in DEFAULT_TOLERANCES:
-            raise ScenarioError(f"tolerances.{key}: names no check; choose from "
-                                f"{sorted(DEFAULT_TOLERANCES)}")
+        if key not in keys:
+            raise ScenarioError(f"tolerances.{key}: names no check; choose from {sorted(keys)}")
         require_finite_positive(f"tolerances.{key}", value)
     env = RunEnv(plan=plan or bundle.plan, h=h, h2=h2, tol_scale=tol_scale,
                  overrides=overrides)

@@ -28,9 +28,9 @@ from .algebra import (LieAlgebraDescriptor, ReexpansionError,
                       ad_matrix_c, ad_matrix_of_group, ad_twist, bracket_c,
                       dagger, expand_in_rep, group_exp, on_variety, require_within)
 from .connection import GaugeScenario, cov_ext_deriv
-from .forms import (LieForm, SamplePlan, bracket_pairing,
-                    exterior_derivative, graded_product, increasing_indices,
-                    max_gap_rows, scale_form)
+from .forms import (FD_STEP, LieForm, SamplePlan, _central_offsets, _central_quotient,
+                    bracket_pairing, exterior_derivative, graded_product,
+                    increasing_indices, max_gap_rows, scale_form)
 
 __all__ = [
     "GSection", "dexp_body", "total_form", "mu_tot", "one_form_on", "darboux",
@@ -215,13 +215,11 @@ def total_form(alg: LieAlgebraDescriptor, g, w, eta=None, a=None) -> np.ndarray:
 def _body_rows(alg: LieAlgebraDescriptor, matrices, X, h: float, what: str):
     """(b, b^{-1} d_k b) at each point of a (..., n) stack X, shapes
     (E..., ..., r, r) and (n, E..., ..., dim), from one stack: matrices(Y)
-    gives the (E..., 2n + 1, ..., r, r) matrices on the stack Y of X, then
-    X + h e_k and X - h e_k (the central stencil) for each axis k in turn."""
-    n = X.shape[-1]
-    steps = np.concatenate([np.zeros((1, n)), np.kron(np.eye(n), [[h], [-h]])])
-    b = np.moveaxis(matrices(X + steps.reshape((-1,) + (1,) * (X.ndim - 1) + (n,))),
-                    -X.ndim - 2, 0)
-    return b[0], _body_coeffs(alg, dagger(b[0]), (b[1::2] - b[2::2]) / (2 * h), what)
+    gives the (E..., 2n + 1, ..., r, r) matrices on the stack Y of X shifted
+    by the central offsets of step h, whose central quotient is d_k b."""
+    offsets = _central_offsets(X.shape[-1], h).reshape((-1,) + (1,) * (X.ndim - 1) + X.shape[-1:])
+    b = np.moveaxis(matrices(X + offsets), -X.ndim - 2, 0)
+    return b[0], _body_coeffs(alg, dagger(b[0]), _central_quotient(b[1:], h), what)
 
 
 def _darboux_rows(s: GaugeScenario, X, h: float, matrices, what: str) -> np.ndarray:
@@ -297,7 +295,7 @@ def darboux_inverse_rows(s: GaugeScenario, section: GSection, plan: SamplePlan) 
     return max_gap_rows(dinv + ad_twist(s.algebra, section(X), d))
 
 
-def nabla_from_darboux(s: GaugeScenario, nu: LieForm, X, t_step: float = 1e-5) -> np.ndarray:
+def nabla_from_darboux(s: GaugeScenario, nu: LieForm, X, t_step: float = FD_STEP) -> np.ndarray:
     """Derivative of the family t -> Delta(exp(t nu)) at t = 0 along every
     axis at each point of X, (..., n) -> (..., n, dim): the Darboux derivative
     of the sections exp(+-t_step nu) by the stencil and law of `darboux`, on
@@ -388,14 +386,11 @@ def product_curvature(s: GaugeScenario, x0, h0, a: LieForm = None):
     curvature parts there: dA + Gamma ^ A, with Gamma the base connection
     pulled back (fibre axes act trivially), and (1/2)[A ^ A]. Shapes
     (P, N, dim) and twice (P, C(N, 2), dim), N = n + dim. dA is the central
-    stencil of step 1e-5 on one stack of the offsets 0, +- 1e-5 e_k."""
+    quotient of A on one stack of the central offsets of step FD_STEP."""
     alg, n, d = s.algebra, s.chart.dim, s.algebra.dim
-    N, step = n + d, 1e-5
-    uv = np.zeros((2 * N + 1, N))
-    uv[1::2][range(N), range(N)] = step
-    uv[2::2][range(N), range(N)] = -step
-    rows = total_form_rows(s, x0, h0, uv, a)
-    partial = (rows[:, 1::2] - rows[:, 2::2]) / (2 * step)  # (P, axis, row, dim)
+    N = n + d
+    rows = total_form_rows(s, x0, h0, _central_offsets(N, FD_STEP), a)
+    partial = _central_quotient(rows[:, 1:], FD_STEP, axis=1)  # (P, axis, row, dim)
     a0 = rows[:, 0]
     gamma = np.zeros(a0.shape + (d,))
     gamma[:, :n] = ad_matrix_c(alg, s.omega.table(x0))

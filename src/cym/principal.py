@@ -21,7 +21,8 @@ import numpy as np
 
 from .algebra import LieAlgebraDescriptor, ad_matrix_of_group, dagger, group_exp
 from .connection import GaugeScenario
-from .forms import LieForm, SamplePlan, increasing_indices, max_gap_rows
+from .forms import (FD_STEP, LieForm, SamplePlan, _central_offsets, _central_quotient,
+                    increasing_indices, max_gap_rows)
 from .lgb import (GSection, _act, _base_pairs, _body_coeffs,
                   _darboux_rows, _point_draws, _table_at, dexp_body,
                   induced_connection, one_form_on, product_curvature, total_form)
@@ -196,22 +197,20 @@ def projection_commutation_rows(s: GaugeScenario, plan: SamplePlan) -> np.ndarra
 
 
 def mixed_bracket_rows(s: GaugeScenario, nu: LieForm, plan: SamplePlan,
-                       fd_step: float = 1e-5) -> np.ndarray:
+                       fd_step: float = FD_STEP) -> np.ndarray:
     """Connection form applied to the bracket of a horizontal lift with a
     fundamental field equals the fibre covariant derivative of the generator.
 
     The bracket is taken with coordinate stencils in the product
-    parametrization (u, v), on one stack of the offsets 0, +- fd_step e_k per
-    point; fibre coordinate frames are converted to body coordinates through
-    the exponential differential.
+    parametrization (u, v), on one stack of the central offsets of step
+    fd_step per point (`_central_offsets`); fibre coordinate frames are
+    converted to body coordinates through the exponential differential.
     """
     alg, n, d = s.algebra, s.chart.dim, s.algebra.dim
-    N = n + d
     x0 = plan.points(s.chart)
     coeffs, X = _point_draws(plan, len(x0), d, 1, n, probes=1)
     (h0,), X = _groups(alg, coeffs), X[:, 0]
-    steps = np.eye(N) * fd_step
-    uv = np.concatenate([np.zeros((1, N)), steps, -steps])
+    uv = _central_offsets(n + d, fd_step)
     x = x0[:, None, :] + uv[:, :n]
     a, w = (one_form_on(f, x, X[:, None, :]) for f in (s.gauge_field, s.omega))
     dexp = np.swapaxes(dexp_body(alg, uv[:, None, n:], np.eye(d)), -1, -2)
@@ -223,8 +222,8 @@ def mixed_bracket_rows(s: GaugeScenario, nu: LieForm, plan: SamplePlan,
                  -total_form(alg, h0[:, None] @ group_exp(alg, uv[:, n:]), w, a=a))
     fund = field(np.zeros(x.shape), _table_at(nu, x)[..., 0, :])
 
-    def jacobian(f):  # columns k: the central stencil along axis k
-        return np.swapaxes((f[:, 1:N + 1] - f[:, N + 1:]) / (2 * fd_step), -1, -2)
+    def jacobian(f):  # columns k: the central quotient along axis k
+        return np.swapaxes(_central_quotient(f[:, 1:], fd_step, axis=1), -1, -2)
 
     bracket = _act(jacobian(fund), lift[:, 0]) - _act(jacobian(lift), fund[:, 0])
     got = connection_one_form(s, x0, h0, bracket[:, :n], bracket[:, n:])

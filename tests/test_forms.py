@@ -219,6 +219,39 @@ def test_fd_matches_analytic_derivative():
     assert worst < 1e-7
 
 
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_central_offsets_are_the_origin_then_plus_and_minus_each_axis(N):
+    want = [np.zeros(N)] + [sign * 0.25 * e for e in np.eye(N) for sign in (1, -1)]
+    np.testing.assert_array_equal(fm._central_offsets(N, 0.25), want)
+
+
+def test_central_quotient_along_a_later_axis_is_the_gradient_of_a_quadratic():
+    rng = np.random.default_rng(4)
+    N, h = 3, 1e-3
+    Q, b = rng.normal(size=(N, N)), rng.normal(size=N)
+    x = rng.normal(size=(5, N))
+    y = x[:, None, :] + fm._central_offsets(N, h)              # (5, 2N + 1, N)
+    f = np.einsum("pki,ij,pkj->pk", y, Q, y) + y @ b
+    got = fm._central_quotient(f[:, 1:], h, axis=1)            # (5, N)
+    np.testing.assert_allclose(got, x @ (Q + Q.T) + b, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n, degree", [(n, k) for n in (2, 3, 4) for k in (0, 1, 2) if k < n])
+def test_stencil_d_of_a_payload_table_matches_its_exact_d(n, degree):
+    # the same payload read as a batch, so d takes the stencil route
+    rng = np.random.default_rng([n, degree])
+    terms = {I: [(rng.normal(size=2), rng.integers(0, 3, size=n)) for _ in range(3)]
+             for I in fm.increasing_indices(n, degree)}
+    poly = fm.PolyData(n, degree, (2,), terms)
+    box = fm.euclidean_chart(n).box
+    stencil = fm.LieForm(n=n, degree=degree, value_target="algebra", value_shape=(2,),
+                         batch=poly.table, box=box)
+    X = rng.uniform(-0.9, 0.9, size=(6, n))
+    got = fm.exterior_derivative(stencil).table(X)
+    assert got.shape == (6, len(fm.increasing_indices(n, degree + 1)), 2)
+    np.testing.assert_allclose(got, poly.d().table(X), rtol=0, atol=1e-8)
+
+
 def test_dd_is_zero_polynomial_exact():
     dd = fm.exterior_derivative(fm.exterior_derivative(A_FORM))
     for K in fm.increasing_indices(4, 3):
@@ -644,6 +677,17 @@ def test_sample_plan_determinism_and_modes():
         with pytest.raises(ValueError, match="tangent_probes must be an integer of at least 2"):
             fm.SamplePlan(tangent_probes=bad)
     assert fm.SamplePlan(seed=np.int64(0), tangent_probes=2).seed == 0
+
+
+def test_a_grid_plan_of_k_to_the_n_points_is_the_k_to_the_n_grid():
+    # 3125 ** (1 / 5) rounds to just above 5
+    chart = fm.euclidean_chart(5)
+    grid = fm.SamplePlan(mode="grid", count=3125).points(chart)
+    margin = 1e-3 * chart.half_width()
+    assert grid.shape == (3125, 5)
+    for values in grid.T:
+        np.testing.assert_allclose(np.unique(values),
+                                   np.linspace(-1 + margin, 1 - margin, 5), rtol=0, atol=1e-15)
 
 
 gap_entry = st.floats(allow_nan=True, allow_infinity=True)

@@ -401,6 +401,21 @@ def test_jacobi_violation_rejected_naming_triple():
      "expected_charge: must be a finite number, got '2'"),
     (lambda d: d.__setitem__("expected_charge", True),
      "expected_charge: .*, got True"),
+    # a key that names no field is refused, not dropped, in every object
+    (lambda d: d.__setitem__("tolerence", {"lagrangian/finite": 1e-30}),
+     r"^tolerence: not a field; choose from \['name', "),
+    (lambda d: d["chart"].__setitem__("orientaton", -1), "^chart.orientaton: not a field"),
+    (lambda d: d.__setitem__("plan", {"count": 4, "points": 500}),
+     "^plan.points: not a field"),
+    (lambda d: d["forms"].__setitem__("lamda", {"degree": 1}), "^forms.lamda: not a field"),
+    (lambda d: d.__setitem__("quadrature", {"order": 24, "radius": 20.0}),
+     r"^quadrature.radius: not a field; choose from \['order'\]$"),
+    (lambda d: d.__setitem__("sections", {"s": {"exp_coeffs": {"degree": 0}, "scale": 2}}),
+     "^sections.s.scale: not a field"),
+    (lambda d: d.__setitem__("automorphisms", {"t": {"exp_coeffs": {"degree": 0},
+                                                     "exp_coefs": {}}}),
+     "^automorphisms.t.exp_coefs: not a field"),
+    (lambda d: d.__setitem__("plan", [64]), "^plan: must be an object$"),
 ])
 def test_malformed_scenarios_name_the_field(mutate, message):
     blob = scenario_blob()
@@ -744,7 +759,8 @@ def test_scenario_file_tolerances_must_be_finite_and_positive(bound):
 
 
 @pytest.mark.parametrize("key", ["lagrangian/finit", "lagrangain/finite",
-                                 "gauge-laws/sectoin:generic"])
+                                 "gauge-laws/sectoin:generic", "lagrangian/finite:x",
+                                 "gauge-laws/section:nonexistent"])
 def test_a_tolerance_key_that_names_no_check_is_refused(key):
     with pytest.raises(ScenarioError, match=f"^tolerances.{re.escape(key)}: names no check"):
         run_suite(builtin_scenario("flat-su2"), "lagrangian", plan=QUICK,
@@ -768,6 +784,31 @@ def test_a_scenario_file_tolerance_that_names_no_check_exits_2(tmp_path, capsys)
                      "--points", "2", "--report", str(tmp_path / "r.json")])
     assert code == 2
     assert "error: tolerances.lagrangian/finit: names no check" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_a_per_entry_tolerance_key_names_a_section_or_an_automorphism():
+    flat = builtin_scenario("flat-su2")
+    bundle = dataclasses.replace(flat, automorphisms={"tau": flat.automorphisms["generic"]})
+    report = run_suite(bundle, "gauge-laws", plan=QUICK, tolerances={
+        "gauge-laws/section:twist": 1e-30, "gauge-laws/automorphism-potential:tau": 1e-30})
+    bounds = {row.check: row.tolerance for row in report.suites[0].checks}
+    assert bounds["section:twist"] == bounds["automorphism-potential:tau"] == 1e-30
+    with pytest.raises(ScenarioError, match="automorphism-potential:twist: names no check"):
+        run_suite(bundle, "gauge-laws", plan=QUICK,
+                  tolerances={"gauge-laws/automorphism-potential:twist": 1e-30})
+
+
+def test_a_scenario_file_key_that_names_no_field_exits_2(tmp_path, capsys):
+    path = tmp_path / "typo.json"
+    save_scenario(builtin_scenario("flat-su2"), path)
+    blob = json.loads(path.read_text())
+    blob["plan"]["points"] = 500
+    path.write_text(json.dumps(blob))
+    code = cli_main(["verify", "--scenario", str(path), "--suite", "algebra",
+                     "--report", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "error: plan.points: not a field" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 
