@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import ScenarioError, _int_field
+from .forms import ScenarioError, _int_field, _object
 
 __all__ = [
     "LieAlgebraDescriptor",
@@ -354,16 +354,19 @@ def algebra_to_dict(alg: LieAlgebraDescriptor) -> dict:
 def algebra_from_dict(data) -> LieAlgebraDescriptor:
     """The descriptor of a built-in name, or of a full blob as
     `algebra_to_dict` writes it. A blob that is not an object or a name, that
-    lacks a key, or whose `dim` or variety-block entry is not an integer
-    raises ScenarioError naming the field (`algebra.<key>`)."""
+    lacks a key or has one that names no field, or whose `dim` or
+    variety-block entry is not an integer raises ScenarioError naming the
+    field (`algebra.<key>`)."""
     if isinstance(data, str):
         return algebra_from_name(data)
     if not isinstance(data, dict):
         raise ScenarioError(f"algebra: must be a name or an object, got {data!r}")
     if set(data) == {"name"}:
         return algebra_from_name(data["name"])
-    for key in ("dim", "basis_labels", "structure_constants", "rep_matrices", "kappa",
-                "variety_blocks"):
+    fields = ("dim", "basis_labels", "structure_constants", "rep_matrices", "kappa",
+              "variety_blocks")
+    _object("algebra", data, fields + ("label",))
+    for key in fields:
         if key not in data:
             raise ScenarioError(f"algebra.{key}: missing")
     raw = np.asarray(data["rep_matrices"], dtype=float)

@@ -64,6 +64,19 @@ def _int_field(field_name, value) -> int:
     return int(value)
 
 
+def _object(path: str, blob, fields, label=None) -> dict:
+    """`blob` if it is an object whose every key names one of `fields`, else
+    ScenarioError naming `label` (default `path`) or the key: a misspelt key
+    is refused, not dropped. Keys of the top level (path '') are named alone."""
+    if not isinstance(blob, dict):
+        raise ScenarioError(f"{label or path}: must be an object")
+    for key in blob:
+        if key not in fields:
+            raise ScenarioError(f"{path}{'.' if path else ''}{key}: not a field; "
+                                f"choose from {list(fields)}")
+    return blob
+
+
 def drain_order_loss_events():
     global _ORDER_LOSS
     out, _ORDER_LOSS = _ORDER_LOSS, []
@@ -76,40 +89,35 @@ def increasing_indices(n: int, k: int):
     return tuple(itertools.combinations(range(n), k))
 
 
-def _perm_sign(p) -> int:
-    sign = 1
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, cycle = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return sign
-
-
 # ---------------------------------------------------------------------------
 # charts
 # ---------------------------------------------------------------------------
+
+# each metric kind as (time sign, conformal factor): at the rows of a (P, n)
+# batch X the metric is factor(X) diag(time sign, 1, ..., 1), or that
+# diagonal alone when the kind has no factor
+METRIC_KINDS = {
+    "euclidean": (1, None),
+    "round-s4": (1, lambda X: 4.0 / (1.0 + np.einsum("pi,pi->p", X, X)) ** 2),
+    "minkowski": (-1, None),
+}
+
 
 @dataclass
 class Chart:
     """A coordinate box with a metric and an orientation sign.
 
-    metric_kind is one of "euclidean", "round-s4" (the stereographic chart
-    of the round 4-sphere), "minkowski", "custom"; it is the word a scenario
-    file's chart.metric uses. `metric` maps a point to the (dim, dim) matrix.
+    metric_kind is one of `METRIC_KINDS`, the word a scenario file's
+    chart.metric uses: "euclidean", "round-s4" (the stereographic chart of
+    the round 4-sphere) or "minkowski". Each is conformally flat with a
+    diagonal signature, so its time sign and its conformal factor are the
+    whole metric.
     """
 
     dim: int
     box: np.ndarray  # (dim, 2) rows (lo, hi)
     orientation: int = 1
     metric_kind: str = "euclidean"
-    metric: callable = None
 
     def __post_init__(self):
         self.box = np.asarray(self.box, dtype=float)
@@ -117,10 +125,8 @@ class Chart:
             raise ValueError("box must be (dim, 2) with lo < hi on every axis")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
-        if self.metric is None:
-            self.metric = _metric_for(self.metric_kind, self.dim)
-        elif self.metric_kind != "custom":
-            raise ValueError("explicit metric callables require metric_kind='custom'")
+        if self.metric_kind not in METRIC_KINDS:
+            raise ValueError(f"unknown metric kind {self.metric_kind!r}")
 
     def half_width(self) -> float:
         return float((self.box[:, 1] - self.box[:, 0]).max() / 2)
@@ -131,22 +137,6 @@ class Chart:
     def contains(self, x) -> bool:
         x = np.asarray(x)
         return bool(((x >= self.box[:, 0]) & (x <= self.box[:, 1])).all())
-
-
-def _metric_for(kind: str, dim: int):
-    if kind == "euclidean":
-        eye = np.eye(dim)
-        return lambda x: eye
-    if kind == "round-s4":
-        def metric(x):
-            s = 4.0 / (1.0 + float(np.dot(x, x))) ** 2
-            return s * np.eye(dim)
-        return metric
-    if kind == "minkowski":
-        g = np.eye(dim)
-        g[0, 0] = -1.0
-        return lambda x: g
-    raise ValueError(f"unknown metric kind {kind!r}")
 
 
 def euclidean_chart(dim: int = 4, half: float = 1.0, orientation: int = 1) -> Chart:
@@ -275,16 +265,6 @@ class PolyData:
                 {"coeffs": c.tolist(), "exponents": e.tolist()} for c, e in lst]
                 for idx, lst in self.terms.items()},
         }
-
-    @staticmethod
-    def from_json(n, value_shape, blob) -> "PolyData":
-        terms = {}
-        for key, lst in blob.get("terms", {}).items():
-            idx = tuple(int(s) for s in key.split(",")) if key else ()
-            terms[idx] = [(np.asarray(t["coeffs"], dtype=float),
-                           np.array([_int_field("exponents", e) for e in t["exponents"]],
-                                    dtype=int)) for t in lst]
-        return PolyData(n, _int_field("degree", blob["degree"]), value_shape, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -594,35 +574,32 @@ def graded_product(pairing: Pairing, a: LieForm, b: LieForm) -> LieForm:
 # ---------------------------------------------------------------------------
 
 def hodge_star(chart: Chart, f: LieForm) -> LieForm:
-    """Musical-isomorphism star: raise the k indices with the inverse metric,
-    contract with the Levi-Civita symbol, scale by sqrt|det g| and the chart
-    orientation. Works for any metric signature (|det| under the root). On
-    the table, (*f)_J = scale sign(A, J) sum_B det(ginv[A, B]) f_B, with A
-    the complement of J: one map for a constant metric, one per row else."""
+    """The star of the chart's metric g = s diag(eta) (`METRIC_KINDS`) on the
+    table: (*f)_J = orientation s^((n - 2k)/2) eta_A sign(A, J) f_A, with A
+    the complement of J and eta_A the product of eta over A. This is the
+    minors formula sqrt|det g| sign(A, J) sum_B det(ginv[A, B]) f_B, whose
+    minors of a diagonal metric vanish off B = A: a fixed signed permutation
+    of the columns, times a factor skipped when the metric has none or when
+    2k = n, where the star is conformally invariant."""
     n, k = f.n, f.degree
     if chart.dim != n:
         raise ValueError("chart/form dimension mismatch")
-    ins, outs = increasing_indices(n, k), increasing_indices(n, n - k)
-    rows = np.array([[i for i in range(n) if i not in J] for J in outs],
-                    dtype=int).reshape(len(outs), k)
-    cols = np.array(ins, dtype=int).reshape(len(ins), k)
-    signs = np.array([_perm_sign(tuple(A) + J) for A, J in zip(rows.tolist(), outs)])
-
-    def star_maps(g):
-        """(..., C(n, n-k), C(n, k)) maps of a (..., n, n) metric stack."""
-        ginv = np.linalg.inv(g)
-        minors = np.linalg.det(ginv[..., rows[:, None, :, None], cols[None, :, None, :]])
-        scale = chart.orientation * np.sqrt(np.abs(np.linalg.det(g)))
-        return scale[..., None, None] * signs[:, None] * minors
-
-    constant = star_maps(chart.metric(chart.box.mean(axis=1))) if (
-        chart.metric_kind in ("euclidean", "minkowski")) else None
+    time_sign, factor = METRIC_KINDS[chart.metric_kind]
+    ins = increasing_indices(n, k)
+    source, signs = np.empty(len(ins), dtype=int), np.empty(len(ins))
+    # the (k, n - k)-shuffles of the top index: each k-index A, its complement J, sign(A, J)
+    for a, j, sign in _shuffle_columns(n, k, n - k)[0]:
+        source[j] = a
+        signs[j] = chart.orientation * sign * (time_sign if 0 in ins[a] else 1)
+    tail = (1,) * len(f.value_shape)
+    signs = signs.reshape((-1,) + tail)
+    power = (n - 2 * k) / 2
 
     def batch(X):
-        maps = np.broadcast_to(constant, (len(X),) + constant.shape) if (
-            constant is not None) else star_maps(
-                np.array([chart.metric(x) for x in X]).reshape(len(X), n, n))
-        return np.einsum('pJI,pI...->pJ...', maps, f.table(X))
+        out = signs * f.table(X)[:, source]
+        if factor is None or power == 0:
+            return out
+        return factor(X).reshape((-1, 1) + tail) ** power * out
 
     return LieForm(n=n, degree=n - k, value_target=f.value_target,
                    value_shape=f.value_shape, batch=batch, fd_step=f.fd_step, box=f.box)

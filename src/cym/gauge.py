@@ -52,12 +52,7 @@ def _adjoint_twist(alg: LieAlgebraDescriptor, sigma: GSection, f: LieForm) -> Li
 
 def gauge_changed_potential(s: GaugeScenario, sigma: GSection) -> LieForm:
     """A' = Ad_{sigma^{-1}} A + Delta sigma."""
-    twisted = _adjoint_twist(s.algebra, sigma, s.gauge_field)
-    dsig = darboux(s, sigma)
-    return LieForm(n=s.chart.dim, degree=1, value_target="algebra",
-                   value_shape=(s.algebra.dim,),
-                   batch=lambda X: twisted.table(X) + dsig.table(X),
-                   fd_step=dsig.fd_step, box=s.chart.box)
+    return add_forms(_adjoint_twist(s.algebra, sigma, s.gauge_field), darboux(s, sigma))
 
 
 def change_of_gauge(s: GaugeScenario, sigma: GSection, plan: SamplePlan) -> np.ndarray:

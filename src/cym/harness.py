@@ -35,10 +35,9 @@ from .algebra import (VARIETY_TOL, LieAlgebraDescriptor, ReexpansionError,
                       expm, group_exp, jacobi_tensor, su2, variety_residual)
 from .connection import (COMPATIBILITY_TOL, GaugeScenario, LabConnection,
                          check_compatibility, field_redefine, potential_curvature)
-from .forms import (FD_STEP, Chart, LieForm, PolyData, SamplePlan, ScenarioError,
-                    _int_field, euclidean_chart, form_from_poly,
-                    increasing_indices, max_gap, max_gap_rows, minkowski_chart,
-                    stereographic_chart, zero_form)
+from .forms import (FD_STEP, METRIC_KINDS, Chart, LieForm, PolyData, SamplePlan,
+                    ScenarioError, _int_field, _object, form_from_poly, increasing_indices,
+                    max_gap, max_gap_rows, stereographic_chart, zero_form)
 from .gauge import (bianchi_rows, change_of_gauge,
                     density_gauge_invariance_rows, density_infinitesimal_rows,
                     field_redef_rows, instanton_charge, self_duality_rows)
@@ -104,7 +103,7 @@ def bpst_potential(box=None) -> LieForm:
                        - mx[:, mu] * X[:, nu, None]) / u ** 2
 
     return LieForm(n=4, degree=1, value_target="algebra", value_shape=(3,),
-                   batch=batch, analytic_d=d, fd_step=2e-5, box=box)
+                   batch=batch, analytic_d=d, box=box)
 
 
 def bpst_central_form(box=None) -> LieForm:
@@ -125,7 +124,7 @@ def bpst_central_form(box=None) -> LieForm:
             'pi,cia->pca', X, wedge)
 
     return LieForm(n=4, degree=2, value_target="algebra", value_shape=(3,),
-                   batch=batch, analytic_d=d, fd_step=2e-5, box=box)
+                   batch=batch, analytic_d=d, box=box)
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +260,7 @@ def builtin_scenario(name: str) -> ScenarioBundle:
 # scenario files
 # ---------------------------------------------------------------------------
 
-_METRIC_NAMES = ("euclidean", "round-s4", "minkowski")
 _MAX_DIM = 16
-
-
-def _object(path: str, blob, fields, label=None) -> dict:
-    """`blob` if it is an object whose every key names one of `fields`, else
-    ScenarioError naming `label` (default `path`) or the key: a misspelt key
-    is refused, not dropped. Keys of the top level (path '') are named alone."""
-    if not isinstance(blob, dict):
-        raise ScenarioError(f"{label or path}: must be an object")
-    for key in blob:
-        if key not in fields:
-            raise ScenarioError(f"{path}{'.' if path else ''}{key}: not a field; "
-                                f"choose from {list(fields)}")
-    return blob
 
 
 def _chart_from_dict(blob) -> Chart:
@@ -287,9 +272,9 @@ def _chart_from_dict(blob) -> Chart:
     half = require_finite_positive("chart.half", blob["half"])
     metric = blob.get("metric", "euclidean")
     orientation = _int_field("chart.orientation", blob.get("orientation", 1))
-    if metric not in _METRIC_NAMES:
+    if not isinstance(metric, str) or metric not in METRIC_KINDS:
         raise ScenarioError(f"chart.metric: unknown metric {metric!r}; "
-                            f"choose from {sorted(_METRIC_NAMES)}")
+                            f"choose from {sorted(METRIC_KINDS)}")
     if orientation not in (1, -1):
         raise ScenarioError(f"chart.orientation: must be +1 or -1, got "
                             f"{orientation}")
@@ -300,38 +285,43 @@ def _chart_from_dict(blob) -> Chart:
         raise ScenarioError(f"chart.dim: at most {_MAX_DIM} axes, got {dim}")
     if not math.isfinite(2 * half):  # the sample points span the box's width
         raise ScenarioError(f"chart.half: the box width 2 * half overflows, got {half!r}")
-    if metric == "round-s4":
-        if dim != 4:
-            raise ScenarioError("chart.metric: the round-sphere metric needs dim 4")
-        return stereographic_chart(half=half, orientation=orientation)
-    if metric == "minkowski":
-        if dim != 4:
-            raise ScenarioError("chart.metric: the minkowski chart needs dim 4")
-        if orientation != 1:
-            raise ScenarioError("chart.orientation: minkowski chart is oriented +1")
-        return minkowski_chart(half=half)
-    return euclidean_chart(dim, half=half, orientation=orientation)
+    if metric != "euclidean" and dim != 4:
+        raise ScenarioError(f"chart.metric: the {metric} metric needs dim 4")
+    if metric == "minkowski" and orientation != 1:
+        raise ScenarioError("chart.orientation: minkowski chart is oriented +1")
+    return Chart(dim, np.array([[-half, half]] * dim), orientation, metric)
+
+
+class _NotACoefficient(Exception):
+    """A polynomial coefficient that is no finite real number."""
 
 
 def _poly_from_blob(field_name, blob, n, dim, degree) -> PolyData:
-    """The payload of a degree-`degree` form blob, checked in one pass."""
-    if not isinstance(blob, dict):
-        raise ScenarioError(f"{field_name}: must be a polynomial-form object")
+    """The payload of a degree-`degree` form blob, read and checked in one
+    pass: the blob and each term name only their fields, and a coefficient
+    follows `_finite_real`'s number rule (no bool, string, NaN or Infinity)."""
+    _object(field_name, blob, ("degree", "terms"))
+    terms = {}
     try:
-        poly = PolyData.from_json(n, (dim,), blob)
+        for key, rows in blob.get("terms", {}).items():
+            read = terms[tuple(int(s) for s in key.split(",")) if key else ()] = []
+            for t in rows:
+                coeffs = _object(f"terms[{key!r}]", t, ("coeffs", "exponents"))["coeffs"]
+                # the floats and ints JSON gives skip the slower abstract-class check
+                plain = type(coeffs) is list and all(type(c) in (float, int) for c in coeffs)
+                for c in coeffs if plain else np.asarray(coeffs, dtype=object).ravel():
+                    if not (plain or isinstance(c, Real) and not isinstance(c, bool)) \
+                            or not math.isfinite(c):
+                        raise _NotACoefficient(c)
+                read.append((np.asarray(coeffs, dtype=float), np.array(
+                    [_int_field("exponents", e) for e in t["exponents"]], dtype=int)))
+        poly = PolyData(n, _int_field("degree", blob["degree"]), (dim,), terms)
+    except _NotACoefficient as exc:
+        raise ScenarioError(f"{field_name}: polynomial coefficients must be finite "
+                            f"numbers, got {exc.args[0]!r}") from None
     except (AttributeError, IndexError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{field_name}: malformed polynomial payload "
                             f"({exc})") from None
-    # `_finite_real`'s number rule on the blob's own values: no bool, string, NaN or Infinity
-    # is a coefficient; the floats and ints JSON gives skip the slower abstract-class check
-    for term in (t for rows in blob.get("terms", {}).values() for t in rows):
-        coeffs = term["coeffs"]
-        plain = type(coeffs) is list and all(type(c) in (float, int) for c in coeffs)
-        for c in coeffs if plain else np.asarray(coeffs, dtype=object).ravel():
-            if not (plain or isinstance(c, Real) and not isinstance(c, bool)) \
-                    or not math.isfinite(c):
-                raise ScenarioError(f"{field_name}: polynomial coefficients must be "
-                                    f"finite numbers, got {c!r}")
     if poly.degree != degree:
         raise ScenarioError(f"{field_name}: expected a degree-{degree} form, "
                             f"got degree {poly.degree}")

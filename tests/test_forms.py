@@ -13,7 +13,8 @@ import cym.forms as fm
 import cym.gauge as gauge
 from cym.connection import (LabConnection, cov_ext_deriv, curvature,
                             potential_curvature)
-from cym.harness import bpst_central_form, bpst_potential, builtin_scenario
+from cym.harness import (_poly_from_blob, bpst_central_form, bpst_potential,
+                         builtin_scenario)
 
 SU2 = alg.su2()
 CH = fm.euclidean_chart(4)
@@ -361,6 +362,57 @@ def test_star_isometry_sum_of_squares():
     assert abs(top_coefficient(top, X0) - want) < 1e-10
 
 
+# each metric kind as the (n, n) matrix at a point, written out in full
+REFERENCE_METRICS = {
+    "euclidean": lambda x: np.eye(len(x)),
+    "minkowski": lambda x: np.diag([-1.0] + [1.0] * (len(x) - 1)),
+    "round-s4": lambda x: 4.0 / (1.0 + x @ x) ** 2 * np.eye(len(x)),
+}
+
+
+def minors_star(metric, orientation, table, X, k):
+    """The star by the minors formula on each row's metric g: (*f)_J =
+    orientation sqrt|det g| sign(A, J) sum_B det(ginv[A, B]) f_B, with A
+    the complement of J and sign(A, J) the determinant of the permutation."""
+    n = X.shape[1]
+    ins = fm.increasing_indices(n, k)
+    out = []
+    for x, row in zip(X, table):
+        g = metric(x)
+        ginv = np.linalg.inv(g)
+        scale = orientation * np.sqrt(abs(np.linalg.det(g)))
+        stars = []
+        for J in fm.increasing_indices(n, n - k):
+            A = [i for i in range(n) if i not in J]
+            sign = np.linalg.det(np.eye(n)[A + list(J)])
+            stars.append(scale * sign * sum(
+                np.linalg.det(ginv[A][:, list(B)]) * f_B for B, f_B in zip(ins, row)))
+        out.append(stars)
+    return np.array(out)
+
+
+@mark.parametrize("kind, n", [("euclidean", 2), ("euclidean", 3), ("euclidean", 4),
+                              ("minkowski", 4), ("round-s4", 4)])
+@mark.parametrize("orientation", [1, -1])
+def test_star_matches_the_minors_formula(kind, n, orientation):
+    # every degree: equal where the metric is constant, to rounding where the
+    # round sphere's conformal factor varies from point to point
+    chart = fm.Chart(n, np.array([[-2.0, 2.0]] * n), orientation, kind)
+    rng = np.random.default_rng(31)
+    X = rng.uniform(-2.0, 2.0, size=(16, n))
+    for k in range(n + 1):
+        W = rng.normal(size=(n, 3 * len(fm.increasing_indices(n, k))))
+        f = fm.LieForm(n, k, "algebra", (3,), batch=lambda X, W=W: np.cos(X @ W).reshape(
+            len(X), -1, 3), box=chart.box)
+        got = fm.hodge_star(chart, f).table(X)
+        want = minors_star(REFERENCE_METRICS[kind], orientation, f.table(X), X, k)
+        assert got.shape == want.shape
+        if kind == "round-s4":
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=f"k={k}")
+        else:
+            assert np.array_equal(got, want), f"k={k}"
+
+
 def test_minkowski_star_flips_time_pairs():
     chm = fm.minkowski_chart()
     f = constant_form(4, 2, "scalar", {(0, 1): np.array(1.0)}, box=chm.box)
@@ -648,7 +700,7 @@ def test_poly_table_matches_evaluate_bit_for_bit(name):
 
 def test_poly_json_round_trip():
     blob = A_FORM.poly.to_json()
-    back = fm.PolyData.from_json(4, (3,), blob)
+    back = _poly_from_blob("A", blob, 4, 3, 1)  # the reader of scenario files
     for idx in fm.increasing_indices(4, 1):
         np.testing.assert_allclose(back.evaluate(X0, idx),
                                    A_FORM.components(X0, idx), atol=0.0)
@@ -762,6 +814,5 @@ def test_chart_validation():
         fm.Chart(dim=2, box=np.array([[1.0, -1.0], [-1.0, 1.0]]))
     with pytest.raises(ValueError):
         fm.Chart(dim=2, box=np.array([[-1.0, 1.0], [-1.0, 1.0]]), orientation=0)
-    with pytest.raises(ValueError):
-        fm.Chart(dim=2, box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
-                 metric=lambda x: np.eye(2))  # needs metric_kind="custom"
+    with pytest.raises(ValueError, match="unknown metric kind 'custom'"):
+        fm.Chart(dim=2, box=np.array([[-1.0, 1.0], [-1.0, 1.0]]), metric_kind="custom")

@@ -416,6 +416,11 @@ def test_jacobi_violation_rejected_naming_triple():
                                                      "exp_coefs": {}}}),
      "^automorphisms.t.exp_coefs: not a field"),
     (lambda d: d.__setitem__("plan", [64]), "^plan: must be an object$"),
+    (lambda d: d["forms"].__setitem__("A", {"degree": 1, "term": d["forms"]["A"]["terms"]}),
+     r"^forms.A.term: not a field; choose from \['degree', 'terms'\]$"),
+    (lambda d: d["forms"]["A"]["terms"]["1"][0].__setitem__("coef", [0.5]),
+     r"^forms.A: malformed polynomial payload \(terms\['1'\].coef: not a field"),
+    (lambda d: d.__setitem__("algebra", custom_u1(kapa=[[1.0]])), "^algebra.kapa: not a field"),
 ])
 def test_malformed_scenarios_name_the_field(mutate, message):
     blob = scenario_blob()
