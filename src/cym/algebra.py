@@ -511,9 +511,9 @@ def dagger(m) -> np.ndarray:
 
 
 def ad_twist(alg: LieAlgebraDescriptor, g, table) -> np.ndarray:
-    """Ad_g of every entry of a (P, C, dim) coefficient table, for a
-    (P, r, r) stack g of group matrices."""
-    return (ad_matrix_of_group(alg, g)[:, None] @ table[..., None])[..., 0]
+    """Ad_g of every entry of a (..., P, C, dim) coefficient table, for a
+    (..., P, r, r) stack g of group matrices."""
+    return (ad_matrix_of_group(alg, g)[..., None, :, :] @ table[..., None])[..., 0]
 
 
 def ad_matrix_c(alg: LieAlgebraDescriptor, coeffs: np.ndarray) -> np.ndarray:

@@ -41,8 +41,8 @@ from .forms import (FD_STEP, METRIC_KINDS, Chart, LieForm, PolyData, SamplePlan,
 from .gauge import (bianchi_rows, change_of_gauge,
                     density_gauge_invariance_rows, density_infinitesimal_rows,
                     field_redef_rows, instanton_charge, self_duality_rows)
-from .lgb import (DRIFT_TOL, GSection, _point_draws, darboux_inverse_rows,
-                  darboux_leibniz_rows, generalized_mc_rows, induced_connection,
+from .lgb import (DRIFT_TOL, GSection, _point_draws, darboux_pair_rows,
+                  generalized_mc_rows, induced_connection,
                   multiplicativity_rows, nabla_from_darboux, pullback_mc_rows)
 from .principal import (action_differential_rows,
                         equivariance_rows, gauge_transform_total,
@@ -712,18 +712,19 @@ def _random_section_pairs(bundle, count, seed):
     return [(sections[i], sections[(i + 3) % count]) for i in range(count)]
 
 
-def _suite_darboux(bundle, env):
-    pairs = _random_section_pairs(bundle, 8, env.plan.seed)
-    named = [bundle.sections[n] for n in sorted(bundle.sections)
-             if n != "identity"]
-    if len(named) >= 2:
-        pairs = pairs + [(named[0], named[1])]
+def _darboux_pairs(bundle, seed):
+    """The darboux suite's section pairs: 8 random pairs, then the first two
+    named sections other than the identity, when there are two."""
+    pairs = _random_section_pairs(bundle, 8, seed)
+    named = [bundle.sections[n] for n in sorted(bundle.sections) if n != "identity"]
+    return pairs + [(named[0], named[1])] if len(named) >= 2 else pairs
 
+
+def _suite_darboux(bundle, env):
     # at each point, the largest gap over the pairs
-    return {"leibniz": max_gap_rows(np.column_stack(
-                [darboux_leibniz_rows(bundle.scenario, s1, s2, env.plan) for s1, s2 in pairs])),
-            "inverse": max_gap_rows(np.column_stack(
-                [darboux_inverse_rows(bundle.scenario, s1, env.plan) for s1, _ in pairs]))}
+    leibniz, inverse = darboux_pair_rows(bundle.scenario, _darboux_pairs(bundle, env.plan.seed),
+                                         env.plan)
+    return {"leibniz": max_gap_rows(leibniz.T), "inverse": max_gap_rows(inverse.T)}
 
 
 def _suite_fibre_connection(bundle, env):
@@ -761,10 +762,11 @@ def _suite_structure_equation(bundle, env):
 def _suite_gauge_laws(bundle, env):
     checks = {f"section:{name}": change_of_gauge(bundle.scenario, sec, env.plan)
               for name, sec in sorted(bundle.sections.items())}
-    for name, tau in sorted(bundle.automorphisms.items()):
-        (checks[f"automorphism-potential:{name}"],
-         checks[f"automorphism-field-strength:{name}"]) = gauge_transform_total(
-            bundle.scenario, tau, env.plan)
+    names = sorted(bundle.automorphisms)
+    for name, (potential, field_strength) in zip(names, gauge_transform_total(
+            bundle.scenario, [bundle.automorphisms[name] for name in names], env.plan)):
+        checks[f"automorphism-potential:{name}"] = potential
+        checks[f"automorphism-field-strength:{name}"] = field_strength
     return checks
 
 

@@ -34,7 +34,7 @@ from .forms import (FD_STEP, LieForm, SamplePlan, _central_offsets, _central_quo
 
 __all__ = [
     "GSection", "dexp_body", "total_form", "mu_tot", "one_form_on", "darboux",
-    "darboux_leibniz_rows", "darboux_inverse_rows", "nabla_from_darboux",
+    "darboux_pair_rows", "nabla_from_darboux",
     "induced_connection", "multiplicativity_rows", "base_rows", "total_form_rows",
     "product_curvature", "generalized_mc_rows", "pullback_mc_rows",
 ]
@@ -222,13 +222,13 @@ def _body_rows(alg: LieAlgebraDescriptor, matrices, X, h: float, what: str):
     return b[0], _body_coeffs(alg, dagger(b[0]), _central_quotient(b[1:], h), what)
 
 
-def _darboux_rows(s: GaugeScenario, X, h: float, matrices, what: str) -> np.ndarray:
-    """The Darboux derivative b^{-1} d_k b + (Ad_{b^{-1}} - id)(omega_k) along
-    every axis at each point of a (..., n) stack X, shape (n, E..., ..., dim),
-    from the matrices of `_body_rows`."""
+def _darboux_rows(s: GaugeScenario, X, h: float, matrices, what: str):
+    """The matrices b at each point of a (..., n) stack X, (E..., ..., r, r),
+    and the Darboux derivative b^{-1} d_k b + (Ad_{b^{-1}} - id)(omega_k)
+    along every axis there, (n, E..., ..., dim), from `_body_rows`."""
     b0, body = _body_rows(s.algebra, matrices, X, h, what)
     w = np.moveaxis(_table_at(s.omega, X), -2, 0)  # (n, ..., dim), against (n, E..., ..., dim)
-    return total_form(s.algebra, b0, w.reshape(w.shape[:1] + (1,) * (
+    return b0, total_form(s.algebra, b0, w.reshape(w.shape[:1] + (1,) * (
         body.ndim - w.ndim) + w.shape[1:]), eta=body)
 
 
@@ -271,28 +271,37 @@ def darboux(s: GaugeScenario, section: GSection) -> LieForm:
     h, what = s.chart.default_step(), f"section {section.name!r}"
 
     def batch(X):
-        return np.swapaxes(_darboux_rows(s, X, h, section, what), 0, 1)
+        return np.swapaxes(_darboux_rows(s, X, h, section, what)[1], 0, 1)
 
     return LieForm(n=s.chart.dim, degree=1, value_target="algebra",
                    value_shape=(s.algebra.dim,), batch=batch, fd_step=10 * h,
                    box=s.chart.box)
 
 
-def darboux_leibniz_rows(s: GaugeScenario, s1: GSection, s2: GSection,
-                         plan: SamplePlan) -> np.ndarray:
-    """|Delta(s1 s2) - Ad_{s2^{-1}} Delta(s1) - Delta(s2)| at each point of
-    the plan, as a (P,) array."""
-    X = plan.points(s.chart)
-    d1, d2, d12 = (darboux(s, sec).table(X) for sec in (s1, s2, s1.product(s2)))
-    return max_gap_rows(d12 - (ad_twist(s.algebra, dagger(s2(X)), d1) + d2))
+def darboux_pair_rows(s: GaugeScenario, pairs, plan: SamplePlan):
+    """The Leibniz rows |Delta(s1 s2) - Ad_{s2^{-1}} Delta(s1) - Delta(s2)|
+    and the inverse rows |Delta(s1^{-1}) + Ad_{s1} Delta(s1)| of each pair
+    (s1, s2) of sections at each point of the plan, two (E, P) arrays.
 
+    Each distinct section is read once on the stack of X and X +- h e_k; the
+    products and inverses are formed from those matrices (each on the group
+    variety), and one `_darboux_rows` stack covers all of them."""
+    alg = s.algebra
+    sections = list(dict.fromkeys(sec for pair in pairs for sec in pair))
+    first, second = (np.array([sections.index(pair[k]) for pair in pairs]) for k in (0, 1))
 
-def darboux_inverse_rows(s: GaugeScenario, section: GSection, plan: SamplePlan) -> np.ndarray:
-    """|Delta(b^{-1}) + Ad_b Delta(b)| for the section b at each point of the
-    plan, (P,)."""
-    X = plan.points(s.chart)
-    d, dinv = (darboux(s, sec).table(X) for sec in (section, section.inverse()))
-    return max_gap_rows(dinv + ad_twist(s.algebra, section(X), d))
+    def matrices(Y):  # (sections + products + inverses, 2n + 1, P, r, r)
+        b = np.stack([sec(Y) for sec in sections])
+        return np.concatenate([b, on_variety(alg, b[first] @ b[second]),
+                               on_variety(alg, dagger(b[first]))])
+
+    b0, rows = _darboux_rows(s, plan.points(s.chart), s.chart.default_step(), matrices,
+                             f"one of the sections {[sec.name for sec in sections]}")
+    d, d12, dinv = np.split(np.moveaxis(rows, 0, -2), [len(sections), len(sections) + len(pairs)])
+    leibniz = d12 - (ad_twist(alg, dagger(b0[second]), d[first]) + d[second])
+    inverse = dinv + ad_twist(alg, b0[first], d[first])
+    return tuple(max_gap_rows(gap.reshape((-1,) + gap.shape[2:])).reshape(gap.shape[:2])
+                 for gap in (leibniz, inverse))
 
 
 def nabla_from_darboux(s: GaugeScenario, nu: LieForm, X, t_step: float = FD_STEP) -> np.ndarray:
@@ -311,8 +320,8 @@ def nabla_from_darboux(s: GaugeScenario, nu: LieForm, X, t_step: float = FD_STEP
         values = _table_at(nu, shifted)[..., 0, :]
         return on_variety(alg, group_exp(alg, np.stack([t_step * values, -t_step * values])))
 
-    delta = _darboux_rows(s, pts, s.chart.default_step(), matrices,
-                          "section exp(t nu)")             # (n, 2, P, dim)
+    _, delta = _darboux_rows(s, pts, s.chart.default_step(), matrices,
+                             "section exp(t nu)")          # (n, 2, P, dim)
     got = np.moveaxis((delta[:, 0] - delta[:, 1]) / (2 * t_step), 0, 1)
     return got.reshape(X.shape + (alg.dim,))
 

@@ -109,7 +109,7 @@ def pushforward_via_section(s: GaugeScenario, sigma, x, g, X, V) -> np.ndarray:
         return (g @ group_exp(alg, t[..., None] * V)) @ sigma(x + t[..., None] * X)
 
     body_dr = _body_stencil4(alg, curve, np.ndim(X) - 1, h=h_step)
-    ds = _darboux_rows(s, x, h_step, sigma, "section")
+    _, ds = _darboux_rows(s, x, h_step, sigma, "section")
     return body_dr - sum(X[..., k, None] * ds[k] for k in range(len(ds)))
 
 
@@ -341,26 +341,30 @@ def structure_equation_rows(s: GaugeScenario, plan: SamplePlan):
 # gauge transformations by automorphisms
 # ---------------------------------------------------------------------------
 
-def gauge_transform_total(s: GaugeScenario, tau: GSection, plan: SamplePlan) -> tuple:
+def gauge_transform_total(s: GaugeScenario, taus, plan: SamplePlan) -> list:
     """Pull the connection form and field strength back through the bundle
-    automorphism (x, h) -> (x, tau(x) h) of a section tau.
+    automorphism (x, h) -> (x, tau(x) h) of each section tau of `taus`.
 
     Route one differentiates the automorphism directly; route two assembles
     the transformation law through the conjugation section h^{-1} tau h
     (adjoint twist of the form plus the section's pulled-back logarithmic
     derivative). Point i draws h and its probes from
-    `default_rng([plan.seed, i])`; returns the (P,) rows of the potential
-    law and of the field-strength law.
+    `default_rng([plan.seed, i])`, the same for every tau. The E sections
+    run as one stack of E P rows, block e for taus[e]; returns one pair of
+    (P,) rows, of the potential law and of the field-strength law, per tau.
     """
-    alg, n, d = s.algebra, s.chart.dim, s.algebra.dim
+    alg, n, d, E = s.algebra, s.chart.dim, s.algebra.dim, len(taus)
     x = plan.points(s.chart)
     P = len(x)
     coeffs, probes = _point_draws(plan, P, d, 1, 3 * n + 3 * d)
     (h,) = _groups(alg, coeffs)
+    tau_x = np.concatenate([tau(x) for tau in taus])
+    body_dtau = np.concatenate([tau.body_derivative(x, s.chart.default_step()) for tau in taus])
+    x, h, probes = (np.concatenate([a] * E) for a in (x, h, probes))
     X, V, t1, t2 = np.split(probes, [n, n + d, 2 * n + 2 * d], axis=-1)
-    image, body_dtau = tau(x) @ h, tau.body_derivative(x, s.chart.default_step())
+    image = tau_x @ h
     ad_h_inv = ad_matrix_of_group(alg, dagger(h))[:, None]
-    sigma = dagger(h) @ tau(x) @ h
+    sigma = dagger(h) @ tau_x @ h
     x1 = x[:, None, :]
 
     def dtau(base):  # the fibre velocity tau adds along base directions at h
@@ -373,7 +377,9 @@ def gauge_transform_total(s: GaugeScenario, tau: GSection, plan: SamplePlan) -> 
 
     def conj_curve(t):  # the conjugation section along t -> (x + tX, h exp(tV))
         hs = h[:, None] @ group_exp(alg, t[..., None] * V)
-        return np.linalg.inv(hs) @ tau(x1 + t[..., None] * X) @ hs
+        y = x1 + t[..., None] * X
+        return np.linalg.inv(hs) @ np.concatenate(
+            [tau(y[:, e * P:(e + 1) * P]) for e, tau in enumerate(taus)], axis=1) @ hs
 
     base = connection_one_form(s, x1, h[:, None], X, V)
     formula = total_form(alg, sigma[:, None], one_form_on(s.omega, x1, X),
@@ -383,4 +389,5 @@ def gauge_transform_total(s: GaugeScenario, tau: GSection, plan: SamplePlan) -> 
     f = fs.evaluate(np.concatenate([t1, push_through_h(t1)]),
                     np.concatenate([t2, push_through_h(t2)]))
     ad_sig_inv = ad_matrix_of_group(alg, dagger(sigma))[:, None]
-    return max_gap_rows(direct - formula), max_gap_rows(f[P:] - _act(ad_sig_inv, f[:P]))
+    return list(zip(max_gap_rows(direct - formula).reshape(E, P),
+                    max_gap_rows(f[E * P:] - _act(ad_sig_inv, f[:E * P])).reshape(E, P)))

@@ -15,7 +15,7 @@ from cym.connection import (COMPATIBILITY_TOL, GaugeScenario, LabConnection,
 from cym.forms import (LieForm, PolyData, SamplePlan, euclidean_chart,
                        form_from_components, form_from_poly, kappa_wedge_top,
                        max_gap, minkowski_chart, scale_form, zero_form)
-from cym.gauge import (bianchi_rows, change_of_gauge,
+from cym.gauge import (_CHARGE_BLOCK_NODES, bianchi_rows, change_of_gauge,
                        density_gauge_invariance_rows,
                        density_infinitesimal_rows, field_redef_rows,
                        gauge_changed_potential, instanton_charge,
@@ -467,6 +467,7 @@ def bpst_with_gauge_field():
 
 @pytest.mark.parametrize("build, order", [
     (lambda: builtin_scenario("bpst").scenario, 6),
+    (lambda: builtin_scenario("bpst").scenario, 7),  # 49 planes, not a whole number of blocks
     (lambda: builtin_scenario("bpst").scenario, 8),
     (bpst_with_gauge_field, 6),
 ])
@@ -477,24 +478,31 @@ def test_charge_matches_per_node_reference(build, order):
     assert abs(instanton_charge(s, order=order) - want) <= 8 * np.finfo(float).eps * scale
 
 
-def test_charge_reads_order_to_the_fourth_rows(monkeypatch):
-    # one read of the paired density per (x0, x1) plane, and no other batch
-    rows = []
+@pytest.mark.parametrize("order", [6, 7, 24])
+def test_charge_reads_order_to_the_fourth_rows(monkeypatch, order):
+    # the reads of the paired density, in turn, are the order^4 nodes in
+    # (x0, x1, x2, x3) order, each read whole (x2, x3) planes of at most the
+    # block bound (or one plane), and no other batch is read
+    reads = []
 
     def counted_pairing(*args):
         paired = kappa_wedge_top(*args)
         inner = paired.table
 
         def table(X):
-            rows.append(len(X))
+            reads.append(np.array(X))
             return inner(X)
 
         paired.table = table
         return paired
 
     monkeypatch.setattr("cym.gauge.kappa_wedge_top", counted_pairing)
-    instanton_charge(builtin_scenario("bpst").scenario, order=6)
-    assert rows == [6 ** 2] * 6 ** 2
+    instanton_charge(builtin_scenario("bpst").scenario, order=order)
+    nodes = np.tan(0.5 * np.pi * leggauss(order)[0])
+    grid = np.stack(np.meshgrid(*[nodes] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+    assert np.array_equal(np.concatenate(reads), grid)
+    bound = max(order ** 2, _CHARGE_BLOCK_NODES)
+    assert all(len(X) % order ** 2 == 0 and 0 < len(X) <= bound for X in reads)
 
 
 def test_charge_makes_no_per_point_component_calls():

@@ -22,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cym
-from cym.algebra import (VARIETY_TOL, VarietyError, ad_matrix_c, algebra_to_dict,
-                         group_exp, su2, u1)
+from cym.algebra import (VARIETY_TOL, VarietyError, ad_matrix_c, ad_matrix_of_group,
+                         ad_twist, algebra_to_dict, dagger, group_exp, su2, u1)
 from cym.cli import main as cli_main
 from cym.connection import (LabConnection, ad_mapped_form, check_compatibility,
                             curvature, cov_ext_deriv, field_redefine,
@@ -31,7 +31,7 @@ from cym.connection import (LabConnection, ad_mapped_form, check_compatibility,
 from cym.forms import (PolyData, SamplePlan, add_forms, bracket_pairing,
                        euclidean_chart, exterior_derivative, form_from_components,
                        form_from_poly, graded_product, increasing_indices, max_gap,
-                       zero_form)
+                       max_gap_rows, zero_form)
 from cym.gauge import change_of_gauge, instanton_charge, local_field_strength
 from cym.harness import (CHECKS, DEFAULT_TOLERANCES, GATE_PLAN, SCENARIO_NAMES,
                          SUITES, CheckRow, RunEnv, ScenarioError,
@@ -40,9 +40,12 @@ from cym.harness import (CHECKS, DEFAULT_TOLERANCES, GATE_PLAN, SCENARIO_NAMES,
                          bpst_potential, builtin_scenario, load_scenario,
                          run_suite, save_scenario, scenario_from_dict,
                          scenario_to_dict, suite_names, _assemble, _const_poly,
-                         _check_row, _linear_poly, _random_section_pairs)
-from cym.lgb import GSection, generalized_mc_rows
-from cym.principal import gauge_transform_total
+                         _check_row, _darboux_pairs, _linear_poly,
+                         _random_section_pairs)
+from cym.lgb import (GSection, _act, _point_draws, darboux, darboux_pair_rows,
+                     generalized_mc_rows, one_form_on, total_form)
+from cym.principal import (_body_stencil4, _groups, connection_one_form,
+                           gauge_transform_total, total_field_strength)
 
 QUICK = SamplePlan(count=4, seed=7)
 
@@ -1077,13 +1080,14 @@ def test_nan_generator_at_one_point_is_one_nan_fibre_connection_row(name):
 
 
 def count_kernel_calls(monkeypatch, counts, names=("expm", "ad_matrix_of_group")):
-    """Count calls of the cym.algebra functions names, by default expm and
-    ad_matrix_of_group, wherever a cym module binds them."""
+    """Count calls of the cym.algebra or cym.principal functions names, by
+    default expm and ad_matrix_of_group, wherever a cym module binds them."""
     import sys
 
     import cym.algebra as kernel
+    import cym.principal as principal
     for name in names:
-        original = getattr(kernel, name)
+        original = getattr(kernel, name, None) or getattr(principal, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
@@ -1230,6 +1234,101 @@ def test_section_suites_make_no_per_point_kernel_calls(monkeypatch):
     assert per_plan[0] == per_plan[1]
     for check in ("darboux", "lagrangian", "change_of_gauge"):
         assert per_plan[0][check]["expm"] > 0 and per_plan[0][check]["ad_matrix_of_group"] > 0
+
+
+# -- darboux pairs and automorphisms run as one stack each ---------------------
+
+def leibniz_reference(s, s1, s2, plan):
+    """The Leibniz rows of one pair, read pair by pair as before the stack."""
+    X = plan.points(s.chart)
+    d1, d2, d12 = (darboux(s, sec).table(X) for sec in (s1, s2, s1.product(s2)))
+    return max_gap_rows(d12 - (ad_twist(s.algebra, dagger(s2(X)), d1) + d2))
+
+
+def inverse_reference(s, section, plan):
+    """The inverse rows of one section, read alone as before the stack."""
+    X = plan.points(s.chart)
+    d, dinv = (darboux(s, sec).table(X) for sec in (section, section.inverse()))
+    return max_gap_rows(dinv + ad_twist(s.algebra, section(X), d))
+
+
+def gauge_transform_reference(s, tau, plan):
+    """The (potential, field-strength) rows of one automorphism, read alone
+    as before the stack."""
+    alg, n, d = s.algebra, s.chart.dim, s.algebra.dim
+    x = plan.points(s.chart)
+    P = len(x)
+    coeffs, probes = _point_draws(plan, P, d, 1, 3 * n + 3 * d)
+    (h,) = _groups(alg, coeffs)
+    X, V, t1, t2 = np.split(probes, [n, n + d, 2 * n + 2 * d], axis=-1)
+    image, body_dtau = tau(x) @ h, tau.body_derivative(x, s.chart.default_step())
+    ad_h_inv = ad_matrix_of_group(alg, dagger(h))[:, None]
+    sigma = dagger(h) @ tau(x) @ h
+    x1 = x[:, None, :]
+
+    def dtau(base):
+        return _act(ad_h_inv, base @ body_dtau)
+
+    def push_through_h(t):
+        return np.concatenate([t[..., :n], t[..., n:] + dtau(t[..., :n])], axis=-1)
+
+    direct = connection_one_form(s, x1, image[:, None], X, V + dtau(X))
+
+    def conj_curve(t):
+        hs = h[:, None] @ group_exp(alg, t[..., None] * V)
+        return np.linalg.inv(hs) @ tau(x1 + t[..., None] * X) @ hs
+
+    base = connection_one_form(s, x1, h[:, None], X, V)
+    formula = total_form(alg, sigma[:, None], one_form_on(s.omega, x1, X),
+                         eta=_body_stencil4(alg, conj_curve, 2), a=base)
+    fs = total_field_strength(s, np.concatenate([x, x]), np.concatenate([h, image]))
+    f = fs.evaluate(np.concatenate([t1, push_through_h(t1)]),
+                    np.concatenate([t2, push_through_h(t2)]))
+    ad_sig_inv = ad_matrix_of_group(alg, dagger(sigma))[:, None]
+    return max_gap_rows(direct - formula), max_gap_rows(f[P:] - _act(ad_sig_inv, f[:P]))
+
+
+@pytest.mark.parametrize("count", [2, 64])
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_stacked_darboux_pairs_match_the_per_pair_rows_bit_for_bit(name, count):
+    bundle = builtin_scenario(name)
+    s, plan = bundle.scenario, SamplePlan(count=count, seed=5)
+    pairs = _darboux_pairs(bundle, plan.seed)
+    assert len(pairs) == 9
+    leibniz, inverse = darboux_pair_rows(s, pairs, plan)
+    assert leibniz.shape == inverse.shape == (9, count)
+    for e, (s1, s2) in enumerate(pairs):
+        assert np.array_equal(leibniz[e], leibniz_reference(s, s1, s2, plan)), e
+        assert np.array_equal(inverse[e], inverse_reference(s, s1, plan)), e
+    # the comparison sees a partner shifted from i + 3 to i + 2
+    shifted = [(s1, pairs[(i + 2) % 8][0]) for i, (s1, _) in enumerate(pairs[:8])]
+    assert not np.array_equal(leibniz[:8], np.array(
+        [leibniz_reference(s, s1, s2, plan) for s1, s2 in shifted]))
+
+
+@pytest.mark.parametrize("count", [2, 64])
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_stacked_automorphisms_match_the_one_tau_rows_bit_for_bit(name, count):
+    bundle = builtin_scenario(name)
+    s, plan = bundle.scenario, SamplePlan(count=count, seed=5)
+    taus = [bundle.automorphisms[n] for n in sorted(bundle.automorphisms)]
+    got = gauge_transform_total(s, taus, plan)
+    assert len(got) == len(taus) == 4
+    for tau, (potential, field_strength) in zip(taus, got):
+        want = gauge_transform_reference(s, tau, plan)
+        assert np.array_equal(potential, want[0]) and np.array_equal(field_strength, want[1])
+
+
+def test_darboux_and_automorphisms_each_run_as_one_stack(monkeypatch):
+    # one Darboux table read for the nine pairs' 28 sections, products and
+    # inverses, and one field strength for the four automorphisms
+    counts = Counter()
+    count_kernel_calls(monkeypatch, counts, names=("expand_in_rep", "total_field_strength"))
+    bundle = builtin_scenario("bpst")
+    for suite, name in (("darboux", "expand_in_rep"), ("gauge-laws", "total_field_strength")):
+        counts.clear()
+        assert run_suite(bundle, suite, plan=SamplePlan(count=2)).passed
+        assert counts[name] == 1, suite
 
 
 def test_builtin_sections_read_their_polynomials_as_one_table(monkeypatch):
@@ -1424,7 +1523,7 @@ def test_finite_off_variety_automorphism_row_still_raises():
     broken = dataclasses.replace(bundle, automorphisms=dict(
         bundle.automorphisms, generic=GSection(bundle.algebra, doubled, "generic")))
     with pytest.raises(VarietyError, match="off the group variety"):
-        gauge_transform_total(broken.scenario, broken.automorphisms["generic"], NAN_PLAN)
+        gauge_transform_total(broken.scenario, [broken.automorphisms["generic"]], NAN_PLAN)
     assert_watchdog_row(run_suite(broken, "gauge-laws", plan=NAN_PLAN), VARIETY_TOL)
 
 

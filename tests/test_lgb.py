@@ -14,8 +14,7 @@ from cym.algebra import (ReexpansionError, VarietyError, ad_matrix_c,
 from cym.connection import GaugeScenario, LabConnection, potential_curvature
 from cym.forms import (PolyData, SamplePlan, euclidean_chart,
                        form_from_components, form_from_poly, max_gap, zero_form)
-from cym.lgb import (GSection, darboux, darboux_inverse_rows,
-                     darboux_leibniz_rows, dexp_body, generalized_mc_rows, mu_tot,
+from cym.lgb import (GSection, darboux, darboux_pair_rows, dexp_body, generalized_mc_rows, mu_tot,
                      multiplicativity_rows, nabla_from_darboux, one_form_on,
                      pullback_mc_rows, total_form)
 from cym.lgb import _normal_table, _point_draws
@@ -251,7 +250,8 @@ def test_darboux_leibniz_rule():
     s1 = exp_section(lambda y: np.array([0.3 * y[0], -0.2 * y[1], 0.1 * y[0] * y[1]]), "s1")
     s2 = exp_section(lambda y: np.array([0., 0.4 * y[0], -0.1]), "s2")
     plan = SamplePlan(count=12, seed=5)
-    assert max_gap(darboux_leibniz_rows(lgb, s1, s2, plan)) < 1e-6
+    (leibniz,), _ = darboux_pair_rows(lgb, [(s1, s2)], plan)
+    assert max_gap(leibniz) < 1e-6
 
 
 def test_dexp_body_on_a_stack_matches_the_series_row_by_row():
@@ -278,7 +278,8 @@ def test_darboux_inverse_rule():
     lgb = su2_bundle()
     s = exp_section(lambda y: np.array([0.3 * y[0], -0.2 * y[1], 0.1 * y[0] * y[1]]), "s")
     plan = SamplePlan(count=12, seed=5)
-    assert max_gap(darboux_inverse_rows(lgb, s, plan)) < 1e-6
+    _, (inverse,) = darboux_pair_rows(lgb, [(s, s)], plan)
+    assert max_gap(inverse) < 1e-6
 
 
 def test_darboux_table_matches_stacked_per_point_components_bit_for_bit():

@@ -313,8 +313,8 @@ def test_total_form_rows_are_the_connection_form_and_dexp_at_each_offset():
 # ---------------------------------------------------------------------------
 
 def test_identity_automorphism_fixes_everything():
-    a_rows, f_rows = gauge_transform_total(make_bundle(), GSection.identity(ALG),
-                                           SamplePlan(count=3, seed=7, tangent_probes=2))
+    ((a_rows, f_rows),) = gauge_transform_total(make_bundle(), [GSection.identity(ALG)],
+                                                SamplePlan(count=3, seed=7, tangent_probes=2))
     assert max_gap(a_rows) < 1e-10
     assert max_gap(f_rows) < 1e-10
 
@@ -322,8 +322,8 @@ def test_identity_automorphism_fixes_everything():
 def test_constant_multiplier_without_omega_twists_by_adjoint():
     p = make_bundle(with_omega=False, zeta=zero_form(2, 2, "algebra", (3,)))
     g = scipy_expm(ALG.rep_of(np.array([0.5, -0.2, 0.9])))
-    a_rows, f_rows = gauge_transform_total(p, GSection.constant(ALG, g),
-                                           SamplePlan(count=3, seed=9, tangent_probes=2))
+    ((a_rows, f_rows),) = gauge_transform_total(p, [GSection.constant(ALG, g)],
+                                                SamplePlan(count=3, seed=9, tangent_probes=2))
     assert max_gap(a_rows) < 1e-9
     assert max_gap(f_rows) < 1e-9
     # the constant multiplier moves (x, identity) to (x, g) with no fibre
@@ -338,7 +338,7 @@ def test_constant_multiplier_without_omega_twists_by_adjoint():
 
 def test_generic_automorphism_dual_routes_agree():
     tau = exp_section(lambda y: np.array([0.3 * y[0], -0.4 * y[1], 0.2]), "tau")
-    a_rows, f_rows = gauge_transform_total(make_bundle(), tau,
-                                           SamplePlan(count=4, seed=8, tangent_probes=2))
+    ((a_rows, f_rows),) = gauge_transform_total(make_bundle(), [tau],
+                                                SamplePlan(count=4, seed=8, tangent_probes=2))
     assert max_gap(a_rows) < 1e-5
     assert max_gap(f_rows) < 1e-5
